@@ -47,8 +47,7 @@ ClusterSimResult simulate(double degraded_fraction, double partial_records,
 /// threshold divider instead of BOCD (same downstream logic).
 TimelineScore threshold_timeline_score(const ClusterSimResult& sim,
                                        double factor) {
-  const auto comm = CommTypeIdentifier{}.identify(sim.trace);
-  const auto types = comm.types();
+  const auto types = classify(sim.trace).comm.types();
   // Build per-GPU DP timestamp streams.
   std::unordered_map<GpuId, std::vector<TimeNs>> dp_starts;
   std::unordered_map<GpuId, std::vector<TimeNs>> dp_ends;
@@ -110,9 +109,9 @@ int main() {
         Workload{"ZeRO overlap           ", 0, true},
         Workload{"ZeRO + 4 ms jitter     ", 4 * kMillisecond, true}}) {
     const auto sim = simulate(0.0, 0.0, w.jitter, 99, w.zero_overlap);
-    const auto comm = CommTypeIdentifier{}.identify(sim.trace);
-    const auto timelines =
-        TimelineReconstructor{}.reconstruct_all(sim.trace, comm.types());
+    const Classified c = classify(sim.trace);
+    const auto timelines = TimelineReconstructor{}.reconstruct_all(
+        c.columns.view(), c.flow_types);
     const auto bocd_score = score_timelines(std::span(timelines), sim.jobs[0]);
     std::printf("  %s | %5.1f%% / %4zu / %5.3f%%", w.name,
                 100 * bocd_score.matched_fraction(),
@@ -132,7 +131,7 @@ int main() {
   std::printf("  degraded pairs | w/o refinement | with refinement\n");
   for (const double fraction : {0.0, 0.1, 0.2, 0.3, 0.5}) {
     const auto sim = simulate(fraction, 0.0, 0, 123);
-    const auto result = CommTypeIdentifier{}.identify(sim.trace);
+    const auto result = classify(sim.trace).comm;
     const auto without =
         score_comm_type(std::span(result.pairs), sim.jobs[0], true);
     const auto with =
@@ -157,7 +156,7 @@ int main() {
                             Scenario{"1% partial records   ", 0.0, 0.01},
                             Scenario{"degraded + partial   ", 0.2, 0.01}}) {
     const auto sim = simulate(sc.degraded, sc.partial, 0, 321);
-    const auto alg2 = CommTypeIdentifier{}.identify(sim.trace);
+    const auto alg2 = classify(sim.trace).comm;
     const auto alg2_score =
         score_comm_type(std::span(alg2.pairs), sim.jobs[0]);
     const auto global_score = score_comm_type_map(
@@ -198,7 +197,7 @@ int main() {
       Rng collector_rng(idle % 1000 + 1);
       const auto records =
           collect_flows(packets, sim.topology, cc, collector_rng);
-      const auto result = CommTypeIdentifier{}.identify(records);
+      const auto result = classify(records).comm;
       const auto score = score_comm_type(std::span(result.pairs), sim.jobs[0]);
       std::size_t dp_kept = 0;
       for (const auto& p : result.pairs) dp_kept += p.type == CommType::kDP;

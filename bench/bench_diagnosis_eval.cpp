@@ -267,7 +267,8 @@ int main(int argc, char** argv) {
     const StragglerSpec fault = random_straggler(meta);
     cfg.jobs[0].config.stragglers.push_back(fault);
     const ClusterSimResult sim = run_cluster_sim(cfg);
-    const PrismReport report = Prism(sim.topology).analyze(sim.trace);
+    const PrismReport report =
+        Prism(sim.topology).analyze(FlowColumns(sim.trace).view());
     const FaultMatch m = match_straggler(
         report, sim.jobs[0], cfg.jobs[0].config.parallelism, fault);
     ++straggler_score.trials;
@@ -287,7 +288,8 @@ int main(int argc, char** argv) {
     const SlowDpGroupSpec fault = random_slow_group(meta);
     cfg.jobs[0].config.slow_dp_groups.push_back(fault);
     const ClusterSimResult sim = run_cluster_sim(cfg);
-    const PrismReport report = Prism(sim.topology).analyze(sim.trace);
+    const PrismReport report =
+        Prism(sim.topology).analyze(FlowColumns(sim.trace).view());
     const FaultMatch m = match_slow_group(
         report, sim.jobs[0], cfg.jobs[0].config.parallelism, fault);
     ++group_score.trials;
@@ -321,7 +323,8 @@ int main(int argc, char** argv) {
         {.switch_id = switch_id, .window = {0, 2 * kHour},
          .bandwidth_factor = factor});
     const ClusterSimResult sim = run_cluster_sim(cfg);
-    const PrismReport report = Prism(sim.topology).analyze(sim.trace);
+    const PrismReport report =
+        Prism(sim.topology).analyze(FlowColumns(sim.trace).view());
     const FaultMatch m = match_switch(report, switch_id);
     ++switch_score.trials;
     switch_score.score_fault(m);
@@ -350,7 +353,8 @@ int main(int argc, char** argv) {
     cfg.jobs[0].config.stragglers.push_back(straggler);
     cfg.jobs[0].config.slow_dp_groups.push_back(slow_group);
     const ClusterSimResult sim = run_cluster_sim(cfg);
-    const PrismReport report = Prism(sim.topology).analyze(sim.trace);
+    const PrismReport report =
+        Prism(sim.topology).analyze(FlowColumns(sim.trace).view());
     const FaultMatch ms = match_straggler(
         report, sim.jobs[0], cfg.jobs[0].config.parallelism, straggler);
     const FaultMatch mg = match_slow_group(

@@ -75,7 +75,8 @@ int main() {
 
   // One-minute window (the whole trace if shorter, as here).
   const TimeWindow window{0, std::min<TimeNs>(kMinute, sim.trace.span().end)};
-  const FlowTrace flows = sim.trace.window(window);
+  const FlowColumns columns(sim.trace);
+  const FlowView flows = columns.view().window(window);
 
   Stopwatch watch;
   const JobRecognizer recognizer(sim.topology);
@@ -84,7 +85,7 @@ int main() {
   const auto score = score_job_recognition(result, std::span(sim.jobs));
 
   std::printf("window length              : %.1f s\n",
-              to_seconds(flows.span().length()));
+              to_seconds(flows.time_span().length()));
   std::printf("flows analyzed             : %zu\n", flows.size());
   std::printf("cross-machine clusters (1) : %zu\n",
               result.num_cross_machine_clusters);
@@ -106,7 +107,7 @@ int main() {
   std::printf("\nwindow-length robustness (jobs recognized / exact):\n");
   for (const DurationNs w : {kSecond, 2 * kSecond, 5 * kSecond, 10 * kSecond,
                              30 * kSecond, kMinute}) {
-    const FlowTrace slice = sim.trace.window({0, w});
+    const FlowView slice = columns.view().window({0, w});
     const auto r = recognizer.recognize(slice);
     const auto s = score_job_recognition(r, std::span(sim.jobs));
     std::printf("  %5.0f s window: %2zu jobs, %2zu exact\n", to_seconds(w),

@@ -36,11 +36,10 @@ int main() {
               to_seconds(sim.trace.span().length()), sim_watch.seconds());
 
   Stopwatch watch;
-  const CommTypeIdentifier identifier;
-  const auto comm = identifier.identify(sim.trace);
+  const Classified c = classify(sim.trace);
   const TimelineReconstructor reconstructor;
   const auto timelines =
-      reconstructor.reconstruct_all(sim.trace, comm.types());
+      reconstructor.reconstruct_all(c.columns.view(), c.flow_types);
   const double elapsed = watch.seconds();
 
   const auto score = score_timelines(std::span(timelines), sim.jobs[0]);

@@ -60,7 +60,7 @@ int main() {
   prism_config.reconstruct_timelines = false;  // switch-level only
   const Prism prism(sim.topology, prism_config);
   Stopwatch watch;
-  const PrismReport report = prism.analyze(sim.trace);
+  const PrismReport report = prism.analyze(FlowColumns(sim.trace).view());
   std::printf("analysis wall time: %.1f s\n\n", watch.seconds());
 
   std::printf("per-switch one-hour average DP bandwidth (the Fig. 5 series):\n");

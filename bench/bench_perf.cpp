@@ -107,7 +107,8 @@ void BM_JobRecognition(benchmark::State& state) {
   const auto& sim = shared_cluster();
   const JobRecognizer recognizer(sim.topology);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(recognizer.recognize(sim.trace));
+    benchmark::DoNotOptimize(
+        recognizer.recognize(FlowColumns(sim.trace).view()));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * sim.trace.size()));
@@ -119,7 +120,9 @@ void BM_CommTypeIdentify(benchmark::State& state) {
   const auto& sim = shared_cluster();
   const CommTypeIdentifier identifier;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(identifier.identify(sim.trace));
+    const FlowColumns columns(sim.trace);
+    const FlowView view = columns.view();
+    benchmark::DoNotOptimize(identifier.identify(view, PairIndex(view)));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * sim.trace.size()));
@@ -128,10 +131,17 @@ BENCHMARK(BM_CommTypeIdentify);
 
 void BM_TimelineReconstructAll(benchmark::State& state) {
   const auto& sim = shared_cluster();
-  const auto types = CommTypeIdentifier{}.identify(sim.trace).types();
+  std::vector<CommType> flow_types;
+  {
+    const FlowColumns columns(sim.trace);
+    const FlowView view = columns.view();
+    benchmark::DoNotOptimize(
+        CommTypeIdentifier{}.identify(view, PairIndex(view), &flow_types));
+  }
   const TimelineReconstructor reconstructor;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(reconstructor.reconstruct_all(sim.trace, types));
+    benchmark::DoNotOptimize(reconstructor.reconstruct_all(
+        FlowColumns(sim.trace).view(), flow_types));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * sim.trace.size()));
@@ -142,7 +152,7 @@ void BM_PrismEndToEnd(benchmark::State& state) {
   const auto& sim = shared_cluster();
   const Prism prism(sim.topology);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(prism.analyze(sim.trace));
+    benchmark::DoNotOptimize(prism.analyze(FlowColumns(sim.trace).view()));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * sim.trace.size()));
@@ -328,7 +338,7 @@ void BM_PrismAnalyze(benchmark::State& state) {
   cfg.num_threads = static_cast<std::size_t>(state.range(0));
   const Prism prism(sim.topology, cfg);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(prism.analyze(sim.trace));
+    benchmark::DoNotOptimize(prism.analyze(FlowColumns(sim.trace).view()));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * sim.trace.size()));
@@ -427,18 +437,24 @@ void BM_MonitorIngestWarm(benchmark::State& state) {
 BENCHMARK(BM_MonitorIngestWarm);
 
 void BM_FlowMergeSorted(benchmark::State& state) {
-  // K sorted runs combined into one sorted trace — the cluster-wide DP
-  // merge shape. Arg = number of runs.
+  // K sorted column runs combined into one sorted run — the cluster-wide
+  // DP merge shape. Arg = number of runs.
   const auto& sim = shared_multi_job_cluster();
   const auto k = static_cast<std::size_t>(state.range(0));
-  std::vector<FlowTrace> runs(k);
-  for (std::size_t i = 0; i < sim.trace.size(); ++i) {
-    runs[i % k].add(sim.trace[i]);
+  std::vector<FlowColumns> runs;
+  {
+    std::vector<FlowTrace> traces(k);
+    for (std::size_t i = 0; i < sim.trace.size(); ++i) {
+      traces[i % k].add(sim.trace[i]);
+    }
+    for (FlowTrace& trace : traces) {
+      trace.sort();
+      runs.emplace_back(trace);
+    }
   }
-  for (FlowTrace& run : runs) run.sort();
   for (auto _ : state) {
-    std::vector<FlowTrace> copy = runs;
-    benchmark::DoNotOptimize(FlowTrace::merge_sorted_runs(std::move(copy)));
+    std::vector<FlowColumns> copy = runs;
+    benchmark::DoNotOptimize(FlowColumns::merge_sorted_runs(std::move(copy)));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * sim.trace.size()));

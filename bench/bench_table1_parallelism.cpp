@@ -65,9 +65,10 @@ int main() {
 
     Stopwatch analysis_watch;
     const CommTypeIdentifier identifier;
+    const FlowColumns columns(sim.trace);
     for (std::size_t w = 0; w < windows.size(); ++w) {
-      const FlowTrace slice = sim.trace.window({0, windows[w]});
-      const auto result = identifier.identify(slice);
+      const FlowView slice = columns.view().window({0, windows[w]});
+      const auto result = identifier.identify(slice, PairIndex(slice));
       const auto with = score_comm_type(std::span(result.pairs), sim.jobs[0],
                                         /*use_pre_refinement=*/false);
       const auto without = score_comm_type(std::span(result.pairs),

@@ -4,7 +4,10 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <vector>
 
+#include "llmprism/core/comm_type.hpp"
+#include "llmprism/flow/view.hpp"
 #include "llmprism/simulator/cluster_sim.hpp"
 
 namespace llmprism::bench {
@@ -59,6 +62,23 @@ inline NoiseConfig table1_noise() {
   noise.duplicate_rate = 0.005;
   noise.time_jitter = 50 * kMicrosecond;
   return noise;
+}
+
+/// Alg. 2 over one job's flows: the flows transposed once into columns,
+/// classified over a fresh pair index, with the per-row types kept for
+/// timeline reconstruction.
+struct Classified {
+  FlowColumns columns;
+  CommTypeResult comm;
+  std::vector<CommType> flow_types;
+};
+
+inline Classified classify(const FlowTrace& trace) {
+  Classified c;
+  c.columns = FlowColumns(trace);
+  const FlowView view = c.columns.view();
+  c.comm = CommTypeIdentifier{}.identify(view, PairIndex(view), &c.flow_types);
+  return c;
 }
 
 inline void print_rule(int width = 78) {

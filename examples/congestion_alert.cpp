@@ -39,7 +39,8 @@ int main() {
   const ClusterSimResult sim = run_cluster_sim(sim_config);
 
   const Prism prism(sim.topology);
-  const PrismReport report = prism.analyze(sim.trace);
+  const FlowColumns flows(sim.trace);
+  const PrismReport report = prism.analyze(flows.view());
   const JobAnalysis& analysis = report.jobs.front();
 
   std::cout << "\n--- cross-step diagnosis (straggler) ---\n";

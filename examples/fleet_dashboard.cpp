@@ -75,10 +75,11 @@ int main(int argc, char** argv) {
   }
   ExportSinks sinks(exports);
 
+  const FlowColumns flows(sim.trace);
   const TimeWindow span = sim.trace.span();
   for (TimeNs at = span.begin; at < span.end; at += kSecond) {
     for (const MonitorTick& tick :
-         monitor.ingest(sim.trace.window({at, at + kSecond}))) {
+         monitor.ingest(flows.view().window({at, at + kSecond}))) {
       sinks.add_window(export_view(tick));
     }
   }

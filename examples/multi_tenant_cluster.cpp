@@ -56,7 +56,8 @@ int main(int argc, char** argv) {
   PrismConfig config;
   config.reconstruct_timelines = false;  // recognition + parallelism only
   const Prism prism(sim.topology, config);
-  const PrismReport report = prism.analyze(sim.trace);
+  const FlowColumns flows(sim.trace);
+  const PrismReport report = prism.analyze(flows.view());
 
   std::cout << "recognized " << report.jobs.size() << " jobs from "
             << report.recognition.num_cross_machine_clusters

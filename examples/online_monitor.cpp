@@ -42,9 +42,10 @@ int main() {
   // Stream the feed in 1-second collector batches, as a live deployment
   // would receive it.
   std::vector<MonitorTick> ticks;
+  const FlowColumns flows(sim.trace);
   const TimeWindow span = sim.trace.span();
   for (TimeNs at = span.begin; at < span.end; at += kSecond) {
-    const FlowTrace batch = sim.trace.window({at, at + kSecond});
+    const FlowView batch = flows.view().window({at, at + kSecond});
     for (auto& tick : monitor.ingest(batch)) ticks.push_back(std::move(tick));
   }
   if (auto last = monitor.flush()) ticks.push_back(std::move(*last));

@@ -36,7 +36,8 @@ int main() {
 
   // --- the black-box analysis: flows + topology in, diagnosis out ---
   const Prism prism(sim.topology);
-  const PrismReport report = prism.analyze(sim.trace);
+  const FlowColumns flows(sim.trace);
+  const PrismReport report = prism.analyze(flows.view());
 
   std::cout << render_report_summary(report) << '\n';
 

@@ -37,8 +37,8 @@ int main(int argc, char** argv) {
     trace.sort();
     // Size the topology to cover the largest GPU id in the trace.
     std::uint32_t max_gpu = 0;
-    for (const GpuId g : endpoints(trace)) {
-      max_gpu = std::max(max_gpu, g.value());
+    for (const FlowRecord& f : trace) {
+      max_gpu = std::max({max_gpu, f.src.value(), f.dst.value()});
     }
     topo_config.num_machines = max_gpu / topo_config.gpus_per_machine + 1;
     std::cout << "loaded " << trace.size() << " flows from " << argv[1]
@@ -53,7 +53,8 @@ int main(int argc, char** argv) {
 
   const auto topology = ClusterTopology::build(topo_config);
   const Prism prism(topology);
-  const PrismReport report = prism.analyze(trace);
+  const FlowColumns flows(trace);
+  const PrismReport report = prism.analyze(flows.view());
   if (report.jobs.empty()) {
     std::cout << "no jobs recognized in the trace\n";
     return 1;

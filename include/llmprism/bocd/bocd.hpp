@@ -17,8 +17,8 @@
 // probability, posterior mean and posterior beta are stored — kappa and
 // alpha are exact affine functions of the run length (kappa = prior_kappa
 // + r, alpha = prior_alpha + r/2, both exact in binary floating point for
-// the half-integral priors used everywhere), so they are derived, never
-// stored. observe_batch() drives a whole series through the kernel with
+// the half-integral priors the config requires), so they are derived,
+// never stored. observe_batch() drives a whole series through the kernel with
 // zero allocations after warm-up; prune_mass, max_run_length and the
 // normalizing division are folded into one forward compaction pass.
 #pragma once
@@ -50,7 +50,10 @@ struct BocdConfig {
   // Normal-Inverse-Gamma prior on (mean, variance) of the observations.
   double prior_mean = 0.0;
   double prior_kappa = 0.5;   ///< pseudo-observations for the mean
-  double prior_alpha = 1.0;   ///< shape of the variance prior
+  /// Shape of the variance prior. Must be half-integral (0.5, 1, 1.5, ...):
+  /// the predictive's degrees of freedom nu = 2*prior_alpha + r are then
+  /// integers, which the linear-space Student-t kernel relies on.
+  double prior_alpha = 1.0;
   double prior_beta = 1.0;    ///< scale of the variance prior
 
   /// Run-length hypotheses with posterior mass below this are dropped.
@@ -131,11 +134,11 @@ class BocdDetector {
   void reset();
 
   /// Re-arm the detector for a new series under a possibly different
-  /// configuration (the pooled-reuse path). The lgamma / predictive
-  /// coefficient caches depend only on (prior_alpha, prior_kappa) and are
-  /// preserved whenever those match the previous configuration — this is
-  /// what makes a pooled detector cheaper than a fresh one: the caches are
-  /// the expensive part (two lgamma and one exp per run length).
+  /// configuration (the pooled-reuse path). The predictive coefficient
+  /// cache depends only on (prior_alpha, prior_kappa) and is preserved
+  /// whenever those match the previous configuration — this is what makes
+  /// a pooled detector cheaper than a fresh one: the cache is the
+  /// expensive part (two lgamma and one exp per run length).
   void reconfigure(const BocdConfig& config);
 
   [[nodiscard]] const BocdConfig& config() const { return config_; }
@@ -162,16 +165,10 @@ class BocdDetector {
   /// Posterior predictive density of a run-length-r hypothesis at x.
   [[nodiscard]] double predictive(std::uint32_t run_length, double mean,
                                   double beta, double x) const;
-  /// lgamma((nu+1)/2) - lgamma(nu/2) for the run-length-r posterior
-  /// (nu = 2*(prior_alpha + r/2)), extended lazily.
-  [[nodiscard]] double lgamma_ratio(std::size_t run_length) const;
   /// Extend the coefficient table to cover run lengths [0, max_run].
   void ensure_coeffs(std::size_t max_run) const;
 
   BocdConfig config_;
-  /// True when 2*prior_alpha is integral, making every nu an integer and
-  /// the fast predictive exact for the model (set in ctor/reconfigure).
-  bool integral_nu_ = false;
 
   // ---- hypothesis state, structure of arrays ----
   // Slot 0 is always the youngest (run-length-0) hypothesis. kappa/alpha
@@ -190,7 +187,6 @@ class BocdDetector {
   std::vector<std::uint32_t> select_idx_;    ///< top-N selection scratch
   std::uint32_t max_run_ = 0;                ///< max live run length
 
-  mutable std::vector<double> lgamma_ratio_cache_;
   mutable std::vector<PredictiveCoeff> predictive_coeff_cache_;
 
   double last_cp_probability_ = 0.0;

@@ -6,8 +6,6 @@
 //   * `--name value` and `--name=value` both work; bool flags take no value;
 //   * an unknown option is always an error (callers exit 2 with a usage
 //     hint — never silently ignored);
-//   * deprecated spellings are declared as aliases of the canonical flag
-//     and keep working, printing a one-line warning to stderr;
 //   * positional arity (min/max) is validated with descriptive messages;
 //   * `--help`/`-h` short-circuits parsing (callers print usage, exit 0).
 //
@@ -60,10 +58,6 @@ class FlagSet {
                    bool takes_value,
                    std::function<std::string(std::string_view)> parse);
 
-  /// Declare `old_name` a deprecated spelling of `canonical`. Using it
-  /// still works but prints one "deprecated" line per process to stderr.
-  void alias(std::string old_name, std::string canonical);
-
   /// Positional arguments land here, in order. Parsing fails when fewer
   /// than `min` or more than `max` appear.
   void positionals(std::string name, std::size_t min, std::size_t max,
@@ -92,7 +86,6 @@ class FlagSet {
 
   std::string program_;
   std::vector<Flag> flags_;
-  std::vector<std::pair<std::string, std::string>> aliases_;
   std::string positional_name_;
   std::size_t positional_min_ = 0;
   std::size_t positional_max_ = 0;

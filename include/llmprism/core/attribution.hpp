@@ -42,7 +42,6 @@
 #include "llmprism/core/comm_type.hpp"
 #include "llmprism/core/diagnosis.hpp"
 #include "llmprism/core/timeline.hpp"
-#include "llmprism/flow/trace.hpp"
 #include "llmprism/flow/view.hpp"
 
 namespace llmprism {
@@ -193,11 +192,8 @@ class Attributor {
 
   /// Switch ids traversed by each DP component's flows (ascending, unique;
   /// one entry per component, aligned with `dp_components`).
-  [[nodiscard]] static std::vector<std::vector<SwitchId>> group_switch_sets(
-      const FlowTrace& job_trace,
-      const std::vector<std::vector<GpuId>>& dp_components);
-  /// Columnar overload (same output): reads src/dst plus the CSR switch
-  /// paths, no FlowRecord is materialized.
+  /// Reads src/dst plus the CSR switch paths; no FlowRecord is
+  /// materialized.
   [[nodiscard]] static std::vector<std::vector<SwitchId>> group_switch_sets(
       const FlowView& job_flows,
       const std::vector<std::vector<GpuId>>& dp_components);

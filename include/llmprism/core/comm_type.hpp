@@ -21,7 +21,6 @@
 #include "llmprism/bocd/bocd.hpp"
 #include "llmprism/common/comm_type.hpp"
 #include "llmprism/common/ids.hpp"
-#include "llmprism/flow/trace.hpp"
 #include "llmprism/flow/view.hpp"
 
 namespace llmprism {
@@ -118,30 +117,20 @@ class CommTypeIdentifier {
  public:
   explicit CommTypeIdentifier(CommTypeConfig config = {});
 
-  /// Classify every communication pair appearing in `job_trace` (the flows
-  /// of one recognized job, sorted by time). Builds the pair index itself.
-  [[nodiscard]] CommTypeResult identify(const FlowTrace& job_trace) const;
-
-  /// Same, over a prebuilt CSR pair index for `job_trace` (built once per
-  /// job and shared with timeline reconstruction and DP-flow collection).
-  /// When `flow_types` is non-null it receives, per trace position, the
-  /// final (post-refinement) type of that flow's pair — the dense
-  /// replacement for probing an unordered_map per flow. On a sorted trace
-  /// no per-pair re-sorting happens: CSR positions are already
+  /// Classify every communication pair appearing in `view` (the flows of
+  /// one recognized job, sorted by time) over its prebuilt CSR pair index
+  /// (built once per job and shared with timeline reconstruction and
+  /// DP-flow collection). Reads only the start_ns and bytes columns — never
+  /// materializes a FlowRecord. When `flow_types` is non-null it receives,
+  /// per row, the final (post-refinement) type of that flow's pair — the
+  /// dense replacement for probing an unordered_map per flow. On a sorted
+  /// view no per-pair re-sorting happens: CSR positions are already
   /// chronological.
   ///
   /// When `carry` is non-null, the previous window's classifications serve
   /// as warm priors (see CommTypeCarry); the carry is updated in place with
   /// this window's pre-refinement types. Null carry is the cold path,
   /// bit-identical to before the session layer existed.
-  [[nodiscard]] CommTypeResult identify(
-      const FlowTrace& job_trace, const PairIndex& index,
-      std::vector<CommType>* flow_types = nullptr,
-      CommTypeCarry* carry = nullptr) const;
-
-  /// Columnar core: identical semantics over a non-owning SoA view (the
-  /// other overloads delegate here after a transpose). Reads only the
-  /// start_ns and bytes columns — never materializes a FlowRecord.
   ///
   /// When `pool` is non-null the per-pair classification fans out across
   /// it. Every pair writes a pre-sized slot indexed by its dense pair id

@@ -26,7 +26,6 @@
 #include "llmprism/common/ids.hpp"
 #include "llmprism/common/time.hpp"
 #include "llmprism/core/timeline.hpp"
-#include "llmprism/flow/trace.hpp"
 #include "llmprism/flow/view.hpp"
 
 namespace llmprism {
@@ -211,30 +210,22 @@ class Diagnoser {
   /// observed bandwidth of EVERY hop on its path, but healthy switches
   /// still carry fast flows on their unpolluted paths — so "even the best
   /// flows are slow" isolates the switch that is itself the bottleneck.
-  [[nodiscard]] std::vector<SwitchBandwidthAlert> switch_bandwidth(
-      const FlowTrace& dp_flows, KSigmaStats* stats = nullptr) const;
-  /// Columnar core (the FlowTrace overload transposes and delegates):
-  /// per-switch sample gather over the CSR hop columns, dense tables
-  /// instead of hash maps, identical alerts.
+  ///
+  /// Per-switch sample gather over the CSR hop columns, dense tables
+  /// instead of hash maps.
   [[nodiscard]] std::vector<SwitchBandwidthAlert> switch_bandwidth(
       const FlowView& dp_flows, KSigmaStats* stats = nullptr) const;
 
   /// Peak concurrent distinct DP flows per switch vs. the configured limit.
-  [[nodiscard]] std::vector<SwitchConcurrencyAlert> switch_concurrency(
-      const FlowTrace& dp_flows) const;
   [[nodiscard]] std::vector<SwitchConcurrencyAlert> switch_concurrency(
       const FlowView& dp_flows) const;
 
   /// Helper: per-switch average DP bandwidth (Gb/s), for reporting (Fig. 5
   /// plots these series).
   [[nodiscard]] static std::vector<std::pair<SwitchId, double>>
-  per_switch_bandwidth(const FlowTrace& dp_flows);
-  [[nodiscard]] static std::vector<std::pair<SwitchId, double>>
   per_switch_bandwidth(const FlowView& dp_flows);
 
   /// Helper: per-switch p-th percentile of per-flow DP bandwidth (Gb/s).
-  [[nodiscard]] static std::vector<std::pair<SwitchId, double>>
-  per_switch_bandwidth_percentile(const FlowTrace& dp_flows, double p);
   [[nodiscard]] static std::vector<std::pair<SwitchId, double>>
   per_switch_bandwidth_percentile(const FlowView& dp_flows, double p);
 
@@ -265,8 +256,6 @@ struct SwitchBandwidthSeries {
 };
 
 /// Bucket every switch's DP-flow bandwidth over time.
-[[nodiscard]] std::vector<SwitchBandwidthSeries> switch_bandwidth_timeline(
-    const FlowTrace& dp_flows, DurationNs bucket = 10 * kSecond);
 [[nodiscard]] std::vector<SwitchBandwidthSeries> switch_bandwidth_timeline(
     const FlowView& dp_flows, DurationNs bucket = 10 * kSecond);
 

@@ -5,8 +5,8 @@
 // vector indexed by GPU id — one load per lookup instead of a hash probe
 // per flow. Routing scans the trace once and preserves its order, which
 // is what lets the per-job pipeline skip re-sorting: a sorted input
-// yields per-job traces that are born sorted (and their FlowTrace
-// sortedness cache knows it).
+// yields per-job columns that are born sorted (and their `sorted` flag
+// knows it).
 //
 // A flow is routed by its src GPU; when the src is unattributed (e.g. a
 // half-recognized job, or a recognizer that excluded the src) the dst is
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "llmprism/core/job_recognition.hpp"
-#include "llmprism/flow/trace.hpp"
 #include "llmprism/flow/view.hpp"
 
 namespace llmprism {
@@ -41,9 +40,10 @@ class FlowRouter {
     return g < job_of_gpu_.size() ? job_of_gpu_[g] : kUnattributed;
   }
 
-  struct Result {
-    /// Per-job flows, input order preserved within each job.
-    std::vector<FlowTrace> job_traces;
+  struct ColumnarResult {
+    /// Per-job columns, input order preserved within each job (born sorted
+    /// when the input view is sorted — a subsequence of a sorted sequence).
+    std::vector<FlowColumns> job_columns;
     std::uint64_t flows_routed = 0;
     /// Of flows_routed: flows whose src was unattributed and that were
     /// recovered through the dst lookup.
@@ -51,21 +51,9 @@ class FlowRouter {
     std::uint64_t flows_unattributed = 0;
   };
 
-  /// Route every flow of `trace` to its job in one ordered pass.
-  [[nodiscard]] Result route(const FlowTrace& trace) const;
-
-  struct ColumnarResult {
-    /// Per-job columns, input order preserved within each job (born sorted
-    /// when the input view is sorted — a subsequence of a sorted sequence).
-    std::vector<FlowColumns> job_columns;
-    std::uint64_t flows_routed = 0;
-    std::uint64_t flows_routed_via_dst = 0;
-    std::uint64_t flows_unattributed = 0;
-  };
-
-  /// Columnar routing: two passes over the src/dst columns (count per job,
-  /// prefix-size the targets, then gather) without ever materializing a
-  /// FlowRecord.
+  /// Route every flow of `view` to its job: two passes over the src/dst
+  /// columns (count per job, prefix-size the targets, then gather) without
+  /// ever materializing a FlowRecord.
   [[nodiscard]] ColumnarResult route(const FlowView& view) const;
 
   [[nodiscard]] std::size_t num_jobs() const { return num_jobs_; }

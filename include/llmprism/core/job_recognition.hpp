@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "llmprism/common/ids.hpp"
-#include "llmprism/flow/trace.hpp"
+#include "llmprism/flow/view.hpp"
 #include "llmprism/topology/topology.hpp"
 
 namespace llmprism {
@@ -52,13 +52,10 @@ class JobRecognizer {
   explicit JobRecognizer(const ClusterTopology& topology,
                          JobRecognitionConfig config = {});
 
-  /// Recognize all network-visible jobs in `trace`. Jobs with zero
+  /// Recognize all network-visible jobs in `view`. Jobs with zero
   /// cross-machine traffic in the window cannot be observed and are absent.
-  [[nodiscard]] JobRecognitionResult recognize(const FlowTrace& trace) const;
-
-  /// Columnar overload: reads only the src/dst columns; the partition is a
-  /// pure function of the undirected edge set, so both overloads agree
-  /// bit for bit on the same flows.
+  /// Reads only the src/dst columns; the partition is a pure function of
+  /// the undirected edge set, independent of row order.
   [[nodiscard]] JobRecognitionResult recognize(const FlowView& view) const;
 
  private:

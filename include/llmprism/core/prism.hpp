@@ -23,7 +23,6 @@
 #include "llmprism/core/parallelism_inference.hpp"
 #include "llmprism/core/session.hpp"
 #include "llmprism/core/timeline.hpp"
-#include "llmprism/flow/trace.hpp"
 #include "llmprism/flow/view.hpp"
 #include "llmprism/topology/topology.hpp"
 
@@ -58,9 +57,9 @@ struct PrismConfig {
 struct JobAnalysis {
   JobId id;                 ///< index within this report
   RecognizedJob job;
-  /// The job's flows (time-sorted, columnar). Exposes the FlowTrace read
-  /// API (size / operator[] / value iteration); report consumers that
-  /// need raw columns use trace.view().
+  /// The job's flows (time-sorted, columnar). Exposes a record read API
+  /// (size / operator[] / value iteration); report consumers that need raw
+  /// columns use trace.view().
   FlowColumns trace;
   CommTypeResult comm_types;
   /// The job's reconstructed 3D layout (tp/dp/pp/micro-batches).
@@ -136,10 +135,13 @@ class Prism {
  public:
   explicit Prism(const ClusterTopology& topology, PrismConfig config = {});
 
-  /// Analyze one window of cluster-wide flows end-to-end. Thread-safe:
-  /// several threads may analyze different traces on one Prism (the
-  /// OnlineMonitor does exactly that for concurrent windows).
-  [[nodiscard]] PrismReport analyze(const FlowTrace& trace) const;
+  /// Analyze one window of cluster-wide flows end-to-end — e.g. straight
+  /// off a MappedFlowTrace (`mapped.view()`), zero flow-array copies on a
+  /// sorted input; an unsorted view is argsort-gathered into sorted columns
+  /// once (the boundary sort), never mutated in place. Thread-safe: several
+  /// threads may analyze different views on one Prism (the OnlineMonitor
+  /// does exactly that for concurrent windows).
+  [[nodiscard]] PrismReport analyze(const FlowView& view) const;
 
   /// Same, threading warm cross-window state through the pipeline (the
   /// incremental path — see session.hpp and DESIGN.md §9). With a null
@@ -147,17 +149,8 @@ class Prism {
   /// caller must analyze consecutive windows of one feed in time order and
   /// not share the session between concurrent analyze() calls; the per-job
   /// fan-out inside one call still parallelizes. An un-armed session (no
-  /// begin_window() call) is armed automatically with the trace's end and
+  /// begin_window() call) is armed automatically with the view's end and
   /// hold_tail = false.
-  [[nodiscard]] PrismReport analyze(const FlowTrace& trace,
-                                    PrismSession* session) const;
-
-  /// Columnar entry point: analyze a non-owning SoA view — e.g. straight
-  /// off a MappedFlowTrace (`mapped.view()`), zero flow-array copies on a
-  /// sorted input. The report is byte-identical to the AoS overloads on
-  /// the same flows; an unsorted view is argsort-gathered into sorted
-  /// columns once (the boundary sort), never mutated in place.
-  [[nodiscard]] PrismReport analyze(const FlowView& view) const;
   [[nodiscard]] PrismReport analyze(const FlowView& view,
                                     PrismSession* session) const;
 

@@ -39,7 +39,6 @@
 #include "llmprism/core/flow_router.hpp"
 #include "llmprism/core/job_recognition.hpp"
 #include "llmprism/core/timeline.hpp"
-#include "llmprism/flow/trace.hpp"
 
 namespace llmprism {
 
@@ -147,10 +146,9 @@ class PrismSession {
 
   // ---- pipeline-facing (called by Prism::analyze on the warm path) ----
 
-  /// True when `trace`'s communication pair set equals the cached one, so
+  /// True when `view`'s communication pair set equals the cached one, so
   /// cached_recognition()/cached_router() may be reused for this window.
-  [[nodiscard]] bool probe_recognition(const FlowTrace& trace);
-  /// Columnar overload; reads only the src/dst columns.
+  /// Reads only the src/dst columns.
   [[nodiscard]] bool probe_recognition(const FlowView& view);
   [[nodiscard]] const JobRecognitionResult& cached_recognition() const {
     return recognition_;
@@ -180,10 +178,6 @@ class PrismSession {
   /// priors, EWMA baselines, timeline tails, recognition cache — to a
   /// versioned binary blob and restores it into a same-config session.
   friend struct SnapshotAccess;
-
-  /// Shared tail of both probe_recognition overloads: compare probe_pairs_
-  /// against the cached set and count the outcome.
-  [[nodiscard]] bool finish_probe();
 
   SessionConfig config_;
   SessionCounters counters_;

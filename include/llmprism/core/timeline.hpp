@@ -16,7 +16,6 @@
 #include "llmprism/bocd/bocd.hpp"
 #include "llmprism/common/comm_type.hpp"
 #include "llmprism/common/ids.hpp"
-#include "llmprism/flow/trace.hpp"
 #include "llmprism/flow/view.hpp"
 
 namespace llmprism {
@@ -114,43 +113,22 @@ class TimelineReconstructor {
  public:
   explicit TimelineReconstructor(TimelineConfig config = {});
 
-  /// Reconstruct the timeline of `gpu` from one job's flows, given the
-  /// per-pair communication types from Alg. 2.
-  [[nodiscard]] GpuTimeline reconstruct(
-      GpuId gpu, const FlowTrace& job_trace,
-      const std::unordered_map<GpuPair, CommType>& types) const;
-
-  /// Reconstruct every GPU that appears in the trace. When
+  /// Reconstruct every GPU that appears in `view` (one job's flows), given
+  /// the per-flow types precomputed by CommTypeIdentifier::identify over
+  /// the shared pair index (one CommType per row; `flow_types.size()` must
+  /// equal `view.size()`). The event scan reads the SoA columns directly
+  /// and buckets per GPU with a dense counting gather (counts + prefix sum
+  /// + scatter); timelines come back in ascending GPU order. When
   /// `segmenter_stats` is non-null, the DP-burst segmentation's BOCD work
   /// counters are accumulated into it (deterministic event counts — see
   /// PrismReport::telemetry).
-  [[nodiscard]] std::vector<GpuTimeline> reconstruct_all(
-      const FlowTrace& job_trace,
-      const std::unordered_map<GpuPair, CommType>& types,
-      SegmenterStats* segmenter_stats = nullptr) const;
-
-  /// Same, but with the per-flow types precomputed (one CommType per trace
-  /// position, as produced by CommTypeIdentifier::identify over the shared
-  /// pair index) — no per-flow hash probe. `flow_types.size()` must equal
-  /// `job_trace.size()`.
-  [[nodiscard]] std::vector<GpuTimeline> reconstruct_all(
-      const FlowTrace& job_trace, std::span<const CommType> flow_types,
-      SegmenterStats* segmenter_stats = nullptr) const;
-
-  /// Carry-aware variant (the session warm path): held-back DP bursts from
+  ///
+  /// Carry-aware (the session warm path): held-back DP bursts from
   /// `ctx.carry` are prepended to their GPU's events before segmentation,
   /// step 0 begins at the carried previous step end, and a trailing burst
   /// ending within `ctx.boundary_hold` of `ctx.window_end` is held back
-  /// into the carry instead of being emitted as a (truncated) step. With
-  /// `ctx.carry == nullptr` this is exactly the cold overload.
-  [[nodiscard]] std::vector<GpuTimeline> reconstruct_all(
-      const FlowTrace& job_trace, std::span<const CommType> flow_types,
-      SegmenterStats* segmenter_stats, const TimelineCarryContext& ctx) const;
-
-  /// Columnar core the other overloads delegate to: the event scan reads
-  /// the SoA columns directly and buckets per GPU with a dense counting
-  /// gather (counts + prefix sum + scatter) instead of a hash map of
-  /// vectors. Identical output, including GPU order (ascending).
+  /// into the carry instead of being emitted as a (truncated) step.
+  /// `ctx.carry == nullptr` is the cold path.
   ///
   /// When `pool` is non-null the per-GPU assembly (sort, BOCD burst
   /// segmentation, compute-gap fill) fans out across it. Each GPU owns a
@@ -159,8 +137,8 @@ class TimelineReconstructor {
   /// fan-out, so the result is bit-identical at any thread count.
   [[nodiscard]] std::vector<GpuTimeline> reconstruct_all(
       const FlowView& view, std::span<const CommType> flow_types,
-      SegmenterStats* segmenter_stats, const TimelineCarryContext& ctx,
-      ThreadPool* pool = nullptr) const;
+      SegmenterStats* segmenter_stats = nullptr,
+      const TimelineCarryContext& ctx = {}, ThreadPool* pool = nullptr) const;
 
  private:
   TimelineConfig config_;

@@ -32,8 +32,9 @@
 //   Trailer: u64 XXH64 of every preceding byte (seed 0)
 //
 // Two readers share one validator: read_lft() materializes a FlowTrace from
-// a stream, MappedFlowTrace mmaps the file and exposes the columns as spans
-// without materializing FlowRecords until asked. Every malformed input —
+// a stream, MappedFlowTrace mmaps the file and exposes the columns as a
+// FlowView without materializing FlowRecords until asked (both build
+// records with FlowView::record). Every malformed input —
 // truncation, bad magic/version/flags, section-size mismatch or overflow,
 // checksum mismatch, broken CSR offsets — fails with a descriptive
 // std::runtime_error, never undefined behaviour.
@@ -111,31 +112,42 @@ class MappedFlowTrace {
   MappedFlowTrace(const MappedFlowTrace&) = delete;
   MappedFlowTrace& operator=(const MappedFlowTrace&) = delete;
 
-  [[nodiscard]] std::size_t size() const { return num_flows_; }
-  [[nodiscard]] bool empty() const { return num_flows_ == 0; }
+  [[nodiscard]] std::size_t size() const { return view_.size(); }
+  [[nodiscard]] bool empty() const { return view_.empty(); }
   /// The header's sorted flag. Validation cross-checks it against the
   /// start_ns column, so true really means FlowStartTimeLess order.
-  [[nodiscard]] bool sorted() const { return sorted_; }
+  [[nodiscard]] bool sorted() const { return view_.sorted; }
   /// Total mapped bytes (the whole file).
   [[nodiscard]] std::size_t byte_size() const { return map_size_; }
 
   // Columns (views into the mapping; see lifetime note above).
-  [[nodiscard]] std::span<const TimeNs> start_ns() const;
-  [[nodiscard]] std::span<const std::uint32_t> src() const;
-  [[nodiscard]] std::span<const std::uint32_t> dst() const;
-  [[nodiscard]] std::span<const std::uint64_t> bytes() const;
-  [[nodiscard]] std::span<const DurationNs> duration_ns() const;
+  [[nodiscard]] std::span<const TimeNs> start_ns() const {
+    return view_.start_ns;
+  }
+  [[nodiscard]] std::span<const std::uint32_t> src() const { return view_.src; }
+  [[nodiscard]] std::span<const std::uint32_t> dst() const { return view_.dst; }
+  [[nodiscard]] std::span<const std::uint64_t> bytes() const {
+    return view_.bytes;
+  }
+  [[nodiscard]] std::span<const DurationNs> duration_ns() const {
+    return view_.duration_ns;
+  }
   /// CSR offsets into switch_ids(); size() + 1 entries, offsets[0] == 0.
-  [[nodiscard]] std::span<const std::uint64_t> switch_offsets() const;
-  [[nodiscard]] std::span<const std::uint32_t> switch_ids() const;
+  [[nodiscard]] std::span<const std::uint64_t> switch_offsets() const {
+    return view_.switch_offsets;
+  }
+  [[nodiscard]] std::span<const std::uint32_t> switch_ids() const {
+    return view_.switch_ids;
+  }
 
   /// Non-owning columnar view straight over the mapping — the zero-copy
   /// input type of the analysis plane. Same lifetime rules as the column
   /// spans: invalidated by destruction or move of this reader.
-  [[nodiscard]] FlowView view() const;
+  [[nodiscard]] FlowView view() const { return view_; }
 
-  /// Materialize one record. Bounds are the caller's contract (asserted in
-  /// debug builds only — no exception branch in per-record paths).
+  /// Materialize one record (FlowView::record). Bounds are the caller's
+  /// contract (asserted in debug builds only — no exception branch in
+  /// per-record paths).
   [[nodiscard]] FlowRecord record(std::size_t i) const;
   /// Materialize the whole trace. Preserves file row order; born-sorted
   /// (no later physical sort) when the sorted flag is set.
@@ -148,10 +160,7 @@ class MappedFlowTrace {
   std::size_t map_size_ = 0;
   bool mmapped_ = false;                     ///< true: munmap on destroy
   std::unique_ptr<std::byte[]> heap_;        ///< non-POSIX fallback storage
-  std::size_t num_flows_ = 0;
-  std::size_t num_switch_ids_ = 0;
-  bool sorted_ = false;
-  const std::byte* sections_[lft::kSectionCount] = {};
+  FlowView view_;                            ///< validated columns
 };
 
 }  // namespace llmprism

@@ -1,37 +1,33 @@
-// FlowView / FlowColumns — the columnar flow representation of the
-// analysis plane (DESIGN.md §13).
+// FlowView / FlowColumns — the one flow representation of the analysis
+// plane (DESIGN.md §13).
 //
 // FlowView is a non-owning structure-of-arrays view over one window of
 // flows: one span per FlowRecord field plus the switch paths in CSR form
-// (offsets + flat hop ids). It is the common input type of every analysis
+// (offsets + flat hop ids). It is the only input type of every analysis
 // stage — constructible for free from an LFT mapping (the columns alias
-// the mmap'd file, zero copies) and by one transpose from the AoS
-// FlowTrace. The view carries the sortedness fact the data plane already
+// the mmap'd file, zero copies) and by one transpose from a FlowTrace
+// record builder. The view carries the sortedness fact the data plane
 // tracks, so binary-search windowing and the per-pair CSR index work
 // without re-verification.
 //
 // FlowColumns is the owning SoA counterpart: the per-job gather target of
 // the flow router, the analysis buffer of the online monitor, and the
-// adapter that turns a FlowTrace into a view. It exposes a FlowTrace-like
-// read API (size / operator[] / value-yielding iteration) so report
-// consumers iterate flows without caring which representation backs them.
+// adapter that turns a FlowTrace into a view. It exposes a record read API
+// (size / operator[] / value-yielding iteration) so report consumers
+// iterate flows without touching the columns.
 //
 // Lifetime rules: a FlowView never owns storage. Views over a
 // MappedFlowTrace are invalidated when the mapping is destroyed or moved;
 // views over FlowColumns when the columns are destroyed or mutated.
 // Results that outlive the input (JobAnalysis) therefore hold owning
 // FlowColumns gathered from the view, never the view itself.
-//
-// Materializing an AoS FlowTrace from columnar data is the one operation
-// the fast path must never perform; it is counted in
-// `llmprism_flow_materializations_total` so "zero-materialization" is an
-// asserted property, not a hope (tests/test_columnar_equivalence.cpp).
 #pragma once
 
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "llmprism/common/time.hpp"
@@ -85,19 +81,27 @@ struct FlowView {
            static_cast<double>(duration_ns[i]);
   }
 
-  /// Materialize one record (switch path truncated to SwitchPath capacity
-  /// never happens in practice: LFT validation and the collector both bound
-  /// hops to the Clos diameter).
+  /// Materialize row i into `out`, overwriting every field — the one
+  /// SoA -> AoS conversion of the data plane. Filling caller-owned storage
+  /// lets bulk materializers (the LFT readers) build their record arrays
+  /// in place, without a per-row copy. Switch paths never exceed
+  /// SwitchPath capacity: LFT validation and the collector both bound hops
+  /// to the Clos diameter.
+  void record(std::size_t i, FlowRecord& out) const {
+    out.start_time = start_ns[i];
+    out.src = GpuId(src[i]);
+    out.dst = GpuId(dst[i]);
+    out.bytes = bytes[i];
+    out.duration = duration_ns[i];
+    out.switches.clear();
+    for (const std::uint32_t sw : switches(i)) {
+      out.switches.push_back(SwitchId(sw));
+    }
+  }
+  /// Row i by value.
   [[nodiscard]] FlowRecord record(std::size_t i) const {
     FlowRecord f;
-    f.start_time = start_ns[i];
-    f.src = GpuId(src[i]);
-    f.dst = GpuId(dst[i]);
-    f.bytes = bytes[i];
-    f.duration = duration_ns[i];
-    for (const std::uint32_t sw : switches(i)) {
-      f.switches.push_back(SwitchId(sw));
-    }
+    record(i, f);
     return f;
   }
 
@@ -126,7 +130,7 @@ struct FlowView {
 
   /// Rows whose start time falls in [w.begin, w.end) — binary search over
   /// the start_ns span, zero copies. Requires a sorted view (throws
-  /// std::logic_error otherwise, matching FlowTrace::window).
+  /// std::logic_error otherwise).
   [[nodiscard]] FlowView window(TimeWindow w) const;
 
   /// Earliest start / latest end over all rows; {0,0} when empty (same
@@ -140,7 +144,7 @@ struct FlowView {
 
 /// Owning SoA flow storage. The vectors are public — the router's gather
 /// and the monitor's merge write them directly; `sorted` is maintained by
-/// the mutation helpers exactly like FlowTrace's cached flag.
+/// the mutation helpers like FlowTrace's cached flag.
 class FlowColumns {
  public:
   FlowColumns() = default;
@@ -172,7 +176,7 @@ class FlowColumns {
   }
 
   /// Value-yielding iterator: `for (const FlowRecord& f : columns)` binds
-  /// the loop reference to the materialized temporary — same usage as
+  /// the loop reference to the materialized temporary — same usage as a
   /// FlowTrace, no FlowRecord array behind it.
   class const_iterator {
    public:
@@ -212,21 +216,26 @@ class FlowColumns {
                                           std::span<const std::uint32_t> rows,
                                           bool rows_sorted_subset);
 
-  /// K-way merge of sorted runs by FlowStartTimeLess, ties to the lower
-  /// run index — columnar counterpart of FlowTrace::merge_sorted_runs.
+  /// K-way merge of sorted runs in O(N log K) by FlowStartTimeLess. Runs
+  /// are sorted first if needed; ties across runs resolve to the lower run
+  /// index, so the result is deterministic in the runs' order.
   [[nodiscard]] static FlowColumns merge_sorted_runs(
       std::vector<FlowColumns> runs);
 
-  /// Merge a sorted `other` into this (sorted) storage in O(N + M); ties
-  /// keep this side's rows first. Mirrors FlowTrace::merge_sorted.
+  /// Merge `other` into this storage in O(N + M) (both sides sorted first
+  /// if needed); ties keep this side's rows first. An `other` that starts
+  /// at or after this side's back is appended without a merge.
   void merge_sorted(FlowColumns other);
 
-  /// Drop every row with start_ns < t (requires sorted; binary search +
-  /// prefix erase). Mirrors FlowTrace::drop_before.
+  /// Drop every row with start_ns < t (binary search + prefix erase; the
+  /// remaining CSR offsets are rebased to the kept hops). Requires sorted
+  /// columns: throws std::logic_error when an O(N) verify fails.
   void drop_before(TimeNs t);
 
-  /// Physically sort by FlowStartTimeLess via argsort + gather (no
-  /// FlowRecord array). No-op when already sorted.
+  /// Physically sort by FlowStartTimeLess via a stable argsort + gather
+  /// (no FlowRecord array; rows that compare equal keep their order).
+  /// No-op when already sorted; a physical sort increments
+  /// `llmprism_flowtrace_sorts_total`.
   void sort();
 
   // Column storage. switch_offsets is either empty or size()+1 entries.
@@ -240,12 +249,54 @@ class FlowColumns {
   bool sorted = true;
 };
 
-/// Materialize an owning AoS FlowTrace from a view. This is the operation
-/// the zero-copy path must never need; every call increments
-/// `llmprism_flow_materializations_total`.
-[[nodiscard]] FlowTrace materialize(const FlowView& view);
+/// CSR-style per-pair index over a view: unordered GPU pairs are interned
+/// to dense ids in first-appearance order, and each pair's flow positions
+/// live contiguously in one flat array (row order preserved within a
+/// pair). Shared by comm-type identification, timeline reconstruction, and
+/// noise injection, so the flows are scanned once instead of each consumer
+/// rebuilding a map of vectors.
+class PairIndex {
+ public:
+  static constexpr std::uint32_t kNoPair = 0xffffffffu;
 
-/// Current value of the materialization counter (for tests).
-[[nodiscard]] std::uint64_t flow_materializations_total();
+  PairIndex() = default;
+  /// Radix-partitioned grouping (counting pass + prefix sum + stable
+  /// scatter over hash buckets) instead of per-flow unordered_map
+  /// interning: dense ids in first-appearance order, positions in row
+  /// order within each pair.
+  explicit PairIndex(const FlowView& view);
+
+  [[nodiscard]] std::size_t num_pairs() const { return pairs_.size(); }
+  [[nodiscard]] std::size_t num_flows() const { return pair_of_flow_.size(); }
+
+  /// Pair for a dense id; ids run [0, num_pairs) in first-appearance order.
+  [[nodiscard]] const GpuPair& pair(std::size_t id) const {
+    return pairs_[id];
+  }
+  [[nodiscard]] const std::vector<GpuPair>& pairs() const { return pairs_; }
+
+  /// Trace positions of a pair's flows, in trace order.
+  [[nodiscard]] std::span<const std::size_t> positions(std::size_t id) const {
+    return {positions_.data() + offsets_[id], offsets_[id + 1] - offsets_[id]};
+  }
+
+  /// Dense id for a pair, or kNoPair if the pair never appears.
+  [[nodiscard]] std::uint32_t id_of(GpuPair p) const {
+    const auto it = id_of_.find(p);
+    return it == id_of_.end() ? kNoPair : it->second;
+  }
+
+  /// Per trace position, the dense id of that flow's pair.
+  [[nodiscard]] std::span<const std::uint32_t> pair_of_flow() const {
+    return pair_of_flow_;
+  }
+
+ private:
+  std::vector<GpuPair> pairs_;                       ///< id -> pair
+  std::unordered_map<GpuPair, std::uint32_t> id_of_; ///< pair -> id
+  std::vector<std::size_t> offsets_;                 ///< num_pairs + 1
+  std::vector<std::size_t> positions_;               ///< flat, trace order
+  std::vector<std::uint32_t> pair_of_flow_;          ///< per trace position
+};
 
 }  // namespace llmprism

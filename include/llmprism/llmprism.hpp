@@ -25,6 +25,7 @@
 #include "llmprism/flow/io.hpp"
 #include "llmprism/flow/lft.hpp"
 #include "llmprism/flow/trace.hpp"
+#include "llmprism/flow/view.hpp"
 
 // ---- workload + collection-noise simulator (ground-truthed traces) ----
 #include "llmprism/simulator/cluster_sim.hpp"

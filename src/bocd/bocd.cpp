@@ -52,16 +52,6 @@ double lgamma_positive(double x) {
 #endif
 }
 
-/// log pdf of a Student-t with nu degrees of freedom, location mu and
-/// scale^2 = s2, evaluated at x. `lgamma_term` is the precomputed
-/// lgamma((nu+1)/2) - lgamma(nu/2) for this nu.
-double log_student_t(double x, double nu, double mu, double s2,
-                     double lgamma_term) {
-  const double d = x - mu;
-  return lgamma_term - 0.5 * std::log(nu * M_PI * s2) -
-         (nu + 1.0) / 2.0 * std::log1p(d * d / (nu * s2));
-}
-
 /// base^e by repeated squaring. Overflow to inf is benign for the
 /// predictive (base >= 1, so 1/inf -> 0 — the same underflow the exp()
 /// path produces for a hopeless hypothesis). The conditional multiply is
@@ -90,21 +80,19 @@ void validate(const BocdConfig& config) {
       config.prior_beta <= 0.0) {
     throw std::invalid_argument("bocd: prior parameters must be positive");
   }
-}
-
-/// nu = 2*prior_alpha + run_length: integral for any half-integral prior
-/// shape (the default 1.0 included), which unlocks the repeated-squaring
-/// predictive in the kernel's inner loop.
-bool has_integral_nu(const BocdConfig& config) {
+  // nu = 2*prior_alpha + run_length must be an integer for the kernel's
+  // linear-space Student-t (repeated squaring of an integral power).
   const double two_alpha = 2.0 * config.prior_alpha;
-  return two_alpha == std::floor(two_alpha) && two_alpha < 1e9;
+  if (two_alpha != std::floor(two_alpha) || two_alpha >= 1e9) {
+    throw std::invalid_argument(
+        "bocd: prior_alpha must be half-integral (0.5, 1, 1.5, ...)");
+  }
 }
 
 }  // namespace
 
 BocdDetector::BocdDetector(BocdConfig config) : config_(config) {
   validate(config_);
-  integral_nu_ = has_integral_nu(config_);
   reset();
 }
 
@@ -131,46 +119,30 @@ void BocdDetector::reset() {
 
 void BocdDetector::reconfigure(const BocdConfig& config) {
   validate(config);
-  // The lgamma / coefficient tables are pure functions of the prior shape
-  // (alpha, kappa) and the run length — prior_mean and prior_beta do not
-  // enter them, so per-series location/scale retuning keeps the caches.
+  // The coefficient table is a pure function of the prior shape (alpha,
+  // kappa) and the run length — prior_mean and prior_beta do not enter
+  // it, so per-series location/scale retuning keeps the cache.
   if (config.prior_alpha != config_.prior_alpha ||
       config.prior_kappa != config_.prior_kappa) {
-    lgamma_ratio_cache_.clear();
     predictive_coeff_cache_.clear();
   }
   config_ = config;
-  integral_nu_ = has_integral_nu(config_);
   reset();
 }
 
-double BocdDetector::lgamma_ratio(std::size_t run_length) const {
-  // alpha = prior_alpha + run_length/2 exactly (0.5-additions are exact in
-  // binary floating point), so caching by run length is bit-identical to
-  // recomputing from the hypothesis's alpha.
-  while (lgamma_ratio_cache_.size() <= run_length) {
-    const double alpha =
-        config_.prior_alpha +
-        0.5 * static_cast<double>(lgamma_ratio_cache_.size());
-    const double nu = 2.0 * alpha;
-    lgamma_ratio_cache_.push_back(lgamma_positive((nu + 1.0) / 2.0) -
-                                  lgamma_positive(nu / 2.0));
-  }
-  return lgamma_ratio_cache_[run_length];
-}
-
 void BocdDetector::ensure_coeffs(std::size_t max_run) const {
-  // Like lgamma_ratio(): kappa = prior_kappa + r and alpha =
-  // prior_alpha + r/2 exactly, so caching by run length is exact.
+  // kappa = prior_kappa + r and alpha = prior_alpha + r/2 exactly
+  // (0.5-additions are exact in binary floating point), so caching by run
+  // length is bit-identical to recomputing from a hypothesis's state.
   while (predictive_coeff_cache_.size() <= max_run) {
     const auto r = static_cast<double>(predictive_coeff_cache_.size());
     const double alpha = config_.prior_alpha + 0.5 * r;
     const double kappa = config_.prior_kappa + r;
     const double nu = 2.0 * alpha;
     PredictiveCoeff coeff;
-    coeff.norm =
-        std::exp(lgamma_ratio(predictive_coeff_cache_.size())) /
-        std::sqrt(nu * M_PI);
+    coeff.norm = std::exp(lgamma_positive((nu + 1.0) / 2.0) -
+                          lgamma_positive(nu / 2.0)) /
+                 std::sqrt(nu * M_PI);
     coeff.inv_nu = 1.0 / nu;
     coeff.kappa_factor = (kappa + 1.0) / (alpha * kappa);
     coeff.kappa = kappa;
@@ -183,26 +155,15 @@ void BocdDetector::ensure_coeffs(std::size_t max_run) const {
 
 double BocdDetector::predictive(std::uint32_t run_length, double mean,
                                 double beta, double x) const {
-  if (!integral_nu_) {
-    // Posterior predictive of the Normal-Inverse-Gamma model: Student-t
-    // with nu = 2*alpha, location mean, scale^2 = beta*(kappa+1)/(alpha*
-    // kappa); alpha and kappa derived from the run length.
-    const double alpha =
-        config_.prior_alpha + 0.5 * static_cast<double>(run_length);
-    const double kappa =
-        config_.prior_kappa + static_cast<double>(run_length);
-    const double nu = 2.0 * alpha;
-    const double s2 = beta * (kappa + 1.0) / (alpha * kappa);
-    return std::exp(log_student_t(x, nu, mean, s2,
-                                  lgamma_ratio(run_length)));
-  }
-  // Student-t density with integer nu, evaluated directly in linear space:
+  // Posterior predictive of the Normal-Inverse-Gamma model: Student-t with
+  // nu = 2*alpha, location mean, scale^2 = s2 = beta*(kappa+1)/(alpha*
+  // kappa), evaluated directly in linear space:
   //   t(x) = norm / sqrt(s2) * (1 + d^2/(nu s2))^-(nu+1)/2
-  // The power has integral nu+1, so u^(nu+1) comes from repeated squaring,
-  // and sqrt(s2) folds into the same square root that halves the exponent
-  // — one sqrt, one divide, no log/log1p/exp per hypothesis. powi overflow
-  // to inf is benign: 1/inf -> 0, the same underflow the exp() path
-  // produces for a hopeless hypothesis.
+  // The power has integral nu+1 (prior_alpha is half-integral), so
+  // u^(nu+1) comes from repeated squaring, and sqrt(s2) folds into the
+  // same square root that halves the exponent — one sqrt, one divide, no
+  // log/log1p/exp per hypothesis. powi overflow to inf is benign: 1/inf
+  // -> 0, a zero likelihood for a hopeless hypothesis.
   const PredictiveCoeff& k = predictive_coeff_cache_[run_length];
   const double s2 = beta * k.kappa_factor;
   const double d = x - mean;
@@ -213,7 +174,7 @@ double BocdDetector::predictive(std::uint32_t run_length, double mean,
 void BocdDetector::step(double x) {
   const double hazard = 1.0 / config_.hazard_lambda;
   const std::size_t n = size_;
-  if (integral_nu_) ensure_coeffs(max_run_);
+  ensure_coeffs(max_run_);
 
   // r_t = 0 means x is the *first* observation of a new run, so the
   // changepoint branch scores x under the prior predictive (reset
@@ -234,42 +195,25 @@ void BocdDetector::step(double x) {
   }
   const double growth = 1.0 - hazard;
   double total = cp_mass;
-  if (integral_nu_) {
-    // Fast path: predictive inlined against the cached per-run-length
-    // coefficients, and the conjugate update's divisions replaced by the
-    // cached reciprocals (kappa is the exact affine function of the run
-    // length, so 1/(kappa+1) is data-independent — see the header).
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t r = run_length_[i];
-      const double m = mean_[i];
-      const double b = beta_[i];
-      const PredictiveCoeff& k = predictive_coeff_cache_[r];
-      const double s2 = b * k.kappa_factor;
-      const double d = x - m;
-      const double u = 1.0 + d * d * k.inv_nu / s2;
-      const double pred = k.norm / std::sqrt(s2 * powi(u, k.power));
-      const double p = probability_[i] * pred * growth;
-      next_run_length_[i + 1] = r + 1;
-      next_probability_[i + 1] = p;
-      next_mean_[i + 1] = (k.kappa * m + x) * k.inv_kappa1;
-      next_beta_[i + 1] = b + d * d * k.half_ratio;
-      total += p;
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t r = run_length_[i];
-      const double m = mean_[i];
-      const double b = beta_[i];
-      const double pred = predictive(r, m, b, x);
-      const double p = probability_[i] * pred * growth;
-      const double kappa = config_.prior_kappa + static_cast<double>(r);
-      next_run_length_[i + 1] = r + 1;
-      next_probability_[i + 1] = p;
-      next_mean_[i + 1] = (kappa * m + x) / (kappa + 1.0);
-      next_beta_[i + 1] = b + kappa * (x - m) * (x - m) /
-                                  (2.0 * (kappa + 1.0));
-      total += p;
-    }
+  // The predictive is inlined against the cached per-run-length
+  // coefficients, and the conjugate update's divisions are replaced by the
+  // cached reciprocals (kappa is the exact affine function of the run
+  // length, so 1/(kappa+1) is data-independent — see the header).
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t r = run_length_[i];
+    const double m = mean_[i];
+    const double b = beta_[i];
+    const PredictiveCoeff& k = predictive_coeff_cache_[r];
+    const double s2 = b * k.kappa_factor;
+    const double d = x - m;
+    const double u = 1.0 + d * d * k.inv_nu / s2;
+    const double pred = k.norm / std::sqrt(s2 * powi(u, k.power));
+    const double p = probability_[i] * pred * growth;
+    next_run_length_[i + 1] = r + 1;
+    next_probability_[i + 1] = p;
+    next_mean_[i + 1] = (k.kappa * m + x) * k.inv_kappa1;
+    next_beta_[i + 1] = b + d * d * k.half_ratio;
+    total += p;
   }
 
   ++t_;

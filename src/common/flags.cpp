@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cstdlib>
-#include <iostream>
 #include <limits>
 #include <sstream>
 #include <utility>
@@ -102,10 +101,6 @@ void FlagSet::custom_flag(std::string name, std::string value_name,
                         std::move(help), takes_value, std::move(parse)});
 }
 
-void FlagSet::alias(std::string old_name, std::string canonical) {
-  aliases_.emplace_back(std::move(old_name), std::move(canonical));
-}
-
 void FlagSet::positionals(std::string name, std::size_t min, std::size_t max,
                           std::vector<std::string>* target) {
   positional_name_ = std::move(name);
@@ -139,20 +134,12 @@ ParseResult FlagSet::parse(int argc, const char* const* argv, int begin) {
       result.help = true;
       return result;
     }
-    // Split --name=value once, then resolve deprecated aliases.
+    // Split --name=value once.
     std::string_view name = arg;
     std::optional<std::string_view> inline_value;
     if (const auto eq = arg.find('='); eq != std::string_view::npos) {
       name = arg.substr(0, eq);
       inline_value = arg.substr(eq + 1);
-    }
-    for (const auto& [old_name, canonical] : aliases_) {
-      if (name == old_name) {
-        std::cerr << program_ << ": note: " << old_name
-                  << " is deprecated; use " << canonical << '\n';
-        name = canonical;
-        break;
-      }
     }
     Flag* flag = find(name);
     if (flag == nullptr) {

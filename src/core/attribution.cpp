@@ -168,31 +168,6 @@ std::vector<double> Attributor::step_self_times(const GpuTimeline& t) {
 }
 
 std::vector<std::vector<SwitchId>> Attributor::group_switch_sets(
-    const FlowTrace& job_trace,
-    const std::vector<std::vector<GpuId>>& dp_components) {
-  std::unordered_map<GpuId, std::size_t> comp_of;
-  for (std::size_t c = 0; c < dp_components.size(); ++c) {
-    for (const GpuId g : dp_components[c]) comp_of.emplace(g, c);
-  }
-  std::vector<std::vector<SwitchId>> sets(dp_components.size());
-  for (const FlowRecord& f : job_trace) {
-    const auto a = comp_of.find(f.src);
-    const auto b = comp_of.find(f.dst);
-    // Same recovered component on both ends <=> a DP ring flow (PP edges
-    // connect distinct pipeline stages, hence distinct components).
-    if (a == comp_of.end() || b == comp_of.end() || a->second != b->second) {
-      continue;
-    }
-    for (const SwitchId sw : f.switches) sets[a->second].push_back(sw);
-  }
-  for (std::vector<SwitchId>& s : sets) {
-    std::sort(s.begin(), s.end());
-    s.erase(std::unique(s.begin(), s.end()), s.end());
-  }
-  return sets;
-}
-
-std::vector<std::vector<SwitchId>> Attributor::group_switch_sets(
     const FlowView& job_flows,
     const std::vector<std::vector<GpuId>>& dp_components) {
   std::unordered_map<GpuId, std::size_t> comp_of;

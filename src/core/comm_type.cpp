@@ -100,19 +100,6 @@ std::size_t CommTypeIdentifier::count_distinct_sizes(
   return distinct;
 }
 
-CommTypeResult CommTypeIdentifier::identify(const FlowTrace& job_trace) const {
-  return identify(job_trace, PairIndex(job_trace), nullptr);
-}
-
-CommTypeResult CommTypeIdentifier::identify(
-    const FlowTrace& job_trace, const PairIndex& pair_index,
-    std::vector<CommType>* flow_types, CommTypeCarry* carry) const {
-  // One transpose, then the columnar core; is_sorted() below settles the
-  // view's sortedness fact from the trace's cache.
-  const FlowColumns columns(job_trace);
-  return identify(columns.view(), pair_index, flow_types, carry);
-}
-
 CommTypeResult CommTypeIdentifier::identify(
     const FlowView& view, const PairIndex& pair_index,
     std::vector<CommType>* flow_types, CommTypeCarry* carry,

@@ -303,30 +303,6 @@ std::vector<std::pair<SwitchId, double>> Diagnoser::per_switch_bandwidth(
   return out;
 }
 
-std::vector<std::pair<SwitchId, double>> Diagnoser::per_switch_bandwidth(
-    const FlowTrace& dp_flows) {
-  struct Acc {
-    double bandwidth_sum = 0;
-    std::size_t count = 0;
-  };
-  std::unordered_map<SwitchId, Acc> acc;
-  for (const FlowRecord& f : dp_flows) {
-    if (f.duration <= 0) continue;
-    for (const SwitchId sw : f.switches) {
-      Acc& a = acc[sw];
-      a.bandwidth_sum += f.bandwidth_gbps();
-      ++a.count;
-    }
-  }
-  std::vector<std::pair<SwitchId, double>> out;
-  out.reserve(acc.size());
-  for (const auto& [sw, a] : acc) {
-    out.emplace_back(sw, a.bandwidth_sum / static_cast<double>(a.count));
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 std::vector<std::pair<SwitchId, double>>
 Diagnoser::per_switch_bandwidth_percentile(const FlowView& dp_flows,
                                            double p) {
@@ -363,31 +339,6 @@ Diagnoser::per_switch_bandwidth_percentile(const FlowView& dp_flows,
   return out;
 }
 
-std::vector<std::pair<SwitchId, double>>
-Diagnoser::per_switch_bandwidth_percentile(const FlowTrace& dp_flows,
-                                           double p) {
-  std::unordered_map<SwitchId, std::vector<double>> samples;
-  for (const FlowRecord& f : dp_flows) {
-    if (f.duration <= 0) continue;
-    for (const SwitchId sw : f.switches) {
-      samples[sw].push_back(f.bandwidth_gbps());
-    }
-  }
-  std::vector<std::pair<SwitchId, double>> out;
-  out.reserve(samples.size());
-  for (const auto& [sw, values] : samples) {
-    out.emplace_back(sw, stats::percentile(values, p));
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<SwitchBandwidthAlert> Diagnoser::switch_bandwidth(
-    const FlowTrace& dp_flows, KSigmaStats* stats) const {
-  const FlowColumns columns(dp_flows);
-  return switch_bandwidth(columns.view(), stats);
-}
-
 std::vector<SwitchBandwidthAlert> Diagnoser::switch_bandwidth(
     const FlowView& dp_flows, KSigmaStats* stats) const {
   const auto per_switch = per_switch_bandwidth_percentile(
@@ -409,12 +360,6 @@ std::vector<SwitchBandwidthAlert> Diagnoser::switch_bandwidth(
     alerts.push_back(a);
   }
   return alerts;
-}
-
-std::vector<SwitchConcurrencyAlert> Diagnoser::switch_concurrency(
-    const FlowTrace& dp_flows) const {
-  const FlowColumns columns(dp_flows);
-  return switch_concurrency(columns.view());
 }
 
 std::vector<SwitchConcurrencyAlert> Diagnoser::switch_concurrency(
@@ -485,12 +430,6 @@ std::vector<SwitchConcurrencyAlert> Diagnoser::switch_concurrency(
     }
   }
   return alerts;
-}
-
-std::vector<SwitchBandwidthSeries> switch_bandwidth_timeline(
-    const FlowTrace& dp_flows, DurationNs bucket) {
-  const FlowColumns columns(dp_flows);
-  return switch_bandwidth_timeline(columns.view(), bucket);
 }
 
 std::vector<SwitchBandwidthSeries> switch_bandwidth_timeline(

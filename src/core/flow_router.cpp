@@ -24,27 +24,6 @@ FlowRouter::FlowRouter(std::span<const RecognizedJob> jobs)
   }
 }
 
-FlowRouter::Result FlowRouter::route(const FlowTrace& trace) const {
-  Result result;
-  result.job_traces.resize(num_jobs_);
-  for (const FlowRecord& f : trace) {
-    std::size_t j = job_of(f.src);
-    bool via_dst = false;
-    if (j == kUnattributed) {
-      j = job_of(f.dst);
-      via_dst = j != kUnattributed;
-    }
-    if (j == kUnattributed) {
-      ++result.flows_unattributed;
-      continue;
-    }
-    result.job_traces[j].add(f);
-    ++result.flows_routed;
-    if (via_dst) ++result.flows_routed_via_dst;
-  }
-  return result;
-}
-
 FlowRouter::ColumnarResult FlowRouter::route(const FlowView& view) const {
   ColumnarResult result;
   result.job_columns.resize(num_jobs_);

@@ -22,58 +22,37 @@ JobRecognizer::JobRecognizer(const ClusterTopology& topology,
 
 namespace {
 
-/// Phase-1 endpoint interning + union, shared by both recognize()
-/// overloads. `each_edge(fn)` must invoke fn(src, dst) once per flow, in
-/// any order (the partition depends only on the edge set).
+/// Phase 1 (Alg. 1 lines 1-8): intern every endpoint of the window and
+/// union the two ends of each flow. The partition depends only on the
+/// undirected edge set, not on row order.
 struct EndpointUnion {
   std::unordered_map<GpuId, std::size_t> index_of;
   std::vector<GpuId> gpu_of;
   DisjointSet sets{0};
 
-  template <typename EachEdge>
-  explicit EndpointUnion(EachEdge&& each_edge) {
-    auto intern = [&](GpuId gpu) {
-      const auto [it, inserted] = index_of.emplace(gpu, gpu_of.size());
-      if (inserted) gpu_of.push_back(gpu);
+  explicit EndpointUnion(const FlowView& view) {
+    const auto intern = [&](std::uint32_t gpu) {
+      const auto [it, inserted] = index_of.emplace(GpuId(gpu), gpu_of.size());
+      if (inserted) gpu_of.push_back(GpuId(gpu));
       return it->second;
     };
     // First pass collects endpoints (DisjointSet needs a fixed size).
-    each_edge([&](GpuId src, GpuId dst) {
-      intern(src);
-      intern(dst);
-    });
+    for (std::size_t i = 0; i < view.size(); ++i) {
+      intern(view.src[i]);
+      intern(view.dst[i]);
+    }
     sets = DisjointSet(gpu_of.size());
-    each_edge([&](GpuId src, GpuId dst) {
-      sets.unite(index_of.at(src), index_of.at(dst));
-    });
+    for (std::size_t i = 0; i < view.size(); ++i) {
+      sets.unite(index_of.at(GpuId(view.src[i])),
+                 index_of.at(GpuId(view.dst[i])));
+    }
   }
 };
 
-JobRecognitionResult recognize_endpoints(const ClusterTopology& topology,
-                                         const JobRecognitionConfig& config,
-                                         EndpointUnion&& endpoints);
-
 }  // namespace
 
-JobRecognitionResult JobRecognizer::recognize(const FlowTrace& trace) const {
-  return recognize_endpoints(topology_, config_, EndpointUnion([&](auto&& fn) {
-    for (const FlowRecord& f : trace) fn(f.src, f.dst);
-  }));
-}
-
 JobRecognitionResult JobRecognizer::recognize(const FlowView& view) const {
-  return recognize_endpoints(topology_, config_, EndpointUnion([&](auto&& fn) {
-    for (std::size_t i = 0; i < view.size(); ++i) {
-      fn(GpuId(view.src[i]), GpuId(view.dst[i]));
-    }
-  }));
-}
-
-namespace {
-
-JobRecognitionResult recognize_endpoints(const ClusterTopology& topology,
-                                         const JobRecognitionConfig& config,
-                                         EndpointUnion&& endpoints) {
+  EndpointUnion endpoints(view);
   JobRecognitionResult result;
   std::vector<GpuId>& gpu_of = endpoints.gpu_of;
   DisjointSet& sets = endpoints.sets;
@@ -91,7 +70,7 @@ JobRecognitionResult recognize_endpoints(const ClusterTopology& topology,
     std::unordered_set<MachineId> machines;
     for (const std::size_t idx : comp) {
       gpus.push_back(gpu_of[idx]);
-      machines.insert(topology.machine_of(gpu_of[idx]));
+      machines.insert(topology_.machine_of(gpu_of[idx]));
     }
     std::sort(gpus.begin(), gpus.end());
     clusters.push_back(std::move(gpus));
@@ -99,7 +78,7 @@ JobRecognitionResult recognize_endpoints(const ClusterTopology& topology,
   }
 
   DisjointSet cluster_sets(clusters.size());
-  if (config.jaccard_threshold == 1.0) {
+  if (config_.jaccard_threshold == 1.0) {
     // Exact machine-set equality: hash by canonical key, O(C).
     std::map<std::vector<MachineId>, std::size_t> by_key;
     for (std::size_t c = 0; c < clusters.size(); ++c) {
@@ -114,7 +93,7 @@ JobRecognitionResult recognize_endpoints(const ClusterTopology& topology,
     for (std::size_t i = 0; i < clusters.size(); ++i) {
       for (std::size_t j = i + 1; j < clusters.size(); ++j) {
         if (stats::jaccard(machine_sets[i], machine_sets[j]) >=
-            config.jaccard_threshold) {
+            config_.jaccard_threshold) {
           cluster_sets.unite(i, j);
         }
       }
@@ -144,9 +123,9 @@ JobRecognitionResult recognize_endpoints(const ClusterTopology& topology,
     job.machines.assign(machines.begin(), machines.end());
     std::sort(job.machines.begin(), job.machines.end());
 
-    if (config.include_machine_local_gpus) {
+    if (config_.include_machine_local_gpus) {
       for (const MachineId m : job.machines) {
-        const auto local = topology.gpus_on(m);
+        const auto local = topology_.gpus_on(m);
         job.gpus.insert(job.gpus.end(), local.begin(), local.end());
       }
       std::sort(job.gpus.begin(), job.gpus.end());
@@ -162,7 +141,5 @@ JobRecognitionResult recognize_endpoints(const ClusterTopology& topology,
             });
   return result;
 }
-
-}  // namespace
 
 }  // namespace llmprism

@@ -240,34 +240,15 @@ std::size_t Prism::num_threads() const {
   return pool_ ? pool_->concurrency() : 1;
 }
 
-PrismReport Prism::analyze(const FlowTrace& trace) const {
-  return analyze(trace, nullptr);
-}
-
-PrismReport Prism::analyze(const FlowTrace& trace,
-                           PrismSession* session) const {
-  // Sort-once boundary: everything downstream (routing, per-pair CSR
-  // positions, windowing, DP-run merging) relies on time order, so an
-  // unsorted input is sorted exactly once here — never again per job.
-  // Both AoS overloads then transpose once into columns and run the
-  // columnar core: one pipeline for every input representation is what
-  // makes the FlowTrace and FlowView paths bit-identical by construction.
-  if (!trace.is_sorted()) {
-    FlowTrace sorted = trace;
-    sorted.sort();
-    const FlowColumns columns(sorted);
-    return analyze_sorted(columns.view(), session);
-  }
-  const FlowColumns columns(trace);
-  return analyze_sorted(columns.view(), session);
-}
-
 PrismReport Prism::analyze(const FlowView& view) const {
   return analyze(view, nullptr);
 }
 
 PrismReport Prism::analyze(const FlowView& view,
                            PrismSession* session) const {
+  // Sort-once boundary: everything downstream (routing, per-pair CSR
+  // positions, windowing, DP-run merging) relies on time order, so an
+  // unsorted input is sorted exactly once here — never again per job.
   if (view.sorted) return analyze_sorted(view, session);
   if (view.verify_sorted()) {
     // Storage with no cached sortedness fact (e.g. an LFT written without

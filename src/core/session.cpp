@@ -110,23 +110,12 @@ void PrismSession::invalidate() {
   session_metrics().jobs_tracked.set(0.0);
 }
 
-bool PrismSession::probe_recognition(const FlowTrace& trace) {
-  probe_pairs_.clear();
-  probe_pairs_.reserve(trace.size());
-  for (const FlowRecord& f : trace) probe_pairs_.insert(f.pair());
-  return finish_probe();
-}
-
 bool PrismSession::probe_recognition(const FlowView& view) {
   probe_pairs_.clear();
   probe_pairs_.reserve(view.size());
   for (std::size_t i = 0; i < view.size(); ++i) {
     probe_pairs_.insert(view.pair(i));
   }
-  return finish_probe();
-}
-
-bool PrismSession::finish_probe() {
   // Exact pair-set equality: recognition is a pure function of the
   // undirected edge set (union-find + canonical machine-set merging), so a
   // matching set makes the cached partition provably identical — this is a

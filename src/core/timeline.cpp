@@ -10,22 +10,7 @@ namespace llmprism {
 
 namespace {
 
-/// Classify one flow from `gpu`'s perspective, its pair's type known.
-TimelineEvent make_event(const FlowRecord& f, GpuId gpu, CommType type) {
-  TimelineEvent e;
-  e.start = f.start_time;
-  e.end = f.end_time();
-  e.peer = f.src == gpu ? f.dst : f.src;
-  if (type == CommType::kDP) {
-    e.kind = TimelineEventKind::kDp;
-  } else {
-    e.kind = f.src == gpu ? TimelineEventKind::kPpSend
-                          : TimelineEventKind::kPpRecv;
-  }
-  return e;
-}
-
-/// Columnar variant: same classification straight off the SoA columns.
+/// Classify row i from `gpu`'s perspective, its pair's type known.
 TimelineEvent make_event(const FlowView& v, std::size_t i, std::uint32_t gpu,
                          CommType type) {
   TimelineEvent e;
@@ -39,13 +24,6 @@ TimelineEvent make_event(const FlowView& v, std::size_t i, std::uint32_t gpu,
     e.kind = is_src ? TimelineEventKind::kPpSend : TimelineEventKind::kPpRecv;
   }
   return e;
-}
-
-/// Map-probing fallback for the unordered_map-typed entry points.
-CommType type_of(const FlowRecord& f,
-                 const std::unordered_map<GpuPair, CommType>& types) {
-  const auto it = types.find(f.pair());
-  return it != types.end() ? it->second : CommType::kPP;
 }
 
 /// One GPU's share of a carry-aware reconstruction: its (pre-resolved)
@@ -223,43 +201,6 @@ std::vector<GpuTimeline> assemble_all(
 
 TimelineReconstructor::TimelineReconstructor(TimelineConfig config)
     : config_(config) {}
-
-GpuTimeline TimelineReconstructor::reconstruct(
-    GpuId gpu, const FlowTrace& job_trace,
-    const std::unordered_map<GpuPair, CommType>& types) const {
-  std::vector<TimelineEvent> comm_events;
-  for (const FlowRecord& f : job_trace) {
-    if (f.src != gpu && f.dst != gpu) continue;
-    comm_events.push_back(make_event(f, gpu, type_of(f, types)));
-  }
-  return assemble(gpu, std::move(comm_events), config_);
-}
-
-std::vector<GpuTimeline> TimelineReconstructor::reconstruct_all(
-    const FlowTrace& job_trace,
-    const std::unordered_map<GpuPair, CommType>& types,
-    SegmenterStats* segmenter_stats) const {
-  std::vector<CommType> flow_types;
-  flow_types.reserve(job_trace.size());
-  for (const FlowRecord& f : job_trace) {
-    flow_types.push_back(type_of(f, types));
-  }
-  return reconstruct_all(job_trace, flow_types, segmenter_stats);
-}
-
-std::vector<GpuTimeline> TimelineReconstructor::reconstruct_all(
-    const FlowTrace& job_trace, std::span<const CommType> flow_types,
-    SegmenterStats* segmenter_stats) const {
-  return reconstruct_all(job_trace, flow_types, segmenter_stats,
-                         TimelineCarryContext{});
-}
-
-std::vector<GpuTimeline> TimelineReconstructor::reconstruct_all(
-    const FlowTrace& job_trace, std::span<const CommType> flow_types,
-    SegmenterStats* segmenter_stats, const TimelineCarryContext& ctx) const {
-  const FlowColumns columns(job_trace);
-  return reconstruct_all(columns.view(), flow_types, segmenter_stats, ctx);
-}
 
 std::vector<GpuTimeline> TimelineReconstructor::reconstruct_all(
     const FlowView& view, std::span<const CommType> flow_types,

@@ -87,16 +87,6 @@ std::uint64_t load_u64(const std::byte* p) {
   return v;
 }
 
-/// A validated LFT image: base must be 8-byte aligned (both readers map or
-/// allocate aligned storage), so the section pointers can be handed out as
-/// typed spans directly.
-struct LftView {
-  const std::byte* sections[kSectionCount] = {};
-  std::size_t num_flows = 0;
-  std::size_t num_switch_ids = 0;
-  bool sorted = false;
-};
-
 /// Per-section byte sizes implied by the header counts, overflow-checked.
 void expected_sizes(std::uint64_t n, std::uint64_t m,
                     std::uint64_t (&out)[kSectionCount]) {
@@ -111,7 +101,10 @@ void expected_sizes(std::uint64_t n, std::uint64_t m,
   out[6] = m * 4;        // switch_ids
 }
 
-LftView validate_lft(const std::byte* base, std::size_t size) {
+/// Validate an LFT image and view its columns. `base` must be 8-byte
+/// aligned (both readers map or allocate aligned storage), so the sections
+/// can be handed out as typed spans directly.
+FlowView validate_lft(const std::byte* base, std::size_t size) {
   if ((reinterpret_cast<std::uintptr_t>(base) & 7) != 0) {
     fail("internal: image not 8-byte aligned");
   }
@@ -148,10 +141,9 @@ LftView validate_lft(const std::byte* base, std::size_t size) {
   std::uint64_t expected[kSectionCount];
   expected_sizes(n, m, expected);
   std::uint64_t total = kHeaderSize + kTableSize;
-  LftView view;
-  view.num_flows = static_cast<std::size_t>(n);
-  view.num_switch_ids = static_cast<std::size_t>(m);
-  view.sorted = (flags & kFlagSorted) != 0;
+  const std::byte* sections[kSectionCount];
+  const auto num_flows = static_cast<std::size_t>(n);
+  const bool sorted = (flags & kFlagSorted) != 0;
   for (std::size_t s = 0; s < kSectionCount; ++s) {
     const std::uint64_t stored =
         load_u64(base + kHeaderSize + s * sizeof(std::uint64_t));
@@ -160,7 +152,7 @@ LftView validate_lft(const std::byte* base, std::size_t size) {
            std::to_string(stored) + ", expected " + std::to_string(expected[s]) +
            ")");
     }
-    view.sections[s] = base + total;
+    sections[s] = base + total;
     const std::uint64_t step = padded(stored);
     if (step > std::numeric_limits<std::uint64_t>::max() - total) {
       fail("section size overflow");
@@ -183,14 +175,28 @@ LftView validate_lft(const std::byte* base, std::size_t size) {
          hex64(computed_hash) + ")");
   }
 
+  FlowView view;
+  view.start_ns = {reinterpret_cast<const TimeNs*>(sections[0]), num_flows};
+  view.src = {reinterpret_cast<const std::uint32_t*>(sections[1]), num_flows};
+  view.dst = {reinterpret_cast<const std::uint32_t*>(sections[2]), num_flows};
+  view.bytes = {reinterpret_cast<const std::uint64_t*>(sections[3]),
+                num_flows};
+  view.duration_ns = {reinterpret_cast<const DurationNs*>(sections[4]),
+                      num_flows};
+  view.switch_offsets = {reinterpret_cast<const std::uint64_t*>(sections[5]),
+                         num_flows + 1};
+  view.switch_ids = {reinterpret_cast<const std::uint32_t*>(sections[6]),
+                     static_cast<std::size_t>(m)};
+  view.sorted = sorted;
+
   // CSR invariants: offsets start at 0, never decrease, never step by more
   // than the inline switch-path capacity, and end exactly at num_switch_ids.
-  const auto* offsets = reinterpret_cast<const std::uint64_t*>(view.sections[5]);
+  const std::span<const std::uint64_t> offsets = view.switch_offsets;
   if (offsets[0] != 0) {
     fail("switch offsets must start at 0 (got " + std::to_string(offsets[0]) +
          ")");
   }
-  for (std::size_t i = 0; i < view.num_flows; ++i) {
+  for (std::size_t i = 0; i < num_flows; ++i) {
     if (offsets[i + 1] < offsets[i]) {
       fail("switch offsets not monotone at flow " + std::to_string(i));
     }
@@ -200,22 +206,19 @@ LftView validate_lft(const std::byte* base, std::size_t size) {
            std::to_string(kMaxHops) + ")");
     }
   }
-  if (offsets[view.num_flows] != m) {
-    fail("switch offsets end at " + std::to_string(offsets[view.num_flows]) +
+  if (offsets[num_flows] != m) {
+    fail("switch offsets end at " + std::to_string(offsets[num_flows]) +
          " (expected num_switch_ids " + std::to_string(m) + ")");
   }
 
   // The sorted flag is a promise downstream binary searches rely on, so a
   // file that lies about it is rejected as corrupt rather than trusted.
-  if (view.sorted && view.num_flows > 1) {
-    const auto* start = reinterpret_cast<const TimeNs*>(view.sections[0]);
-    const auto* src = reinterpret_cast<const std::uint32_t*>(view.sections[1]);
-    const auto* dst = reinterpret_cast<const std::uint32_t*>(view.sections[2]);
-    const auto* bytes = reinterpret_cast<const std::uint64_t*>(view.sections[3]);
-    for (std::size_t i = 1; i < view.num_flows; ++i) {
-      const auto prev = std::tuple(start[i - 1], src[i - 1], dst[i - 1],
-                                   bytes[i - 1]);
-      const auto cur = std::tuple(start[i], src[i], dst[i], bytes[i]);
+  if (sorted) {
+    for (std::size_t i = 1; i < num_flows; ++i) {
+      const auto prev = std::tuple(view.start_ns[i - 1], view.src[i - 1],
+                                   view.dst[i - 1], view.bytes[i - 1]);
+      const auto cur = std::tuple(view.start_ns[i], view.src[i], view.dst[i],
+                                  view.bytes[i]);
       if (cur < prev) {
         fail("sorted flag set but rows are not sorted (flow " +
              std::to_string(i) + ")");
@@ -225,30 +228,14 @@ LftView validate_lft(const std::byte* base, std::size_t size) {
   return view;
 }
 
-FlowTrace materialize(const LftView& view) {
-  const auto* start = reinterpret_cast<const TimeNs*>(view.sections[0]);
-  const auto* src = reinterpret_cast<const std::uint32_t*>(view.sections[1]);
-  const auto* dst = reinterpret_cast<const std::uint32_t*>(view.sections[2]);
-  const auto* bytes = reinterpret_cast<const std::uint64_t*>(view.sections[3]);
-  const auto* duration = reinterpret_cast<const DurationNs*>(view.sections[4]);
-  const auto* offsets = reinterpret_cast<const std::uint64_t*>(view.sections[5]);
-  const auto* hops = reinterpret_cast<const std::uint32_t*>(view.sections[6]);
-
-  std::vector<FlowRecord> rows(view.num_flows);
-  for (std::size_t i = 0; i < view.num_flows; ++i) {
-    FlowRecord& f = rows[i];
-    f.start_time = start[i];
-    f.src = GpuId(src[i]);
-    f.dst = GpuId(dst[i]);
-    f.bytes = bytes[i];
-    f.duration = duration[i];
-    for (std::uint64_t h = offsets[i]; h < offsets[i + 1]; ++h) {
-      f.switches.push_back(SwitchId(hops[h]));
-    }
-  }
-  // The FlowTrace(vector) constructor verifies order in one O(N) scan, so a
-  // sorted file yields a born-sorted trace: later sort() calls are no-ops
-  // and llmprism_flowtrace_sorts_total stays untouched.
+/// Build an owning FlowTrace from validated columns, each row filled in
+/// place by FlowView::record. The FlowTrace(vector) constructor verifies
+/// order in one O(N) scan, so a sorted file yields a born-sorted trace:
+/// later sort() calls are no-ops and llmprism_flowtrace_sorts_total stays
+/// untouched.
+FlowTrace trace_of(const FlowView& view) {
+  std::vector<FlowRecord> rows(view.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) view.record(i, rows[i]);
   return FlowTrace(std::move(rows));
 }
 
@@ -323,13 +310,12 @@ FlowTrace read_lft(std::istream& is) {
   const obs::ScopedTimer timer(ingest_parse_seconds());
 
   std::string raw(std::istreambuf_iterator<char>(is), {});
-  // Copy into 8-aligned storage so the shared validator/materializer can
-  // read the columns through typed pointers (operator new aligns to at
-  // least max_align_t; std::string::data has no such guarantee).
+  // Copy into 8-aligned storage so the shared validator can hand out the
+  // columns as typed spans (operator new aligns to at least max_align_t;
+  // std::string::data has no such guarantee).
   auto image = std::make_unique<std::byte[]>(raw.size());
   std::memcpy(image.get(), raw.data(), raw.size());
-  const LftView view = validate_lft(image.get(), raw.size());
-  FlowTrace trace = materialize(view);
+  FlowTrace trace = trace_of(validate_lft(image.get(), raw.size()));
 
   ingest_bytes_counter().inc(raw.size());
   ingest_rows_counter().inc(trace.size());
@@ -345,8 +331,7 @@ FlowTrace read_lft_buffer(std::span<const std::byte> image) {
   // guarantee for the typed column reads).
   auto aligned = std::make_unique<std::byte[]>(image.size());
   if (!image.empty()) std::memcpy(aligned.get(), image.data(), image.size());
-  const LftView view = validate_lft(aligned.get(), image.size());
-  FlowTrace trace = materialize(view);
+  FlowTrace trace = trace_of(validate_lft(aligned.get(), image.size()));
 
   ingest_bytes_counter().inc(image.size());
   ingest_rows_counter().inc(trace.size());
@@ -417,18 +402,14 @@ MappedFlowTrace::MappedFlowTrace(const std::string& path) {
 #endif
 
   try {
-    const LftView view = validate_lft(base_, map_size_);
-    num_flows_ = view.num_flows;
-    num_switch_ids_ = view.num_switch_ids;
-    sorted_ = view.sorted;
-    std::memcpy(sections_, view.sections, sizeof(sections_));
+    view_ = validate_lft(base_, map_size_);
   } catch (...) {
     reset();
     throw;
   }
 
   ingest_bytes_counter().inc(map_size_);
-  ingest_rows_counter().inc(num_flows_);
+  ingest_rows_counter().inc(view_.size());
 }
 
 MappedFlowTrace::~MappedFlowTrace() { reset(); }
@@ -443,10 +424,7 @@ void MappedFlowTrace::reset() noexcept {
   map_size_ = 0;
   mmapped_ = false;
   heap_.reset();
-  num_flows_ = 0;
-  num_switch_ids_ = 0;
-  sorted_ = false;
-  for (auto& s : sections_) s = nullptr;
+  view_ = {};
 }
 
 MappedFlowTrace::MappedFlowTrace(MappedFlowTrace&& other) noexcept
@@ -454,12 +432,7 @@ MappedFlowTrace::MappedFlowTrace(MappedFlowTrace&& other) noexcept
       map_size_(std::exchange(other.map_size_, 0)),
       mmapped_(std::exchange(other.mmapped_, false)),
       heap_(std::move(other.heap_)),
-      num_flows_(std::exchange(other.num_flows_, 0)),
-      num_switch_ids_(std::exchange(other.num_switch_ids_, 0)),
-      sorted_(std::exchange(other.sorted_, false)) {
-  std::memcpy(sections_, other.sections_, sizeof(sections_));
-  for (auto& s : other.sections_) s = nullptr;
-}
+      view_(std::exchange(other.view_, {})) {}
 
 MappedFlowTrace& MappedFlowTrace::operator=(MappedFlowTrace&& other) noexcept {
   if (this != &other) {
@@ -468,80 +441,16 @@ MappedFlowTrace& MappedFlowTrace::operator=(MappedFlowTrace&& other) noexcept {
     map_size_ = std::exchange(other.map_size_, 0);
     mmapped_ = std::exchange(other.mmapped_, false);
     heap_ = std::move(other.heap_);
-    num_flows_ = std::exchange(other.num_flows_, 0);
-    num_switch_ids_ = std::exchange(other.num_switch_ids_, 0);
-    sorted_ = std::exchange(other.sorted_, false);
-    std::memcpy(sections_, other.sections_, sizeof(sections_));
-    for (auto& s : other.sections_) s = nullptr;
+    view_ = std::exchange(other.view_, {});
   }
   return *this;
 }
 
-std::span<const TimeNs> MappedFlowTrace::start_ns() const {
-  return {reinterpret_cast<const TimeNs*>(sections_[0]), num_flows_};
-}
-
-std::span<const std::uint32_t> MappedFlowTrace::src() const {
-  return {reinterpret_cast<const std::uint32_t*>(sections_[1]), num_flows_};
-}
-
-std::span<const std::uint32_t> MappedFlowTrace::dst() const {
-  return {reinterpret_cast<const std::uint32_t*>(sections_[2]), num_flows_};
-}
-
-std::span<const std::uint64_t> MappedFlowTrace::bytes() const {
-  return {reinterpret_cast<const std::uint64_t*>(sections_[3]), num_flows_};
-}
-
-std::span<const DurationNs> MappedFlowTrace::duration_ns() const {
-  return {reinterpret_cast<const DurationNs*>(sections_[4]), num_flows_};
-}
-
-std::span<const std::uint64_t> MappedFlowTrace::switch_offsets() const {
-  return {reinterpret_cast<const std::uint64_t*>(sections_[5]), num_flows_ + 1};
-}
-
-std::span<const std::uint32_t> MappedFlowTrace::switch_ids() const {
-  return {reinterpret_cast<const std::uint32_t*>(sections_[6]),
-          num_switch_ids_};
-}
-
-FlowView MappedFlowTrace::view() const {
-  FlowView v;
-  v.start_ns = start_ns();
-  v.src = src();
-  v.dst = dst();
-  v.bytes = bytes();
-  v.duration_ns = duration_ns();
-  v.switch_offsets = switch_offsets();
-  v.switch_ids = switch_ids();
-  v.sorted = sorted_;
-  return v;
-}
-
 FlowRecord MappedFlowTrace::record(std::size_t i) const {
-  assert(i < num_flows_ && "MappedFlowTrace::record out of range");
-  FlowRecord f;
-  f.start_time = start_ns()[i];
-  f.src = GpuId(src()[i]);
-  f.dst = GpuId(dst()[i]);
-  f.bytes = bytes()[i];
-  f.duration = duration_ns()[i];
-  const auto offsets = switch_offsets();
-  const auto hops = switch_ids();
-  for (std::uint64_t h = offsets[i]; h < offsets[i + 1]; ++h) {
-    f.switches.push_back(SwitchId(hops[h]));
-  }
-  return f;
+  assert(i < view_.size() && "MappedFlowTrace::record out of range");
+  return view_.record(i);
 }
 
-FlowTrace MappedFlowTrace::to_trace() const {
-  LftView view;
-  std::memcpy(view.sections, sections_, sizeof(sections_));
-  view.num_flows = num_flows_;
-  view.num_switch_ids = num_switch_ids_;
-  view.sorted = sorted_;
-  return materialize(view);
-}
+FlowTrace MappedFlowTrace::to_trace() const { return trace_of(view_); }
 
 }  // namespace llmprism

@@ -1,11 +1,8 @@
 #include "llmprism/flow/trace.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <stdexcept>
 #include <utility>
 
-#include "llmprism/flow/view.hpp"
 #include "llmprism/obs/metrics.hpp"
 
 namespace llmprism {
@@ -88,93 +85,6 @@ bool FlowTrace::is_sorted() const {
   return sorted_;
 }
 
-void FlowTrace::merge_sorted(FlowTrace other) {
-  sort();
-  other.sort();
-  if (other.flows_.empty()) return;
-  if (flows_.empty()) {
-    flows_ = std::move(other.flows_);
-    return;
-  }
-  // Pure-append fast path: the incoming run starts at or after our back.
-  if (!FlowStartTimeLess{}(other.flows_.front(), flows_.back())) {
-    flows_.insert(flows_.end(),
-                  std::make_move_iterator(other.flows_.begin()),
-                  std::make_move_iterator(other.flows_.end()));
-    return;
-  }
-  std::vector<FlowRecord> merged;
-  merged.reserve(flows_.size() + other.flows_.size());
-  // std::merge keeps first-range elements before second-range on ties.
-  std::merge(std::make_move_iterator(flows_.begin()),
-             std::make_move_iterator(flows_.end()),
-             std::make_move_iterator(other.flows_.begin()),
-             std::make_move_iterator(other.flows_.end()),
-             std::back_inserter(merged), FlowStartTimeLess{});
-  flows_ = std::move(merged);
-}
-
-FlowTrace FlowTrace::merge_sorted_runs(std::vector<FlowTrace> runs) {
-  std::size_t total = 0;
-  for (FlowTrace& run : runs) {
-    run.sort();
-    total += run.size();
-  }
-  std::vector<FlowRecord> merged;
-  merged.reserve(total);
-
-  // Min-heap of run indices keyed by each run's next record; ties go to
-  // the lower run index, so the merge is stable in the runs' order.
-  std::vector<std::size_t> heads(runs.size(), 0);
-  std::vector<std::size_t> heap;
-  heap.reserve(runs.size());
-  const auto later = [&](std::size_t a, std::size_t b) {
-    const FlowRecord& fa = runs[a][heads[a]];
-    const FlowRecord& fb = runs[b][heads[b]];
-    if (FlowStartTimeLess{}(fa, fb)) return false;
-    if (FlowStartTimeLess{}(fb, fa)) return true;
-    return a > b;
-  };
-  for (std::size_t r = 0; r < runs.size(); ++r) {
-    if (!runs[r].empty()) heap.push_back(r);
-  }
-  std::make_heap(heap.begin(), heap.end(), later);
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), later);
-    const std::size_t r = heap.back();
-    heap.pop_back();
-    merged.push_back(runs[r][heads[r]]);
-    if (++heads[r] < runs[r].size()) {
-      heap.push_back(r);
-      std::push_heap(heap.begin(), heap.end(), later);
-    }
-  }
-  return FlowTrace(std::move(merged), SortedTag{});
-}
-
-void FlowTrace::drop_before(TimeNs t) {
-  if (!is_sorted()) {
-    throw std::logic_error("FlowTrace::drop_before requires a sorted trace");
-  }
-  const auto lo = std::lower_bound(
-      flows_.begin(), flows_.end(), t,
-      [](const FlowRecord& f, TimeNs at) { return f.start_time < at; });
-  flows_.erase(flows_.begin(), lo);
-}
-
-FlowTrace FlowTrace::window(TimeWindow w) const {
-  if (!is_sorted()) {
-    throw std::logic_error("FlowTrace::window requires a sorted trace");
-  }
-  const auto lo = std::lower_bound(
-      flows_.begin(), flows_.end(), w.begin,
-      [](const FlowRecord& f, TimeNs t) { return f.start_time < t; });
-  const auto hi = std::lower_bound(
-      lo, flows_.end(), w.end,
-      [](const FlowRecord& f, TimeNs t) { return f.start_time < t; });
-  return FlowTrace(std::vector<FlowRecord>(lo, hi), SortedTag{});
-}
-
 TimeWindow FlowTrace::span() const {
   if (flows_.empty()) return {};
   TimeNs lo = flows_.front().start_time;
@@ -184,166 +94,6 @@ TimeWindow FlowTrace::span() const {
     hi = std::max(hi, f.end_time());
   }
   return {lo, hi};
-}
-
-PairIndex::PairIndex(const FlowTrace& trace) {
-  pair_of_flow_.resize(trace.size());
-  std::vector<std::size_t> counts;
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const GpuPair p = trace[i].pair();
-    auto [it, inserted] =
-        id_of_.emplace(p, static_cast<std::uint32_t>(pairs_.size()));
-    if (inserted) {
-      pairs_.push_back(p);
-      counts.push_back(0);
-    }
-    pair_of_flow_[i] = it->second;
-    ++counts[it->second];
-  }
-  offsets_.assign(pairs_.size() + 1, 0);
-  for (std::size_t id = 0; id < pairs_.size(); ++id) {
-    offsets_[id + 1] = offsets_[id] + counts[id];
-  }
-  positions_.resize(trace.size());
-  std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    positions_[cursor[pair_of_flow_[i]]++] = i;
-  }
-}
-
-namespace {
-
-/// splitmix64 finalizer — the same mix std::hash<GpuPair> uses, so bucket
-/// spread matches the proven pair-hash quality.
-inline std::uint64_t mix64(std::uint64_t k) {
-  k += 0x9e3779b97f4a7c15ULL;
-  k = (k ^ (k >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  k = (k ^ (k >> 27)) * 0x94d049bb133111ebULL;
-  return k ^ (k >> 31);
-}
-
-}  // namespace
-
-PairIndex::PairIndex(const FlowView& view) {
-  const std::size_t n = view.size();
-  pair_of_flow_.resize(n);
-  if (n == 0) {
-    offsets_.assign(1, 0);
-    return;
-  }
-
-  // 1) Radix partition flow positions by the high bits of the mixed pair
-  //    key: one counting pass, prefix sum, stable scatter. Each bucket
-  //    then holds a cache-sized slice to group, instead of the whole trace
-  //    hammering one hash table.
-  const std::size_t want = std::max<std::size_t>(std::size_t{1}, n / 48);
-  const std::size_t num_buckets =
-      std::min<std::size_t>(std::size_t{1} << 16, std::bit_ceil(want));
-  const int shift = 64 - std::countr_zero(num_buckets);
-
-  struct Entry {
-    std::uint64_t key;
-    std::uint32_t pos;
-  };
-  std::vector<std::uint64_t> keys(n);
-  std::vector<std::uint32_t> bucket_counts(num_buckets + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    keys[i] = view.pair_key(i);
-    ++bucket_counts[(shift >= 64 ? 0 : mix64(keys[i]) >> shift) + 1];
-  }
-  for (std::size_t b = 0; b < num_buckets; ++b) {
-    bucket_counts[b + 1] += bucket_counts[b];
-  }
-  std::vector<Entry> scatter(n);
-  {
-    std::vector<std::uint32_t> cursor(bucket_counts.begin(),
-                                      bucket_counts.end() - 1);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t b = shift >= 64 ? 0 : mix64(keys[i]) >> shift;
-      scatter[cursor[b]++] = {keys[i], static_cast<std::uint32_t>(i)};
-    }
-  }
-
-  // 2) Group each bucket by key. The scatter was stable, so after sorting
-  //    by (key, pos) every run of equal keys lists that pair's positions
-  //    in trace order, and the run head is the pair's first appearance.
-  struct Run {
-    std::uint32_t begin;  ///< offset into `scatter`
-    std::uint32_t count;
-  };
-  std::vector<Run> runs;
-  for (std::size_t b = 0; b < num_buckets; ++b) {
-    const std::size_t lo = bucket_counts[b];
-    const std::size_t hi = bucket_counts[b + 1];
-    if (lo == hi) continue;
-    std::sort(scatter.begin() + lo, scatter.begin() + hi,
-              [](const Entry& a, const Entry& c) {
-                if (a.key != c.key) return a.key < c.key;
-                return a.pos < c.pos;
-              });
-    std::size_t run_begin = lo;
-    for (std::size_t i = lo + 1; i <= hi; ++i) {
-      if (i == hi || scatter[i].key != scatter[run_begin].key) {
-        runs.push_back({static_cast<std::uint32_t>(run_begin),
-                        static_cast<std::uint32_t>(i - run_begin)});
-        run_begin = i;
-      }
-    }
-  }
-
-  // 3) Dense ids in first-appearance order: sort runs by their head
-  //    position (cost is O(P log P) over pairs, not flows).
-  std::sort(runs.begin(), runs.end(), [&](const Run& a, const Run& b) {
-    return scatter[a.begin].pos < scatter[b.begin].pos;
-  });
-
-  pairs_.reserve(runs.size());
-  id_of_.reserve(runs.size());
-  offsets_.assign(runs.size() + 1, 0);
-  positions_.resize(n);
-  for (std::size_t id = 0; id < runs.size(); ++id) {
-    const Run& run = runs[id];
-    const std::uint64_t key = scatter[run.begin].key;
-    const GpuPair p(GpuId(static_cast<std::uint32_t>(key >> 32)),
-                    GpuId(static_cast<std::uint32_t>(key)));
-    pairs_.push_back(p);
-    id_of_.emplace(p, static_cast<std::uint32_t>(id));
-    offsets_[id + 1] = offsets_[id] + run.count;
-    std::size_t cursor = offsets_[id];
-    for (std::uint32_t e = run.begin; e < run.begin + run.count; ++e) {
-      positions_[cursor++] = scatter[e].pos;
-      pair_of_flow_[scatter[e].pos] = static_cast<std::uint32_t>(id);
-    }
-  }
-}
-
-std::unordered_map<SwitchId, std::vector<std::size_t>> build_switch_index(
-    const FlowTrace& trace) {
-  std::unordered_map<SwitchId, std::vector<std::size_t>> index;
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    for (const SwitchId sw : trace[i].switches) {
-      index[sw].push_back(i);
-    }
-  }
-  return index;
-}
-
-std::unordered_set<GpuId> endpoints(const FlowTrace& trace) {
-  std::unordered_set<GpuId> out;
-  for (const FlowRecord& f : trace) {
-    out.insert(f.src);
-    out.insert(f.dst);
-  }
-  return out;
-}
-
-std::vector<GpuPair> communication_pairs(const FlowTrace& trace) {
-  std::unordered_set<GpuPair> seen;
-  std::vector<GpuPair> out;
-  for (const FlowRecord& f : trace) {
-    if (seen.insert(f.pair()).second) out.push_back(f.pair());
-  }
-  return out;
 }
 
 }  // namespace llmprism

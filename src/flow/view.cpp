@@ -1,6 +1,7 @@
 #include "llmprism/flow/view.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -10,16 +11,6 @@
 namespace llmprism {
 
 namespace {
-
-/// Process-wide count of SoA -> AoS materializations. The sorted-LFT fast
-/// path must keep this at zero (asserted in test_columnar_equivalence).
-obs::Counter& materializations_counter() {
-  static obs::Counter& counter = obs::default_registry().counter(
-      "llmprism_flow_materializations_total",
-      "AoS FlowTrace arrays materialized from columnar flow data (the "
-      "zero-copy analysis path performs none)");
-  return counter;
-}
 
 /// Same counter FlowTrace::sort uses: every *physical* sort of flow data,
 /// AoS or columnar, is one tick — the sort-once discipline stays
@@ -182,7 +173,7 @@ FlowColumns FlowColumns::merge_sorted_runs(std::vector<FlowColumns> runs) {
   out.switch_offsets.push_back(0);
 
   // Min-heap of run indices keyed by each run's next row; ties go to the
-  // lower run index — identical discipline to FlowTrace::merge_sorted_runs.
+  // lower run index, so the merge is stable in the runs' order.
   std::vector<FlowView> views;
   views.reserve(runs.size());
   for (const FlowColumns& run : runs) views.push_back(run.view());
@@ -283,18 +274,110 @@ void FlowColumns::sort() {
   *this = std::move(out);
 }
 
-FlowTrace materialize(const FlowView& view) {
-  materializations_counter().inc();
-  std::vector<FlowRecord> flows;
-  flows.reserve(view.size());
-  for (std::size_t i = 0; i < view.size(); ++i) {
-    flows.push_back(view.record(i));
-  }
-  return FlowTrace(std::move(flows));
+namespace {
+
+/// splitmix64 finalizer — the same mix std::hash<GpuPair> uses, so bucket
+/// spread matches the proven pair-hash quality.
+inline std::uint64_t mix64(std::uint64_t k) {
+  k += 0x9e3779b97f4a7c15ULL;
+  k = (k ^ (k >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  k = (k ^ (k >> 27)) * 0x94d049bb133111ebULL;
+  return k ^ (k >> 31);
 }
 
-std::uint64_t flow_materializations_total() {
-  return materializations_counter().value();
+}  // namespace
+
+PairIndex::PairIndex(const FlowView& view) {
+  const std::size_t n = view.size();
+  pair_of_flow_.resize(n);
+  if (n == 0) {
+    offsets_.assign(1, 0);
+    return;
+  }
+
+  // 1) Radix partition flow positions by the high bits of the mixed pair
+  //    key: one counting pass, prefix sum, stable scatter. Each bucket
+  //    then holds a cache-sized slice to group, instead of the whole trace
+  //    hammering one hash table.
+  const std::size_t want = std::max<std::size_t>(std::size_t{1}, n / 48);
+  const std::size_t num_buckets =
+      std::min<std::size_t>(std::size_t{1} << 16, std::bit_ceil(want));
+  const int shift = 64 - std::countr_zero(num_buckets);
+
+  struct Entry {
+    std::uint64_t key;
+    std::uint32_t pos;
+  };
+  std::vector<std::uint64_t> keys(n);
+  std::vector<std::uint32_t> bucket_counts(num_buckets + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    keys[i] = view.pair_key(i);
+    ++bucket_counts[(shift >= 64 ? 0 : mix64(keys[i]) >> shift) + 1];
+  }
+  for (std::size_t b = 0; b < num_buckets; ++b) {
+    bucket_counts[b + 1] += bucket_counts[b];
+  }
+  std::vector<Entry> scatter(n);
+  {
+    std::vector<std::uint32_t> cursor(bucket_counts.begin(),
+                                      bucket_counts.end() - 1);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t b = shift >= 64 ? 0 : mix64(keys[i]) >> shift;
+      scatter[cursor[b]++] = {keys[i], static_cast<std::uint32_t>(i)};
+    }
+  }
+
+  // 2) Group each bucket by key. The scatter was stable, so after sorting
+  //    by (key, pos) every run of equal keys lists that pair's positions
+  //    in trace order, and the run head is the pair's first appearance.
+  struct Run {
+    std::uint32_t begin;  ///< offset into `scatter`
+    std::uint32_t count;
+  };
+  std::vector<Run> runs;
+  for (std::size_t b = 0; b < num_buckets; ++b) {
+    const std::size_t lo = bucket_counts[b];
+    const std::size_t hi = bucket_counts[b + 1];
+    if (lo == hi) continue;
+    std::sort(scatter.begin() + lo, scatter.begin() + hi,
+              [](const Entry& a, const Entry& c) {
+                if (a.key != c.key) return a.key < c.key;
+                return a.pos < c.pos;
+              });
+    std::size_t run_begin = lo;
+    for (std::size_t i = lo + 1; i <= hi; ++i) {
+      if (i == hi || scatter[i].key != scatter[run_begin].key) {
+        runs.push_back({static_cast<std::uint32_t>(run_begin),
+                        static_cast<std::uint32_t>(i - run_begin)});
+        run_begin = i;
+      }
+    }
+  }
+
+  // 3) Dense ids in first-appearance order: sort runs by their head
+  //    position (cost is O(P log P) over pairs, not flows).
+  std::sort(runs.begin(), runs.end(), [&](const Run& a, const Run& b) {
+    return scatter[a.begin].pos < scatter[b.begin].pos;
+  });
+
+  pairs_.reserve(runs.size());
+  id_of_.reserve(runs.size());
+  offsets_.assign(runs.size() + 1, 0);
+  positions_.resize(n);
+  for (std::size_t id = 0; id < runs.size(); ++id) {
+    const Run& run = runs[id];
+    const std::uint64_t key = scatter[run.begin].key;
+    const GpuPair p(GpuId(static_cast<std::uint32_t>(key >> 32)),
+                    GpuId(static_cast<std::uint32_t>(key)));
+    pairs_.push_back(p);
+    id_of_.emplace(p, static_cast<std::uint32_t>(id));
+    offsets_[id + 1] = offsets_[id] + run.count;
+    std::size_t cursor = offsets_[id];
+    for (std::uint32_t e = run.begin; e < run.begin + run.count; ++e) {
+      positions_[cursor++] = scatter[e].pos;
+      pair_of_flow_[scatter[e].pos] = static_cast<std::uint32_t>(id);
+    }
+  }
 }
 
 }  // namespace llmprism

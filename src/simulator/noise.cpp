@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "llmprism/flow/view.hpp"
+
 namespace llmprism {
 
 namespace {
@@ -77,7 +79,9 @@ FlowTrace apply_noise(const FlowTrace& trace, const NoiseConfig& config,
   if (config.degraded_pair_fraction > 0.0) {
     // Pairs are visited in first-appearance order (dense CSR ids), so the
     // noise realization is deterministic in the trace's content alone.
-    const PairIndex pair_index(trace);
+    const FlowColumns columns(trace);
+    const FlowView view = columns.view();
+    const PairIndex pair_index(view);
     for (std::size_t id = 0; id < pair_index.num_pairs(); ++id) {
       const auto flow_idxs = pair_index.positions(id);
       PairDegradation d;
@@ -94,15 +98,15 @@ FlowTrace apply_noise(const FlowTrace& trace, const NoiseConfig& config,
       while (burst_start < flow_idxs.size()) {
         std::size_t burst_end = burst_start + 1;
         while (burst_end < flow_idxs.size()) {
-          const TimeNs gap = trace[flow_idxs[burst_end]].start_time -
-                             trace[flow_idxs[burst_end - 1]].start_time;
+          const TimeNs gap = view.start_ns[flow_idxs[burst_end]] -
+                             view.start_ns[flow_idxs[burst_end - 1]];
           if (gap > config.burst_gap) break;
           ++burst_end;
         }
         if (rng.bernoulli(d.truncation_prob)) {
-          const std::uint64_t head_size = trace[flow_idxs[burst_start]].bytes;
+          const std::uint64_t head_size = view.bytes[flow_idxs[burst_start]];
           for (std::size_t i = burst_start; i < burst_end; ++i) {
-            if (trace[flow_idxs[i]].bytes != head_size) {
+            if (view.bytes[flow_idxs[i]] != head_size) {
               keep[flow_idxs[i]] = false;
             }
           }

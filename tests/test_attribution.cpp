@@ -59,7 +59,7 @@ std::vector<GpuId> ring_gpus(const JobTruth& truth,
 TEST(AttributionTest, CleanTraceYieldsNoIncidents) {
   const auto sim = run_cluster_sim(one_job_config(3, 12));
   const Prism prism(sim.topology);
-  const auto report = prism.analyze(sim.trace);
+  const auto report = prism.analyze(FlowColumns(sim.trace).view());
   EXPECT_TRUE(report.attribution.incidents.empty());
   EXPECT_EQ(report.telemetry.incidents, 0u);
   EXPECT_EQ(report.telemetry.alerts_explained, 0u);
@@ -74,7 +74,7 @@ TEST(AttributionTest, DisabledFlagSkipsAttribution) {
   PrismConfig prism_config;
   prism_config.attribute = false;
   const Prism prism(sim.topology, prism_config);
-  const auto report = prism.analyze(sim.trace);
+  const auto report = prism.analyze(FlowColumns(sim.trace).view());
   EXPECT_FALSE(report.jobs.front().step_alerts.empty());
   EXPECT_TRUE(report.attribution.incidents.empty());
   EXPECT_EQ(report.telemetry.incidents, 0u);
@@ -93,7 +93,7 @@ TEST(AttributionTest, StragglerBlamesInjectedRank) {
   EXPECT_EQ(sim.anomalies[0].kind, AnomalyKind::kStraggler);
 
   const Prism prism(sim.topology);
-  const auto report = prism.analyze(sim.trace);
+  const auto report = prism.analyze(FlowColumns(sim.trace).view());
   ASSERT_EQ(report.attribution.incidents.size(), 1u);
   const AttributedIncident& incident = report.attribution.incidents[0];
   EXPECT_EQ(incident.job, JobId(0));
@@ -145,7 +145,7 @@ TEST(AttributionTest, SlowDpGroupBlamesInjectedRing) {
   EXPECT_EQ(sim.anomalies[0].kind, AnomalyKind::kSlowDpGroup);
 
   const Prism prism(sim.topology);
-  const auto report = prism.analyze(sim.trace);
+  const auto report = prism.analyze(FlowColumns(sim.trace).view());
   ASSERT_FALSE(report.attribution.incidents.empty());
 
   const AttributedIncident* ring_incident = nullptr;
@@ -202,7 +202,7 @@ TEST(AttributionTest, DegradedSwitchBlamesInjectedSwitch) {
   EXPECT_EQ(sim.anomalies[0].kind, AnomalyKind::kDegradedSwitch);
 
   const Prism prism(sim.topology);
-  const auto report = prism.analyze(sim.trace);
+  const auto report = prism.analyze(FlowColumns(sim.trace).view());
   ASSERT_FALSE(report.switch_bandwidth_alerts.empty());
 
   const AttributedIncident* switch_incident = nullptr;
@@ -238,7 +238,7 @@ TEST(AttributionTest, TwoSimultaneousFaultsSeparateIncidents) {
   ASSERT_EQ(sim.anomalies.size(), 2u);
 
   const Prism prism(sim.topology);
-  const auto report = prism.analyze(sim.trace);
+  const auto report = prism.analyze(FlowColumns(sim.trace).view());
   ASSERT_GE(report.attribution.incidents.size(), 2u);
 
   const auto siblings = stage_gpus(
@@ -331,7 +331,8 @@ TEST(AttributionUnitTest, GroupSwitchSetsUseOnlyIntraComponentFlows) {
   trace.add(flow(3, 2, 20, {1, 3}));
   trace.add(flow(1, 0, 30, {0}));
 
-  const auto sets = Attributor::group_switch_sets(trace, components);
+  const auto sets =
+      Attributor::group_switch_sets(FlowColumns(trace).view(), components);
   ASSERT_EQ(sets.size(), 2u);
   EXPECT_EQ(sets[0],
             (std::vector<SwitchId>{SwitchId(0), SwitchId(1), SwitchId(2)}));

@@ -40,6 +40,20 @@ TEST(BocdConfigTest, RejectsNonPositivePrior) {
   EXPECT_THROW(BocdDetector{cfg}, std::invalid_argument);
 }
 
+TEST(BocdConfigTest, RejectsNonHalfIntegralPriorAlpha) {
+  // The kernel evaluates the Student-t with an integral power, so nu =
+  // 2*prior_alpha + r must be an integer.
+  BocdConfig cfg;
+  cfg.prior_alpha = 0.7;
+  EXPECT_THROW(BocdDetector{cfg}, std::invalid_argument);
+  BocdDetector pooled;
+  EXPECT_THROW(pooled.reconfigure(cfg), std::invalid_argument);
+  for (const double alpha : {0.5, 1.0, 1.5}) {
+    cfg.prior_alpha = alpha;
+    EXPECT_NO_THROW(BocdDetector{cfg}) << alpha;
+  }
+}
+
 TEST(BocdDetectorTest, FirstObservationIsNotAChangepoint) {
   BocdDetector detector;
   const double p = detector.observe(0.5);

@@ -10,6 +10,7 @@
 #include "llmprism/core/comm_type.hpp"
 #include "llmprism/baseline/eval.hpp"
 #include "llmprism/simulator/cluster_sim.hpp"
+#include "trace_stages.hpp"
 
 namespace llmprism {
 namespace {
@@ -228,7 +229,7 @@ TEST(CollectorEndToEndTest, AnalysisSurvivesThePacketPath) {
   const auto records = collect_flows(packets, sim.topology, {}, rng);
   ASSERT_GT(records.size(), 0u);
 
-  const auto result = CommTypeIdentifier{}.identify(records);
+  const auto result = identify(CommTypeIdentifier{}, records);
   const auto score = score_comm_type(std::span(result.pairs), sim.jobs[0]);
   EXPECT_EQ(score.missing_pairs, 0u);
   EXPECT_DOUBLE_EQ(score.accuracy(), 1.0)

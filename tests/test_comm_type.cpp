@@ -5,6 +5,7 @@
 
 #include "llmprism/baseline/eval.hpp"
 #include "llmprism/simulator/cluster_sim.hpp"
+#include "trace_stages.hpp"
 
 namespace llmprism {
 namespace {
@@ -57,7 +58,7 @@ TEST(CommTypeIdentifierTest, SingleSizePairIsPP) {
   FlowTrace trace;
   add_pair_flows(trace, 0, 8, 6, {1 << 20}, 8);
   trace.sort();
-  const auto result = CommTypeIdentifier{}.identify(trace);
+  const auto result = identify(CommTypeIdentifier{}, trace);
   ASSERT_EQ(result.pairs.size(), 1u);
   EXPECT_EQ(result.pairs[0].type, CommType::kPP);
   EXPECT_TRUE(result.dp_components.empty());
@@ -67,7 +68,7 @@ TEST(CommTypeIdentifierTest, MultiSizePairIsDP) {
   FlowTrace trace;
   add_pair_flows(trace, 0, 8, 6, {1 << 20, 3 << 20, 5 << 20});
   trace.sort();
-  const auto result = CommTypeIdentifier{}.identify(trace);
+  const auto result = identify(CommTypeIdentifier{}, trace);
   ASSERT_EQ(result.pairs.size(), 1u);
   EXPECT_EQ(result.pairs[0].type, CommType::kDP);
   ASSERT_EQ(result.dp_components.size(), 1u);
@@ -82,7 +83,7 @@ TEST(CommTypeIdentifierTest, ModeIsRobustToOneCorruptStep) {
   // one extra burst far later with a single size
   add_pair_flows(trace, 0, 8, 1, {1 << 20}, 8, 2 * kSecond, kMillisecond);
   trace.sort();
-  const auto result = CommTypeIdentifier{}.identify(trace);
+  const auto result = identify(CommTypeIdentifier{}, trace);
   ASSERT_EQ(result.pairs.size(), 1u);
   EXPECT_EQ(result.pairs[0].type, CommType::kDP);
 }
@@ -102,7 +103,7 @@ TEST(CommTypeIdentifierTest, MajorityCorruptStepsFlipWithoutRefinement) {
   trace.sort();
   CommTypeConfig cfg;
   cfg.refine = false;
-  const auto result = CommTypeIdentifier(cfg).identify(trace);
+  const auto result = identify(CommTypeIdentifier(cfg), trace);
   ASSERT_EQ(result.pairs.size(), 1u);
   EXPECT_EQ(result.pairs[0].type, CommType::kPP);
   EXPECT_EQ(result.pairs[0].pre_refinement_type, CommType::kPP);
@@ -122,7 +123,7 @@ TEST(CommTypeIdentifierTest, RefinementRescuesTruncatedDpPair) {
 
   CommTypeConfig cfg;
   cfg.refine = true;
-  const auto result = CommTypeIdentifier(cfg).identify(trace);
+  const auto result = identify(CommTypeIdentifier(cfg), trace);
   ASSERT_EQ(result.pairs.size(), 4u);
   for (const auto& p : result.pairs) {
     EXPECT_EQ(p.type, CommType::kDP) << p.pair;
@@ -149,7 +150,7 @@ TEST(CommTypeIdentifierTest, RefinementNeverFlipsTruePpPairs) {
   // PP pair between the components
   add_pair_flows(trace, 8, 16, 6, {2 << 20});
   trace.sort();
-  const auto result = CommTypeIdentifier{}.identify(trace);
+  const auto result = identify(CommTypeIdentifier{}, trace);
   for (const auto& p : result.pairs) {
     if (p.pair == GpuPair(GpuId(8), GpuId(16))) {
       EXPECT_EQ(p.type, CommType::kPP);
@@ -186,7 +187,7 @@ TEST(CommTypeIdentifierTest, RareSizeArtifactsDoNotFlipPpPairs) {
     trace.add(f);
   }
   trace.sort();
-  const auto result = CommTypeIdentifier{}.identify(trace);
+  const auto result = identify(CommTypeIdentifier{}, trace);
   ASSERT_EQ(result.pairs.size(), 1u);
   EXPECT_EQ(result.pairs[0].type, CommType::kPP);
 }
@@ -197,7 +198,7 @@ TEST(CommTypeIdentifierTest, RareSizeFilterKeepsRealDpBuckets) {
   FlowTrace trace;
   add_pair_flows(trace, 0, 8, 8, {1 << 20, 3 << 20, 5 << 20}, 4);
   trace.sort();
-  const auto result = CommTypeIdentifier{}.identify(trace);
+  const auto result = identify(CommTypeIdentifier{}, trace);
   ASSERT_EQ(result.pairs.size(), 1u);
   EXPECT_EQ(result.pairs[0].type, CommType::kDP);
 }
@@ -223,7 +224,7 @@ TEST(CommTypeIdentifierTest, PartialRecordsDoNotCascadeThroughRefinement) {
     trace.add(f);
   }
   trace.sort();
-  const auto result = CommTypeIdentifier{}.identify(trace);
+  const auto result = identify(CommTypeIdentifier{}, trace);
   for (const auto& p : result.pairs) {
     const bool is_pp = p.pair == GpuPair(GpuId(0), GpuId(16)) ||
                        p.pair == GpuPair(GpuId(8), GpuId(24));
@@ -237,7 +238,7 @@ TEST(CommTypeIdentifierTest, TypesMapMatchesPairs) {
   add_pair_flows(trace, 0, 8, 4, {1 << 20});
   add_pair_flows(trace, 8, 16, 4, {1 << 20, 2 << 20});
   trace.sort();
-  const auto result = CommTypeIdentifier{}.identify(trace);
+  const auto result = identify(CommTypeIdentifier{}, trace);
   const auto types = result.types();
   EXPECT_EQ(types.size(), result.pairs.size());
   for (const auto& p : result.pairs) {
@@ -246,7 +247,7 @@ TEST(CommTypeIdentifierTest, TypesMapMatchesPairs) {
 }
 
 TEST(CommTypeIdentifierTest, EmptyTrace) {
-  const auto result = CommTypeIdentifier{}.identify(FlowTrace{});
+  const auto result = identify(CommTypeIdentifier{}, FlowTrace{});
   EXPECT_TRUE(result.pairs.empty());
   EXPECT_TRUE(result.dp_components.empty());
 }
@@ -256,7 +257,7 @@ TEST(CommTypeIdentifierTest, PairsSortedDeterministically) {
   add_pair_flows(trace, 16, 24, 3, {1 << 20});
   add_pair_flows(trace, 0, 8, 3, {1 << 20});
   trace.sort();
-  const auto result = CommTypeIdentifier{}.identify(trace);
+  const auto result = identify(CommTypeIdentifier{}, trace);
   ASSERT_EQ(result.pairs.size(), 2u);
   EXPECT_LT(result.pairs[0].pair, result.pairs[1].pair);
 }
@@ -286,7 +287,7 @@ TEST_P(CommTypeSweep, PerfectOnCleanTraces) {
   cfg.jobs.push_back({job, {}});
   const auto sim = run_cluster_sim(cfg);
 
-  const auto result = CommTypeIdentifier{}.identify(sim.trace);
+  const auto result = identify(CommTypeIdentifier{}, sim.trace);
   const auto score = score_comm_type(std::span(result.pairs), sim.jobs[0]);
   EXPECT_EQ(score.missing_pairs, 0u);
   EXPECT_DOUBLE_EQ(score.accuracy(), 1.0)

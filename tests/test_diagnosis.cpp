@@ -216,7 +216,7 @@ TEST(SwitchBandwidthTest, PerSwitchAverages) {
   t.add(dp_flow(0, 0, 8, 250, 100, {0, 1}));
   // 10 Gb/s flow through switch 1 only
   t.add(dp_flow(10, 0, 16, 250, 200, {1}));
-  const auto bw = Diagnoser::per_switch_bandwidth(t);
+  const auto bw = Diagnoser::per_switch_bandwidth(FlowColumns(t).view());
   ASSERT_EQ(bw.size(), 2u);
   EXPECT_EQ(bw[0].first, SwitchId(0));
   EXPECT_DOUBLE_EQ(bw[0].second, 20.0);
@@ -226,7 +226,7 @@ TEST(SwitchBandwidthTest, PerSwitchAverages) {
 TEST(SwitchBandwidthTest, ZeroDurationFlowsIgnored) {
   FlowTrace t;
   t.add(dp_flow(0, 0, 8, 250, 0, {0}));
-  EXPECT_TRUE(Diagnoser::per_switch_bandwidth(t).empty());
+  EXPECT_TRUE(Diagnoser::per_switch_bandwidth(FlowColumns(t).view()).empty());
 }
 
 TEST(SwitchBandwidthTest, FlagsDegradedSwitch) {
@@ -239,7 +239,7 @@ TEST(SwitchBandwidthTest, FlagsDegradedSwitch) {
       t.add(dp_flow(at++, 0, 8, 250, dur, {sw}));
     }
   }
-  const auto alerts = Diagnoser{}.switch_bandwidth(t);
+  const auto alerts = Diagnoser{}.switch_bandwidth(FlowColumns(t).view());
   ASSERT_EQ(alerts.size(), 1u);
   EXPECT_EQ(alerts[0].switch_id, SwitchId(7));
   EXPECT_LT(alerts[0].bandwidth_gbps, alerts[0].threshold_gbps);
@@ -254,7 +254,7 @@ TEST(SwitchConcurrencyTest, PeakCounting) {
   t.add(dp_flow(0, 3, 11, 1, 100, {1}));
   DiagnosisConfig cfg;
   cfg.switch_dp_flow_limit = 2;
-  const auto alerts = Diagnoser(cfg).switch_concurrency(t);
+  const auto alerts = Diagnoser(cfg).switch_concurrency(FlowColumns(t).view());
   ASSERT_EQ(alerts.size(), 1u);
   EXPECT_EQ(alerts[0].switch_id, SwitchId(0));
   EXPECT_EQ(alerts[0].concurrent_flows, 3u);
@@ -268,13 +268,13 @@ TEST(SwitchConcurrencyTest, BackToBackFlowsDoNotOverlap) {
   t.add(dp_flow(100, 1, 9, 1, 100, {0}));
   DiagnosisConfig cfg;
   cfg.switch_dp_flow_limit = 1;
-  EXPECT_TRUE(Diagnoser(cfg).switch_concurrency(t).empty());
+  EXPECT_TRUE(Diagnoser(cfg).switch_concurrency(FlowColumns(t).view()).empty());
 }
 
 TEST(SwitchConcurrencyTest, UnderLimitNoAlerts) {
   FlowTrace t;
   for (int i = 0; i < 10; ++i) t.add(dp_flow(i * 200, 0, 8, 1, 100, {0}));
-  EXPECT_TRUE(Diagnoser{}.switch_concurrency(t).empty());
+  EXPECT_TRUE(Diagnoser{}.switch_concurrency(FlowColumns(t).view()).empty());
 }
 
 // ---------------------------------------------------------------------------

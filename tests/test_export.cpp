@@ -391,7 +391,7 @@ TEST(OneShotExport, SingleWindowViewDrivesAllThreeExports) {
   const ClusterSimResult sim = run_cluster_sim(cfg);
 
   const Prism prism(sim.topology);
-  const PrismReport report = prism.analyze(sim.trace);
+  const PrismReport report = prism.analyze(FlowColumns(sim.trace).view());
   const WindowExportView view{sim.trace.span(), &report, {}};
 
   PerfettoExporter perfetto;

@@ -1,9 +1,8 @@
 // FlagSet — the shared option parser behind prism/prismd/gen_trace.
 // The load-bearing contracts: an unknown option is ALWAYS an error
 // (callers exit 2 — regression for the silent fall-through the old
-// hand-rolled parsers had), deprecated aliases keep working with a
-// warning, malformed values name the flag, and positional arity is
-// enforced.
+// hand-rolled parsers had), malformed values name the flag, and
+// positional arity is enforced.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -92,25 +91,6 @@ TEST(FlagSetTest, MalformedValueNamesTheFlag) {
     ASSERT_FALSE(result.errors.empty());
     EXPECT_NE(result.errors[0].find("--"), std::string::npos)
         << "error must name the flag: " << result.errors[0];
-  }
-}
-
-TEST(FlagSetTest, DeprecatedAliasStillParses) {
-  std::uint64_t window = 0;
-  FlagSet flags("test");
-  flags.flag("--window", "S", "", &window);
-  flags.alias("--monitor-window", "--window");
-
-  ::testing::internal::CaptureStderr();
-  const ParseResult result = parse(flags, {"--monitor-window", "30"});
-  const std::string warning = ::testing::internal::GetCapturedStderr();
-  ASSERT_TRUE(result.ok);
-  EXPECT_EQ(window, 30u);
-  // One-line deprecation note pointing at the canonical spelling (printed
-  // at most once per process, so don't assert on a second use).
-  if (!warning.empty()) {
-    EXPECT_NE(warning.find("deprecated"), std::string::npos);
-    EXPECT_NE(warning.find("--window"), std::string::npos);
   }
 }
 

@@ -1,13 +1,21 @@
-// Unit tests for flow records, traces and CSV I/O.
+// Unit tests for flow records, traces, their columnar form and CSV I/O.
+//
+// FlowTrace is the record builder; the data-plane algorithms (windowing,
+// merging, dropping, sorting, the pair index) live on FlowView and
+// FlowColumns. The FlowTrace* suites below build their inputs as traces
+// and drive those algorithms through the trace's columns — the one path a
+// trace takes into analysis.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "llmprism/common/csv.hpp"
 #include "llmprism/common/rng.hpp"
 #include "llmprism/flow/io.hpp"
 #include "llmprism/flow/trace.hpp"
+#include "llmprism/flow/view.hpp"
 #include "llmprism/obs/metrics.hpp"
 
 namespace llmprism {
@@ -22,6 +30,44 @@ FlowRecord make_flow(TimeNs t, std::uint32_t src, std::uint32_t dst,
   f.bytes = bytes;
   f.duration = dur;
   return f;
+}
+
+/// make_flow plus a 0-2 hop switch path that is a pure function of the
+/// endpoints, so rows with equal sort keys stay equal records (and any
+/// correct sort, stable or not, yields the same sequence).
+FlowRecord make_routed_flow(TimeNs t, std::uint32_t src, std::uint32_t dst,
+                            std::uint64_t bytes = 1000) {
+  FlowRecord f = make_flow(t, src, dst, bytes);
+  for (std::uint32_t h = 0; h < (src + dst) % 3; ++h) {
+    f.switches.push_back(SwitchId(src * 10 + dst + h));
+  }
+  return f;
+}
+
+/// Columns must hold exactly `expected`'s records, in order, with a
+/// well-formed CSR (size()+1 offsets from 0 to the hop count).
+void expect_rows(const FlowColumns& cols, const FlowTrace& expected,
+                 const std::string& where = "") {
+  ASSERT_EQ(cols.size(), expected.size()) << where;
+  for (std::size_t i = 0; i < cols.size(); ++i) {
+    EXPECT_EQ(cols[i], expected[i]) << where << " pos " << i;
+  }
+  if (cols.switch_offsets.empty()) return;
+  ASSERT_EQ(cols.switch_offsets.size(), cols.size() + 1) << where;
+  EXPECT_EQ(cols.switch_offsets.front(), 0u) << where;
+  EXPECT_EQ(cols.switch_offsets.back(), cols.switch_ids.size()) << where;
+}
+
+/// `n` random flows; times in [0, max_t], hops derived from the endpoints.
+FlowTrace random_trace(Rng& rng, int n, int max_t) {
+  FlowTrace t;
+  for (int i = 0; i < n; ++i) {
+    t.add(make_routed_flow(static_cast<TimeNs>(rng.uniform_int(0, max_t)),
+                           static_cast<std::uint32_t>(rng.uniform_int(0, 7)),
+                           static_cast<std::uint32_t>(rng.uniform_int(8, 15)),
+                           static_cast<std::uint64_t>(rng.uniform_int(1, 5))));
+  }
+  return t;
 }
 
 // ---------------------------------------------------------------------------
@@ -67,25 +113,43 @@ TEST(FlowTraceTest, WindowSelectsHalfOpenRange) {
   FlowTrace t;
   for (TimeNs i = 0; i < 10; ++i) t.add(make_flow(i * 100, 1, 2));
   t.sort();
-  const auto w = t.window({200, 500});
+  const FlowColumns cols(t);
+  const FlowView w = cols.view().window({200, 500});
   ASSERT_EQ(w.size(), 3u);
-  EXPECT_EQ(w[0].start_time, 200);
-  EXPECT_EQ(w[2].start_time, 400);
+  EXPECT_EQ(w.start_ns[0], 200);
+  EXPECT_EQ(w.start_ns[2], 400);
 }
 
 TEST(FlowTraceTest, WindowOnUnsortedThrows) {
   FlowTrace t;
   t.add(make_flow(30, 1, 2));
   t.add(make_flow(10, 1, 2));
-  EXPECT_THROW(t.window({0, 100}), std::logic_error);
+  const FlowColumns cols(t);
+  EXPECT_THROW((void)cols.view().window({0, 100}), std::logic_error);
 }
 
 TEST(FlowTraceTest, WindowEmptyResult) {
   FlowTrace t;
   t.add(make_flow(100, 1, 2));
   t.sort();
-  EXPECT_TRUE(t.window({200, 300}).empty());
-  EXPECT_TRUE(FlowTrace{}.window({0, 100}).empty());
+  EXPECT_TRUE(FlowColumns(t).view().window({200, 300}).empty());
+  EXPECT_TRUE(FlowColumns{}.view().window({0, 100}).empty());
+}
+
+TEST(FlowViewTest, WindowKeepsSwitchPathsOfTheSlice) {
+  // A window is a slice: its CSR offsets stay absolute into the parent's
+  // hop column, so switches(i) must still name row i's own hops.
+  FlowTrace t;
+  for (TimeNs i = 0; i < 12; ++i) {
+    t.add(make_routed_flow(i * 100, static_cast<std::uint32_t>(i % 5),
+                           static_cast<std::uint32_t>(8 + i % 3)));
+  }
+  const FlowColumns cols(t);
+  const FlowView w = cols.view().window({350, 1000});
+  ASSERT_EQ(w.size(), 6u);
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    EXPECT_EQ(w.record(i), t[i + 4]) << "row " << i;
+  }
 }
 
 TEST(FlowTraceTest, SpanCoversFlows) {
@@ -152,18 +216,23 @@ TEST(FlowTraceSortednessTest, AppendTracksBoundaryOrder) {
 
 TEST(FlowTraceSortednessTest, VerifyCachesAPositiveScan) {
   // A trace built out of order but whose content happens to be sorted is
-  // recognized by the O(N) verify (and window() then works).
+  // recognized by the O(N) verify, the transpose inherits the fact, and
+  // windowing then works.
   std::vector<FlowRecord> flows{make_flow(1, 1, 2), make_flow(2, 1, 2)};
   const FlowTrace t(std::move(flows));
   EXPECT_TRUE(t.is_sorted());
-  EXPECT_EQ(t.window({0, 10}).size(), 2u);
+  const FlowColumns cols(t);
+  EXPECT_TRUE(cols.is_sorted());
+  EXPECT_EQ(cols.view().window({0, 10}).size(), 2u);
 }
 
 TEST(FlowTraceSortednessTest, WindowResultIsBornSorted) {
   FlowTrace t;
   for (TimeNs i = 0; i < 10; ++i) t.add(make_flow(i * 100, 1, 2));
-  const FlowTrace w = t.window({200, 700});
-  EXPECT_TRUE(w.is_sorted());
+  const FlowColumns cols(t);
+  const FlowView w = cols.view().window({200, 700});
+  EXPECT_TRUE(w.sorted);
+  EXPECT_TRUE(w.verify_sorted());
 }
 
 TEST(FlowTraceSortednessTest, PhysicalSortsAreCounted) {
@@ -183,39 +252,25 @@ TEST(FlowTraceSortednessTest, PhysicalSortsAreCounted) {
 }
 
 TEST(FlowTraceMergeTest, MergeSortedMatchesAppendPlusSort) {
-  // Randomized property test: for random sorted runs, merge_sorted is
-  // record-for-record equal to append + sort.
+  // Randomized property test: for random runs (the incoming one unsorted
+  // every other round), merging the columns is record-for-record equal to
+  // appending the traces and sorting, switch paths included.
   Rng rng(321);
   for (int round = 0; round < 50; ++round) {
-    FlowTrace a, b;
-    const int na = rng.uniform_int(0, 40);
-    const int nb = rng.uniform_int(0, 40);
-    for (int i = 0; i < na; ++i) {
-      a.add(make_flow(static_cast<TimeNs>(rng.uniform_int(0, 1000)),
-                      static_cast<std::uint32_t>(rng.uniform_int(0, 7)),
-                      static_cast<std::uint32_t>(rng.uniform_int(8, 15)),
-                      static_cast<std::uint64_t>(rng.uniform_int(1, 5))));
-    }
-    for (int i = 0; i < nb; ++i) {
-      b.add(make_flow(static_cast<TimeNs>(rng.uniform_int(0, 1000)),
-                      static_cast<std::uint32_t>(rng.uniform_int(0, 7)),
-                      static_cast<std::uint32_t>(rng.uniform_int(8, 15)),
-                      static_cast<std::uint64_t>(rng.uniform_int(1, 5))));
-    }
+    FlowTrace a = random_trace(rng, rng.uniform_int(0, 40), 1000);
+    FlowTrace b = random_trace(rng, rng.uniform_int(0, 40), 1000);
     a.sort();
-    b.sort();
+    if (round % 2 == 0) b.sort();
 
     FlowTrace expected = a;
     expected.append(b);
     expected.sort();
 
-    FlowTrace merged = a;
-    merged.merge_sorted(b);
+    FlowColumns merged(a);
+    merged.merge_sorted(FlowColumns(b));
     EXPECT_TRUE(merged.is_sorted());
-    ASSERT_EQ(merged.size(), expected.size());
-    for (std::size_t i = 0; i < merged.size(); ++i) {
-      EXPECT_EQ(merged[i], expected[i]) << "round " << round << " pos " << i;
-    }
+    EXPECT_TRUE(merged.view().verify_sorted());
+    expect_rows(merged, expected, "round " + std::to_string(round));
   }
 }
 
@@ -223,67 +278,142 @@ TEST(FlowTraceMergeTest, MergeSortedRunsMatchesAppendPlusSort) {
   Rng rng(654);
   for (int round = 0; round < 25; ++round) {
     const int k = rng.uniform_int(0, 6);
-    std::vector<FlowTrace> runs(static_cast<std::size_t>(k));
+    std::vector<FlowColumns> runs;
     FlowTrace expected;
-    for (FlowTrace& run : runs) {
-      const int n = rng.uniform_int(0, 30);
-      for (int i = 0; i < n; ++i) {
-        run.add(make_flow(static_cast<TimeNs>(rng.uniform_int(0, 500)),
-                          static_cast<std::uint32_t>(rng.uniform_int(0, 3)),
-                          static_cast<std::uint32_t>(rng.uniform_int(4, 7))));
-      }
-      run.sort();
+    for (int r = 0; r < k; ++r) {
+      FlowTrace run = random_trace(rng, rng.uniform_int(0, 30), 500);
+      if (r % 2 == 0) run.sort();  // odd runs are sorted by the merge
       expected.append(run);
+      runs.emplace_back(run);
     }
     expected.sort();
 
-    const FlowTrace merged = FlowTrace::merge_sorted_runs(std::move(runs));
+    const FlowColumns merged = FlowColumns::merge_sorted_runs(std::move(runs));
     EXPECT_TRUE(merged.is_sorted());
-    ASSERT_EQ(merged.size(), expected.size());
-    for (std::size_t i = 0; i < merged.size(); ++i) {
-      EXPECT_EQ(merged[i], expected[i]) << "round " << round << " pos " << i;
-    }
+    expect_rows(merged, expected, "round " + std::to_string(round));
   }
 }
 
 TEST(FlowTraceMergeTest, MergeSortedRunsBreaksTiesByRunIndex) {
-  // Two runs carrying records with identical sort keys but different
+  // Three runs carrying records with identical sort keys but different
   // durations: the lower run's record must come out first.
-  FlowTrace run0, run1;
+  FlowTrace run0, run1, run2;
   run0.add(make_flow(100, 1, 2, 1000, 11));
   run1.add(make_flow(100, 1, 2, 1000, 22));
-  const FlowTrace merged = FlowTrace::merge_sorted_runs({run0, run1});
-  ASSERT_EQ(merged.size(), 2u);
-  EXPECT_EQ(merged[0].duration, 11);
-  EXPECT_EQ(merged[1].duration, 22);
+  run2.add(make_flow(50, 1, 2, 1000, 5));
+  run2.add(make_flow(100, 1, 2, 1000, 33));
+  std::vector<FlowColumns> runs;
+  runs.emplace_back(run2);
+  runs.emplace_back(run0);
+  runs.emplace_back(run1);
+  const FlowColumns merged = FlowColumns::merge_sorted_runs(std::move(runs));
+  ASSERT_EQ(merged.size(), 4u);
+  EXPECT_EQ(merged.view().duration_ns[0], 5);
+  EXPECT_EQ(merged.view().duration_ns[1], 33);  // run index 0 wins the tie
+  EXPECT_EQ(merged.view().duration_ns[2], 11);
+  EXPECT_EQ(merged.view().duration_ns[3], 22);
 }
 
 TEST(FlowTraceMergeTest, MergeIntoEmptyAndFromEmpty) {
-  FlowTrace a;
+  FlowColumns a;
   FlowTrace b;
-  b.add(make_flow(1, 1, 2));
-  a.merge_sorted(b);  // into empty
-  EXPECT_EQ(a.size(), 1u);
-  a.merge_sorted(FlowTrace{});  // from empty
-  EXPECT_EQ(a.size(), 1u);
-  EXPECT_TRUE(FlowTrace::merge_sorted_runs({}).empty());
+  b.add(make_routed_flow(1, 1, 2));
+  a.merge_sorted(FlowColumns(b));  // into empty
+  expect_rows(a, b);
+  a.merge_sorted(FlowColumns{});  // from empty
+  expect_rows(a, b);
+  EXPECT_TRUE(FlowColumns::merge_sorted_runs({}).empty());
+}
+
+TEST(FlowColumnsMergeTest, AppendFastPathRebasesIncomingSwitchOffsets) {
+  // `other` starts at this side's back, so merge_sorted appends instead
+  // of merging: the incoming CSR offsets must be shifted by this side's
+  // hop count, and a tie at the boundary keeps this side's row first.
+  FlowTrace a, incoming;
+  for (TimeNs i = 0; i < 4; ++i) {
+    a.add(make_routed_flow(i * 10, static_cast<std::uint32_t>(i + 1), 9));
+  }
+  a.add(make_flow(40, 3, 9, 1000, 11));
+  incoming.add(make_flow(40, 3, 9, 1000, 22));
+  for (TimeNs i = 0; i < 4; ++i) {
+    incoming.add(
+        make_routed_flow(50 + i * 10, static_cast<std::uint32_t>(i + 1), 9));
+  }
+  ASSERT_TRUE(a.is_sorted());
+  ASSERT_TRUE(incoming.is_sorted());
+
+  FlowColumns merged(a);
+  ASSERT_GT(merged.switch_ids.size(), 0u);
+  merged.merge_sorted(FlowColumns(incoming));
+
+  FlowTrace expected = a;
+  expected.append(incoming);
+  expect_rows(merged, expected);
+  EXPECT_EQ(merged[4].duration, 11);  // tie: this side first
+  EXPECT_EQ(merged[5].duration, 22);
 }
 
 TEST(FlowTraceDropBeforeTest, ErasesStrictPrefix) {
   FlowTrace t;
   for (TimeNs i = 0; i < 10; ++i) t.add(make_flow(i * 100, 1, 2));
-  t.drop_before(500);
-  ASSERT_EQ(t.size(), 5u);
-  EXPECT_EQ(t[0].start_time, 500);
-  t.drop_before(0);  // no-op
-  EXPECT_EQ(t.size(), 5u);
-  t.drop_before(10000);  // drops everything
-  EXPECT_TRUE(t.empty());
+  FlowColumns cols(t);
+  cols.drop_before(500);
+  ASSERT_EQ(cols.size(), 5u);
+  EXPECT_EQ(cols.view().start_ns[0], 500);
+  cols.drop_before(0);  // no-op
+  EXPECT_EQ(cols.size(), 5u);
+  cols.drop_before(10000);  // drops everything
+  EXPECT_TRUE(cols.empty());
 
   FlowTrace unsorted;
   unsorted.add(make_flow(20, 1, 2));
   unsorted.add(make_flow(10, 1, 2));
-  EXPECT_THROW(unsorted.drop_before(15), std::logic_error);
+  FlowColumns unsorted_cols(unsorted);
+  EXPECT_THROW(unsorted_cols.drop_before(15), std::logic_error);
+}
+
+TEST(FlowColumnsDropBeforeTest, RebasesSwitchOffsetsOfTheKeptRows) {
+  Rng rng(77);
+  FlowTrace t = random_trace(rng, 60, 1000);
+  t.sort();
+  for (const TimeNs cut : {TimeNs{-1}, TimeNs{0}, TimeNs{250}, TimeNs{999},
+                           TimeNs{5000}}) {
+    FlowColumns cols(t);
+    cols.drop_before(cut);
+    FlowTrace expected;
+    for (const FlowRecord& f : t) {
+      if (f.start_time >= cut) expected.add(f);
+    }
+    expect_rows(cols, expected, "cut " + std::to_string(cut));
+    EXPECT_TRUE(cols.is_sorted());
+  }
+}
+
+TEST(FlowColumnsSortTest, StableArgsortKeepsEqualKeysInRowOrder) {
+  // Rows whose sort keys tie but whose durations differ keep their input
+  // order; one physical sort is counted, a second sort() is free.
+  obs::Counter& sorts = obs::default_registry().counter(
+      "llmprism_flowtrace_sorts_total");
+  FlowTrace t;
+  t.add(make_routed_flow(30, 1, 9));
+  t.add(make_flow(10, 2, 9, 1000, 7));
+  t.add(make_routed_flow(20, 4, 9));
+  t.add(make_flow(10, 2, 9, 1000, 3));
+  FlowColumns cols(t);
+  EXPECT_FALSE(cols.is_sorted());
+  const std::uint64_t before = sorts.value();
+  cols.sort();
+  EXPECT_EQ(sorts.value(), before + 1);
+  cols.sort();
+  EXPECT_EQ(sorts.value(), before + 1);
+
+  FlowTrace expected;
+  expected.add(t[1]);
+  expected.add(t[3]);
+  expected.add(t[2]);
+  expected.add(t[0]);
+  expect_rows(cols, expected);
+  EXPECT_TRUE(cols.is_sorted());
 }
 
 TEST(FlowTraceIndexTest, PairIndexGroupsBothDirections) {
@@ -291,7 +421,7 @@ TEST(FlowTraceIndexTest, PairIndexGroupsBothDirections) {
   t.add(make_flow(1, 1, 2));
   t.add(make_flow(2, 2, 1));  // reverse direction, same pair
   t.add(make_flow(3, 1, 3));
-  const PairIndex idx(t);
+  const PairIndex idx(FlowColumns(t).view());
   ASSERT_EQ(idx.num_pairs(), 2u);
   EXPECT_EQ(idx.num_flows(), 3u);
   const std::uint32_t p12 = idx.id_of(GpuPair(GpuId(1), GpuId(2)));
@@ -309,7 +439,7 @@ TEST(FlowTraceIndexTest, PairIndexFirstAppearanceOrderAndPositions) {
   t.add(make_flow(2, 3, 4));
   t.add(make_flow(3, 2, 1));
   t.add(make_flow(4, 1, 2));
-  const PairIndex idx(t);
+  const PairIndex idx(FlowColumns(t).view());
   ASSERT_EQ(idx.num_pairs(), 2u);
   // Dense ids follow first appearance in the trace.
   EXPECT_EQ(idx.pair(0), GpuPair(GpuId(1), GpuId(2)));
@@ -327,27 +457,6 @@ TEST(FlowTraceIndexTest, PairIndexFirstAppearanceOrderAndPositions) {
   EXPECT_EQ(pof[1], 1u);
   EXPECT_EQ(pof[2], 0u);
   EXPECT_EQ(pof[3], 0u);
-}
-
-TEST(FlowTraceIndexTest, SwitchIndexCountsEveryHop) {
-  FlowTrace t;
-  auto f = make_flow(1, 1, 2);
-  f.switches.push_back(SwitchId(0));
-  f.switches.push_back(SwitchId(5));
-  t.add(f);
-  const auto idx = build_switch_index(t);
-  EXPECT_EQ(idx.size(), 2u);
-  EXPECT_EQ(idx.at(SwitchId(0)).size(), 1u);
-  EXPECT_EQ(idx.at(SwitchId(5)).size(), 1u);
-}
-
-TEST(FlowTraceIndexTest, EndpointsAndPairs) {
-  FlowTrace t;
-  t.add(make_flow(1, 1, 2));
-  t.add(make_flow(2, 2, 1));
-  t.add(make_flow(3, 2, 3));
-  EXPECT_EQ(endpoints(t).size(), 3u);
-  EXPECT_EQ(communication_pairs(t).size(), 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -41,13 +41,13 @@ TEST(FlowRouterTest, RoutesBySrcToTheOwningJob) {
   trace.add(flow_at(10, 0, 1));
   trace.add(flow_at(20, 5, 4));
   trace.add(flow_at(30, 1, 0));
-  const auto result = router.route(trace);
+  const auto result = router.route(FlowColumns(trace).view());
   EXPECT_EQ(result.flows_routed, 3u);
   EXPECT_EQ(result.flows_routed_via_dst, 0u);
   EXPECT_EQ(result.flows_unattributed, 0u);
-  ASSERT_EQ(result.job_traces.size(), 2u);
-  EXPECT_EQ(result.job_traces[0].size(), 2u);
-  EXPECT_EQ(result.job_traces[1].size(), 1u);
+  ASSERT_EQ(result.job_columns.size(), 2u);
+  EXPECT_EQ(result.job_columns[0].size(), 2u);
+  EXPECT_EQ(result.job_columns[1].size(), 1u);
 }
 
 TEST(FlowRouterTest, FallsBackToDstWhenSrcIsUnattributed) {
@@ -61,14 +61,14 @@ TEST(FlowRouterTest, FallsBackToDstWhenSrcIsUnattributed) {
   trace.add(flow_at(10, 7, 1));   // src unattributed, dst owned: recovered
   trace.add(flow_at(20, 0, 7));   // src owned: normal routing
   trace.add(flow_at(30, 8, 9));   // neither endpoint owned: unattributed
-  const auto result = router.route(trace);
+  const auto result = router.route(FlowColumns(trace).view());
   EXPECT_EQ(result.flows_routed, 2u);
   EXPECT_EQ(result.flows_routed_via_dst, 1u);
   EXPECT_EQ(result.flows_unattributed, 1u);
-  ASSERT_EQ(result.job_traces.size(), 1u);
-  ASSERT_EQ(result.job_traces[0].size(), 2u);
-  EXPECT_EQ(result.job_traces[0][0].src, GpuId(7));
-  EXPECT_EQ(result.job_traces[0][1].src, GpuId(0));
+  ASSERT_EQ(result.job_columns.size(), 1u);
+  ASSERT_EQ(result.job_columns[0].size(), 2u);
+  EXPECT_EQ(result.job_columns[0][0].src, GpuId(7));
+  EXPECT_EQ(result.job_columns[0][1].src, GpuId(0));
 }
 
 TEST(FlowRouterTest, PreservesOrderSoSortedInputYieldsSortedJobTraces) {
@@ -81,14 +81,14 @@ TEST(FlowRouterTest, PreservesOrderSoSortedInputYieldsSortedJobTraces) {
   trace.add(flow_at(30, 1, 0));
   trace.add(flow_at(40, 3, 2));
   ASSERT_TRUE(trace.is_sorted());
-  const auto result = router.route(trace);
-  for (const FlowTrace& jt : result.job_traces) {
+  const auto result = router.route(FlowColumns(trace).view());
+  for (const FlowColumns& jt : result.job_columns) {
     // Born sorted: the cached flag must already know, no O(N) verify is
     // involved in the assertion path.
     EXPECT_TRUE(jt.is_sorted());
   }
-  EXPECT_EQ(result.job_traces[0][0].start_time, 10);
-  EXPECT_EQ(result.job_traces[0][1].start_time, 30);
+  EXPECT_EQ(result.job_columns[0][0].start_time, 10);
+  EXPECT_EQ(result.job_columns[0][1].start_time, 30);
 }
 
 TEST(FlowRouterTest, LowerJobWinsContestedGpus) {
@@ -104,8 +104,8 @@ TEST(FlowRouterTest, EmptyJobsRouteNothing) {
   const FlowRouter router(std::vector<RecognizedJob>{});
   FlowTrace trace;
   trace.add(flow_at(10, 0, 1));
-  const auto result = router.route(trace);
-  EXPECT_TRUE(result.job_traces.empty());
+  const auto result = router.route(FlowColumns(trace).view());
+  EXPECT_TRUE(result.job_columns.empty());
   EXPECT_EQ(result.flows_routed, 0u);
   EXPECT_EQ(result.flows_unattributed, 1u);
 }

@@ -38,7 +38,8 @@ TEST(JobRecognizerTest, RejectsBadThreshold) {
 
 TEST(JobRecognizerTest, EmptyTraceYieldsNoJobs) {
   const auto t = topo();
-  const auto result = JobRecognizer(t).recognize(FlowTrace{});
+  const auto result =
+      JobRecognizer(t).recognize(FlowColumns(FlowTrace{}).view());
   EXPECT_TRUE(result.jobs.empty());
   EXPECT_EQ(result.num_cross_machine_clusters, 0u);
 }
@@ -47,7 +48,7 @@ TEST(JobRecognizerTest, SingleFlowMakesOneJob) {
   const auto t = topo();
   FlowTrace trace;
   trace.add(flow(t, 0, 8));  // machine 0 <-> machine 1
-  const auto result = JobRecognizer(t).recognize(trace);
+  const auto result = JobRecognizer(t).recognize(FlowColumns(trace).view());
   ASSERT_EQ(result.jobs.size(), 1u);
   EXPECT_EQ(result.num_cross_machine_clusters, 1u);
   // machine-local expansion covers both machines fully
@@ -63,7 +64,7 @@ TEST(JobRecognizerTest, WithoutExpansionOnlyObservedGpus) {
   FlowTrace trace;
   trace.add(flow(t, 0, 8));
   const JobRecognizer rec(t, {.include_machine_local_gpus = false});
-  const auto result = rec.recognize(trace);
+  const auto result = rec.recognize(FlowColumns(trace).view());
   ASSERT_EQ(result.jobs.size(), 1u);
   EXPECT_EQ(result.jobs[0].gpus.size(), 2u);
 }
@@ -73,7 +74,7 @@ TEST(JobRecognizerTest, DisconnectedFlowsMakeSeparateJobs) {
   FlowTrace trace;
   trace.add(flow(t, 0, 8));    // machines 0-1
   trace.add(flow(t, 16, 24));  // machines 2-3
-  const auto result = JobRecognizer(t).recognize(trace);
+  const auto result = JobRecognizer(t).recognize(FlowColumns(trace).view());
   EXPECT_EQ(result.jobs.size(), 2u);
   EXPECT_EQ(result.num_cross_machine_clusters, 2u);
 }
@@ -84,7 +85,7 @@ TEST(JobRecognizerTest, TransitivityMergesChains) {
   trace.add(flow(t, 0, 8));
   trace.add(flow(t, 8, 16));
   trace.add(flow(t, 16, 24));
-  const auto result = JobRecognizer(t).recognize(trace);
+  const auto result = JobRecognizer(t).recognize(FlowColumns(trace).view());
   ASSERT_EQ(result.jobs.size(), 1u);
   EXPECT_EQ(result.jobs[0].machines.size(), 4u);
 }
@@ -96,7 +97,7 @@ TEST(JobRecognizerTest, TopologyMergeJoinsTpLanes) {
   FlowTrace trace;
   trace.add(flow(t, 0, 8));   // lane A: machine0 slot0 <-> machine1 slot0
   trace.add(flow(t, 1, 9));   // lane B: machine0 slot1 <-> machine1 slot1
-  const auto result = JobRecognizer(t).recognize(trace);
+  const auto result = JobRecognizer(t).recognize(FlowColumns(trace).view());
   EXPECT_EQ(result.num_cross_machine_clusters, 2u);
   ASSERT_EQ(result.jobs.size(), 1u);
   EXPECT_EQ(result.jobs[0].cross_machine_clusters.size(), 2u);
@@ -107,7 +108,7 @@ TEST(JobRecognizerTest, DifferentMachineSetsStaySeparate) {
   FlowTrace trace;
   trace.add(flow(t, 0, 8));    // machines {0,1}
   trace.add(flow(t, 1, 17));   // machines {0,2} - overlapping but different
-  const auto result = JobRecognizer(t).recognize(trace);
+  const auto result = JobRecognizer(t).recognize(FlowColumns(trace).view());
   // Jaccard({0,1},{0,2}) = 1/3 < 1 -> no merge at threshold 1.0.
   EXPECT_EQ(result.jobs.size(), 2u);
 }
@@ -118,7 +119,7 @@ TEST(JobRecognizerTest, LooseThresholdMergesOverlappingSets) {
   trace.add(flow(t, 0, 8));    // machines {0,1}
   trace.add(flow(t, 1, 17));   // machines {0,2}
   const JobRecognizer rec(t, {.jaccard_threshold = 0.3});
-  EXPECT_EQ(rec.recognize(trace).jobs.size(), 1u);
+  EXPECT_EQ(rec.recognize(FlowColumns(trace).view()).jobs.size(), 1u);
 }
 
 TEST(JobRecognizerTest, SameMachineSetJobsAreMergedKnownLimitation) {
@@ -129,7 +130,7 @@ TEST(JobRecognizerTest, SameMachineSetJobsAreMergedKnownLimitation) {
   FlowTrace trace;
   trace.add(flow(t, 0, 8));   // job A on slots 0-3
   trace.add(flow(t, 4, 12));  // job B on slots 4-7, same machines
-  const auto result = JobRecognizer(t).recognize(trace);
+  const auto result = JobRecognizer(t).recognize(FlowColumns(trace).view());
   EXPECT_EQ(result.jobs.size(), 1u);
 }
 
@@ -139,7 +140,7 @@ TEST(JobRecognizerTest, IntraMachineFlowsDoNotCreateJobs) {
   const auto t = topo();
   FlowTrace trace;
   trace.add(flow(t, 0, 1));
-  const auto result = JobRecognizer(t).recognize(trace);
+  const auto result = JobRecognizer(t).recognize(FlowColumns(trace).view());
   ASSERT_EQ(result.jobs.size(), 1u);
   EXPECT_EQ(result.jobs[0].machines.size(), 1u);
 }
@@ -149,7 +150,7 @@ TEST(JobRecognizerTest, JobsOrderedByFirstGpu) {
   FlowTrace trace;
   trace.add(flow(t, 64, 72));  // machines 8-9
   trace.add(flow(t, 0, 8));    // machines 0-1
-  const auto result = JobRecognizer(t).recognize(trace);
+  const auto result = JobRecognizer(t).recognize(FlowColumns(trace).view());
   ASSERT_EQ(result.jobs.size(), 2u);
   EXPECT_LT(result.jobs[0].gpus.front(), result.jobs[1].gpus.front());
 }
@@ -175,7 +176,8 @@ TEST_P(JobRecognitionSweep, RecognizesSimulatedJobExactly) {
   job.num_steps = 3;
   cfg.jobs.push_back({job, {}});
   const auto sim = run_cluster_sim(cfg);
-  const auto result = JobRecognizer(sim.topology).recognize(sim.trace);
+  const auto result =
+      JobRecognizer(sim.topology).recognize(FlowColumns(sim.trace).view());
   ASSERT_EQ(result.jobs.size(), 1u);
   std::vector<GpuId> expected = sim.jobs[0].gpus;
   std::sort(expected.begin(), expected.end());
@@ -208,11 +210,12 @@ TEST(JobRecognizerLimitationTest, InteriorRanksMaySplitJobs) {
   job.num_steps = 3;
   cfg.jobs.push_back({job, {}});
   const auto sim = run_cluster_sim(cfg);
-  const auto result = JobRecognizer(sim.topology).recognize(sim.trace);
+  const auto result =
+      JobRecognizer(sim.topology).recognize(FlowColumns(sim.trace).view());
   EXPECT_GT(result.jobs.size(), 1u);
   // A relaxed Jaccard threshold recovers the single job.
   const JobRecognizer loose(sim.topology, {.jaccard_threshold = 0.4});
-  EXPECT_EQ(loose.recognize(sim.trace).jobs.size(), 1u);
+  EXPECT_EQ(loose.recognize(FlowColumns(sim.trace).view()).jobs.size(), 1u);
 }
 
 }  // namespace

@@ -188,9 +188,14 @@ const ServeFixture& fixture() {
     sim.trace.sort();
     const TimeWindow span = sim.trace.span();
     const DurationNs slice = (span.end - span.begin) / 4 + 1;
+    std::vector<FlowTrace> parts(
+        static_cast<std::size_t>((span.end - span.begin) / slice) + 1);
+    for (const FlowRecord& f : sim.trace) {
+      parts[static_cast<std::size_t>(
+          (f.start_time - span.begin) / slice)].add(f);
+    }
     std::vector<std::string> chunks;
-    for (TimeNs begin = span.begin; begin <= span.end; begin += slice) {
-      const FlowTrace part = sim.trace.window({begin, begin + slice});
+    for (const FlowTrace& part : parts) {
       if (part.empty()) continue;
       std::ostringstream os;
       write_lft(os, part);

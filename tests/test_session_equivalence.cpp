@@ -96,8 +96,8 @@ MonitorConfig monitor_config(DurationNs window, bool carry) {
 }
 
 std::vector<MonitorTick> run_monitor(OnlineMonitor& monitor,
-                                     const FlowTrace& trace) {
-  auto ticks = monitor.ingest(trace);
+                                     const FlowView& flows) {
+  auto ticks = monitor.ingest(flows);
   if (auto last = monitor.flush()) ticks.push_back(std::move(*last));
   return ticks;
 }
@@ -298,8 +298,8 @@ TEST(SessionEquivalenceTest, RecognitionOnlyWarmIsBitIdentical) {
 
   OnlineMonitor cold(mix.sim.topology, monitor_config(2 * kSecond, false));
   OnlineMonitor warm(mix.sim.topology, warm_cfg);
-  const auto cold_ticks = run_monitor(cold, mix.sim.trace);
-  const auto warm_ticks = run_monitor(warm, mix.sim.trace);
+  const auto cold_ticks = run_monitor(cold, FlowColumns(mix.sim.trace).view());
+  const auto warm_ticks = run_monitor(warm, FlowColumns(mix.sim.trace).view());
 
   ASSERT_GE(cold_ticks.size(), 3u) << "mix must span several windows";
   expect_ticks_equal(cold_ticks, warm_ticks);
@@ -352,8 +352,10 @@ TEST(SessionEquivalenceTest, RecognitionOnlyWarmExportsAreBitIdentical) {
     return os.str();
   };
 
-  const std::string cold_out = render(run_monitor(cold, mix.sim.trace));
-  const std::string warm_out = render(run_monitor(warm, mix.sim.trace));
+  const std::string cold_out =
+      render(run_monitor(cold, FlowColumns(mix.sim.trace).view()));
+  const std::string warm_out =
+      render(run_monitor(warm, FlowColumns(mix.sim.trace).view()));
   EXPECT_GT(cold_out.size(), 1000u) << "exports must not be vacuously empty";
   EXPECT_EQ(warm_out, cold_out);
 }
@@ -368,8 +370,8 @@ TEST(SessionEquivalenceTest, CommPriorsChangeOnlyBocdWorkTelemetry) {
 
   OnlineMonitor cold(mix.sim.topology, monitor_config(2 * kSecond, false));
   OnlineMonitor warm(mix.sim.topology, warm_cfg);
-  const auto cold_ticks = run_monitor(cold, mix.sim.trace);
-  const auto warm_ticks = run_monitor(warm, mix.sim.trace);
+  const auto cold_ticks = run_monitor(cold, FlowColumns(mix.sim.trace).view());
+  const auto warm_ticks = run_monitor(warm, FlowColumns(mix.sim.trace).view());
 
   expect_ticks_equal(cold_ticks, warm_ticks,
                      {.skip_steps_observed = true, .skip_bocd_telemetry = true});
@@ -424,7 +426,8 @@ const StraddleSetup& straddle_setup() {
     // Full-trace analysis is the ground truth for step extents: no window
     // boundary exists, so no step is ever truncated.
     const PrismReport reference =
-        Prism(straddle_job().sim.topology, PrismConfig{}).analyze(s.trace);
+        Prism(straddle_job(
+            ).sim.topology, PrismConfig{}).analyze(FlowColumns(s.trace).view());
     const GpuTimeline& probe = reference.jobs.at(0).timelines.at(0);
     const ReconstructedStep& target = probe.steps.at(probe.steps.size() / 2);
     s.probe_gpu = probe.gpu;
@@ -457,8 +460,8 @@ TEST(SessionEquivalenceTest, BoundaryStraddlingStepReconstructed) {
 
   OnlineMonitor cold(mix.sim.topology, monitor_config(s.window, false));
   OnlineMonitor warm(mix.sim.topology, monitor_config(s.window, true));
-  const auto cold_ticks = run_monitor(cold, s.trace);
-  const auto warm_ticks = run_monitor(warm, s.trace);
+  const auto cold_ticks = run_monitor(cold, FlowColumns(s.trace).view());
+  const auto warm_ticks = run_monitor(warm, FlowColumns(s.trace).view());
   ASSERT_GT(cold_ticks.size(), static_cast<std::size_t>(s.k))
       << "boundary k must be a closed window";
 
@@ -484,8 +487,9 @@ TEST(SessionEquivalenceTest, FlushEmitsCarriedStep) {
   // holding the burst's head, and flush() analyzes the remainder — which
   // still contains DP traffic, so the job's machine set stays whole and
   // the held events come out in the flush tick.
-  const FlowTrace feed =
-      s.trace.window({s.t0, s.extent.second + 300 * kMillisecond});
+  const FlowColumns columns(s.trace);
+  const FlowView feed =
+      columns.view().window({s.t0, s.extent.second + 300 * kMillisecond});
   ASSERT_LT(feed.size(), s.trace.size());
 
   OnlineMonitor cold(mix.sim.topology, monitor_config(s.window, false));
@@ -523,8 +527,8 @@ TEST(SessionEquivalenceTest, EwmaBaselinesAlertWhereColdCannot) {
 
   OnlineMonitor cold(sim.topology, monitor_config(kSecond, false));
   OnlineMonitor warm(sim.topology, monitor_config(kSecond, true));
-  const auto cold_ticks = run_monitor(cold, sim.trace);
-  const auto warm_ticks = run_monitor(warm, sim.trace);
+  const auto cold_ticks = run_monitor(cold, FlowColumns(sim.trace).view());
+  const auto warm_ticks = run_monitor(warm, FlowColumns(sim.trace).view());
   ASSERT_GE(cold_ticks.size(), 6u);
 
   EXPECT_EQ(cold.stats().step_alerts, 0u)
@@ -585,7 +589,7 @@ TEST(SessionEquivalenceTest, JobChurnEvictsAndRemintsSessionState) {
   MonitorConfig cfg = monitor_config(window, true);
   cfg.session.evict_after_windows = 2;
   OnlineMonitor warm(mix.sim.topology, cfg);
-  const auto ticks = run_monitor(warm, churned);
+  const auto ticks = run_monitor(warm, FlowColumns(churned).view());
   ASSERT_GE(ticks.size(), 8u);
 
   const PrismSession* session = warm.session();
@@ -609,8 +613,9 @@ TEST(SessionEquivalenceTest, InvalidateSessionForcesColdReseed) {
       trace.span().begin +
       (trace.span().end - trace.span().begin) / 2;
 
+  const FlowColumns columns(trace);
   OnlineMonitor warm(mix.sim.topology, monitor_config(kSecond, true));
-  auto ticks = warm.ingest(trace.window({trace.span().begin, mid}));
+  auto ticks = warm.ingest(columns.view().window({trace.span().begin, mid}));
   ASSERT_GE(ticks.size(), 2u);
   const PrismSession* session = warm.session();
   ASSERT_NE(session, nullptr);
@@ -623,7 +628,7 @@ TEST(SessionEquivalenceTest, InvalidateSessionForcesColdReseed) {
   EXPECT_EQ(session->jobs_tracked(), 0u);
   EXPECT_EQ(session->counters().jobs_invalidated, jobs_tracked);
 
-  auto more = warm.ingest(trace.window({mid, trace.span().end}));
+  auto more = warm.ingest(columns.view().window({mid, trace.span().end}));
   if (auto last = warm.flush()) more.push_back(std::move(*last));
   ASSERT_GE(more.size(), 1u);
   EXPECT_GT(session->counters().recognition_rebuilds, rebuilds_before)
@@ -644,8 +649,9 @@ TEST(SessionEquivalenceTest, SnapshotRestoreContinuesExactly) {
   trace.sort();
   const TimeNs mid =
       trace.span().begin + (trace.span().end - trace.span().begin) / 2;
-  const FlowTrace head = trace.window({trace.span().begin, mid});
-  const FlowTrace tail = trace.window({mid, trace.span().end + 1});
+  const FlowColumns columns(trace);
+  const FlowView head = columns.view().window({trace.span().begin, mid});
+  const FlowView tail = columns.view().window({mid, trace.span().end + 1});
 
   OnlineMonitor reference(mix.sim.topology, monitor_config(2 * kSecond, true));
   auto ref_ticks = reference.ingest(head);
@@ -696,8 +702,9 @@ TEST(SessionEquivalenceTest, WarmPathDeterministicUnderThreads) {
 
   OnlineMonitor sequential(mix.sim.topology, seq_cfg);
   OnlineMonitor parallel(mix.sim.topology, par_cfg);
-  const auto expected = run_monitor(sequential, mix.sim.trace);
-  const auto got = run_monitor(parallel, mix.sim.trace);
+  const auto expected =
+      run_monitor(sequential, FlowColumns(mix.sim.trace).view());
+  const auto got = run_monitor(parallel, FlowColumns(mix.sim.trace).view());
 
   ASSERT_GE(expected.size(), 3u);
   expect_ticks_equal(expected, got);
@@ -718,8 +725,9 @@ TEST(SessionEquivalenceTest, WarmPathDeterministicUnderThreads) {
 TEST(SessionEquivalenceTest, NullSessionOverloadMatchesColdAnalyze) {
   const MixData& mix = straddle_job();
   const Prism prism(mix.sim.topology, PrismConfig{});
-  const PrismReport a = prism.analyze(mix.sim.trace);
-  const PrismReport b = prism.analyze(mix.sim.trace, nullptr);
+  const PrismReport a = prism.analyze(FlowColumns(mix.sim.trace).view());
+  const PrismReport b =
+      prism.analyze(FlowColumns(mix.sim.trace).view(), nullptr);
   MonitorTick ta{.window = {}, .report = a, .job_ids = {}};
   MonitorTick tb{.window = {}, .report = b, .job_ids = {}};
   expect_ticks_equal({ta}, {tb});

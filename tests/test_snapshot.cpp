@@ -133,8 +133,9 @@ const SplitFeed& split_feed() {
     const TimeNs mid =
         trace.span().begin + (trace.span().end - trace.span().begin) / 2;
     SplitFeed f;
-    f.head = trace.window({trace.span().begin, mid});
-    f.tail = trace.window({mid, trace.span().end + 1});
+    for (const FlowRecord& flow : trace) {
+      (flow.start_time < mid ? f.head : f.tail).add(flow);
+    }
     return f;
   }();
   return feed;

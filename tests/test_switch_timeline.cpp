@@ -25,7 +25,8 @@ TEST(SwitchTimelineTest, BucketsAverageCorrectly) {
   t.add(dp_flow(0, 10, 0));
   t.add(dp_flow(kSecond, 30, 0));
   t.add(dp_flow(11 * kSecond, 50, 0));
-  const auto series = switch_bandwidth_timeline(t, 10 * kSecond);
+  const auto series =
+      switch_bandwidth_timeline(FlowColumns(t).view(), 10 * kSecond);
   ASSERT_EQ(series.size(), 1u);
   ASSERT_EQ(series[0].gbps.size(), 2u);
   EXPECT_NEAR(series[0].gbps[0], 20.0, 0.1);
@@ -38,20 +39,20 @@ TEST(SwitchTimelineTest, EmptyBucketsAreAbsent) {
   FlowTrace t;
   t.add(dp_flow(0, 10, 0));
   t.add(dp_flow(100 * kSecond, 10, 0));
-  const auto series = switch_bandwidth_timeline(t, kSecond);
+  const auto series = switch_bandwidth_timeline(FlowColumns(t).view(), kSecond);
   ASSERT_EQ(series.size(), 1u);
   EXPECT_EQ(series[0].gbps.size(), 2u);  // not 101
 }
 
 TEST(SwitchTimelineTest, RejectsBadBucket) {
-  EXPECT_THROW(switch_bandwidth_timeline(FlowTrace{}, 0),
+  EXPECT_THROW(switch_bandwidth_timeline(FlowColumns(FlowTrace{}).view(), 0),
                std::invalid_argument);
 }
 
 TEST(SwitchTimelineTest, NegativeTimesFloorCorrectly) {
   FlowTrace t;
   t.add(dp_flow(-kSecond / 2, 10, 0));  // pre-epoch flow
-  const auto series = switch_bandwidth_timeline(t, kSecond);
+  const auto series = switch_bandwidth_timeline(FlowColumns(t).view(), kSecond);
   ASSERT_EQ(series.size(), 1u);
   EXPECT_EQ(series[0].bucket_begin[0], -kSecond);
 }
@@ -141,7 +142,8 @@ TEST(BandwidthOnsetTest, EndToEndWithInjectedMidRunFault) {
       dp.add(f);
     }
   }
-  const auto series = switch_bandwidth_timeline(dp, kSecond);
+  const auto series =
+      switch_bandwidth_timeline(FlowColumns(dp).view(), kSecond);
   const auto onsets = detect_bandwidth_onsets(std::span(series));
   ASSERT_EQ(onsets.size(), 1u);
   EXPECT_EQ(onsets[0].switch_id, SwitchId(3));

@@ -6,6 +6,7 @@
 #include "llmprism/baseline/eval.hpp"
 #include "llmprism/core/comm_type.hpp"
 #include "llmprism/simulator/cluster_sim.hpp"
+#include "trace_stages.hpp"
 
 namespace llmprism {
 namespace {
@@ -56,7 +57,7 @@ SyntheticScenario make_scenario(int steps = 6,
 TEST(TimelineReconstructorTest, FindsEveryStep) {
   const auto s = make_scenario();
   const TimelineReconstructor rec;
-  const auto timeline = rec.reconstruct(GpuId(0), s.trace, s.types);
+  const auto timeline = reconstruct(rec, GpuId(0), s.trace, s.types);
   EXPECT_EQ(timeline.gpu, GpuId(0));
   ASSERT_EQ(timeline.steps.size(), static_cast<std::size_t>(s.steps));
   for (std::size_t k = 1; k < timeline.steps.size(); ++k) {
@@ -70,7 +71,7 @@ TEST(TimelineReconstructorTest, FindsEveryStep) {
 TEST(TimelineReconstructorTest, StepEndIsLastDpFlowEnd) {
   const auto s = make_scenario();
   const auto timeline =
-      TimelineReconstructor{}.reconstruct(GpuId(0), s.trace, s.types);
+      reconstruct(TimelineReconstructor{}, GpuId(0), s.trace, s.types);
   for (const ReconstructedStep& step : timeline.steps) {
     EXPECT_EQ(step.end, step.dp_end);
     EXPECT_GT(step.dp_end, step.dp_begin);
@@ -82,7 +83,7 @@ TEST(TimelineReconstructorTest, StepEndIsLastDpFlowEnd) {
 TEST(TimelineReconstructorTest, EventKindsAreCorrect) {
   const auto s = make_scenario(3);
   const auto timeline =
-      TimelineReconstructor{}.reconstruct(GpuId(0), s.trace, s.types);
+      reconstruct(TimelineReconstructor{}, GpuId(0), s.trace, s.types);
   std::size_t pp_send = 0, dp = 0, compute = 0, pp_recv = 0;
   for (const TimelineEvent& e : timeline.events) {
     EXPECT_GE(e.end, e.start);
@@ -102,7 +103,7 @@ TEST(TimelineReconstructorTest, EventKindsAreCorrect) {
 TEST(TimelineReconstructorTest, PeerPerspectiveSwapsSendRecv) {
   const auto s = make_scenario(3);
   const auto timeline =
-      TimelineReconstructor{}.reconstruct(GpuId(8), s.trace, s.types);
+      reconstruct(TimelineReconstructor{}, GpuId(8), s.trace, s.types);
   for (const TimelineEvent& e : timeline.events) {
     if (e.kind == TimelineEventKind::kPpRecv) {
       EXPECT_EQ(e.peer, GpuId(0));
@@ -118,7 +119,7 @@ TEST(TimelineReconstructorTest, ComputeGapsRespectMinimum) {
   TimelineConfig cfg;
   cfg.min_compute_gap = 10 * kSecond;  // absurdly high: no gap qualifies
   const auto timeline =
-      TimelineReconstructor(cfg).reconstruct(GpuId(0), s.trace, s.types);
+      reconstruct(TimelineReconstructor(cfg), GpuId(0), s.trace, s.types);
   for (const TimelineEvent& e : timeline.events) {
     EXPECT_NE(e.kind, TimelineEventKind::kCompute);
   }
@@ -134,14 +135,14 @@ TEST(TimelineReconstructorTest, UnknownPairDefaultsToPp) {
   f.duration = 1;
   trace.add(f);
   const auto timeline =
-      TimelineReconstructor{}.reconstruct(GpuId(0), trace, {});
+      reconstruct(TimelineReconstructor{}, GpuId(0), trace, {});
   ASSERT_EQ(timeline.events.size(), 1u);
   EXPECT_EQ(timeline.events[0].kind, TimelineEventKind::kPpSend);
 }
 
 TEST(TimelineReconstructorTest, EmptyTraceEmptyTimeline) {
   const auto timeline =
-      TimelineReconstructor{}.reconstruct(GpuId(0), FlowTrace{}, {});
+      reconstruct(TimelineReconstructor{}, GpuId(0), FlowTrace{}, {});
   EXPECT_TRUE(timeline.events.empty());
   EXPECT_TRUE(timeline.steps.empty());
 }
@@ -149,18 +150,24 @@ TEST(TimelineReconstructorTest, EmptyTraceEmptyTimeline) {
 TEST(TimelineReconstructorTest, ReconstructAllCoversAllEndpoints) {
   const auto s = make_scenario(4);
   const auto timelines =
-      TimelineReconstructor{}.reconstruct_all(s.trace, s.types);
+      reconstruct_all(TimelineReconstructor{}, s.trace, s.types);
   ASSERT_EQ(timelines.size(), 3u);  // GPUs 0, 8, 16
   EXPECT_EQ(timelines[0].gpu, GpuId(0));
   EXPECT_EQ(timelines[1].gpu, GpuId(8));
   EXPECT_EQ(timelines[2].gpu, GpuId(16));
-  // reconstruct_all must agree with per-GPU reconstruct
+  // A GPU's timeline depends only on its own flows: reconstructing from
+  // just the flows that touch GPU 16 must agree.
+  FlowTrace own;
+  for (const FlowRecord& f : s.trace) {
+    if (f.src == GpuId(16) || f.dst == GpuId(16)) own.add(f);
+  }
   const auto single =
-      TimelineReconstructor{}.reconstruct(GpuId(0), s.trace, s.types);
-  ASSERT_EQ(timelines[0].events.size(), single.events.size());
-  ASSERT_EQ(timelines[0].steps.size(), single.steps.size());
+      reconstruct(TimelineReconstructor{}, GpuId(16), own, s.types);
+  ASSERT_EQ(timelines[2].events.size(), single.events.size());
+  ASSERT_EQ(timelines[2].steps.size(), single.steps.size());
+  ASSERT_FALSE(single.steps.empty());
   for (std::size_t k = 0; k < single.steps.size(); ++k) {
-    EXPECT_EQ(timelines[0].steps[k].end, single.steps[k].end);
+    EXPECT_EQ(timelines[2].steps[k].end, single.steps[k].end);
   }
 }
 
@@ -188,9 +195,9 @@ TEST_P(TimelineSweep, ErrorWithinPaperBound) {
   cfg.jobs.push_back({job, {}});
   const auto sim = run_cluster_sim(cfg);
 
-  const auto comm = CommTypeIdentifier{}.identify(sim.trace);
+  const auto comm = identify(CommTypeIdentifier{}, sim.trace);
   const auto timelines =
-      TimelineReconstructor{}.reconstruct_all(sim.trace, comm.types());
+      reconstruct_all(TimelineReconstructor{}, sim.trace, comm.types());
   const auto score = score_timelines(std::span(timelines), sim.jobs[0]);
   EXPECT_GT(score.ranks_scored, 0u);
   EXPECT_GT(score.matched_fraction(), 0.9);
@@ -218,12 +225,12 @@ TEST(TimelineLimitationTest, IntraMachineDpIsInvisible) {
   job.num_steps = 8;
   cfg.jobs.push_back({job, {}});
   const auto sim = run_cluster_sim(cfg);
-  const auto comm = CommTypeIdentifier{}.identify(sim.trace);
+  const auto comm = identify(CommTypeIdentifier{}, sim.trace);
   for (const auto& p : comm.pairs) {
     EXPECT_EQ(p.type, CommType::kPP);  // only PP traffic is visible
   }
   const auto timelines =
-      TimelineReconstructor{}.reconstruct_all(sim.trace, comm.types());
+      reconstruct_all(TimelineReconstructor{}, sim.trace, comm.types());
   for (const auto& t : timelines) {
     EXPECT_TRUE(t.steps.empty());
   }

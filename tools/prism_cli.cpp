@@ -16,12 +16,9 @@
 //       run the long-running diagnosis daemon (same entry point as the
 //       prismd binary; see serve/daemon.hpp and DESIGN.md §14).
 //
-// Deprecated spellings keep working with a one-line warning:
-//   prism <trace> [options]        ->  prism analyze <trace> [options]
-//   prism analyze --monitor-window S  ->  prism monitor --window S
-//
 // Every subcommand shares one declarative flag parser (common/flags.hpp);
-// an unknown option is always an error: exit code 2 plus a usage hint.
+// an unknown option — or an unknown subcommand — is always an error: exit
+// code 2 plus a usage hint.
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
@@ -140,24 +137,10 @@ int apply_common(const cli::FlagSet& flags, const CommonOptions& o) {
   return -1;
 }
 
-/// Load a flow trace from either format, auto-detected by magic. On CSV
-/// parse errors, prints up to 10 diagnostics and returns nullopt;
-/// `format_out` is "csv" or "lft". Used by `prism convert`, which needs an
-/// owning AoS trace for the writers; the analysis path uses load_flows.
-std::optional<FlowTrace> load_trace(const std::string& path,
-                                    std::size_t ingest_threads,
-                                    std::string& format_out) {
-  if (is_lft_file(path)) {
-    format_out = "lft";
-    try {
-      const MappedFlowTrace mapped(path);
-      return mapped.to_trace();
-    } catch (const std::exception& e) {
-      std::cerr << "prism: " << path << ": " << e.what() << '\n';
-      return std::nullopt;
-    }
-  }
-  format_out = "csv";
+/// Parse a CSV trace file. On parse errors, prints up to 10 diagnostics
+/// and returns nullopt.
+std::optional<FlowTrace> read_csv_trace(const std::string& path,
+                                        std::size_t ingest_threads) {
   std::ifstream in(path);
   if (!in) {
     std::cerr << "prism: cannot open " << path << '\n';
@@ -180,6 +163,25 @@ std::optional<FlowTrace> load_trace(const std::string& path,
   return std::move(parsed.trace);
 }
 
+/// Load a flow trace from either format, auto-detected by magic, as an
+/// owning record array for the writers (`prism convert`); the analysis
+/// path uses load_flows. `format_out` is "csv" or "lft".
+std::optional<FlowTrace> load_trace(const std::string& path,
+                                    std::size_t ingest_threads,
+                                    std::string& format_out) {
+  if (!is_lft_file(path)) {
+    format_out = "csv";
+    return read_csv_trace(path, ingest_threads);
+  }
+  format_out = "lft";
+  try {
+    return MappedFlowTrace(path).to_trace();
+  } catch (const std::exception& e) {
+    std::cerr << "prism: " << path << ": " << e.what() << '\n';
+    return std::nullopt;
+  }
+}
+
 /// The analysis input: a sorted columnar view plus whatever storage backs
 /// it. A sorted LFT file is analyzed straight off the mapping — the view's
 /// columns alias the mmap'd sections and no flow is ever copied. CSV input
@@ -195,51 +197,34 @@ struct LoadedFlows {
 std::optional<LoadedFlows> load_flows(const std::string& path,
                                       std::size_t ingest_threads) {
   LoadedFlows out;
-  if (is_lft_file(path)) {
-    out.format = "lft";
-    try {
-      out.mapped.emplace(path);
-    } catch (const std::exception& e) {
-      std::cerr << "prism: " << path << ": " << e.what() << '\n';
-      return std::nullopt;
-    }
-    out.view = out.mapped->view();
-    if (out.view.sorted || out.view.verify_sorted()) {
-      out.view.sorted = true;  // zero-copy fast path
-      return out;
-    }
-    // Unsorted file: one boundary gather + sort into owning columns.
-    std::vector<std::uint32_t> rows(out.view.size());
-    std::iota(rows.begin(), rows.end(), 0u);
-    out.columns = FlowColumns::gather(out.view, rows,
-                                      /*rows_sorted_subset=*/false);
-    out.columns.sort();
-    out.mapped.reset();
+  if (!is_lft_file(path)) {
+    out.format = "csv";
+    std::optional<FlowTrace> trace = read_csv_trace(path, ingest_threads);
+    if (!trace) return std::nullopt;
+    trace->sort();
+    out.columns = FlowColumns(*trace);
     out.view = out.columns.view();
     return out;
   }
-  out.format = "csv";
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "prism: cannot open " << path << '\n';
+  out.format = "lft";
+  try {
+    out.mapped.emplace(path);
+  } catch (const std::exception& e) {
+    std::cerr << "prism: " << path << ": " << e.what() << '\n';
     return std::nullopt;
   }
-  ParseResult parsed = read_csv_checked(in, {.num_threads = ingest_threads});
-  if (!parsed.ok()) {
-    constexpr std::size_t kMaxDiagnostics = 10;
-    const std::size_t shown = std::min(parsed.errors.size(), kMaxDiagnostics);
-    for (std::size_t e = 0; e < shown; ++e) {
-      std::cerr << "prism: " << path << ':' << parsed.errors[e].line << ": "
-                << parsed.errors[e].message << '\n';
-    }
-    if (parsed.errors.size() > shown) {
-      std::cerr << "prism: ... and " << parsed.errors.size() - shown
-                << " more bad lines\n";
-    }
-    return std::nullopt;
+  out.view = out.mapped->view();
+  if (out.view.sorted || out.view.verify_sorted()) {
+    out.view.sorted = true;  // zero-copy fast path
+    return out;
   }
-  parsed.trace.sort();
-  out.columns = FlowColumns(parsed.trace);
+  // Unsorted file: one boundary gather + sort into owning columns.
+  std::vector<std::uint32_t> rows(out.view.size());
+  std::iota(rows.begin(), rows.end(), 0u);
+  out.columns = FlowColumns::gather(out.view, rows,
+                                    /*rows_sorted_subset=*/false);
+  out.columns.sort();
+  out.mapped.reset();
   out.view = out.columns.view();
   return out;
 }
@@ -403,19 +388,12 @@ int run_monitor_on(const CommonOptions& options, const std::string& trace_path,
 int run_analyze(int argc, const char* const* argv, int begin) {
   CommonOptions common;
   std::optional<double> window_seconds;
-  std::optional<double> monitor_window_seconds;
-  bool no_carry = false;
   std::vector<std::string> positionals;
 
   cli::FlagSet flags("prism analyze");
   flags.flag("--window", "S", "analyze only the first S seconds of the trace",
              &window_seconds);
   add_common_flags(flags, common);
-  flags.flag("--monitor-window", "S",
-             "deprecated: use `prism monitor <trace> --window S`",
-             &monitor_window_seconds);
-  flags.flag("--no-carry",
-             "with --monitor-window: disable the warm session", &no_carry);
   flags.positionals("trace", 1, 1, &positionals);
 
   if (const int rc = finish_parse(flags, flags.parse(argc, argv, begin));
@@ -423,13 +401,6 @@ int run_analyze(int argc, const char* const* argv, int begin) {
     return rc;
   }
   if (const int rc = apply_common(flags, common); rc >= 0) return rc;
-
-  if (monitor_window_seconds) {
-    std::cerr << "prism: note: --monitor-window is deprecated; use `prism "
-                 "monitor <trace> --window S`\n";
-    return run_monitor_on(common, positionals[0], *monitor_window_seconds,
-                          !no_carry);
-  }
   return run_one_shot(common, positionals[0], window_seconds);
 }
 
@@ -446,7 +417,6 @@ int run_monitor_cmd(int argc, const char* const* argv, int begin) {
              "disable the warm cross-window session (stateless analysis)",
              &no_carry);
   add_common_flags(flags, common);
-  flags.alias("--monitor-window", "--window");
   flags.positionals("trace", 1, 1, &positionals);
 
   if (const int rc = finish_parse(flags, flags.parse(argc, argv, begin));
@@ -503,7 +473,7 @@ int run_convert(int argc, const char* const* argv, int begin) {
               << " (want csv or lft)\n";
     return 2;
   }
-  if (chunk_seconds && *chunk_seconds <= 0) {
+  if (chunk_seconds && from_seconds(*chunk_seconds) <= 0) {
     std::cerr << "prism convert: --chunk-seconds must be positive\n";
     return 2;
   }
@@ -525,18 +495,35 @@ int run_convert(int argc, const char* const* argv, int begin) {
     if (chunk_seconds) {
       // Time-sliced chunks need time order; a chunked file set is meant to
       // be replayed window by window, so the sort is part of the contract.
+      // One pass over the sorted flows: each flow lands in the chunk
+      // [span.begin + k * S, span.begin + (k + 1) * S) of its start time,
+      // and a chunk is written as soon as the next one begins. Chunks that
+      // would start at or after the span's end are never cut.
       trace->sort();
       const TimeWindow span = trace->span();
       const DurationNs chunk_ns = from_seconds(*chunk_seconds);
       std::size_t chunks = 0;
       std::size_t rows = 0;
-      for (TimeNs begin = span.begin; begin < span.end; begin += chunk_ns) {
-        const FlowTrace slice = trace->window({begin, begin + chunk_ns});
-        if (slice.empty()) continue;
-        write_one(chunk_path(out_path, chunks), slice);
+      FlowTrace chunk;
+      TimeNs chunk_begin = span.begin;
+      const auto cut = [&] {
+        if (chunk.empty()) return;
+        write_one(chunk_path(out_path, chunks), chunk);
         ++chunks;
-        rows += slice.size();
+        rows += chunk.size();
+        chunk = FlowTrace();
+      };
+      for (const FlowRecord& f : *trace) {
+        const TimeNs at =
+            span.begin + (f.start_time - span.begin) / chunk_ns * chunk_ns;
+        if (at >= span.end) break;
+        if (at != chunk_begin) {
+          cut();
+          chunk_begin = at;
+        }
+        chunk.add(f);
       }
+      cut();
       std::cout << "converted " << rows << " flows: " << in_path << " ("
                 << in_format << ") -> " << chunks << " " << format
                 << " chunks of " << *chunk_seconds << "s ("
@@ -578,10 +565,8 @@ int main(int argc, char** argv) {
     usage();
     return 0;
   }
-  // Deprecated bare form: `prism <trace> [options]`. Everything after
-  // argv[0] goes through the analyze parser, so old flag spellings (and
-  // unknown-option rejection) behave exactly like `prism analyze`.
-  std::cerr << "prism: note: bare `prism <trace>` is deprecated; use `prism "
-               "analyze <trace>`\n";
-  return run_analyze(argc, argv, 1);
+  std::cerr << "prism: unknown subcommand '" << command
+            << "' (to analyze a trace: prism analyze <trace>)\n";
+  usage();
+  return 2;
 }
