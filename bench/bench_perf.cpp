@@ -390,6 +390,37 @@ void BM_FleetExport(benchmark::State& state) {
 }
 BENCHMARK(BM_FleetExport);
 
+// Perfetto serialization alone on the largest single-job fixture: the
+// report is computed once outside the loop; each iteration formats every
+// rank's step and event slices, the alerts and the counter track, then
+// writes the document. events/s and bytes/s are the serializer's rates.
+void BM_PerfettoExport(benchmark::State& state) {
+  const auto& sim = shared_cluster();
+  const Prism prism(sim.topology);
+  const PrismReport report = prism.analyze(FlowColumns(sim.trace).view());
+  const WindowExportView view{sim.trace.span(), &report, {}};
+
+  std::size_t events = 0;
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    PerfettoExporter perfetto;
+    perfetto.add_window(view);
+    std::ostringstream os;
+    perfetto.write(os);
+    events = perfetto.num_events();
+    bytes = static_cast<std::size_t>(os.tellp());
+    benchmark::DoNotOptimize(bytes);
+  }
+  const auto iterations = static_cast<double>(state.iterations());
+  state.counters["events_per_second"] = benchmark::Counter(
+      static_cast<double>(events) * iterations, benchmark::Counter::kIsRate);
+  state.counters["bytes_per_second"] = benchmark::Counter(
+      static_cast<double>(bytes) * iterations, benchmark::Counter::kIsRate);
+  state.counters["events"] = static_cast<double>(events);
+  state.counters["bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_PerfettoExport);
+
 void run_monitor_ingest(benchmark::State& state, bool carry_state) {
   // The streaming hot path: the multi-tenant feed delivered in 512-flow
   // batches, windows closing as the watermark advances. Measures the

@@ -8,47 +8,64 @@
 // the emitted documents actually parse.
 #pragma once
 
+#include <cstddef>
 #include <ostream>
+#include <string>
 #include <string_view>
 
 namespace llmprism {
 
-/// Write `s` as a JSON string literal, including the surrounding quotes.
-inline void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
+/// Append `s` as a JSON string literal, including the surrounding quotes.
+/// Runs of bytes that need no escape are copied in one append.
+inline void append_json_string(std::string& out, std::string_view s) {
+  out += '"';
+  std::size_t clean = 0;  // first byte of the pending unescaped run
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (static_cast<unsigned char>(c) >= 0x20 && c != '"' && c != '\\') {
+      continue;
+    }
+    out.append(s.substr(clean, i - clean));
+    clean = i + 1;
     switch (c) {
       case '"':
-        os << "\\\"";
+        out += "\\\"";
         break;
       case '\\':
-        os << "\\\\";
+        out += "\\\\";
         break;
       case '\n':
-        os << "\\n";
+        out += "\\n";
         break;
       case '\r':
-        os << "\\r";
+        out += "\\r";
         break;
       case '\t':
-        os << "\\t";
+        out += "\\t";
         break;
       case '\b':
-        os << "\\b";
+        out += "\\b";
         break;
       case '\f':
-        os << "\\f";
+        out += "\\f";
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char hex[] = "0123456789abcdef";
-          os << "\\u00" << hex[(c >> 4) & 0xF] << hex[c & 0xF];
-        } else {
-          os << c;
-        }
+      default: {
+        constexpr char hex[] = "0123456789abcdef";
+        out += "\\u00";
+        out += hex[(c >> 4) & 0xF];
+        out += hex[c & 0xF];
+      }
     }
   }
-  os << '"';
+  out.append(s.substr(clean));
+  out += '"';
+}
+
+/// Write `s` as a JSON string literal, including the surrounding quotes.
+inline void write_json_string(std::ostream& os, std::string_view s) {
+  std::string literal;
+  append_json_string(literal, s);
+  os << literal;
 }
 
 }  // namespace llmprism

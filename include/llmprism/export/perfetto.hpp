@@ -69,8 +69,12 @@ class PerfettoExporter {
   [[nodiscard]] std::size_t num_events() const { return num_events_; }
 
  private:
-  /// Append one serialized event object to the buffer (comma handling).
-  void append_event(std::string_view event);
+  /// Start the next event object in the buffer (comma handling) up to
+  /// `{"name":`; the caller appends the name and the remaining fields.
+  std::string& next_event();
+  /// next_event(), then the escaped name and the ph/pid/tid fields.
+  std::string& begin_event(std::string_view name, char ph, std::uint64_t pid,
+                           std::uint64_t tid);
   void add_job_window(const WindowExportView& view, std::size_t j);
   void add_fabric_window(const WindowExportView& view);
 

@@ -3,15 +3,20 @@
 // Default ostream/printf double formatting is precision-ambiguous; every
 // exporter output must instead be a fixed, exact function of its inputs so
 // the differential suites can assert byte equality across thread counts
-// and warm/cold sessions. Two formats cover everything:
+// and warm/cold sessions. Three formats cover everything:
+//  * write_int — an integer in plain decimal (what std::to_string gives),
 //  * write_us  — a TimeNs as microseconds with exactly three fractional
 //    digits (the full nanosecond, no rounding at all),
 //  * write_double — shortest round-trip decimal via %.17g -> %g retry,
 //    locale-independent ("C" behaviour of the printf family is assumed, as
 //    everywhere else in the repo).
+// All of them append to the caller's buffer: the exporters serialize every
+// event straight into one growing document, with no per-field temporaries.
 #pragma once
 
+#include <charconv>
 #include <cmath>
+#include <concepts>
 #include <cstdint>
 #include <cstdio>
 #include <ostream>
@@ -20,6 +25,13 @@
 #include "llmprism/common/time.hpp"
 
 namespace llmprism::detail {
+
+/// Append an integer in decimal.
+template <std::integral T>
+inline void write_int(std::string& out, T v) {
+  char buf[24];  // 20 digits of a 64-bit value, plus the sign
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
 
 /// Append `ns` as microseconds with three fractional digits ("1234.567").
 inline void write_us(std::string& out, TimeNs ns) {
@@ -31,11 +43,11 @@ inline void write_us(std::string& out, TimeNs ns) {
     a = static_cast<std::uint64_t>(ns);
   }
   const std::uint64_t rem = a % 1000;
-  out += std::to_string(a / 1000);
-  out += '.';
-  out += static_cast<char>('0' + rem / 100);
-  out += static_cast<char>('0' + rem / 10 % 10);
-  out += static_cast<char>('0' + rem % 10);
+  write_int(out, a / 1000);
+  const char frac[4] = {'.', static_cast<char>('0' + rem / 100),
+                        static_cast<char>('0' + rem / 10 % 10),
+                        static_cast<char>('0' + rem % 10)};
+  out.append(frac, sizeof(frac));
 }
 
 /// Append a finite double as the shortest decimal that round-trips;

@@ -1,6 +1,7 @@
 #include "llmprism/export/journal.hpp"
 
 #include <algorithm>
+#include <concepts>
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -14,6 +15,7 @@ namespace llmprism {
 namespace {
 
 using detail::write_double;
+using detail::write_int;
 
 /// Cluster-level incidents (degraded switches) are owned by no tenant.
 constexpr std::uint64_t kClusterJob = ~0ULL;
@@ -35,19 +37,47 @@ constexpr std::uint64_t kClusterJob = ~0ULL;
   return {hex, 16};
 }
 
+/// Append `,"<key>":<v>` for an integer or a double field.
+void add_field(std::string& line, std::string_view key, std::integral auto v) {
+  line += ",\"";
+  line += key;
+  line += "\":";
+  write_int(line, v);
+}
+
+void add_field(std::string& line, std::string_view key, double v) {
+  line += ",\"";
+  line += key;
+  line += "\":";
+  write_double(line, v);
+}
+
+/// Start an entry line: {"event":"<event>","id":"<id>"
+void begin_entry(std::string& line, std::string_view event,
+                 std::string_view id) {
+  line += "{\"event\":\"";
+  line += event;
+  line += "\",\"id\":\"";
+  line += id;
+  line += '"';
+}
+
 void add_origin(std::string& line, std::uint8_t kind, std::uint64_t identity) {
   line += ",\"kind\":\"";
   line += to_string(static_cast<CulpritKind>(kind));
   line += "\",\"origin\":{";
   switch (static_cast<CulpritKind>(kind)) {
     case CulpritKind::kRank:
-      line += "\"gpu\":" + std::to_string(identity);
+      line += "\"gpu\":";
+      write_int(line, identity);
       break;
     case CulpritKind::kDpGroup:
-      line += "\"dp_group\":" + std::to_string(identity);
+      line += "\"dp_group\":";
+      write_int(line, identity);
       break;
     case CulpritKind::kSwitch:
-      line += "\"switch\":" + std::to_string(identity);
+      line += "\"switch\":";
+      write_int(line, identity);
       break;
   }
   line += '}';
@@ -72,19 +102,16 @@ void IncidentJournal::emit_resolve(const Key& key, const OpenState& st,
                                    std::size_t at_window, TimeNs at_time) {
   (void)key;
   std::string& out = next_line();
-  out += "{\"event\":\"resolve\",\"id\":\"" + st.id + "\"";
-  out += ",\"window\":" + std::to_string(at_window);
-  out += ",\"time_ns\":" + std::to_string(at_time);
-  out += ",\"first_window\":" + std::to_string(st.first_window);
-  out += ",\"last_window\":" + std::to_string(st.last_window);
-  out += ",\"windows_active\":" + std::to_string(st.windows_active);
-  out += ",\"confidence_min\":";
-  write_double(out, st.confidence_min);
-  out += ",\"confidence_max\":";
-  write_double(out, st.confidence_max);
-  out += ",\"confidence_last\":";
-  write_double(out, st.confidence_last);
-  out += "}";
+  begin_entry(out, "resolve", st.id);
+  add_field(out, "window", at_window);
+  add_field(out, "time_ns", at_time);
+  add_field(out, "first_window", st.first_window);
+  add_field(out, "last_window", st.last_window);
+  add_field(out, "windows_active", st.windows_active);
+  add_field(out, "confidence_min", st.confidence_min);
+  add_field(out, "confidence_max", st.confidence_max);
+  add_field(out, "confidence_last", st.confidence_last);
+  out += '}';
 }
 
 void IncidentJournal::add_window(const WindowExportView& view) {
@@ -170,24 +197,22 @@ void IncidentJournal::add_window(const WindowExportView& view) {
       st.victims_last = agg.victims;
 
       std::string& out = next_line();
-      out += "{\"event\":\"open\",\"id\":\"" + st.id + "\"";
-      out += ",\"window\":" + std::to_string(w);
-      out += ",\"time_ns\":" + std::to_string(view.window.begin);
+      begin_entry(out, "open", st.id);
+      add_field(out, "window", w);
+      add_field(out, "time_ns", view.window.begin);
       if (key.job == kClusterJob) {
         out += ",\"job\":null";
       } else {
-        out += ",\"job\":" + std::to_string(key.job);
+        add_field(out, "job", key.job);
       }
       add_origin(out, key.kind, key.identity);
-      out += ",\"score\":";
-      write_double(out, agg.score);
-      out += ",\"step_begin\":" + std::to_string(agg.step_begin);
-      out += ",\"step_end\":" + std::to_string(agg.step_end);
-      out += ",\"confidence\":";
-      write_double(out, agg.confidence);
-      out += ",\"victims\":" + std::to_string(agg.victims);
-      out += ",\"culprits\":" + std::to_string(agg.culprits);
-      out += "}";
+      add_field(out, "score", agg.score);
+      add_field(out, "step_begin", agg.step_begin);
+      add_field(out, "step_end", agg.step_end);
+      add_field(out, "confidence", agg.confidence);
+      add_field(out, "victims", agg.victims);
+      add_field(out, "culprits", agg.culprits);
+      out += '}';
 
       open_.emplace(key, std::move(st));
     } else {
@@ -205,19 +230,17 @@ void IncidentJournal::add_window(const WindowExportView& view) {
       st.victims_last = agg.victims;
 
       std::string& out = next_line();
-      out += "{\"event\":\"update\",\"id\":\"" + st.id + "\"";
-      out += ",\"window\":" + std::to_string(w);
-      out += ",\"time_ns\":" + std::to_string(view.window.begin);
-      out += ",\"confidence\":";
-      write_double(out, agg.confidence);
-      out += ",\"confidence_delta\":";
-      write_double(out, conf_delta);
-      out += ",\"victims\":" + std::to_string(agg.victims);
-      out += ",\"victims_delta\":" + std::to_string(victims_delta);
-      out += ",\"windows_active\":" + std::to_string(st.windows_active);
-      out += ",\"step_begin\":" + std::to_string(agg.step_begin);
-      out += ",\"step_end\":" + std::to_string(agg.step_end);
-      out += "}";
+      begin_entry(out, "update", st.id);
+      add_field(out, "window", w);
+      add_field(out, "time_ns", view.window.begin);
+      add_field(out, "confidence", agg.confidence);
+      add_field(out, "confidence_delta", conf_delta);
+      add_field(out, "victims", agg.victims);
+      add_field(out, "victims_delta", victims_delta);
+      add_field(out, "windows_active", st.windows_active);
+      add_field(out, "step_begin", agg.step_begin);
+      add_field(out, "step_end", agg.step_end);
+      out += '}';
     }
   }
 }

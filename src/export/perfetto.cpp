@@ -1,8 +1,9 @@
 #include "llmprism/export/perfetto.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <array>
 #include <string>
+#include <unordered_map>
 
 #include "llmprism/common/json.hpp"
 #include "llmprism/core/attribution.hpp"
@@ -13,6 +14,7 @@ namespace llmprism {
 namespace {
 
 using detail::write_double;
+using detail::write_int;
 using detail::write_us;
 
 /// Chrome-trace slice name for a timeline event kind. "dp" reads poorly on
@@ -21,19 +23,20 @@ using detail::write_us;
   return k == TimelineEventKind::kDp ? "dp_sync" : to_string(k);
 }
 
-/// Common event prefix: {"name":<escaped>,"ph":"<ph>","pid":P,"tid":T
-void begin_event(std::string& out, std::string_view name, char ph,
-                 std::uint64_t pid, std::uint64_t tid) {
-  out += "{\"name\":";
-  std::ostringstream os;
-  write_json_string(os, name);
-  out += os.str();
+constexpr std::size_t kNumEventKinds =
+    static_cast<std::size_t>(TimelineEventKind::kCompute) + 1;
+
+/// Bytes reserved per slice; a serialized slice is ~95 bytes.
+constexpr std::size_t kSliceBytesEstimate = 128;
+
+/// The fields after the name: ,"ph":"<ph>","pid":P,"tid":T
+void add_ids(std::string& out, char ph, std::uint64_t pid, std::uint64_t tid) {
   out += ",\"ph\":\"";
   out += ph;
   out += "\",\"pid\":";
-  out += std::to_string(pid);
+  write_int(out, pid);
   out += ",\"tid\":";
-  out += std::to_string(tid);
+  write_int(out, tid);
 }
 
 void add_ts(std::string& out, TimeNs ts) {
@@ -46,33 +49,53 @@ void add_dur(std::string& out, DurationNs dur) {
   write_us(out, dur);
 }
 
-/// The reconstructed step (by index) on one timeline, or nullptr.
-[[nodiscard]] const ReconstructedStep* find_step(const GpuTimeline& tl,
-                                                 std::size_t step_index) {
-  for (const ReconstructedStep& s : tl.steps) {
-    if (s.index == step_index) return &s;
-  }
-  return nullptr;
-}
+/// Finds the reconstructed step an alert points at. The GPU -> timeline
+/// index is built on the first lookup, so a job without alerts never pays
+/// for it; it keeps the first timeline of a GPU, as a front-to-back scan
+/// would.
+class StepLookup {
+ public:
+  explicit StepLookup(const JobAnalysis& job) : job_(job) {}
 
-[[nodiscard]] const GpuTimeline* find_timeline(const JobAnalysis& job,
-                                               GpuId gpu) {
-  for (const GpuTimeline& tl : job.timelines) {
-    if (tl.gpu == gpu) return &tl;
+  /// Step `step_index` on `gpu`'s timeline, or nullptr.
+  [[nodiscard]] const ReconstructedStep* find(GpuId gpu,
+                                              std::size_t step_index) {
+    if (timelines_.empty()) {
+      for (const GpuTimeline& tl : job_.timelines) {
+        timelines_.emplace(tl.gpu, &tl);
+      }
+    }
+    const auto it = timelines_.find(gpu);
+    if (it == timelines_.end()) return nullptr;
+    for (const ReconstructedStep& s : it->second->steps) {
+      if (s.index == step_index) return &s;
+    }
+    return nullptr;
   }
-  return nullptr;
-}
+
+ private:
+  const JobAnalysis& job_;
+  std::unordered_map<GpuId, const GpuTimeline*> timelines_;
+};
 
 }  // namespace
 
 PerfettoExporter::PerfettoExporter(PerfettoOptions options)
     : options_(std::move(options)) {}
 
-void PerfettoExporter::append_event(std::string_view event) {
-  if (num_events_ != 0) events_ += ',';
-  events_ += "\n";
-  events_ += event;
-  ++num_events_;
+std::string& PerfettoExporter::next_event() {
+  if (num_events_++ != 0) events_ += ',';
+  events_ += "\n{\"name\":";
+  return events_;
+}
+
+std::string& PerfettoExporter::begin_event(std::string_view name, char ph,
+                                           std::uint64_t pid,
+                                           std::uint64_t tid) {
+  std::string& out = next_event();
+  append_json_string(out, name);
+  add_ids(out, ph, pid, tid);
+  return out;
 }
 
 void PerfettoExporter::add_window(const WindowExportView& view) {
@@ -91,30 +114,42 @@ void PerfettoExporter::add_job_window(const WindowExportView& view,
   const std::uint64_t pid = sid + 2;
 
   if (named_processes_.insert(pid).second) {
-    std::string name;
+    std::string& e = begin_event("process_name", 'M', pid, 0);
+    e += ",\"args\":{\"name\":";
     if (const auto it = options_.job_names.find(sid);
         it != options_.job_names.end()) {
-      name = it->second;
+      append_json_string(e, it->second);
     } else {
-      name = "job " + std::to_string(sid) + " (tp=" +
-             std::to_string(job.inferred.tp) + ",dp=" +
-             std::to_string(job.inferred.dp) + ",pp=" +
-             std::to_string(job.inferred.pp) + ")";
+      // The generated name has nothing to escape.
+      e += "\"job ";
+      write_int(e, sid);
+      e += " (tp=";
+      write_int(e, job.inferred.tp);
+      e += ",dp=";
+      write_int(e, job.inferred.dp);
+      e += ",pp=";
+      write_int(e, job.inferred.pp);
+      e += ")\"";
     }
-    std::string e;
-    begin_event(e, "process_name", 'M', pid, 0);
-    e += ",\"args\":{\"name\":";
-    std::ostringstream os;
-    write_json_string(os, name);
-    e += os.str();
     e += "}}";
-    append_event(e);
 
-    e.clear();
-    begin_event(e, "process_sort_index", 'M', pid, 0);
-    e += ",\"args\":{\"sort_index\":" + std::to_string(pid) + "}}";
-    append_event(e);
+    std::string& o = begin_event("process_sort_index", 'M', pid, 0);
+    o += ",\"args\":{\"sort_index\":";
+    write_int(o, pid);
+    o += "}}";
   }
+
+  // Size the buffer for this job's slices up front instead of letting it
+  // double its way there: on a 1,024-rank job the re-copies and the page
+  // faults of regrowth cost about as much as the formatting itself.
+  // Capacity past what gets written is never touched, so it costs address
+  // space, not memory.
+  std::size_t slices = 0;
+  for (const GpuTimeline& tl : job.timelines) {
+    if (options_.emit_steps) slices += tl.steps.size();
+    if (options_.emit_events) slices += tl.events.size();
+  }
+  events_.reserve(events_.size() + slices * kSliceBytesEstimate);
 
   // Per-rank tracks: tid = the cluster-wide gpu id (stable across windows),
   // displayed in rank order via thread_sort_index.
@@ -125,64 +160,79 @@ void PerfettoExporter::add_job_window(const WindowExportView& view,
       const auto pos = std::lower_bound(gpus.begin(), gpus.end(), tl.gpu);
       const std::size_t rank =
           static_cast<std::size_t>(pos - gpus.begin());
-      std::string e;
-      begin_event(e, "thread_name", 'M', pid, tid);
-      e += ",\"args\":{\"name\":\"rank " + std::to_string(rank) + " (gpu " +
-           std::to_string(tid) + ")\"}}";
-      append_event(e);
+      std::string& e = begin_event("thread_name", 'M', pid, tid);
+      e += ",\"args\":{\"name\":\"rank ";
+      write_int(e, rank);
+      e += " (gpu ";
+      write_int(e, tid);
+      e += ")\"}}";
 
-      e.clear();
-      begin_event(e, "thread_sort_index", 'M', pid, tid);
-      e += ",\"args\":{\"sort_index\":" + std::to_string(rank) + "}}";
-      append_event(e);
+      std::string& o = begin_event("thread_sort_index", 'M', pid, tid);
+      o += ",\"args\":{\"sort_index\":";
+      write_int(o, rank);
+      o += "}}";
+    }
+
+    // Every slice on this track carries the same ph/pid/tid fields, so
+    // they are formatted once per track, and once more behind each event
+    // kind's name.
+    std::string slice_ids;
+    add_ids(slice_ids, 'X', pid, tid);
+    std::array<std::string, kNumEventKinds> heads;
+    for (std::size_t k = 0; k < kNumEventKinds; ++k) {
+      append_json_string(heads[k],
+                         slice_name(static_cast<TimelineEventKind>(k)));
+      heads[k] += slice_ids;
     }
 
     if (options_.emit_steps) {
       for (const ReconstructedStep& s : tl.steps) {
-        std::string e;
-        begin_event(e, "step " + std::to_string(s.index), 'X', pid, tid);
+        // "step <k>" has nothing to escape.
+        std::string& e = next_event();
+        e += "\"step ";
+        write_int(e, s.index);
+        e += '"';
+        e += slice_ids;
         add_ts(e, s.begin);
         add_dur(e, s.end - s.begin);
         e += '}';
-        append_event(e);
       }
     }
 
     if (options_.emit_events) {
       for (const TimelineEvent& ev : tl.events) {
-        std::string e;
-        begin_event(e, slice_name(ev.kind), 'X', pid, tid);
+        std::string& e = next_event();
+        e += heads[static_cast<std::size_t>(ev.kind)];
         add_ts(e, ev.start);
         add_dur(e, ev.end - ev.start);
         if (ev.kind != TimelineEventKind::kCompute && ev.peer.valid()) {
-          e += ",\"args\":{\"peer\":" + std::to_string(ev.peer.value()) + "}";
+          e += ",\"args\":{\"peer\":";
+          write_int(e, ev.peer.value());
+          e += '}';
         }
         e += '}';
-        append_event(e);
       }
     }
   }
 
   // k-sigma step alerts: thread-scoped instants at the flagged step's end.
+  StepLookup steps(job);
   for (const StepAlert& a : job.step_alerts) {
     TimeNs ts = view.window.begin;
-    if (const GpuTimeline* tl = find_timeline(job, a.gpu)) {
-      if (const ReconstructedStep* s = find_step(*tl, a.step_index)) {
-        ts = s->end;
-      }
+    if (const ReconstructedStep* s = steps.find(a.gpu, a.step_index)) {
+      ts = s->end;
     }
-    std::string e;
-    begin_event(e, "step alert", 'i', pid, a.gpu.value());
+    std::string& e = begin_event("step alert", 'i', pid, a.gpu.value());
     add_ts(e, ts);
-    e += ",\"s\":\"t\",\"args\":{\"step\":" + std::to_string(a.step_index) +
-         ",\"duration_s\":";
+    e += ",\"s\":\"t\",\"args\":{\"step\":";
+    write_int(e, a.step_index);
+    e += ",\"duration_s\":";
     write_double(e, a.duration_s);
     e += ",\"mean_s\":";
     write_double(e, a.mean_s);
     e += ",\"threshold_s\":";
     write_double(e, a.threshold_s);
     e += "}}";
-    append_event(e);
   }
 
   // Cross-group alerts: process-scoped instants at the slow collective's
@@ -191,32 +241,33 @@ void PerfettoExporter::add_job_window(const WindowExportView& view,
     TimeNs ts = view.window.begin;
     const auto& groups = job.comm_types.dp_components;
     if (g.group_index < groups.size() && !groups[g.group_index].empty()) {
-      if (const GpuTimeline* tl =
-              find_timeline(job, groups[g.group_index].front())) {
-        if (const ReconstructedStep* s = find_step(*tl, g.step_index)) {
-          ts = s->dp_end;
-        }
+      if (const ReconstructedStep* s =
+              steps.find(groups[g.group_index].front(), g.step_index)) {
+        ts = s->dp_end;
       }
     }
-    std::string e;
-    begin_event(e, "dp group alert", 'i', pid, 0);
+    std::string& e = begin_event("dp group alert", 'i', pid, 0);
     add_ts(e, ts);
-    e += ",\"s\":\"p\",\"args\":{\"group\":" + std::to_string(g.group_index) +
-         ",\"step\":" + std::to_string(g.step_index) + ",\"duration_s\":";
+    e += ",\"s\":\"p\",\"args\":{\"group\":";
+    write_int(e, g.group_index);
+    e += ",\"step\":";
+    write_int(e, g.step_index);
+    e += ",\"duration_s\":";
     write_double(e, g.duration_s);
     e += ",\"mean_s\":";
     write_double(e, g.mean_s);
     e += ",\"threshold_s\":";
     write_double(e, g.threshold_s);
     e += "}}";
-    append_event(e);
   }
 
   // Per-job comm-bandwidth counter track: bytes/s per comm type, binned at
   // options_.counter_bucket, bins aligned to the window begin. std::map
-  // keeps bin order (and hence output) deterministic.
+  // keeps bin order (and hence output) deterministic. Reads the start,
+  // endpoint and byte columns only; no FlowRecord is materialized.
   if (options_.emit_counters && !job.trace.empty()) {
     const auto types = job.comm_types.types();
+    const FlowView flows = job.trace.view();
     const TimeNs origin = view.window.begin;
     const DurationNs bucket = options_.counter_bucket;
     struct BinBytes {
@@ -224,30 +275,36 @@ void PerfettoExporter::add_job_window(const WindowExportView& view,
       std::uint64_t pp = 0;
     };
     std::map<TimeNs, BinBytes> bins;
-    for (const FlowRecord& f : job.trace) {
-      const TimeNs rel = f.start_time - origin;
+    // Consecutive flows mostly share a bin (the columns are time-sorted),
+    // so the last bin is reused without a map lookup.
+    TimeNs last_begin = 0;
+    BinBytes* last = nullptr;
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      const TimeNs rel = flows.start_ns[i] - origin;
       const TimeNs bin =
           rel >= 0 ? rel / bucket : -((-rel + bucket - 1) / bucket);
-      BinBytes& b = bins[origin + bin * bucket];
-      const auto it = types.find(f.pair());
+      const TimeNs begin = origin + bin * bucket;
+      if (last == nullptr || begin != last_begin) {
+        last = &bins[begin];
+        last_begin = begin;
+      }
+      const auto it = types.find(flows.pair(i));
       if (it != types.end() && it->second == CommType::kDP) {
-        b.dp += f.bytes;
+        last->dp += flows.bytes[i];
       } else {
-        b.pp += f.bytes;
+        last->pp += flows.bytes[i];
       }
     }
     const double per_second =
         static_cast<double>(kSecond) / static_cast<double>(bucket);
     for (const auto& [begin, b] : bins) {
-      std::string e;
-      begin_event(e, "comm bytes/s", 'C', pid, 0);
+      std::string& e = begin_event("comm bytes/s", 'C', pid, 0);
       add_ts(e, begin);
       e += ",\"args\":{\"dp\":";
       write_double(e, static_cast<double>(b.dp) * per_second);
       e += ",\"pp\":";
       write_double(e, static_cast<double>(b.pp) * per_second);
       e += "}}";
-      append_event(e);
     }
   }
 }
@@ -261,33 +318,28 @@ void PerfettoExporter::add_fabric_window(const WindowExportView& view) {
   constexpr std::uint64_t kFabricPid = 1;
 
   if (named_processes_.insert(kFabricPid).second) {
-    std::string e;
-    begin_event(e, "process_name", 'M', kFabricPid, 0);
-    e += ",\"args\":{\"name\":\"fabric\"}}";
-    append_event(e);
-    e.clear();
-    begin_event(e, "process_sort_index", 'M', kFabricPid, 0);
-    e += ",\"args\":{\"sort_index\":1}}";
-    append_event(e);
+    begin_event("process_name", 'M', kFabricPid, 0) +=
+        ",\"args\":{\"name\":\"fabric\"}}";
+    begin_event("process_sort_index", 'M', kFabricPid, 0) +=
+        ",\"args\":{\"sort_index\":1}}";
   }
 
   // One track per switch; tid 0 stays free for the counter samples.
   const auto name_switch = [&](SwitchId sw) -> std::uint64_t {
     const std::uint64_t tid = static_cast<std::uint64_t>(sw.value()) + 1;
     if (named_threads_.insert({kFabricPid, tid}).second) {
-      std::string e;
-      begin_event(e, "thread_name", 'M', kFabricPid, tid);
-      e += ",\"args\":{\"name\":\"switch " + std::to_string(sw.value()) +
-           "\"}}";
-      append_event(e);
+      std::string& e = begin_event("thread_name", 'M', kFabricPid, tid);
+      e += ",\"args\":{\"name\":\"switch ";
+      write_int(e, sw.value());
+      e += "\"}}";
     }
     return tid;
   };
 
   for (const SwitchBandwidthAlert& a : r.switch_bandwidth_alerts) {
     const std::uint64_t tid = name_switch(a.switch_id);
-    std::string e;
-    begin_event(e, "switch bandwidth alert", 'i', kFabricPid, tid);
+    std::string& e =
+        begin_event("switch bandwidth alert", 'i', kFabricPid, tid);
     add_ts(e, view.window.begin);
     e += ",\"s\":\"g\",\"args\":{\"bandwidth_gbps\":";
     write_double(e, a.bandwidth_gbps);
@@ -296,32 +348,34 @@ void PerfettoExporter::add_fabric_window(const WindowExportView& view) {
     e += ",\"threshold_gbps\":";
     write_double(e, a.threshold_gbps);
     e += "}}";
-    append_event(e);
   }
 
   for (const SwitchConcurrencyAlert& a : r.switch_concurrency_alerts) {
     const std::uint64_t tid = name_switch(a.switch_id);
-    std::string e;
-    begin_event(e, "switch concurrency alert", 'i', kFabricPid, tid);
+    std::string& e =
+        begin_event("switch concurrency alert", 'i', kFabricPid, tid);
     add_ts(e, a.at);
-    e += ",\"s\":\"g\",\"args\":{\"concurrent_flows\":" +
-         std::to_string(a.concurrent_flows) +
-         ",\"limit\":" + std::to_string(a.limit) + "}}";
-    append_event(e);
+    e += ",\"s\":\"g\",\"args\":{\"concurrent_flows\":";
+    write_int(e, a.concurrent_flows);
+    e += ",\"limit\":";
+    write_int(e, a.limit);
+    e += "}}";
   }
 
   // Per-switch average DP bandwidth, one counter sample per window.
   if (options_.emit_counters) {
     for (const auto& [sw, gbps] : r.switch_bandwidth_gbps) {
       name_switch(sw);
-      std::string e;
-      begin_event(e, "sw" + std::to_string(sw.value()) + " dp gbps", 'C',
-                  kFabricPid, 0);
+      // "sw<id> dp gbps" has nothing to escape.
+      std::string& e = next_event();
+      e += "\"sw";
+      write_int(e, sw.value());
+      e += " dp gbps\"";
+      add_ids(e, 'C', kFabricPid, 0);
       add_ts(e, view.window.begin);
       e += ",\"args\":{\"gbps\":";
       write_double(e, gbps);
       e += "}}";
-      append_event(e);
     }
   }
 }

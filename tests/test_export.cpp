@@ -10,7 +10,9 @@
 //  * escaping: hostile job names (quotes, backslashes, control bytes,
 //    non-ASCII) cannot break the JSON documents;
 //  * edge cases: zero windows and single-window one-shot views;
-//  * determinism: re-exporting the same ticks is byte-identical.
+//  * determinism: re-exporting the same ticks is byte-identical;
+//  * golden bytes: XXH64 digests of every export document are pinned, so a
+//    serialization rewrite cannot change a single byte unnoticed.
 // (Cross-thread-count and warm/cold byte-equality of these exports is
 // asserted in test_parallel_equivalence.cpp / test_session_equivalence.cpp.)
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "llmprism/common/hash.hpp"
 #include "llmprism/core/monitor.hpp"
 #include "llmprism/core/prism.hpp"
 #include "llmprism/export/journal.hpp"
@@ -83,40 +86,55 @@ const Fleet& fleet() {
   return *shared;
 }
 
-std::string perfetto_output(const PerfettoOptions& options = {}) {
-  PerfettoExporter exporter(options);
+/// The fleet's views with every window shifted by `shift` (the reports are
+/// untouched): moves timestamps, counter-bin origins and journal times
+/// without re-running the analysis.
+std::vector<WindowExportView> fleet_views(DurationNs shift = 0) {
+  std::vector<WindowExportView> views;
   for (const MonitorTick& tick : fleet().ticks) {
-    exporter.add_window(export_view(tick));
+    WindowExportView view = export_view(tick);
+    view.window.begin += shift;
+    view.window.end += shift;
+    views.push_back(view);
+  }
+  return views;
+}
+
+std::string perfetto_output(const PerfettoOptions& options = {},
+                            DurationNs shift = 0) {
+  PerfettoExporter exporter(options);
+  for (const WindowExportView& view : fleet_views(shift)) {
+    exporter.add_window(view);
   }
   std::ostringstream os;
   exporter.write(os);
   return os.str();
 }
 
-std::string series_openmetrics() {
+std::string series_openmetrics(DurationNs shift = 0) {
   JobSeriesCollector series;
-  for (const MonitorTick& tick : fleet().ticks) {
-    series.add_window(export_view(tick));
+  for (const WindowExportView& view : fleet_views(shift)) {
+    series.add_window(view);
   }
   std::ostringstream os;
   series.write_openmetrics(os);
   return os.str();
 }
 
-std::string series_jsonl() {
+std::string series_jsonl(DurationNs shift = 0) {
   JobSeriesCollector series;
-  for (const MonitorTick& tick : fleet().ticks) {
-    series.add_window(export_view(tick));
+  for (const WindowExportView& view : fleet_views(shift)) {
+    series.add_window(view);
   }
   std::ostringstream os;
   series.write_jsonl(os);
   return os.str();
 }
 
-std::string journal_jsonl(JournalOptions options = {}) {
+std::string journal_jsonl(JournalOptions options = {}, DurationNs shift = 0) {
   IncidentJournal journal(options);
-  for (const MonitorTick& tick : fleet().ticks) {
-    journal.add_window(export_view(tick));
+  for (const WindowExportView& view : fleet_views(shift)) {
+    journal.add_window(view);
   }
   journal.finish();
   std::ostringstream os;
@@ -375,6 +393,73 @@ TEST(JournalExport, EmptyJournalIsJustTheHeader) {
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_TRUE(is_versioned_json(lines[0]));
   EXPECT_EQ(journal.num_events(), 0u);
+}
+
+// --- golden bytes -----------------------------------------------------------
+// XXH64 digests (and lengths) of every export document over the shared
+// fleet, pinned from the string-concatenating exporters the append-in-place
+// serializers replaced. A mismatch means an output byte changed: a number
+// format, an escape, the event order or a separator. Only regenerate these
+// for an intentional, documented format change.
+
+struct Golden {
+  std::size_t size;
+  std::uint64_t xxh64;
+};
+
+void expect_golden(const std::string& doc, Golden golden) {
+  EXPECT_EQ(doc.size(), golden.size);
+  EXPECT_EQ(xxhash64(doc.data(), doc.size()), golden.xxh64)
+      << std::hex << "actual xxh64 0x" << xxhash64(doc.data(), doc.size());
+}
+
+/// Quotes, backslashes, every escape with a short form, other C0 bytes,
+/// DEL and UTF-8 (the last two pass through unescaped).
+const std::string& hostile_name() {
+  static const std::string name =
+      std::string("t\"en\\ant\"\b\f\n\r\t") + '\0' +
+      "\x01\x1f\x7f caf\xc3\xa9";
+  return name;
+}
+
+// Moves every window begin below zero: negative timestamps in write_us and
+// in the journal's time_ns, negative counter-bin origins.
+constexpr DurationNs kNegativeShift = -(10 * kSecond + 123'457);
+// Moves every counter-bin origin past the window's first flows, so those
+// flows land in negative relative bins (the round-toward -inf branch).
+constexpr DurationNs kLateOriginShift = 1'500'000'321;
+
+TEST(ExportGoldenBytes, FleetDocuments) {
+  expect_golden(perfetto_output(),
+                {9'226'350, 0x0c4afdaaa462fbb0ULL});
+  expect_golden(series_openmetrics(),
+                {19'506, 0xb8a4923cb301e24dULL});
+  expect_golden(series_jsonl(),
+                {8'823, 0xc54c5759705d1c9dULL});
+  expect_golden(journal_jsonl(),
+                {967, 0xd233ae361639b5a5ULL});
+}
+
+TEST(ExportGoldenBytes, HostileJobName) {
+  PerfettoOptions options;
+  for (std::uint64_t id = 0; id < 3; ++id) {
+    options.job_names[id] = hostile_name();
+  }
+  expect_golden(perfetto_output(options),
+                {9'226'425, 0x6defbca2ea3a7138ULL});
+}
+
+TEST(ExportGoldenBytes, NegativeWindowBegin) {
+  expect_golden(perfetto_output({}, kNegativeShift),
+                {9'226'365, 0x617613d515b0881eULL});
+  expect_golden(series_openmetrics(kNegativeShift),
+                {19'662, 0xf1cc5c3d75488ffbULL});
+  expect_golden(series_jsonl(kNegativeShift),
+                {8'841, 0x53711b9d3887ca2dULL});
+  expect_golden(journal_jsonl({}, kNegativeShift),
+                {973, 0x967e03252796a5c2ULL});
+  expect_golden(perfetto_output({}, kLateOriginShift),
+                {9'226'455, 0x59176b6da2792c41ULL});
 }
 
 // --- single-window (one-shot) views ---------------------------------------
