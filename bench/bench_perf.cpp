@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -14,6 +15,7 @@
 #include "llmprism/bocd/bocd.hpp"
 #include "llmprism/common/disjoint_set.hpp"
 #include "llmprism/common/rng.hpp"
+#include "llmprism/common/thread_pool.hpp"
 #include "llmprism/core/comm_type.hpp"
 #include "llmprism/core/diagnosis.hpp"
 #include "llmprism/core/job_recognition.hpp"
@@ -268,6 +270,28 @@ void BM_StageKSigma(benchmark::State& state) {
   state.counters["dp_flows"] = static_cast<double>(dp_view.size());
 }
 BENCHMARK(BM_StageKSigma);
+
+// The whole cluster-wide switch stage over the DP-only rows: the percentile
+// health check and the concurrency sweep, one task per switch on a pool of
+// Arg lanes (1 = the null-pool sequential loop).
+void BM_StageSwitch(benchmark::State& state) {
+  const StageFixture& f = stage_fixture();
+  const FlowView dp_view = f.dp_flows.view();
+  const Diagnoser diagnoser;
+  const auto lanes = static_cast<std::size_t>(state.range(0));
+  std::unique_ptr<ThreadPool> pool;
+  if (lanes > 1) pool = std::make_unique<ThreadPool>(lanes - 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        diagnoser.switch_bandwidth(dp_view, nullptr, pool.get()));
+    benchmark::DoNotOptimize(
+        diagnoser.switch_concurrency(dp_view, pool.get()));
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * dp_view.size()));
+  state.counters["dp_flows"] = static_cast<double>(dp_view.size());
+}
+BENCHMARK(BM_StageSwitch)->Arg(1)->Arg(4)->UseRealTime();
 
 // --- daemon ingest queue ---------------------------------------------------
 // The two shard ingest queues (serve/queue.hpp) head to head: N producers

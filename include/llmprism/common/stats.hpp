@@ -28,7 +28,8 @@ namespace llmprism::stats {
 /// Median (average of middle two for even n); 0 for an empty range.
 [[nodiscard]] double median(std::span<const double> xs);
 
-/// p-th percentile with linear interpolation, p in [0, 100].
+/// p-th percentile with linear interpolation, p in [0, 100]. Found by
+/// selection (O(n)), bit-identical to interpolating a fully sorted copy.
 [[nodiscard]] double percentile(std::span<const double> xs, double p);
 
 /// Most frequent value of an integer sample; ties broken toward the smaller

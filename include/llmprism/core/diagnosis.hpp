@@ -30,6 +30,8 @@
 
 namespace llmprism {
 
+class ThreadPool;
+
 /// Dispersion estimator for the k-sigma rule.
 ///  - kStddev: mean center, standard deviation (the classic 3-sigma rule
 ///    the paper cites, hardened by leave-one-out below);
@@ -212,13 +214,18 @@ class Diagnoser {
   /// flows are slow" isolates the switch that is itself the bottleneck.
   ///
   /// Per-switch sample gather over the CSR hop columns, dense tables
-  /// instead of hash maps.
+  /// instead of hash maps. With a `pool`, the per-switch percentiles run
+  /// as one task per switch; results are compacted in switch-id order, so
+  /// the alerts are identical to the sequential (null pool) loop.
   [[nodiscard]] std::vector<SwitchBandwidthAlert> switch_bandwidth(
-      const FlowView& dp_flows, KSigmaStats* stats = nullptr) const;
+      const FlowView& dp_flows, KSigmaStats* stats = nullptr,
+      ThreadPool* pool = nullptr) const;
 
   /// Peak concurrent distinct DP flows per switch vs. the configured limit.
+  /// With a `pool`, each switch's end sort and sweep is one task; alerts
+  /// are compacted in switch-id order (identical to the null-pool loop).
   [[nodiscard]] std::vector<SwitchConcurrencyAlert> switch_concurrency(
-      const FlowView& dp_flows) const;
+      const FlowView& dp_flows, ThreadPool* pool = nullptr) const;
 
   /// Helper: per-switch average DP bandwidth (Gb/s), for reporting (Fig. 5
   /// plots these series).
@@ -226,8 +233,10 @@ class Diagnoser {
   per_switch_bandwidth(const FlowView& dp_flows);
 
   /// Helper: per-switch p-th percentile of per-flow DP bandwidth (Gb/s).
+  /// One selection task per switch on `pool`, compacted in switch-id order.
   [[nodiscard]] static std::vector<std::pair<SwitchId, double>>
-  per_switch_bandwidth_percentile(const FlowView& dp_flows, double p);
+  per_switch_bandwidth_percentile(const FlowView& dp_flows, double p,
+                                  ThreadPool* pool = nullptr);
 
  private:
   DiagnosisConfig config_;

@@ -19,6 +19,7 @@
 #include <span>
 #include <vector>
 
+#include "llmprism/common/comm_type.hpp"
 #include "llmprism/core/job_recognition.hpp"
 #include "llmprism/flow/view.hpp"
 
@@ -44,6 +45,11 @@ class FlowRouter {
     /// Per-job columns, input order preserved within each job (born sorted
     /// when the input view is sorted — a subsequence of a sorted sequence).
     std::vector<FlowColumns> job_columns;
+    /// Per input row, the job it was routed to
+    /// (`static_cast<std::uint32_t>(kUnattributed)` when unattributed).
+    /// Row i is position k of job_columns[job_of_flow[i]] exactly when k
+    /// earlier rows went to the same job.
+    std::vector<std::uint32_t> job_of_flow;
     std::uint64_t flows_routed = 0;
     /// Of flows_routed: flows whose src was unattributed and that were
     /// recovered through the dst lookup.
@@ -56,9 +62,22 @@ class FlowRouter {
   /// ever materializing a FlowRecord.
   [[nodiscard]] ColumnarResult route(const FlowView& view) const;
 
+  /// Ascending input rows whose type is `type`, given a route's
+  /// `job_of_flow` and each job's per-position types (`job_types[j][k]` is
+  /// the type of position k of job_columns[j]). Gathering these rows from
+  /// a sorted view equals the job-id-order merge_sorted_runs of the
+  /// per-job runs of that type: rows with equal sort keys share src and
+  /// dst, hence a job, so the merge never breaks a tie across jobs.
+  [[nodiscard]] static std::vector<std::uint32_t> rows_of_type(
+      std::span<const std::uint32_t> job_of_flow,
+      std::span<const std::vector<CommType>> job_types, CommType type);
+
   [[nodiscard]] std::size_t num_jobs() const { return num_jobs_; }
 
  private:
+  /// kUnattributed narrowed to a ColumnarResult::job_of_flow entry.
+  static constexpr auto kNoJob = static_cast<std::uint32_t>(kUnattributed);
+
   std::size_t num_jobs_ = 0;
   /// Dense GPU id -> job index (kUnattributed when unowned).
   std::vector<std::size_t> job_of_gpu_;

@@ -43,14 +43,22 @@ double median(std::span<const double> xs) { return percentile(xs, 50.0); }
 
 double percentile(std::span<const double> xs, double p) {
   if (xs.empty()) return 0.0;
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
+  std::vector<double> values(xs.begin(), xs.end());
   p = std::clamp(p, 0.0, 100.0);
-  const double idx = p / 100.0 * static_cast<double>(sorted.size() - 1);
+  const double idx = p / 100.0 * static_cast<double>(values.size() - 1);
   const auto lo = static_cast<std::size_t>(std::floor(idx));
   const auto hi = static_cast<std::size_t>(std::ceil(idx));
   const double frac = idx - std::floor(idx);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
+  // Selection instead of a full sort: the lo-th order statistic, then the
+  // hi-th (hi is lo or lo + 1) as the minimum of everything nth_element
+  // left above it — the same two values a sorted copy would hold at lo and
+  // hi, so the interpolation below is bit-identical.
+  const auto lo_it = values.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(values.begin(), lo_it, values.end());
+  const double lo_value = *lo_it;
+  const double hi_value =
+      hi == lo ? lo_value : *std::min_element(lo_it + 1, values.end());
+  return lo_value + (hi_value - lo_value) * frac;
 }
 
 std::int64_t mode(std::span<const std::int64_t> xs) {

@@ -170,21 +170,29 @@ std::vector<double> Attributor::step_self_times(const GpuTimeline& t) {
 std::vector<std::vector<SwitchId>> Attributor::group_switch_sets(
     const FlowView& job_flows,
     const std::vector<std::vector<GpuId>>& dp_components) {
-  std::unordered_map<GpuId, std::size_t> comp_of;
+  // Dense GPU id -> component table (GPU ids are dense); the first
+  // component listing a GPU owns it.
+  constexpr std::size_t kNoComponent = std::numeric_limits<std::size_t>::max();
+  std::vector<std::size_t> comp_of;
   for (std::size_t c = 0; c < dp_components.size(); ++c) {
-    for (const GpuId g : dp_components[c]) comp_of.emplace(g, c);
+    for (const GpuId g : dp_components[c]) {
+      if (g.value() >= comp_of.size()) {
+        comp_of.resize(static_cast<std::size_t>(g.value()) + 1, kNoComponent);
+      }
+      if (comp_of[g.value()] == kNoComponent) comp_of[g.value()] = c;
+    }
   }
+  const auto component = [&](std::uint32_t gpu) {
+    return gpu < comp_of.size() ? comp_of[gpu] : kNoComponent;
+  };
   std::vector<std::vector<SwitchId>> sets(dp_components.size());
   for (std::size_t i = 0; i < job_flows.size(); ++i) {
-    const auto a = comp_of.find(GpuId(job_flows.src[i]));
-    const auto b = comp_of.find(GpuId(job_flows.dst[i]));
+    const std::size_t a = component(job_flows.src[i]);
     // Same recovered component on both ends <=> a DP ring flow (PP edges
     // connect distinct pipeline stages, hence distinct components).
-    if (a == comp_of.end() || b == comp_of.end() || a->second != b->second) {
-      continue;
-    }
+    if (a == kNoComponent || a != component(job_flows.dst[i])) continue;
     for (const std::uint32_t sw : job_flows.switches(i)) {
-      sets[a->second].push_back(SwitchId(sw));
+      sets[a].push_back(SwitchId(sw));
     }
   }
   for (std::vector<SwitchId>& s : sets) {
@@ -213,8 +221,11 @@ AttributionResult Attributor::attribute(
 
   for (const JobAttributionInput& job : jobs) {
     const DependencyGraph graph(job);
+    // Read only through bw_by_switch below, so without bandwidth alerts
+    // there is nothing to build.
     std::vector<std::vector<SwitchId>> group_switches;
-    if (job.trace != nullptr && job.comm_types != nullptr) {
+    if (!bw_by_switch.empty() && job.trace != nullptr &&
+        job.comm_types != nullptr) {
       group_switches =
           group_switch_sets(job.trace->view(), job.comm_types->dp_components);
     }

@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "llmprism/common/stats.hpp"
+#include "llmprism/common/thread_pool.hpp"
 #include "llmprism/obs/metrics.hpp"
 
 namespace llmprism {
@@ -304,8 +305,8 @@ std::vector<std::pair<SwitchId, double>> Diagnoser::per_switch_bandwidth(
 }
 
 std::vector<std::pair<SwitchId, double>>
-Diagnoser::per_switch_bandwidth_percentile(const FlowView& dp_flows,
-                                           double p) {
+Diagnoser::per_switch_bandwidth_percentile(const FlowView& dp_flows, double p,
+                                           ThreadPool* pool) {
   const auto [max_sw, any] = max_switch_id(dp_flows);
   if (!any) return {};
   // CSR sample gather: count per switch, prefix sum, scatter bandwidths.
@@ -329,20 +330,28 @@ Diagnoser::per_switch_bandwidth_percentile(const FlowView& dp_flows,
       }
     }
   }
+  // One task per switch, each selecting within its own disjoint sample
+  // slice and writing only its own slot; compacted in switch-id order.
+  std::vector<double> value(slots, 0.0);
+  parallel_for(pool, slots, [&](std::size_t sw) {
+    if (counts[sw] == counts[sw + 1]) return;
+    value[sw] = stats::percentile(
+        std::span<const double>(samples.data() + counts[sw],
+                                counts[sw + 1] - counts[sw]),
+        p);
+  });
   std::vector<std::pair<SwitchId, double>> out;
   for (std::uint32_t sw = 0; sw <= max_sw; ++sw) {
     if (counts[sw] == counts[sw + 1]) continue;
-    const std::span<const double> values(samples.data() + counts[sw],
-                                         counts[sw + 1] - counts[sw]);
-    out.emplace_back(SwitchId(sw), stats::percentile(values, p));
+    out.emplace_back(SwitchId(sw), value[sw]);
   }
   return out;
 }
 
 std::vector<SwitchBandwidthAlert> Diagnoser::switch_bandwidth(
-    const FlowView& dp_flows, KSigmaStats* stats) const {
+    const FlowView& dp_flows, KSigmaStats* stats, ThreadPool* pool) const {
   const auto per_switch = per_switch_bandwidth_percentile(
-      dp_flows, config_.switch_health_percentile);
+      dp_flows, config_.switch_health_percentile, pool);
   std::vector<double> values;
   values.reserve(per_switch.size());
   for (const auto& [sw, bw] : per_switch) values.push_back(bw);
@@ -363,7 +372,7 @@ std::vector<SwitchBandwidthAlert> Diagnoser::switch_bandwidth(
 }
 
 std::vector<SwitchConcurrencyAlert> Diagnoser::switch_concurrency(
-    const FlowView& dp_flows) const {
+    const FlowView& dp_flows, ThreadPool* pool) const {
   // Sweep line per switch over split start/end arrays: the CSR scatter
   // preserves flow order, so on a time-sorted view each switch's start
   // slice is born sorted and only the end slice needs sorting — half the
@@ -393,9 +402,15 @@ std::vector<SwitchConcurrencyAlert> Diagnoser::switch_concurrency(
       }
     }
   }
-  std::vector<SwitchConcurrencyAlert> alerts;
-  for (std::uint32_t sw = 0; sw <= max_sw; ++sw) {
-    if (counts[sw] == counts[sw + 1]) continue;
+  // One task per switch over its own disjoint slices; each writes only its
+  // peak slot, and alerts are compacted in switch-id order below.
+  struct Peak {
+    std::size_t flows = 0;
+    TimeNs at = 0;
+  };
+  std::vector<Peak> peaks(slots);
+  parallel_for(pool, slots, [&](std::size_t sw) {
+    if (counts[sw] == counts[sw + 1]) return;
     const std::ptrdiff_t lo = static_cast<std::ptrdiff_t>(counts[sw]);
     const std::ptrdiff_t hi = static_cast<std::ptrdiff_t>(counts[sw + 1]);
     if (!std::is_sorted(starts.begin() + lo, starts.begin() + hi)) {
@@ -406,8 +421,7 @@ std::vector<SwitchConcurrencyAlert> Diagnoser::switch_concurrency(
     // instant another starts never overlaps it). Signed so a degenerate
     // zero-duration flow (end == its own start) cannot wrap the count.
     std::ptrdiff_t current = 0;
-    std::size_t peak = 0;
-    TimeNs peak_at = 0;
+    Peak& peak = peaks[sw];
     std::ptrdiff_t e = lo;
     for (std::ptrdiff_t s = lo; s < hi; ++s) {
       while (e < hi && ends[e] <= starts[s]) {
@@ -415,16 +429,19 @@ std::vector<SwitchConcurrencyAlert> Diagnoser::switch_concurrency(
         ++e;
       }
       ++current;
-      if (current > 0 && static_cast<std::size_t>(current) > peak) {
-        peak = static_cast<std::size_t>(current);
-        peak_at = starts[s];
+      if (current > 0 && static_cast<std::size_t>(current) > peak.flows) {
+        peak.flows = static_cast<std::size_t>(current);
+        peak.at = starts[s];
       }
     }
-    if (peak > config_.switch_dp_flow_limit) {
+  });
+  std::vector<SwitchConcurrencyAlert> alerts;
+  for (std::uint32_t sw = 0; sw <= max_sw; ++sw) {
+    if (peaks[sw].flows > config_.switch_dp_flow_limit) {
       SwitchConcurrencyAlert a;
       a.switch_id = SwitchId(sw);
-      a.at = peak_at;
-      a.concurrent_flows = peak;
+      a.at = peaks[sw].at;
+      a.concurrent_flows = peaks[sw].flows;
       a.limit = config_.switch_dp_flow_limit;
       alerts.push_back(a);
     }

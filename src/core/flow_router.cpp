@@ -31,10 +31,10 @@ FlowRouter::ColumnarResult FlowRouter::route(const FlowView& view) const {
 
   // Pass 1: resolve each row's job once (src, dst fallback), counting rows
   // and switch hops per job so pass 2 gathers into exactly-sized columns.
-  std::vector<std::uint32_t> job_of_flow(n);
+  std::vector<std::uint32_t>& job_of_flow = result.job_of_flow;
+  job_of_flow.resize(n);
   std::vector<std::size_t> rows_per_job(num_jobs_, 0);
   std::vector<std::size_t> hops_per_job(num_jobs_, 0);
-  constexpr std::uint32_t kNone = 0xffffffffu;
   const bool have_hops = !view.switch_offsets.empty();
   for (std::size_t i = 0; i < n; ++i) {
     std::size_t j = job_of(GpuId(view.src[i]));
@@ -44,7 +44,7 @@ FlowRouter::ColumnarResult FlowRouter::route(const FlowView& view) const {
       via_dst = j != kUnattributed;
     }
     if (j == kUnattributed) {
-      job_of_flow[i] = kNone;
+      job_of_flow[i] = kNoJob;
       ++result.flows_unattributed;
       continue;
     }
@@ -64,13 +64,30 @@ FlowRouter::ColumnarResult FlowRouter::route(const FlowView& view) const {
     result.job_columns[j].switch_offsets.push_back(0);
   }
   for (std::size_t i = 0; i < n; ++i) {
-    if (job_of_flow[i] == kNone) continue;
+    if (job_of_flow[i] == kNoJob) continue;
     result.job_columns[job_of_flow[i]].append_row(view, i);
   }
   for (FlowColumns& cols : result.job_columns) {
     cols.sorted = view.sorted || cols.view().verify_sorted();
   }
   return result;
+}
+
+std::vector<std::uint32_t> FlowRouter::rows_of_type(
+    std::span<const std::uint32_t> job_of_flow,
+    std::span<const std::vector<CommType>> job_types, CommType type) {
+  // Routing appended rows to their job in input order, so row i is
+  // position cursor[j]++ of its job j.
+  std::vector<std::uint32_t> rows;
+  std::vector<std::size_t> cursor(job_types.size(), 0);
+  for (std::size_t i = 0; i < job_of_flow.size(); ++i) {
+    const std::uint32_t j = job_of_flow[i];
+    if (j == kNoJob) continue;
+    if (job_types[j][cursor[j]++] == type) {
+      rows.push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+  return rows;
 }
 
 }  // namespace llmprism

@@ -1,9 +1,11 @@
 #include "llmprism/core/job_recognition.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <stdexcept>
-#include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 #include "llmprism/common/disjoint_set.hpp"
 #include "llmprism/common/stats.hpp"
@@ -25,26 +27,46 @@ namespace {
 /// Phase 1 (Alg. 1 lines 1-8): intern every endpoint of the window and
 /// union the two ends of each flow. The partition depends only on the
 /// undirected edge set, not on row order.
+///
+/// GPU ids are dense in [0, num_gpus), so the intern table is a flat
+/// vector indexed by id — one load per endpoint instead of a hash probe.
+/// An id outside the topology raises the std::out_of_range machine_of
+/// raises for it; a self-flow (src == dst) never reaches machine_of (it
+/// forms no cross-machine cluster), so it is skipped rather than rejected.
 struct EndpointUnion {
-  std::unordered_map<GpuId, std::size_t> index_of;
+  static constexpr std::uint32_t kAbsent = 0xffffffffu;
+  std::vector<std::uint32_t> index_of;
   std::vector<GpuId> gpu_of;
   DisjointSet sets{0};
 
-  explicit EndpointUnion(const FlowView& view) {
+  EndpointUnion(const FlowView& view, const ClusterTopology& topology)
+      : index_of(topology.num_gpus(), kAbsent) {
     const auto intern = [&](std::uint32_t gpu) {
-      const auto [it, inserted] = index_of.emplace(GpuId(gpu), gpu_of.size());
-      if (inserted) gpu_of.push_back(GpuId(gpu));
-      return it->second;
+      std::uint32_t& slot = index_of[gpu];
+      if (slot == kAbsent) {
+        slot = static_cast<std::uint32_t>(gpu_of.size());
+        gpu_of.push_back(GpuId(gpu));
+      }
     };
+    const std::size_t num_gpus = index_of.size();
     // First pass collects endpoints (DisjointSet needs a fixed size).
     for (std::size_t i = 0; i < view.size(); ++i) {
-      intern(view.src[i]);
-      intern(view.dst[i]);
+      const std::uint32_t src = view.src[i];
+      const std::uint32_t dst = view.dst[i];
+      if (src >= num_gpus || dst >= num_gpus) {
+        if (src == dst) continue;
+        // Throws: the id is outside the topology.
+        (void)topology.machine_of(GpuId(src >= num_gpus ? src : dst));
+      }
+      intern(src);
+      intern(dst);
     }
     sets = DisjointSet(gpu_of.size());
     for (std::size_t i = 0; i < view.size(); ++i) {
-      sets.unite(index_of.at(GpuId(view.src[i])),
-                 index_of.at(GpuId(view.dst[i])));
+      const std::uint32_t src = view.src[i];
+      const std::uint32_t dst = view.dst[i];
+      if (src == dst) continue;
+      sets.unite(index_of[src], index_of[dst]);
     }
   }
 };
@@ -52,7 +74,7 @@ struct EndpointUnion {
 }  // namespace
 
 JobRecognitionResult JobRecognizer::recognize(const FlowView& view) const {
-  EndpointUnion endpoints(view);
+  EndpointUnion endpoints(view, topology_);
   JobRecognitionResult result;
   std::vector<GpuId>& gpu_of = endpoints.gpu_of;
   DisjointSet& sets = endpoints.sets;

@@ -247,8 +247,8 @@ PrismReport Prism::analyze(const FlowView& view) const {
 PrismReport Prism::analyze(const FlowView& view,
                            PrismSession* session) const {
   // Sort-once boundary: everything downstream (routing, per-pair CSR
-  // positions, windowing, DP-run merging) relies on time order, so an
-  // unsorted input is sorted exactly once here — never again per job.
+  // positions, windowing, the input-order DP gather) relies on time order,
+  // so an unsorted input is sorted exactly once here — never again per job.
   if (view.sorted) return analyze_sorted(view, session);
   if (view.verify_sorted()) {
     // Storage with no cached sortedness fact (e.g. an LFT written without
@@ -311,6 +311,7 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
   // cached dense table instead of re-interning every job's GPU set.
   const std::size_t num_jobs = report.recognition.jobs.size();
   std::vector<FlowColumns> job_columns;
+  std::vector<std::uint32_t> job_of_flow;
   {
     const obs::Span span("prism.route");
     std::optional<FlowRouter> local_router;
@@ -321,6 +322,7 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
                   std::span<const RecognizedJob>(report.recognition.jobs));
     FlowRouter::ColumnarResult routed = router.route(view);
     job_columns = std::move(routed.job_columns);
+    job_of_flow = std::move(routed.job_of_flow);
     report.telemetry.flows_routed = routed.flows_routed;
     report.telemetry.flows_routed_via_dst = routed.flows_routed_via_dst;
     report.telemetry.flows_unattributed = routed.flows_unattributed;
@@ -343,12 +345,13 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
   const Diagnoser diagnoser(config_.diagnosis);
 
   // (2)-(4a) per-job stage, one task per recognized job. Each task owns its
-  // slot in `analyses` / `job_dp_flows` / the two stats vectors and touches
-  // nothing else, so the result cannot depend on scheduling; DP flows and
-  // telemetry are merged in job-id order below, which keeps the
-  // cluster-wide stage's input byte-identical to the sequential path.
+  // slot in `analyses` / `job_flow_types` / the two stats vectors and
+  // touches nothing else, so the result cannot depend on scheduling;
+  // telemetry is folded in job-id order below and the DP flows are
+  // gathered in input order, so the cluster-wide stage's input is
+  // independent of the thread count.
   std::vector<JobAnalysis> analyses(num_jobs);
-  std::vector<FlowColumns> job_dp_flows(num_jobs);
+  std::vector<std::vector<CommType>> job_flow_types(num_jobs);
   std::vector<SegmenterStats> timeline_stats(num_jobs);
   std::vector<KSigmaStats> ksigma_stats(num_jobs);
   parallel_for(pool_.get(), num_jobs, [&](std::size_t j) {
@@ -370,7 +373,7 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
     // position) shared with DP collection and timeline reconstruction.
     // With a session, last window's classifications serve as warm priors.
     const PairIndex pair_index(job_view);
-    std::vector<CommType> flow_types;
+    std::vector<CommType>& flow_types = job_flow_types[j];
     {
       const obs::Span span("job.comm_type", j);
       CommTypeCarry* const carry =
@@ -383,14 +386,6 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
       analysis.comm_types = identifier.identify(job_view, pair_index,
                                                 &flow_types, carry,
                                                 pool_.get());
-    }
-
-    // Collect this job's DP flows for cluster-wide switch diagnosis; the
-    // trace is sorted, so this gathered subsequence is born sorted too.
-    for (std::size_t i = 0; i < job_view.size(); ++i) {
-      if (flow_types[i] == CommType::kDP) {
-        job_dp_flows[j].append_row(job_view, i);
-      }
     }
 
     // (3) timelines + (4) job-level diagnosis
@@ -439,11 +434,13 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
   });
   report.jobs = std::move(analyses);
 
-  // Deterministic merge: a k-way merge of the per-job sorted DP runs,
-  // ties resolved to the lower job id — O(N log J) and zero re-sorting,
-  // independent of task completion order.
-  const FlowColumns all_dp_flows =
-      FlowColumns::merge_sorted_runs(std::move(job_dp_flows));
+  // Cluster-wide DP flows: one gather of the input's DP rows, in input
+  // order — exactly the job-id-order merge of the per-job DP runs (see
+  // FlowRouter::rows_of_type), without building those runs.
+  const FlowColumns all_dp_flows = FlowColumns::gather(
+      view,
+      FlowRouter::rows_of_type(job_of_flow, job_flow_types, CommType::kDP),
+      /*rows_sorted_subset=*/true);
   for (std::size_t j = 0; j < num_jobs; ++j) {
     fold_job_telemetry(report.telemetry, report.jobs[j], timeline_stats[j],
                        ksigma_stats[j]);
@@ -456,8 +453,9 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
     const FlowView dp_view = all_dp_flows.view();
     report.switch_bandwidth_gbps = Diagnoser::per_switch_bandwidth(dp_view);
     report.switch_bandwidth_alerts =
-        diagnoser.switch_bandwidth(dp_view, &switch_stats);
-    report.switch_concurrency_alerts = diagnoser.switch_concurrency(dp_view);
+        diagnoser.switch_bandwidth(dp_view, &switch_stats, pool_.get());
+    report.switch_concurrency_alerts =
+        diagnoser.switch_concurrency(dp_view, pool_.get());
   }
   report.telemetry.ksigma_series += switch_stats.series;
   report.telemetry.ksigma_points += switch_stats.points;

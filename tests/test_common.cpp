@@ -2,9 +2,14 @@
 // inline vector.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <set>
 #include <sstream>
 #include <unordered_set>
+#include <vector>
 
 #include "llmprism/common/disjoint_set.hpp"
 #include "llmprism/common/ids.hpp"
@@ -197,6 +202,36 @@ TEST(StatsTest, Percentile) {
   EXPECT_DOUBLE_EQ(stats::percentile(xs, 50), 50.0);
   EXPECT_DOUBLE_EQ(stats::percentile(xs, 100), 100.0);
   EXPECT_DOUBLE_EQ(stats::percentile(xs, 25), 25.0);
+}
+
+/// The definition percentile() must reproduce bit for bit: interpolate
+/// between positions floor(idx) and ceil(idx) of a fully sorted copy.
+double sorted_percentile(std::vector<double> xs, double p) {
+  std::sort(xs.begin(), xs.end());
+  const double idx = p / 100.0 * static_cast<double>(xs.size() - 1);
+  const auto lo = static_cast<std::size_t>(std::floor(idx));
+  const auto hi = static_cast<std::size_t>(std::ceil(idx));
+  return xs[lo] + (xs[hi] - xs[lo]) * (idx - std::floor(idx));
+}
+
+TEST(StatsTest, PercentileBitEqualsSortedReference) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 400; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 257));
+    // Few distinct values (heavy duplicates), plus some continuous ones.
+    const auto distinct = rng.uniform_int(1, 6);
+    std::vector<double> xs;
+    for (std::size_t i = 0; i < n; ++i) {
+      xs.push_back(rng.bernoulli(0.8)
+                       ? 0.1 * static_cast<double>(rng.uniform_int(1, distinct))
+                       : rng.uniform(0.0, 1.0));
+    }
+    for (const double p : {0.0, 12.5, 50.0, 90.0, 100.0}) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(stats::percentile(xs, p)),
+                std::bit_cast<std::uint64_t>(sorted_percentile(xs, p)))
+          << "n=" << n << " p=" << p;
+    }
+  }
 }
 
 TEST(StatsTest, ModePrefersSmallerOnTies) {

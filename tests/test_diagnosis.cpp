@@ -3,6 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "llmprism/common/rng.hpp"
+#include "llmprism/common/stats.hpp"
+#include "llmprism/common/thread_pool.hpp"
+
 namespace llmprism {
 namespace {
 
@@ -275,6 +286,187 @@ TEST(SwitchConcurrencyTest, UnderLimitNoAlerts) {
   FlowTrace t;
   for (int i = 0; i < 10; ++i) t.add(dp_flow(i * 200, 0, 8, 1, 100, {0}));
   EXPECT_TRUE(Diagnoser{}.switch_concurrency(FlowColumns(t).view()).empty());
+}
+
+// ---------------------------------------------------------------------------
+// Per-switch fan-out: a pool must not change a single bit of the result.
+
+/// Forty-one switches of very different loads: a heavy switch 0 (far more
+/// work than any other switch), thirty leaves with a slow leaf 7, eight
+/// spines, zero-duration flows, a one-sample switch 39 and a switch 40
+/// where one flow starts the instant another ends.
+FlowTrace switch_fixture() {
+  Rng rng(31);
+  FlowTrace t;
+  for (int i = 0; i < 60000; ++i) {
+    FlowRecord f;
+    f.start_time = rng.uniform_int(0, 5 * kSecond);
+    f.src = GpuId(static_cast<std::uint32_t>(rng.uniform_int(0, 255)));
+    f.dst = GpuId(static_cast<std::uint32_t>(rng.uniform_int(256, 511)));
+    f.bytes = static_cast<std::uint64_t>(rng.uniform_int(100'000, 10'000'000));
+    const auto leaf = static_cast<std::uint32_t>(rng.uniform_int(1, 30));
+    f.duration = rng.uniform_int(0, 40) == 0
+                     ? 0
+                     : rng.uniform_int(1, 200 * kMillisecond) *
+                           (leaf == 7 ? 4 : 1);
+    f.switches.push_back(SwitchId(leaf));
+    if (rng.bernoulli(0.5)) f.switches.push_back(SwitchId(0));
+    if (rng.bernoulli(0.3)) {
+      f.switches.push_back(
+          SwitchId(static_cast<std::uint32_t>(rng.uniform_int(31, 38))));
+    }
+    t.add(f);
+  }
+  // Bulk for switch 0 alone, so its task outlasts the other switches' by
+  // far: a pool that emitted results in completion order would show it.
+  for (int i = 0; i < 200000; ++i) {
+    t.add(dp_flow(
+        rng.uniform_int(0, 5 * kSecond), 0, 256,
+        static_cast<std::uint64_t>(rng.uniform_int(100'000, 10'000'000)),
+        rng.uniform_int(1, 200 * kMillisecond), {0}));
+  }
+  t.add(dp_flow(1000, 5, 9, 1'000'000, 1000, {39}));
+  t.add(dp_flow(2000, 1, 300, 100, 500, {40}));
+  t.add(dp_flow(2500, 3, 301, 100, 500, {40}));
+  t.sort();
+  return t;
+}
+
+/// Each switch's (start, end) pairs, by switch id.
+std::map<std::uint32_t, std::vector<std::pair<TimeNs, TimeNs>>> hops_of(
+    const FlowView& v) {
+  std::map<std::uint32_t, std::vector<std::pair<TimeNs, TimeNs>>> by_switch;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    for (const std::uint32_t sw : v.switches(i)) {
+      by_switch[sw].emplace_back(v.start_ns[i], v.end_ns(i));
+    }
+  }
+  return by_switch;
+}
+
+TEST(SwitchPoolTest, NullPoolMatchesIndependentReferences) {
+  const FlowTrace trace = switch_fixture();
+  const FlowColumns columns(trace);
+  const FlowView view = columns.view();
+
+  // Percentile: stats::percentile over each switch's positive-duration
+  // bandwidths.
+  std::map<std::uint32_t, std::vector<double>> samples;
+  for (std::size_t i = 0; i < view.size(); ++i) {
+    if (view.duration_ns[i] <= 0) continue;
+    for (const std::uint32_t sw : view.switches(i)) {
+      samples[sw].push_back(view.bandwidth_gbps(i));
+    }
+  }
+  const auto pct = Diagnoser::per_switch_bandwidth_percentile(view, 90.0);
+  ASSERT_EQ(pct.size(), samples.size());
+  std::size_t k = 0;
+  for (const auto& [sw, xs] : samples) {
+    EXPECT_EQ(pct[k].first, SwitchId(sw));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(pct[k].second),
+              std::bit_cast<std::uint64_t>(stats::percentile(xs, 90.0)));
+    ++k;
+  }
+  EXPECT_EQ(samples.at(39).size(), 1u);
+
+  // Concurrency: the peak over start instants v of
+  // #{starts <= v} - #{ends <= v}, reached first at the smallest such v.
+  DiagnosisConfig cfg;
+  cfg.switch_dp_flow_limit = 0;  // alert on every switch with traffic
+  std::vector<SwitchConcurrencyAlert> want;
+  for (const auto& [sw, spans] : hops_of(view)) {
+    std::vector<TimeNs> starts;
+    std::vector<TimeNs> ends;
+    for (const auto& [s, e] : spans) {
+      starts.push_back(s);
+      ends.push_back(e);
+    }
+    std::sort(starts.begin(), starts.end());
+    std::sort(ends.begin(), ends.end());
+    SwitchConcurrencyAlert a;
+    a.switch_id = SwitchId(sw);
+    std::ptrdiff_t best = 0;
+    for (const TimeNs v : starts) {
+      const std::ptrdiff_t live =
+          (std::upper_bound(starts.begin(), starts.end(), v) - starts.begin()) -
+          (std::upper_bound(ends.begin(), ends.end(), v) - ends.begin());
+      if (live > best) {
+        best = live;
+        a.at = v;
+      }
+    }
+    a.concurrent_flows = static_cast<std::size_t>(best);
+    if (best > 0) want.push_back(a);
+  }
+  const auto conc = Diagnoser(cfg).switch_concurrency(view);
+  ASSERT_EQ(conc.size(), want.size());
+  for (std::size_t i = 0; i < conc.size(); ++i) {
+    EXPECT_EQ(conc[i].switch_id, want[i].switch_id);
+    EXPECT_EQ(conc[i].concurrent_flows, want[i].concurrent_flows)
+        << "switch " << want[i].switch_id.value();
+    EXPECT_EQ(conc[i].at, want[i].at) << "switch " << want[i].switch_id.value();
+  }
+  // Back-to-back flows on switch 40 never overlap.
+  ASSERT_EQ(conc.back().switch_id, SwitchId(40));
+  EXPECT_EQ(conc.back().concurrent_flows, 1u);
+}
+
+TEST(SwitchPoolTest, PoolMatchesNullPoolAtEveryLaneCount) {
+  const FlowTrace trace = switch_fixture();
+  const FlowColumns columns(trace);
+  const FlowView view = columns.view();
+  DiagnosisConfig cfg;
+  cfg.switch_dp_flow_limit = 4;
+  const Diagnoser diagnoser(cfg);
+
+  const auto pct = Diagnoser::per_switch_bandwidth_percentile(view, 90.0);
+  KSigmaStats stats;
+  const auto bw = diagnoser.switch_bandwidth(view, &stats);
+  const auto conc = diagnoser.switch_concurrency(view);
+  ASSERT_EQ(pct.size(), 41u);
+  ASSERT_FALSE(bw.empty());
+  EXPECT_EQ(bw.front().switch_id, SwitchId(7));
+  ASSERT_GT(conc.size(), 10u);
+
+  for (const std::size_t lanes : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(lanes);
+    ThreadPool pool(lanes - 1);
+    for (int rep = 0; rep < 5; ++rep) {
+      const auto pct_p =
+          Diagnoser::per_switch_bandwidth_percentile(view, 90.0, &pool);
+      ASSERT_EQ(pct_p.size(), pct.size());
+      for (std::size_t i = 0; i < pct.size(); ++i) {
+        EXPECT_EQ(pct_p[i].first, pct[i].first);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(pct_p[i].second),
+                  std::bit_cast<std::uint64_t>(pct[i].second));
+      }
+
+      KSigmaStats stats_p;
+      const auto bw_p = diagnoser.switch_bandwidth(view, &stats_p, &pool);
+      EXPECT_EQ(stats_p.series, stats.series);
+      EXPECT_EQ(stats_p.points, stats.points);
+      EXPECT_EQ(stats_p.alerts, stats.alerts);
+      ASSERT_EQ(bw_p.size(), bw.size());
+      for (std::size_t i = 0; i < bw.size(); ++i) {
+        EXPECT_EQ(bw_p[i].switch_id, bw[i].switch_id);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(bw_p[i].bandwidth_gbps),
+                  std::bit_cast<std::uint64_t>(bw[i].bandwidth_gbps));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(bw_p[i].mean_gbps),
+                  std::bit_cast<std::uint64_t>(bw[i].mean_gbps));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(bw_p[i].threshold_gbps),
+                  std::bit_cast<std::uint64_t>(bw[i].threshold_gbps));
+      }
+
+      const auto conc_p = diagnoser.switch_concurrency(view, &pool);
+      ASSERT_EQ(conc_p.size(), conc.size());
+      for (std::size_t i = 0; i < conc.size(); ++i) {
+        EXPECT_EQ(conc_p[i].switch_id, conc[i].switch_id);
+        EXPECT_EQ(conc_p[i].at, conc[i].at);
+        EXPECT_EQ(conc_p[i].concurrent_flows, conc[i].concurrent_flows);
+        EXPECT_EQ(conc_p[i].limit, conc[i].limit);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

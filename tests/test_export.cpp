@@ -25,6 +25,7 @@
 #include "llmprism/common/hash.hpp"
 #include "llmprism/core/monitor.hpp"
 #include "llmprism/core/prism.hpp"
+#include "llmprism/core/render.hpp"
 #include "llmprism/export/journal.hpp"
 #include "llmprism/export/perfetto.hpp"
 #include "llmprism/export/series.hpp"
@@ -60,7 +61,7 @@ struct Fleet {
   std::vector<MonitorTick> ticks;
 };
 
-Fleet build_fleet() {
+ClusterSimConfig fleet_config() {
   ClusterSimConfig cfg;
   cfg.topology = {.num_machines = 12, .gpus_per_machine = 8,
                   .machines_per_leaf = 4, .num_spines = 2};
@@ -71,7 +72,11 @@ Fleet build_fleet() {
   cfg.jobs.push_back({job(8, 4, 1, 24), {}});
   cfg.jobs.push_back({job(4, 2, 2, 24), {}});
   cfg.seed = 77;
-  ClusterSimResult sim = run_cluster_sim(cfg);
+  return cfg;
+}
+
+Fleet build_fleet() {
+  ClusterSimResult sim = run_cluster_sim(fleet_config());
 
   MonitorConfig mc;
   mc.window = 4 * kSecond;
@@ -460,6 +465,55 @@ TEST(ExportGoldenBytes, NegativeWindowBegin) {
                 {973, 0x967e03252796a5c2ULL});
   expect_golden(perfetto_output({}, kLateOriginShift),
                 {9'226'455, 0x59176b6da2792c41ULL});
+}
+
+// --- golden report bytes ---------------------------------------------------
+// XXH64 digests of write_report_json for one whole-trace analysis of the
+// shared fleet, and of the same fleet with a fifth of its pairs degraded in
+// collection and a slow leaf that raises a switch bandwidth alert. The
+// per-switch bandwidths are order-sensitive floating-point sums, so these
+// pin the cluster-wide stage's input order as well as the serializer. The
+// digests must not depend on the thread count.
+
+std::string report_json(const ClusterSimResult& sim, std::size_t threads,
+                        std::size_t* bandwidth_alerts = nullptr) {
+  PrismConfig config;
+  config.num_threads = threads;
+  const Prism prism(sim.topology, config);
+  const PrismReport report = prism.analyze(FlowColumns(sim.trace).view());
+  if (bandwidth_alerts != nullptr) {
+    *bandwidth_alerts = report.switch_bandwidth_alerts.size();
+  }
+  std::ostringstream os;
+  write_report_json(os, report);
+  return os.str();
+}
+
+TEST(ReportGoldenBytes, Fleet) {
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    expect_golden(report_json(fleet().sim, threads),
+                  {1'262, 0x4c97a0130fa3f9c8ULL});
+  }
+}
+
+TEST(ReportGoldenBytes, DegradedFleetWithSlowLeaf) {
+  ClusterSimConfig cfg = fleet_config();
+  // One machine per leaf, so every DP ring crosses leaves and enough
+  // switches carry DP traffic for the k-sigma rule to score them.
+  cfg.topology.machines_per_leaf = 1;
+  cfg.noise.degraded_pair_fraction = 0.2;
+  cfg.switch_faults.push_back({.switch_id = SwitchId(0),
+                               .window = {0, 2 * kHour},
+                               .bandwidth_factor = 0.3});
+  const ClusterSimResult sim = run_cluster_sim(cfg);
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    std::size_t alerts = 0;
+    const std::string json = report_json(sim, threads, &alerts);
+    EXPECT_GT(alerts, 0u);
+    expect_golden(json, {2'649, 0x9e1651addf92f6f2ULL});
+  }
 }
 
 // --- single-window (one-shot) views ---------------------------------------

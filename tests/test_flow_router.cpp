@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
+
+#include "llmprism/core/comm_type.hpp"
+#include "llmprism/simulator/cluster_sim.hpp"
 
 namespace llmprism {
 namespace {
@@ -108,6 +112,76 @@ TEST(FlowRouterTest, EmptyJobsRouteNothing) {
   EXPECT_TRUE(result.job_columns.empty());
   EXPECT_EQ(result.flows_routed, 0u);
   EXPECT_EQ(result.flows_unattributed, 1u);
+}
+
+TEST(FlowRouterTest, DpRowGatherEqualsJobOrderMergeOfDpRuns) {
+  // Two jobs on interleaved machines (job 0 on even, job 1 on odd ones)
+  // and start times rounded to 10 ms: many flows of different jobs share a
+  // start instant, and at such ties the input's (src, dst) order often
+  // puts job 1's flow first.
+  ClusterSimConfig cfg;
+  cfg.topology = {.num_machines = 10, .gpus_per_machine = 8,
+                  .machines_per_leaf = 2, .num_spines = 2};
+  JobSimConfig a;
+  a.parallelism = {.tp = 8, .dp = 2, .pp = 2, .micro_batches = 4};
+  a.num_steps = 8;
+  JobSimConfig b;
+  b.parallelism = {.tp = 8, .dp = 4, .pp = 1, .micro_batches = 4};
+  b.num_steps = 8;
+  JobSimConfig c;
+  c.parallelism = {.tp = 4, .dp = 2, .pp = 2, .micro_batches = 4};
+  c.num_steps = 8;
+  cfg.jobs.push_back({a, {MachineId(0), MachineId(2), MachineId(4),
+                          MachineId(6)}});
+  cfg.jobs.push_back({b, {MachineId(1), MachineId(3), MachineId(5),
+                          MachineId(7)}});
+  cfg.jobs.push_back({c, {MachineId(8), MachineId(9)}});
+  cfg.seed = 5;
+  const ClusterSimResult sim = run_cluster_sim(cfg);
+  FlowColumns columns(sim.trace);
+  for (TimeNs& t : columns.start_ns) t -= t % (10 * kMillisecond);
+  columns.sorted = false;
+  columns.sort();
+  const FlowView view = columns.view();
+
+  const auto recognition = JobRecognizer(sim.topology).recognize(view);
+  ASSERT_EQ(recognition.jobs.size(), 3u);
+  const FlowRouter router(recognition.jobs);
+  auto routed = router.route(view);
+  std::vector<std::vector<CommType>> types(recognition.jobs.size());
+  std::vector<FlowColumns> dp_runs(recognition.jobs.size());
+  for (std::size_t j = 0; j < types.size(); ++j) {
+    const FlowView job_view = routed.job_columns[j].view();
+    (void)CommTypeIdentifier{}.identify(job_view, PairIndex(job_view),
+                                        &types[j]);
+    for (std::size_t k = 0; k < job_view.size(); ++k) {
+      if (types[j][k] == CommType::kDP) dp_runs[j].append_row(job_view, k);
+    }
+  }
+
+  const std::vector<std::uint32_t> rows = FlowRouter::rows_of_type(
+      routed.job_of_flow, types, CommType::kDP);
+  std::size_t inverted_ties = 0;
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    if (view.start_ns[rows[i - 1]] == view.start_ns[rows[i]] &&
+        routed.job_of_flow[rows[i - 1]] > routed.job_of_flow[rows[i]]) {
+      ++inverted_ties;
+    }
+  }
+  EXPECT_GT(inverted_ties, 0u) << "fixture never exercises the tie rule";
+
+  const FlowColumns gathered =
+      FlowColumns::gather(view, rows, /*rows_sorted_subset=*/true);
+  const FlowColumns merged = FlowColumns::merge_sorted_runs(std::move(dp_runs));
+  ASSERT_GT(merged.size(), 0u);
+  EXPECT_TRUE(gathered.is_sorted());
+  EXPECT_EQ(gathered.start_ns, merged.start_ns);
+  EXPECT_EQ(gathered.src, merged.src);
+  EXPECT_EQ(gathered.dst, merged.dst);
+  EXPECT_EQ(gathered.bytes, merged.bytes);
+  EXPECT_EQ(gathered.duration_ns, merged.duration_ns);
+  EXPECT_EQ(gathered.switch_offsets, merged.switch_offsets);
+  EXPECT_EQ(gathered.switch_ids, merged.switch_ids);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "llmprism/common/rng.hpp"
 #include "llmprism/simulator/cluster_sim.hpp"
 
@@ -143,6 +145,39 @@ TEST(JobRecognizerTest, IntraMachineFlowsDoNotCreateJobs) {
   const auto result = JobRecognizer(t).recognize(FlowColumns(trace).view());
   ASSERT_EQ(result.jobs.size(), 1u);
   EXPECT_EQ(result.jobs[0].machines.size(), 1u);
+}
+
+TEST(JobRecognizerTest, GpuOutsideTheTopologyThrows) {
+  // The endpoint table is sized by the topology, not by the largest id in
+  // the window: an LFT file can carry any uint32 id.
+  const auto t = topo(2);  // GPUs 0..15
+  for (const std::uint32_t bad : {16u, 1000u, 0xfffffffeu, 0xffffffffu}) {
+    SCOPED_TRACE(bad);
+    FlowTrace as_dst;
+    as_dst.add(flow(t, 0, 8));
+    FlowRecord f = flow(t, 0, 8, 1);
+    f.dst = GpuId(bad);
+    as_dst.add(f);
+    EXPECT_THROW((void)JobRecognizer(t).recognize(FlowColumns(as_dst).view()),
+                 std::out_of_range);
+    FlowTrace as_src;
+    f.src = GpuId(bad);
+    f.dst = GpuId(3);
+    as_src.add(f);
+    EXPECT_THROW((void)JobRecognizer(t).recognize(FlowColumns(as_src).view()),
+                 std::out_of_range);
+  }
+  // A self-flow forms no cross-machine cluster, so its id never reaches
+  // the topology — as before, it is ignored rather than rejected.
+  FlowTrace self;
+  self.add(flow(t, 0, 8));
+  FlowRecord loop = flow(t, 0, 8, 1);
+  loop.src = GpuId(1000);
+  loop.dst = GpuId(1000);
+  self.add(loop);
+  const auto result = JobRecognizer(t).recognize(FlowColumns(self).view());
+  ASSERT_EQ(result.jobs.size(), 1u);
+  EXPECT_EQ(result.jobs[0].machines.size(), 2u);
 }
 
 TEST(JobRecognizerTest, JobsOrderedByFirstGpu) {
