@@ -1,75 +1,28 @@
-// Bounded ingest queues for the serving daemon (DESIGN.md §15).
+// The bounded shard ingest queue of the serving daemon (DESIGN.md §15).
 //
 // The daemon's reader threads hand parsed flow chunks to shard workers
-// through a bounded queue — THE backpressure mechanism: push blocks while
-// the queue is full, so a shard whose analysis falls behind slows its
-// producers down instead of buffering without bound. Two implementations
-// share one interface, selectable at runtime (ServeConfig::queue_impl,
-// `prismd --queue-impl`):
+// through this queue, and it is THE backpressure mechanism: push blocks
+// while the queue is full, so a shard whose analysis falls behind slows
+// its producers down instead of buffering without bound.
 //
-//  * MutexQueue — the classic mutex + two condition variables around a
-//    deque. Exact depth accounting, simplest possible reasoning.
-//  * MpscRingQueue — a bounded lock-free ring (Vyukov's bounded MPMC
-//    design: per-cell sequence numbers; used here many-producer /
-//    single-consumer). The hot push/pop path is a CAS plus two
-//    fence-free atomic ops and never takes a lock; blocking is layered
-//    on top with spin-then-park (a mutex + condvar used ONLY while a
-//    side is actually parked, with timed waits as a lost-wakeup
-//    backstop).
-//
-// Memory-ordering contract of the ring (the argument TSan checks):
-//  * A producer claims cell `pos` with a relaxed CAS on enqueue_pos_ —
-//    claiming only orders producers among themselves.
-//  * The value write happens-before the consumer's read because the
-//    producer release-stores seq = pos + 1 after writing the value, and
-//    the consumer acquire-loads seq before reading it.
-//  * Symmetrically, the consumer release-stores seq = pos + capacity
-//    after moving the value out, which is what licenses a producer to
-//    overwrite the cell one lap later.
-//  * Close protocol: a producer raises inflight_pushes_ then re-checks
-//    closed_ (both seq_cst); close() stores closed_ then spin-waits for
-//    inflight_pushes_ == 0 before release-storing settled_. So either a
-//    racing producer observes closed_ and backs out, or close() observes
-//    its raised count and waits — the consumer only treats "empty" as
-//    final once settled_ is set, which is why no accepted item can land
-//    after the consumer exited.
-//
-// Both queues preserve per-producer FIFO (chunks of one connection are
-// analyzed in send order); the single consumer sees claimed cells in
-// ring order.
+// A mutex and two condition variables around a deque. Every operation
+// takes the one lock, so the contract follows directly:
+//  * per-producer FIFO (chunks of one connection are analyzed in send
+//    order);
+//  * exactly `capacity` items fit, and depth() is exact;
+//  * push blocks while full and fails once closed;
+//  * pop drains whatever was accepted before close, then returns nullopt
+//    — no accepted item is lost.
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <optional>
-#include <string_view>
-#include <thread>
-#include <vector>
+#include <utility>
 
 namespace llmprism::serve {
-
-enum class QueueImpl : std::uint8_t {
-  kMutex,     ///< mutex + condvar deque
-  kLockFree,  ///< bounded lock-free ring, spin-then-park blocking
-};
-
-[[nodiscard]] constexpr std::string_view to_string(QueueImpl impl) {
-  return impl == QueueImpl::kMutex ? "mutex" : "lockfree";
-}
-
-/// Parse a --queue-impl value; nullopt on unknown names.
-[[nodiscard]] inline std::optional<QueueImpl> parse_queue_impl(
-    std::string_view name) {
-  if (name == "mutex") return QueueImpl::kMutex;
-  if (name == "lockfree") return QueueImpl::kLockFree;
-  return std::nullopt;
-}
 
 /// What one blocking push did — `blocked` feeds the backpressure
 /// telemetry (counted once per blocking episode, not per retry).
@@ -78,30 +31,14 @@ struct PushOutcome {
   bool blocked = false;   ///< the producer had to wait for capacity
 };
 
-/// The shared contract: push blocks while full (false once closed), pop
-/// blocks until an item arrives or the queue is closed AND drained.
+/// Push blocks while full (not accepted once closed); pop blocks until an
+/// item arrives or the queue is closed AND drained.
 template <typename T>
 class BoundedQueue {
  public:
-  virtual ~BoundedQueue() = default;
+  explicit BoundedQueue(std::size_t capacity) : capacity_(capacity) {}
 
-  [[nodiscard]] virtual PushOutcome push(T item) = 0;
-  [[nodiscard]] virtual std::optional<T> pop() = 0;
-  virtual void close() = 0;
-  /// Items currently queued. Exact for MutexQueue; a racy (but never
-  /// negative) snapshot for the ring.
-  [[nodiscard]] virtual std::size_t depth() const = 0;
-};
-
-// ---------------------------------------------------------------------------
-// MutexQueue
-
-template <typename T>
-class MutexQueue final : public BoundedQueue<T> {
- public:
-  explicit MutexQueue(std::size_t capacity) : capacity_(capacity) {}
-
-  [[nodiscard]] PushOutcome push(T item) override {
+  [[nodiscard]] PushOutcome push(T item) {
     PushOutcome outcome;
     std::unique_lock lock(mu_);
     if (items_.size() >= capacity_ && !closed_) {
@@ -116,7 +53,7 @@ class MutexQueue final : public BoundedQueue<T> {
     return outcome;
   }
 
-  [[nodiscard]] std::optional<T> pop() override {
+  [[nodiscard]] std::optional<T> pop() {
     std::unique_lock lock(mu_);
     not_empty_.wait(lock, [&] { return !items_.empty() || closed_; });
     if (items_.empty()) return std::nullopt;
@@ -126,7 +63,7 @@ class MutexQueue final : public BoundedQueue<T> {
     return item;
   }
 
-  void close() override {
+  void close() {
     {
       const std::lock_guard lock(mu_);
       closed_ = true;
@@ -135,7 +72,8 @@ class MutexQueue final : public BoundedQueue<T> {
     not_full_.notify_all();
   }
 
-  [[nodiscard]] std::size_t depth() const override {
+  /// Items currently queued.
+  [[nodiscard]] std::size_t depth() const {
     const std::lock_guard lock(mu_);
     return items_.size();
   }
@@ -148,247 +86,5 @@ class MutexQueue final : public BoundedQueue<T> {
   std::size_t capacity_;
   bool closed_ = false;
 };
-
-// ---------------------------------------------------------------------------
-// MpscRingQueue
-
-template <typename T>
-class MpscRingQueue final : public BoundedQueue<T> {
- public:
-  /// Capacity is rounded UP to the next power of two (the ring masks
-  /// instead of dividing), so the effective bound may exceed the request.
-  explicit MpscRingQueue(std::size_t capacity)
-      : cells_(round_up_pow2(capacity)), mask_(cells_.size() - 1) {
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-      cells_[i].seq.store(i, std::memory_order_relaxed);
-    }
-  }
-
-  [[nodiscard]] PushOutcome push(T item) override {
-    PushOutcome outcome;
-    // Entry protocol vs close(): raise the in-flight count, THEN re-check
-    // closed (both seq_cst). Either this producer sees closed_ and backs
-    // out, or close() sees the raised count and waits for the push to
-    // settle — so "accepted" always implies "drained by the consumer".
-    if (closed_.load(std::memory_order_seq_cst)) return outcome;
-    inflight_pushes_.fetch_add(1, std::memory_order_seq_cst);
-    if (closed_.load(std::memory_order_seq_cst)) {
-      inflight_pushes_.fetch_sub(1, std::memory_order_release);
-      return outcome;
-    }
-    if (try_push(item)) {
-      outcome.accepted = true;
-    } else {
-      // Full (or momentarily contended): spin briefly — analysis of one
-      // chunk takes far longer than a pop, so a free slot usually appears
-      // without parking — then park with timed waits.
-      for (int spin = 0; spin < spin_tries() && !outcome.accepted; ++spin) {
-        if (closed_.load(std::memory_order_acquire)) break;
-        outcome.accepted = try_push(item);
-      }
-      if (!outcome.accepted && !closed_.load(std::memory_order_acquire)) {
-        outcome.blocked = true;
-        std::unique_lock lock(park_mu_);
-        parked_producers_.fetch_add(1, std::memory_order_seq_cst);
-        for (;;) {
-          if (closed_.load(std::memory_order_acquire)) break;
-          if (try_push(item)) {
-            outcome.accepted = true;
-            break;
-          }
-          // The timeout is a backstop against the unavoidable park/wake
-          // race (consumer pops between our last try and the wait), not
-          // the signalling mechanism.
-          not_full_.wait_for(lock, kParkTimeout);
-        }
-        parked_producers_.fetch_sub(1, std::memory_order_relaxed);
-      }
-    }
-    inflight_pushes_.fetch_sub(1, std::memory_order_release);
-    if (outcome.accepted) wake_consumer();
-    return outcome;
-  }
-
-  [[nodiscard]] std::optional<T> pop() override {
-    T item;
-    if (try_pop(item)) {
-      wake_producers();
-      return item;
-    }
-    for (int spin = 0; spin < spin_tries(); ++spin) {
-      if (try_pop(item)) {
-        wake_producers();
-        return item;
-      }
-      // Drain-after-close: only exit once a try sees the queue empty
-      // AND the close settled (every in-flight push finished), because
-      // only then is "empty" final.
-      if (settled_.load(std::memory_order_acquire)) {
-        if (try_pop(item)) {
-          wake_producers();
-          return item;
-        }
-        return std::nullopt;
-      }
-    }
-    std::unique_lock lock(park_mu_);
-    parked_consumers_.fetch_add(1, std::memory_order_seq_cst);
-    std::optional<T> out;
-    for (;;) {
-      if (try_pop(item)) {
-        out = std::move(item);
-        break;
-      }
-      if (settled_.load(std::memory_order_acquire)) break;
-      not_empty_.wait_for(lock, kParkTimeout);
-    }
-    parked_consumers_.fetch_sub(1, std::memory_order_relaxed);
-    lock.unlock();
-    if (out) wake_producers();
-    return out;
-  }
-
-  void close() override {
-    closed_.store(true, std::memory_order_seq_cst);
-    {
-      // Wake blocked producers first: a parked push holds an in-flight
-      // count that the settle wait below needs released.
-      const std::lock_guard lock(park_mu_);
-      not_empty_.notify_all();
-      not_full_.notify_all();
-    }
-    // Settle: wait for every push that entered before closed_ became
-    // visible to finish (accepting or dropping its item). Bounded by the
-    // park timeout — parked producers re-check closed_ at least every
-    // kParkTimeout.
-    while (inflight_pushes_.load(std::memory_order_acquire) != 0) {
-      std::this_thread::yield();
-    }
-    settled_.store(true, std::memory_order_release);
-    const std::lock_guard lock(park_mu_);
-    not_empty_.notify_all();
-  }
-
-  [[nodiscard]] std::size_t depth() const override {
-    const std::size_t tail = dequeue_pos_.load(std::memory_order_relaxed);
-    const std::size_t head = enqueue_pos_.load(std::memory_order_relaxed);
-    return head >= tail ? head - tail : 0;
-  }
-
- private:
-  struct Cell {
-    std::atomic<std::size_t> seq;
-    T value;
-  };
-
-  static constexpr int kSpinTries = 64;
-  static constexpr std::chrono::milliseconds kParkTimeout{1};
-
-  /// Spinning only pays when the other side can make progress on another
-  /// core; on a single-core host it burns the quantum the peer needs, so
-  /// go straight to the park path there.
-  static int spin_tries() {
-    static const int tries =
-        std::thread::hardware_concurrency() > 1 ? kSpinTries : 0;
-    return tries;
-  }
-
-  static std::size_t round_up_pow2(std::size_t n) {
-    std::size_t p = 1;
-    while (p < n) p <<= 1;
-    return p;
-  }
-
-  bool try_push(T& item) {
-    std::size_t pos = enqueue_pos_.load(std::memory_order_relaxed);
-    for (;;) {
-      Cell& cell = cells_[pos & mask_];
-      const std::size_t seq = cell.seq.load(std::memory_order_acquire);
-      const auto dif = static_cast<std::intptr_t>(seq) -
-                       static_cast<std::intptr_t>(pos);
-      if (dif == 0) {
-        if (enqueue_pos_.compare_exchange_weak(pos, pos + 1,
-                                               std::memory_order_relaxed)) {
-          cell.value = std::move(item);
-          cell.seq.store(pos + 1, std::memory_order_release);
-          return true;
-        }
-        // CAS updated pos; retry with it.
-      } else if (dif < 0) {
-        return false;  // the cell is still occupied from last lap: full
-      } else {
-        pos = enqueue_pos_.load(std::memory_order_relaxed);
-      }
-    }
-  }
-
-  bool try_pop(T& item) {
-    std::size_t pos = dequeue_pos_.load(std::memory_order_relaxed);
-    for (;;) {
-      Cell& cell = cells_[pos & mask_];
-      const std::size_t seq = cell.seq.load(std::memory_order_acquire);
-      const auto dif = static_cast<std::intptr_t>(seq) -
-                       static_cast<std::intptr_t>(pos + 1);
-      if (dif == 0) {
-        if (dequeue_pos_.compare_exchange_weak(pos, pos + 1,
-                                               std::memory_order_relaxed)) {
-          item = std::move(cell.value);
-          cell.seq.store(pos + cells_.size(), std::memory_order_release);
-          return true;
-        }
-      } else if (dif < 0) {
-        return false;  // empty
-      } else {
-        pos = dequeue_pos_.load(std::memory_order_relaxed);
-      }
-    }
-  }
-
-  /// Post-operation wakeups: a relaxed "anyone parked?" load keeps the
-  /// uncontended path lock-free; the seq_cst ordering between the parked
-  /// counters and the queue state, plus the timed wait, closes the
-  /// remaining park/wake race.
-  void wake_consumer() {
-    if (parked_consumers_.load(std::memory_order_seq_cst) > 0) {
-      const std::lock_guard lock(park_mu_);
-      not_empty_.notify_one();
-    }
-  }
-  void wake_producers() {
-    if (parked_producers_.load(std::memory_order_seq_cst) > 0) {
-      const std::lock_guard lock(park_mu_);
-      // One pop frees one slot, so admit one producer — notify_all here
-      // is a thundering herd under saturation. The timed waits cover the
-      // case where the notified producer lost its slot to a racing push.
-      not_full_.notify_one();
-    }
-  }
-
-  std::vector<Cell> cells_;
-  const std::size_t mask_;
-  alignas(64) std::atomic<std::size_t> enqueue_pos_{0};
-  alignas(64) std::atomic<std::size_t> dequeue_pos_{0};
-  std::atomic<bool> closed_{false};
-  /// Set by close() once no push is in flight; the consumer's license to
-  /// treat an empty ring as drained.
-  std::atomic<bool> settled_{false};
-  std::atomic<std::uint32_t> inflight_pushes_{0};
-
-  std::mutex park_mu_;
-  std::condition_variable not_empty_;
-  std::condition_variable not_full_;
-  std::atomic<std::uint32_t> parked_producers_{0};
-  std::atomic<std::uint32_t> parked_consumers_{0};
-};
-
-/// Factory the daemon uses to honor ServeConfig::queue_impl.
-template <typename T>
-[[nodiscard]] std::unique_ptr<BoundedQueue<T>> make_queue(
-    QueueImpl impl, std::size_t capacity) {
-  if (impl == QueueImpl::kLockFree) {
-    return std::make_unique<MpscRingQueue<T>>(capacity);
-  }
-  return std::make_unique<MutexQueue<T>>(capacity);
-}
 
 }  // namespace llmprism::serve

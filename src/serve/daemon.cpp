@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -24,6 +23,7 @@
 #include "llmprism/flow/lft.hpp"
 #include "llmprism/obs/metrics.hpp"
 #include "llmprism/serve/frame.hpp"
+#include "llmprism/serve/queue.hpp"
 
 #if __has_include(<sys/socket.h>) && __has_include(<sys/un.h>) && \
     __has_include(<poll.h>)
@@ -104,18 +104,16 @@ struct Chunk {
   FlowTrace trace;
 };
 
-/// The shard ingest queue: a BoundedQueue (mutex or lock-free ring, per
-/// ServeConfig::queue_impl — see serve/queue.hpp) plus the daemon's
-/// telemetry: backpressure waits, and the cross-shard depth gauge.
+/// The shard ingest queue (serve/queue.hpp) plus the daemon's telemetry:
+/// backpressure waits, and the cross-shard depth gauge.
 class ChunkQueue {
  public:
-  ChunkQueue(QueueImpl impl, std::size_t capacity)
-      : queue_(make_queue<Chunk>(impl, capacity)) {}
+  explicit ChunkQueue(std::size_t capacity) : queue_(capacity) {}
 
   /// Blocks while full (counted once per blocking push). Returns false
   /// when the queue was closed (shutdown) — the chunk is dropped.
   bool push(Chunk chunk, std::atomic<std::uint64_t>& wait_counter) {
-    const PushOutcome outcome = queue_->push(std::move(chunk));
+    const PushOutcome outcome = queue_.push(std::move(chunk));
     if (outcome.blocked) {
       wait_counter.fetch_add(1, std::memory_order_relaxed);
       backpressure_counter().inc();
@@ -130,7 +128,7 @@ class ChunkQueue {
   /// Blocks until an item arrives or the queue is closed AND drained
   /// (then nullopt — the consumer's exit signal).
   std::optional<Chunk> pop() {
-    std::optional<Chunk> chunk = queue_->pop();
+    std::optional<Chunk> chunk = queue_.pop();
     if (chunk) {
       queue_depth_gauge().set(static_cast<double>(
           total_queued_.fetch_sub(1, std::memory_order_relaxed) - 1));
@@ -138,15 +136,15 @@ class ChunkQueue {
     return chunk;
   }
 
-  void close() { queue_->close(); }
+  void close() { queue_.close(); }
 
-  [[nodiscard]] std::size_t depth() const { return queue_->depth(); }
+  [[nodiscard]] std::size_t depth() const { return queue_.depth(); }
 
  private:
   /// Chunks queued across ALL ChunkQueue instances (feeds the gauge).
   static inline std::atomic<std::uint64_t> total_queued_{0};
 
-  std::unique_ptr<BoundedQueue<Chunk>> queue_;
+  BoundedQueue<Chunk> queue_;
 };
 
 /// Decorate every configured path with a per-shard suffix so a multi-shard
@@ -289,7 +287,7 @@ struct PrismDaemon::Impl {
     Shard(const ClusterTopology& topology, const ServeConfig& config,
           std::size_t index)
         : monitor(topology, config.monitor),
-          queue(config.queue_impl, config.queue_capacity),
+          queue(config.queue_capacity),
           snapshot_file(
               shard_path(config.snapshot_path, index, config.shards)) {}
 
@@ -363,9 +361,20 @@ struct PrismDaemon::Impl {
         ::close(fd);
         break;
       }
-      const std::size_t idx = conn_fds.size();
-      conn_fds.push_back(fd);
-      conn_threads.emplace_back(
+      // Reuse the slot of a finished connection (its thread released the
+      // fd under this lock, its last action), so a daemon whose
+      // collectors reconnect keeps one thread per live connection instead
+      // of accumulating exited, unjoined ones.
+      std::size_t idx = 0;
+      while (idx < conn_fds.size() && conn_fds[idx] >= 0) ++idx;
+      if (idx == conn_fds.size()) {
+        conn_fds.push_back(fd);
+        conn_threads.emplace_back();
+      } else {
+        conn_threads[idx].join();
+        conn_fds[idx] = fd;
+      }
+      conn_threads[idx] = std::thread(
           [this, fd, idx] { ingest_conn_loop(fd, idx); });
     }
   }
@@ -627,18 +636,15 @@ HttpResponse PrismDaemon::handle_http(const HttpRequest& request) {
     return {405, "text/plain; charset=utf-8", "only GET is supported\n"};
   }
 
+  // The whole value must be a decimal shard index: no sign, whitespace or
+  // trailing bytes. An empty value means shard 0.
   auto parse_shard = [&](std::size_t& out) -> bool {
     const std::string raw = query_param(request.query, "shard");
-    if (raw.empty()) {
-      out = 0;
-      return true;
-    }
-    try {
-      out = std::stoul(raw);
-    } catch (...) {
-      return false;
-    }
-    return out < d.shards.size();
+    out = 0;
+    if (raw.empty()) return true;
+    const char* end = raw.data() + raw.size();
+    const auto [ptr, ec] = std::from_chars(raw.data(), end, out);
+    return ec == std::errc() && ptr == end && out < d.shards.size();
   };
 
   if (request.path == "/healthz") {
@@ -740,7 +746,6 @@ int run_main(int argc, const char* const* argv, int begin) {
   bool no_carry = false;
   std::uint64_t shards = 1;
   std::uint64_t queue_capacity = 64;
-  std::string queue_impl = "lockfree";
   ServeConfig config;
   std::string log_level;
 
@@ -761,8 +766,6 @@ int run_main(int argc, const char* const* argv, int begin) {
   flags.flag("--queue-capacity", "N",
              "chunks buffered per shard before backpressure (default 64)",
              &queue_capacity);
-  flags.flag("--queue-impl", "IMPL",
-             "shard ingest queue: lockfree (default) or mutex", &queue_impl);
   flags.flag("--ingest-socket", "PATH",
              "Unix socket for LPF-framed flow chunks", &config.ingest_socket);
   flags.flag("--ingest-port", "PORT", "TCP ingest on 127.0.0.1 instead",
@@ -818,14 +821,6 @@ int run_main(int argc, const char* const* argv, int begin) {
 
   config.shards = static_cast<std::size_t>(shards);
   config.queue_capacity = static_cast<std::size_t>(queue_capacity);
-  if (const auto impl = parse_queue_impl(queue_impl)) {
-    config.queue_impl = *impl;
-  } else {
-    std::fprintf(stderr,
-                 "prism serve: unknown queue impl %s (lockfree|mutex)\n",
-                 queue_impl.c_str());
-    return 2;
-  }
   config.monitor.window = from_seconds(window_seconds);
   config.monitor.carry_state = !no_carry;
 

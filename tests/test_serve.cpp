@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <optional>
 #include <span>
 #include <sstream>
@@ -26,6 +27,7 @@
 #include "llmprism/simulator/cluster_sim.hpp"
 
 #if __has_include(<sys/un.h>)
+#include <pthread.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -355,6 +357,18 @@ TEST(DaemonTest, IngestsChunksAndServesEveryEndpoint) {
 
   EXPECT_GE(get(daemon, "/nope").status, 404);
   EXPECT_GE(get(daemon, "/report?shard=9").status, 400);
+  // The shard value is parsed whole: anything but a bare decimal index is
+  // no such shard. Built directly, since a space cannot ride in a target.
+  for (const char* path : {"/report", "/journal"}) {
+    for (const char* value : {"0junk", "+0", "+1", " 0", " 1", "-1", "0x"}) {
+      const HttpResponse r =
+          daemon.handle_http({"GET", path, std::string("shard=") + value});
+      EXPECT_EQ(r.status, 404) << path << "?shard=" << value;
+      EXPECT_EQ(r.body, "no such shard\n") << path << "?shard=" << value;
+    }
+  }
+  EXPECT_EQ(get(daemon, "/report?shard=").body, report.body)
+      << "an empty shard value means shard 0";
 }
 
 TEST(DaemonTest, BadHeaderClosesConnectionCorruptChunkDoesNot) {
@@ -393,6 +407,50 @@ TEST(DaemonTest, BadHeaderClosesConnectionCorruptChunkDoesNot) {
   }
   daemon.stop();
   EXPECT_EQ(daemon.stats().frame_errors, 2u);
+}
+
+/// VmSize of this process in KiB; nullopt where /proc is absent.
+std::optional<std::uint64_t> vm_size_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoull(line.substr(7));
+  }
+  return std::nullopt;
+}
+
+// A collector that reconnects must not leave one exited, unjoined reader
+// thread (and its mapped stack) behind per connection: the accept loop
+// reaps finished connections, so address space stays flat.
+TEST(DaemonTest, ReconnectingCollectorsDoNotAccumulateThreads) {
+  if (!vm_size_kib()) GTEST_SKIP() << "no /proc/self/status";
+  pthread_attr_t attr;
+  ASSERT_EQ(::pthread_attr_init(&attr), 0);
+  std::size_t stack_bytes = 0;
+  ASSERT_EQ(::pthread_attr_getstacksize(&attr, &stack_bytes), 0);
+  ::pthread_attr_destroy(&attr);
+
+  ServeConfig cfg = serve_config("serve-reap");
+  cfg.snapshot_path.clear();
+  PrismDaemon daemon(fixture().sim.topology, cfg);
+  daemon.start();
+  const auto cycle = [&] {
+    Client client(cfg.ingest_socket);
+    const auto pong = client.roundtrip(FrameType::kPing, 0, "");
+    ASSERT_TRUE(pong.has_value());
+  };
+  for (int i = 0; i < 8; ++i) cycle();  // settle allocator and stack caches
+  const std::uint64_t before = *vm_size_kib();
+  constexpr std::uint64_t kCycles = 300;
+  for (std::uint64_t i = 0; i < kCycles; ++i) cycle();
+  const std::uint64_t after = *vm_size_kib();
+  daemon.stop();
+
+  const std::uint64_t grown = after > before ? after - before : 0;
+  EXPECT_LT(grown, kCycles * (stack_bytes / 1024) / 16)
+      << "VmSize grew " << grown << " KiB over " << kCycles
+      << " connections; one thread stack is " << stack_bytes / 1024
+      << " KiB";
 }
 
 TEST(DaemonTest, RestoredDaemonMatchesUninterruptedRun) {
