@@ -4,8 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace llmprism::stats {
@@ -35,19 +33,6 @@ namespace llmprism::stats {
 /// Most frequent value of an integer sample; ties broken toward the smaller
 /// value, 0 for an empty range. Used for Mode(N_k) in Alg. 2.
 [[nodiscard]] std::int64_t mode(std::span<const std::int64_t> xs);
-
-/// Jaccard similarity |A ∩ B| / |A ∪ B| of two sets; 1.0 when both empty.
-template <typename T>
-[[nodiscard]] double jaccard(const std::unordered_set<T>& a,
-                             const std::unordered_set<T>& b) {
-  if (a.empty() && b.empty()) return 1.0;
-  std::size_t inter = 0;
-  const auto& small = a.size() <= b.size() ? a : b;
-  const auto& large = a.size() <= b.size() ? b : a;
-  for (const T& x : small) inter += large.count(x);
-  const std::size_t uni = a.size() + b.size() - inter;
-  return static_cast<double>(inter) / static_cast<double>(uni);
-}
 
 /// Streaming mean/variance accumulator (Welford's algorithm); numerically
 /// stable for long-running online monitoring.

@@ -31,8 +31,6 @@ struct CommTypeConfig {
   /// Gap segmenter (BOCD) settings for step division over inter-flow
   /// intervals.
   SegmenterConfig segmenter;
-  /// Run the DP-transitivity refinement (Table I's ablation toggle).
-  bool refine = true;
   /// Flow sizes within this relative tolerance count as one distinct size
   /// (absorbs collector size-reporting jitter; DP buckets differ by far
   /// more).
@@ -50,8 +48,9 @@ struct CommTypeConfig {
 struct PairClassification {
   GpuPair pair;
   CommType type = CommType::kPP;
-  /// Classification before refinement (equal to `type` when refine=false or
-  /// the refinement did not touch the pair).
+  /// Classification before refinement (equal to `type` when the refinement
+  /// did not touch the pair). Table I's "w/o refinement" column scores
+  /// this field.
   CommType pre_refinement_type = CommType::kPP;
   std::size_t num_flows = 0;
   std::size_t num_steps_observed = 0;

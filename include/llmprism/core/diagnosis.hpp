@@ -34,7 +34,7 @@ class ThreadPool;
 
 /// Dispersion estimator for the k-sigma rule.
 ///  - kStddev: mean center, standard deviation (the classic 3-sigma rule
-///    the paper cites, hardened by leave-one-out below);
+///    the paper cites);
 ///  - kMad: median center, 1.4826 x median-absolute-deviation — fully
 ///    robust, survives several simultaneous outliers in one series.
 enum class Dispersion : std::uint8_t { kStddev, kMad };
@@ -44,11 +44,6 @@ struct KSigmaConfig {
   Dispersion dispersion = Dispersion::kStddev;
   /// Below this many samples the detector abstains (mean/sigma unstable).
   std::size_t min_samples = 6;
-  /// Score each point against the statistics of the OTHER points. Without
-  /// this a single gross outlier inflates its own sigma and masks itself —
-  /// with n samples the maximum attainable z-score is (n-1)/sqrt(n), so a
-  /// global 3-sigma rule can never fire for n <= 9 (e.g. 8 DP groups).
-  bool leave_one_out = true;
   /// A point must also exceed the reference mean by this relative margin;
   /// guards against statistically-significant-but-tiny deviations on very
   /// stable series (a 5% slower step is not an actionable incident, a 2x
@@ -79,6 +74,8 @@ struct KSigmaStats {
 };
 
 /// Indices i with xs[i] > mean + k*sigma (and above the relative margin).
+/// Each point is scored leave-one-out: against the mean and sigma of the
+/// OTHER points.
 [[nodiscard]] std::vector<std::size_t> ksigma_outliers_above(
     std::span<const double> xs, const KSigmaConfig& config,
     KSigmaStats* stats = nullptr);
@@ -124,7 +121,7 @@ struct DiagnosisConfig {
   /// k-sigma settings for the cross-switch comparison. Defaults to the
   /// robust median/MAD mode: a fabric incident often degrades SEVERAL
   /// switches at once, and simultaneous outliers mask each other under a
-  /// stddev-based rule (even leave-one-out removes only one of them).
+  /// stddev-based rule (leave-one-out removes only one of them).
   KSigmaConfig switch_ksigma{.dispersion = Dispersion::kMad};
   /// Concurrent distinct DP flows a switch is provisioned for.
   std::size_t switch_dp_flow_limit = 256;
@@ -249,46 +246,5 @@ class Diagnoser {
 [[nodiscard]] std::vector<std::vector<double>> group_dp_durations(
     std::span<const GpuTimeline> timelines,
     const std::vector<std::vector<GpuId>>& dp_components);
-
-// ---------------------------------------------------------------------------
-// Temporal switch analysis: when did a switch's bandwidth degrade?
-// (§IV-D's per-step bandwidth degradation analysis, generalized to time
-// buckets so it also works across jobs with different step lengths.)
-
-/// One switch's bandwidth over time. Only buckets that saw DP traffic are
-/// present; `bucket_begin[i]` is the start of the bucket whose average
-/// bandwidth is `gbps[i]`.
-struct SwitchBandwidthSeries {
-  SwitchId switch_id;
-  std::vector<TimeNs> bucket_begin;
-  std::vector<double> gbps;
-};
-
-/// Bucket every switch's DP-flow bandwidth over time.
-[[nodiscard]] std::vector<SwitchBandwidthSeries> switch_bandwidth_timeline(
-    const FlowView& dp_flows, DurationNs bucket = 10 * kSecond);
-
-/// A detected persistent bandwidth drop on one switch.
-struct BandwidthOnset {
-  SwitchId switch_id;
-  TimeNs onset = 0;         ///< begin of the first degraded bucket
-  double before_gbps = 0;   ///< mean level before the onset
-  double after_gbps = 0;    ///< mean level from the onset on
-};
-
-struct OnsetDetectorConfig {
-  BocdConfig bocd;
-  /// Report only drops to below (1 - min_drop) of the prior level.
-  double min_drop = 0.3;
-  /// Series shorter than this are skipped.
-  std::size_t min_buckets = 8;
-};
-
-/// Detect the first persistent downward level shift of each switch's
-/// bandwidth series via BOCD (values are normalized by the series median,
-/// so one detector configuration serves all fabrics).
-[[nodiscard]] std::vector<BandwidthOnset> detect_bandwidth_onsets(
-    std::span<const SwitchBandwidthSeries> series,
-    const OnsetDetectorConfig& config = {});
 
 }  // namespace llmprism

@@ -4,8 +4,8 @@
 // GPU pair, yielding *cross-machine clusters* — one per network-connected
 // component. A 3D-parallel job produces `tp` such components (its TP
 // traffic is intra-node and invisible), so phase 2 merges clusters whose
-// physical *machine sets* are identical (Jaccard similarity = 1, looked up
-// from the provider-known topology) into complete job-level clusters.
+// physical *machine sets* are identical (each GPU's machine looked up from
+// the provider-known topology) into complete job-level clusters.
 #pragma once
 
 #include <cstddef>
@@ -19,10 +19,6 @@
 namespace llmprism {
 
 struct JobRecognitionConfig {
-  /// Clusters are merged when the Jaccard similarity of their machine sets
-  /// reaches this value. The paper uses exact set equality (1.0); lowering
-  /// it tolerates partially observed clusters at the cost of over-merging.
-  double jaccard_threshold = 1.0;
   /// Expand each job to all GPUs hosted on its machines (GPUs that only do
   /// intra-node TP traffic never appear in flows but belong to the job).
   bool include_machine_local_gpus = true;

@@ -61,19 +61,9 @@ struct MachineSetHash {
   }
 };
 
+/// Tuning of the four carries (a)-(d) above, which always run when a
+/// session is passed to Prism::analyze.
 struct SessionConfig {
-  /// Reuse the cached recognition partition + router table when the
-  /// window's pair set matches exactly. Automatically disabled by the
-  /// pipeline when recognition merging is fuzzy (jaccard_threshold < 1),
-  /// where the output is not provably a pure function of the pair set.
-  bool reuse_recognition = true;
-  /// Use the previous window's pair classifications as warm priors.
-  bool reuse_comm_types = true;
-  /// Hold near-boundary DP bursts back into the next window.
-  bool carry_timeline_tails = true;
-  /// Maintain cross-window EWMA step baselines and alert from them.
-  bool ewma_baselines = true;
-
   /// EWMA smoothing factor for the carried step baselines.
   double ewma_alpha = 0.2;
   /// Cross-window observations required before the EWMA rule may score.

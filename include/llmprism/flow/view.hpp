@@ -27,6 +27,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -140,6 +141,13 @@ struct FlowView {
   /// True iff rows are in FlowStartTimeLess order (O(N) verify; used to
   /// seed `sorted` for storage the data plane has no cached fact about).
   [[nodiscard]] bool verify_sorted() const;
+
+  /// Empty when the CSR switch paths are well formed — offsets start at 0,
+  /// never decrease, step by at most the SwitchPath capacity and end
+  /// exactly at switch_ids.size() — otherwise the first violation. Readers
+  /// of outside input (LFT images, snapshots) check this before trusting
+  /// switches(). A view without offsets has no paths and passes.
+  [[nodiscard]] std::string switch_path_error() const;
 };
 
 /// Owning SoA flow storage. The vectors are public — the router's gather

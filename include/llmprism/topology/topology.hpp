@@ -8,10 +8,12 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "llmprism/common/ids.hpp"
 #include "llmprism/flow/flow.hpp"
+#include "llmprism/flow/view.hpp"
 
 namespace llmprism {
 
@@ -69,6 +71,13 @@ class ClusterTopology {
   ///  - same leaf: {leaf},
   ///  - otherwise: {src leaf, spine chosen by a hash of (src, dst), dst leaf}.
   [[nodiscard]] SwitchPath route(GpuId src, GpuId dst) const;
+
+  /// Empty when every GPU id (src, dst) and switch id of `flows` lies
+  /// inside this topology, otherwise the first offender. The analysis
+  /// sizes and indexes dense tables by these ids, so flows from outside
+  /// the program (daemon chunks, snapshot buffers) must pass this first.
+  /// Requires well-formed switch paths (FlowView::switch_path_error()).
+  [[nodiscard]] std::string id_error(const FlowView& flows) const;
 
  private:
   explicit ClusterTopology(TopologyConfig config);

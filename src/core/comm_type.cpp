@@ -323,15 +323,13 @@ CommTypeResult CommTypeIdentifier::identify(
     result.dp_components.push_back(std::move(gpus));
   }
 
-  if (config_.refine) {
-    for (PairClassification& p : result.pairs) {
-      if (p.type != CommType::kPP) continue;
-      const std::size_t cu = component_of[node_index.at(p.pair.first)];
-      const std::size_t cv = component_of[node_index.at(p.pair.second)];
-      if (cu != SIZE_MAX && cu == cv) {
-        p.type = CommType::kDP;
-        ++result.counters.refinement_flips;
-      }
+  for (PairClassification& p : result.pairs) {
+    if (p.type != CommType::kPP) continue;
+    const std::size_t cu = component_of[node_index.at(p.pair.first)];
+    const std::size_t cv = component_of[node_index.at(p.pair.second)];
+    if (cu != SIZE_MAX && cu == cv) {
+      p.type = CommType::kDP;
+      ++result.counters.refinement_flips;
     }
   }
 

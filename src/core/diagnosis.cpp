@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <unordered_map>
 
 #include "llmprism/common/stats.hpp"
@@ -53,25 +52,27 @@ void note_ksigma_call(std::size_t points_scored, std::size_t alerts,
   metrics.alerts.inc(call.alerts);
 }
 
-/// Reference statistics for scoring point i: either global or of all
-/// points except i (leave-one-out).
+/// Reference statistics for scoring one point.
 struct Reference {
   double mean;   ///< center (mean, or median in kMad mode)
   double sigma;  ///< dispersion on the sigma scale
 };
 
-Reference global_reference(std::span<const double> xs, Dispersion d) {
-  if (d == Dispersion::kStddev) return {stats::mean(xs), stats::stddev(xs)};
+/// Median center and MAD dispersion of the whole of `xs`.
+Reference global_reference(std::span<const double> xs) {
   return {stats::median(xs), kMadToSigma * stats::median_abs_deviation(xs)};
 }
 
+/// Leave-one-out references: point i is scored against the statistics of
+/// the OTHER points. Against statistics that include it, a single gross
+/// outlier inflates its own sigma and masks itself — with n samples the
+/// largest attainable z-score is (n-1)/sqrt(n), so a 3-sigma rule could
+/// never fire for n <= 9 (e.g. 8 DP groups).
 class ReferenceComputer {
  public:
   ReferenceComputer(std::span<const double> xs, const KSigmaConfig& config)
       : xs_(xs), config_(config) {
-    if (!config.leave_one_out) {
-      global_ = global_reference(xs, config.dispersion);
-    } else if (config.dispersion == Dispersion::kStddev) {
+    if (config.dispersion == Dispersion::kStddev) {
       for (const double x : xs_) {
         sum_ += x;
         sum_sq_ += x * x;
@@ -80,7 +81,6 @@ class ReferenceComputer {
   }
 
   [[nodiscard]] Reference at(std::size_t i) const {
-    if (!config_.leave_one_out) return global_;
     const auto n = static_cast<double>(xs_.size() - 1);
     if (config_.dispersion == Dispersion::kStddev) {
       const double mean = (sum_ - xs_[i]) / n;
@@ -95,13 +95,12 @@ class ReferenceComputer {
     for (std::size_t j = 0; j < xs_.size(); ++j) {
       if (j != i) others.push_back(xs_[j]);
     }
-    return global_reference(others, Dispersion::kMad);
+    return global_reference(others);
   }
 
  private:
   std::span<const double> xs_;
   const KSigmaConfig& config_;
-  Reference global_{};
   double sum_ = 0.0;
   double sum_sq_ = 0.0;
 };
@@ -447,109 +446,6 @@ std::vector<SwitchConcurrencyAlert> Diagnoser::switch_concurrency(
     }
   }
   return alerts;
-}
-
-std::vector<SwitchBandwidthSeries> switch_bandwidth_timeline(
-    const FlowView& dp_flows, DurationNs bucket) {
-  if (bucket <= 0) {
-    throw std::invalid_argument("switch timeline: bucket must be positive");
-  }
-  struct Acc {
-    double sum = 0;
-    std::size_t count = 0;
-  };
-  std::unordered_map<SwitchId, std::map<TimeNs, Acc>> acc;
-  for (std::size_t i = 0; i < dp_flows.size(); ++i) {
-    if (dp_flows.duration_ns[i] <= 0) continue;
-    const TimeNs start = dp_flows.start_ns[i];
-    const TimeNs begin =
-        start - (((start % bucket) + bucket) % bucket);  // floor to bucket
-    const double bw = dp_flows.bandwidth_gbps(i);
-    for (const std::uint32_t sw : dp_flows.switches(i)) {
-      Acc& a = acc[SwitchId(sw)][begin];
-      a.sum += bw;
-      ++a.count;
-    }
-  }
-  std::vector<SwitchBandwidthSeries> out;
-  out.reserve(acc.size());
-  for (auto& [sw, buckets] : acc) {
-    SwitchBandwidthSeries series;
-    series.switch_id = sw;
-    for (const auto& [begin, a] : buckets) {
-      series.bucket_begin.push_back(begin);
-      series.gbps.push_back(a.sum / static_cast<double>(a.count));
-    }
-    out.push_back(std::move(series));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const SwitchBandwidthSeries& a, const SwitchBandwidthSeries& b) {
-              return a.switch_id < b.switch_id;
-            });
-  return out;
-}
-
-std::vector<BandwidthOnset> detect_bandwidth_onsets(
-    std::span<const SwitchBandwidthSeries> series,
-    const OnsetDetectorConfig& config) {
-  std::vector<BandwidthOnset> onsets;
-  for (const SwitchBandwidthSeries& s : series) {
-    if (s.gbps.size() < config.min_buckets) continue;
-    // Normalize by the series median so a single detector configuration
-    // serves every link speed.
-    const double scale = std::max(1e-9, stats::median(s.gbps));
-    std::vector<double> normalized;
-    normalized.reserve(s.gbps.size());
-    for (const double g : s.gbps) normalized.push_back(g / scale);
-
-    // Empirical-Bayes prior scale: bandwidth series are orders of magnitude
-    // tighter (relative noise ~1%) than the unit-scale default prior, which
-    // would otherwise floor the run predictive so wide that even a huge
-    // level shift stays "within run". Estimate the within-regime noise from
-    // the MAD of first differences (robust to the level shift itself, and
-    // unlike the plain MAD also to a balanced bimodal series) and aim the
-    // prior predictive at ~10x it.
-    std::vector<double> diffs;
-    diffs.reserve(normalized.size());
-    for (std::size_t i = 1; i < normalized.size(); ++i) {
-      diffs.push_back(std::abs(normalized[i] - normalized[i - 1]));
-    }
-    const double s_data = std::max(
-        1.4826 * stats::median(diffs) / std::sqrt(2.0), 0.005);
-    BocdConfig cfg = config.bocd;
-    cfg.prior_mean = 1.0;
-    const double target_scale = 10.0 * s_data;
-    cfg.prior_beta = target_scale * target_scale * cfg.prior_alpha *
-                     cfg.prior_kappa / (cfg.prior_kappa + 1.0);
-    // Pooled detector: one instance per thread serves every switch series,
-    // and the per-run-length coefficient caches survive across series (only
-    // prior_mean / prior_beta vary here — the prior shape is fixed).
-    BocdDetector& detector = pooled_detector(cfg);
-    for (std::size_t i = 0; i < s.gbps.size(); ++i) {
-      detector.observe(normalized[i]);
-      // Recent-mass threshold OR MAP run-length collapse (as in
-      // segment_by_gaps); spurious collapses are filtered by the explicit
-      // persistent-drop check below.
-      const bool posterior_says_cp =
-          detector.last_was_changepoint() ||
-          (detector.observations_seen() > cfg.recent_run_cap + 1 &&
-           detector.map_run_length() <= cfg.recent_run_cap);
-      if (!posterior_says_cp) continue;
-      // Candidate onset at bucket i: require a persistent *drop*.
-      const std::span<const double> before(s.gbps.data(), i);
-      const std::span<const double> after(s.gbps.data() + i,
-                                          s.gbps.size() - i);
-      if (before.size() < 2 || after.size() < 2) continue;
-      const double mean_before = stats::mean(before);
-      const double mean_after = stats::mean(after);
-      if (mean_after < mean_before * (1.0 - config.min_drop)) {
-        onsets.push_back(
-            {s.switch_id, s.bucket_begin[i], mean_before, mean_after});
-        break;  // first persistent drop per switch
-      }
-    }
-  }
-  return onsets;
 }
 
 std::vector<std::vector<double>> group_dp_durations(

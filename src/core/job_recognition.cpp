@@ -3,24 +3,16 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <stdexcept>
-#include <unordered_set>
 #include <vector>
 
 #include "llmprism/common/disjoint_set.hpp"
-#include "llmprism/common/stats.hpp"
 #include "llmprism/flow/view.hpp"
 
 namespace llmprism {
 
 JobRecognizer::JobRecognizer(const ClusterTopology& topology,
                              JobRecognitionConfig config)
-    : topology_(topology), config_(config) {
-  if (config_.jaccard_threshold <= 0.0 || config_.jaccard_threshold > 1.0) {
-    throw std::invalid_argument(
-        "job recognition: jaccard_threshold must be in (0, 1]");
-  }
-}
+    : topology_(topology), config_(config) {}
 
 namespace {
 
@@ -82,55 +74,42 @@ JobRecognitionResult JobRecognizer::recognize(const FlowView& view) const {
   const auto components = sets.groups(/*include_singletons=*/false);
   result.num_cross_machine_clusters = components.size();
 
-  // ---- phase 2: merge clusters with matching machine sets (lines 9-13) ----
+  // ---- phase 2: merge clusters with equal machine sets (lines 9-13) ----
+  // Keyed by the canonical (ascending, distinct) machine list, O(C).
   std::vector<std::vector<GpuId>> clusters;
-  std::vector<std::unordered_set<MachineId>> machine_sets;
+  std::vector<std::vector<MachineId>> machine_sets;
   clusters.reserve(components.size());
+  machine_sets.reserve(components.size());
   for (const auto& comp : components) {
     std::vector<GpuId> gpus;
     gpus.reserve(comp.size());
-    std::unordered_set<MachineId> machines;
+    std::vector<MachineId> machines;
     for (const std::size_t idx : comp) {
       gpus.push_back(gpu_of[idx]);
-      machines.insert(topology_.machine_of(gpu_of[idx]));
+      machines.push_back(topology_.machine_of(gpu_of[idx]));
     }
     std::sort(gpus.begin(), gpus.end());
+    std::sort(machines.begin(), machines.end());
+    machines.erase(std::unique(machines.begin(), machines.end()),
+                   machines.end());
     clusters.push_back(std::move(gpus));
     machine_sets.push_back(std::move(machines));
   }
 
   DisjointSet cluster_sets(clusters.size());
-  if (config_.jaccard_threshold == 1.0) {
-    // Exact machine-set equality: hash by canonical key, O(C).
-    std::map<std::vector<MachineId>, std::size_t> by_key;
-    for (std::size_t c = 0; c < clusters.size(); ++c) {
-      std::vector<MachineId> key(machine_sets[c].begin(),
-                                 machine_sets[c].end());
-      std::sort(key.begin(), key.end());
-      const auto [it, inserted] = by_key.emplace(std::move(key), c);
-      if (!inserted) cluster_sets.unite(it->second, c);
-    }
-  } else {
-    // Thresholded Jaccard: pairwise, O(C^2) over cluster count (small).
-    for (std::size_t i = 0; i < clusters.size(); ++i) {
-      for (std::size_t j = i + 1; j < clusters.size(); ++j) {
-        if (stats::jaccard(machine_sets[i], machine_sets[j]) >=
-            config_.jaccard_threshold) {
-          cluster_sets.unite(i, j);
-        }
-      }
-    }
+  std::map<std::vector<MachineId>, std::size_t> by_key;
+  for (std::size_t c = 0; c < clusters.size(); ++c) {
+    const auto [it, inserted] = by_key.emplace(machine_sets[c], c);
+    if (!inserted) cluster_sets.unite(it->second, c);
   }
 
   // ---- assemble job-level clusters ----
   for (const auto& merged : cluster_sets.groups(/*include_singletons=*/true)) {
     RecognizedJob job;
-    std::unordered_set<MachineId> machines;
     for (const std::size_t c : merged) {
       job.cross_machine_clusters.push_back(clusters[c]);
       job.observed_gpus.insert(job.observed_gpus.end(), clusters[c].begin(),
                                clusters[c].end());
-      machines.insert(machine_sets[c].begin(), machine_sets[c].end());
     }
     // Canonical cluster order (clusters are disjoint and internally
     // sorted, so the first GPU is a total order). This makes the result a
@@ -142,8 +121,8 @@ JobRecognitionResult JobRecognizer::recognize(const FlowView& view) const {
                 return a.front() < b.front();
               });
     std::sort(job.observed_gpus.begin(), job.observed_gpus.end());
-    job.machines.assign(machines.begin(), machines.end());
-    std::sort(job.machines.begin(), job.machines.end());
+    // Every merged cluster spans this same machine set.
+    job.machines = machine_sets[merged.front()];
 
     if (config_.include_machine_local_gpus) {
       for (const MachineId m : job.machines) {

@@ -114,11 +114,6 @@ void fold_job_telemetry(ReportTelemetry& t, const JobAnalysis& analysis,
 
 std::vector<std::string> PrismConfig::validate() const {
   std::vector<std::string> errors;
-  if (!(recognition.jaccard_threshold > 0.0) ||
-      recognition.jaccard_threshold > 1.0) {
-    errors.push_back("recognition: jaccard_threshold must be in (0, 1], got " +
-                     std::to_string(recognition.jaccard_threshold));
-  }
   if (comm_type.size_tolerance < 0.0) {
     errors.push_back("comm_type: size_tolerance must be >= 0, got " +
                      std::to_string(comm_type.size_tolerance));
@@ -281,23 +276,19 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
     session->begin_window(view.time_span().end, /*hold_tail=*/false);
   }
 
-  // (1) job recognition. The warm fast path is gated on exact-match
-  // merging (jaccard_threshold >= 1): only there is the partition provably
-  // a pure function of the window's pair set, which is what makes reuse a
-  // verification rather than a guess.
-  const bool try_recognition_reuse =
-      session != nullptr && session->config().reuse_recognition &&
-      config_.recognition.jaccard_threshold >= 1.0;
+  // (1) job recognition. The partition is a pure function of the
+  // window's pair set, so the warm fast path is a verification rather
+  // than a guess.
   bool recognition_reused = false;
   const JobRecognizer recognizer(topology_, config_.recognition);
   {
     const obs::Span span("prism.recognize");
-    if (try_recognition_reuse && session->probe_recognition(view)) {
+    if (session != nullptr && session->probe_recognition(view)) {
       report.recognition = session->cached_recognition();
       recognition_reused = true;
     } else {
       report.recognition = recognizer.recognize(view);
-      if (try_recognition_reuse) session->store_recognition(report.recognition);
+      if (session != nullptr) session->store_recognition(report.recognition);
     }
   }
   log::info("prism: recognized ", report.recognition.jobs.size(),
@@ -376,10 +367,7 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
     std::vector<CommType>& flow_types = job_flow_types[j];
     {
       const obs::Span span("job.comm_type", j);
-      CommTypeCarry* const carry =
-          state != nullptr && session->config().reuse_comm_types
-              ? &state->comm
-              : nullptr;
+      CommTypeCarry* const carry = state != nullptr ? &state->comm : nullptr;
       // The pool is shared with the per-job fan-out: each pair/GPU is an
       // independently claimed task, so a lone huge job still saturates the
       // pool instead of serializing on one per-job task.
@@ -393,7 +381,7 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
       {
         const obs::Span span("job.timeline", j);
         TimelineCarryContext tctx;
-        if (state != nullptr && session->config().carry_timeline_tails) {
+        if (state != nullptr) {
           tctx.carry = &state->timeline;
           tctx.window_end = session->window_end();
           tctx.hold_tail = session->hold_tail();
@@ -403,7 +391,7 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
             job_view, flow_types, &timeline_stats[j], tctx, pool_.get());
       }
       const obs::Span span("job.diagnosis", j);
-      if (state != nullptr && session->config().ewma_baselines) {
+      if (state != nullptr) {
         // Per-timeline so each GPU scores against ITS carried baseline;
         // concatenation order matches the span overload's iteration order.
         const EwmaStepPolicy policy{session->config().ewma_alpha,

@@ -153,8 +153,9 @@ SessionJobState& PrismSession::job_state(
   }
   state->last_seen_window = window_index_;
   // Reset the per-window outcome fields here rather than trusting each
-  // stage to do it: a disabled stage (e.g. reuse_comm_types = false) never
-  // touches its carry, and fold_job must not re-count last window's work.
+  // stage to do it: a stage that does not run (the timeline and EWMA
+  // carries under reconstruct_timelines = false) never touches its carry,
+  // and fold_job must not re-count last window's work.
   state->comm.pairs_reused = 0;
   state->comm.pairs_reclassified = 0;
   state->timeline.steps_held = 0;

@@ -171,7 +171,29 @@ FlowColumns read_columns(Reader& r) {
       (!c.switch_offsets.empty() && c.switch_offsets.size() != n + 1)) {
     fail("flow column sizes disagree");
   }
+  // The checksum only detects accidents; anyone who can write the file can
+  // recompute it. So the CSR paths and the sort claim, which the monitor
+  // indexes and binary-searches by, are verified like an LFT image's.
+  if (const std::string error = c.view().switch_path_error(); !error.empty()) {
+    fail(error);
+  }
+  if (c.sorted && !c.view().verify_sorted()) {
+    fail("sorted flag set but rows are not sorted");
+  }
   return c;
+}
+
+/// Restored GPU ids size the FlowRouter's dense table, so each must lie
+/// inside the topology.
+void check_gpu_ids(const std::vector<GpuId>& gpus,
+                   const ClusterTopology& topology) {
+  for (const GpuId gpu : gpus) {
+    if (gpu.value() >= topology.num_gpus()) {
+      fail("recognition cache: GPU id " + std::to_string(gpu.value()) +
+           " outside the topology (" + std::to_string(topology.num_gpus()) +
+           " GPUs)");
+    }
+  }
 }
 
 /// Wrap a finished payload in the container and write it out.
@@ -230,11 +252,14 @@ std::string slurp(std::istream& is) {
 /// state always produces equal bytes; restores parse the whole payload
 /// into temporaries before committing anything (strong guarantee).
 struct SnapshotAccess {
+  /// LPS1 reserves one byte per carry (recognition reuse, comm-type
+  /// priors, timeline tails, EWMA baselines). Every carry always runs, so
+  /// each byte is 1; a blob holding any other value is a config mismatch.
+  static constexpr std::uint8_t kCarryOn = 1;
+  static constexpr int kCarryBytes = 4;
+
   static void write_session_config(Writer& w, const SessionConfig& c) {
-    w.u8(c.reuse_recognition ? 1 : 0);
-    w.u8(c.reuse_comm_types ? 1 : 0);
-    w.u8(c.carry_timeline_tails ? 1 : 0);
-    w.u8(c.ewma_baselines ? 1 : 0);
+    for (int i = 0; i < kCarryBytes; ++i) w.u8(kCarryOn);
     w.f64(c.ewma_alpha);
     w.u64(c.ewma_min_samples);
     w.i64(c.boundary_hold);
@@ -242,11 +267,9 @@ struct SnapshotAccess {
   }
 
   static void check_session_config(Reader& r, const SessionConfig& c) {
-    const bool same = r.u8() == (c.reuse_recognition ? 1 : 0) &&
-                      r.u8() == (c.reuse_comm_types ? 1 : 0) &&
-                      r.u8() == (c.carry_timeline_tails ? 1 : 0) &&
-                      r.u8() == (c.ewma_baselines ? 1 : 0) &&
-                      r.f64() == c.ewma_alpha &&
+    bool carries_on = true;
+    for (int i = 0; i < kCarryBytes; ++i) carries_on &= r.u8() == kCarryOn;
+    const bool same = carries_on && r.f64() == c.ewma_alpha &&
                       r.u64() == c.ewma_min_samples &&
                       r.i64() == c.boundary_hold &&
                       r.u64() == c.evict_after_windows;
@@ -354,7 +377,10 @@ struct SnapshotAccess {
     }
   }
 
-  static void read_session_payload(Reader& r, PrismSession& s) {
+  /// `topology` (null for a bare session, which has none) bounds the
+  /// recognition cache's GPU ids.
+  static void read_session_payload(Reader& r, PrismSession& s,
+                                   const ClusterTopology* topology) {
     check_session_config(r, s.config_);
 
     SessionCounters counters;
@@ -390,6 +416,13 @@ struct SnapshotAccess {
         job.cross_machine_clusters.reserve(num_clusters);
         for (std::size_t k = 0; k < num_clusters; ++k) {
           job.cross_machine_clusters.push_back(read_id_vector<GpuId>(r));
+        }
+        if (topology != nullptr) {
+          check_gpu_ids(job.gpus, *topology);
+          check_gpu_ids(job.observed_gpus, *topology);
+          for (const std::vector<GpuId>& cluster : job.cross_machine_clusters) {
+            check_gpu_ids(cluster, *topology);
+          }
         }
         recognition.jobs.push_back(std::move(job));
       }
@@ -538,6 +571,10 @@ struct SnapshotAccess {
     const TimeNs window_begin = r.i64();
     const TimeNs watermark = r.i64();
     FlowColumns buffer = read_columns(r);
+    if (const std::string error = m.topology_.id_error(buffer.view());
+        !error.empty()) {
+      fail("reorder buffer: " + error);
+    }
 
     const MonitorJobId next_job_id = r.u64();
     std::unordered_map<std::vector<MachineId>, MonitorJobId, MachineSetHash>
@@ -571,7 +608,7 @@ struct SnapshotAccess {
     }
     // The session commits only after its own payload fully parses, so a
     // corrupt tail leaves the whole monitor untouched.
-    if (has_session) read_session_payload(r, *m.session_);
+    if (has_session) read_session_payload(r, *m.session_, &m.topology_);
 
     m.window_origin_set_ = origin_set;
     m.window_begin_ = window_begin;
@@ -597,7 +634,7 @@ void save_snapshot(std::ostream& os, const OnlineMonitor& monitor) {
 
 void restore_snapshot(std::span<const std::byte> blob, PrismSession& session) {
   Reader r(validate_blob(blob, snapshot::kKindSession));
-  SnapshotAccess::read_session_payload(r, session);
+  SnapshotAccess::read_session_payload(r, session, nullptr);
   r.expect_done();
   snapshot_restores().inc();
 }

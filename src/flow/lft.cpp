@@ -41,7 +41,6 @@ using lft::kSectionCount;
 using lft::kVersion;
 
 constexpr std::size_t kTableSize = kSectionCount * sizeof(std::uint64_t);
-constexpr std::size_t kMaxHops = SwitchPath::capacity();
 
 constexpr const char* kSectionName[kSectionCount] = {
     "start_ns", "src",            "dst",       "bytes",
@@ -189,26 +188,8 @@ FlowView validate_lft(const std::byte* base, std::size_t size) {
                      static_cast<std::size_t>(m)};
   view.sorted = sorted;
 
-  // CSR invariants: offsets start at 0, never decrease, never step by more
-  // than the inline switch-path capacity, and end exactly at num_switch_ids.
-  const std::span<const std::uint64_t> offsets = view.switch_offsets;
-  if (offsets[0] != 0) {
-    fail("switch offsets must start at 0 (got " + std::to_string(offsets[0]) +
-         ")");
-  }
-  for (std::size_t i = 0; i < num_flows; ++i) {
-    if (offsets[i + 1] < offsets[i]) {
-      fail("switch offsets not monotone at flow " + std::to_string(i));
-    }
-    if (offsets[i + 1] - offsets[i] > kMaxHops) {
-      fail("flow " + std::to_string(i) + ": switch path has " +
-           std::to_string(offsets[i + 1] - offsets[i]) + " hops (max " +
-           std::to_string(kMaxHops) + ")");
-    }
-  }
-  if (offsets[num_flows] != m) {
-    fail("switch offsets end at " + std::to_string(offsets[num_flows]) +
-         " (expected num_switch_ids " + std::to_string(m) + ")");
+  if (const std::string error = view.switch_path_error(); !error.empty()) {
+    fail(error);
   }
 
   // The sorted flag is a promise downstream binary searches rely on, so a

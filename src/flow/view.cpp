@@ -64,6 +64,32 @@ bool FlowView::verify_sorted() const {
   return true;
 }
 
+std::string FlowView::switch_path_error() const {
+  if (switch_offsets.empty()) return {};
+  const std::span<const std::uint64_t> offsets = switch_offsets;
+  if (offsets[0] != 0) {
+    return "switch offsets must start at 0 (got " +
+           std::to_string(offsets[0]) + ")";
+  }
+  constexpr std::size_t kMaxHops = SwitchPath::capacity();
+  for (std::size_t i = 0; i + 1 < offsets.size(); ++i) {
+    if (offsets[i + 1] < offsets[i]) {
+      return "switch offsets not monotone at flow " + std::to_string(i);
+    }
+    if (offsets[i + 1] - offsets[i] > kMaxHops) {
+      return "flow " + std::to_string(i) + ": switch path has " +
+             std::to_string(offsets[i + 1] - offsets[i]) + " hops (max " +
+             std::to_string(kMaxHops) + ")";
+    }
+  }
+  if (offsets.back() != switch_ids.size()) {
+    return "switch offsets end at " + std::to_string(offsets.back()) +
+           " (expected num_switch_ids " + std::to_string(switch_ids.size()) +
+           ")";
+  }
+  return {};
+}
+
 FlowColumns::FlowColumns(const FlowTrace& trace) {
   const std::size_t n = trace.size();
   start_ns.reserve(n);

@@ -101,7 +101,7 @@ void register_serve_metrics() {
 /// One parsed-and-validated flow chunk on its way to a shard worker.
 struct Chunk {
   std::uint64_t stream_id = 0;
-  FlowTrace trace;
+  FlowColumns flows;
 };
 
 /// The shard ingest queue (serve/queue.hpp) plus the daemon's telemetry:
@@ -338,7 +338,8 @@ struct PrismDaemon::Impl {
   void worker_loop(Shard& shard) {
     while (auto chunk = shard.queue.pop()) {
       const std::lock_guard lock(shard.mu);
-      std::vector<MonitorTick> ticks = shard.monitor.ingest(chunk->trace);
+      std::vector<MonitorTick> ticks =
+          shard.monitor.ingest(chunk->flows.view());
       for (MonitorTick& tick : ticks) {
         const WindowExportView view = export_view(tick);
         shard.journal.add_window(view);
@@ -380,8 +381,9 @@ struct PrismDaemon::Impl {
   }
 
   /// One framed-ingest connection: header, payload, reply, repeat. A
-  /// corrupt LFT payload fails only that chunk; a corrupt header closes
-  /// the connection (framing sync is lost).
+  /// corrupt LFT payload, or one naming a GPU or switch outside the
+  /// topology, fails only that chunk; a corrupt header closes the
+  /// connection (framing sync is lost).
   void ingest_conn_loop(int fd, std::size_t conn_index) {
     std::string payload;
     for (;;) {
@@ -412,17 +414,24 @@ struct PrismDaemon::Impl {
         try {
           Chunk chunk;
           chunk.stream_id = header.stream_id;
-          chunk.trace = read_lft_buffer(
-              std::as_bytes(std::span(payload.data(), payload.size())));
+          chunk.flows = FlowColumns(read_lft_buffer(
+              std::as_bytes(std::span(payload.data(), payload.size()))));
+          // An id outside the topology fails this chunk here, not the
+          // shard worker once the chunk's window closes.
+          if (const std::string error = topology.id_error(chunk.flows.view());
+              !error.empty()) {
+            throw std::out_of_range(error);
+          }
+          const std::size_t num_flows = chunk.flows.size();
           frames.fetch_add(1, std::memory_order_relaxed);
           frames_counter().inc();
-          flows.fetch_add(chunk.trace.size(), std::memory_order_relaxed);
-          flows_counter().inc(chunk.trace.size());
+          flows.fetch_add(num_flows, std::memory_order_relaxed);
+          flows_counter().inc(num_flows);
           chunk_bytes.fetch_add(payload.size(), std::memory_order_relaxed);
           chunk_bytes_counter().inc(payload.size());
 
           AckPayload ack;
-          ack.flows_accepted = chunk.trace.size();
+          ack.flows_accepted = num_flows;
           Shard& shard = shard_for(header.stream_id);
           if (!shard.queue.push(std::move(chunk), backpressure_waits)) {
             break;  // shutting down

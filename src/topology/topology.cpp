@@ -1,5 +1,7 @@
 #include "llmprism/topology/topology.hpp"
 
+#include <string>
+
 namespace llmprism {
 
 namespace {
@@ -88,6 +90,26 @@ SwitchPath ClusterTopology::route(GpuId src, GpuId dst) const {
     path.push_back(leaf_dst);
   }
   return path;
+}
+
+std::string ClusterTopology::id_error(const FlowView& flows) const {
+  const auto outside = [](std::size_t flow, const char* kind,
+                          std::uint32_t id, std::uint32_t count) {
+    return "flow " + std::to_string(flow) + ": " + kind + " id " +
+           std::to_string(id) + " outside the topology (" +
+           std::to_string(count) + " " + kind + "s)";
+  };
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    for (const std::uint32_t gpu : {flows.src[i], flows.dst[i]}) {
+      if (gpu >= num_gpus_) return outside(i, "GPU", gpu, num_gpus_);
+    }
+    for (const std::uint32_t sw : flows.switches(i)) {
+      if (sw >= num_switches()) {
+        return outside(i, "switch", sw, num_switches());
+      }
+    }
+  }
+  return {};
 }
 
 }  // namespace llmprism

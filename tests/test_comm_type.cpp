@@ -101,9 +101,9 @@ TEST(CommTypeIdentifierTest, MajorityCorruptStepsFlipWithoutRefinement) {
     trace.add(g);
   }
   trace.sort();
-  CommTypeConfig cfg;
-  cfg.refine = false;
-  const auto result = identify(CommTypeIdentifier(cfg), trace);
+  // A lone pair forms no DP component, so refinement has nothing to
+  // rescue it with.
+  const auto result = identify(CommTypeIdentifier{}, trace);
   ASSERT_EQ(result.pairs.size(), 1u);
   EXPECT_EQ(result.pairs[0].type, CommType::kPP);
   EXPECT_EQ(result.pairs[0].pre_refinement_type, CommType::kPP);
@@ -121,9 +121,7 @@ TEST(CommTypeIdentifierTest, RefinementRescuesTruncatedDpPair) {
   add_pair_flows(trace, 0, 8, 6, {1 << 20});  // truncated
   trace.sort();
 
-  CommTypeConfig cfg;
-  cfg.refine = true;
-  const auto result = identify(CommTypeIdentifier(cfg), trace);
+  const auto result = identify(CommTypeIdentifier{}, trace);
   ASSERT_EQ(result.pairs.size(), 4u);
   for (const auto& p : result.pairs) {
     EXPECT_EQ(p.type, CommType::kDP) << p.pair;

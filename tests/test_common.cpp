@@ -244,16 +244,6 @@ TEST(StatsTest, ModeSingleDominant) {
   EXPECT_EQ(stats::mode(xs), 4);
 }
 
-TEST(StatsTest, JaccardBasics) {
-  std::unordered_set<int> a{1, 2, 3};
-  std::unordered_set<int> b{2, 3, 4};
-  EXPECT_DOUBLE_EQ(stats::jaccard(a, b), 0.5);
-  EXPECT_DOUBLE_EQ(stats::jaccard(a, a), 1.0);
-  std::unordered_set<int> empty;
-  EXPECT_DOUBLE_EQ(stats::jaccard(empty, empty), 1.0);
-  EXPECT_DOUBLE_EQ(stats::jaccard(a, empty), 0.0);
-}
-
 TEST(RunningStatsTest, MatchesBatch) {
   stats::RunningStats rs;
   const std::vector<double> xs{2, 4, 4, 4, 5, 5, 7, 9};

@@ -30,14 +30,6 @@ FlowRecord flow(const ClusterTopology& t, std::uint32_t src,
   return f;
 }
 
-TEST(JobRecognizerTest, RejectsBadThreshold) {
-  const auto t = topo();
-  EXPECT_THROW(JobRecognizer(t, {.jaccard_threshold = 0.0}),
-               std::invalid_argument);
-  EXPECT_THROW(JobRecognizer(t, {.jaccard_threshold = 1.5}),
-               std::invalid_argument);
-}
-
 TEST(JobRecognizerTest, EmptyTraceYieldsNoJobs) {
   const auto t = topo();
   const auto result =
@@ -111,17 +103,8 @@ TEST(JobRecognizerTest, DifferentMachineSetsStaySeparate) {
   trace.add(flow(t, 0, 8));    // machines {0,1}
   trace.add(flow(t, 1, 17));   // machines {0,2} - overlapping but different
   const auto result = JobRecognizer(t).recognize(FlowColumns(trace).view());
-  // Jaccard({0,1},{0,2}) = 1/3 < 1 -> no merge at threshold 1.0.
+  // Machine sets {0,1} and {0,2} differ -> no merge.
   EXPECT_EQ(result.jobs.size(), 2u);
-}
-
-TEST(JobRecognizerTest, LooseThresholdMergesOverlappingSets) {
-  const auto t = topo();
-  FlowTrace trace;
-  trace.add(flow(t, 0, 8));    // machines {0,1}
-  trace.add(flow(t, 1, 17));   // machines {0,2}
-  const JobRecognizer rec(t, {.jaccard_threshold = 0.3});
-  EXPECT_EQ(rec.recognize(FlowColumns(trace).view()).jobs.size(), 1u);
 }
 
 TEST(JobRecognizerTest, SameMachineSetJobsAreMergedKnownLimitation) {
@@ -248,9 +231,6 @@ TEST(JobRecognizerLimitationTest, InteriorRanksMaySplitJobs) {
   const auto result =
       JobRecognizer(sim.topology).recognize(FlowColumns(sim.trace).view());
   EXPECT_GT(result.jobs.size(), 1u);
-  // A relaxed Jaccard threshold recovers the single job.
-  const JobRecognizer loose(sim.topology, {.jaccard_threshold = 0.4});
-  EXPECT_EQ(loose.recognize(FlowColumns(sim.trace).view()).jobs.size(), 1u);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "llmprism/baseline/eval.hpp"
 #include "llmprism/collector/collector.hpp"
 #include "llmprism/collector/packetize.hpp"
+#include "llmprism/common/stats.hpp"
 #include "llmprism/core/prism.hpp"
 #include "llmprism/flow/io.hpp"
 #include "llmprism/simulator/cluster_sim.hpp"
@@ -245,14 +246,10 @@ TEST(KSigmaPropertyTest, OutlierSetIsPermutationInvariant) {
 TEST(KSigmaPropertyTest, LeaveOneOutFiresWhereGlobalRuleCannot) {
   const std::vector<double> xs = {1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 10.0};
 
-  KSigmaConfig global;
-  global.leave_one_out = false;
-  EXPECT_TRUE(ksigma_outliers_above(xs, global).empty())
+  EXPECT_LT(xs[7], stats::mean(xs) + 3.0 * stats::stddev(xs))
       << "global rule should self-mask on n=8";
 
-  KSigmaConfig loo;
-  loo.leave_one_out = true;
-  const auto flagged = ksigma_outliers_above(xs, loo);
+  const auto flagged = ksigma_outliers_above(xs, KSigmaConfig{});
   EXPECT_EQ(flagged, std::vector<std::size_t>{7});
 }
 
@@ -265,13 +262,11 @@ TEST(KSigmaPropertyTest, MadSurvivesTwoSimultaneousOutliers) {
 
   KSigmaConfig stddev;
   stddev.dispersion = Dispersion::kStddev;
-  stddev.leave_one_out = true;
   EXPECT_TRUE(ksigma_outliers_above(xs, stddev).empty())
       << "the second outlier should inflate the leave-one-out sigma";
 
   KSigmaConfig mad;
   mad.dispersion = Dispersion::kMad;
-  mad.leave_one_out = true;
   const auto flagged = ksigma_outliers_above(xs, mad);
   EXPECT_EQ(flagged, (std::vector<std::size_t>{6, 7}));
 }

@@ -409,6 +409,59 @@ TEST(DaemonTest, BadHeaderClosesConnectionCorruptChunkDoesNot) {
   EXPECT_EQ(daemon.stats().frame_errors, 2u);
 }
 
+// A well-framed chunk naming a GPU or switch outside the topology is a
+// frame error like a corrupt LFT: it must never reach a shard worker,
+// whose monitor would throw on it once the chunk's window closes.
+TEST(DaemonTest, OutOfTopologyChunkIsAFrameError) {
+  const ServeFixture& fix = fixture();
+  ServeConfig cfg = serve_config("serve-ids");
+  cfg.snapshot_path.clear();
+  PrismDaemon daemon(fix.sim.topology, cfg);
+  daemon.start();
+
+  const auto forged_chunk = [&](auto&& forge) {
+    FlowTrace trace;
+    for (std::size_t i = 0; i < 16; ++i) {
+      FlowRecord flow = fix.sim.trace.flows()[i];
+      if (i == 0) forge(flow);
+      trace.add(flow);
+    }
+    std::ostringstream os;
+    write_lft(os, trace);
+    return os.str();
+  };
+  const std::uint32_t num_gpus = fix.sim.topology.num_gpus();
+  const std::uint32_t num_switches = fix.sim.topology.num_switches();
+  const std::string bad_gpu =
+      forged_chunk([&](FlowRecord& f) { f.dst = GpuId(num_gpus); });
+  const std::string bad_switch = forged_chunk([&](FlowRecord& f) {
+    f.switches.clear();
+    f.switches.push_back(SwitchId(num_switches));
+  });
+
+  {
+    Client client(cfg.ingest_socket);
+    for (const std::string* chunk : {&bad_gpu, &bad_switch}) {
+      const auto err = client.roundtrip(FrameType::kFlowChunk, 1, *chunk);
+      ASSERT_TRUE(err.has_value());
+      EXPECT_EQ(err->header.type, FrameType::kError);
+      EXPECT_NE(err->payload.find("outside the topology"), std::string::npos)
+          << err->payload;
+    }
+    for (const std::string& chunk : fix.chunks) {
+      const auto ok = client.roundtrip(FrameType::kFlowChunk, 1, chunk);
+      ASSERT_TRUE(ok.has_value());
+      EXPECT_EQ(ok->header.type, FrameType::kAck);
+    }
+  }
+  EXPECT_EQ(get(daemon, "/healthz").status, 200);
+  daemon.stop();
+  const DaemonStats stats = daemon.stats();
+  EXPECT_EQ(stats.frame_errors, 2u);
+  EXPECT_EQ(stats.flows, fix.sim.trace.size());
+  EXPECT_GE(stats.windows_completed, 2u);
+}
+
 /// VmSize of this process in KiB; nullopt where /proc is absent.
 std::optional<std::uint64_t> vm_size_kib() {
   std::ifstream status("/proc/self/status");

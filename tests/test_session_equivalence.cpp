@@ -2,13 +2,14 @@
 // (PrismSession, threaded through OnlineMonitor by MonitorConfig::
 // carry_state).
 //
-// Contract under test (DESIGN.md §9): with every carry feature disabled
-// except the provably-exact recognition fast path, warm ticks are
-// field-for-field identical to the stateless monitor. Each additional
-// carry feature changes the report ONLY in its documented way:
-//   - comm-type priors: reused pairs report num_steps_observed == 0 and
-//     the BOCD work telemetry shrinks; the classifications themselves
-//     stay identical.
+// Contract under test (DESIGN.md §9), stated per field — with a session
+// all four carries run, and each changes the report ONLY in its
+// documented way:
+//   - recognition reuse: none. report.recognition, the per-job traces and
+//     the flows_* telemetry equal the stateless monitor's.
+//   - comm-type priors: every pair's type and pre_refinement_type equal
+//     cold; reused pairs report num_steps_observed == 0 and the BOCD work
+//     telemetry shrinks.
 //   - timeline tails: a DP burst straddling a window boundary is held
 //     back and reconstructed whole by the next window (the cold path
 //     truncates it at the boundary); DP events are conserved — every
@@ -30,10 +31,6 @@
 #include "llmprism/core/monitor.hpp"
 #include "llmprism/core/prism.hpp"
 #include "llmprism/core/snapshot.hpp"
-#include "llmprism/export/journal.hpp"
-#include "llmprism/export/perfetto.hpp"
-#include "llmprism/export/series.hpp"
-#include "llmprism/export/view.hpp"
 #include "llmprism/simulator/cluster_sim.hpp"
 
 namespace llmprism {
@@ -104,13 +101,6 @@ std::vector<MonitorTick> run_monitor(OnlineMonitor& monitor,
 
 // --- comparison helpers ---------------------------------------------------
 
-struct CompareOptions {
-  /// Reused comm-type pairs skip BOCD and report num_steps_observed == 0.
-  bool skip_steps_observed = false;
-  /// ... which also shrinks the BOCD/artifact work telemetry.
-  bool skip_bocd_telemetry = false;
-};
-
 void expect_traces_equal(const FlowColumns& a, const FlowColumns& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -139,20 +129,30 @@ void expect_timelines_equal(const GpuTimeline& a, const GpuTimeline& b) {
   }
 }
 
-void expect_reports_equal(const PrismReport& a, const PrismReport& b,
-                          const CompareOptions& opts) {
-  EXPECT_EQ(a.recognition.num_cross_machine_clusters,
-            b.recognition.num_cross_machine_clusters);
-  ASSERT_EQ(a.recognition.jobs.size(), b.recognition.jobs.size());
-  for (std::size_t j = 0; j < a.recognition.jobs.size(); ++j) {
+void expect_recognition_equal(const JobRecognitionResult& a,
+                              const JobRecognitionResult& b) {
+  EXPECT_EQ(a.num_cross_machine_clusters, b.num_cross_machine_clusters);
+  ASSERT_EQ(a.jobs.size(), b.jobs.size());
+  for (std::size_t j = 0; j < a.jobs.size(); ++j) {
     SCOPED_TRACE("recognized job " + std::to_string(j));
-    EXPECT_EQ(a.recognition.jobs[j].gpus, b.recognition.jobs[j].gpus);
-    EXPECT_EQ(a.recognition.jobs[j].observed_gpus,
-              b.recognition.jobs[j].observed_gpus);
-    EXPECT_EQ(a.recognition.jobs[j].machines, b.recognition.jobs[j].machines);
-    EXPECT_EQ(a.recognition.jobs[j].cross_machine_clusters,
-              b.recognition.jobs[j].cross_machine_clusters);
+    EXPECT_EQ(a.jobs[j].gpus, b.jobs[j].gpus);
+    EXPECT_EQ(a.jobs[j].observed_gpus, b.jobs[j].observed_gpus);
+    EXPECT_EQ(a.jobs[j].machines, b.jobs[j].machines);
+    EXPECT_EQ(a.jobs[j].cross_machine_clusters,
+              b.jobs[j].cross_machine_clusters);
   }
+}
+
+void expect_flow_telemetry_equal(const ReportTelemetry& a,
+                                 const ReportTelemetry& b) {
+  EXPECT_EQ(a.flows_total, b.flows_total);
+  EXPECT_EQ(a.flows_routed, b.flows_routed);
+  EXPECT_EQ(a.flows_routed_via_dst, b.flows_routed_via_dst);
+  EXPECT_EQ(a.flows_unattributed, b.flows_unattributed);
+}
+
+void expect_reports_equal(const PrismReport& a, const PrismReport& b) {
+  expect_recognition_equal(a.recognition, b.recognition);
 
   ASSERT_EQ(a.jobs.size(), b.jobs.size());
   for (std::size_t j = 0; j < a.jobs.size(); ++j) {
@@ -170,10 +170,8 @@ void expect_reports_equal(const PrismReport& a, const PrismReport& b,
                 jb.comm_types.pairs[p].pre_refinement_type);
       EXPECT_EQ(ja.comm_types.pairs[p].num_flows,
                 jb.comm_types.pairs[p].num_flows);
-      if (!opts.skip_steps_observed) {
-        EXPECT_EQ(ja.comm_types.pairs[p].num_steps_observed,
-                  jb.comm_types.pairs[p].num_steps_observed);
-      }
+      EXPECT_EQ(ja.comm_types.pairs[p].num_steps_observed,
+                jb.comm_types.pairs[p].num_steps_observed);
     }
     EXPECT_EQ(ja.comm_types.dp_components, jb.comm_types.dp_components);
     EXPECT_EQ(ja.inferred.world_size, jb.inferred.world_size);
@@ -214,22 +212,17 @@ void expect_reports_equal(const PrismReport& a, const PrismReport& b,
 
   const ReportTelemetry& ta = a.telemetry;
   const ReportTelemetry& tb = b.telemetry;
-  EXPECT_EQ(ta.flows_total, tb.flows_total);
-  EXPECT_EQ(ta.flows_routed, tb.flows_routed);
-  EXPECT_EQ(ta.flows_routed_via_dst, tb.flows_routed_via_dst);
-  EXPECT_EQ(ta.flows_unattributed, tb.flows_unattributed);
+  expect_flow_telemetry_equal(ta, tb);
   EXPECT_EQ(ta.pairs_classified, tb.pairs_classified);
   EXPECT_EQ(ta.pairs_dp, tb.pairs_dp);
   EXPECT_EQ(ta.pairs_pp, tb.pairs_pp);
   EXPECT_EQ(ta.refinement_flips, tb.refinement_flips);
-  if (!opts.skip_bocd_telemetry) {
-    EXPECT_EQ(ta.artifact_size_clusters, tb.artifact_size_clusters);
-    EXPECT_EQ(ta.artifact_flows, tb.artifact_flows);
-    EXPECT_EQ(ta.artifact_segments, tb.artifact_segments);
-    EXPECT_EQ(ta.bocd_observations, tb.bocd_observations);
-    EXPECT_EQ(ta.bocd_boundaries, tb.bocd_boundaries);
-    EXPECT_EQ(ta.bocd_hard_resets, tb.bocd_hard_resets);
-  }
+  EXPECT_EQ(ta.artifact_size_clusters, tb.artifact_size_clusters);
+  EXPECT_EQ(ta.artifact_flows, tb.artifact_flows);
+  EXPECT_EQ(ta.artifact_segments, tb.artifact_segments);
+  EXPECT_EQ(ta.bocd_observations, tb.bocd_observations);
+  EXPECT_EQ(ta.bocd_boundaries, tb.bocd_boundaries);
+  EXPECT_EQ(ta.bocd_hard_resets, tb.bocd_hard_resets);
   EXPECT_EQ(ta.timelines_reconstructed, tb.timelines_reconstructed);
   EXPECT_EQ(ta.timeline_events, tb.timeline_events);
   EXPECT_EQ(ta.steps_reconstructed, tb.steps_reconstructed);
@@ -242,15 +235,14 @@ void expect_reports_equal(const PrismReport& a, const PrismReport& b,
 }
 
 void expect_ticks_equal(const std::vector<MonitorTick>& a,
-                        const std::vector<MonitorTick>& b,
-                        const CompareOptions& opts = {}) {
+                        const std::vector<MonitorTick>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     SCOPED_TRACE("tick " + std::to_string(i));
     EXPECT_EQ(a[i].window.begin, b[i].window.begin);
     EXPECT_EQ(a[i].window.end, b[i].window.end);
     EXPECT_EQ(a[i].job_ids, b[i].job_ids);
-    expect_reports_equal(a[i].report, b[i].report, opts);
+    expect_reports_equal(a[i].report, b[i].report);
   }
 }
 
@@ -287,111 +279,94 @@ concat_steps(const std::vector<MonitorTick>& ticks) {
   return out;
 }
 
-// --- the provably-exact core: recognition fast path -----------------------
+// --- recognition reuse: the provably-exact core ---------------------------
 
-TEST(SessionEquivalenceTest, RecognitionOnlyWarmIsBitIdentical) {
-  const MixData& mix = steady_jobs();
-  MonitorConfig warm_cfg = monitor_config(2 * kSecond, true);
-  warm_cfg.session.reuse_comm_types = false;
-  warm_cfg.session.carry_timeline_tails = false;
-  warm_cfg.session.ewma_baselines = false;
+/// Run the steady mix through a stateless and a carrying monitor.
+struct ColdWarmRun {
+  std::vector<MonitorTick> cold;
+  std::vector<MonitorTick> warm;
+  MonitorStats cold_stats;
+  MonitorStats warm_stats;
+  SessionCounters counters;
+};
 
-  OnlineMonitor cold(mix.sim.topology, monitor_config(2 * kSecond, false));
-  OnlineMonitor warm(mix.sim.topology, warm_cfg);
-  const auto cold_ticks = run_monitor(cold, FlowColumns(mix.sim.trace).view());
-  const auto warm_ticks = run_monitor(warm, FlowColumns(mix.sim.trace).view());
-
-  ASSERT_GE(cold_ticks.size(), 3u) << "mix must span several windows";
-  expect_ticks_equal(cold_ticks, warm_ticks);
-
-  const PrismSession* session = warm.session();
-  ASSERT_NE(session, nullptr);
+ColdWarmRun run_cold_and_warm(const MixData& mix, DurationNs window) {
+  OnlineMonitor cold(mix.sim.topology, monitor_config(window, false));
+  OnlineMonitor warm(mix.sim.topology, monitor_config(window, true));
+  ColdWarmRun run;
+  run.cold = run_monitor(cold, FlowColumns(mix.sim.trace).view());
+  run.warm = run_monitor(warm, FlowColumns(mix.sim.trace).view());
   EXPECT_EQ(cold.session(), nullptr);
-  EXPECT_GE(session->counters().recognition_reuses, 1u)
-      << "steady traffic must hit the recognition cache";
-  EXPECT_GE(session->counters().recognition_rebuilds, 1u)
-      << "the first window always seeds cold";
-  EXPECT_EQ(session->counters().windows, warm_ticks.size());
-
-  EXPECT_EQ(cold.stats().flows_ingested, warm.stats().flows_ingested);
-  EXPECT_EQ(cold.stats().windows_completed, warm.stats().windows_completed);
-  EXPECT_EQ(cold.stats().stable_ids_created, warm.stats().stable_ids_created);
-  EXPECT_EQ(cold.stats().step_alerts, warm.stats().step_alerts);
-  EXPECT_EQ(cold.stats().group_alerts, warm.stats().group_alerts);
+  EXPECT_NE(warm.session(), nullptr);
+  run.cold_stats = cold.stats();
+  run.warm_stats = warm.stats();
+  if (warm.session() != nullptr) run.counters = warm.session()->counters();
+  return run;
 }
 
-// Under the same restricted config the job-facing exports — pure
-// functions of the tick sequence — must come out byte-identical, warm or
-// cold.
-TEST(SessionEquivalenceTest, RecognitionOnlyWarmExportsAreBitIdentical) {
-  const MixData& mix = steady_jobs();
-  MonitorConfig warm_cfg = monitor_config(2 * kSecond, true);
-  warm_cfg.session.reuse_comm_types = false;
-  warm_cfg.session.carry_timeline_tails = false;
-  warm_cfg.session.ewma_baselines = false;
-
-  OnlineMonitor cold(mix.sim.topology, monitor_config(2 * kSecond, false));
-  OnlineMonitor warm(mix.sim.topology, warm_cfg);
-
-  const auto render = [](const std::vector<MonitorTick>& ticks) {
-    PerfettoExporter perfetto;
-    JobSeriesCollector series;
-    IncidentJournal journal;
-    for (const MonitorTick& tick : ticks) {
-      const WindowExportView view = export_view(tick);
-      perfetto.add_window(view);
-      series.add_window(view);
-      journal.add_window(view);
+TEST(SessionEquivalenceTest, RecognitionOnlyWarmIsBitIdentical) {
+  const ColdWarmRun run = run_cold_and_warm(steady_jobs(), 2 * kSecond);
+  ASSERT_GE(run.cold.size(), 3u) << "mix must span several windows";
+  ASSERT_EQ(run.cold.size(), run.warm.size());
+  for (std::size_t i = 0; i < run.cold.size(); ++i) {
+    SCOPED_TRACE("tick " + std::to_string(i));
+    const MonitorTick& c = run.cold[i];
+    const MonitorTick& w = run.warm[i];
+    EXPECT_EQ(c.window.begin, w.window.begin);
+    EXPECT_EQ(c.window.end, w.window.end);
+    EXPECT_EQ(c.job_ids, w.job_ids);
+    expect_recognition_equal(c.report.recognition, w.report.recognition);
+    ASSERT_EQ(c.report.jobs.size(), w.report.jobs.size());
+    for (std::size_t j = 0; j < c.report.jobs.size(); ++j) {
+      SCOPED_TRACE("job " + std::to_string(j));
+      expect_traces_equal(c.report.jobs[j].trace, w.report.jobs[j].trace);
     }
-    journal.finish();
-    std::ostringstream os;
-    perfetto.write(os);
-    series.write_openmetrics(os);
-    series.write_jsonl(os);
-    journal.write_jsonl(os);
-    return os.str();
-  };
+    expect_flow_telemetry_equal(c.report.telemetry, w.report.telemetry);
+  }
 
-  const std::string cold_out =
-      render(run_monitor(cold, FlowColumns(mix.sim.trace).view()));
-  const std::string warm_out =
-      render(run_monitor(warm, FlowColumns(mix.sim.trace).view()));
-  EXPECT_GT(cold_out.size(), 1000u) << "exports must not be vacuously empty";
-  EXPECT_EQ(warm_out, cold_out);
+  EXPECT_GE(run.counters.recognition_reuses, 1u)
+      << "steady traffic must hit the recognition cache";
+  EXPECT_GE(run.counters.recognition_rebuilds, 1u)
+      << "the first window always seeds cold";
+  EXPECT_EQ(run.counters.windows, run.warm.size());
+
+  EXPECT_EQ(run.cold_stats.flows_ingested, run.warm_stats.flows_ingested);
+  EXPECT_EQ(run.cold_stats.windows_completed,
+            run.warm_stats.windows_completed);
+  EXPECT_EQ(run.cold_stats.stable_ids_created,
+            run.warm_stats.stable_ids_created);
 }
 
 // --- comm-type priors: identical classifications, less BOCD work ----------
 
 TEST(SessionEquivalenceTest, CommPriorsChangeOnlyBocdWorkTelemetry) {
-  const MixData& mix = steady_jobs();
-  MonitorConfig warm_cfg = monitor_config(2 * kSecond, true);
-  warm_cfg.session.carry_timeline_tails = false;
-  warm_cfg.session.ewma_baselines = false;
-
-  OnlineMonitor cold(mix.sim.topology, monitor_config(2 * kSecond, false));
-  OnlineMonitor warm(mix.sim.topology, warm_cfg);
-  const auto cold_ticks = run_monitor(cold, FlowColumns(mix.sim.trace).view());
-  const auto warm_ticks = run_monitor(warm, FlowColumns(mix.sim.trace).view());
-
-  expect_ticks_equal(cold_ticks, warm_ticks,
-                     {.skip_steps_observed = true, .skip_bocd_telemetry = true});
-
-  const PrismSession* session = warm.session();
-  ASSERT_NE(session, nullptr);
-  EXPECT_GT(session->counters().pairs_reused, 0u);
+  const ColdWarmRun run = run_cold_and_warm(steady_jobs(), 2 * kSecond);
+  ASSERT_EQ(run.cold.size(), run.warm.size());
+  EXPECT_GT(run.counters.pairs_reused, 0u);
 
   // The documented exception is real: some warm pair skipped BOCD
   // (num_steps_observed == 0) where the cold run observed steps.
   bool found_reused_pair = false;
   std::uint64_t cold_bocd = 0;
   std::uint64_t warm_bocd = 0;
-  for (std::size_t i = 0; i < warm_ticks.size(); ++i) {
-    cold_bocd += cold_ticks[i].report.telemetry.bocd_observations;
-    warm_bocd += warm_ticks[i].report.telemetry.bocd_observations;
-    for (std::size_t j = 0; j < warm_ticks[i].report.jobs.size(); ++j) {
-      const auto& wp = warm_ticks[i].report.jobs[j].comm_types.pairs;
-      const auto& cp = cold_ticks[i].report.jobs[j].comm_types.pairs;
+  for (std::size_t i = 0; i < run.warm.size(); ++i) {
+    SCOPED_TRACE("tick " + std::to_string(i));
+    const PrismReport& cold = run.cold[i].report;
+    const PrismReport& warm = run.warm[i].report;
+    cold_bocd += cold.telemetry.bocd_observations;
+    warm_bocd += warm.telemetry.bocd_observations;
+    ASSERT_EQ(cold.jobs.size(), warm.jobs.size());
+    for (std::size_t j = 0; j < warm.jobs.size(); ++j) {
+      SCOPED_TRACE("job " + std::to_string(j));
+      EXPECT_EQ(cold.jobs[j].comm_types.dp_components,
+                warm.jobs[j].comm_types.dp_components);
+      const auto& cp = cold.jobs[j].comm_types.pairs;
+      const auto& wp = warm.jobs[j].comm_types.pairs;
+      ASSERT_EQ(cp.size(), wp.size());
       for (std::size_t p = 0; p < wp.size(); ++p) {
+        EXPECT_EQ(cp[p].pair, wp[p].pair);
+        EXPECT_EQ(cp[p].type, wp[p].type);
+        EXPECT_EQ(cp[p].pre_refinement_type, wp[p].pre_refinement_type);
         if (wp[p].num_steps_observed == 0 && cp[p].num_steps_observed > 0) {
           found_reused_pair = true;
         }

@@ -8,12 +8,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "llmprism/common/hash.hpp"
 #include "llmprism/core/monitor.hpp"
 #include "llmprism/core/prism.hpp"
 #include "llmprism/core/session.hpp"
@@ -241,6 +243,28 @@ TEST(SnapshotTest, StreamAndSpanRestoresAgree) {
   EXPECT_EQ(save_monitor(via_stream), save_monitor(via_span));
 }
 
+// LPS1 must stay byte-stable: XXH64 digests (and lengths) of a session and
+// a monitor snapshot of one fixed seeded feed. SaveIsDeterministic only
+// compares two saves of one build; this pins the bytes across changes.
+TEST(SnapshotTest, GoldenBytes) {
+  OnlineMonitor warm(steady_mix().topology, monitor_config());
+  warm.ingest(split_feed().head);
+  ASSERT_NE(warm.session(), nullptr);
+  std::ostringstream session_blob;
+  save_snapshot(session_blob, *warm.session());
+  const std::string monitor_blob = save_monitor(warm);
+
+  const auto digest = [](const std::string& blob) {
+    return xxhash64(blob.data(), blob.size());
+  };
+  EXPECT_EQ(session_blob.str().size(), 5'509u);
+  EXPECT_EQ(digest(session_blob.str()), 0x19438a76ee228d75ULL)
+      << std::hex << "actual xxh64 0x" << digest(session_blob.str());
+  EXPECT_EQ(monitor_blob.size(), 221'929u);
+  EXPECT_EQ(digest(monitor_blob), 0x5ab0ddf8bee82dfcULL)
+      << std::hex << "actual xxh64 0x" << digest(monitor_blob);
+}
+
 // --- corrupt-blob suite ---------------------------------------------------
 
 /// Every malformed blob must throw std::runtime_error and leave the
@@ -257,12 +281,20 @@ class SnapshotCorruptTest : public ::testing::Test {
     return blob;
   }
 
-  void expect_rejects(const std::string& name, const std::string& blob) {
+  /// A non-empty `reason` must appear in the error message.
+  void expect_rejects(const std::string& name, const std::string& blob,
+                      const std::string& reason = "") {
     SCOPED_TRACE(name);
     OnlineMonitor target(steady_mix().topology, monitor_config());
     target.ingest(split_feed().head);
     const std::string before = save_monitor(target);
-    EXPECT_THROW(restore_snapshot(bytes(blob), target), std::runtime_error);
+    try {
+      restore_snapshot(bytes(blob), target);
+      ADD_FAILURE() << "restore accepted the blob";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+          << e.what();
+    }
     EXPECT_EQ(save_monitor(target), before)
         << "failed restore must leave the target unchanged";
   }
@@ -357,6 +389,131 @@ TEST_F(SnapshotCorruptTest, CarryStateMismatch) {
   OnlineMonitor target(steady_mix().topology, cold);
   EXPECT_THROW(restore_snapshot(bytes(good_blob()), target),
                std::runtime_error);
+}
+
+// --- forged blobs: valid checksum, hostile content ------------------------
+// XXH64 is not a security boundary: whoever can write the file can
+// recompute it. These blobs carry a correct checksum over content the
+// reader must still refuse.
+
+std::uint64_t load_u64(const std::string& blob, std::size_t at) {
+  std::uint64_t v;
+  std::memcpy(&v, blob.data() + at, sizeof(v));
+  return v;
+}
+
+template <typename T>
+void store(std::string& blob, std::size_t at, T v) {
+  std::memcpy(blob.data() + at, &v, sizeof(v));
+}
+
+/// Recompute the trailing checksum after an edit.
+void reseal(std::string& blob) {
+  store(blob, blob.size() - 8, xxhash64(blob.data(), blob.size() - 8));
+}
+
+/// Byte positions inside a monitor blob, found by walking the payload in
+/// the order the reader parses it.
+struct MonitorBlobLayout {
+  std::size_t num_flows = 0;
+  std::size_t start_ns = 0;        ///< first element of each column
+  std::size_t src = 0;
+  std::size_t switch_offsets = 0;
+  std::size_t switch_ids = 0;
+  std::size_t sorted = 0;          ///< the buffer's sorted flag
+  std::size_t cached_gpu = 0;      ///< recognition cache: job 0's gpus[0]
+};
+
+MonitorBlobLayout layout_of(const std::string& blob) {
+  MonitorBlobLayout at;
+  // window, slack, carry flag, GPU count, origin flag, begin, watermark
+  std::size_t pos = snapshot::kHeaderSize + 8 + 8 + 1 + 8 + 1 + 8 + 8;
+  const auto column = [&](std::size_t elem_bytes) {
+    const std::uint64_t n = load_u64(blob, pos);
+    const std::size_t first = pos + 8;
+    pos = first + n * elem_bytes;
+    return first;
+  };
+  at.num_flows = load_u64(blob, pos);
+  at.start_ns = column(8);
+  at.src = column(4);
+  column(4);  // dst
+  column(8);  // bytes
+  column(8);  // duration_ns
+  at.switch_offsets = column(8);
+  at.switch_ids = column(4);
+  at.sorted = pos++;
+  pos += 8;  // next job id
+  const std::uint64_t num_ids = load_u64(blob, pos);
+  pos += 8;
+  for (std::uint64_t i = 0; i < num_ids; ++i) {
+    column(4);  // machine set
+    pos += 8;   // stable id
+  }
+  pos += 8 * 8;  // monitor stats
+  column(16);    // per-job window counts
+  pos += 1;      // session present
+  pos += 4 + 4 * 8 + 11 * 8 + 8;  // session config, counters, window index
+  EXPECT_EQ(blob[pos], 1) << "recognition cache must be valid";
+  pos += 1;
+  column(8);  // cached pair set
+  EXPECT_GT(load_u64(blob, pos), 0u) << "cache must hold a job";
+  pos += 8;
+  at.cached_gpu = column(4);
+  return at;
+}
+
+TEST_F(SnapshotCorruptTest, ForgedSwitchOffsets) {
+  std::string blob = good_blob();
+  const MonitorBlobLayout at = layout_of(blob);
+  ASSERT_GT(at.num_flows, 0u) << "the reorder buffer must hold flows";
+  store<std::uint64_t>(blob, at.switch_offsets + 8, std::uint64_t{1} << 40);
+  reseal(blob);
+  expect_rejects("switch_offsets[1] = 2^40", blob, "hops (max");
+}
+
+TEST_F(SnapshotCorruptTest, ForgedSortFlag) {
+  std::string blob = good_blob();
+  const MonitorBlobLayout at = layout_of(blob);
+  ASSERT_GE(at.num_flows, 2u);
+  ASSERT_EQ(blob[at.sorted], 1) << "the buffer is stored sorted";
+  const std::size_t last = at.start_ns + 8 * (at.num_flows - 1);
+  const std::uint64_t first_start = load_u64(blob, at.start_ns);
+  const std::uint64_t last_start = load_u64(blob, last);
+  ASSERT_NE(first_start, last_start);
+  store(blob, at.start_ns, last_start);
+  store(blob, last, first_start);
+  reseal(blob);
+  expect_rejects("first and last start swapped, still flagged sorted", blob,
+                 "rows are not sorted");
+}
+
+TEST_F(SnapshotCorruptTest, ForgedIdOutsideTopology) {
+  const ClusterTopology& topology = steady_mix().topology;
+  const std::string& good = good_blob();
+  const MonitorBlobLayout at = layout_of(good);
+  ASSERT_GT(at.num_flows, 0u);
+  ASSERT_GT(load_u64(good, at.switch_offsets + 8 * at.num_flows), 0u)
+      << "the buffer must hold switch hops";
+
+  std::string gpu = good;
+  store<std::uint32_t>(gpu, at.src, topology.num_gpus());
+  reseal(gpu);
+  expect_rejects("buffer src = num_gpus", gpu,
+                 "GPU id " + std::to_string(topology.num_gpus()) + " outside");
+
+  std::string sw = good;
+  store<std::uint32_t>(sw, at.switch_ids, topology.num_switches());
+  reseal(sw);
+  expect_rejects("buffer switch id = num_switches", sw,
+                 "switch id " + std::to_string(topology.num_switches()) +
+                     " outside");
+
+  std::string cached = good;
+  store<std::uint32_t>(cached, at.cached_gpu, 100'000);
+  reseal(cached);
+  expect_rejects("recognition cache GPU id 100000", cached,
+                 "recognition cache: GPU id 100000");
 }
 
 TEST_F(SnapshotCorruptTest, FileErrors) {
