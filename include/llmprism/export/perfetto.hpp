@@ -14,8 +14,8 @@
 //  * "ph":"i" instant events for the k-sigma alerts — thread-scoped for
 //    step alerts, process-scoped for DP-group alerts, global on the fabric
 //    process for switch alerts,
-//  * "ph":"C" counter tracks: per-job per-comm-type bytes/s, and per-switch
-//    DP bandwidth on the fabric process.
+//  * "ph":"C" counter tracks: per-job per-comm-type bytes/s in 100 ms bins,
+//    and per-switch DP bandwidth on the fabric process.
 //
 // Determinism: the output is a pure function of the sequence of
 // WindowExportViews (report order, std::map-ordered counters, fixed-point
@@ -32,8 +32,11 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
+#include "llmprism/common/ids.hpp"
 #include "llmprism/common/time.hpp"
+#include "llmprism/core/timeline.hpp"
 #include "llmprism/export/view.hpp"
 
 namespace llmprism {
@@ -43,17 +46,16 @@ struct PerfettoOptions {
   /// "job <id> (tp=..,dp=..,pp=..)" name. Names are JSON-escaped, so any
   /// byte sequence is safe.
   std::map<std::uint64_t, std::string> job_names;
-  /// Bin width of the per-job comm-bytes/s counter track.
-  DurationNs counter_bucket = 100 * kMillisecond;
-  /// Emit the per-rank "step k" spans (the outer nesting level).
-  bool emit_steps = true;
-  /// Emit the per-event slices (compute / pp_send / pp_recv / dp_sync).
-  bool emit_events = true;
-  /// Emit the "ph":"C" counter tracks.
-  bool emit_counters = true;
 };
 
 /// Accumulates windows and writes one Chrome trace-event JSON document.
+///
+/// add_window() copies what it needs out of the report: the rank tracks'
+/// step and event slices go to a compact binary log (24 bytes a slice),
+/// everything else (metadata, alerts, counters) to a small text buffer.
+/// The slices are formatted only by write(), straight to the stream, so
+/// the report and its ticks may be destroyed as soon as add_window()
+/// returns.
 class PerfettoExporter {
  public:
   explicit PerfettoExporter(PerfettoOptions options = {});
@@ -63,13 +65,37 @@ class PerfettoExporter {
   void add_window(const WindowExportView& view);
 
   /// Write the accumulated document: {"traceEvents":[...],...}. Valid JSON
-  /// even with zero windows added. Can be called repeatedly.
+  /// even with zero windows added. Can be called repeatedly, and between
+  /// add_window() calls. Stops early once `os` has failed.
   void write(std::ostream& os) const;
 
   [[nodiscard]] std::size_t num_events() const { return num_events_; }
 
  private:
-  /// Start the next event object in the buffer (comma handling) up to
+  /// One "step <index>" slice.
+  struct StepSlice {
+    TimeNs ts;
+    DurationNs dur;
+    std::size_t index;
+  };
+  /// One compute / pp_send / pp_recv / dp_sync slice.
+  struct EventSlice {
+    TimeNs ts;
+    DurationNs dur;
+    GpuId::rep_type peer;  ///< written for non-compute kinds when valid
+    TimelineEventKind kind;
+  };
+  /// A rank track's slices, placed at `text_at` in text_: steps_ and
+  /// events_ from the previous track's ends up to these.
+  struct Track {
+    std::size_t text_at;
+    std::uint64_t pid;
+    std::uint64_t tid;
+    std::size_t steps_end;
+    std::size_t events_end;
+  };
+
+  /// Start the next event object in the text buffer (comma handling) up to
   /// `{"name":`; the caller appends the name and the remaining fields.
   std::string& next_event();
   /// next_event(), then the escaped name and the ph/pid/tid fields.
@@ -79,7 +105,10 @@ class PerfettoExporter {
   void add_fabric_window(const WindowExportView& view);
 
   PerfettoOptions options_;
-  std::string events_;        ///< serialized events, comma-separated
+  std::string text_;  ///< serialized non-slice events, comma-separated
+  std::vector<Track> tracks_;
+  std::vector<StepSlice> steps_;
+  std::vector<EventSlice> events_;
   std::size_t num_events_ = 0;
   std::set<std::uint64_t> named_processes_;              ///< pids with M events
   std::set<std::pair<std::uint64_t, std::uint64_t>> named_threads_;

@@ -10,44 +10,66 @@
 //  * write_double — shortest round-trip decimal via %.17g -> %g retry,
 //    locale-independent ("C" behaviour of the printf family is assumed, as
 //    everywhere else in the repo).
-// All of them append to the caller's buffer: the exporters serialize every
-// event straight into one growing document, with no per-field temporaries.
+// write_int and write_us come in two forms: a cursor form that writes at a
+// raw `char*` with room for kMaxIntChars / kMaxUsChars bytes and returns
+// the new end (the Perfetto writer's staging buffer), and a form that
+// appends to the caller's std::string through the cursor form, so every
+// number has one digit routine.
 #pragma once
 
 #include <charconv>
 #include <cmath>
 #include <concepts>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <ostream>
 #include <string>
 
 #include "llmprism/common/time.hpp"
 
 namespace llmprism::detail {
 
+/// Room write_int needs: 20 digits of a 64-bit value, plus the sign.
+inline constexpr std::size_t kMaxIntChars = 21;
+/// Room write_us needs: a sign, write_int's room, '.' and 3 digits.
+inline constexpr std::size_t kMaxUsChars = 1 + kMaxIntChars + 4;
+
+/// Write an integer in decimal at `out`; returns the end.
+template <std::integral T>
+inline char* write_int(char* out, T v) {
+  return std::to_chars(out, out + kMaxIntChars, v).ptr;
+}
+
 /// Append an integer in decimal.
 template <std::integral T>
 inline void write_int(std::string& out, T v) {
-  char buf[24];  // 20 digits of a 64-bit value, plus the sign
-  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+  char buf[kMaxIntChars];
+  out.append(buf, write_int(buf, v));
 }
 
-/// Append `ns` as microseconds with three fractional digits ("1234.567").
-inline void write_us(std::string& out, TimeNs ns) {
+/// Write `ns` as microseconds with three fractional digits ("1234.567") at
+/// `out`; returns the end.
+inline char* write_us(char* out, TimeNs ns) {
   std::uint64_t a;
   if (ns < 0) {
-    out += '-';
+    *out++ = '-';
     a = static_cast<std::uint64_t>(-(ns + 1)) + 1;
   } else {
     a = static_cast<std::uint64_t>(ns);
   }
   const std::uint64_t rem = a % 1000;
-  write_int(out, a / 1000);
-  const char frac[4] = {'.', static_cast<char>('0' + rem / 100),
-                        static_cast<char>('0' + rem / 10 % 10),
-                        static_cast<char>('0' + rem % 10)};
-  out.append(frac, sizeof(frac));
+  out = write_int(out, a / 1000);
+  out[0] = '.';
+  out[1] = static_cast<char>('0' + rem / 100);
+  out[2] = static_cast<char>('0' + rem / 10 % 10);
+  out[3] = static_cast<char>('0' + rem % 10);
+  return out + 4;
+}
+
+/// Append `ns` as microseconds with three fractional digits.
+inline void write_us(std::string& out, TimeNs ns) {
+  char buf[kMaxUsChars];
+  out.append(buf, write_us(buf, ns));
 }
 
 /// Append a finite double as the shortest decimal that round-trips;
@@ -65,12 +87,6 @@ inline void write_double(std::string& out, double v) {
     if (back == v) break;
   }
   out += buf;
-}
-
-inline void write_double(std::ostream& os, double v) {
-  std::string s;
-  write_double(s, v);
-  os << s;
 }
 
 }  // namespace llmprism::detail

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <unordered_map>
 
@@ -26,8 +28,17 @@ using detail::write_us;
 constexpr std::size_t kNumEventKinds =
     static_cast<std::size_t>(TimelineEventKind::kCompute) + 1;
 
-/// Bytes reserved per slice; a serialized slice is ~95 bytes.
-constexpr std::size_t kSliceBytesEstimate = 128;
+/// Bin width of the per-job comm-bytes/s counter track.
+constexpr DurationNs kCounterBucket = 100 * kMillisecond;
+
+/// write() formats into one buffer of this size and hands the stream a
+/// full buffer at a time.
+constexpr std::size_t kStagingBytes = 256 * 1024;
+
+/// Room reserved per formatted slice. The longest, an event slice with a
+/// peer, is 165 bytes: name and head with two 20-digit ids, two 21-byte
+/// timestamps, and the peer argument.
+constexpr std::size_t kMaxSliceBytes = 256;
 
 /// The fields after the name: ,"ph":"<ph>","pid":P,"tid":T
 void add_ids(std::string& out, char ph, std::uint64_t pid, std::uint64_t tid) {
@@ -44,10 +55,61 @@ void add_ts(std::string& out, TimeNs ts) {
   write_us(out, ts);
 }
 
-void add_dur(std::string& out, DurationNs dur) {
-  out += ",\"dur\":";
-  write_us(out, dur);
+/// Grows `v` to hold `n` more elements in one allocation: exactly on first
+/// use, so one window of one job costs no regrowth copies or spare pages,
+/// and at least doubling after, so a long run of windows does not re-copy
+/// the log every time.
+template <typename T>
+void reserve_more(std::vector<T>& v, std::size_t n) {
+  const std::size_t want = v.size() + n;
+  if (want > v.capacity()) v.reserve(std::max(want, 2 * v.capacity()));
 }
+
+[[nodiscard]] char* put(char* out, std::string_view s) {
+  std::memcpy(out, s.data(), s.size());
+  return out + s.size();
+}
+
+/// write()'s staging buffer: callers format at `cursor` after make_room(),
+/// and each full buffer goes to the stream in one os.write.
+struct Staging {
+  explicit Staging(std::ostream& out)
+      : os(out),
+        buf(std::make_unique_for_overwrite<char[]>(kStagingBytes)),
+        end(buf.get() + kStagingBytes),
+        cursor(buf.get()) {}
+
+  /// Ensures `n` <= kStagingBytes free bytes at `cursor`, writing the
+  /// buffer out if needed. False once the stream has failed.
+  [[nodiscard]] bool make_room(std::size_t n) {
+    return static_cast<std::size_t>(end - cursor) >= n || flush();
+  }
+
+  /// Copies `s` in, a buffer-full at a time. False once the stream has
+  /// failed.
+  [[nodiscard]] bool append(std::string_view s) {
+    while (!s.empty()) {
+      if (!make_room(1)) return false;
+      const std::size_t n =
+          std::min(s.size(), static_cast<std::size_t>(end - cursor));
+      cursor = put(cursor, s.substr(0, n));
+      s.remove_prefix(n);
+    }
+    return true;
+  }
+
+  /// Writes the buffered bytes out. False once the stream has failed.
+  bool flush() {
+    os.write(buf.get(), cursor - buf.get());
+    cursor = buf.get();
+    return static_cast<bool>(os);
+  }
+
+  std::ostream& os;
+  const std::unique_ptr<char[]> buf;
+  char* const end;
+  char* cursor;
+};
 
 /// Finds the reconstructed step an alert points at. The GPU -> timeline
 /// index is built on the first lookup, so a job without alerts never pays
@@ -84,9 +146,9 @@ PerfettoExporter::PerfettoExporter(PerfettoOptions options)
     : options_(std::move(options)) {}
 
 std::string& PerfettoExporter::next_event() {
-  if (num_events_++ != 0) events_ += ',';
-  events_ += "\n{\"name\":";
-  return events_;
+  if (num_events_++ != 0) text_ += ',';
+  text_ += "\n{\"name\":";
+  return text_;
 }
 
 std::string& PerfettoExporter::begin_event(std::string_view name, char ph,
@@ -139,17 +201,15 @@ void PerfettoExporter::add_job_window(const WindowExportView& view,
     o += "}}";
   }
 
-  // Size the buffer for this job's slices up front instead of letting it
-  // double its way there: on a 1,024-rank job the re-copies and the page
-  // faults of regrowth cost about as much as the formatting itself.
-  // Capacity past what gets written is never touched, so it costs address
-  // space, not memory.
-  std::size_t slices = 0;
+  std::size_t num_steps = 0;
+  std::size_t num_timeline_events = 0;
   for (const GpuTimeline& tl : job.timelines) {
-    if (options_.emit_steps) slices += tl.steps.size();
-    if (options_.emit_events) slices += tl.events.size();
+    num_steps += tl.steps.size();
+    num_timeline_events += tl.events.size();
   }
-  events_.reserve(events_.size() + slices * kSliceBytesEstimate);
+  reserve_more(steps_, num_steps);
+  reserve_more(events_, num_timeline_events);
+  num_events_ += num_steps + num_timeline_events;
 
   // Per-rank tracks: tid = the cluster-wide gpu id (stable across windows),
   // displayed in rank order via thread_sort_index.
@@ -173,46 +233,16 @@ void PerfettoExporter::add_job_window(const WindowExportView& view,
       o += "}}";
     }
 
-    // Every slice on this track carries the same ph/pid/tid fields, so
-    // they are formatted once per track, and once more behind each event
-    // kind's name.
-    std::string slice_ids;
-    add_ids(slice_ids, 'X', pid, tid);
-    std::array<std::string, kNumEventKinds> heads;
-    for (std::size_t k = 0; k < kNumEventKinds; ++k) {
-      append_json_string(heads[k],
-                         slice_name(static_cast<TimelineEventKind>(k)));
-      heads[k] += slice_ids;
+    // The track's slices follow its metadata; write() formats them there.
+    for (const ReconstructedStep& st : tl.steps) {
+      steps_.push_back({st.begin, st.end - st.begin, st.index});
     }
-
-    if (options_.emit_steps) {
-      for (const ReconstructedStep& s : tl.steps) {
-        // "step <k>" has nothing to escape.
-        std::string& e = next_event();
-        e += "\"step ";
-        write_int(e, s.index);
-        e += '"';
-        e += slice_ids;
-        add_ts(e, s.begin);
-        add_dur(e, s.end - s.begin);
-        e += '}';
-      }
+    for (const TimelineEvent& ev : tl.events) {
+      events_.push_back(
+          {ev.start, ev.end - ev.start, ev.peer.value(), ev.kind});
     }
-
-    if (options_.emit_events) {
-      for (const TimelineEvent& ev : tl.events) {
-        std::string& e = next_event();
-        e += heads[static_cast<std::size_t>(ev.kind)];
-        add_ts(e, ev.start);
-        add_dur(e, ev.end - ev.start);
-        if (ev.kind != TimelineEventKind::kCompute && ev.peer.valid()) {
-          e += ",\"args\":{\"peer\":";
-          write_int(e, ev.peer.value());
-          e += '}';
-        }
-        e += '}';
-      }
-    }
+    tracks_.push_back(
+        {text_.size(), pid, tid, steps_.size(), events_.size()});
   }
 
   // k-sigma step alerts: thread-scoped instants at the flagged step's end.
@@ -262,14 +292,14 @@ void PerfettoExporter::add_job_window(const WindowExportView& view,
   }
 
   // Per-job comm-bandwidth counter track: bytes/s per comm type, binned at
-  // options_.counter_bucket, bins aligned to the window begin. std::map
+  // kCounterBucket, bins aligned to the window begin. std::map
   // keeps bin order (and hence output) deterministic. Reads the start,
   // endpoint and byte columns only; no FlowRecord is materialized.
-  if (options_.emit_counters && !job.trace.empty()) {
+  if (!job.trace.empty()) {
     const auto types = job.comm_types.types();
     const FlowView flows = job.trace.view();
     const TimeNs origin = view.window.begin;
-    const DurationNs bucket = options_.counter_bucket;
+    constexpr DurationNs bucket = kCounterBucket;
     struct BinBytes {
       std::uint64_t dp = 0;
       std::uint64_t pp = 0;
@@ -363,26 +393,88 @@ void PerfettoExporter::add_fabric_window(const WindowExportView& view) {
   }
 
   // Per-switch average DP bandwidth, one counter sample per window.
-  if (options_.emit_counters) {
-    for (const auto& [sw, gbps] : r.switch_bandwidth_gbps) {
-      name_switch(sw);
-      // "sw<id> dp gbps" has nothing to escape.
-      std::string& e = next_event();
-      e += "\"sw";
-      write_int(e, sw.value());
-      e += " dp gbps\"";
-      add_ids(e, 'C', kFabricPid, 0);
-      add_ts(e, view.window.begin);
-      e += ",\"args\":{\"gbps\":";
-      write_double(e, gbps);
-      e += "}}";
-    }
+  for (const auto& [sw, gbps] : r.switch_bandwidth_gbps) {
+    name_switch(sw);
+    // "sw<id> dp gbps" has nothing to escape.
+    std::string& e = next_event();
+    e += "\"sw";
+    write_int(e, sw.value());
+    e += " dp gbps\"";
+    add_ids(e, 'C', kFabricPid, 0);
+    add_ts(e, view.window.begin);
+    e += ",\"args\":{\"gbps\":";
+    write_double(e, gbps);
+    e += "}}";
   }
 }
 
 void PerfettoExporter::write(std::ostream& os) const {
-  os << "{\"schema_version\":1,\"displayTimeUnit\":\"ms\",\"traceEvents\":["
-     << events_ << "\n]}\n";
+  Staging out(os);
+  if (!out.append(
+          "{\"schema_version\":1,\"displayTimeUnit\":\"ms\",\"traceEvents\":[")) {
+    return;
+  }
+  std::size_t text_at = 0;
+  std::size_t step = 0;
+  std::size_t event = 0;
+  for (const Track& track : tracks_) {
+    if (!out.append(std::string_view(text_).substr(
+            text_at, track.text_at - text_at))) {
+      return;
+    }
+    text_at = track.text_at;
+
+    // Every slice on this track starts with the same bytes up to its ts
+    // value: `,\n{"name":` (a slice is never the document's first event:
+    // its job's process_name precedes it), the name, the track's
+    // ph/pid/tid fields and `,"ts":`. Formatted once per track, and once
+    // per event kind.
+    std::string ids;
+    add_ids(ids, 'X', track.pid, track.tid);
+    ids += ",\"ts\":";
+    std::array<std::string, kNumEventKinds> heads;
+    for (std::size_t k = 0; k < kNumEventKinds; ++k) {
+      heads[k] = ",\n{\"name\":";
+      append_json_string(heads[k],
+                         slice_name(static_cast<TimelineEventKind>(k)));
+      heads[k] += ids;
+    }
+
+    for (; step < track.steps_end; ++step) {
+      if (!out.make_room(kMaxSliceBytes)) return;
+      const StepSlice& s = steps_[step];
+      // "step <k>" has nothing to escape.
+      char* p = put(out.cursor, ",\n{\"name\":\"step ");
+      p = write_int(p, s.index);
+      *p++ = '"';
+      p = put(p, ids);
+      p = write_us(p, s.ts);
+      p = put(p, ",\"dur\":");
+      p = write_us(p, s.dur);
+      *p++ = '}';
+      out.cursor = p;
+    }
+
+    for (; event < track.events_end; ++event) {
+      if (!out.make_room(kMaxSliceBytes)) return;
+      const EventSlice& e = events_[event];
+      char* p = put(out.cursor, heads[static_cast<std::size_t>(e.kind)]);
+      p = write_us(p, e.ts);
+      p = put(p, ",\"dur\":");
+      p = write_us(p, e.dur);
+      if (e.kind != TimelineEventKind::kCompute && GpuId(e.peer).valid()) {
+        p = put(p, ",\"args\":{\"peer\":");
+        p = write_int(p, e.peer);
+        *p++ = '}';
+      }
+      *p++ = '}';
+      out.cursor = p;
+    }
+  }
+  if (out.append(std::string_view(text_).substr(text_at)) &&
+      out.append("\n]}\n")) {
+    out.flush();
+  }
 }
 
 }  // namespace llmprism

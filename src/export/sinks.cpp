@@ -42,13 +42,15 @@ void ExportSinks::add_window(const WindowExportView& view) {
 
 std::vector<std::string> ExportSinks::write_files() {
   std::vector<std::string> errors;
+  // A file that opened can still fail to take the bytes (a full disk,
+  // /dev/full): the stream is flushed and checked after its writer.
   const auto write = [&](const std::string& path, auto&& writer) {
     std::ofstream out(path);
-    if (!out) {
-      errors.push_back("cannot write " + path);
-      return;
+    if (out) {
+      writer(out);
+      out.flush();
     }
-    writer(out);
+    if (!out) errors.push_back("cannot write " + path);
   };
   if (journal_) journal_->finish();
   if (perfetto_) {

@@ -18,7 +18,10 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <filesystem>
+#include <limits>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -26,6 +29,7 @@
 #include "llmprism/core/monitor.hpp"
 #include "llmprism/core/prism.hpp"
 #include "llmprism/core/render.hpp"
+#include "llmprism/export/config.hpp"
 #include "llmprism/export/journal.hpp"
 #include "llmprism/export/perfetto.hpp"
 #include "llmprism/export/series.hpp"
@@ -213,6 +217,151 @@ TEST(PerfettoExport, EmptyExportIsValid) {
 
 TEST(PerfettoExport, DeterministicAcrossReruns) {
   EXPECT_EQ(perfetto_output(), perfetto_output());
+}
+
+// --- Perfetto deferred formatting -------------------------------------------
+// add_window() only records the slices; write() formats them. These pin the
+// contract that makes that safe: nothing points into a report, write() is
+// const and repeatable, and the values format as the in-memory serializer
+// did.
+
+std::string write_perfetto(const PerfettoExporter& exporter) {
+  std::ostringstream os;
+  exporter.write(os);
+  return os.str();
+}
+
+TEST(PerfettoDeferred, ReportsMayDieBeforeWrite) {
+  PerfettoExporter exporter;
+  {
+    MonitorConfig mc;
+    mc.window = 4 * kSecond;
+    OnlineMonitor monitor(fleet().sim.topology, mc);
+    std::vector<MonitorTick> ticks = monitor.ingest(fleet().sim.trace);
+    if (auto last = monitor.flush()) ticks.push_back(std::move(*last));
+    for (const MonitorTick& tick : ticks) exporter.add_window(export_view(tick));
+  }
+  // Under ASan a dangling pointer into the destroyed ticks fails here.
+  EXPECT_EQ(write_perfetto(exporter), perfetto_output());
+}
+
+TEST(PerfettoDeferred, RepeatedWritesAreIdentical) {
+  PerfettoExporter exporter;
+  for (const WindowExportView& view : fleet_views()) exporter.add_window(view);
+  const std::string first = write_perfetto(exporter);
+  EXPECT_EQ(write_perfetto(exporter), first);
+}
+
+TEST(PerfettoDeferred, AddWindowAfterWriteContinuesTheDocument) {
+  const std::vector<WindowExportView> views = fleet_views();
+  ASSERT_GE(views.size(), 2u);
+  PerfettoExporter exporter;
+  const std::size_t half = views.size() / 2;
+  for (std::size_t i = 0; i < half; ++i) exporter.add_window(views[i]);
+  const std::string partial = write_perfetto(exporter);
+  EXPECT_TRUE(is_valid_json(partial)) << testing::JsonLinter(partial).error();
+  for (std::size_t i = half; i < views.size(); ++i) {
+    exporter.add_window(views[i]);
+  }
+  EXPECT_EQ(write_perfetto(exporter), perfetto_output());
+}
+
+TEST(PerfettoDeferred, NumEventsIsKnownBeforeWrite) {
+  PerfettoExporter exporter;
+  for (const WindowExportView& view : fleet_views()) exporter.add_window(view);
+  const std::size_t counted = exporter.num_events();
+  // Every event object starts on its own line; escaped names hold no raw
+  // newline.
+  const std::string out = write_perfetto(exporter);
+  std::size_t starts = 0;
+  for (std::size_t at = out.find("\n{"); at != std::string::npos;
+       at = out.find("\n{", at + 1)) {
+    ++starts;
+  }
+  EXPECT_GT(counted, 0u);
+  EXPECT_EQ(counted, starts);
+}
+
+TEST(PerfettoDeferred, WideStepIndexAndLargestPeerFormatExactly) {
+  PrismReport report;
+  JobAnalysis& job = report.jobs.emplace_back();
+  job.id = JobId(5);
+  job.job.gpus = {GpuId(3), GpuId(9)};
+  job.inferred.tp = 2;
+  GpuTimeline& tl = job.timelines.emplace_back();
+  tl.gpu = GpuId(9);
+  // A step index past 32 bits, and the largest id that is still valid.
+  tl.steps.push_back(
+      {.index = (std::size_t{1} << 32) + 7, .begin = -1'500, .end = 2'000'001});
+  const GpuId peer(std::numeric_limits<GpuId::rep_type>::max() - 1);
+  tl.events.push_back({TimelineEventKind::kPpSend, -1'500, 1'234, peer});
+  tl.events.push_back({TimelineEventKind::kCompute, 1'234, 1'000'000, {}});
+  tl.events.push_back({TimelineEventKind::kDp, 1'000'000, 2'000'001, {}});
+
+  PerfettoExporter exporter;
+  exporter.add_window({{0, kSecond}, &report, {}});
+  report.jobs.clear();
+  EXPECT_EQ(exporter.num_events(), 8u);
+  EXPECT_EQ(
+      write_perfetto(exporter),
+      "{\"schema_version\":1,\"displayTimeUnit\":\"ms\",\"traceEvents\":["
+      "\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":7,\"tid\":0,"
+      "\"args\":{\"name\":\"job 5 (tp=2,dp=1,pp=1)\"}},"
+      "\n{\"name\":\"process_sort_index\",\"ph\":\"M\",\"pid\":7,\"tid\":0,"
+      "\"args\":{\"sort_index\":7}},"
+      "\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":7,\"tid\":9,"
+      "\"args\":{\"name\":\"rank 1 (gpu 9)\"}},"
+      "\n{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":7,\"tid\":9,"
+      "\"args\":{\"sort_index\":1}},"
+      "\n{\"name\":\"step 4294967303\",\"ph\":\"X\",\"pid\":7,\"tid\":9,"
+      "\"ts\":-1.500,\"dur\":2001.501},"
+      "\n{\"name\":\"pp_send\",\"ph\":\"X\",\"pid\":7,\"tid\":9,"
+      "\"ts\":-1.500,\"dur\":2.734,\"args\":{\"peer\":4294967294}},"
+      "\n{\"name\":\"compute\",\"ph\":\"X\",\"pid\":7,\"tid\":9,"
+      "\"ts\":1.234,\"dur\":998.766},"
+      "\n{\"name\":\"dp_sync\",\"ph\":\"X\",\"pid\":7,\"tid\":9,"
+      "\"ts\":1000.000,\"dur\":1000.001}"
+      "\n]}\n");
+}
+
+/// Accepts nothing and counts the write calls it was offered.
+class FailingBuf : public std::streambuf {
+ public:
+  std::size_t writes = 0;
+
+ protected:
+  std::streamsize xsputn(const char*, std::streamsize) override {
+    ++writes;
+    return 0;
+  }
+  int_type overflow(int_type) override {
+    ++writes;
+    return traits_type::eof();
+  }
+};
+
+TEST(PerfettoDeferred, StopsFormattingOnceTheStreamFails) {
+  PerfettoExporter exporter;
+  for (const WindowExportView& view : fleet_views()) exporter.add_window(view);
+  FailingBuf buf;
+  std::ostream os(&buf);
+  exporter.write(os);
+  EXPECT_TRUE(os.bad());
+  // The 9 MB document would take many staging buffers; the first failed
+  // write ends it.
+  EXPECT_EQ(buf.writes, 1u);
+}
+
+TEST(ExportSinks, ReportsAFileThatCannotTakeTheBytes) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "/dev/full is absent";
+  }
+  ExportConfig config;
+  config.perfetto_out = "/dev/full";
+  ExportSinks sinks(config);
+  for (const WindowExportView& view : fleet_views()) sinks.add_window(view);
+  EXPECT_EQ(sinks.write_files(),
+            std::vector<std::string>{"cannot write /dev/full"});
 }
 
 // --- OpenMetrics series ---------------------------------------------------
