@@ -18,6 +18,7 @@
 #include "llmprism/common/thread_pool.hpp"
 #include "llmprism/core/comm_type.hpp"
 #include "llmprism/core/diagnosis.hpp"
+#include "llmprism/core/flow_router.hpp"
 #include "llmprism/core/job_recognition.hpp"
 #include "llmprism/core/monitor.hpp"
 #include "llmprism/core/prism.hpp"
@@ -150,17 +151,24 @@ void BM_TimelineReconstructAll(benchmark::State& state) {
 }
 BENCHMARK(BM_TimelineReconstructAll);
 
+// One analysis thread, like the 1-core box bench/baseline.json was
+// recorded on, so the gate compares like with like on any host.
 void BM_PrismEndToEnd(benchmark::State& state) {
   const auto& sim = shared_cluster();
-  const Prism prism(sim.topology);
+  PrismConfig cfg;
+  cfg.num_threads = 1;
+  const Prism prism(sim.topology, cfg);
   for (auto _ : state) {
     benchmark::DoNotOptimize(prism.analyze(FlowColumns(sim.trace).view()));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * sim.trace.size()));
   state.counters["flows"] = static_cast<double>(sim.trace.size());
+  state.counters["threads"] = static_cast<double>(prism.num_threads());
+  state.counters["num_cpus"] =
+      static_cast<double>(std::thread::hardware_concurrency());
 }
-BENCHMARK(BM_PrismEndToEnd);
+BENCHMARK(BM_PrismEndToEnd)->UseRealTime();
 
 // --- columnar stage benches ------------------------------------------------
 // The analysis plane's hot kernels over the shared single-job trace, each
@@ -271,9 +279,30 @@ void BM_StageKSigma(benchmark::State& state) {
 }
 BENCHMARK(BM_StageKSigma);
 
-// The whole cluster-wide switch stage over the DP-only rows: the percentile
-// health check and the concurrency sweep, one task per switch on a pool of
-// Arg lanes (1 = the null-pool sequential loop).
+// Routing over the shared trace: per-chunk count, prefix sum and scatter
+// into the job columns on a pool of Arg lanes (1 = the null-pool loop).
+void BM_StageRoute(benchmark::State& state) {
+  const auto& sim = shared_cluster();
+  const FlowView view = stage_fixture().columns.view();
+  const auto recognition = JobRecognizer(sim.topology).recognize(view);
+  const FlowRouter router(
+      std::span<const RecognizedJob>(recognition.jobs));
+  const auto lanes = static_cast<std::size_t>(state.range(0));
+  std::unique_ptr<ThreadPool> pool;
+  if (lanes > 1) pool = std::make_unique<ThreadPool>(lanes - 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(router.route(view, pool.get()));
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * view.size()));
+  state.counters["flows"] = static_cast<double>(view.size());
+}
+BENCHMARK(BM_StageRoute)->Arg(1)->Arg(4)->UseRealTime();
+
+// The whole cluster-wide switch stage over the DP-only rows, as
+// Prism::analyze runs it: one per-switch sample table, then the mean, the
+// percentile health check and the concurrency sweep, one task per switch
+// on a pool of Arg lanes (1 = the null-pool sequential loop).
 void BM_StageSwitch(benchmark::State& state) {
   const StageFixture& f = stage_fixture();
   const FlowView dp_view = f.dp_flows.view();
@@ -282,10 +311,10 @@ void BM_StageSwitch(benchmark::State& state) {
   std::unique_ptr<ThreadPool> pool;
   if (lanes > 1) pool = std::make_unique<ThreadPool>(lanes - 1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        diagnoser.switch_bandwidth(dp_view, nullptr, pool.get()));
-    benchmark::DoNotOptimize(
-        diagnoser.switch_concurrency(dp_view, pool.get()));
+    benchmark::DoNotOptimize(diagnoser.diagnose_switches(
+        SwitchSamples(dp_view, row_chunks(dp_view.size(), pool.get()), {},
+                      pool.get()),
+        nullptr, pool.get()));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * dp_view.size()));

@@ -65,4 +65,11 @@ class ThreadPool {
 void parallel_for(ThreadPool* pool, std::size_t n,
                   const std::function<void(std::size_t)>& fn);
 
+/// Split rows [0, n) into contiguous chunks for a count / prefix / scatter
+/// pass: four per lane of `pool`, or the one chunk [0, n) with a null
+/// pool. Chunk c covers [bounds[c], bounds[c + 1]); chunks may be empty
+/// when n is smaller than the chunk count.
+[[nodiscard]] std::vector<std::size_t> row_chunks(std::size_t n,
+                                                  const ThreadPool* pool);
+
 }  // namespace llmprism

@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "llmprism/common/ids.hpp"
@@ -116,6 +117,50 @@ struct SwitchConcurrencyAlert {
   std::size_t limit = 0;
 };
 
+/// Per-switch samples of DP flows: a CSR keyed by switch id, one sample
+/// per (flow, hop). Switch s's samples are rows offsets[s] .. offsets[s+1]
+/// of the three sample columns, in input row order — so an in-order sum
+/// over a slice sees the samples in the order of a pass over the flows.
+/// The switch checks consume the table: each slice's bandwidths are
+/// compacted in place, and the concurrency sweep sorts its ends (and its
+/// starts, when the input was unsorted) in place.
+struct SwitchSamples {
+  /// bandwidth_gbps of a sample whose flow has duration_ns <= 0: it counts
+  /// toward concurrency but not toward bandwidth.
+  static constexpr double kNoBandwidth = -1.0;
+
+  SwitchSamples() = default;
+  /// The hops of every row of `view` whose `keep` byte is non-zero (every
+  /// row when `keep` is empty). `chunks` are row boundaries as from
+  /// row_chunks(); each chunk counts its samples per switch, a prefix sum
+  /// over (switch, chunk) gives every chunk its write offsets, and each
+  /// chunk scatters its samples — one task per chunk on `pool`. The table
+  /// is the same for every chunk plan and lane count.
+  SwitchSamples(const FlowView& view, std::span<const std::size_t> chunks,
+                std::span<const std::uint8_t> keep = {},
+                ThreadPool* pool = nullptr);
+
+  /// Switch-id slots: one past the highest switch id on any row's path,
+  /// kept or not (0 when no row has a hop). A slot without samples is an
+  /// empty slice.
+  [[nodiscard]] std::size_t num_switches() const {
+    return offsets.empty() ? 0 : offsets.size() - 1;
+  }
+
+  std::vector<std::size_t> offsets;  ///< num_switches() + 1, or empty
+  std::vector<TimeNs> start_ns;
+  std::vector<TimeNs> end_ns;
+  std::vector<double> bandwidth_gbps;  ///< kNoBandwidth: duration <= 0
+};
+
+/// The cluster-wide switch checks' output, as PrismReport carries it.
+struct SwitchDiagnosis {
+  /// Per-switch mean DP bandwidth (Diagnoser::per_switch_bandwidth).
+  std::vector<std::pair<SwitchId, double>> bandwidth_gbps;
+  std::vector<SwitchBandwidthAlert> bandwidth_alerts;
+  std::vector<SwitchConcurrencyAlert> concurrency_alerts;
+};
+
 struct DiagnosisConfig {
   KSigmaConfig ksigma;
   /// k-sigma settings for the cross-switch comparison. Defaults to the
@@ -200,8 +245,20 @@ class Diagnoser {
       const std::vector<std::vector<double>>& group_step_durations,
       KSigmaStats* stats = nullptr) const;
 
-  /// Per-switch DP bandwidth degradation. `dp_flows` must contain only
-  /// flows classified DP (caller filters via CommTypeResult).
+  /// All three switch checks from one sample table: one task per switch
+  /// on `pool` computes, from its own slice, the in-order mean bandwidth,
+  /// the health percentile (positive-duration samples only) and the
+  /// concurrency sweep (every sample). Results are compacted in switch-id
+  /// order, so they are identical to the null-pool loop.
+  [[nodiscard]] SwitchDiagnosis diagnose_switches(
+      SwitchSamples samples, KSigmaStats* stats = nullptr,
+      ThreadPool* pool = nullptr) const;
+
+  // The FlowView checks below build a sample table over every row of
+  // `dp_flows` and run the same per-switch code as diagnose_switches.
+  // `dp_flows` must contain only flows classified DP.
+
+  /// Per-switch DP bandwidth degradation.
   ///
   /// Each switch is scored by a high quantile (see
   /// DiagnosisConfig::switch_health_percentile) of its per-flow bandwidth
@@ -209,18 +266,11 @@ class Diagnoser {
   /// observed bandwidth of EVERY hop on its path, but healthy switches
   /// still carry fast flows on their unpolluted paths — so "even the best
   /// flows are slow" isolates the switch that is itself the bottleneck.
-  ///
-  /// Per-switch sample gather over the CSR hop columns, dense tables
-  /// instead of hash maps. With a `pool`, the per-switch percentiles run
-  /// as one task per switch; results are compacted in switch-id order, so
-  /// the alerts are identical to the sequential (null pool) loop.
   [[nodiscard]] std::vector<SwitchBandwidthAlert> switch_bandwidth(
       const FlowView& dp_flows, KSigmaStats* stats = nullptr,
       ThreadPool* pool = nullptr) const;
 
   /// Peak concurrent distinct DP flows per switch vs. the configured limit.
-  /// With a `pool`, each switch's end sort and sweep is one task; alerts
-  /// are compacted in switch-id order (identical to the null-pool loop).
   [[nodiscard]] std::vector<SwitchConcurrencyAlert> switch_concurrency(
       const FlowView& dp_flows, ThreadPool* pool = nullptr) const;
 
@@ -230,7 +280,6 @@ class Diagnoser {
   per_switch_bandwidth(const FlowView& dp_flows);
 
   /// Helper: per-switch p-th percentile of per-flow DP bandwidth (Gb/s).
-  /// One selection task per switch on `pool`, compacted in switch-id order.
   [[nodiscard]] static std::vector<std::pair<SwitchId, double>>
   per_switch_bandwidth_percentile(const FlowView& dp_flows, double p,
                                   ThreadPool* pool = nullptr);

@@ -3,10 +3,10 @@
 //
 // GPU ids are dense (see topology), so the routing table is a flat
 // vector indexed by GPU id — one load per lookup instead of a hash probe
-// per flow. Routing scans the trace once and preserves its order, which
-// is what lets the per-job pipeline skip re-sorting: a sorted input
-// yields per-job columns that are born sorted (and their `sorted` flag
-// knows it).
+// per flow. Routing preserves the trace's order within each job, even
+// when its chunks run in parallel, which is what lets the per-job
+// pipeline skip re-sorting: a sorted input yields per-job columns that
+// are born sorted (and their `sorted` flag knows it).
 //
 // A flow is routed by its src GPU; when the src is unattributed (e.g. a
 // half-recognized job, or a recognizer that excluded the src) the dst is
@@ -24,6 +24,8 @@
 #include "llmprism/flow/view.hpp"
 
 namespace llmprism {
+
+class ThreadPool;
 
 class FlowRouter {
  public:
@@ -55,22 +57,32 @@ class FlowRouter {
     /// recovered through the dst lookup.
     std::uint64_t flows_routed_via_dst = 0;
     std::uint64_t flows_unattributed = 0;
+    /// The routing chunk plan (see row_chunks): chunk c covers input rows
+    /// [chunk_rows[c], chunk_rows[c + 1]), and its first row routed to job
+    /// j is position chunk_job_start[c * num_jobs + j] of that job.
+    std::vector<std::size_t> chunk_rows;
+    std::vector<std::size_t> chunk_job_start;
+
+    /// Per input row, 1 when the row's job position has type `type`
+    /// (`job_types[j][k]` is the type of position k of job_columns[j]),
+    /// else 0; one pass per routing chunk on `pool`. The marked rows of a
+    /// sorted view, in input order, equal the job-id-order
+    /// merge_sorted_runs of the per-job runs of that type: rows with equal
+    /// sort keys share src and dst, hence a job, so the merge never breaks
+    /// a tie across jobs.
+    [[nodiscard]] std::vector<std::uint8_t> type_mask(
+        std::span<const std::vector<CommType>> job_types, CommType type,
+        ThreadPool* pool = nullptr) const;
   };
 
-  /// Route every flow of `view` to its job: two passes over the src/dst
-  /// columns (count per job, prefix-size the targets, then gather) without
-  /// ever materializing a FlowRecord.
-  [[nodiscard]] ColumnarResult route(const FlowView& view) const;
-
-  /// Ascending input rows whose type is `type`, given a route's
-  /// `job_of_flow` and each job's per-position types (`job_types[j][k]` is
-  /// the type of position k of job_columns[j]). Gathering these rows from
-  /// a sorted view equals the job-id-order merge_sorted_runs of the
-  /// per-job runs of that type: rows with equal sort keys share src and
-  /// dst, hence a job, so the merge never breaks a tie across jobs.
-  [[nodiscard]] static std::vector<std::uint32_t> rows_of_type(
-      std::span<const std::uint32_t> job_of_flow,
-      std::span<const std::vector<CommType>> job_types, CommType type);
+  /// Route every flow of `view` to its job without materializing a
+  /// FlowRecord: the rows are split into row_chunks(view.size(), pool);
+  /// each chunk counts its rows and hops per job, a prefix sum over
+  /// (chunk, job) gives every chunk its write offsets, and each chunk
+  /// scatters its rows into exactly-sized job columns. A null pool runs
+  /// one chunk in order; the result is the same at every lane count.
+  [[nodiscard]] ColumnarResult route(const FlowView& view,
+                                     ThreadPool* pool = nullptr) const;
 
   [[nodiscard]] std::size_t num_jobs() const { return num_jobs_; }
 

@@ -207,6 +207,11 @@ class FlowColumns {
   [[nodiscard]] const_iterator end() const { return {this, size()}; }
 
   void reserve(std::size_t rows, std::size_t switch_entries = 0);
+  /// Size every column for a scatter of `rows` rows and `switch_entries`
+  /// hops written in place: switch_offsets gets rows + 1 entries (the
+  /// first one 0), and the caller fills the rest of the offsets, the rows
+  /// and `sorted`.
+  void resize(std::size_t rows, std::size_t switch_entries);
   void clear();
 
   /// Append one record; maintains `sorted` incrementally like

@@ -126,4 +126,13 @@ void parallel_for(ThreadPool* pool, std::size_t n,
   pool->parallel_for(n, fn);
 }
 
+std::vector<std::size_t> row_chunks(std::size_t n, const ThreadPool* pool) {
+  // A few chunks per lane let the work-claiming loop even out chunks of
+  // uneven cost; the count is fixed by the lane count alone, never by n.
+  const std::size_t chunks = pool == nullptr ? 1 : 4 * pool->concurrency();
+  std::vector<std::size_t> bounds(chunks + 1);
+  for (std::size_t c = 0; c <= chunks; ++c) bounds[c] = n * c / chunks;
+  return bounds;
+}
+
 }  // namespace llmprism

@@ -259,193 +259,288 @@ std::vector<GroupAlert> Diagnoser::cross_group(
 
 namespace {
 
-/// Highest switch id appearing in the view's hops (0 and false when there
-/// are none). CSR offsets are monotone, so the view's hop ids — even for a
-/// slice, whose offsets are absolute into the parent's storage — occupy the
-/// contiguous range switch_ids[offsets[0] .. offsets[size())); one flat
-/// scan over that range replaces the per-flow span walk.
-std::pair<std::uint32_t, bool> max_switch_id(const FlowView& v) {
-  if (v.switch_offsets.empty() || v.empty()) return {0, false};
-  const std::uint64_t lo = v.switch_offsets[0];
-  const std::uint64_t hi = v.switch_offsets[v.size()];
-  if (lo == hi) return {0, false};
-  std::uint32_t max_sw = 0;
-  for (std::uint64_t k = lo; k < hi; ++k) {
-    max_sw = std::max(max_sw, v.switch_ids[k]);
+/// Which per-switch statistics a check needs. The mean and the percentile
+/// read only the bandwidth column, the concurrency sweep only the times.
+enum SwitchWant : unsigned {
+  kWantMean = 1,
+  kWantPercentile = 2,
+  kWantPeak = 4,
+  kWantAll = kWantMean | kWantPercentile | kWantPeak,
+};
+
+/// Fill `out` with the hops of the kept rows of `view` (see the
+/// SwitchSamples constructor), scattering only the columns that `want`
+/// reads; the others stay empty.
+void fill_samples(SwitchSamples& out, const FlowView& view,
+                  std::span<const std::size_t> chunks,
+                  std::span<const std::uint8_t> keep, ThreadPool* pool,
+                  unsigned want) {
+  if (view.switch_offsets.empty() || chunks.size() < 2) return;
+  const std::size_t num_chunks = chunks.size() - 1;
+  // The per-hop loops read through local pointers: a size_t counter store
+  // may alias any size_t they would read through a span or a reference
+  // (sizes, bounds), which would force a reload per hop.
+  const std::uint8_t* const keep_row = keep.empty() ? nullptr : keep.data();
+
+  // Pass 1, per chunk: samples per switch. CSR offsets are monotone, so a
+  // chunk's hops — even a slice's, whose offsets are absolute into the
+  // parent's storage — occupy one contiguous range of switch_ids; a flat
+  // scan of it sizes the chunk's counts before the per-row walk.
+  std::vector<std::vector<std::size_t>> counts(num_chunks);
+  parallel_for(pool, num_chunks, [&](std::size_t c) {
+    const std::uint64_t lo = view.switch_offsets[chunks[c]];
+    const std::uint64_t hi = view.switch_offsets[chunks[c + 1]];
+    if (lo == hi) return;
+    std::uint32_t max_sw = 0;
+    for (std::uint64_t k = lo; k < hi; ++k) {
+      max_sw = std::max(max_sw, view.switch_ids[k]);
+    }
+    std::vector<std::size_t>& count = counts[c];
+    count.assign(std::size_t{max_sw} + 1, 0);
+    std::size_t* const cnt = count.data();
+    const std::uint64_t* const off = view.switch_offsets.data();
+    const std::uint32_t* const ids = view.switch_ids.data();
+    for (std::size_t i = chunks[c], end = chunks[c + 1]; i < end; ++i) {
+      if (keep_row != nullptr && keep_row[i] == 0) continue;
+      for (std::uint64_t k = off[i]; k < off[i + 1]; ++k) ++cnt[ids[k]];
+    }
+  });
+  std::size_t slots = 0;
+  for (const std::vector<std::size_t>& count : counts) {
+    slots = std::max(slots, count.size());
   }
-  return {max_sw, true};
-}
+  if (slots == 0) return;
 
-}  // namespace
-
-std::vector<std::pair<SwitchId, double>> Diagnoser::per_switch_bandwidth(
-    const FlowView& dp_flows) {
-  const auto [max_sw, any] = max_switch_id(dp_flows);
-  if (!any) return {};
-  // Dense accumulation in flow order: per-switch sums see samples in the
-  // same order the AoS path fed its hash map, so the doubles are identical.
-  std::vector<double> sum(static_cast<std::size_t>(max_sw) + 1, 0.0);
-  std::vector<std::size_t> count(static_cast<std::size_t>(max_sw) + 1, 0);
-  for (std::size_t i = 0; i < dp_flows.size(); ++i) {
-    if (dp_flows.duration_ns[i] <= 0) continue;
-    const double bw = dp_flows.bandwidth_gbps(i);
-    for (const std::uint32_t sw : dp_flows.switches(i)) {
-      sum[sw] += bw;
-      ++count[sw];
+  // Prefix over (switch, chunk): chunk c writes switch s's samples after
+  // every earlier chunk's, so each switch's slice stays in input order.
+  out.offsets.resize(slots + 1);
+  std::vector<std::size_t> chunk_start(num_chunks * slots);
+  std::size_t total = 0;
+  for (std::size_t sw = 0; sw < slots; ++sw) {
+    out.offsets[sw] = total;
+    for (std::size_t c = 0; c < num_chunks; ++c) {
+      chunk_start[c * slots + sw] = total;
+      if (sw < counts[c].size()) total += counts[c][sw];
     }
   }
-  std::vector<std::pair<SwitchId, double>> out;
-  for (std::uint32_t sw = 0; sw <= max_sw; ++sw) {
-    if (count[sw] != 0) {
-      out.emplace_back(SwitchId(sw), sum[sw] / static_cast<double>(count[sw]));
-    }
+  out.offsets[slots] = total;
+  const bool times = (want & kWantPeak) != 0;
+  const bool bandwidth = (want & (kWantMean | kWantPercentile)) != 0;
+  if (times) {
+    out.start_ns.resize(total);
+    out.end_ns.resize(total);
   }
-  return out;
-}
+  if (bandwidth) out.bandwidth_gbps.resize(total);
 
-std::vector<std::pair<SwitchId, double>>
-Diagnoser::per_switch_bandwidth_percentile(const FlowView& dp_flows, double p,
-                                           ThreadPool* pool) {
-  const auto [max_sw, any] = max_switch_id(dp_flows);
-  if (!any) return {};
-  // CSR sample gather: count per switch, prefix sum, scatter bandwidths.
-  // The percentile depends only on each switch's sample multiset, so the
-  // gather order cannot perturb the result.
-  const std::size_t slots = static_cast<std::size_t>(max_sw) + 1;
-  std::vector<std::size_t> counts(slots + 1, 0);
-  for (std::size_t i = 0; i < dp_flows.size(); ++i) {
-    if (dp_flows.duration_ns[i] <= 0) continue;
-    for (const std::uint32_t sw : dp_flows.switches(i)) ++counts[sw + 1];
-  }
-  for (std::size_t s = 0; s < slots; ++s) counts[s + 1] += counts[s];
-  std::vector<double> samples(counts[slots]);
-  {
-    std::vector<std::size_t> cursor(counts.begin(), counts.end() - 1);
-    for (std::size_t i = 0; i < dp_flows.size(); ++i) {
-      if (dp_flows.duration_ns[i] <= 0) continue;
-      const double bw = dp_flows.bandwidth_gbps(i);
-      for (const std::uint32_t sw : dp_flows.switches(i)) {
-        samples[cursor[sw]++] = bw;
+  // Pass 2, per chunk: scatter each kept row's sample to every hop.
+  parallel_for(pool, num_chunks, [&](std::size_t c) {
+    std::vector<std::size_t> cursor(
+        chunk_start.begin() + static_cast<std::ptrdiff_t>(c * slots),
+        chunk_start.begin() + static_cast<std::ptrdiff_t>((c + 1) * slots));
+    std::size_t* const cur = cursor.data();
+    const std::uint64_t* const off = view.switch_offsets.data();
+    const std::uint32_t* const ids = view.switch_ids.data();
+    TimeNs* const starts = out.start_ns.data();
+    TimeNs* const ends = out.end_ns.data();
+    double* const bws = out.bandwidth_gbps.data();
+    for (std::size_t i = chunks[c], last = chunks[c + 1]; i < last; ++i) {
+      if (keep_row != nullptr && keep_row[i] == 0) continue;
+      const TimeNs start = view.start_ns[i];
+      const TimeNs end = view.end_ns(i);
+      // The division only when the bandwidth column is kept.
+      const double bw = bandwidth && view.duration_ns[i] > 0
+                            ? view.bandwidth_gbps(i)
+                            : SwitchSamples::kNoBandwidth;
+      for (std::uint64_t h = off[i]; h < off[i + 1]; ++h) {
+        const std::size_t k = cur[ids[h]]++;
+        if (times) {
+          starts[k] = start;
+          ends[k] = end;
+        }
+        if (bandwidth) bws[k] = bw;
       }
     }
-  }
-  // One task per switch, each selecting within its own disjoint sample
-  // slice and writing only its own slot; compacted in switch-id order.
-  std::vector<double> value(slots, 0.0);
-  parallel_for(pool, slots, [&](std::size_t sw) {
-    if (counts[sw] == counts[sw + 1]) return;
-    value[sw] = stats::percentile(
-        std::span<const double>(samples.data() + counts[sw],
-                                counts[sw + 1] - counts[sw]),
-        p);
   });
+}
+
+/// One switch's statistics, computed from its own slice of the table.
+struct SwitchStat {
+  std::size_t bandwidth_samples = 0;  ///< positive-duration samples
+  double mean_gbps = 0;
+  double percentile_gbps = 0;
+  std::size_t peak_flows = 0;
+  TimeNs peak_at = 0;
+};
+
+/// One task per switch over its own disjoint slice; each writes only its
+/// own slot, so the result cannot depend on scheduling.
+std::vector<SwitchStat> per_switch_stats(SwitchSamples& t, unsigned want,
+                                         double p, ThreadPool* pool) {
+  std::vector<SwitchStat> out(t.num_switches());
+  parallel_for(pool, out.size(), [&](std::size_t sw) {
+    const std::size_t lo = t.offsets[sw];
+    const std::size_t hi = t.offsets[sw + 1];
+    if (lo == hi) return;
+    SwitchStat& st = out[sw];
+    if ((want & (kWantMean | kWantPercentile)) != 0) {
+      // Compact the positive-duration samples to the front of the slice.
+      // std::remove keeps their order, so the in-order sum sees them in
+      // flow order and its doubles match a sequential pass over the flows;
+      // the percentile depends only on the sample multiset.
+      double* const first = t.bandwidth_gbps.data() + lo;
+      const std::span<const double> bw(
+          first, std::remove(first, first + (hi - lo),
+                             SwitchSamples::kNoBandwidth));
+      st.bandwidth_samples = bw.size();
+      if (!bw.empty() && (want & kWantMean) != 0) {
+        double sum = 0.0;
+        for (const double x : bw) sum += x;
+        st.mean_gbps = sum / static_cast<double>(bw.size());
+      }
+      if (!bw.empty() && (want & kWantPercentile) != 0) {
+        st.percentile_gbps = stats::percentile(bw, p);
+      }
+    }
+    if ((want & kWantPeak) != 0) {
+      // Sweep line over split start/end slices: on a time-sorted input the
+      // start slice is born sorted and only the ends need sorting — half
+      // the sort volume of an interleaved (+1/-1) event list.
+      const auto starts = t.start_ns.begin() + static_cast<std::ptrdiff_t>(lo);
+      const auto ends = t.end_ns.begin() + static_cast<std::ptrdiff_t>(lo);
+      const auto n = static_cast<std::ptrdiff_t>(hi - lo);
+      if (!std::is_sorted(starts, starts + n)) std::sort(starts, starts + n);
+      std::sort(ends, ends + n);
+      // Two-pointer sweep, ends processed first at ties (a flow ending the
+      // instant another starts never overlaps it). Signed so a degenerate
+      // zero-duration flow (end == its own start) cannot wrap the count.
+      std::ptrdiff_t current = 0;
+      std::ptrdiff_t e = 0;
+      for (std::ptrdiff_t s = 0; s < n; ++s) {
+        while (e < n && ends[e] <= starts[s]) {
+          --current;
+          ++e;
+        }
+        ++current;
+        if (current > 0 && static_cast<std::size_t>(current) > st.peak_flows) {
+          st.peak_flows = static_cast<std::size_t>(current);
+          st.peak_at = starts[s];
+        }
+      }
+    }
+  });
+  return out;
+}
+
+/// (switch, value) for every switch with a positive-duration sample, in
+/// switch-id order.
+std::vector<std::pair<SwitchId, double>> bandwidth_series(
+    const std::vector<SwitchStat>& per_switch, double SwitchStat::*value) {
   std::vector<std::pair<SwitchId, double>> out;
-  for (std::uint32_t sw = 0; sw <= max_sw; ++sw) {
-    if (counts[sw] == counts[sw + 1]) continue;
-    out.emplace_back(SwitchId(sw), value[sw]);
+  for (std::size_t sw = 0; sw < per_switch.size(); ++sw) {
+    if (per_switch[sw].bandwidth_samples == 0) continue;
+    out.emplace_back(SwitchId(static_cast<std::uint32_t>(sw)),
+                     per_switch[sw].*value);
   }
   return out;
 }
 
-std::vector<SwitchBandwidthAlert> Diagnoser::switch_bandwidth(
-    const FlowView& dp_flows, KSigmaStats* stats, ThreadPool* pool) const {
-  const auto per_switch = per_switch_bandwidth_percentile(
-      dp_flows, config_.switch_health_percentile, pool);
+std::vector<SwitchBandwidthAlert> bandwidth_alerts(
+    const std::vector<std::pair<SwitchId, double>>& health,
+    const KSigmaConfig& config, KSigmaStats* stats) {
   std::vector<double> values;
-  values.reserve(per_switch.size());
-  for (const auto& [sw, bw] : per_switch) values.push_back(bw);
+  values.reserve(health.size());
+  for (const auto& [sw, bw] : health) values.push_back(bw);
 
-  const ReferenceComputer refs(values, config_.switch_ksigma);
+  const ReferenceComputer refs(values, config);
   std::vector<SwitchBandwidthAlert> alerts;
-  for (const std::size_t i :
-       ksigma_outliers_below(values, config_.switch_ksigma, stats)) {
+  for (const std::size_t i : ksigma_outliers_below(values, config, stats)) {
     const Reference r = refs.at(i);
     SwitchBandwidthAlert a;
-    a.switch_id = per_switch[i].first;
+    a.switch_id = health[i].first;
     a.bandwidth_gbps = values[i];
     a.mean_gbps = r.mean;
-    a.threshold_gbps = r.mean - config_.switch_ksigma.k * r.sigma;
+    a.threshold_gbps = r.mean - config.k * r.sigma;
     alerts.push_back(a);
   }
   return alerts;
 }
 
-std::vector<SwitchConcurrencyAlert> Diagnoser::switch_concurrency(
-    const FlowView& dp_flows, ThreadPool* pool) const {
-  // Sweep line per switch over split start/end arrays: the CSR scatter
-  // preserves flow order, so on a time-sorted view each switch's start
-  // slice is born sorted and only the end slice needs sorting — half the
-  // sort volume of an interleaved (+1/-1) event list, on plain TimeNs
-  // instead of 16-byte event structs.
-  const auto [max_sw, any] = max_switch_id(dp_flows);
-  if (!any) return {};
-  const std::size_t slots = static_cast<std::size_t>(max_sw) + 1;
-  std::vector<std::size_t> counts(slots + 1, 0);
-  // Per-flow hop iteration (not the raw hop column): a sliced view keeps
-  // absolute CSR offsets over the parent's hop storage.
-  for (std::size_t i = 0; i < dp_flows.size(); ++i) {
-    for (const std::uint32_t sw : dp_flows.switches(i)) ++counts[sw + 1];
-  }
-  for (std::size_t s = 0; s < slots; ++s) counts[s + 1] += counts[s];
-  std::vector<TimeNs> starts(counts[slots]);
-  std::vector<TimeNs> ends(counts[slots]);
-  {
-    std::vector<std::size_t> cursor(counts.begin(), counts.end() - 1);
-    for (std::size_t i = 0; i < dp_flows.size(); ++i) {
-      const TimeNs start = dp_flows.start_ns[i];
-      const TimeNs end = dp_flows.end_ns(i);
-      for (const std::uint32_t sw : dp_flows.switches(i)) {
-        starts[cursor[sw]] = start;
-        ends[cursor[sw]] = end;
-        ++cursor[sw];
-      }
-    }
-  }
-  // One task per switch over its own disjoint slices; each writes only its
-  // peak slot, and alerts are compacted in switch-id order below.
-  struct Peak {
-    std::size_t flows = 0;
-    TimeNs at = 0;
-  };
-  std::vector<Peak> peaks(slots);
-  parallel_for(pool, slots, [&](std::size_t sw) {
-    if (counts[sw] == counts[sw + 1]) return;
-    const std::ptrdiff_t lo = static_cast<std::ptrdiff_t>(counts[sw]);
-    const std::ptrdiff_t hi = static_cast<std::ptrdiff_t>(counts[sw + 1]);
-    if (!std::is_sorted(starts.begin() + lo, starts.begin() + hi)) {
-      std::sort(starts.begin() + lo, starts.begin() + hi);
-    }
-    std::sort(ends.begin() + lo, ends.begin() + hi);
-    // Two-pointer sweep, ends processed first at ties (a flow ending the
-    // instant another starts never overlaps it). Signed so a degenerate
-    // zero-duration flow (end == its own start) cannot wrap the count.
-    std::ptrdiff_t current = 0;
-    Peak& peak = peaks[sw];
-    std::ptrdiff_t e = lo;
-    for (std::ptrdiff_t s = lo; s < hi; ++s) {
-      while (e < hi && ends[e] <= starts[s]) {
-        --current;
-        ++e;
-      }
-      ++current;
-      if (current > 0 && static_cast<std::size_t>(current) > peak.flows) {
-        peak.flows = static_cast<std::size_t>(current);
-        peak.at = starts[s];
-      }
-    }
-  });
+std::vector<SwitchConcurrencyAlert> concurrency_alerts(
+    const std::vector<SwitchStat>& per_switch, std::size_t limit) {
   std::vector<SwitchConcurrencyAlert> alerts;
-  for (std::uint32_t sw = 0; sw <= max_sw; ++sw) {
-    if (peaks[sw].flows > config_.switch_dp_flow_limit) {
+  for (std::size_t sw = 0; sw < per_switch.size(); ++sw) {
+    if (per_switch[sw].peak_flows > limit) {
       SwitchConcurrencyAlert a;
-      a.switch_id = SwitchId(sw);
-      a.at = peaks[sw].at;
-      a.concurrent_flows = peaks[sw].flows;
-      a.limit = config_.switch_dp_flow_limit;
+      a.switch_id = SwitchId(static_cast<std::uint32_t>(sw));
+      a.at = per_switch[sw].peak_at;
+      a.concurrent_flows = per_switch[sw].peak_flows;
+      a.limit = limit;
       alerts.push_back(a);
     }
   }
   return alerts;
+}
+
+/// The statistics `want` asks for, from a table over every row of
+/// `dp_flows` that holds only the columns they read.
+std::vector<SwitchStat> all_rows_stats(const FlowView& dp_flows,
+                                       unsigned want, double p,
+                                       ThreadPool* pool) {
+  SwitchSamples samples;
+  fill_samples(samples, dp_flows, row_chunks(dp_flows.size(), pool), {},
+               pool, want);
+  return per_switch_stats(samples, want, p, pool);
+}
+
+}  // namespace
+
+SwitchSamples::SwitchSamples(const FlowView& view,
+                             std::span<const std::size_t> chunks,
+                             std::span<const std::uint8_t> keep,
+                             ThreadPool* pool) {
+  fill_samples(*this, view, chunks, keep, pool, kWantAll);
+}
+
+SwitchDiagnosis Diagnoser::diagnose_switches(SwitchSamples samples,
+                                             KSigmaStats* stats,
+                                             ThreadPool* pool) const {
+  const std::vector<SwitchStat> per_switch = per_switch_stats(
+      samples, kWantAll, config_.switch_health_percentile, pool);
+  SwitchDiagnosis out;
+  out.bandwidth_gbps = bandwidth_series(per_switch, &SwitchStat::mean_gbps);
+  out.bandwidth_alerts = bandwidth_alerts(
+      bandwidth_series(per_switch, &SwitchStat::percentile_gbps),
+      config_.switch_ksigma, stats);
+  out.concurrency_alerts =
+      concurrency_alerts(per_switch, config_.switch_dp_flow_limit);
+  return out;
+}
+
+std::vector<std::pair<SwitchId, double>> Diagnoser::per_switch_bandwidth(
+    const FlowView& dp_flows) {
+  return bandwidth_series(all_rows_stats(dp_flows, kWantMean, 0.0, nullptr),
+                          &SwitchStat::mean_gbps);
+}
+
+std::vector<std::pair<SwitchId, double>>
+Diagnoser::per_switch_bandwidth_percentile(const FlowView& dp_flows, double p,
+                                           ThreadPool* pool) {
+  return bandwidth_series(all_rows_stats(dp_flows, kWantPercentile, p, pool),
+                          &SwitchStat::percentile_gbps);
+}
+
+std::vector<SwitchBandwidthAlert> Diagnoser::switch_bandwidth(
+    const FlowView& dp_flows, KSigmaStats* stats, ThreadPool* pool) const {
+  return bandwidth_alerts(
+      per_switch_bandwidth_percentile(dp_flows,
+                                      config_.switch_health_percentile, pool),
+      config_.switch_ksigma, stats);
+}
+
+std::vector<SwitchConcurrencyAlert> Diagnoser::switch_concurrency(
+    const FlowView& dp_flows, ThreadPool* pool) const {
+  return concurrency_alerts(all_rows_stats(dp_flows, kWantPeak, 0.0, pool),
+                            config_.switch_dp_flow_limit);
 }
 
 std::vector<std::vector<double>> group_dp_durations(

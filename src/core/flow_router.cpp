@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "llmprism/common/thread_pool.hpp"
+
 namespace llmprism {
 
 FlowRouter::FlowRouter(std::span<const RecognizedJob> jobs)
@@ -24,48 +26,117 @@ FlowRouter::FlowRouter(std::span<const RecognizedJob> jobs)
   }
 }
 
-FlowRouter::ColumnarResult FlowRouter::route(const FlowView& view) const {
+FlowRouter::ColumnarResult FlowRouter::route(const FlowView& view,
+                                             ThreadPool* pool) const {
   ColumnarResult result;
-  result.job_columns.resize(num_jobs_);
   const std::size_t n = view.size();
-
-  // Pass 1: resolve each row's job once (src, dst fallback), counting rows
-  // and switch hops per job so pass 2 gathers into exactly-sized columns.
-  std::vector<std::uint32_t>& job_of_flow = result.job_of_flow;
-  job_of_flow.resize(n);
-  std::vector<std::size_t> rows_per_job(num_jobs_, 0);
-  std::vector<std::size_t> hops_per_job(num_jobs_, 0);
+  const std::size_t jobs = num_jobs_;
+  result.job_columns.resize(jobs);
+  result.job_of_flow.resize(n);
+  result.chunk_rows = row_chunks(n, pool);
+  const std::size_t chunks = result.chunk_rows.size() - 1;
   const bool have_hops = !view.switch_offsets.empty();
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t j = job_of(GpuId(view.src[i]));
-    bool via_dst = false;
-    if (j == kUnattributed) {
-      j = job_of(GpuId(view.dst[i]));
-      via_dst = j != kUnattributed;
-    }
-    if (j == kUnattributed) {
-      job_of_flow[i] = kNoJob;
-      ++result.flows_unattributed;
-      continue;
-    }
-    job_of_flow[i] = static_cast<std::uint32_t>(j);
-    ++rows_per_job[j];
-    if (have_hops) {
-      hops_per_job[j] += view.switch_offsets[i + 1] - view.switch_offsets[i];
-    }
-    ++result.flows_routed;
-    if (via_dst) ++result.flows_routed_via_dst;
-  }
 
-  // Pass 2: ordered gather. Input order is preserved within each job, so a
-  // sorted view yields born-sorted per-job columns.
-  for (std::size_t j = 0; j < num_jobs_; ++j) {
-    result.job_columns[j].reserve(rows_per_job[j], hops_per_job[j]);
-    result.job_columns[j].switch_offsets.push_back(0);
+  // Pass 1, per chunk: resolve each row's job once (src, dst fallback),
+  // counting the chunk's rows and switch hops per job.
+  struct ChunkCounts {
+    std::vector<std::size_t> rows;
+    std::vector<std::size_t> hops;
+    std::uint64_t routed = 0;
+    std::uint64_t routed_via_dst = 0;
+    std::uint64_t unattributed = 0;
+  };
+  std::vector<ChunkCounts> counts(chunks);
+  parallel_for(pool, chunks, [&](std::size_t c) {
+    ChunkCounts& cc = counts[c];
+    cc.rows.assign(jobs, 0);
+    cc.hops.assign(jobs, 0);
+    for (std::size_t i = result.chunk_rows[c]; i < result.chunk_rows[c + 1];
+         ++i) {
+      std::size_t j = job_of(GpuId(view.src[i]));
+      bool via_dst = false;
+      if (j == kUnattributed) {
+        j = job_of(GpuId(view.dst[i]));
+        via_dst = j != kUnattributed;
+      }
+      if (j == kUnattributed) {
+        result.job_of_flow[i] = kNoJob;
+        ++cc.unattributed;
+        continue;
+      }
+      result.job_of_flow[i] = static_cast<std::uint32_t>(j);
+      ++cc.rows[j];
+      if (have_hops) {
+        cc.hops[j] += view.switch_offsets[i + 1] - view.switch_offsets[i];
+      }
+      ++cc.routed;
+      if (via_dst) ++cc.routed_via_dst;
+    }
+  });
+
+  // Prefix over (chunk, job): chunk c writes job j's rows after every
+  // earlier chunk's, so input order is preserved within each job.
+  result.chunk_job_start.resize(chunks * jobs);
+  std::vector<std::size_t> hop_start(chunks * jobs);
+  std::vector<std::size_t> rows_per_job(jobs, 0);
+  std::vector<std::size_t> hops_per_job(jobs, 0);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    for (std::size_t j = 0; j < jobs; ++j) {
+      result.chunk_job_start[c * jobs + j] = rows_per_job[j];
+      hop_start[c * jobs + j] = hops_per_job[j];
+      rows_per_job[j] += counts[c].rows[j];
+      hops_per_job[j] += counts[c].hops[j];
+    }
+    result.flows_routed += counts[c].routed;
+    result.flows_routed_via_dst += counts[c].routed_via_dst;
+    result.flows_unattributed += counts[c].unattributed;
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (job_of_flow[i] == kNoJob) continue;
-    result.job_columns[job_of_flow[i]].append_row(view, i);
+  // Pass 2: place the rows. A lone chunk appends them in input order to
+  // reserved columns, sparing the zero fill that sizing for a scatter
+  // costs; several chunks each scatter into the pre-sized job columns.
+  if (chunks == 1) {
+    for (std::size_t j = 0; j < jobs; ++j) {
+      result.job_columns[j].reserve(rows_per_job[j], hops_per_job[j]);
+      result.job_columns[j].switch_offsets.push_back(0);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t j = result.job_of_flow[i];
+      if (j != kNoJob) result.job_columns[j].append_row(view, i);
+    }
+  } else {
+    parallel_for(pool, jobs, [&](std::size_t j) {
+      result.job_columns[j].resize(rows_per_job[j], hops_per_job[j]);
+    });
+    parallel_for(pool, chunks, [&](std::size_t c) {
+      std::vector<std::size_t> row_cursor(
+          result.chunk_job_start.begin() +
+              static_cast<std::ptrdiff_t>(c * jobs),
+          result.chunk_job_start.begin() +
+              static_cast<std::ptrdiff_t>((c + 1) * jobs));
+      std::vector<std::size_t> hop_cursor(
+          hop_start.begin() + static_cast<std::ptrdiff_t>(c * jobs),
+          hop_start.begin() + static_cast<std::ptrdiff_t>((c + 1) * jobs));
+      for (std::size_t i = result.chunk_rows[c]; i < result.chunk_rows[c + 1];
+           ++i) {
+        const std::uint32_t j = result.job_of_flow[i];
+        if (j == kNoJob) continue;
+        FlowColumns& cols = result.job_columns[j];
+        const std::size_t k = row_cursor[j]++;
+        cols.start_ns[k] = view.start_ns[i];
+        cols.src[k] = view.src[i];
+        cols.dst[k] = view.dst[i];
+        cols.bytes[k] = view.bytes[i];
+        cols.duration_ns[k] = view.duration_ns[i];
+        if (have_hops) {
+          const std::span<const std::uint32_t> hops = view.switches(i);
+          std::copy(hops.begin(), hops.end(),
+                    cols.switch_ids.begin() +
+                        static_cast<std::ptrdiff_t>(hop_cursor[j]));
+          hop_cursor[j] += hops.size();
+          cols.switch_offsets[k + 1] = hop_cursor[j];
+        }
+      }
+    });
   }
   for (FlowColumns& cols : result.job_columns) {
     cols.sorted = view.sorted || cols.view().verify_sorted();
@@ -73,21 +144,24 @@ FlowRouter::ColumnarResult FlowRouter::route(const FlowView& view) const {
   return result;
 }
 
-std::vector<std::uint32_t> FlowRouter::rows_of_type(
-    std::span<const std::uint32_t> job_of_flow,
-    std::span<const std::vector<CommType>> job_types, CommType type) {
-  // Routing appended rows to their job in input order, so row i is
-  // position cursor[j]++ of its job j.
-  std::vector<std::uint32_t> rows;
-  std::vector<std::size_t> cursor(job_types.size(), 0);
-  for (std::size_t i = 0; i < job_of_flow.size(); ++i) {
-    const std::uint32_t j = job_of_flow[i];
-    if (j == kNoJob) continue;
-    if (job_types[j][cursor[j]++] == type) {
-      rows.push_back(static_cast<std::uint32_t>(i));
+std::vector<std::uint8_t> FlowRouter::ColumnarResult::type_mask(
+    std::span<const std::vector<CommType>> job_types, CommType type,
+    ThreadPool* pool) const {
+  // Chunk c's first row of job j is position chunk_job_start[c][j] of that
+  // job, and each later row of job j in the chunk is the next position.
+  const std::size_t jobs = job_types.size();
+  std::vector<std::uint8_t> mask(job_of_flow.size(), 0);
+  parallel_for(pool, chunk_rows.size() - 1, [&](std::size_t c) {
+    std::vector<std::size_t> cursor(
+        chunk_job_start.begin() + static_cast<std::ptrdiff_t>(c * jobs),
+        chunk_job_start.begin() + static_cast<std::ptrdiff_t>((c + 1) * jobs));
+    for (std::size_t i = chunk_rows[c]; i < chunk_rows[c + 1]; ++i) {
+      const std::uint32_t j = job_of_flow[i];
+      if (j == kNoJob) continue;
+      mask[i] = job_types[j][cursor[j]++] == type ? 1 : 0;
     }
-  }
-  return rows;
+  });
+  return mask;
 }
 
 }  // namespace llmprism

@@ -242,8 +242,9 @@ PrismReport Prism::analyze(const FlowView& view) const {
 PrismReport Prism::analyze(const FlowView& view,
                            PrismSession* session) const {
   // Sort-once boundary: everything downstream (routing, per-pair CSR
-  // positions, windowing, the input-order DP gather) relies on time order,
-  // so an unsorted input is sorted exactly once here — never again per job.
+  // positions, windowing, the input-order switch samples) relies on time
+  // order, so an unsorted input is sorted exactly once here — never again
+  // per job.
   if (view.sorted) return analyze_sorted(view, session);
   if (view.verify_sorted()) {
     // Storage with no cached sortedness fact (e.g. an LFT written without
@@ -296,13 +297,13 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
             " cross-machine clusters",
             recognition_reused ? " (partition reused)" : "");
 
-  // Route each flow to its job in one ordered pass over the trace: a
-  // dense interned GPU->job table (one load per flow, no hash probes),
-  // src lookup with dst fallback. A recognition-cache hit also reuses the
-  // cached dense table instead of re-interning every job's GPU set.
+  // Route each flow to its job: a dense interned GPU->job table (one load
+  // per flow, no hash probes), src lookup with dst fallback, one
+  // count/prefix/scatter per row chunk on the pool with input order kept
+  // within each job. A recognition-cache hit also reuses the cached dense
+  // table instead of re-interning every job's GPU set.
   const std::size_t num_jobs = report.recognition.jobs.size();
-  std::vector<FlowColumns> job_columns;
-  std::vector<std::uint32_t> job_of_flow;
+  FlowRouter::ColumnarResult routed;
   {
     const obs::Span span("prism.route");
     std::optional<FlowRouter> local_router;
@@ -311,13 +312,12 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
             ? session->cached_router()
             : local_router.emplace(
                   std::span<const RecognizedJob>(report.recognition.jobs));
-    FlowRouter::ColumnarResult routed = router.route(view);
-    job_columns = std::move(routed.job_columns);
-    job_of_flow = std::move(routed.job_of_flow);
+    routed = router.route(view, pool_.get());
     report.telemetry.flows_routed = routed.flows_routed;
     report.telemetry.flows_routed_via_dst = routed.flows_routed_via_dst;
     report.telemetry.flows_unattributed = routed.flows_unattributed;
   }
+  std::vector<FlowColumns>& job_columns = routed.job_columns;
   report.telemetry.flows_total = view.size();
 
   // Resolve per-job warm states sequentially before the fan-out (the map
@@ -338,8 +338,8 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
   // (2)-(4a) per-job stage, one task per recognized job. Each task owns its
   // slot in `analyses` / `job_flow_types` / the two stats vectors and
   // touches nothing else, so the result cannot depend on scheduling;
-  // telemetry is folded in job-id order below and the DP flows are
-  // gathered in input order, so the cluster-wide stage's input is
+  // telemetry is folded in job-id order below and the switch sample table
+  // is built in input order, so the cluster-wide stage's input is
   // independent of the thread count.
   std::vector<JobAnalysis> analyses(num_jobs);
   std::vector<std::vector<CommType>> job_flow_types(num_jobs);
@@ -422,28 +422,28 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
   });
   report.jobs = std::move(analyses);
 
-  // Cluster-wide DP flows: one gather of the input's DP rows, in input
-  // order — exactly the job-id-order merge of the per-job DP runs (see
-  // FlowRouter::rows_of_type), without building those runs.
-  const FlowColumns all_dp_flows = FlowColumns::gather(
-      view,
-      FlowRouter::rows_of_type(job_of_flow, job_flow_types, CommType::kDP),
-      /*rows_sorted_subset=*/true);
   for (std::size_t j = 0; j < num_jobs; ++j) {
     fold_job_telemetry(report.telemetry, report.jobs[j], timeline_stats[j],
                        ksigma_stats[j]);
   }
 
-  // (4) cluster-wide switch-level diagnosis
+  // (4) cluster-wide switch-level diagnosis over one per-switch sample
+  // table, built straight from the input's DP rows over the routing
+  // chunks. Each switch's slice is in input order — exactly the order of
+  // the job-id-order merge of the per-job DP runs (see
+  // FlowRouter::ColumnarResult::type_mask) — without copying those rows.
   KSigmaStats switch_stats;
   {
     const obs::Span span("prism.switch_diagnosis");
-    const FlowView dp_view = all_dp_flows.view();
-    report.switch_bandwidth_gbps = Diagnoser::per_switch_bandwidth(dp_view);
-    report.switch_bandwidth_alerts =
-        diagnoser.switch_bandwidth(dp_view, &switch_stats, pool_.get());
-    report.switch_concurrency_alerts =
-        diagnoser.switch_concurrency(dp_view, pool_.get());
+    SwitchDiagnosis switches = diagnoser.diagnose_switches(
+        SwitchSamples(view, routed.chunk_rows,
+                      routed.type_mask(job_flow_types, CommType::kDP,
+                                       pool_.get()),
+                      pool_.get()),
+        &switch_stats, pool_.get());
+    report.switch_bandwidth_gbps = std::move(switches.bandwidth_gbps);
+    report.switch_bandwidth_alerts = std::move(switches.bandwidth_alerts);
+    report.switch_concurrency_alerts = std::move(switches.concurrency_alerts);
   }
   report.telemetry.ksigma_series += switch_stats.series;
   report.telemetry.ksigma_points += switch_stats.points;

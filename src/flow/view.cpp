@@ -121,6 +121,16 @@ void FlowColumns::reserve(std::size_t rows, std::size_t switch_entries) {
   switch_ids.reserve(switch_entries);
 }
 
+void FlowColumns::resize(std::size_t rows, std::size_t switch_entries) {
+  start_ns.resize(rows);
+  src.resize(rows);
+  dst.resize(rows);
+  bytes.resize(rows);
+  duration_ns.resize(rows);
+  switch_offsets.assign(rows + 1, 0);
+  switch_ids.resize(switch_entries);
+}
+
 void FlowColumns::clear() {
   start_ns.clear();
   src.clear();

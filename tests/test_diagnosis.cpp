@@ -7,12 +7,14 @@
 #include <bit>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "llmprism/common/rng.hpp"
 #include "llmprism/common/stats.hpp"
 #include "llmprism/common/thread_pool.hpp"
+#include "llmprism/core/flow_router.hpp"
 
 namespace llmprism {
 namespace {
@@ -462,6 +464,120 @@ TEST(SwitchPoolTest, PoolMatchesNullPoolAtEveryLaneCount) {
         EXPECT_EQ(conc_p[i].concurrent_flows, conc[i].concurrent_flows);
         EXPECT_EQ(conc_p[i].limit, conc[i].limit);
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One sample table from a mixed view's DP rows
+
+TEST(SwitchSamplesTest, DpRowTableMatchesWrappersOnGatheredDpView) {
+  // Two jobs (GPUs 0-7 and 8-15) whose start times are rounded to 10 us,
+  // so flows of both jobs tie at many instants. Every third position of a
+  // job is PP; the rest are DP. One DP flow in 17 has zero duration, and
+  // switch 50 carries only zero-duration DP flows.
+  Rng rng(23);
+  FlowTrace trace;
+  for (int i = 0; i < 30000; ++i) {
+    const bool job_b = rng.bernoulli(0.5);
+    const std::uint32_t base = job_b ? 8 : 0;
+    FlowRecord f = dp_flow(
+        rng.uniform_int(0, 200) * 10 * kMicrosecond,
+        base + static_cast<std::uint32_t>(rng.uniform_int(0, 7)),
+        base + static_cast<std::uint32_t>(rng.uniform_int(0, 7)),
+        static_cast<std::uint64_t>(rng.uniform_int(1000, 10'000'000)),
+        rng.uniform_int(0, 16) == 0 ? 0 : rng.uniform_int(1, 50 * kMicrosecond),
+        {});
+    f.switches.push_back(
+        SwitchId(static_cast<std::uint32_t>(rng.uniform_int(0, 9))));
+    if (rng.bernoulli(0.4)) f.switches.push_back(SwitchId(job_b ? 11 : 12));
+    trace.add(f);
+  }
+  for (int i = 0; i < 4; ++i) {
+    trace.add(dp_flow(i * 100 * kMicrosecond, 1, 2, 4096, 0, {50}));
+  }
+  trace.sort();
+  const FlowColumns columns(trace);
+  const FlowView view = columns.view();
+
+  std::vector<RecognizedJob> jobs(2);
+  for (std::uint32_t g = 0; g < 16; ++g) jobs[g / 8].gpus.push_back(GpuId(g));
+  const FlowRouter router(jobs);
+  DiagnosisConfig cfg;
+  cfg.switch_dp_flow_limit = 0;  // alert on every switch with a peak
+  const Diagnoser diagnoser(cfg);
+
+  std::optional<std::vector<std::uint32_t>> dp_rows;
+  for (const std::size_t lanes : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(lanes);
+    ThreadPool pool(lanes - 1);
+    const FlowRouter::ColumnarResult routed = router.route(view, &pool);
+    std::vector<std::vector<CommType>> types(jobs.size());
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      for (std::size_t k = 0; k < routed.job_columns[j].size(); ++k) {
+        types[j].push_back(k % 3 == 2 ? CommType::kPP : CommType::kDP);
+      }
+    }
+    const std::vector<std::uint8_t> mask =
+        routed.type_mask(types, CommType::kDP, &pool);
+    if (!dp_rows) {
+      dp_rows.emplace();
+      for (std::size_t i = 0; i < mask.size(); ++i) {
+        if (mask[i] != 0) dp_rows->push_back(static_cast<std::uint32_t>(i));
+      }
+    }
+    const FlowColumns dp_columns =
+        FlowColumns::gather(view, *dp_rows, /*rows_sorted_subset=*/true);
+    const FlowView dp_view = dp_columns.view();
+
+    const SwitchSamples samples(view, routed.chunk_rows, mask, &pool);
+    ASSERT_EQ(samples.num_switches(), 51u);
+    std::size_t zero_only = 0;
+    for (std::size_t i = 0; i < dp_view.size(); ++i) {
+      if (dp_view.switches(i)[0] == 50) ++zero_only;
+    }
+    ASSERT_GT(zero_only, 0u);
+    EXPECT_EQ(samples.offsets[51] - samples.offsets[50], zero_only);
+    KSigmaStats stats;
+    const SwitchDiagnosis got =
+        diagnoser.diagnose_switches(samples, &stats, &pool);
+
+    const auto mean = Diagnoser::per_switch_bandwidth(dp_view);
+    ASSERT_EQ(got.bandwidth_gbps.size(), mean.size());
+    for (std::size_t i = 0; i < mean.size(); ++i) {
+      EXPECT_EQ(got.bandwidth_gbps[i].first, mean[i].first);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.bandwidth_gbps[i].second),
+                std::bit_cast<std::uint64_t>(mean[i].second));
+    }
+    // Switch 50's flows all have zero duration: no bandwidth sample.
+    EXPECT_EQ(mean.back().first, SwitchId(12));
+
+    KSigmaStats want_stats;
+    const auto bw = diagnoser.switch_bandwidth(dp_view, &want_stats);
+    EXPECT_EQ(stats.series, want_stats.series);
+    EXPECT_EQ(stats.points, want_stats.points);
+    EXPECT_EQ(stats.alerts, want_stats.alerts);
+    ASSERT_EQ(got.bandwidth_alerts.size(), bw.size());
+    for (std::size_t i = 0; i < bw.size(); ++i) {
+      EXPECT_EQ(got.bandwidth_alerts[i].switch_id, bw[i].switch_id);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.bandwidth_alerts[i].bandwidth_gbps),
+                std::bit_cast<std::uint64_t>(bw[i].bandwidth_gbps));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.bandwidth_alerts[i].threshold_gbps),
+                std::bit_cast<std::uint64_t>(bw[i].threshold_gbps));
+    }
+    // The percentile over the gathered view's positive-duration flows.
+    const auto pct = Diagnoser::per_switch_bandwidth_percentile(
+        dp_view, cfg.switch_health_percentile);
+    ASSERT_EQ(pct.size(), mean.size());
+
+    const auto conc = diagnoser.switch_concurrency(dp_view);
+    ASSERT_EQ(got.concurrency_alerts.size(), conc.size());
+    ASSERT_GE(conc.size(), 12u);
+    for (std::size_t i = 0; i < conc.size(); ++i) {
+      EXPECT_EQ(got.concurrency_alerts[i].switch_id, conc[i].switch_id);
+      EXPECT_EQ(got.concurrency_alerts[i].at, conc[i].at);
+      EXPECT_EQ(got.concurrency_alerts[i].concurrent_flows,
+                conc[i].concurrent_flows);
     }
   }
 }

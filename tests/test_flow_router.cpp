@@ -9,7 +9,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "llmprism/common/rng.hpp"
+#include "llmprism/common/thread_pool.hpp"
 #include "llmprism/core/comm_type.hpp"
+#include "llmprism/core/diagnosis.hpp"
 #include "llmprism/simulator/cluster_sim.hpp"
 
 namespace llmprism {
@@ -114,6 +117,98 @@ TEST(FlowRouterTest, EmptyJobsRouteNothing) {
   EXPECT_EQ(result.flows_unattributed, 1u);
 }
 
+/// Field-for-field equality of two routes of one view.
+void expect_same_route(const FlowRouter::ColumnarResult& a,
+                       const FlowRouter::ColumnarResult& b) {
+  EXPECT_EQ(a.job_of_flow, b.job_of_flow);
+  EXPECT_EQ(a.flows_routed, b.flows_routed);
+  EXPECT_EQ(a.flows_routed_via_dst, b.flows_routed_via_dst);
+  EXPECT_EQ(a.flows_unattributed, b.flows_unattributed);
+  ASSERT_EQ(a.job_columns.size(), b.job_columns.size());
+  for (std::size_t j = 0; j < a.job_columns.size(); ++j) {
+    SCOPED_TRACE(j);
+    const FlowColumns& x = a.job_columns[j];
+    const FlowColumns& y = b.job_columns[j];
+    EXPECT_EQ(x.start_ns, y.start_ns);
+    EXPECT_EQ(x.src, y.src);
+    EXPECT_EQ(x.dst, y.dst);
+    EXPECT_EQ(x.bytes, y.bytes);
+    EXPECT_EQ(x.duration_ns, y.duration_ns);
+    EXPECT_EQ(x.switch_offsets, y.switch_offsets);
+    EXPECT_EQ(x.switch_ids, y.switch_ids);
+    EXPECT_EQ(x.sorted, y.sorted);
+  }
+}
+
+/// Three jobs, the third of which no flow touches, and 2,000 flows with
+/// src-routed, dst-fallback and unattributed rows and 0-3 hops each.
+FlowTrace mixed_route_fixture() {
+  Rng rng(17);
+  FlowTrace trace;
+  for (int i = 0; i < 2000; ++i) {
+    FlowRecord f = flow_at(rng.uniform_int(0, 1'000'000),
+                           static_cast<std::uint32_t>(rng.uniform_int(0, 13)),
+                           static_cast<std::uint32_t>(rng.uniform_int(0, 13)));
+    f.bytes = static_cast<std::uint64_t>(rng.uniform_int(1, 1 << 20));
+    f.duration = rng.uniform_int(0, 5000);
+    const auto hops = rng.uniform_int(0, 3);
+    for (std::int64_t h = 0; h < hops; ++h) {
+      f.switches.push_back(
+          SwitchId(static_cast<std::uint32_t>(rng.uniform_int(0, 20))));
+    }
+    trace.add(f);
+  }
+  trace.sort();
+  return trace;
+}
+
+TEST(FlowRouterTest, ParallelRouteEqualsSerialRoute) {
+  // GPUs 0-3 and 6-9 are owned; 4, 5 and 10-13 are not, so rows route by
+  // src, by dst fallback, or not at all. Job 2 owns GPUs no flow uses.
+  const std::vector<RecognizedJob> jobs{job_with_gpus({0, 1, 2, 3}),
+                                        job_with_gpus({6, 7, 8, 9}),
+                                        job_with_gpus({40, 41})};
+  const FlowRouter router(jobs);
+  const FlowColumns columns(mixed_route_fixture());
+  FlowColumns no_hops = columns;
+  no_hops.switch_offsets.clear();
+  no_hops.switch_ids.clear();
+  const FlowView full = columns.view();
+  // A slice keeps absolute CSR offsets into the parent's hop storage.
+  const FlowView sliced = full.slice(137, 1501);
+  ASSERT_NE(sliced.switch_offsets[0], 0u);
+  // Fewer rows than chunks: 3 rows over 4 * lanes chunks.
+  const FlowView tiny = full.slice(0, 3);
+
+  const FlowRouter::ColumnarResult serial = router.route(full);
+  EXPECT_GT(serial.flows_routed_via_dst, 0u);
+  EXPECT_GT(serial.flows_unattributed, 0u);
+  EXPECT_TRUE(serial.job_columns[2].empty());
+  EXPECT_EQ(serial.job_columns[2].switch_offsets,
+            std::vector<std::uint64_t>{0});
+
+  for (const std::size_t lanes : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(lanes);
+    ThreadPool pool(lanes - 1);
+    for (const FlowView& view : {full, no_hops.view(), sliced, tiny}) {
+      const FlowRouter::ColumnarResult want = router.route(view);
+      const FlowRouter::ColumnarResult got = router.route(view, &pool);
+      expect_same_route(got, want);
+
+      // The DP selection over the parallel chunk plan marks the rows the
+      // serial one does.
+      std::vector<std::vector<CommType>> types(jobs.size());
+      for (std::size_t j = 0; j < jobs.size(); ++j) {
+        for (std::size_t k = 0; k < want.job_columns[j].size(); ++k) {
+          types[j].push_back(k % 3 == j % 3 ? CommType::kDP : CommType::kPP);
+        }
+      }
+      EXPECT_EQ(got.type_mask(types, CommType::kDP, &pool),
+                want.type_mask(types, CommType::kDP));
+    }
+  }
+}
+
 TEST(FlowRouterTest, DpRowGatherEqualsJobOrderMergeOfDpRuns) {
   // Two jobs on interleaved machines (job 0 on even, job 1 on odd ones)
   // and start times rounded to 10 ms: many flows of different jobs share a
@@ -159,8 +254,12 @@ TEST(FlowRouterTest, DpRowGatherEqualsJobOrderMergeOfDpRuns) {
     }
   }
 
-  const std::vector<std::uint32_t> rows = FlowRouter::rows_of_type(
-      routed.job_of_flow, types, CommType::kDP);
+  const std::vector<std::uint8_t> dp_mask =
+      routed.type_mask(types, CommType::kDP);
+  std::vector<std::uint32_t> rows;
+  for (std::size_t i = 0; i < dp_mask.size(); ++i) {
+    if (dp_mask[i] != 0) rows.push_back(static_cast<std::uint32_t>(i));
+  }
   std::size_t inverted_ties = 0;
   for (std::size_t i = 1; i < rows.size(); ++i) {
     if (view.start_ns[rows[i - 1]] == view.start_ns[rows[i]] &&
@@ -182,6 +281,17 @@ TEST(FlowRouterTest, DpRowGatherEqualsJobOrderMergeOfDpRuns) {
   EXPECT_EQ(gathered.duration_ns, merged.duration_ns);
   EXPECT_EQ(gathered.switch_offsets, merged.switch_offsets);
   EXPECT_EQ(gathered.switch_ids, merged.switch_ids);
+
+  // The switch sample table built straight from the view's DP rows, over
+  // the routing chunks, equals the one built from the merged DP runs.
+  const SwitchSamples direct(view, routed.chunk_rows, dp_mask);
+  const SwitchSamples from_merge(merged.view(),
+                                 row_chunks(merged.size(), nullptr));
+  ASSERT_GT(direct.num_switches(), 0u);
+  EXPECT_EQ(direct.offsets, from_merge.offsets);
+  EXPECT_EQ(direct.start_ns, from_merge.start_ns);
+  EXPECT_EQ(direct.end_ns, from_merge.end_ns);
+  EXPECT_EQ(direct.bandwidth_gbps, from_merge.bandwidth_gbps);
 }
 
 }  // namespace
