@@ -26,6 +26,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "llmprism/common/time.hpp"
@@ -71,6 +72,11 @@ struct BocdConfig {
   std::size_t max_components = 8;
   /// Hard cap on tracked run lengths (bounds memory on pathological input).
   std::size_t max_run_length = 1u << 20;
+
+  /// One message per violated bound, each naming its field; empty when the
+  /// detector can run this configuration. BocdDetector throws
+  /// std::invalid_argument on the first one.
+  [[nodiscard]] std::vector<std::string> validate() const;
 };
 
 /// Per-observation posterior readout of one observe_batch() step — exactly
@@ -180,12 +186,12 @@ class BocdDetector {
   std::vector<double> beta_;
   // Double buffer for the grow step (growth reads slot i while writing
   // slot i+1, so it cannot run in place); swapped back each observation.
+  // Both buffers hold their slots in strictly ascending run-length order.
   std::vector<std::uint32_t> next_run_length_;
   std::vector<double> next_probability_;
   std::vector<double> next_mean_;
   std::vector<double> next_beta_;
-  std::vector<std::uint32_t> select_idx_;    ///< top-N selection scratch
-  std::uint32_t max_run_ = 0;                ///< max live run length
+  std::uint32_t max_run_ = 0;  ///< max live run length (the last slot's)
 
   mutable std::vector<PredictiveCoeff> predictive_coeff_cache_;
 

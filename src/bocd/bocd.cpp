@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdio>
+#include <limits>
 #include <memory>
-#include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "llmprism/obs/metrics.hpp"
 
@@ -68,32 +70,35 @@ double powi(double base, std::size_t e) {
   return r;
 }
 
-void validate(const BocdConfig& config) {
-  if (config.hazard_lambda <= 1.0) {
-    throw std::invalid_argument("bocd: hazard_lambda must be > 1");
-  }
-  if (config.changepoint_threshold <= 0.0 ||
-      config.changepoint_threshold >= 1.0) {
-    throw std::invalid_argument("bocd: threshold must be in (0, 1)");
-  }
-  if (config.prior_kappa <= 0.0 || config.prior_alpha <= 0.0 ||
-      config.prior_beta <= 0.0) {
-    throw std::invalid_argument("bocd: prior parameters must be positive");
-  }
-  // nu = 2*prior_alpha + run_length must be an integer for the kernel's
-  // linear-space Student-t (repeated squaring of an integral power).
-  const double two_alpha = 2.0 * config.prior_alpha;
-  if (two_alpha != std::floor(two_alpha) || two_alpha >= 1e9) {
-    throw std::invalid_argument(
-        "bocd: prior_alpha must be half-integral (0.5, 1, 1.5, ...)");
-  }
-}
-
 }  // namespace
 
+std::vector<std::string> BocdConfig::validate() const {
+  std::vector<std::string> errors;
+  const auto check = [&errors](bool ok, const char* field, const char* bound,
+                               double value) {
+    if (ok) return;
+    char got[32];
+    std::snprintf(got, sizeof(got), "%g", value);
+    errors.push_back(std::string(field) + " must be " + bound + ", got " + got);
+  };
+  check(hazard_lambda > 1.0, "hazard_lambda", "> 1", hazard_lambda);
+  check(changepoint_threshold > 0.0 && changepoint_threshold < 1.0,
+        "changepoint_threshold", "in (0, 1)", changepoint_threshold);
+  check(prior_kappa > 0.0, "prior_kappa", "> 0", prior_kappa);
+  check(prior_beta > 0.0, "prior_beta", "> 0", prior_beta);
+  // nu = 2*prior_alpha + run_length must be an integer for the kernel's
+  // linear-space Student-t (repeated squaring of an integral power).
+  const double two_alpha = 2.0 * prior_alpha;
+  check(prior_alpha > 0.0 && two_alpha == std::floor(two_alpha) &&
+            two_alpha < 1e9,
+        "prior_alpha", "half-integral and > 0 (0.5, 1, 1.5, ...)", prior_alpha);
+  check(max_components >= 1, "max_components", ">= 1 (slot 0 is always kept)",
+        static_cast<double>(max_components));
+  return errors;
+}
+
 BocdDetector::BocdDetector(BocdConfig config) : config_(config) {
-  validate(config_);
-  reset();
+  reconfigure(config);
 }
 
 void BocdDetector::reset() {
@@ -118,7 +123,9 @@ void BocdDetector::reset() {
 }
 
 void BocdDetector::reconfigure(const BocdConfig& config) {
-  validate(config);
+  if (const auto errors = config.validate(); !errors.empty()) {
+    throw std::invalid_argument("bocd: " + errors.front());
+  }
   // The coefficient table is a pure function of the prior shape (alpha,
   // kappa) and the run length — prior_mean and prior_beta do not enter
   // it, so per-series location/scale retuning keeps the cache.
@@ -245,11 +252,15 @@ void BocdDetector::step(double x) {
 
   // Prune-and-compact in one forward pass: normalize, apply the mass floor
   // and the run-length cap, and left-compact the survivors while summing
-  // the surviving mass. The store is unconditional and the cursor advance
-  // predicated, so the loop carries no data-dependent control flow; the
-  // write cursor w never passes the read cursor (w <= i), so compaction is
-  // safe in place on the shadow buffer.
+  // the surviving mass and tracking the least probable survivor past slot
+  // 0. The stores are unconditional and the cursor advance predicated, so
+  // the loop carries no data-dependent control flow; the write cursor w
+  // never passes the read cursor (w <= i), so compaction is safe in place
+  // on the shadow buffer. Growth and compaction both preserve order, so
+  // the slots stay in strictly ascending run-length order.
   double kept = next_probability_[0];  // slot 0 is already normalized
+  double min_p = std::numeric_limits<double>::infinity();
+  std::size_t min_w = 0;
   std::size_t w = 1;
   for (std::size_t i = 1; i <= n; ++i) {
     const double p = next_probability_[i] * inv_total;
@@ -259,66 +270,44 @@ void BocdDetector::step(double x) {
     next_mean_[w] = next_mean_[i];
     next_beta_[w] = next_beta_[i];
     const bool keep = p >= config_.prune_mass && r < config_.max_run_length;
+    const bool lowest = keep && p < min_p;
+    min_p = lowest ? p : min_p;
+    min_w = lowest ? w : min_w;
     kept += keep ? p : 0.0;
     w += keep ? 1u : 0u;
   }
 
   if (w > config_.max_components) {
-    // Top-N truncation (the fresh hypothesis at slot 0 is always kept):
-    // select over an index array so only 4-byte indices move, then gather
-    // the keepers back into the live arrays. nth_element's comparator sees
-    // the same probability sequence the struct-based selection would, so
-    // the kept set and its order are unchanged.
-    const std::size_t keep = config_.max_components;
-    select_idx_.resize(w - 1);
-    std::iota(select_idx_.begin(), select_idx_.end(), 1u);
-    std::nth_element(select_idx_.begin(),
-                     select_idx_.begin() + static_cast<std::ptrdiff_t>(keep - 1),
-                     select_idx_.end(),
-                     [this](std::uint32_t a, std::uint32_t b) {
-                       return next_probability_[a] > next_probability_[b];
-                     });
-    if (run_length_.size() < keep) {
-      run_length_.resize(keep);
-      probability_.resize(keep);
-      mean_.resize(keep);
-      beta_.resize(keep);
+    // Top-N cap (the fresh hypothesis at slot 0 is always kept). At most
+    // one hypothesis was added since the last step, so exactly one
+    // survivor goes: the least probable, shifted out so the order holds.
+    // Truncation drops surviving mass, so re-sum the kept set in order.
+    assert(w == config_.max_components + 1 && min_w != 0);
+    for (std::size_t j = min_w + 1; j < w; ++j) {
+      next_run_length_[j - 1] = next_run_length_[j];
+      next_probability_[j - 1] = next_probability_[j];
+      next_mean_[j - 1] = next_mean_[j];
+      next_beta_[j - 1] = next_beta_[j];
     }
-    run_length_[0] = next_run_length_[0];
-    probability_[0] = next_probability_[0];
-    mean_[0] = next_mean_[0];
-    beta_[0] = next_beta_[0];
-    // Truncation drops surviving mass, so the compaction pass's running
-    // sum no longer matches: re-sum over the kept set in the gather.
-    kept = next_probability_[0];
-    for (std::size_t j = 1; j < keep; ++j) {
-      const std::uint32_t src = select_idx_[j - 1];
-      run_length_[j] = next_run_length_[src];
-      probability_[j] = next_probability_[src];
-      mean_[j] = next_mean_[src];
-      beta_[j] = next_beta_[src];
-      kept += next_probability_[src];
-    }
-    size_ = keep;
-  } else {
-    // Common case: the shadow buffer IS the new state; swap the arrays
-    // (pointer swaps, no copies).
-    run_length_.swap(next_run_length_);
-    probability_.swap(next_probability_);
-    mean_.swap(next_mean_);
-    beta_.swap(next_beta_);
-    size_ = w;
+    --w;
+    kept = 0.0;
+    for (std::size_t j = 0; j < w; ++j) kept += next_probability_[j];
   }
+  // The shadow buffer IS the new state; swap the arrays (pointer swaps, no
+  // copies).
+  run_length_.swap(next_run_length_);
+  probability_.swap(next_probability_);
+  mean_.swap(next_mean_);
+  beta_.swap(next_beta_);
+  size_ = w;
 
   // Renormalize after pruning so probabilities stay a distribution, fused
-  // with the three posterior readouts into one final pass (the surviving
-  // mass was already summed by compaction / the truncation gather).
+  // with the posterior readouts into one final pass.
   const double inv_kept = 1.0 / kept;
   const auto cap = static_cast<std::uint32_t>(config_.recent_run_cap);
   double recent = 0.0;
   double best_p = -1.0;
   std::uint32_t best_r = 0;
-  std::uint32_t max_run = 0;
   for (std::size_t i = 0; i < size_; ++i) {
     const double p = probability_[i] * inv_kept;
     probability_[i] = p;
@@ -328,12 +317,11 @@ void BocdDetector::step(double x) {
       best_p = p;
       best_r = r;
     }
-    max_run = std::max(max_run, r);
   }
   last_cp_probability_ = probability_[0];
   last_recent_probability_ = recent;
   last_map_run_length_ = best_r;
-  max_run_ = max_run;
+  max_run_ = run_length_[size_ - 1];
 }
 
 double BocdDetector::observe(double x) {

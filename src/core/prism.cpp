@@ -128,16 +128,8 @@ std::vector<std::string> PrismConfig::validate() const {
   }
   const auto check_segmenter = [&errors](const SegmenterConfig& seg,
                                          const char* where) {
-    if (seg.bocd.hazard_lambda <= 0.0) {
-      errors.push_back(std::string(where) +
-                       ": bocd.hazard_lambda must be > 0, got " +
-                       std::to_string(seg.bocd.hazard_lambda));
-    }
-    if (!(seg.bocd.changepoint_threshold > 0.0) ||
-        seg.bocd.changepoint_threshold > 1.0) {
-      errors.push_back(std::string(where) +
-                       ": bocd.changepoint_threshold must be in (0, 1], got " +
-                       std::to_string(seg.bocd.changepoint_threshold));
+    for (const std::string& e : seg.bocd.validate()) {
+      errors.push_back(std::string(where) + ": bocd." + e);
     }
     if (seg.coalesce_gap < 0) {
       errors.push_back(std::string(where) + ": coalesce_gap must be >= 0");

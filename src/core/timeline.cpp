@@ -38,13 +38,14 @@ struct CarrySlot {
   std::uint64_t steps_carried_in = 0;
 };
 
-/// Build the timeline of one GPU from its (chronological) comm events.
+/// Build the timeline of one GPU from its comm events, a slice of the
+/// caller's buffer that is sorted in place (and only when out of order).
 /// With a carry context (`ctx` non-null and `slot->carry` set), held-back
-/// DP events from the previous window are prepended, step 0 begins at the
-/// carried previous step end, and a trailing near-boundary burst is held
-/// back instead of emitted; the null-context path is the cold behavior,
-/// bit for bit.
-GpuTimeline assemble(GpuId gpu, std::vector<TimelineEvent> comm_events,
+/// DP events from the previous window are merged in through a local copy,
+/// step 0 begins at the carried previous step end, and a trailing
+/// near-boundary burst is held back instead of emitted; the null-context
+/// path is the cold behavior, bit for bit.
+GpuTimeline assemble(GpuId gpu, std::span<TimelineEvent> comm_events,
                      const TimelineConfig& config,
                      SegmenterStats* segmenter_stats = nullptr,
                      const TimelineCarryContext* ctx = nullptr,
@@ -53,25 +54,35 @@ GpuTimeline assemble(GpuId gpu, std::vector<TimelineEvent> comm_events,
   timeline.gpu = gpu;
 
   GpuStepCarry* carry = nullptr;
+  std::vector<TimelineEvent> merged;
   if (ctx != nullptr && slot != nullptr && slot->carry != nullptr) {
     carry = slot->carry;
     if (!carry->held_events.empty()) {
       ++slot->steps_carried_in;
-      comm_events.insert(comm_events.end(), carry->held_events.begin(),
-                         carry->held_events.end());
+      merged.reserve(comm_events.size() + carry->held_events.size());
+      merged.assign(comm_events.begin(), comm_events.end());
+      merged.insert(merged.end(), carry->held_events.begin(),
+                    carry->held_events.end());
       carry->held_events.clear();
+      comm_events = merged;
     }
   }
 
-  std::sort(comm_events.begin(), comm_events.end(),
-            [](const TimelineEvent& a, const TimelineEvent& b) {
-              if (a.start != b.start) return a.start < b.start;
-              return a.end < b.end;
-            });
+  const auto by_start_then_end = [](const TimelineEvent& a,
+                                    const TimelineEvent& b) {
+    if (a.start != b.start) return a.start < b.start;
+    return a.end < b.end;
+  };
+  if (!std::is_sorted(comm_events.begin(), comm_events.end(),
+                      by_start_then_end)) {
+    std::sort(comm_events.begin(), comm_events.end(), by_start_then_end);
+  }
 
   // ---- step boundaries from DP bursts ----
   std::vector<TimeNs> dp_starts;
   std::vector<std::size_t> dp_event_idx;
+  dp_starts.reserve(comm_events.size());
+  dp_event_idx.reserve(comm_events.size());
   for (std::size_t i = 0; i < comm_events.size(); ++i) {
     if (comm_events[i].kind == TimelineEventKind::kDp) {
       dp_starts.push_back(comm_events[i].start);
@@ -171,7 +182,7 @@ GpuTimeline assemble(GpuId gpu, std::vector<TimelineEvent> comm_events,
 /// match the sequential loop exactly.
 std::vector<GpuTimeline> assemble_all(
     std::span<const std::uint32_t> gpu_ids,
-    const std::function<std::vector<TimelineEvent>(std::uint32_t)>& events_of,
+    const std::function<std::span<TimelineEvent>(std::uint32_t)>& events_of,
     const TimelineConfig& config, SegmenterStats* segmenter_stats,
     const TimelineCarryContext* ctx, ThreadPool* pool) {
   const std::size_t n = gpu_ids.size();
@@ -233,9 +244,11 @@ std::vector<GpuTimeline> TimelineReconstructor::reconstruct_all(
   if (n == 0 && carry_gpus.empty()) return {};
 
   // Dense counting gather: per-GPU event counts over the src/dst columns,
-  // prefix sum, scatter. Flow order is preserved per GPU; assemble()
-  // re-sorts anyway. Falls back to hash bucketing only if the id space is
-  // wildly sparse relative to the window (never for cluster-dense ids).
+  // prefix sum, scatter. Flow order is preserved per GPU, so a time-sorted
+  // view yields slices assemble() rarely has to sort; each task works on
+  // its own slice in place. Falls back to hash bucketing only if the id
+  // space is wildly sparse relative to the window (never for cluster-dense
+  // ids).
   const std::size_t span_size = static_cast<std::size_t>(max_gpu) + 1;
   if (span_size <= 8 * (2 * n + carry_gpus.size()) + 1024) {
     std::vector<std::uint32_t> counts(span_size + 1, 0);
@@ -266,8 +279,8 @@ std::vector<GpuTimeline> TimelineReconstructor::reconstruct_all(
     return assemble_all(
         gpu_ids,
         [&](std::uint32_t g) {
-          return std::vector<TimelineEvent>(flat.begin() + counts[g],
-                                            flat.begin() + counts[g + 1]);
+          return std::span<TimelineEvent>(flat).subspan(
+              counts[g], counts[g + 1] - counts[g]);
         },
         config_, segmenter_stats, carry_ctx, pool);
   }
@@ -286,11 +299,11 @@ std::vector<GpuTimeline> TimelineReconstructor::reconstruct_all(
   std::sort(gpus.begin(), gpus.end());
 
   // Every key already exists, so the concurrent find() calls below never
-  // mutate the map.
+  // mutate the map; each task sorts only its own GPU's vector.
   return assemble_all(
       gpus,
       [&](std::uint32_t g) {
-        return std::move(per_gpu.find(GpuId(g))->second);
+        return std::span<TimelineEvent>(per_gpu.find(GpuId(g))->second);
       },
       config_, segmenter_stats, carry_ctx, pool);
 }

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -32,6 +33,20 @@ TEST(BocdConfigTest, RejectsBadThreshold) {
   EXPECT_THROW(BocdDetector{cfg}, std::invalid_argument);
   cfg.changepoint_threshold = 0.0;
   EXPECT_THROW(BocdDetector{cfg}, std::invalid_argument);
+}
+
+TEST(BocdConfigTest, RejectsZeroComponents) {
+  // Slot 0 (the fresh hypothesis) is always kept, so a cap of 0 cannot
+  // hold; it must be refused before the kernel runs.
+  BocdConfig cfg;
+  cfg.max_components = 0;
+  EXPECT_THROW(BocdDetector{cfg}, std::invalid_argument);
+  BocdDetector pooled;
+  EXPECT_THROW(pooled.reconfigure(cfg), std::invalid_argument);
+  ASSERT_EQ(cfg.validate().size(), 1u);
+  EXPECT_NE(cfg.validate()[0].find("max_components"), std::string::npos);
+  cfg.max_components = 1;
+  EXPECT_TRUE(cfg.validate().empty());
 }
 
 TEST(BocdConfigTest, RejectsNonPositivePrior) {
@@ -266,6 +281,7 @@ TEST(BocdBatchDifferentialTest, PruneBoundaryConfigs) {
        {std::pair<std::size_t, double>{8, 1e-3},
         std::pair<std::size_t, double>{1, 1e-6},
         std::pair<std::size_t, double>{2, 1e-2},
+        std::pair<std::size_t, double>{3, 1e-6},
         std::pair<std::size_t, double>{64, 1e-8}}) {
     BocdConfig cfg;
     cfg.max_components = cap;
@@ -273,6 +289,21 @@ TEST(BocdBatchDifferentialTest, PruneBoundaryConfigs) {
     expect_batch_matches_loop(shifting_series(), cfg);
     expect_batch_matches_loop(hard_reset_series(), cfg);
   }
+}
+
+TEST(BocdBatchDifferentialTest, CapDropsAYoungerHypothesis) {
+  // On stationary data the oldest run carries the posterior, so the cap
+  // must drop a younger, less probable hypothesis from the middle of the
+  // arrays. Had it dropped the oldest, no run length could reach the
+  // series length at a cap of 3.
+  BocdConfig cfg;
+  cfg.max_components = 3;
+  const auto xs = stationary_series();
+  expect_batch_matches_loop(xs, cfg);
+  BocdDetector d(cfg);
+  d.observe_batch(xs);
+  EXPECT_EQ(d.map_run_length(), xs.size());
+  EXPECT_EQ(d.hard_resets(), 0u);
 }
 
 TEST(BocdBatchDifferentialTest, PooledDetectorMatchesFresh) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "llmprism/baseline/eval.hpp"
+#include "llmprism/common/thread_pool.hpp"
 #include "llmprism/core/comm_type.hpp"
 #include "llmprism/simulator/cluster_sim.hpp"
 #include "trace_stages.hpp"
@@ -168,6 +169,148 @@ TEST(TimelineReconstructorTest, ReconstructAllCoversAllEndpoints) {
   ASSERT_FALSE(single.steps.empty());
   for (std::size_t k = 0; k < single.steps.size(); ++k) {
     EXPECT_EQ(timelines[2].steps[k].end, single.steps[k].end);
+  }
+}
+
+void expect_same_timelines(const std::vector<GpuTimeline>& a,
+                           const std::vector<GpuTimeline>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t g = 0; g < a.size(); ++g) {
+    EXPECT_EQ(a[g].gpu, b[g].gpu);
+    ASSERT_EQ(a[g].events.size(), b[g].events.size()) << "gpu slot " << g;
+    for (std::size_t i = 0; i < a[g].events.size(); ++i) {
+      EXPECT_EQ(a[g].events[i].kind, b[g].events[i].kind);
+      EXPECT_EQ(a[g].events[i].start, b[g].events[i].start);
+      EXPECT_EQ(a[g].events[i].end, b[g].events[i].end);
+      EXPECT_EQ(a[g].events[i].peer, b[g].events[i].peer);
+    }
+    ASSERT_EQ(a[g].steps.size(), b[g].steps.size()) << "gpu slot " << g;
+    for (std::size_t k = 0; k < a[g].steps.size(); ++k) {
+      EXPECT_EQ(a[g].steps[k].index, b[g].steps[k].index);
+      EXPECT_EQ(a[g].steps[k].begin, b[g].steps[k].begin);
+      EXPECT_EQ(a[g].steps[k].end, b[g].steps[k].end);
+      EXPECT_EQ(a[g].steps[k].dp_begin, b[g].steps[k].dp_begin);
+    }
+  }
+}
+
+TEST(TimelineReconstructorTest, UnsortedViewIsSortedByStartThenEnd) {
+  // Rows out of time order, two pairs of them with equal starts and the
+  // longer flow first: each GPU's slice is out of order, so assemble()
+  // must sort it, breaking start ties by end.
+  FlowTrace trace;
+  const auto add = [&trace](TimeNs start, DurationNs duration,
+                            std::uint32_t src, std::uint32_t dst) {
+    FlowRecord f;
+    f.start_time = start;
+    f.duration = duration;
+    f.src = GpuId(src);
+    f.dst = GpuId(dst);
+    f.bytes = 1 << 20;
+    trace.add(f);
+  };
+  add(50 * kMillisecond, 9 * kMillisecond, 0, 8);
+  add(10 * kMillisecond, 7 * kMillisecond, 0, 8);
+  add(10 * kMillisecond, 3 * kMillisecond, 8, 0);
+  add(30 * kMillisecond, 4 * kMillisecond, 0, 8);
+  add(30 * kMillisecond, 2 * kMillisecond, 8, 0);
+  const auto timeline =
+      reconstruct(TimelineReconstructor{}, GpuId(0), trace, {});
+  std::vector<std::pair<TimeNs, TimeNs>> comm;
+  std::vector<TimelineEventKind> kinds;
+  for (const TimelineEvent& e : timeline.events) {
+    if (e.kind == TimelineEventKind::kCompute) continue;
+    comm.emplace_back(e.start, e.end);
+    kinds.push_back(e.kind);
+  }
+  const std::vector<std::pair<TimeNs, TimeNs>> expected = {
+      {10 * kMillisecond, 13 * kMillisecond},
+      {10 * kMillisecond, 17 * kMillisecond},
+      {30 * kMillisecond, 32 * kMillisecond},
+      {30 * kMillisecond, 34 * kMillisecond},
+      {50 * kMillisecond, 59 * kMillisecond}};
+  EXPECT_EQ(comm, expected);
+  EXPECT_EQ(kinds, (std::vector<TimelineEventKind>{
+                       TimelineEventKind::kPpRecv, TimelineEventKind::kPpSend,
+                       TimelineEventKind::kPpRecv, TimelineEventKind::kPpSend,
+                       TimelineEventKind::kPpSend}));
+}
+
+TEST(TimelineReconstructorTest, PoolMatchesSerialAtEveryLaneCount) {
+  // Per-GPU tasks sort disjoint slices of one shared event buffer in
+  // place; every lane count must give the serial result.
+  ClusterSimConfig cfg;
+  cfg.topology = {.num_machines = 16, .gpus_per_machine = 8,
+                  .machines_per_leaf = 4, .num_spines = 2};
+  JobSimConfig job;
+  job.parallelism = {.tp = 8, .dp = 4, .pp = 2, .micro_batches = 4};
+  job.num_steps = 6;
+  cfg.jobs.push_back({job, {}});
+  const auto sim = run_cluster_sim(cfg);
+  const auto comm = identify(CommTypeIdentifier{}, sim.trace);
+  const TimelineReconstructor rec;
+  const auto serial = reconstruct_all(rec, sim.trace, comm.types());
+  ASSERT_FALSE(serial.empty());
+  for (const std::size_t lanes : {1u, 2u, 4u, 8u}) {
+    ThreadPool pool(lanes - 1);
+    SCOPED_TRACE(lanes);
+    expect_same_timelines(
+        reconstruct_all(rec, sim.trace, comm.types(), {}, &pool), serial);
+  }
+}
+
+TEST(TimelineReconstructorTest, CarriedHeldBurstMergesIntoNextWindow) {
+  // Cut the trace inside step 2's DP burst. The first window holds that
+  // partial burst back; the second merges the held events with its own and
+  // emits the straddling step whole. Together the two windows give the
+  // cold single-window steps exactly.
+  const auto s = make_scenario(6);
+  const TimeNs cut = 2 * s.step_period + s.step_period -
+                     100 * kMillisecond + 11 * kMillisecond;
+  FlowTrace first;
+  FlowTrace second;
+  for (const FlowRecord& f : s.trace) {
+    (f.start_time < cut ? first : second).add(f);
+  }
+  const TimelineReconstructor rec;
+  const auto cold = reconstruct_all(rec, s.trace, s.types);
+
+  TimelineCarry carry;
+  TimelineCarryContext ctx;
+  ctx.carry = &carry;
+  ctx.window_end = cut;
+  ctx.hold_tail = true;
+  const auto w1 = reconstruct_all(rec, first, s.types, ctx);
+  EXPECT_EQ(carry.steps_held, 2u);  // GPUs 0 and 16
+  EXPECT_EQ(carry.steps_carried_in, 0u);
+  EXPECT_EQ(carry.per_gpu.at(GpuId(0)).held_events.size(), 6u);
+  ctx.window_end = s.trace.flows().back().start_time + s.step_period;
+  ctx.hold_tail = false;
+  const auto w2 = reconstruct_all(rec, second, s.types, ctx);
+  EXPECT_EQ(carry.steps_held, 0u);
+  EXPECT_EQ(carry.steps_carried_in, 2u);
+  EXPECT_TRUE(carry.per_gpu.at(GpuId(0)).held_events.empty());
+
+  ASSERT_EQ(cold.size(), 3u);  // GPUs 0, 8, 16
+  ASSERT_EQ(w1.size(), 3u);
+  ASSERT_EQ(w2.size(), 3u);
+  for (std::size_t g = 0; g < cold.size(); ++g) {
+    std::vector<ReconstructedStep> joined = w1[g].steps;
+    joined.insert(joined.end(), w2[g].steps.begin(), w2[g].steps.end());
+    ASSERT_EQ(joined.size(), cold[g].steps.size()) << "gpu slot " << g;
+    for (std::size_t k = 0; k < joined.size(); ++k) {
+      EXPECT_EQ(joined[k].begin, cold[g].steps[k].begin);
+      EXPECT_EQ(joined[k].end, cold[g].steps[k].end);
+      EXPECT_EQ(joined[k].dp_begin, cold[g].steps[k].dp_begin);
+    }
+  }
+  EXPECT_EQ(w1[0].steps.size(), 2u);
+  EXPECT_EQ(w2[0].steps.size(), 4u);
+  // The held burst's events reappear, merged in time order, in window 2.
+  EXPECT_EQ(w2[0].events.front().kind, TimelineEventKind::kDp);
+  EXPECT_LT(w2[0].events.front().start, cut);
+  for (std::size_t i = 1; i < w2[0].events.size(); ++i) {
+    EXPECT_LE(w2[0].events[i - 1].start, w2[0].events[i].start);
   }
 }
 

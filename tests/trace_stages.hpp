@@ -25,7 +25,8 @@ inline CommTypeResult identify(const CommTypeIdentifier& identifier,
 /// from it count as PP).
 inline std::vector<GpuTimeline> reconstruct_all(
     const TimelineReconstructor& reconstructor, const FlowTrace& trace,
-    const std::unordered_map<GpuPair, CommType>& types) {
+    const std::unordered_map<GpuPair, CommType>& types,
+    const TimelineCarryContext& ctx = {}, ThreadPool* pool = nullptr) {
   std::vector<CommType> flow_types;
   flow_types.reserve(trace.size());
   for (const FlowRecord& f : trace) {
@@ -33,7 +34,8 @@ inline std::vector<GpuTimeline> reconstruct_all(
     flow_types.push_back(it != types.end() ? it->second : CommType::kPP);
   }
   const FlowColumns columns(trace);
-  return reconstructor.reconstruct_all(columns.view(), flow_types);
+  return reconstructor.reconstruct_all(columns.view(), flow_types, nullptr,
+                                       ctx, pool);
 }
 
 /// One GPU's timeline; empty (with `gpu` set) when no flow touches it.
