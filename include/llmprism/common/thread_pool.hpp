@@ -22,6 +22,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -71,5 +72,18 @@ void parallel_for(ThreadPool* pool, std::size_t n,
 /// when n is smaller than the chunk count.
 [[nodiscard]] std::vector<std::size_t> row_chunks(std::size_t n,
                                                   const ThreadPool* pool);
+
+/// The exclusive prefix over (key, chunk) of a count / prefix / scatter
+/// pass over row chunks, taken in place: counts[c][k], chunk c's item count
+/// for key k (at most `keys` entries; a shorter vector counts 0 for the
+/// keys past its end), becomes the slot of chunk c's first item of key k.
+/// Keys are laid out in ascending order, and within a key chunk c's items
+/// follow every earlier chunk's, so a scatter that walks each chunk in row
+/// order keeps row order within every key. Returns keys + 1 offsets: key
+/// k's items fill [begin[k], begin[k + 1]). With a pool the sums run over
+/// key ranges on it; the offsets do not depend on the lane count.
+[[nodiscard]] std::vector<std::size_t> chunk_key_prefix(
+    std::span<std::vector<std::size_t>> counts, std::size_t keys,
+    ThreadPool* pool);
 
 }  // namespace llmprism

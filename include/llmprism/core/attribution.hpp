@@ -46,6 +46,8 @@
 
 namespace llmprism {
 
+class ThreadPool;
+
 /// What kind of vertex a ranked culprit names.
 enum class CulpritKind : std::uint8_t { kRank, kDpGroup, kSwitch };
 
@@ -173,14 +175,17 @@ class Attributor {
  public:
   explicit Attributor(AttributionConfig config = {});
 
-  /// Attribute every alert of one analyzed window. Pure and sequential:
-  /// the same inputs produce the same incidents, bit for bit, regardless
-  /// of how the per-job fan-out that produced them was scheduled.
+  /// Attribute every alert of one analyzed window. Pure: the same inputs
+  /// produce the same incidents, bit for bit, regardless of how the
+  /// per-job fan-out that produced them was scheduled. The jobs are walked
+  /// in order on the calling thread; only the per-rank self times of a job
+  /// with unclaimed step alerts fan out on `pool`, one rank per task into
+  /// its own slot, so the result is the same at every lane count.
   [[nodiscard]] AttributionResult attribute(
       std::span<const JobAttributionInput> jobs,
       std::span<const SwitchBandwidthAlert> switch_bandwidth_alerts,
-      std::span<const SwitchConcurrencyAlert> switch_concurrency_alerts)
-      const;
+      std::span<const SwitchConcurrencyAlert> switch_concurrency_alerts,
+      ThreadPool* pool = nullptr) const;
 
   // Building blocks, exposed for direct testing.
 

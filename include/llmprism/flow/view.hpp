@@ -36,6 +36,8 @@
 
 namespace llmprism {
 
+class ThreadPool;
+
 /// Non-owning SoA view of a flow window. Cheap to copy (seven spans and a
 /// flag); pass by value or const reference.
 struct FlowView {
@@ -273,11 +275,13 @@ class PairIndex {
   static constexpr std::uint32_t kNoPair = 0xffffffffu;
 
   PairIndex() = default;
-  /// Radix-partitioned grouping (counting pass + prefix sum + stable
-  /// scatter over hash buckets) instead of per-flow unordered_map
-  /// interning: dense ids in first-appearance order, positions in row
-  /// order within each pair.
-  explicit PairIndex(const FlowView& view);
+  /// Radix-partitioned grouping (per row chunk a counting pass, one prefix
+  /// over (bucket, chunk), a stable scatter per chunk; then grouping per
+  /// bucket range) instead of per-flow unordered_map interning: dense ids
+  /// in first-appearance order, positions in row order within each pair.
+  /// With a pool the passes run on it; the index is identical to the
+  /// null-pool one at every lane count.
+  explicit PairIndex(const FlowView& view, ThreadPool* pool = nullptr);
 
   [[nodiscard]] std::size_t num_pairs() const { return pairs_.size(); }
   [[nodiscard]] std::size_t num_flows() const { return pair_of_flow_.size(); }

@@ -1,8 +1,10 @@
 #include "llmprism/common/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <memory>
+#include <numeric>
 
 namespace llmprism {
 
@@ -133,6 +135,39 @@ std::vector<std::size_t> row_chunks(std::size_t n, const ThreadPool* pool) {
   std::vector<std::size_t> bounds(chunks + 1);
   for (std::size_t c = 0; c <= chunks; ++c) bounds[c] = n * c / chunks;
   return bounds;
+}
+
+std::vector<std::size_t> chunk_key_prefix(
+    std::span<std::vector<std::size_t>> counts, std::size_t keys,
+    ThreadPool* pool) {
+  // Over contiguous key ranges: per-key totals, one exclusive sum over the
+  // keys, then each range's running offsets chunk by chunk. Every walk runs
+  // along the chunks' rows; a walk down the chunks of one key would stride.
+  const std::vector<std::size_t> ranges = row_chunks(keys, pool);
+  std::vector<std::size_t> key_begin(keys + 1, 0);
+  parallel_for(pool, ranges.size() - 1, [&](std::size_t r) {
+    for (const std::vector<std::size_t>& count : counts) {
+      const std::size_t end = std::min(ranges[r + 1], count.size());
+      for (std::size_t k = ranges[r]; k < end; ++k) key_begin[k] += count[k];
+    }
+  });
+  std::exclusive_scan(key_begin.begin(), key_begin.end(), key_begin.begin(),
+                      std::size_t{0});
+  parallel_for(pool, ranges.size() - 1, [&](std::size_t r) {
+    const std::size_t lo = ranges[r];
+    std::vector<std::size_t> next(
+        key_begin.begin() + static_cast<std::ptrdiff_t>(lo),
+        key_begin.begin() + static_cast<std::ptrdiff_t>(ranges[r + 1]));
+    for (std::vector<std::size_t>& count : counts) {
+      const std::size_t end = std::min(ranges[r + 1], count.size());
+      for (std::size_t k = lo; k < end; ++k) {
+        const std::size_t items = count[k];
+        count[k] = next[k - lo];
+        next[k - lo] += items;
+      }
+    }
+  });
+  return key_begin;
 }
 
 }  // namespace llmprism

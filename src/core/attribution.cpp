@@ -10,6 +10,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "llmprism/common/thread_pool.hpp"
 #include "llmprism/common/time.hpp"
 
 namespace llmprism {
@@ -205,7 +206,8 @@ std::vector<std::vector<SwitchId>> Attributor::group_switch_sets(
 AttributionResult Attributor::attribute(
     std::span<const JobAttributionInput> jobs,
     std::span<const SwitchBandwidthAlert> switch_bandwidth_alerts,
-    std::span<const SwitchConcurrencyAlert> switch_concurrency_alerts) const {
+    std::span<const SwitchConcurrencyAlert> switch_concurrency_alerts,
+    ThreadPool* pool) const {
   AttributionResult out;
 
   // Index the cluster-level switch alerts once; every per-job group
@@ -383,11 +385,14 @@ AttributionResult Attributor::attribute(
         std::unique(flagged_steps.begin(), flagged_steps.end()),
         flagged_steps.end());
 
-    // Per-rank self-time series, computed once per job.
+    // Per-rank self-time series, computed once per job and only when a
+    // flagged step is left to trace; each rank fills its own slot.
     std::vector<std::vector<double>> self_times;
-    self_times.reserve(job.timelines.size());
-    for (const GpuTimeline& t : job.timelines) {
-      self_times.push_back(step_self_times(t));
+    if (!flagged_steps.empty()) {
+      self_times.resize(job.timelines.size());
+      parallel_for(pool, self_times.size(), [&](std::size_t t) {
+        self_times[t] = step_self_times(job.timelines[t]);
+      });
     }
 
     std::size_t r = 0;

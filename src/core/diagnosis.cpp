@@ -313,17 +313,8 @@ void fill_samples(SwitchSamples& out, const FlowView& view,
 
   // Prefix over (switch, chunk): chunk c writes switch s's samples after
   // every earlier chunk's, so each switch's slice stays in input order.
-  out.offsets.resize(slots + 1);
-  std::vector<std::size_t> chunk_start(num_chunks * slots);
-  std::size_t total = 0;
-  for (std::size_t sw = 0; sw < slots; ++sw) {
-    out.offsets[sw] = total;
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-      chunk_start[c * slots + sw] = total;
-      if (sw < counts[c].size()) total += counts[c][sw];
-    }
-  }
-  out.offsets[slots] = total;
+  out.offsets = chunk_key_prefix(counts, slots, pool);
+  const std::size_t total = out.offsets[slots];
   const bool times = (want & kWantPeak) != 0;
   const bool bandwidth = (want & (kWantMean | kWantPercentile)) != 0;
   if (times) {
@@ -334,10 +325,7 @@ void fill_samples(SwitchSamples& out, const FlowView& view,
 
   // Pass 2, per chunk: scatter each kept row's sample to every hop.
   parallel_for(pool, num_chunks, [&](std::size_t c) {
-    std::vector<std::size_t> cursor(
-        chunk_start.begin() + static_cast<std::ptrdiff_t>(c * slots),
-        chunk_start.begin() + static_cast<std::ptrdiff_t>((c + 1) * slots));
-    std::size_t* const cur = cursor.data();
+    std::size_t* const cur = counts[c].data();
     const std::uint64_t* const off = view.switch_offsets.data();
     const std::uint32_t* const ids = view.switch_ids.data();
     TimeNs* const starts = out.start_ns.data();

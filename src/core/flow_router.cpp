@@ -39,18 +39,20 @@ FlowRouter::ColumnarResult FlowRouter::route(const FlowView& view,
 
   // Pass 1, per chunk: resolve each row's job once (src, dst fallback),
   // counting the chunk's rows and switch hops per job.
-  struct ChunkCounts {
-    std::vector<std::size_t> rows;
-    std::vector<std::size_t> hops;
+  struct ChunkTotals {
     std::uint64_t routed = 0;
     std::uint64_t routed_via_dst = 0;
     std::uint64_t unattributed = 0;
   };
-  std::vector<ChunkCounts> counts(chunks);
+  std::vector<std::vector<std::size_t>> row_counts(chunks);
+  std::vector<std::vector<std::size_t>> hop_counts(chunks);
+  std::vector<ChunkTotals> totals(chunks);
   parallel_for(pool, chunks, [&](std::size_t c) {
-    ChunkCounts& cc = counts[c];
-    cc.rows.assign(jobs, 0);
-    cc.hops.assign(jobs, 0);
+    std::vector<std::size_t>& rows = row_counts[c];
+    std::vector<std::size_t>& hops = hop_counts[c];
+    ChunkTotals& ct = totals[c];
+    rows.assign(jobs, 0);
+    hops.assign(jobs, 0);
     for (std::size_t i = result.chunk_rows[c]; i < result.chunk_rows[c + 1];
          ++i) {
       std::size_t j = job_of(GpuId(view.src[i]));
@@ -61,42 +63,51 @@ FlowRouter::ColumnarResult FlowRouter::route(const FlowView& view,
       }
       if (j == kUnattributed) {
         result.job_of_flow[i] = kNoJob;
-        ++cc.unattributed;
+        ++ct.unattributed;
         continue;
       }
       result.job_of_flow[i] = static_cast<std::uint32_t>(j);
-      ++cc.rows[j];
+      ++rows[j];
       if (have_hops) {
-        cc.hops[j] += view.switch_offsets[i + 1] - view.switch_offsets[i];
+        hops[j] += view.switch_offsets[i + 1] - view.switch_offsets[i];
       }
-      ++cc.routed;
-      if (via_dst) ++cc.routed_via_dst;
+      ++ct.routed;
+      if (via_dst) ++ct.routed_via_dst;
     }
   });
+  for (const ChunkTotals& ct : totals) {
+    result.flows_routed += ct.routed;
+    result.flows_routed_via_dst += ct.routed_via_dst;
+    result.flows_unattributed += ct.unattributed;
+  }
 
-  // Prefix over (chunk, job): chunk c writes job j's rows after every
-  // earlier chunk's, so input order is preserved within each job.
+  // Prefix over (job, chunk): chunk c writes job j's rows after every
+  // earlier chunk's, so input order is preserved within each job. Each
+  // job has columns of its own, so the offsets are taken relative to the
+  // job's first row and hop.
+  const std::vector<std::size_t> row_begin =
+      chunk_key_prefix(row_counts, jobs, pool);
+  const std::vector<std::size_t> hop_begin =
+      chunk_key_prefix(hop_counts, jobs, pool);
   result.chunk_job_start.resize(chunks * jobs);
-  std::vector<std::size_t> hop_start(chunks * jobs);
-  std::vector<std::size_t> rows_per_job(jobs, 0);
-  std::vector<std::size_t> hops_per_job(jobs, 0);
   for (std::size_t c = 0; c < chunks; ++c) {
     for (std::size_t j = 0; j < jobs; ++j) {
-      result.chunk_job_start[c * jobs + j] = rows_per_job[j];
-      hop_start[c * jobs + j] = hops_per_job[j];
-      rows_per_job[j] += counts[c].rows[j];
-      hops_per_job[j] += counts[c].hops[j];
+      result.chunk_job_start[c * jobs + j] = row_counts[c][j] - row_begin[j];
+      hop_counts[c][j] -= hop_begin[j];
     }
-    result.flows_routed += counts[c].routed;
-    result.flows_routed_via_dst += counts[c].routed_via_dst;
-    result.flows_unattributed += counts[c].unattributed;
   }
+  const auto rows_of = [&](std::size_t j) {
+    return row_begin[j + 1] - row_begin[j];
+  };
+  const auto hops_of = [&](std::size_t j) {
+    return hop_begin[j + 1] - hop_begin[j];
+  };
   // Pass 2: place the rows. A lone chunk appends them in input order to
   // reserved columns, sparing the zero fill that sizing for a scatter
   // costs; several chunks each scatter into the pre-sized job columns.
   if (chunks == 1) {
     for (std::size_t j = 0; j < jobs; ++j) {
-      result.job_columns[j].reserve(rows_per_job[j], hops_per_job[j]);
+      result.job_columns[j].reserve(rows_of(j), hops_of(j));
       result.job_columns[j].switch_offsets.push_back(0);
     }
     for (std::size_t i = 0; i < n; ++i) {
@@ -105,7 +116,7 @@ FlowRouter::ColumnarResult FlowRouter::route(const FlowView& view,
     }
   } else {
     parallel_for(pool, jobs, [&](std::size_t j) {
-      result.job_columns[j].resize(rows_per_job[j], hops_per_job[j]);
+      result.job_columns[j].resize(rows_of(j), hops_of(j));
     });
     parallel_for(pool, chunks, [&](std::size_t c) {
       std::vector<std::size_t> row_cursor(
@@ -113,9 +124,7 @@ FlowRouter::ColumnarResult FlowRouter::route(const FlowView& view,
               static_cast<std::ptrdiff_t>(c * jobs),
           result.chunk_job_start.begin() +
               static_cast<std::ptrdiff_t>((c + 1) * jobs));
-      std::vector<std::size_t> hop_cursor(
-          hop_start.begin() + static_cast<std::ptrdiff_t>(c * jobs),
-          hop_start.begin() + static_cast<std::ptrdiff_t>((c + 1) * jobs));
+      std::vector<std::size_t>& hop_cursor = hop_counts[c];
       for (std::size_t i = result.chunk_rows[c]; i < result.chunk_rows[c + 1];
            ++i) {
         const std::uint32_t j = result.job_of_flow[i];

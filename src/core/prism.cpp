@@ -351,11 +351,16 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
 
     SessionJobState* const state = job_states[j];
 
-    // (2) parallelism strategies, over the job's CSR pair index; the
-    // per-flow types come back as a dense vector (one CommType per trace
-    // position) shared with DP collection and timeline reconstruction.
-    // With a session, last window's classifications serve as warm priors.
-    const PairIndex pair_index(job_view);
+    // (2) parallelism strategies, over the job's CSR pair index (built
+    // over row chunks on the pool); the per-flow types come back as a
+    // dense vector (one CommType per trace position) shared with DP
+    // collection and timeline reconstruction. With a session, last
+    // window's classifications serve as warm priors.
+    PairIndex pair_index;
+    {
+      const obs::Span span("job.pair_index", j);
+      pair_index = PairIndex(job_view, pool_.get());
+    }
     std::vector<CommType>& flow_types = job_flow_types[j];
     {
       const obs::Span span("job.comm_type", j);
@@ -442,9 +447,10 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
   report.telemetry.ksigma_alerts += switch_stats.alerts;
 
   // (5) root-cause attribution: propagate blame backwards from every
-  // alert over the recovered dependency graph. Sequential over the
-  // already-merged per-job results, so it is trivially thread-count-
-  // invariant (the fan-out above produced identical inputs).
+  // alert over the recovered dependency graph. It walks the already-merged
+  // per-job results in job-id order; only the per-rank self times of a job
+  // with unclaimed step alerts fan out on the pool, each rank into its own
+  // slot, so the result is thread-count-invariant.
   if (config_.attribute && config_.reconstruct_timelines) {
     const obs::Span span("prism.attribute");
     std::vector<JobAttributionInput> inputs;
@@ -461,7 +467,7 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
     const Attributor attributor(config_.attribution);
     report.attribution =
         attributor.attribute(inputs, report.switch_bandwidth_alerts,
-                             report.switch_concurrency_alerts);
+                             report.switch_concurrency_alerts, pool_.get());
     report.telemetry.incidents = report.attribution.incidents.size();
     report.telemetry.alerts_explained =
         report.attribution.telemetry.alerts_explained;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
+#include <type_traits>
 #include <unordered_map>
 
 #include "llmprism/common/thread_pool.hpp"
@@ -236,51 +238,78 @@ std::vector<GpuTimeline> TimelineReconstructor::reconstruct_all(
     std::sort(carry_gpus.begin(), carry_gpus.end());
   }
 
-  std::uint32_t max_gpu = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    max_gpu = std::max({max_gpu, view.src[i], view.dst[i]});
-  }
-  for (const std::uint32_t g : carry_gpus) max_gpu = std::max(max_gpu, g);
   if (n == 0 && carry_gpus.empty()) return {};
 
-  // Dense counting gather: per-GPU event counts over the src/dst columns,
-  // prefix sum, scatter. Flow order is preserved per GPU, so a time-sorted
-  // view yields slices assemble() rarely has to sort; each task works on
-  // its own slice in place. Falls back to hash bucketing only if the id
-  // space is wildly sparse relative to the window (never for cluster-dense
-  // ids).
-  const std::size_t span_size = static_cast<std::size_t>(max_gpu) + 1;
-  if (span_size <= 8 * (2 * n + carry_gpus.size()) + 1024) {
-    std::vector<std::uint32_t> counts(span_size + 1, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      ++counts[view.src[i] + 1];
-      ++counts[view.dst[i] + 1];
+  // Dense counting gather over row chunks: per chunk a max-GPU scan and
+  // per-GPU event counts over the src/dst columns, one prefix over (GPU,
+  // chunk), a scatter per chunk. Chunk c's events of a GPU land after
+  // every earlier chunk's, so flow order is preserved per GPU and a
+  // time-sorted view yields slices assemble() rarely has to sort; each
+  // task works on its own slice in place. Falls back to hash bucketing
+  // only if the id space is wildly sparse relative to the window (never
+  // for cluster-dense ids); a chunk that alone spans too many ids proves
+  // that and skips its counts.
+  const std::size_t dense_limit = 8 * (2 * n + carry_gpus.size()) + 1024;
+  const std::vector<std::size_t> rows = row_chunks(n, pool);
+  const std::size_t chunks = rows.size() - 1;
+  std::vector<std::uint32_t> chunk_max(chunks, 0);
+  std::vector<std::vector<std::size_t>> counts(chunks);
+  parallel_for(pool, chunks, [&](std::size_t c) {
+    std::uint32_t max_gpu = 0;
+    for (std::size_t i = rows[c]; i < rows[c + 1]; ++i) {
+      max_gpu = std::max({max_gpu, view.src[i], view.dst[i]});
     }
+    chunk_max[c] = max_gpu;
+    if (std::size_t{max_gpu} + 1 > dense_limit) return;
+    std::vector<std::size_t>& count = counts[c];
+    count.assign(std::size_t{max_gpu} + 1, 0);
+    for (std::size_t i = rows[c]; i < rows[c + 1]; ++i) {
+      ++count[view.src[i]];
+      ++count[view.dst[i]];
+    }
+  });
+  std::uint32_t max_gpu = 0;
+  for (const std::uint32_t m : chunk_max) max_gpu = std::max(max_gpu, m);
+  for (const std::uint32_t g : carry_gpus) max_gpu = std::max(max_gpu, g);
+
+  const std::size_t span_size = static_cast<std::size_t>(max_gpu) + 1;
+  if (span_size <= dense_limit) {
+    const std::vector<std::size_t> begin =
+        chunk_key_prefix(counts, span_size, pool);
+    // Every slot is constructed exactly once by the scatter, so nothing
+    // is value-initialized up front: the pool tasks first-touch the pages
+    // they fill.
+    struct Deallocate {
+      std::size_t size;
+      void operator()(TimelineEvent* p) const {
+        std::allocator<TimelineEvent>{}.deallocate(p, size);
+      }
+    };
+    static_assert(std::is_trivially_destructible_v<TimelineEvent>);
+    const std::unique_ptr<TimelineEvent[], Deallocate> flat(
+        std::allocator<TimelineEvent>{}.allocate(2 * n), Deallocate{2 * n});
+    parallel_for(pool, chunks, [&](std::size_t c) {
+      std::size_t* const cursor = counts[c].data();
+      for (std::size_t i = rows[c]; i < rows[c + 1]; ++i) {
+        std::construct_at(&flat[cursor[view.src[i]]++],
+                          make_event(view, i, view.src[i], flow_types[i]));
+        std::construct_at(&flat[cursor[view.dst[i]]++],
+                          make_event(view, i, view.dst[i], flow_types[i]));
+      }
+    });
     std::vector<std::uint8_t> present(span_size, 0);
     for (const std::uint32_t g : carry_gpus) present[g] = 1;
-    for (std::size_t g = 0; g < span_size; ++g) {
-      if (counts[g + 1] != 0) present[g] = 1;
-      counts[g + 1] += counts[g];
-    }
-    std::vector<TimelineEvent> flat(2 * n);
-    {
-      std::vector<std::uint32_t> cursor(counts.begin(), counts.end() - 1);
-      for (std::size_t i = 0; i < n; ++i) {
-        flat[cursor[view.src[i]]++] =
-            make_event(view, i, view.src[i], flow_types[i]);
-        flat[cursor[view.dst[i]]++] =
-            make_event(view, i, view.dst[i], flow_types[i]);
-      }
-    }
     std::vector<std::uint32_t> gpu_ids;
     for (std::size_t g = 0; g < span_size; ++g) {
-      if (present[g]) gpu_ids.push_back(static_cast<std::uint32_t>(g));
+      if (present[g] != 0 || begin[g + 1] != begin[g]) {
+        gpu_ids.push_back(static_cast<std::uint32_t>(g));
+      }
     }
+    const std::span<TimelineEvent> events(flat.get(), 2 * n);
     return assemble_all(
         gpu_ids,
         [&](std::uint32_t g) {
-          return std::span<TimelineEvent>(flat).subspan(
-              counts[g], counts[g + 1] - counts[g]);
+          return events.subspan(begin[g], begin[g + 1] - begin[g]);
         },
         config_, segmenter_stats, carry_ctx, pool);
   }

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
 
+#include "llmprism/common/thread_pool.hpp"
 #include "llmprism/obs/metrics.hpp"
 
 namespace llmprism {
@@ -323,7 +325,7 @@ inline std::uint64_t mix64(std::uint64_t k) {
 
 }  // namespace
 
-PairIndex::PairIndex(const FlowView& view) {
+PairIndex::PairIndex(const FlowView& view, ThreadPool* pool) {
   const std::size_t n = view.size();
   pair_of_flow_.resize(n);
   if (n == 0) {
@@ -332,88 +334,143 @@ PairIndex::PairIndex(const FlowView& view) {
   }
 
   // 1) Radix partition flow positions by the high bits of the mixed pair
-  //    key: one counting pass, prefix sum, stable scatter. Each bucket
-  //    then holds a cache-sized slice to group, instead of the whole trace
-  //    hammering one hash table.
+  //    key: per row chunk a counting pass, then one prefix over (bucket,
+  //    chunk) and a stable scatter per chunk. Each bucket then holds a
+  //    cache-sized slice to group, in trace order, instead of the whole
+  //    trace hammering one hash table.
   const std::size_t want = std::max<std::size_t>(std::size_t{1}, n / 48);
   const std::size_t num_buckets =
       std::min<std::size_t>(std::size_t{1} << 16, std::bit_ceil(want));
   const int shift = 64 - std::countr_zero(num_buckets);
+  const auto bucket_of = [shift](std::uint64_t key) -> std::size_t {
+    return shift >= 64 ? 0 : mix64(key) >> shift;
+  };
 
   struct Entry {
     std::uint64_t key;
     std::uint32_t pos;
   };
-  std::vector<std::uint64_t> keys(n);
-  std::vector<std::uint32_t> bucket_counts(num_buckets + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    keys[i] = view.pair_key(i);
-    ++bucket_counts[(shift >= 64 ? 0 : mix64(keys[i]) >> shift) + 1];
-  }
-  for (std::size_t b = 0; b < num_buckets; ++b) {
-    bucket_counts[b + 1] += bucket_counts[b];
-  }
-  std::vector<Entry> scatter(n);
-  {
-    std::vector<std::uint32_t> cursor(bucket_counts.begin(),
-                                      bucket_counts.end() - 1);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t b = shift >= 64 ? 0 : mix64(keys[i]) >> shift;
-      scatter[cursor[b]++] = {keys[i], static_cast<std::uint32_t>(i)};
+  const std::vector<std::size_t> rows = row_chunks(n, pool);
+  const std::size_t chunks = rows.size() - 1;
+  // Scratch whose every slot is written before it is read.
+  const auto keys = std::make_unique_for_overwrite<std::uint64_t[]>(n);
+  const auto scatter = std::make_unique_for_overwrite<Entry[]>(n);
+  std::vector<std::vector<std::size_t>> counts(chunks);
+  parallel_for(pool, chunks, [&](std::size_t c) {
+    std::vector<std::size_t>& count = counts[c];
+    count.assign(num_buckets, 0);
+    for (std::size_t i = rows[c]; i < rows[c + 1]; ++i) {
+      keys[i] = view.pair_key(i);
+      ++count[bucket_of(keys[i])];
     }
-  }
+  });
+  const std::vector<std::size_t> bucket_begin =
+      chunk_key_prefix(counts, num_buckets, pool);
+  parallel_for(pool, chunks, [&](std::size_t c) {
+    std::size_t* const cursor = counts[c].data();
+    for (std::size_t i = rows[c]; i < rows[c + 1]; ++i) {
+      scatter[cursor[bucket_of(keys[i])]++] = {keys[i],
+                                               static_cast<std::uint32_t>(i)};
+    }
+  });
 
-  // 2) Group each bucket by key. The scatter was stable, so after sorting
-  //    by (key, pos) every run of equal keys lists that pair's positions
-  //    in trace order, and the run head is the pair's first appearance.
+  // 2) Group each bucket by key, over contiguous bucket ranges. The
+  //    scatter was stable, so after sorting by (key, pos) every run of
+  //    equal keys lists that pair's positions in trace order, and the run
+  //    head is the pair's first appearance. A bucket usually holds one
+  //    pair, and one whose keys already ascend is sorted by (key, pos):
+  //    equal keys sit in scatter order.
   struct Run {
+    std::uint64_t key;
     std::uint32_t begin;  ///< offset into `scatter`
     std::uint32_t count;
   };
-  std::vector<Run> runs;
-  for (std::size_t b = 0; b < num_buckets; ++b) {
-    const std::size_t lo = bucket_counts[b];
-    const std::size_t hi = bucket_counts[b + 1];
-    if (lo == hi) continue;
-    std::sort(scatter.begin() + lo, scatter.begin() + hi,
-              [](const Entry& a, const Entry& c) {
-                if (a.key != c.key) return a.key < c.key;
-                return a.pos < c.pos;
-              });
-    std::size_t run_begin = lo;
-    for (std::size_t i = lo + 1; i <= hi; ++i) {
-      if (i == hi || scatter[i].key != scatter[run_begin].key) {
-        runs.push_back({static_cast<std::uint32_t>(run_begin),
-                        static_cast<std::uint32_t>(i - run_begin)});
-        run_begin = i;
+  const std::vector<std::size_t> ranges = row_chunks(num_buckets, pool);
+  std::vector<std::vector<Run>> range_runs(ranges.size() - 1);
+  std::vector<std::size_t> bucket_runs(num_buckets + 1, 0);
+  parallel_for(pool, range_runs.size(), [&](std::size_t r) {
+    std::vector<Run>& out = range_runs[r];
+    for (std::size_t b = ranges[r]; b < ranges[r + 1]; ++b) {
+      Entry* const lo = scatter.get() + bucket_begin[b];
+      Entry* const hi = scatter.get() + bucket_begin[b + 1];
+      if (lo == hi) continue;
+      if (!std::is_sorted(lo, hi, [](const Entry& a, const Entry& c) {
+            return a.key < c.key;
+          })) {
+        std::sort(lo, hi, [](const Entry& a, const Entry& c) {
+          if (a.key != c.key) return a.key < c.key;
+          return a.pos < c.pos;
+        });
       }
+      const std::size_t before = out.size();
+      const Entry* run_begin = lo;
+      for (const Entry* e = lo + 1; e <= hi; ++e) {
+        if (e == hi || e->key != run_begin->key) {
+          out.push_back(
+              {run_begin->key,
+               static_cast<std::uint32_t>(run_begin - scatter.get()),
+               static_cast<std::uint32_t>(e - run_begin)});
+          run_begin = e;
+        }
+      }
+      bucket_runs[b + 1] = out.size() - before;
     }
-  }
-
-  // 3) Dense ids in first-appearance order: sort runs by their head
-  //    position (cost is O(P log P) over pairs, not flows).
-  std::sort(runs.begin(), runs.end(), [&](const Run& a, const Run& b) {
-    return scatter[a.begin].pos < scatter[b.begin].pos;
   });
+  // Runs concatenated in bucket order; bucket b's are
+  // [bucket_runs[b], bucket_runs[b + 1]).
+  std::vector<Run> runs;
+  for (std::vector<Run>& r : range_runs) {
+    runs.insert(runs.end(), r.begin(), r.end());
+  }
+  std::partial_sum(bucket_runs.begin(), bucket_runs.end(),
+                   bucket_runs.begin());
 
-  pairs_.reserve(runs.size());
-  id_of_.reserve(runs.size());
-  offsets_.assign(runs.size() + 1, 0);
-  positions_.resize(n);
-  for (std::size_t id = 0; id < runs.size(); ++id) {
-    const Run& run = runs[id];
-    const std::uint64_t key = scatter[run.begin].key;
+  // 3) Dense ids in first-appearance order: sort (head position, run)
+  //    keys, O(P log P) over pairs, not flows. Heads are distinct.
+  const std::size_t num_pairs = runs.size();
+  std::vector<std::uint64_t> by_head(num_pairs);
+  for (std::size_t r = 0; r < num_pairs; ++r) {
+    by_head[r] = std::uint64_t{scatter[runs[r].begin].pos} << 32 | r;
+  }
+  std::sort(by_head.begin(), by_head.end());
+  std::vector<std::uint32_t> id_of_run(num_pairs);
+  pairs_.reserve(num_pairs);
+  id_of_.reserve(num_pairs);
+  offsets_.assign(num_pairs + 1, 0);
+  for (std::size_t id = 0; id < num_pairs; ++id) {
+    const std::size_t r = by_head[id] & 0xffffffffu;
+    const std::uint64_t key = runs[r].key;
     const GpuPair p(GpuId(static_cast<std::uint32_t>(key >> 32)),
                     GpuId(static_cast<std::uint32_t>(key)));
     pairs_.push_back(p);
     id_of_.emplace(p, static_cast<std::uint32_t>(id));
-    offsets_[id + 1] = offsets_[id] + run.count;
-    std::size_t cursor = offsets_[id];
-    for (std::uint32_t e = run.begin; e < run.begin + run.count; ++e) {
-      positions_[cursor++] = scatter[e].pos;
-      pair_of_flow_[scatter[e].pos] = static_cast<std::uint32_t>(id);
-    }
+    id_of_run[r] = static_cast<std::uint32_t>(id);
+    offsets_[id + 1] = offsets_[id] + runs[r].count;
   }
+
+  // 4) Fill both flat arrays by contiguous ranges of what they index, ids
+  //    for positions_ and rows for pair_of_flow_, so each task writes one
+  //    contiguous range. The pairs interleave in trace order: filling
+  //    pair_of_flow_ pair by pair would share cache lines across tasks.
+  positions_.resize(n);
+  const std::vector<std::size_t> ids = row_chunks(num_pairs, pool);
+  parallel_for(pool, ids.size() - 1, [&](std::size_t c) {
+    for (std::size_t id = ids[c]; id < ids[c + 1]; ++id) {
+      const Run& run = runs[by_head[id] & 0xffffffffu];
+      std::size_t* out = positions_.data() + offsets_[id];
+      for (std::uint32_t e = run.begin; e < run.begin + run.count; ++e) {
+        *out++ = scatter[e].pos;
+      }
+    }
+  });
+  parallel_for(pool, chunks, [&](std::size_t c) {
+    for (std::size_t i = rows[c]; i < rows[c + 1]; ++i) {
+      const std::size_t b = bucket_of(keys[i]);
+      std::size_t r = bucket_runs[b];
+      while (runs[r].key != keys[i]) ++r;
+      pair_of_flow_[i] = id_of_run[r];
+    }
+  });
 }
 
 }  // namespace llmprism

@@ -7,6 +7,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "llmprism/common/thread_pool.hpp"
 #include "llmprism/core/attribution.hpp"
 #include "llmprism/core/prism.hpp"
 #include "llmprism/parallelism/config.hpp"
@@ -56,6 +57,57 @@ std::vector<GpuId> ring_gpus(const JobTruth& truth,
   return gpus;
 }
 
+/// rank 11 = (tp 3, dp 1, pp 0) under kTpDpPp, 2.5x slow in step 8.
+ClusterSimConfig straggler_config() {
+  auto cfg = one_job_config(7, 20);
+  cfg.jobs[0].config.stragglers.push_back(
+      {.rank = 11, .step_begin = 8, .step_end = 8, .slowdown = 2.5});
+  return cfg;
+}
+
+/// Ring (tp 2, pp 1) 3x slow in steps 10-11.
+ClusterSimConfig slow_ring_config() {
+  auto cfg = one_job_config(9, 20);
+  cfg.jobs[0].config.slow_dp_groups.push_back({.tp_idx = 2,
+                                               .pp_idx = 1,
+                                               .step_begin = 10,
+                                               .step_end = 11,
+                                               .slowdown = 3.0});
+  return cfg;
+}
+
+/// One machine per leaf: every DP ring crosses leaves, so per-switch
+/// bandwidth has 4 leaves + 2 spines = 6 scorable series. Switch 0 runs
+/// at 30% bandwidth for the whole trace.
+ClusterSimConfig degraded_switch_config() {
+  ClusterSimConfig cfg;
+  cfg.topology = {.num_machines = 4, .gpus_per_machine = 8,
+                  .machines_per_leaf = 1, .num_spines = 2};
+  cfg.seed = 13;
+  JobSimConfig job;
+  job.parallelism = {.tp = 8, .dp = 4, .pp = 1, .micro_batches = 4};
+  job.num_steps = 12;
+  cfg.jobs.push_back({job, {}});
+  cfg.switch_faults.push_back(
+      {.switch_id = SwitchId(0), .window = {0, 2 * kHour},
+       .bandwidth_factor = 0.3});
+  return cfg;
+}
+
+/// rank 5 = (tp 5, dp 0, pp 0) 2.8x slow in step 7; ring (tp 1, pp 1)
+/// 3x slow in steps 15-16 of the same window.
+ClusterSimConfig two_fault_config() {
+  auto cfg = one_job_config(21, 26);
+  cfg.jobs[0].config.stragglers.push_back(
+      {.rank = 5, .step_begin = 7, .step_end = 7, .slowdown = 2.8});
+  cfg.jobs[0].config.slow_dp_groups.push_back({.tp_idx = 1,
+                                               .pp_idx = 1,
+                                               .step_begin = 15,
+                                               .step_end = 16,
+                                               .slowdown = 3.0});
+  return cfg;
+}
+
 TEST(AttributionTest, CleanTraceYieldsNoIncidents) {
   const auto sim = run_cluster_sim(one_job_config(3, 12));
   const Prism prism(sim.topology);
@@ -83,11 +135,7 @@ TEST(AttributionTest, DisabledFlagSkipsAttribution) {
 }
 
 TEST(AttributionTest, StragglerBlamesInjectedRank) {
-  auto cfg = one_job_config(7, 20);
-  // rank 11 = (tp 3, dp 1, pp 0) under kTpDpPp.
-  const StragglerSpec fault{
-      .rank = 11, .step_begin = 8, .step_end = 8, .slowdown = 2.5};
-  cfg.jobs[0].config.stragglers.push_back(fault);
+  const auto cfg = straggler_config();
   const auto sim = run_cluster_sim(cfg);
   ASSERT_EQ(sim.anomalies.size(), 1u);
   EXPECT_EQ(sim.anomalies[0].kind, AnomalyKind::kStraggler);
@@ -133,13 +181,8 @@ TEST(AttributionTest, StragglerBlamesInjectedRank) {
 }
 
 TEST(AttributionTest, SlowDpGroupBlamesInjectedRing) {
-  auto cfg = one_job_config(9, 20);
-  const SlowDpGroupSpec fault{.tp_idx = 2,
-                              .pp_idx = 1,
-                              .step_begin = 10,
-                              .step_end = 11,
-                              .slowdown = 3.0};
-  cfg.jobs[0].config.slow_dp_groups.push_back(fault);
+  const auto cfg = slow_ring_config();
+  const SlowDpGroupSpec& fault = cfg.jobs[0].config.slow_dp_groups[0];
   const auto sim = run_cluster_sim(cfg);
   ASSERT_EQ(sim.anomalies.size(), 1u);
   EXPECT_EQ(sim.anomalies[0].kind, AnomalyKind::kSlowDpGroup);
@@ -184,20 +227,7 @@ TEST(AttributionTest, SlowDpGroupBlamesInjectedRing) {
 }
 
 TEST(AttributionTest, DegradedSwitchBlamesInjectedSwitch) {
-  // One machine per leaf: every DP ring crosses leaves, so per-switch
-  // bandwidth has 4 leaves + 2 spines = 6 scorable series.
-  ClusterSimConfig cfg;
-  cfg.topology = {.num_machines = 4, .gpus_per_machine = 8,
-                  .machines_per_leaf = 1, .num_spines = 2};
-  cfg.seed = 13;
-  JobSimConfig job;
-  job.parallelism = {.tp = 8, .dp = 4, .pp = 1, .micro_batches = 4};
-  job.num_steps = 12;
-  cfg.jobs.push_back({job, {}});
-  cfg.switch_faults.push_back(
-      {.switch_id = SwitchId(0), .window = {0, 2 * kHour},
-       .bandwidth_factor = 0.3});
-  const auto sim = run_cluster_sim(cfg);
+  const auto sim = run_cluster_sim(degraded_switch_config());
   ASSERT_EQ(sim.anomalies.size(), 1u);
   EXPECT_EQ(sim.anomalies[0].kind, AnomalyKind::kDegradedSwitch);
 
@@ -222,18 +252,9 @@ TEST(AttributionTest, DegradedSwitchBlamesInjectedSwitch) {
 }
 
 TEST(AttributionTest, TwoSimultaneousFaultsSeparateIncidents) {
-  auto cfg = one_job_config(21, 26);
-  // rank 5 = (tp 5, dp 0, pp 0); ring (tp 1, pp 1) slowed later the same
-  // window.
-  const StragglerSpec straggler{
-      .rank = 5, .step_begin = 7, .step_end = 7, .slowdown = 2.8};
-  const SlowDpGroupSpec slow_group{.tp_idx = 1,
-                                   .pp_idx = 1,
-                                   .step_begin = 15,
-                                   .step_end = 16,
-                                   .slowdown = 3.0};
-  cfg.jobs[0].config.stragglers.push_back(straggler);
-  cfg.jobs[0].config.slow_dp_groups.push_back(slow_group);
+  const auto cfg = two_fault_config();
+  const StragglerSpec& straggler = cfg.jobs[0].config.stragglers[0];
+  const SlowDpGroupSpec& slow_group = cfg.jobs[0].config.slow_dp_groups[0];
   const auto sim = run_cluster_sim(cfg);
   ASSERT_EQ(sim.anomalies.size(), 2u);
 
@@ -277,6 +298,87 @@ TEST(AttributionTest, TwoSimultaneousFaultsSeparateIncidents) {
   EXPECT_TRUE(straggler_attributed)
       << "straggler fault not attributed to its stage";
   EXPECT_TRUE(ring_attributed) << "slow ring not attributed";
+}
+
+// --- the pool form against the null-pool form ---------------------------
+
+/// attribute() over an analyzed report's jobs and switch alerts.
+AttributionResult attribute_report(const PrismReport& report,
+                                   ThreadPool* pool) {
+  std::vector<JobAttributionInput> inputs;
+  for (const JobAnalysis& job : report.jobs) {
+    inputs.push_back(JobAttributionInput{.id = job.id,
+                                         .trace = &job.trace,
+                                         .comm_types = &job.comm_types,
+                                         .timelines = job.timelines,
+                                         .step_alerts = job.step_alerts,
+                                         .group_alerts = job.group_alerts});
+  }
+  return Attributor{}.attribute(inputs, report.switch_bandwidth_alerts,
+                                report.switch_concurrency_alerts, pool);
+}
+
+/// The report of one analysis at `num_threads` lanes.
+PrismReport analyze_sim(const ClusterSimConfig& cfg,
+                        std::size_t num_threads = 1) {
+  const auto sim = run_cluster_sim(cfg);
+  PrismConfig config;
+  config.num_threads = num_threads;
+  const Prism prism(sim.topology, config);
+  return prism.analyze(FlowColumns(sim.trace).view());
+}
+
+/// Every lane count gives the null-pool incidents and telemetry, which
+/// are also what Prism::analyze reported.
+void expect_pool_matches_serial(const PrismReport& report) {
+  const AttributionResult serial = attribute_report(report, nullptr);
+  EXPECT_EQ(serial.incidents, report.attribution.incidents);
+  EXPECT_EQ(serial.telemetry, report.attribution.telemetry);
+  for (const std::size_t lanes : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(lanes);
+    ThreadPool pool(lanes - 1);
+    const AttributionResult pooled = attribute_report(report, &pool);
+    EXPECT_EQ(pooled.incidents, serial.incidents);
+    EXPECT_EQ(pooled.telemetry, serial.telemetry);
+  }
+}
+
+TEST(AttributionPoolTest, StragglerMatchesSerialAtEveryLaneCount) {
+  const PrismReport report = analyze_sim(straggler_config(), 4);
+  ASSERT_FALSE(report.attribution.incidents.empty());
+  expect_pool_matches_serial(report);
+}
+
+TEST(AttributionPoolTest, SlowRingMatchesSerialAtEveryLaneCount) {
+  const PrismReport report = analyze_sim(slow_ring_config(), 4);
+  ASSERT_FALSE(report.attribution.incidents.empty());
+  expect_pool_matches_serial(report);
+}
+
+TEST(AttributionPoolTest, DegradedSwitchMatchesSerialAtEveryLaneCount) {
+  const PrismReport report = analyze_sim(degraded_switch_config(), 4);
+  ASSERT_FALSE(report.attribution.incidents.empty());
+  expect_pool_matches_serial(report);
+}
+
+TEST(AttributionPoolTest, TwoFaultsMatchSerialAtEveryLaneCount) {
+  const PrismReport report = analyze_sim(two_fault_config(), 4);
+  ASSERT_GE(report.attribution.incidents.size(), 2u);
+  expect_pool_matches_serial(report);
+}
+
+TEST(AttributionPoolTest, FullyClaimedStepAlertsSkipSelfTimes) {
+  // Every step alert of the slow-ring window is claimed by the ring's
+  // incident, so no flagged step is left to trace to a rank and the
+  // self-time series are never computed: no rank incident, nothing
+  // orphaned, and still the serial result at every lane count.
+  const PrismReport report = analyze_sim(slow_ring_config());
+  ASSERT_FALSE(report.jobs.front().step_alerts.empty());
+  for (const AttributedIncident& incident : report.attribution.incidents) {
+    EXPECT_NE(incident.culprits.front().kind, CulpritKind::kRank);
+  }
+  EXPECT_EQ(report.attribution.telemetry.alerts_orphaned, 0u);
+  expect_pool_matches_serial(report);
 }
 
 // --- direct unit coverage of the exposed building blocks ---------------

@@ -9,9 +9,11 @@
 
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "llmprism/common/csv.hpp"
+#include "llmprism/common/thread_pool.hpp"
 #include "llmprism/common/rng.hpp"
 #include "llmprism/flow/io.hpp"
 #include "llmprism/flow/trace.hpp"
@@ -457,6 +459,101 @@ TEST(FlowTraceIndexTest, PairIndexFirstAppearanceOrderAndPositions) {
   EXPECT_EQ(pof[1], 1u);
   EXPECT_EQ(pof[2], 0u);
   EXPECT_EQ(pof[3], 0u);
+}
+
+/// The pool-built index must equal the null-pool one in every observable.
+void expect_same_index(const PairIndex& got, const PairIndex& want) {
+  ASSERT_EQ(got.pairs(), want.pairs());
+  ASSERT_EQ(got.num_flows(), want.num_flows());
+  for (std::size_t id = 0; id < want.num_pairs(); ++id) {
+    const auto a = got.positions(id);
+    const auto b = want.positions(id);
+    ASSERT_EQ(std::vector<std::size_t>(a.begin(), a.end()),
+              std::vector<std::size_t>(b.begin(), b.end()))
+        << "pair " << id;
+    EXPECT_EQ(got.id_of(want.pair(id)), id);
+  }
+  const auto a = got.pair_of_flow();
+  const auto b = want.pair_of_flow();
+  EXPECT_EQ(std::vector<std::uint32_t>(a.begin(), a.end()),
+            std::vector<std::uint32_t>(b.begin(), b.end()));
+  EXPECT_EQ(got.id_of(GpuPair(GpuId(900000), GpuId(900001))),
+            PairIndex::kNoPair);
+}
+
+void expect_pool_matches_serial(const FlowTrace& trace) {
+  const FlowColumns cols(trace);
+  const PairIndex serial(cols.view());
+  // The null-pool index against a map-of-vectors reference: ids in first
+  // appearance order, positions in row order.
+  std::vector<GpuPair> pairs;
+  std::vector<std::vector<std::size_t>> positions;
+  std::unordered_map<GpuPair, std::size_t> id_of;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const auto [it, fresh] = id_of.try_emplace(trace[i].pair(), pairs.size());
+    if (fresh) {
+      pairs.push_back(trace[i].pair());
+      positions.emplace_back();
+    }
+    positions[it->second].push_back(i);
+    ASSERT_EQ(serial.pair_of_flow()[i], it->second);
+  }
+  ASSERT_EQ(serial.pairs(), pairs);
+  for (std::size_t id = 0; id < pairs.size(); ++id) {
+    const auto got = serial.positions(id);
+    EXPECT_EQ(std::vector<std::size_t>(got.begin(), got.end()),
+              positions[id]);
+  }
+  for (const std::size_t lanes : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(lanes);
+    ThreadPool pool(lanes - 1);
+    expect_same_index(PairIndex(cols.view(), &pool), serial);
+  }
+}
+
+TEST(PairIndexPoolTest, EmptyView) {
+  expect_pool_matches_serial(FlowTrace{});
+  EXPECT_EQ(PairIndex(FlowColumns(FlowTrace{}).view()).num_pairs(), 0u);
+}
+
+TEST(PairIndexPoolTest, SinglePairBothDirections) {
+  FlowTrace t;
+  for (int i = 0; i < 40; ++i) {
+    t.add(i % 3 == 0 ? make_flow(i, 5, 9) : make_flow(i, 9, 5));
+  }
+  expect_pool_matches_serial(t);
+}
+
+TEST(PairIndexPoolTest, UnsortedView) {
+  Rng rng(17);
+  const FlowTrace t = random_trace(rng, 500, 50);
+  ASSERT_FALSE(FlowColumns(t).view().sorted);
+  expect_pool_matches_serial(t);
+}
+
+TEST(PairIndexPoolTest, ManyPairsAcrossManyBuckets) {
+  // 6,000 distinct pairs, each seen three times in a shuffled order (some
+  // reversed): 18,000 rows over 512 buckets of about 12 pairs each, so
+  // most buckets are out of key order and are sorted.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> rows;
+  for (int pass = 0; pass < 3; ++pass) {
+    for (std::uint32_t p = 0; p < 6000; ++p) {
+      const std::uint32_t a = p % 80;
+      const std::uint32_t b = 80 + p / 80;
+      rows.emplace_back(pass == 1 ? b : a, pass == 1 ? a : b);
+    }
+  }
+  Rng rng(5);
+  for (std::size_t i = rows.size() - 1; i > 0; --i) {
+    std::swap(rows[i], rows[static_cast<std::size_t>(rng.uniform_int(
+                           0, static_cast<int>(i)))]);
+  }
+  FlowTrace t;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    t.add(make_flow(static_cast<TimeNs>(i), rows[i].first, rows[i].second));
+  }
+  ASSERT_EQ(PairIndex(FlowColumns(t).view()).num_pairs(), 6000u);
+  expect_pool_matches_serial(t);
 }
 
 // ---------------------------------------------------------------------------

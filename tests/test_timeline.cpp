@@ -314,6 +314,160 @@ TEST(TimelineReconstructorTest, CarriedHeldBurstMergesIntoNextWindow) {
   }
 }
 
+/// A carry's per-GPU state and call counters must agree.
+void expect_same_carry(const TimelineCarry& a, const TimelineCarry& b) {
+  EXPECT_EQ(a.steps_held, b.steps_held);
+  EXPECT_EQ(a.steps_carried_in, b.steps_carried_in);
+  ASSERT_EQ(a.per_gpu.size(), b.per_gpu.size());
+  for (const auto& [gpu, state] : b.per_gpu) {
+    SCOPED_TRACE(gpu.value());
+    const GpuStepCarry& other = a.per_gpu.at(gpu);
+    EXPECT_EQ(other.prev_step_end, state.prev_step_end);
+    EXPECT_EQ(other.has_prev_step, state.has_prev_step);
+    ASSERT_EQ(other.held_events.size(), state.held_events.size());
+    for (std::size_t i = 0; i < state.held_events.size(); ++i) {
+      EXPECT_EQ(other.held_events[i].start, state.held_events[i].start);
+      EXPECT_EQ(other.held_events[i].end, state.held_events[i].end);
+      EXPECT_EQ(other.held_events[i].peer, state.held_events[i].peer);
+    }
+  }
+}
+
+/// Two carried windows, the first cut inside step 2's DP burst (see
+/// CarriedHeldBurstMergesIntoNextWindow); `second` replaces the rest of
+/// the trace as the second window's flows.
+struct CarriedRun {
+  std::vector<GpuTimeline> w1;
+  std::vector<GpuTimeline> w2;
+  TimelineCarry carry;
+};
+
+CarriedRun run_carried(const FlowTrace& first, const FlowTrace& second,
+                       const std::unordered_map<GpuPair, CommType>& types,
+                       TimeNs cut, TimeNs end, ThreadPool* pool) {
+  CarriedRun run;
+  const TimelineReconstructor rec;
+  TimelineCarryContext ctx;
+  ctx.carry = &run.carry;
+  ctx.window_end = cut;
+  ctx.hold_tail = true;
+  run.w1 = reconstruct_all(rec, first, types, ctx, pool);
+  ctx.window_end = end;
+  ctx.hold_tail = false;
+  run.w2 = reconstruct_all(rec, second, types, ctx, pool);
+  return run;
+}
+
+void expect_carried_pool_matches_serial(const FlowTrace& first,
+                                        const FlowTrace& second,
+                                        const SyntheticScenario& s,
+                                        TimeNs cut, TimeNs end) {
+  const CarriedRun serial = run_carried(first, second, s.types, cut, end,
+                                        nullptr);
+  for (const std::size_t lanes : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(lanes);
+    ThreadPool pool(lanes - 1);
+    const CarriedRun pooled =
+        run_carried(first, second, s.types, cut, end, &pool);
+    expect_same_timelines(pooled.w1, serial.w1);
+    expect_same_timelines(pooled.w2, serial.w2);
+    expect_same_carry(pooled.carry, serial.carry);
+  }
+}
+
+TEST(TimelineReconstructorTest, CarryWithHeldEventsMatchesSerialAtEveryLane) {
+  const auto s = make_scenario(6);
+  const TimeNs cut = 2 * s.step_period + s.step_period -
+                     100 * kMillisecond + 11 * kMillisecond;
+  FlowTrace first;
+  FlowTrace second;
+  for (const FlowRecord& f : s.trace) {
+    (f.start_time < cut ? first : second).add(f);
+  }
+  expect_carried_pool_matches_serial(
+      first, second, s, cut,
+      s.trace.flows().back().start_time + s.step_period);
+}
+
+TEST(TimelineReconstructorTest, CarryGpusOnlyWindowMatchesSerialAtEveryLane) {
+  // The second window has no flow at all: only the carried GPUs get a
+  // timeline, each emitting its held step.
+  const auto s = make_scenario(3);
+  const TimeNs cut = s.step_period - 100 * kMillisecond + 11 * kMillisecond;
+  FlowTrace first;
+  for (const FlowRecord& f : s.trace) {
+    if (f.start_time < cut) first.add(f);
+  }
+  const CarriedRun serial =
+      run_carried(first, FlowTrace{}, s.types, cut, cut, nullptr);
+  ASSERT_EQ(serial.w2.size(), 2u);  // GPUs 0 and 16 held a burst
+  EXPECT_EQ(serial.carry.steps_carried_in, 2u);
+  expect_carried_pool_matches_serial(first, FlowTrace{}, s, cut, cut);
+}
+
+TEST(TimelineReconstructorTest, TiedEventsKeepFlowOrderAtEveryLaneCount) {
+  // GPU 0 exchanges 40 flows of identical span with 40 peers. Its slice
+  // is already in (start, end) order, so it is never sorted and must list
+  // the peers in flow order, however the rows are split into chunks.
+  FlowTrace trace;
+  for (std::uint32_t peer = 1; peer <= 40; ++peer) {
+    FlowRecord f;
+    f.start_time = 10 * kMillisecond;
+    f.duration = kMillisecond;
+    f.src = GpuId(peer % 2 == 0 ? 0 : peer);
+    f.dst = GpuId(peer % 2 == 0 ? peer : 0);
+    f.bytes = 1 << 20;
+    trace.add(f);
+  }
+  const TimelineReconstructor rec;
+  const auto serial = reconstruct_all(rec, trace, {});
+  ASSERT_EQ(serial.front().gpu, GpuId(0));
+  ASSERT_EQ(serial.front().events.size(), 40u);
+  for (std::uint32_t k = 0; k < 40; ++k) {
+    EXPECT_EQ(serial.front().events[k].peer, GpuId(k + 1));
+  }
+  for (const std::size_t lanes : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(lanes);
+    ThreadPool pool(lanes - 1);
+    expect_same_timelines(reconstruct_all(rec, trace, {}, {}, &pool),
+                          serial);
+  }
+}
+
+TEST(TimelineReconstructorTest, SparseIdsMatchSerialAtEveryLaneCount) {
+  // GPU ids far apart relative to the window take the hash fallback; the
+  // timelines are the dense scenario's under the id renaming.
+  const auto s = make_scenario(4);
+  const auto rename = [](GpuId g) {
+    return GpuId(g.value() == 0 ? 7 : g.value() * 100'000'000u);
+  };
+  FlowTrace sparse;
+  for (FlowRecord f : s.trace) {
+    f.src = rename(f.src);
+    f.dst = rename(f.dst);
+    sparse.add(f);
+  }
+  std::unordered_map<GpuPair, CommType> types;
+  for (const auto& [pair, type] : s.types) {
+    types.emplace(GpuPair(rename(pair.first), rename(pair.second)), type);
+  }
+  const TimelineReconstructor rec;
+  const auto dense = reconstruct_all(rec, s.trace, s.types);
+  const auto serial = reconstruct_all(rec, sparse, types);
+  ASSERT_EQ(serial.size(), dense.size());
+  for (std::size_t g = 0; g < dense.size(); ++g) {
+    EXPECT_EQ(serial[g].gpu, rename(dense[g].gpu));
+    EXPECT_EQ(serial[g].steps.size(), dense[g].steps.size());
+    EXPECT_EQ(serial[g].events.size(), dense[g].events.size());
+  }
+  for (const std::size_t lanes : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(lanes);
+    ThreadPool pool(lanes - 1);
+    expect_same_timelines(reconstruct_all(rec, sparse, types, {}, &pool),
+                          serial);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Simulator-driven: reconstruction error across shapes (the §V-C metric).
 
