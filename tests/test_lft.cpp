@@ -201,6 +201,34 @@ TEST(LftRoundTripTest, FileHelpersRoundTrip) {
   EXPECT_TRUE(is_lft_file(path));
 }
 
+// LFT must stay byte-stable: the round trips above would pass a layout
+// change made symmetrically in the writer and the readers, so these pin
+// the size and XXH64 of fixed images.
+TEST(LftTest, GoldenBytes) {
+  const auto expect_image = [](const FlowTrace& trace, std::size_t size,
+                               std::uint64_t digest, const char* name) {
+    const std::string bytes = lft_bytes(trace);
+    const std::uint64_t got = xxhash64(bytes.data(), bytes.size());
+    EXPECT_EQ(bytes.size(), size) << name;
+    EXPECT_EQ(got, digest) << name << std::hex << ": actual xxh64 0x" << got;
+  };
+  Rng sorted_rng(20261019);
+  expect_image(random_trace(sorted_rng, 64, /*sorted=*/true), 3'192,
+               0x739a32757a1bcac7ULL, "sorted");
+  Rng unsorted_rng(7);
+  expect_image(random_trace(unsorted_rng, 33, /*sorted=*/false), 1'656,
+               0xdcb3fe1fae6489e7ULL, "unsorted");
+  FlowTrace max_hops;
+  auto full = make_flow(5, 1, 2);
+  for (std::uint32_t h = 0; h < SwitchPath::capacity(); ++h) {
+    full.switches.push_back(SwitchId(100 + h));
+  }
+  max_hops.add(full);
+  max_hops.add(make_flow(9, 3, 4));
+  expect_image(max_hops, 200, 0x4c7ad3439876ce6dULL, "max-hop");
+  expect_image(FlowTrace{}, 104, 0x7376c6fb578d12f7ULL, "empty");
+}
+
 // ---------------------------------------------------------------------------
 // The mmap reader's zero-copy surface
 

@@ -108,6 +108,37 @@ TEST(FrameTest, AckRoundTrip) {
                std::runtime_error);
 }
 
+/// Lowercase hex of a byte string.
+std::string hex(std::string_view s) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : s) {
+    out += kDigits[static_cast<unsigned char>(c) >> 4];
+    out += kDigits[static_cast<unsigned char>(c) & 0xf];
+  }
+  return out;
+}
+
+// LPF must stay byte-stable: the round trips above would pass a layout
+// change made symmetrically in the encoder and decoder.
+TEST(FrameTest, GoldenBytes) {
+  FrameHeader chunk;
+  chunk.type = FrameType::kFlowChunk;
+  chunk.stream_id = 0x0102030405060708ull;
+  chunk.payload_bytes = 0x1234;
+  std::byte head[kFrameHeaderSize];
+  encode_frame_header(chunk, head);
+  EXPECT_EQ(hex(std::string_view(reinterpret_cast<const char*>(head),
+                                 sizeof(head))),
+            "4c504631" "0100" "0100" "0807060504030201" "3412000000000000");
+
+  const std::string ack = encode_ack(
+      9, {.flows_accepted = 41, .queue_depth = 3, .backpressure_waits = 2});
+  EXPECT_EQ(hex(ack),
+            "4c504631" "0100" "0180" "0900000000000000" "1800000000000000"
+            "2900000000000000" "0300000000000000" "0200000000000000");
+}
+
 // --- HTTP parsing ---------------------------------------------------------
 
 TEST(HttpTest, ParsesRequestLine) {
