@@ -612,7 +612,7 @@ void BM_ReadLftMmap(benchmark::State& state) {
   for (auto _ : state) {
     const MappedFlowTrace mapped(path);
     flows = mapped.size();
-    benchmark::DoNotOptimize(mapped.start_ns().data());
+    benchmark::DoNotOptimize(mapped.view().start_ns.data());
   }
   state.SetBytesProcessed(
       static_cast<std::int64_t>(state.iterations() * bytes.size()));

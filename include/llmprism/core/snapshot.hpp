@@ -19,10 +19,14 @@
 //               the same state always produces the same bytes)
 //   end-8  u64  XXH64 of every preceding byte (seed 0)
 //
-// Corruption contract (modeled on the LFT readers): any truncated,
-// bit-flipped, wrong-magic/version/kind, or config-mismatched blob fails
-// with a descriptive std::runtime_error and the target object is left
-// UNCHANGED (the payload is parsed fully before any state is committed).
+// The blob is written and read through the shared byte codec
+// (common/byte_codec.hpp): its cursor, head (the kind is the tag) and
+// seal, as LFT is; the reorder buffer's columns pass LFT's column check
+// (FlowView::column_error). LPS1's own rules are the kind and the config
+// fingerprint. Any truncated, bit-flipped, wrong-magic/version/kind, or
+// config-mismatched blob fails with a std::runtime_error starting
+// "snapshot: ", and the target object is left UNCHANGED (the payload is
+// parsed fully before any state is committed).
 #pragma once
 
 #include <cstddef>

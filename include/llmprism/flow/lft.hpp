@@ -31,13 +31,19 @@
 //     6  switch_ids      num_switch_ids x u32    (CSR column data)
 //   Trailer: u64 XXH64 of every preceding byte (seed 0)
 //
-// Two readers share one validator: read_lft() materializes a FlowTrace from
-// a stream, MappedFlowTrace mmaps the file and exposes the columns as a
-// FlowView without materializing FlowRecords until asked (both build
-// records with FlowView::record). Every malformed input —
-// truncation, bad magic/version/flags, section-size mismatch or overflow,
-// checksum mismatch, broken CSR offsets — fails with a descriptive
-// std::runtime_error, never undefined behaviour.
+// Three readers decode through the one byte codec (common/byte_codec.hpp:
+// its cursor, the shared magic/version/flags head and the trailing-XXH64
+// seal) and one column check (FlowView::column_error): read_lft_columns()
+// copies each section of an in-memory image out into FlowColumns (the
+// daemon's chunk path); read_lft() and read_lft_buffer() wrap it to build
+// a FlowTrace; MappedFlowTrace mmaps a file and views the columns as
+// typed spans straight into the mapping, materializing nothing until
+// asked. What stays LFT's own is the section table and the 8-byte section
+// padding. Every malformed input — truncation, bad magic/version/flags,
+// section-size mismatch or overflow, checksum mismatch, broken CSR
+// offsets, a false sorted flag — fails with a descriptive
+// std::runtime_error starting "lft: ", identically through every reader,
+// never undefined behaviour.
 #pragma once
 
 #include <cstddef>
@@ -69,20 +75,23 @@ inline constexpr std::size_t kHeaderSize = 32;
 /// Serialize `trace` as LFT. The sorted flag records trace.is_sorted().
 void write_lft(std::ostream& os, const FlowTrace& trace);
 
-/// Parse an LFT stream into a FlowTrace. The result preserves file row
-/// order; a file written from a sorted trace loads born-sorted (zero
-/// physical sorts). Throws std::runtime_error on any malformed input.
-[[nodiscard]] FlowTrace read_lft(std::istream& is);
+/// Decode a complete in-memory LFT image (e.g. one framed daemon chunk)
+/// into columns, preserving file row order; `sorted` is the validated
+/// header flag. The image may start at any address: each section is
+/// copied out, never viewed in place. Throws std::runtime_error on any
+/// malformed input.
+[[nodiscard]] FlowColumns read_lft_columns(std::span<const std::byte> image);
 
-/// Parse a complete in-memory LFT image (e.g. one framed daemon chunk).
-/// Same validation and error contract as read_lft; the buffer need not be
-/// aligned (it is copied into aligned storage before the columns are read).
+/// read_lft_columns, materialized as a FlowTrace. A file written from a
+/// sorted trace loads born-sorted (zero physical sorts).
 [[nodiscard]] FlowTrace read_lft_buffer(std::span<const std::byte> image);
 
-/// Convenience file wrappers; throw std::runtime_error if the file cannot
-/// be opened (and read_lft_file on any corruption).
+/// read_lft_buffer over a whole stream.
+[[nodiscard]] FlowTrace read_lft(std::istream& is);
+
+/// Write `trace` to `path`; throws std::runtime_error if the file cannot
+/// be opened. Files are read back through MappedFlowTrace.
 void write_lft_file(const std::string& path, const FlowTrace& trace);
-[[nodiscard]] FlowTrace read_lft_file(const std::string& path);
 
 /// True if `prefix` (the first bytes of a file) starts with the LFT magic.
 /// Used for format auto-detection; needs at least 4 bytes to say yes.
@@ -95,9 +104,9 @@ void write_lft_file(const std::string& path, const FlowTrace& trace);
 /// then exposes the columns as typed spans straight into the mapping.
 ///
 /// Ownership/lifetime: the mapping lives exactly as long as the
-/// MappedFlowTrace (RAII munmap; move-only). Spans returned by the column
-/// accessors are views into the mapping and are invalidated by destruction
-/// or move — callers that outlive the reader must materialize via
+/// MappedFlowTrace (RAII munmap; move-only). The spans of view() point
+/// into the mapping and are invalidated by destruction or move — callers
+/// that outlive the reader must materialize via
 /// to_trace(). The mapping is private (MAP_PRIVATE) and read-only; the
 /// file may be unlinked while mapped (POSIX keeps the pages alive).
 class MappedFlowTrace {
@@ -120,29 +129,8 @@ class MappedFlowTrace {
   /// Total mapped bytes (the whole file).
   [[nodiscard]] std::size_t byte_size() const { return map_size_; }
 
-  // Columns (views into the mapping; see lifetime note above).
-  [[nodiscard]] std::span<const TimeNs> start_ns() const {
-    return view_.start_ns;
-  }
-  [[nodiscard]] std::span<const std::uint32_t> src() const { return view_.src; }
-  [[nodiscard]] std::span<const std::uint32_t> dst() const { return view_.dst; }
-  [[nodiscard]] std::span<const std::uint64_t> bytes() const {
-    return view_.bytes;
-  }
-  [[nodiscard]] std::span<const DurationNs> duration_ns() const {
-    return view_.duration_ns;
-  }
-  /// CSR offsets into switch_ids(); size() + 1 entries, offsets[0] == 0.
-  [[nodiscard]] std::span<const std::uint64_t> switch_offsets() const {
-    return view_.switch_offsets;
-  }
-  [[nodiscard]] std::span<const std::uint32_t> switch_ids() const {
-    return view_.switch_ids;
-  }
-
-  /// Non-owning columnar view straight over the mapping — the zero-copy
-  /// input type of the analysis plane. Same lifetime rules as the column
-  /// spans: invalidated by destruction or move of this reader.
+  /// The columns as typed spans straight into the mapping — the zero-copy
+  /// input type of the analysis plane (see the lifetime note above).
   [[nodiscard]] FlowView view() const { return view_; }
 
   /// Materialize one record (FlowView::record). Bounds are the caller's

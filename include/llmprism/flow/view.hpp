@@ -144,12 +144,14 @@ struct FlowView {
   /// seed `sorted` for storage the data plane has no cached fact about).
   [[nodiscard]] bool verify_sorted() const;
 
-  /// Empty when the CSR switch paths are well formed — offsets start at 0,
-  /// never decrease, step by at most the SwitchPath capacity and end
-  /// exactly at switch_ids.size() — otherwise the first violation. Readers
-  /// of outside input (LFT images, snapshots) check this before trusting
-  /// switches(). A view without offsets has no paths and passes.
-  [[nodiscard]] std::string switch_path_error() const;
+  /// The one check of columns decoded from outside input (LFT images and
+  /// daemon chunks, LPS1 snapshots), run before anything indexes them.
+  /// Empty when the column sizes agree, the CSR switch paths are well
+  /// formed — offsets start at 0, never decrease, step by at most the
+  /// SwitchPath capacity and end exactly at switch_ids.size(); a view
+  /// without offsets has no paths and passes — and a `sorted` claim holds
+  /// (verify_sorted). Otherwise the first violation.
+  [[nodiscard]] std::string column_error() const;
 };
 
 /// Owning SoA flow storage. The vectors are public — the router's gather

@@ -3,9 +3,12 @@
 // A collector streams flow chunks to the daemon as length-prefixed frames
 // over a Unix or TCP socket. Each frame is a fixed 24-byte little-endian
 // header followed by `payload_bytes` of payload; a flow-chunk payload is
-// one complete LFT image (the exact bytes `prism convert` writes), so the
-// daemon reuses the LFT validator — magic, section sizes, checksum — on
-// every chunk before a single flow is trusted.
+// one complete LFT image (the exact bytes `prism convert` writes), which
+// the daemon decodes straight into columns with read_lft_columns — head,
+// section sizes, checksum and the column check — before a single flow is
+// trusted. The header is read through the shared byte codec
+// (common/byte_codec.hpp): its head is the codec's magic/version/tag with
+// the frame type as the tag. LPF's own rule is the payload cap.
 //
 // Frame header layout:
 //   0   char[4]  magic "LPF1"

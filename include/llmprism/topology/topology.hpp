@@ -76,7 +76,7 @@ class ClusterTopology {
   /// inside this topology, otherwise the first offender. The analysis
   /// sizes and indexes dense tables by these ids, so flows from outside
   /// the program (daemon chunks, snapshot buffers) must pass this first.
-  /// Requires well-formed switch paths (FlowView::switch_path_error()).
+  /// Requires well-formed columns (FlowView::column_error()).
   [[nodiscard]] std::string id_error(const FlowView& flows) const;
 
  private:

@@ -1,7 +1,6 @@
 #include "llmprism/core/snapshot.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <sstream>
@@ -9,7 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "llmprism/common/hash.hpp"
+#include "llmprism/common/byte_codec.hpp"
 #include "llmprism/core/monitor.hpp"
 #include "llmprism/core/session.hpp"
 #include "llmprism/obs/metrics.hpp"
@@ -18,8 +17,10 @@ namespace llmprism {
 
 namespace {
 
+constexpr const char* kPrefix = "snapshot: ";
+
 [[noreturn]] void fail(const std::string& what) {
-  throw std::runtime_error("snapshot: " + what);
+  throw std::runtime_error(kPrefix + what);
 }
 
 obs::Counter& snapshot_saves() {
@@ -34,109 +35,17 @@ obs::Counter& snapshot_restores() {
   return c;
 }
 
-/// Append-only little-endian byte buffer the payload is built into; the
-/// container (magic/version/kind + trailing checksum) wraps it at the end.
-class Writer {
- public:
-  void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void u16(std::uint16_t v) { raw(&v, sizeof(v)); }
-  void u32(std::uint32_t v) { raw(&v, sizeof(v)); }
-  void u64(std::uint64_t v) { raw(&v, sizeof(v)); }
-  void i64(std::int64_t v) { raw(&v, sizeof(v)); }
-  void f64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-  }
-  template <typename T>
-  void pod_vector(const std::vector<T>& v) {
-    u64(v.size());
-    if (!v.empty()) raw(v.data(), v.size() * sizeof(T));
-  }
-  [[nodiscard]] std::string& buffer() { return buf_; }
-
- private:
-  void raw(const void* p, std::size_t n) {
-    buf_.append(static_cast<const char*>(p), n);
-  }
-  std::string buf_;
-};
-
-/// Bounds-checked little-endian cursor over a validated payload. Every
-/// read that would run past the end throws; vector reads verify the
-/// remaining byte budget BEFORE allocating, so a corrupt count cannot
-/// trigger a huge allocation.
-class Reader {
- public:
-  explicit Reader(std::span<const std::byte> data) : data_(data) {}
-
-  std::uint8_t u8() {
-    need(1, "u8");
-    return static_cast<std::uint8_t>(data_[pos_++]);
-  }
-  std::uint16_t u16() { return scalar<std::uint16_t>("u16"); }
-  std::uint32_t u32() { return scalar<std::uint32_t>("u32"); }
-  std::uint64_t u64() { return scalar<std::uint64_t>("u64"); }
-  std::int64_t i64() { return scalar<std::int64_t>("i64"); }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  /// Element count for entries of at least min_elem_bytes each, verified
-  /// against the remaining payload.
-  std::size_t count(std::size_t min_elem_bytes) {
-    const std::uint64_t n = u64();
-    if (min_elem_bytes > 0 && n > (data_.size() - pos_) / min_elem_bytes) {
-      fail("corrupt element count " + std::to_string(n));
-    }
-    return static_cast<std::size_t>(n);
-  }
-  template <typename T>
-  std::vector<T> pod_vector() {
-    const std::size_t n = count(sizeof(T));
-    std::vector<T> out(n);
-    if (n > 0) {
-      need(n * sizeof(T), "vector body");
-      std::memcpy(out.data(), data_.data() + pos_, n * sizeof(T));
-      pos_ += n * sizeof(T);
-    }
-    return out;
-  }
-  void expect_done() const {
-    if (pos_ != data_.size()) {
-      fail("trailing bytes after payload (" +
-           std::to_string(data_.size() - pos_) + ")");
-    }
-  }
-
- private:
-  template <typename T>
-  T scalar(const char* what) {
-    need(sizeof(T), what);
-    T v;
-    std::memcpy(&v, data_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return v;
-  }
-  void need(std::size_t n, const char* what) const {
-    if (data_.size() - pos_ < n) {
-      fail(std::string("truncated payload reading ") + what);
-    }
-  }
-  std::span<const std::byte> data_;
-  std::size_t pos_ = 0;
-};
+using codec::ByteReader;
+using codec::ByteWriter;
 
 template <typename Id>
-void write_id_vector(Writer& w, const std::vector<Id>& ids) {
+void write_id_vector(ByteWriter& w, const std::vector<Id>& ids) {
   w.u64(ids.size());
   for (const Id id : ids) w.u32(id.value());
 }
 
 template <typename Id>
-std::vector<Id> read_id_vector(Reader& r) {
+std::vector<Id> read_id_vector(ByteReader& r) {
   const std::size_t n = r.count(4);
   std::vector<Id> out;
   out.reserve(n);
@@ -144,41 +53,32 @@ std::vector<Id> read_id_vector(Reader& r) {
   return out;
 }
 
-void write_columns(Writer& w, const FlowColumns& c) {
-  w.pod_vector(c.start_ns);
-  w.pod_vector(c.src);
-  w.pod_vector(c.dst);
-  w.pod_vector(c.bytes);
-  w.pod_vector(c.duration_ns);
-  w.pod_vector(c.switch_offsets);
-  w.pod_vector(c.switch_ids);
+void write_columns(ByteWriter& w, const FlowColumns& c) {
+  w.counted(c.start_ns);
+  w.counted(c.src);
+  w.counted(c.dst);
+  w.counted(c.bytes);
+  w.counted(c.duration_ns);
+  w.counted(c.switch_offsets);
+  w.counted(c.switch_ids);
   w.u8(c.sorted ? 1 : 0);
 }
 
-FlowColumns read_columns(Reader& r) {
+FlowColumns read_columns(ByteReader& r) {
   FlowColumns c;
-  c.start_ns = r.pod_vector<TimeNs>();
-  c.src = r.pod_vector<std::uint32_t>();
-  c.dst = r.pod_vector<std::uint32_t>();
-  c.bytes = r.pod_vector<std::uint64_t>();
-  c.duration_ns = r.pod_vector<DurationNs>();
-  c.switch_offsets = r.pod_vector<std::uint64_t>();
-  c.switch_ids = r.pod_vector<std::uint32_t>();
+  c.start_ns = r.counted<TimeNs>();
+  c.src = r.counted<std::uint32_t>();
+  c.dst = r.counted<std::uint32_t>();
+  c.bytes = r.counted<std::uint64_t>();
+  c.duration_ns = r.counted<DurationNs>();
+  c.switch_offsets = r.counted<std::uint64_t>();
+  c.switch_ids = r.counted<std::uint32_t>();
   c.sorted = r.u8() != 0;
-  const std::size_t n = c.start_ns.size();
-  if (c.src.size() != n || c.dst.size() != n || c.bytes.size() != n ||
-      c.duration_ns.size() != n ||
-      (!c.switch_offsets.empty() && c.switch_offsets.size() != n + 1)) {
-    fail("flow column sizes disagree");
-  }
   // The checksum only detects accidents; anyone who can write the file can
-  // recompute it. So the CSR paths and the sort claim, which the monitor
-  // indexes and binary-searches by, are verified like an LFT image's.
-  if (const std::string error = c.view().switch_path_error(); !error.empty()) {
-    fail(error);
-  }
-  if (c.sorted && !c.view().verify_sorted()) {
-    fail("sorted flag set but rows are not sorted");
+  // recompute it. So the columns, which the monitor indexes and
+  // binary-searches by, get the same check as an LFT image's.
+  if (const std::string error = c.view().column_error(); !error.empty()) {
+    r.fail(error);
   }
   return c;
 }
@@ -196,49 +96,34 @@ void check_gpu_ids(const std::vector<GpuId>& gpus,
   }
 }
 
-/// Wrap a finished payload in the container and write it out.
-void write_blob(std::ostream& os, std::uint16_t kind, Writer&& payload) {
-  Writer head;
-  head.buffer().append(snapshot::kMagic, sizeof(snapshot::kMagic));
-  head.u16(snapshot::kVersion);
-  head.u16(kind);
-  std::string blob = std::move(head.buffer());
-  blob += payload.buffer();
-  const std::uint64_t checksum = xxhash64(blob.data(), blob.size());
-  blob.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-  os.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+/// Write a `kind` blob: the container head, `payload(writer)`, the seal.
+template <typename Payload>
+void write_blob(std::ostream& os, std::uint16_t kind, Payload&& payload) {
+  ByteWriter w;
+  w.head(snapshot::kMagic, snapshot::kVersion, kind);
+  payload(w);
+  w.seal();
+  os.write(w.bytes().data(), static_cast<std::streamsize>(w.bytes().size()));
   if (!os) fail("stream write failed");
   snapshot_saves().inc();
 }
 
-/// Validate the container (magic, version, kind, checksum) and return the
-/// payload bytes.
-std::span<const std::byte> validate_blob(std::span<const std::byte> blob,
-                                         std::uint16_t want_kind) {
+/// Open the container (head, seal, kind) and return a cursor over the
+/// payload.
+ByteReader open_blob(std::span<const std::byte> blob,
+                     std::uint16_t want_kind) {
   if (blob.size() < snapshot::kHeaderSize + 8) {
     fail("truncated blob (" + std::to_string(blob.size()) + " bytes)");
   }
-  if (std::memcmp(blob.data(), snapshot::kMagic, sizeof(snapshot::kMagic)) !=
-      0) {
-    fail("bad magic (not a snapshot)");
-  }
-  std::uint16_t version;
-  std::uint16_t kind;
-  std::memcpy(&version, blob.data() + 4, sizeof(version));
-  std::memcpy(&kind, blob.data() + 6, sizeof(kind));
-  if (version != snapshot::kVersion) {
-    fail("unsupported version " + std::to_string(version));
-  }
-  std::uint64_t stored;
-  std::memcpy(&stored, blob.data() + blob.size() - 8, sizeof(stored));
-  const std::uint64_t computed = xxhash64(blob.data(), blob.size() - 8);
-  if (stored != computed) fail("checksum mismatch (corrupt or truncated)");
+  ByteReader r(blob.first(blob.size() - 8), kPrefix);
+  const std::uint16_t kind =
+      r.head(snapshot::kMagic, snapshot::kVersion, "not a snapshot");
+  codec::check_seal(blob, kPrefix);
   if (kind != want_kind) {
     fail("wrong snapshot kind " + std::to_string(kind) + " (expected " +
          std::to_string(want_kind) + ")");
   }
-  return blob.subspan(snapshot::kHeaderSize,
-                      blob.size() - snapshot::kHeaderSize - 8);
+  return r;
 }
 
 std::string slurp(std::istream& is) {
@@ -258,7 +143,7 @@ struct SnapshotAccess {
   static constexpr std::uint8_t kCarryOn = 1;
   static constexpr int kCarryBytes = 4;
 
-  static void write_session_config(Writer& w, const SessionConfig& c) {
+  static void write_session_config(ByteWriter& w, const SessionConfig& c) {
     for (int i = 0; i < kCarryBytes; ++i) w.u8(kCarryOn);
     w.f64(c.ewma_alpha);
     w.u64(c.ewma_min_samples);
@@ -266,7 +151,7 @@ struct SnapshotAccess {
     w.u64(c.evict_after_windows);
   }
 
-  static void check_session_config(Reader& r, const SessionConfig& c) {
+  static void check_session_config(ByteReader& r, const SessionConfig& c) {
     bool carries_on = true;
     for (int i = 0; i < kCarryBytes; ++i) carries_on &= r.u8() == kCarryOn;
     const bool same = carries_on && r.f64() == c.ewma_alpha &&
@@ -280,7 +165,7 @@ struct SnapshotAccess {
     }
   }
 
-  static void write_session_payload(Writer& w, const PrismSession& s) {
+  static void write_session_payload(ByteWriter& w, const PrismSession& s) {
     write_session_config(w, s.config_);
 
     const SessionCounters& c = s.counters_;
@@ -379,7 +264,7 @@ struct SnapshotAccess {
 
   /// `topology` (null for a bare session, which has none) bounds the
   /// recognition cache's GPU ids.
-  static void read_session_payload(Reader& r, PrismSession& s,
+  static void read_session_payload(ByteReader& r, PrismSession& s,
                                    const ClusterTopology* topology) {
     check_session_config(r, s.config_);
 
@@ -511,7 +396,7 @@ struct SnapshotAccess {
         .set(static_cast<double>(s.job_states_.size()));
   }
 
-  static void write_monitor_payload(Writer& w, const OnlineMonitor& m) {
+  static void write_monitor_payload(ByteWriter& w, const OnlineMonitor& m) {
     // Config/topology fingerprint, verified on restore.
     w.i64(m.config_.window);
     w.i64(m.config_.reorder_slack);
@@ -556,7 +441,7 @@ struct SnapshotAccess {
     if (m.session_) write_session_payload(w, *m.session_);
   }
 
-  static void read_monitor_payload(Reader& r, OnlineMonitor& m) {
+  static void read_monitor_payload(ByteReader& r, OnlineMonitor& m) {
     if (r.i64() != m.config_.window || r.i64() != m.config_.reorder_slack ||
         (r.u8() != 0) != m.config_.carry_state) {
       fail(
@@ -621,26 +506,26 @@ struct SnapshotAccess {
 };
 
 void save_snapshot(std::ostream& os, const PrismSession& session) {
-  Writer payload;
-  SnapshotAccess::write_session_payload(payload, session);
-  write_blob(os, snapshot::kKindSession, std::move(payload));
+  write_blob(os, snapshot::kKindSession, [&](ByteWriter& w) {
+    SnapshotAccess::write_session_payload(w, session);
+  });
 }
 
 void save_snapshot(std::ostream& os, const OnlineMonitor& monitor) {
-  Writer payload;
-  SnapshotAccess::write_monitor_payload(payload, monitor);
-  write_blob(os, snapshot::kKindMonitor, std::move(payload));
+  write_blob(os, snapshot::kKindMonitor, [&](ByteWriter& w) {
+    SnapshotAccess::write_monitor_payload(w, monitor);
+  });
 }
 
 void restore_snapshot(std::span<const std::byte> blob, PrismSession& session) {
-  Reader r(validate_blob(blob, snapshot::kKindSession));
+  ByteReader r = open_blob(blob, snapshot::kKindSession);
   SnapshotAccess::read_session_payload(r, session, nullptr);
   r.expect_done();
   snapshot_restores().inc();
 }
 
 void restore_snapshot(std::span<const std::byte> blob, OnlineMonitor& monitor) {
-  Reader r(validate_blob(blob, snapshot::kKindMonitor));
+  ByteReader r = open_blob(blob, snapshot::kKindMonitor);
   SnapshotAccess::read_monitor_payload(r, monitor);
   r.expect_done();
   snapshot_restores().inc();

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <concepts>
-#include <cstdio>
-#include <cstring>
 #include <vector>
 
+#include "llmprism/common/byte_codec.hpp"
 #include "llmprism/common/hash.hpp"
 #include "llmprism/core/attribution.hpp"
 #include "emit.hpp"
@@ -26,15 +25,11 @@ constexpr std::uint64_t kClusterJob = ~0ULL;
 /// and are comparable across deployments.
 [[nodiscard]] std::string derive_id(std::uint64_t job, std::uint8_t kind,
                                     std::uint64_t identity) {
-  unsigned char buf[17];
-  std::memcpy(buf, &job, 8);
-  buf[8] = kind;
-  std::memcpy(buf + 9, &identity, 8);
-  const std::uint64_t h = xxhash64(buf, sizeof(buf));
-  char hex[17];
-  std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(h));
-  return {hex, 16};
+  codec::ByteWriter w;
+  w.u64(job);
+  w.u8(kind);
+  w.u64(identity);
+  return codec::hex64(xxhash64(w.bytes().data(), w.bytes().size())).substr(2);
 }
 
 /// Append `,"<key>":<v>` for an integer or a double field.

@@ -1,6 +1,5 @@
 #include "llmprism/flow/lft.hpp"
 
-#include <bit>
 #include <cassert>
 #include <cstring>
 #include <fstream>
@@ -8,11 +7,11 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
-#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "llmprism/common/hash.hpp"
+#include "llmprism/common/byte_codec.hpp"
 #include "llmprism/obs/metrics.hpp"
 #include "llmprism/obs/trace_span.hpp"
 
@@ -24,22 +23,19 @@
 #include <unistd.h>
 #endif
 
-// The format is defined little-endian and the readers hand out zero-copy
-// typed spans into the raw bytes, so a big-endian host would need a
-// byte-swapping materialization path nobody has asked for yet.
-static_assert(std::endian::native == std::endian::little,
-              "LFT readers require a little-endian host");
-
 namespace llmprism {
 
 namespace {
 
+using codec::ByteReader;
+using codec::ByteWriter;
 using lft::kFlagSorted;
 using lft::kHeaderSize;
 using lft::kMagic;
 using lft::kSectionCount;
 using lft::kVersion;
 
+constexpr const char* kPrefix = "lft: ";
 constexpr std::size_t kTableSize = kSectionCount * sizeof(std::uint64_t);
 
 constexpr const char* kSectionName[kSectionCount] = {
@@ -65,146 +61,110 @@ obs::Histogram& ingest_parse_seconds() {
   return h;
 }
 
-[[noreturn]] void fail(const std::string& what) {
-  throw std::runtime_error("lft: " + what);
+constexpr std::uint64_t padded(std::uint64_t n) {
+  return (n + 7) & ~std::uint64_t{7};
 }
 
-std::string hex64(std::uint64_t v) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out = "0x";
-  for (int shift = 60; shift >= 0; shift -= 4) {
-    out += kDigits[(v >> shift) & 0xf];
-  }
-  return out;
+template <typename Column>
+using element_of = typename std::remove_cvref_t<Column>::value_type;
+
+/// Apply `f(column, rows)` to the seven columns of a FlowView or
+/// FlowColumns in section order; `rows` is the element count of that
+/// section in an image of n flows and m hops. The one place that knows
+/// the section order.
+template <typename Columns, typename F>
+void for_each_section(Columns& c, std::uint64_t n, std::uint64_t m, F&& f) {
+  f(c.start_ns, n);
+  f(c.src, n);
+  f(c.dst, n);
+  f(c.bytes, n);
+  f(c.duration_ns, n);
+  f(c.switch_offsets, n + 1);
+  f(c.switch_ids, m);
 }
 
-constexpr std::size_t padded(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
+struct Shape {
+  std::uint64_t rows = 0;
+  std::uint64_t hops = 0;
+  bool sorted = false;
+};
 
-std::uint64_t load_u64(const std::byte* p) {
-  std::uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-/// Per-section byte sizes implied by the header counts, overflow-checked.
-void expected_sizes(std::uint64_t n, std::uint64_t m,
-                    std::uint64_t (&out)[kSectionCount]) {
-  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
-  if (n > (kMax - 8) / 8 || m > kMax / 4) fail("section size overflow");
-  out[0] = n * 8;        // start_ns
-  out[1] = n * 4;        // src
-  out[2] = n * 4;        // dst
-  out[3] = n * 8;        // bytes
-  out[4] = n * 8;        // duration
-  out[5] = (n + 1) * 8;  // switch_offsets
-  out[6] = m * 4;        // switch_ids
-}
-
-/// Validate an LFT image and view its columns. `base` must be 8-byte
-/// aligned (both readers map or allocate aligned storage), so the sections
-/// can be handed out as typed spans directly.
-FlowView validate_lft(const std::byte* base, std::size_t size) {
-  if ((reinterpret_cast<std::uintptr_t>(base) & 7) != 0) {
-    fail("internal: image not 8-byte aligned");
+/// Check everything in an image but the column contents — head, flags,
+/// counts, section table, total size and seal — and leave `r` at the
+/// first section.
+Shape open_image(ByteReader& r, std::span<const std::byte> image) {
+  if (image.size() < kHeaderSize) {
+    r.fail("truncated header (" + std::to_string(image.size()) +
+           " bytes, need " + std::to_string(kHeaderSize) + ")");
   }
-  if (size < kHeaderSize) {
-    fail("truncated header (" + std::to_string(size) + " bytes, need " +
-         std::to_string(kHeaderSize) + ")");
-  }
-  if (std::memcmp(base, kMagic, sizeof(kMagic)) != 0) {
-    fail("bad magic (not an LFT file)");
-  }
-  std::uint16_t version;
-  std::uint16_t flags;
-  std::memcpy(&version, base + 4, sizeof(version));
-  std::memcpy(&flags, base + 6, sizeof(flags));
-  if (version != kVersion) {
-    fail("unsupported version " + std::to_string(version) + " (expected " +
-         std::to_string(kVersion) + ")");
-  }
+  const std::uint16_t flags = r.head(kMagic, kVersion, "not an LFT file");
   if ((flags & ~kFlagSorted) != 0) {
-    fail("unknown flag bits " + hex64(flags & ~kFlagSorted));
+    r.fail("unknown flag bits " + codec::hex64(flags & ~kFlagSorted));
   }
-  const std::uint64_t n = load_u64(base + 8);
-  const std::uint64_t m = load_u64(base + 16);
-  std::uint32_t section_count;
-  std::memcpy(&section_count, base + 24, sizeof(section_count));
+  Shape shape;
+  shape.sorted = (flags & kFlagSorted) != 0;
+  shape.rows = r.u64();
+  shape.hops = r.u64();
+  const std::uint32_t section_count = r.u32();
   if (section_count != kSectionCount) {
-    fail("unexpected section count " + std::to_string(section_count) +
-         " (expected " + std::to_string(kSectionCount) + ")");
+    r.fail("unexpected section count " + std::to_string(section_count) +
+           " (expected " + std::to_string(kSectionCount) + ")");
   }
-  if (size < kHeaderSize + kTableSize) {
-    fail("truncated section table (" + std::to_string(size) + " bytes)");
+  r.skip(sizeof(std::uint32_t));  // reserved
+  if (r.remaining() < kTableSize) {
+    r.fail("truncated section table (" + std::to_string(image.size()) +
+           " bytes)");
   }
 
-  std::uint64_t expected[kSectionCount];
-  expected_sizes(n, m, expected);
-  std::uint64_t total = kHeaderSize + kTableSize;
-  const std::byte* sections[kSectionCount];
-  const auto num_flows = static_cast<std::size_t>(n);
-  const bool sorted = (flags & kFlagSorted) != 0;
-  for (std::size_t s = 0; s < kSectionCount; ++s) {
-    const std::uint64_t stored =
-        load_u64(base + kHeaderSize + s * sizeof(std::uint64_t));
-    if (stored != expected[s]) {
-      fail("section " + std::string(kSectionName[s]) + " size mismatch (got " +
-           std::to_string(stored) + ", expected " + std::to_string(expected[s]) +
-           ")");
+  // Bounded so that no section size or its padding wraps around.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  if (shape.rows > (kMax - 8) / 8 || shape.hops > (kMax - 8) / 4) {
+    r.fail("section size overflow");
+  }
+  std::uint64_t total = kHeaderSize + kTableSize + sizeof(std::uint64_t);
+  std::size_t s = 0;
+  FlowView layout;  // only its column types are used
+  for_each_section(layout, shape.rows, shape.hops,
+                   [&](const auto& column, std::uint64_t rows) {
+    const std::uint64_t stored = r.u64();
+    const std::uint64_t expected = rows * sizeof(element_of<decltype(column)>);
+    if (stored != expected) {
+      r.fail("section " + std::string(kSectionName[s]) +
+             " size mismatch (got " + std::to_string(stored) +
+             ", expected " + std::to_string(expected) + ")");
     }
-    sections[s] = base + total;
-    const std::uint64_t step = padded(stored);
-    if (step > std::numeric_limits<std::uint64_t>::max() - total) {
-      fail("section size overflow");
-    }
-    total += step;
+    if (padded(stored) > kMax - total) r.fail("section size overflow");
+    total += padded(stored);
+    ++s;
+  });
+  if (image.size() != total) {
+    r.fail("file size mismatch (got " + std::to_string(image.size()) +
+           " bytes, expected " + std::to_string(total) + ")");
   }
-  if (total > std::numeric_limits<std::uint64_t>::max() - 8) {
-    fail("section size overflow");
-  }
-  total += 8;  // trailing checksum
-  if (size != total) {
-    fail("file size mismatch (got " + std::to_string(size) + " bytes, expected " +
-         std::to_string(total) + ")");
-  }
+  codec::check_seal(image, kPrefix);
+  return shape;
+}
 
-  const std::uint64_t stored_hash = load_u64(base + size - 8);
-  const std::uint64_t computed_hash = xxhash64(base, size - 8);
-  if (stored_hash != computed_hash) {
-    fail("checksum mismatch (stored " + hex64(stored_hash) + ", computed " +
-         hex64(computed_hash) + ")");
+/// Validate an image and view its columns as typed spans straight into
+/// it. Every section starts 8-padded, so an 8-aligned image (a page
+/// mapping) yields aligned columns.
+FlowView view_image(std::span<const std::byte> image) {
+  ByteReader r(image, kPrefix);
+  if ((reinterpret_cast<std::uintptr_t>(image.data()) & 7) != 0) {
+    r.fail("internal: image not 8-byte aligned");
   }
-
+  const Shape shape = open_image(r, image);
   FlowView view;
-  view.start_ns = {reinterpret_cast<const TimeNs*>(sections[0]), num_flows};
-  view.src = {reinterpret_cast<const std::uint32_t*>(sections[1]), num_flows};
-  view.dst = {reinterpret_cast<const std::uint32_t*>(sections[2]), num_flows};
-  view.bytes = {reinterpret_cast<const std::uint64_t*>(sections[3]),
-                num_flows};
-  view.duration_ns = {reinterpret_cast<const DurationNs*>(sections[4]),
-                      num_flows};
-  view.switch_offsets = {reinterpret_cast<const std::uint64_t*>(sections[5]),
-                         num_flows + 1};
-  view.switch_ids = {reinterpret_cast<const std::uint32_t*>(sections[6]),
-                     static_cast<std::size_t>(m)};
-  view.sorted = sorted;
-
-  if (const std::string error = view.switch_path_error(); !error.empty()) {
-    fail(error);
-  }
-
-  // The sorted flag is a promise downstream binary searches rely on, so a
-  // file that lies about it is rejected as corrupt rather than trusted.
-  if (sorted) {
-    for (std::size_t i = 1; i < num_flows; ++i) {
-      const auto prev = std::tuple(view.start_ns[i - 1], view.src[i - 1],
-                                   view.dst[i - 1], view.bytes[i - 1]);
-      const auto cur = std::tuple(view.start_ns[i], view.src[i], view.dst[i],
-                                  view.bytes[i]);
-      if (cur < prev) {
-        fail("sorted flag set but rows are not sorted (flow " +
-             std::to_string(i) + ")");
-      }
-    }
+  for_each_section(view, shape.rows, shape.hops,
+                   [&](auto& column, std::uint64_t rows) {
+    using T = element_of<decltype(column)>;
+    const std::span<const std::byte> bytes = r.take(padded(rows * sizeof(T)));
+    column = {reinterpret_cast<const T*>(bytes.data()),
+              static_cast<std::size_t>(rows)};
+  });
+  view.sorted = shape.sorted;
+  if (const std::string error = view.column_error(); !error.empty()) {
+    r.fail(error);
   }
   return view;
 }
@@ -223,100 +183,57 @@ FlowTrace trace_of(const FlowView& view) {
 }  // namespace
 
 void write_lft(std::ostream& os, const FlowTrace& trace) {
-  const std::size_t n = trace.size();
-  std::size_t m = 0;
-  for (const FlowRecord& f : trace) m += f.switches.size();
-
-  std::uint64_t sizes[kSectionCount];
-  expected_sizes(n, m, sizes);
-  std::size_t total = kHeaderSize + kTableSize;
-  for (const std::uint64_t s : sizes) total += padded(s);
-  total += 8;
-
-  std::vector<std::byte> buf(total);  // zero-initialized: padding stays 0
-  std::byte* p = buf.data();
-
-  std::memcpy(p, kMagic, sizeof(kMagic));
-  const std::uint16_t version = kVersion;
-  const std::uint16_t flags = trace.is_sorted() ? kFlagSorted : 0;
-  std::memcpy(p + 4, &version, sizeof(version));
-  std::memcpy(p + 6, &flags, sizeof(flags));
-  const std::uint64_t n64 = n;
-  const std::uint64_t m64 = m;
-  std::memcpy(p + 8, &n64, sizeof(n64));
-  std::memcpy(p + 16, &m64, sizeof(m64));
-  const std::uint32_t section_count = kSectionCount;
-  const std::uint32_t reserved = 0;
-  std::memcpy(p + 24, &section_count, sizeof(section_count));
-  std::memcpy(p + 28, &reserved, sizeof(reserved));
-  std::memcpy(p + kHeaderSize, sizes, kTableSize);
-
-  std::byte* section[kSectionCount];
-  std::size_t at = kHeaderSize + kTableSize;
-  for (std::size_t s = 0; s < kSectionCount; ++s) {
-    section[s] = p + at;
-    at += padded(sizes[s]);
-  }
-
-  auto* start = reinterpret_cast<TimeNs*>(section[0]);
-  auto* src = reinterpret_cast<std::uint32_t*>(section[1]);
-  auto* dst = reinterpret_cast<std::uint32_t*>(section[2]);
-  auto* bytes = reinterpret_cast<std::uint64_t*>(section[3]);
-  auto* duration = reinterpret_cast<DurationNs*>(section[4]);
-  auto* offsets = reinterpret_cast<std::uint64_t*>(section[5]);
-  auto* hops = reinterpret_cast<std::uint32_t*>(section[6]);
-
-  std::uint64_t hop_at = 0;
-  offsets[0] = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const FlowRecord& f = trace[i];
-    start[i] = f.start_time;
-    src[i] = f.src.value();
-    dst[i] = f.dst.value();
-    bytes[i] = f.bytes;
-    duration[i] = f.duration;
-    for (const SwitchId s : f.switches) hops[hop_at++] = s.value();
-    offsets[i + 1] = hop_at;
-  }
-
-  const std::uint64_t checksum = xxhash64(p, total - 8);
-  std::memcpy(p + total - 8, &checksum, sizeof(checksum));
-
-  os.write(reinterpret_cast<const char*>(p), static_cast<std::streamsize>(total));
+  const FlowColumns columns(trace);
+  const std::uint64_t n = columns.size();
+  const std::uint64_t m = columns.switch_ids.size();
+  ByteWriter w;
+  w.head(kMagic, kVersion, columns.sorted ? kFlagSorted : 0);
+  w.u64(n);
+  w.u64(m);
+  w.u32(kSectionCount);
+  w.u32(0);  // reserved
+  for_each_section(columns, n, m, [&](const auto& column, std::uint64_t rows) {
+    w.u64(rows * sizeof(element_of<decltype(column)>));
+  });
+  for_each_section(columns, n, m, [&](const auto& column, std::uint64_t) {
+    w.array(column);
+    w.pad_to(8);
+  });
+  w.seal();
+  os.write(w.bytes().data(), static_cast<std::streamsize>(w.bytes().size()));
   if (!os) throw std::runtime_error("lft: stream write failed");
 }
 
-FlowTrace read_lft(std::istream& is) {
-  const obs::Span span("ingest.lft");
-  const obs::ScopedTimer timer(ingest_parse_seconds());
-
-  std::string raw(std::istreambuf_iterator<char>(is), {});
-  // Copy into 8-aligned storage so the shared validator can hand out the
-  // columns as typed spans (operator new aligns to at least max_align_t;
-  // std::string::data has no such guarantee).
-  auto image = std::make_unique<std::byte[]>(raw.size());
-  std::memcpy(image.get(), raw.data(), raw.size());
-  FlowTrace trace = trace_of(validate_lft(image.get(), raw.size()));
-
-  ingest_bytes_counter().inc(raw.size());
-  ingest_rows_counter().inc(trace.size());
-  return trace;
-}
-
-FlowTrace read_lft_buffer(std::span<const std::byte> image) {
+FlowColumns read_lft_columns(std::span<const std::byte> image) {
   const obs::Span span("ingest.lft_buffer");
   const obs::ScopedTimer timer(ingest_parse_seconds());
 
-  // Copy into 8-aligned storage (same reason as read_lft: the caller's
-  // buffer — a socket frame payload, typically — has no alignment
-  // guarantee for the typed column reads).
-  auto aligned = std::make_unique<std::byte[]>(image.size());
-  if (!image.empty()) std::memcpy(aligned.get(), image.data(), image.size());
-  FlowTrace trace = trace_of(validate_lft(aligned.get(), image.size()));
+  ByteReader r(image, kPrefix);
+  const Shape shape = open_image(r, image);
+  FlowColumns columns;
+  for_each_section(columns, shape.rows, shape.hops,
+                   [&](auto& column, std::uint64_t rows) {
+    const std::uint64_t size = rows * sizeof(element_of<decltype(column)>);
+    r.array(rows, column);
+    r.skip(padded(size) - size);
+  });
+  columns.sorted = shape.sorted;
+  if (const std::string error = columns.view().column_error(); !error.empty()) {
+    r.fail(error);
+  }
 
   ingest_bytes_counter().inc(image.size());
-  ingest_rows_counter().inc(trace.size());
-  return trace;
+  ingest_rows_counter().inc(columns.size());
+  return columns;
+}
+
+FlowTrace read_lft_buffer(std::span<const std::byte> image) {
+  return trace_of(read_lft_columns(image).view());
+}
+
+FlowTrace read_lft(std::istream& is) {
+  const std::string raw(std::istreambuf_iterator<char>(is), {});
+  return read_lft_buffer(std::as_bytes(std::span(raw.data(), raw.size())));
 }
 
 void write_lft_file(const std::string& path, const FlowTrace& trace) {
@@ -325,15 +242,8 @@ void write_lft_file(const std::string& path, const FlowTrace& trace) {
   write_lft(os, trace);
 }
 
-FlowTrace read_lft_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("lft: cannot open for read: " + path);
-  return read_lft(is);
-}
-
 bool is_lft(std::string_view prefix) {
-  return prefix.size() >= sizeof(kMagic) &&
-         std::memcmp(prefix.data(), kMagic, sizeof(kMagic)) == 0;
+  return prefix.starts_with(std::string_view(kMagic, sizeof(kMagic)));
 }
 
 bool is_lft_file(const std::string& path) {
@@ -383,7 +293,7 @@ MappedFlowTrace::MappedFlowTrace(const std::string& path) {
 #endif
 
   try {
-    view_ = validate_lft(base_, map_size_);
+    view_ = view_image({base_, map_size_});
   } catch (...) {
     reset();
     throw;

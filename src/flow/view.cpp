@@ -66,28 +66,40 @@ bool FlowView::verify_sorted() const {
   return true;
 }
 
-std::string FlowView::switch_path_error() const {
-  if (switch_offsets.empty()) return {};
+std::string FlowView::column_error() const {
+  const std::size_t n = size();
   const std::span<const std::uint64_t> offsets = switch_offsets;
-  if (offsets[0] != 0) {
-    return "switch offsets must start at 0 (got " +
-           std::to_string(offsets[0]) + ")";
+  if (src.size() != n || dst.size() != n || bytes.size() != n ||
+      duration_ns.size() != n ||
+      (!offsets.empty() && offsets.size() != n + 1)) {
+    return "flow column sizes disagree";
   }
-  constexpr std::size_t kMaxHops = SwitchPath::capacity();
-  for (std::size_t i = 0; i + 1 < offsets.size(); ++i) {
-    if (offsets[i + 1] < offsets[i]) {
-      return "switch offsets not monotone at flow " + std::to_string(i);
+  if (!offsets.empty()) {
+    if (offsets[0] != 0) {
+      return "switch offsets must start at 0 (got " +
+             std::to_string(offsets[0]) + ")";
     }
-    if (offsets[i + 1] - offsets[i] > kMaxHops) {
-      return "flow " + std::to_string(i) + ": switch path has " +
-             std::to_string(offsets[i + 1] - offsets[i]) + " hops (max " +
-             std::to_string(kMaxHops) + ")";
+    constexpr std::size_t kMaxHops = SwitchPath::capacity();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (offsets[i + 1] < offsets[i]) {
+        return "switch offsets not monotone at flow " + std::to_string(i);
+      }
+      if (offsets[i + 1] - offsets[i] > kMaxHops) {
+        return "flow " + std::to_string(i) + ": switch path has " +
+               std::to_string(offsets[i + 1] - offsets[i]) + " hops (max " +
+               std::to_string(kMaxHops) + ")";
+      }
+    }
+    if (offsets.back() != switch_ids.size()) {
+      return "switch offsets end at " + std::to_string(offsets.back()) +
+             " (expected num_switch_ids " +
+             std::to_string(switch_ids.size()) + ")";
     }
   }
-  if (offsets.back() != switch_ids.size()) {
-    return "switch offsets end at " + std::to_string(offsets.back()) +
-           " (expected num_switch_ids " + std::to_string(switch_ids.size()) +
-           ")";
+  // The sorted flag is a promise downstream binary searches rely on, so
+  // input that lies about it is rejected rather than trusted.
+  if (sorted && !verify_sorted()) {
+    return "sorted flag set but rows are not sorted";
   }
   return {};
 }

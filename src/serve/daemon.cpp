@@ -414,8 +414,8 @@ struct PrismDaemon::Impl {
         try {
           Chunk chunk;
           chunk.stream_id = header.stream_id;
-          chunk.flows = FlowColumns(read_lft_buffer(
-              std::as_bytes(std::span(payload.data(), payload.size()))));
+          chunk.flows = read_lft_columns(
+              std::as_bytes(std::span(payload.data(), payload.size())));
           // An id outside the topology fails this chunk here, not the
           // shard worker once the chunk's window closes.
           if (const std::string error = topology.id_error(chunk.flows.view());

@@ -1,55 +1,49 @@
 #include "llmprism/serve/frame.hpp"
 
-#include <cstring>
-#include <stdexcept>
+#include <algorithm>
+
+#include "llmprism/common/byte_codec.hpp"
 
 namespace llmprism::serve {
 
 namespace {
 
-template <typename T>
-void put(std::byte* out, std::size_t offset, T v) {
-  std::memcpy(out + offset, &v, sizeof(v));
-}
+using codec::ByteReader;
+using codec::ByteWriter;
 
-template <typename T>
-T get(std::span<const std::byte> buf, std::size_t offset) {
-  T v;
-  std::memcpy(&v, buf.data() + offset, sizeof(v));
-  return v;
+constexpr const char* kPrefix = "frame: ";
+
+/// The header's bytes: the shared head (the tag is the frame type), then
+/// the stream id and the payload length.
+ByteWriter header_bytes(const FrameHeader& header) {
+  ByteWriter w;
+  w.head(kFrameMagic, header.version, static_cast<std::uint16_t>(header.type));
+  w.u64(header.stream_id);
+  w.u64(header.payload_bytes);
+  return w;
 }
 
 }  // namespace
 
 void encode_frame_header(const FrameHeader& header,
                          std::byte out[kFrameHeaderSize]) {
-  std::memcpy(out, kFrameMagic, sizeof(kFrameMagic));
-  put(out, 4, header.version);
-  put(out, 6, static_cast<std::uint16_t>(header.type));
-  put(out, 8, header.stream_id);
-  put(out, 16, header.payload_bytes);
+  ByteWriter w = header_bytes(header);
+  std::ranges::copy(std::as_bytes(std::span(w.bytes())), out);
 }
 
 FrameHeader decode_frame_header(std::span<const std::byte> buf) {
+  ByteReader r(buf, kPrefix);
   if (buf.size() < kFrameHeaderSize) {
-    throw std::runtime_error("frame: short header (" +
-                             std::to_string(buf.size()) + " bytes)");
-  }
-  if (std::memcmp(buf.data(), kFrameMagic, sizeof(kFrameMagic)) != 0) {
-    throw std::runtime_error("frame: bad magic (framing lost)");
+    r.fail("short header (" + std::to_string(buf.size()) + " bytes)");
   }
   FrameHeader h;
-  h.version = get<std::uint16_t>(buf, 4);
-  if (h.version != kFrameVersion) {
-    throw std::runtime_error("frame: unsupported version " +
-                             std::to_string(h.version));
-  }
-  h.type = static_cast<FrameType>(get<std::uint16_t>(buf, 6));
-  h.stream_id = get<std::uint64_t>(buf, 8);
-  h.payload_bytes = get<std::uint64_t>(buf, 16);
+  h.type = static_cast<FrameType>(
+      r.head(kFrameMagic, kFrameVersion, "framing lost"));
+  h.stream_id = r.u64();
+  h.payload_bytes = r.u64();
   if (h.payload_bytes > kMaxFramePayload) {
-    throw std::runtime_error("frame: payload too large (" +
-                             std::to_string(h.payload_bytes) + " bytes)");
+    r.fail("payload too large (" + std::to_string(h.payload_bytes) +
+           " bytes)");
   }
   return h;
 }
@@ -60,31 +54,29 @@ std::string encode_frame(FrameType type, std::uint64_t stream_id,
   h.type = type;
   h.stream_id = stream_id;
   h.payload_bytes = payload.size();
-  std::byte head[kFrameHeaderSize];
-  encode_frame_header(h, head);
-  std::string out(reinterpret_cast<const char*>(head), kFrameHeaderSize);
+  std::string out = std::move(header_bytes(h).bytes());
   out.append(payload);
   return out;
 }
 
 std::string encode_ack(std::uint64_t stream_id, const AckPayload& ack) {
-  char payload[24];
-  std::memcpy(payload, &ack.flows_accepted, 8);
-  std::memcpy(payload + 8, &ack.queue_depth, 8);
-  std::memcpy(payload + 16, &ack.backpressure_waits, 8);
-  return encode_frame(FrameType::kAck, stream_id,
-                      std::string_view(payload, sizeof(payload)));
+  ByteWriter w;
+  w.u64(ack.flows_accepted);
+  w.u64(ack.queue_depth);
+  w.u64(ack.backpressure_waits);
+  return encode_frame(FrameType::kAck, stream_id, w.bytes());
 }
 
 AckPayload decode_ack(std::span<const std::byte> payload) {
+  ByteReader r(payload, kPrefix);
   if (payload.size() != 24) {
-    throw std::runtime_error("frame: ack payload must be 24 bytes, got " +
-                             std::to_string(payload.size()));
+    r.fail("ack payload must be 24 bytes, got " +
+           std::to_string(payload.size()));
   }
   AckPayload ack;
-  ack.flows_accepted = get<std::uint64_t>(payload, 0);
-  ack.queue_depth = get<std::uint64_t>(payload, 8);
-  ack.backpressure_waits = get<std::uint64_t>(payload, 16);
+  ack.flows_accepted = r.u64();
+  ack.queue_depth = r.u64();
+  ack.backpressure_waits = r.u64();
   return ack;
 }
 

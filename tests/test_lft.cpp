@@ -8,8 +8,10 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "llmprism/common/hash.hpp"
@@ -197,8 +199,22 @@ TEST(LftRoundTripTest, FileHelpersRoundTrip) {
   t.add(make_flow(1, 2, 3));
   const std::string path = ::testing::TempDir() + "/lft_file_rt.lft";
   write_lft_file(path, t);
-  expect_equal(read_lft_file(path), t);
+  expect_equal(MappedFlowTrace(path).to_trace(), t);
   EXPECT_TRUE(is_lft_file(path));
+}
+
+// The owning readers copy each section out, so an image may start at any
+// address (a socket frame payload has no alignment guarantee).
+TEST(LftRoundTripTest, UnalignedBufferDecodes) {
+  Rng rng(5);
+  const FlowTrace trace = random_trace(rng, 40, /*sorted=*/true);
+  const std::string buffer = "x" + lft_bytes(trace);
+  const auto image =
+      std::as_bytes(std::span(buffer.data() + 1, buffer.size() - 1));
+  ASSERT_NE(reinterpret_cast<std::uintptr_t>(image.data()) % 2, 0u);
+  const FlowTrace back = read_lft_buffer(image);
+  expect_equal(back, trace);
+  EXPECT_TRUE(back.is_sorted());
 }
 
 // LFT must stay byte-stable: the round trips above would pass a layout
@@ -242,24 +258,48 @@ TEST(MappedFlowTraceTest, ColumnsViewTheFile) {
 
   const MappedFlowTrace m(write_temp(lft_bytes(t), "lft_cols.lft"));
   ASSERT_EQ(m.size(), 2u);
-  EXPECT_EQ(m.start_ns()[0], -7);
-  EXPECT_EQ(m.start_ns()[1], 8);
-  EXPECT_EQ(m.src()[0], 11u);
-  EXPECT_EQ(m.dst()[1], 44u);
-  EXPECT_EQ(m.bytes()[0], 333u);
-  EXPECT_EQ(m.duration_ns()[1], 66);
-  const auto offsets = m.switch_offsets();
+  const FlowView v = m.view();
+  EXPECT_EQ(v.start_ns[0], -7);
+  EXPECT_EQ(v.start_ns[1], 8);
+  EXPECT_EQ(v.src[0], 11u);
+  EXPECT_EQ(v.dst[1], 44u);
+  EXPECT_EQ(v.bytes[0], 333u);
+  EXPECT_EQ(v.duration_ns[1], 66);
+  const auto offsets = v.switch_offsets;
   ASSERT_EQ(offsets.size(), 3u);
   EXPECT_EQ(offsets[0], 0u);
   EXPECT_EQ(offsets[1], 2u);
   EXPECT_EQ(offsets[2], 2u);
-  const auto hops = m.switch_ids();
+  const auto hops = v.switch_ids;
   ASSERT_EQ(hops.size(), 2u);
   EXPECT_EQ(hops[0], 5u);
   EXPECT_EQ(hops[1], 6u);
   // record() bounds are a debug-assert contract (no exception branch in
   // per-record paths); in-bounds access is the whole API.
   EXPECT_EQ(m.record(1).start_time, 8);
+}
+
+// Zero-copy: the view's columns lie inside the file's own mapping, as
+// /proc/self/maps lists it.
+TEST(MappedFlowTraceTest, ViewPointsIntoTheMapping) {
+  Rng rng(11);
+  const std::string path =
+      write_temp(lft_bytes(random_trace(rng, 50, /*sorted=*/true)),
+                 "lft_zero_copy.lft");
+  const MappedFlowTrace m(path);
+  std::ifstream maps("/proc/self/maps");
+  if (!maps) GTEST_SKIP() << "no /proc/self/maps";
+  const auto at = reinterpret_cast<std::uintptr_t>(m.view().switch_ids.data());
+  bool inside = false;
+  std::string line;
+  while (std::getline(maps, line)) {
+    if (!line.ends_with("/lft_zero_copy.lft")) continue;
+    const std::size_t dash = line.find('-');
+    const std::uintptr_t lo = std::stoull(line.substr(0, dash), nullptr, 16);
+    const std::uintptr_t hi = std::stoull(line.substr(dash + 1), nullptr, 16);
+    inside |= lo <= at && at < hi;
+  }
+  EXPECT_TRUE(inside) << "switch_ids is not in the file's mapping";
 }
 
 TEST(MappedFlowTraceTest, MoveTransfersTheMapping) {
@@ -276,8 +316,6 @@ TEST(MappedFlowTraceTest, MoveTransfersTheMapping) {
 
 TEST(MappedFlowTraceTest, NonexistentFileThrows) {
   EXPECT_THROW(MappedFlowTrace("/nonexistent/nope.lft"), std::runtime_error);
-  EXPECT_THROW((void)read_lft_file("/nonexistent/nope.lft"),
-               std::runtime_error);
   EXPECT_FALSE(is_lft_file("/nonexistent/nope.lft"));
 }
 
@@ -435,6 +473,33 @@ TEST_F(LftCorruptTest, SortedFlagLie) {
 
 TEST_F(LftCorruptTest, EmptyFile) {
   expect_both_fail(std::string{}, "truncated header", "empty.lft");
+}
+
+// Every strict prefix of a valid image, and the image plus one byte, must
+// fail cleanly through both readers with an "lft: " error.
+TEST(LftTruncationTest, EveryPrefixAndOneExtraByteFail) {
+  Rng rng(3);
+  const std::string good = lft_bytes(random_trace(rng, 3, /*sorted=*/true));
+  for (std::size_t len = 0; len <= good.size(); ++len) {
+    const std::string bytes =
+        len < good.size() ? good.substr(0, len) : good + '\0';
+    const std::string path = write_temp(bytes, "lft_sweep.lft");
+    for (const int reader : {0, 1}) {
+      try {
+        if (reader == 0) {
+          (void)read_lft_buffer(
+              std::as_bytes(std::span(bytes.data(), bytes.size())));
+        } else {
+          const MappedFlowTrace mapped(path);
+        }
+        ADD_FAILURE() << bytes.size() << " bytes: reader " << reader
+                      << " accepted";
+      } catch (const std::runtime_error& e) {
+        EXPECT_TRUE(std::string_view(e.what()).starts_with("lft: "))
+            << bytes.size() << " bytes: " << e.what();
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <optional>
 #include <span>
@@ -19,6 +20,7 @@
 #include <string_view>
 #include <vector>
 
+#include "llmprism/common/hash.hpp"
 #include "llmprism/flow/lft.hpp"
 #include "llmprism/flow/trace.hpp"
 #include "llmprism/serve/daemon.hpp"
@@ -137,6 +139,24 @@ TEST(FrameTest, GoldenBytes) {
   EXPECT_EQ(hex(ack),
             "4c504631" "0100" "0180" "0900000000000000" "1800000000000000"
             "2900000000000000" "0300000000000000" "0200000000000000");
+}
+
+// Every strict prefix of an ack frame, and the frame plus one byte, must
+// fail cleanly with a "frame: " error.
+TEST(FrameTest, EveryPrefixAndOneExtraByteFail) {
+  const std::string good = encode_ack(9, {.flows_accepted = 41});
+  for (std::size_t len = 0; len <= good.size(); ++len) {
+    const std::string frame =
+        len < good.size() ? good.substr(0, len) : good + '\0';
+    try {
+      (void)decode_frame_header(bytes(frame));
+      (void)decode_ack(bytes(frame).subspan(kFrameHeaderSize));
+      ADD_FAILURE() << frame.size() << " bytes accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_TRUE(std::string_view(e.what()).starts_with("frame: "))
+          << frame.size() << " bytes: " << e.what();
+    }
+  }
 }
 
 // --- HTTP parsing ---------------------------------------------------------
@@ -438,6 +458,41 @@ TEST(DaemonTest, BadHeaderClosesConnectionCorruptChunkDoesNot) {
   }
   daemon.stop();
   EXPECT_EQ(daemon.stats().frame_errors, 2u);
+}
+
+// A chunk that claims sorted rows it does not have fails the column check
+// on the daemon's decode path, and only that chunk.
+TEST(DaemonTest, ForgedSortFlagChunkIsAFrameError) {
+  const ServeFixture& fix = fixture();
+  ServeConfig cfg = serve_config("serve-sorted");
+  cfg.snapshot_path.clear();
+  PrismDaemon daemon(fix.sim.topology, cfg);
+  daemon.start();
+
+  FlowTrace unsorted;
+  unsorted.add(fix.sim.trace.flows()[1]);
+  unsorted.add(fix.sim.trace.flows()[0]);
+  ASSERT_FALSE(unsorted.is_sorted());
+  std::ostringstream os;
+  write_lft(os, unsorted);
+  std::string forged = os.str();
+  forged[6] = static_cast<char>(lft::kFlagSorted);
+  const std::uint64_t seal = xxhash64(forged.data(), forged.size() - 8);
+  std::memcpy(forged.data() + forged.size() - 8, &seal, sizeof(seal));
+
+  {
+    Client client(cfg.ingest_socket);
+    const auto err = client.roundtrip(FrameType::kFlowChunk, 1, forged);
+    ASSERT_TRUE(err.has_value());
+    EXPECT_EQ(err->header.type, FrameType::kError);
+    EXPECT_NE(err->payload.find("rows are not sorted"), std::string::npos)
+        << err->payload;
+    const auto ok = client.roundtrip(FrameType::kFlowChunk, 1, fix.chunks[0]);
+    ASSERT_TRUE(ok.has_value());
+    EXPECT_EQ(ok->header.type, FrameType::kAck);
+  }
+  daemon.stop();
+  EXPECT_EQ(daemon.stats().frame_errors, 1u);
 }
 
 // A well-framed chunk naming a GPU or switch outside the topology is a

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -315,6 +316,29 @@ TEST_F(SnapshotCorruptTest, TruncatedPayload) {
 
 TEST_F(SnapshotCorruptTest, TrailingGarbage) {
   expect_rejects("trailing", good_blob() + std::string(4, '\0'));
+}
+
+// Every strict prefix of a session blob, and the blob plus one byte, must
+// fail cleanly with a "snapshot: " error.
+TEST_F(SnapshotCorruptTest, EveryPrefixAndOneExtraByteFail) {
+  OnlineMonitor warm(steady_mix().topology, monitor_config());
+  warm.ingest(split_feed().head);
+  ASSERT_NE(warm.session(), nullptr);
+  std::ostringstream os;
+  save_snapshot(os, *warm.session());
+  const std::string good = os.str();
+  PrismSession target(monitor_config().session);
+  for (std::size_t len = 0; len <= good.size(); ++len) {
+    const std::string blob =
+        len < good.size() ? good.substr(0, len) : good + '\0';
+    try {
+      restore_snapshot(bytes(blob), target);
+      ADD_FAILURE() << blob.size() << " bytes accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_TRUE(std::string_view(e.what()).starts_with("snapshot: "))
+          << blob.size() << " bytes: " << e.what();
+    }
+  }
 }
 
 TEST_F(SnapshotCorruptTest, BadMagic) {
