@@ -125,7 +125,7 @@ class ByteReader {
   template <typename T>
   std::vector<T> counted() {
     std::vector<T> out;
-    array(count(sizeof(T)), out);
+    array(u64(), out);
     return out;
   }
   /// The next `n` bytes, in place.

@@ -318,29 +318,6 @@ TEST_F(SnapshotCorruptTest, TrailingGarbage) {
   expect_rejects("trailing", good_blob() + std::string(4, '\0'));
 }
 
-// Every strict prefix of a session blob, and the blob plus one byte, must
-// fail cleanly with a "snapshot: " error.
-TEST_F(SnapshotCorruptTest, EveryPrefixAndOneExtraByteFail) {
-  OnlineMonitor warm(steady_mix().topology, monitor_config());
-  warm.ingest(split_feed().head);
-  ASSERT_NE(warm.session(), nullptr);
-  std::ostringstream os;
-  save_snapshot(os, *warm.session());
-  const std::string good = os.str();
-  PrismSession target(monitor_config().session);
-  for (std::size_t len = 0; len <= good.size(); ++len) {
-    const std::string blob =
-        len < good.size() ? good.substr(0, len) : good + '\0';
-    try {
-      restore_snapshot(bytes(blob), target);
-      ADD_FAILURE() << blob.size() << " bytes accepted";
-    } catch (const std::runtime_error& e) {
-      EXPECT_TRUE(std::string_view(e.what()).starts_with("snapshot: "))
-          << blob.size() << " bytes: " << e.what();
-    }
-  }
-}
-
 TEST_F(SnapshotCorruptTest, BadMagic) {
   std::string blob = good_blob();
   blob[0] = 'X';
@@ -538,6 +515,39 @@ TEST_F(SnapshotCorruptTest, ForgedIdOutsideTopology) {
   reseal(cached);
   expect_rejects("recognition cache GPU id 100000", cached,
                  "recognition cache: GPU id 100000");
+}
+
+// Every strict prefix of a session blob, and the blob plus one byte, must
+// fail cleanly with a "snapshot: " error — also when the cut payload is
+// resealed, so the checksum passes and the cursor itself meets the end.
+TEST_F(SnapshotCorruptTest, EveryPrefixAndOneExtraByteFail) {
+  OnlineMonitor warm(steady_mix().topology, monitor_config());
+  warm.ingest(split_feed().head);
+  ASSERT_NE(warm.session(), nullptr);
+  std::ostringstream os;
+  save_snapshot(os, *warm.session());
+  const std::string good = os.str();
+  const std::string payload = good.substr(0, good.size() - 8);
+  PrismSession target(monitor_config().session);
+  const auto expect_fails = [&](const std::string& blob) {
+    try {
+      restore_snapshot(bytes(blob), target);
+      ADD_FAILURE() << blob.size() << " bytes accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_TRUE(std::string_view(e.what()).starts_with("snapshot: "))
+          << blob.size() << " bytes: " << e.what();
+    }
+  };
+  for (std::size_t len = 0; len <= good.size(); ++len) {
+    expect_fails(len < good.size() ? good.substr(0, len) : good + '\0');
+  }
+  for (std::size_t len = snapshot::kHeaderSize; len <= payload.size(); ++len) {
+    std::string blob =
+        (len < payload.size() ? payload.substr(0, len) : payload + '\0') +
+        std::string(8, '\0');
+    reseal(blob);
+    expect_fails(blob);
+  }
 }
 
 TEST_F(SnapshotCorruptTest, FileErrors) {
