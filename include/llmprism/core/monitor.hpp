@@ -81,6 +81,9 @@ class OnlineMonitor {
  public:
   explicit OnlineMonitor(const ClusterTopology& topology,
                          MonitorConfig config = {});
+  /// Takes this monitor's share out of the process-wide buffered_flows
+  /// gauge.
+  ~OnlineMonitor();
 
   /// Feed a batch of flows (any order within the reorder slack). Returns
   /// one tick per window the batch completed, in time order. When the
@@ -125,6 +128,10 @@ class OnlineMonitor {
   /// (this is what keeps ids independent of window-analysis scheduling).
   void finish_tick(MonitorTick& tick);
   MonitorJobId stable_id_for(const RecognizedJob& job);
+  /// The one point where the monitor writes the registry (end of ingest()
+  /// and flush()): stats growth since the last call, this monitor's change
+  /// of the buffered_flows gauge (a process total), and its window lag.
+  void publish();
 
   const ClusterTopology& topology_;
   MonitorConfig config_;
@@ -149,6 +156,9 @@ class OnlineMonitor {
       job_ids_;
   MonitorJobId next_job_id_ = 0;
   MonitorStats stats_;
+  /// stats_ as last published; only its registry-backed counts are kept.
+  MonitorStats published_;
+  std::size_t published_buffered_ = 0;
 };
 
 }  // namespace llmprism

@@ -76,7 +76,10 @@ struct JobAnalysis {
 /// `num_threads` values (enforced by tests/test_parallel_equivalence.cpp).
 /// Wall-clock timings deliberately live elsewhere (the obs registry
 /// histograms and trace spans), because they can never be
-/// thread-count-invariant.
+/// thread-count-invariant. These counts are also the only source of the
+/// registry's analysis counters: Prism::analyze adds every field except
+/// the derived ones (flows_total, the DP/PP split, timeline and step
+/// counts) to its `llmprism_*_total` counter once, when it returns.
 struct ReportTelemetry {
   // ---- flow routing ----
   std::uint64_t flows_total = 0;         ///< flows in the analyzed window
@@ -113,8 +116,6 @@ struct ReportTelemetry {
   std::uint64_t incidents = 0;        ///< attributed incidents emitted
   std::uint64_t alerts_explained = 0; ///< alerts some incident accounts for
   std::uint64_t alerts_orphaned = 0;  ///< alerts no blame rule could explain
-
-  ReportTelemetry& operator+=(const ReportTelemetry& other);
 };
 
 struct PrismReport {

@@ -118,6 +118,10 @@ struct SessionJobState {
 class PrismSession {
  public:
   explicit PrismSession(SessionConfig config = {});
+  /// Takes this session's share out of the process-wide jobs_tracked gauge.
+  ~PrismSession();
+  PrismSession(const PrismSession&) = delete;
+  PrismSession& operator=(const PrismSession&) = delete;
 
   /// Arm the next analyze() call with its window geometry. `hold_tail`
   /// should be true for every window except the final one (flush/shutdown),
@@ -125,8 +129,9 @@ class PrismSession {
   /// not armed derives window_end from the trace and does not hold tails.
   void begin_window(TimeNs window_end, bool hold_tail);
 
-  /// Drop all carried state (counted in jobs_invalidated). The next window
-  /// runs the full cold pipeline and re-seeds the caches.
+  /// Drop all carried state (counted in jobs_invalidated, published at
+  /// once). The next window runs the full cold pipeline and re-seeds the
+  /// caches.
   void invalidate();
 
   [[nodiscard]] const SessionCounters& counters() const { return counters_; }
@@ -156,7 +161,7 @@ class PrismSession {
   /// (call in job-id order for deterministic totals).
   void fold_job(const SessionJobState& state);
   /// Close the current window: evict stale per-job states, bump window
-  /// counters, disarm.
+  /// counters, publish them to the registry, disarm.
   void finish_window();
 
   [[nodiscard]] bool window_armed() const { return window_armed_; }
@@ -169,8 +174,15 @@ class PrismSession {
   /// versioned binary blob and restores it into a same-config session.
   friend struct SnapshotAccess;
 
+  /// The one point where the session writes the registry: counter growth
+  /// since the last call, and this session's change of the jobs_tracked
+  /// gauge (a process total, summed over sessions).
+  void publish();
+
   SessionConfig config_;
   SessionCounters counters_;
+  SessionCounters published_;            ///< counters_ as last published
+  std::size_t published_jobs_tracked_ = 0;
 
   // Recognition cache: the pair set the cached partition was derived from.
   bool recognition_valid_ = false;

@@ -12,9 +12,8 @@
 //    confidence, victim count),
 //  * key seen again               -> "update" (confidence / victim deltas,
 //    windows active),
-//  * key absent for
-//    JournalOptions::resolve_after_windows windows (or finish()) ->
-//    "resolve" (first/last window, confidence min/max/last trajectory).
+//  * key absent from a window (or finish()) -> "resolve" (first/last
+//    window, confidence min/max/last trajectory).
 // Incidents sharing a key within one window are deduplicated (step ranges
 // merged, victims summed, max confidence) before lifecycle matching.
 //
@@ -33,17 +32,8 @@
 
 namespace llmprism {
 
-struct JournalOptions {
-  /// Windows a key must stay absent before its incident resolves. 1 =
-  /// resolve as soon as a window no longer reports it; higher values ride
-  /// out flapping detections.
-  std::size_t resolve_after_windows = 1;
-};
-
 class IncidentJournal {
  public:
-  explicit IncidentJournal(JournalOptions options = {});
-
   /// Append one analyzed window (in time order).
   void add_window(const WindowExportView& view);
 
@@ -95,7 +85,6 @@ class IncidentJournal {
                     std::size_t at_window, TimeNs at_time);
   std::string& next_line();
 
-  JournalOptions options_;
   std::size_t window_index_ = 0;  ///< windows ingested so far
   TimeNs last_window_end_ = 0;
   std::map<Key, OpenState> open_;

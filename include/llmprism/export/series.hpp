@@ -32,14 +32,6 @@
 
 namespace llmprism {
 
-struct SeriesOptions {
-  /// Fixed bucket bounds (seconds) for the step-duration quantile
-  /// estimate; defaults to the obs latency buckets.
-  std::vector<double> step_duration_buckets;
-  /// Emit the per-rank self-time series (one sample per rank per window).
-  bool per_rank = true;
-};
-
 /// One job's sample for one analyzed window.
 struct JobWindowSample {
   std::uint64_t job = 0;  ///< stable monitor job id
@@ -59,15 +51,12 @@ struct JobWindowSample {
   std::uint64_t group_alerts = 0;
   std::uint64_t incidents = 0;      ///< attributed incidents owned by job
   std::uint64_t flows = 0;
-  /// Per-rank median step self time (gpu id, seconds); empty when
-  /// SeriesOptions::per_rank is off.
+  /// Per-rank median step self time (gpu id, seconds).
   std::vector<std::pair<std::uint32_t, double>> rank_self_time_s;
 };
 
 class JobSeriesCollector {
  public:
-  explicit JobSeriesCollector(SeriesOptions options = {});
-
   /// Append one analyzed window (one sample per job in the view).
   void add_window(const WindowExportView& view);
 
@@ -84,7 +73,6 @@ class JobSeriesCollector {
   }
 
  private:
-  SeriesOptions options_;
   std::vector<JobWindowSample> samples_;
 };
 

@@ -30,6 +30,7 @@
 #include <memory>
 #include <mutex>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -151,6 +152,40 @@ class Registry {
 
 /// The process-wide registry the pipeline reports into.
 Registry& default_registry();
+
+/// Registry counters fed from the fields of one deterministic tally struct
+/// (ReportTelemetry, SessionCounters, MonitorStats), so the struct stays
+/// the only count of each event. Build one per table as a function-local
+/// static: the counters are registered by the first publish.
+template <typename Tally, typename Value = std::uint64_t>
+class TallyCounters {
+ public:
+  struct Field {
+    const char* name;
+    const char* help;
+    Value Tally::*member;
+  };
+
+  explicit TallyCounters(std::span<const Field> fields) : fields_(fields) {
+    for (const Field& f : fields_) {
+      counters_.push_back(&default_registry().counter(f.name, f.help));
+    }
+  }
+
+  /// Add each field's growth since `published`, then copy the new values
+  /// into `published` (its other members are left alone).
+  void publish(const Tally& now, Tally& published) const {
+    for (std::size_t i = 0; i < fields_.size(); ++i) {
+      const auto member = fields_[i].member;
+      counters_[i]->inc(now.*member - published.*member);
+      published.*member = now.*member;
+    }
+  }
+
+ private:
+  std::span<const Field> fields_;
+  std::vector<Counter*> counters_;
+};
 
 /// RAII wall-clock timer: records elapsed seconds into a histogram on
 /// destruction. Wall time never enters analysis results — only this

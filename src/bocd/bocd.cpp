@@ -15,31 +15,14 @@ namespace llmprism {
 
 namespace {
 
-/// Registry counters for segmenter work — looked up once, then relaxed
-/// atomic adds in bulk per call (never per observation).
-struct SegmenterMetrics {
-  obs::Counter& observations;
-  obs::Counter& boundaries;
-  obs::Counter& hard_resets;
-  obs::Counter& detector_reuses;
-};
-
-SegmenterMetrics& segmenter_metrics() {
-  static SegmenterMetrics metrics{
-      obs::default_registry().counter(
-          "llmprism_bocd_observations_total",
-          "BOCD observations consumed by gap segmentation"),
-      obs::default_registry().counter(
-          "llmprism_bocd_boundaries_total",
-          "Segment boundaries opened by gap segmentation"),
-      obs::default_registry().counter(
-          "llmprism_bocd_hard_resets_total",
-          "Degenerate BOCD restarts (all hypotheses at zero likelihood)"),
-      obs::default_registry().counter(
-          "llmprism_bocd_detector_reuses_total",
-          "Series served by a pooled detector instead of a fresh one"),
-  };
-  return metrics;
+/// Pooled-detector reuse has no report field, so it is the one count this
+/// library writes to the registry itself; segmentation work reaches the
+/// registry through ReportTelemetry (DESIGN.md §6).
+obs::Counter& detector_reuses() {
+  static obs::Counter& c = obs::default_registry().counter(
+      "llmprism_bocd_detector_reuses_total",
+      "Series served by a pooled detector instead of a fresh one");
+  return c;
 }
 
 /// Thread-safe log-gamma. libc's lgamma() writes the process-global
@@ -349,7 +332,7 @@ BocdDetector& pooled_detector(const BocdConfig& config) {
     pool = std::make_unique<BocdDetector>(config);
   } else {
     pool->reconfigure(config);
-    segmenter_metrics().detector_reuses.inc();
+    detector_reuses().inc();
   }
   return *pool;
 }
@@ -450,10 +433,6 @@ std::vector<std::size_t> segment_by_gaps(std::span<const TimeNs> timestamps,
   call_stats.boundaries = starts.size() - 1;
   call_stats.hard_resets = detector.hard_resets();
   if (stats) *stats += call_stats;
-  SegmenterMetrics& metrics = segmenter_metrics();
-  metrics.observations.inc(call_stats.observations);
-  metrics.boundaries.inc(call_stats.boundaries);
-  metrics.hard_resets.inc(call_stats.hard_resets);
   return starts;
 }
 

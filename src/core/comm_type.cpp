@@ -7,42 +7,10 @@
 
 #include "llmprism/common/stats.hpp"
 #include "llmprism/common/thread_pool.hpp"
-#include "llmprism/obs/metrics.hpp"
 
 namespace llmprism {
 
 namespace {
-
-/// Registry counters for what this stage filters or repairs; bulk-added
-/// once per identify() call.
-struct CommTypeMetrics {
-  obs::Counter& pairs;
-  obs::Counter& artifact_clusters;
-  obs::Counter& artifact_flows;
-  obs::Counter& artifact_segments;
-  obs::Counter& refinement_flips;
-};
-
-CommTypeMetrics& comm_type_metrics() {
-  static CommTypeMetrics metrics{
-      obs::default_registry().counter(
-          "llmprism_comm_type_pairs_total",
-          "Communication pairs classified by Alg. 2"),
-      obs::default_registry().counter(
-          "llmprism_comm_type_artifact_clusters_total",
-          "Rare-size clusters dropped as collector artifacts"),
-      obs::default_registry().counter(
-          "llmprism_comm_type_artifact_flows_total",
-          "Flows inside dropped artifact size clusters"),
-      obs::default_registry().counter(
-          "llmprism_comm_type_artifact_segments_total",
-          "Steps skipped for carrying only artifact sizes"),
-      obs::default_registry().counter(
-          "llmprism_comm_type_refinement_flips_total",
-          "PP pairs flipped to DP by the transitivity refinement"),
-  };
-  return metrics;
-}
 
 /// Iterative DFS collecting the connected component of `start` in an
 /// adjacency-list graph.
@@ -366,13 +334,6 @@ CommTypeResult CommTypeIdentifier::identify(
             });
   std::sort(result.dp_components.begin(), result.dp_components.end(),
             [](const auto& a, const auto& b) { return a.front() < b.front(); });
-
-  CommTypeMetrics& metrics = comm_type_metrics();
-  metrics.pairs.inc(result.pairs.size());
-  metrics.artifact_clusters.inc(result.counters.artifact_size_clusters);
-  metrics.artifact_flows.inc(result.counters.artifact_flows);
-  metrics.artifact_segments.inc(result.counters.artifact_segments);
-  metrics.refinement_flips.inc(result.counters.refinement_flips);
   return result;
 }
 

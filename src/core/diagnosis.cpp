@@ -6,7 +6,6 @@
 
 #include "llmprism/common/stats.hpp"
 #include "llmprism/common/thread_pool.hpp"
-#include "llmprism/obs/metrics.hpp"
 
 namespace llmprism {
 
@@ -15,41 +14,10 @@ namespace {
 /// Consistency factor making the MAD estimate sigma for Gaussian data.
 constexpr double kMadToSigma = 1.4826;
 
-/// Registry counters for k-sigma work — looked up once, bulk-added once
-/// per evaluated series (never per point).
-struct KSigmaMetrics {
-  obs::Counter& series;
-  obs::Counter& points;
-  obs::Counter& alerts;
-};
-
-KSigmaMetrics& ksigma_metrics() {
-  static KSigmaMetrics metrics{
-      obs::default_registry().counter(
-          "llmprism_ksigma_series_total",
-          "Series handed to the k-sigma rule (including abstentions)"),
-      obs::default_registry().counter(
-          "llmprism_ksigma_points_total",
-          "Points scored by the k-sigma rule"),
-      obs::default_registry().counter(
-          "llmprism_ksigma_alerts_total",
-          "Outliers reported by the k-sigma rule"),
-  };
-  return metrics;
-}
-
-/// Record one ksigma_outliers_* call in both telemetry channels.
+/// Count one ksigma_outliers_* call into the caller's tallies.
 void note_ksigma_call(std::size_t points_scored, std::size_t alerts,
                       KSigmaStats* stats) {
-  KSigmaStats call;
-  call.series = 1;
-  call.points = points_scored;
-  call.alerts = alerts;
-  if (stats) *stats += call;
-  KSigmaMetrics& metrics = ksigma_metrics();
-  metrics.series.inc(call.series);
-  metrics.points.inc(call.points);
-  metrics.alerts.inc(call.alerts);
+  if (stats) *stats += KSigmaStats{1, points_scored, alerts};
 }
 
 /// Reference statistics for scoring one point.

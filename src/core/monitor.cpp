@@ -13,41 +13,43 @@ namespace llmprism {
 
 namespace {
 
-/// Registry instruments for the online-monitoring loop; looked up once,
-/// bulk-updated once per ingest() call.
-struct MonitorMetrics {
-  obs::Counter& flows_ingested;
-  obs::Counter& flows_dropped_late;
-  obs::Counter& windows_completed;
-  obs::Counter& stable_ids;
-  obs::Gauge& window_lag_seconds;
-  obs::Gauge& windows_in_flight;
-  obs::Gauge& buffered_flows;
+/// Process-wide cumulative views of every monitor's MonitorStats.
+using MonitorRegistryCounters = obs::TallyCounters<MonitorStats, std::size_t>;
+constexpr MonitorRegistryCounters::Field kMonitorCounters[] = {
+    {"llmprism_monitor_flows_ingested_total",
+     "Flows accepted into the window buffer", &MonitorStats::flows_ingested},
+    {"llmprism_monitor_flows_dropped_late_total",
+     "Flows discarded for arriving beyond the reorder slack",
+     &MonitorStats::flows_dropped_late},
+    {"llmprism_monitor_windows_completed_total",
+     "Analysis windows closed and analyzed", &MonitorStats::windows_completed},
+    {"llmprism_monitor_stable_ids_total",
+     "Distinct stable job identities minted",
+     &MonitorStats::stable_ids_created},
 };
 
-MonitorMetrics& monitor_metrics() {
-  static MonitorMetrics metrics{
-      obs::default_registry().counter("llmprism_monitor_flows_ingested_total",
-                                      "Flows accepted into the window buffer"),
-      obs::default_registry().counter(
-          "llmprism_monitor_flows_dropped_late_total",
-          "Flows discarded for arriving beyond the reorder slack"),
-      obs::default_registry().counter(
-          "llmprism_monitor_windows_completed_total",
-          "Analysis windows closed and analyzed"),
-      obs::default_registry().counter(
-          "llmprism_monitor_stable_ids_total",
-          "Distinct stable job identities minted"),
-      obs::default_registry().gauge(
-          "llmprism_monitor_window_lag_seconds",
-          "Watermark minus oldest un-analyzed window begin"),
-      obs::default_registry().gauge(
-          "llmprism_monitor_windows_in_flight",
-          "Windows being analyzed concurrently right now"),
-      obs::default_registry().gauge("llmprism_monitor_buffered_flows",
-                                    "Flows waiting in the reorder buffer"),
-  };
-  return metrics;
+// The two level gauges are process totals: each monitor adds its own
+// change, so concurrent shards sum instead of overwriting each other.
+obs::Gauge& buffered_flows_gauge() {
+  static obs::Gauge& g = obs::default_registry().gauge(
+      "llmprism_monitor_buffered_flows", "Flows waiting in the reorder buffer");
+  return g;
+}
+
+obs::Gauge& windows_in_flight_gauge() {
+  static obs::Gauge& g = obs::default_registry().gauge(
+      "llmprism_monitor_windows_in_flight",
+      "Windows being analyzed concurrently right now");
+  return g;
+}
+
+/// Still set by each monitor, so with several shards it shows the last
+/// writer's lag until the metric carries a shard label.
+obs::Gauge& window_lag_gauge() {
+  static obs::Gauge& g = obs::default_registry().gauge(
+      "llmprism_monitor_window_lag_seconds",
+      "Watermark minus oldest un-analyzed window begin");
+  return g;
 }
 
 }  // namespace
@@ -99,6 +101,22 @@ OnlineMonitor::OnlineMonitor(const ClusterTopology& topology,
   }
 }
 
+OnlineMonitor::~OnlineMonitor() {
+  if (published_buffered_ != 0) {
+    buffered_flows_gauge().add(-static_cast<double>(published_buffered_));
+  }
+}
+
+void OnlineMonitor::publish() {
+  static const MonitorRegistryCounters counters(kMonitorCounters);
+  counters.publish(stats_, published_);
+  buffered_flows_gauge().add(static_cast<double>(buffer_.size()) -
+                             static_cast<double>(published_buffered_));
+  published_buffered_ = buffer_.size();
+  window_lag_gauge().set(
+      window_origin_set_ ? to_seconds(watermark_ - window_begin_) : 0.0);
+}
+
 MonitorJobId OnlineMonitor::stable_id_for(const RecognizedJob& job) {
   // A job's identity is its machine set: tenants keep their machines for
   // the lifetime of a job, while GPU-level membership of *observed* flows
@@ -110,7 +128,6 @@ MonitorJobId OnlineMonitor::stable_id_for(const RecognizedJob& job) {
   const MonitorJobId id = next_job_id_++;
   job_ids_.emplace(job.machines, id);
   ++stats_.stable_ids_created;
-  monitor_metrics().stable_ids.inc();
   return id;
 }
 
@@ -148,7 +165,6 @@ MonitorTick OnlineMonitor::analyze_window(TimeWindow window,
     tick.report = prism_.analyze(flows.view());
   }
   finish_tick(tick);
-  monitor_metrics().windows_completed.inc();
   return tick;
 }
 
@@ -161,9 +177,6 @@ std::vector<MonitorTick> OnlineMonitor::ingest(const FlowTrace& batch) {
 
 std::vector<MonitorTick> OnlineMonitor::ingest(const FlowView& batch) {
   const obs::Span ingest_span("monitor.ingest");
-  MonitorMetrics& metrics = monitor_metrics();
-  std::size_t batch_ingested = 0;
-  std::size_t batch_dropped = 0;
   FlowColumns accepted;
   accepted.reserve(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -177,20 +190,16 @@ std::vector<MonitorTick> OnlineMonitor::ingest(const FlowView& batch) {
       // Arrived later than the reorder slack allows: its window is already
       // closed and analyzed. Count and drop.
       ++stats_.flows_dropped_late;
-      ++batch_dropped;
       continue;
     }
     accepted.append_row(batch, i);
     watermark_ = std::max(watermark_, start);
     ++stats_.flows_ingested;
-    ++batch_ingested;
   }
   // append_row does not track order incrementally; settle the flag so the
   // sort below stays a no-op for in-order feeds. A sorted batch stays
   // sorted through drops (a subsequence); otherwise one O(N) verify.
   accepted.sorted = batch.sorted || accepted.view().verify_sorted();
-  metrics.flows_ingested.inc(batch_ingested);
-  metrics.flows_dropped_late.inc(batch_dropped);
 
   // At most ONE physical sort per batch: order the accepted flows, then
   // O(N) merge them into the always-sorted buffer (an in-order feed makes
@@ -219,7 +228,8 @@ std::vector<MonitorTick> OnlineMonitor::ingest(const FlowView& batch) {
   // previous one left) and MUST run sequentially in time order; stateless
   // mode analyzes them concurrently — the windows are pure functions.
   std::vector<MonitorTick> ticks(closed.size());
-  metrics.windows_in_flight.set(static_cast<double>(closed.size()));
+  const double in_flight = static_cast<double>(closed.size());
+  windows_in_flight_gauge().add(in_flight);
   if (session_) {
     for (std::size_t i = 0; i < closed.size(); ++i) {
       const obs::Span window_span("monitor.window", i);
@@ -238,14 +248,9 @@ std::vector<MonitorTick> OnlineMonitor::ingest(const FlowView& batch) {
     });
   }
   if (!closed.empty()) buffer_.drop_before(window_begin_);
-  metrics.windows_in_flight.set(0.0);
+  windows_in_flight_gauge().add(-in_flight);
   for (MonitorTick& tick : ticks) finish_tick(tick);
-  metrics.windows_completed.inc(ticks.size());
-
-  // Health gauges: how far analysis trails the feed, and what is buffered.
-  metrics.window_lag_seconds.set(
-      window_origin_set_ ? to_seconds(watermark_ - window_begin_) : 0.0);
-  metrics.buffered_flows.set(static_cast<double>(buffer_.size()));
+  publish();
   return ticks;
 }
 
@@ -256,7 +261,9 @@ std::optional<MonitorTick> OnlineMonitor::flush() {
   FlowColumns flows = std::move(buffer_);
   buffer_ = FlowColumns{};
   window_begin_ = window.end;
-  return analyze_window(window, std::move(flows));
+  MonitorTick tick = analyze_window(window, std::move(flows));
+  publish();
+  return tick;
 }
 
 }  // namespace llmprism

@@ -19,48 +19,78 @@ namespace llmprism {
 
 namespace {
 
-/// Registry instruments for the whole-pipeline view; looked up once.
-struct PrismMetrics {
-  obs::Counter& analyses;
-  obs::Counter& jobs;
-  obs::Counter& flows_routed;
-  obs::Counter& flows_routed_via_dst;
-  obs::Counter& flows_unattributed;
-  obs::Counter& incidents;
-  obs::Counter& alerts_explained;
-  obs::Counter& alerts_orphaned;
-  obs::Histogram& analyze_seconds;
+/// The registry counters fed from each report, one per counted
+/// ReportTelemetry field. The stages keep no registry handles; their
+/// tallies reach the registry only through this table (DESIGN.md §6).
+using ReportCounters = obs::TallyCounters<ReportTelemetry>;
+constexpr ReportCounters::Field kReportCounters[] = {
+    {"llmprism_flows_routed_total", "Flows attributed to a recognized job",
+     &ReportTelemetry::flows_routed},
+    {"llmprism_flows_routed_via_dst_total",
+     "Routed flows whose unattributed src was recovered via dst",
+     &ReportTelemetry::flows_routed_via_dst},
+    {"llmprism_flows_unattributed_total", "Flows no recognized job claims",
+     &ReportTelemetry::flows_unattributed},
+    {"llmprism_comm_type_pairs_total",
+     "Communication pairs classified by Alg. 2",
+     &ReportTelemetry::pairs_classified},
+    {"llmprism_comm_type_refinement_flips_total",
+     "PP pairs flipped to DP by the transitivity refinement",
+     &ReportTelemetry::refinement_flips},
+    {"llmprism_comm_type_artifact_clusters_total",
+     "Rare-size clusters dropped as collector artifacts",
+     &ReportTelemetry::artifact_size_clusters},
+    {"llmprism_comm_type_artifact_flows_total",
+     "Flows inside dropped artifact size clusters",
+     &ReportTelemetry::artifact_flows},
+    {"llmprism_comm_type_artifact_segments_total",
+     "Steps skipped for carrying only artifact sizes",
+     &ReportTelemetry::artifact_segments},
+    {"llmprism_bocd_observations_total",
+     "BOCD observations consumed by gap segmentation",
+     &ReportTelemetry::bocd_observations},
+    {"llmprism_bocd_boundaries_total",
+     "Segment boundaries opened by gap segmentation",
+     &ReportTelemetry::bocd_boundaries},
+    {"llmprism_bocd_hard_resets_total",
+     "Degenerate BOCD restarts (all hypotheses at zero likelihood)",
+     &ReportTelemetry::bocd_hard_resets},
+    {"llmprism_ksigma_series_total",
+     "Series handed to the k-sigma rule (including abstentions)",
+     &ReportTelemetry::ksigma_series},
+    {"llmprism_ksigma_points_total", "Points scored by the k-sigma rule",
+     &ReportTelemetry::ksigma_points},
+    {"llmprism_ksigma_alerts_total", "Outliers reported by the k-sigma rule",
+     &ReportTelemetry::ksigma_alerts},
+    {"llmprism_incidents_total", "Attributed root-cause incidents emitted",
+     &ReportTelemetry::incidents},
+    {"llmprism_alerts_explained_total",
+     "k-sigma alerts an attributed incident accounts for",
+     &ReportTelemetry::alerts_explained},
+    {"llmprism_alerts_orphaned_total",
+     "k-sigma alerts no blame-propagation rule could explain",
+     &ReportTelemetry::alerts_orphaned},
 };
 
-PrismMetrics& prism_metrics() {
-  static PrismMetrics metrics{
-      obs::default_registry().counter("llmprism_analyses_total",
-                                      "Prism::analyze calls completed"),
-      obs::default_registry().counter("llmprism_jobs_recognized_total",
-                                      "Training jobs recognized (Alg. 1)"),
-      obs::default_registry().counter(
-          "llmprism_flows_routed_total",
-          "Flows attributed to a recognized job"),
-      obs::default_registry().counter(
-          "llmprism_flows_routed_via_dst_total",
-          "Routed flows whose unattributed src was recovered via dst"),
-      obs::default_registry().counter(
-          "llmprism_flows_unattributed_total",
-          "Flows no recognized job claims"),
-      obs::default_registry().counter(
-          "llmprism_incidents_total",
-          "Attributed root-cause incidents emitted"),
-      obs::default_registry().counter(
-          "llmprism_alerts_explained_total",
-          "k-sigma alerts an attributed incident accounts for"),
-      obs::default_registry().counter(
-          "llmprism_alerts_orphaned_total",
-          "k-sigma alerts no blame-propagation rule could explain"),
-      obs::default_registry().histogram(
-          "llmprism_analyze_seconds",
-          "Wall-clock duration of Prism::analyze"),
-  };
-  return metrics;
+/// Add one finished analysis to the registry. A report holds one call's
+/// counts, so it publishes from zero; the call may run concurrently with
+/// other analyses (stateless monitor windows), so nothing is kept.
+void publish(const PrismReport& report) {
+  static const ReportCounters counters(kReportCounters);
+  static obs::Counter& analyses = obs::default_registry().counter(
+      "llmprism_analyses_total", "Prism::analyze calls completed");
+  static obs::Counter& jobs = obs::default_registry().counter(
+      "llmprism_jobs_recognized_total", "Training jobs recognized (Alg. 1)");
+  ReportTelemetry from_zero;
+  counters.publish(report.telemetry, from_zero);
+  analyses.inc();
+  jobs.inc(report.jobs.size());
+}
+
+obs::Histogram& analyze_seconds() {
+  static obs::Histogram& h = obs::default_registry().histogram(
+      "llmprism_analyze_seconds", "Wall-clock duration of Prism::analyze");
+  return h;
 }
 
 /// Fold one job's stage counters into the report-level telemetry block.
@@ -184,33 +214,6 @@ std::vector<std::string> PrismConfig::validate() const {
   return errors;
 }
 
-ReportTelemetry& ReportTelemetry::operator+=(const ReportTelemetry& other) {
-  flows_total += other.flows_total;
-  flows_routed += other.flows_routed;
-  flows_routed_via_dst += other.flows_routed_via_dst;
-  flows_unattributed += other.flows_unattributed;
-  pairs_classified += other.pairs_classified;
-  pairs_dp += other.pairs_dp;
-  pairs_pp += other.pairs_pp;
-  refinement_flips += other.refinement_flips;
-  artifact_size_clusters += other.artifact_size_clusters;
-  artifact_flows += other.artifact_flows;
-  artifact_segments += other.artifact_segments;
-  bocd_observations += other.bocd_observations;
-  bocd_boundaries += other.bocd_boundaries;
-  bocd_hard_resets += other.bocd_hard_resets;
-  timelines_reconstructed += other.timelines_reconstructed;
-  timeline_events += other.timeline_events;
-  steps_reconstructed += other.steps_reconstructed;
-  ksigma_series += other.ksigma_series;
-  ksigma_points += other.ksigma_points;
-  ksigma_alerts += other.ksigma_alerts;
-  incidents += other.incidents;
-  alerts_explained += other.alerts_explained;
-  alerts_orphaned += other.alerts_orphaned;
-  return *this;
-}
-
 Prism::Prism(const ClusterTopology& topology, PrismConfig config)
     : topology_(topology), config_(std::move(config)) {
   if (const auto errors = config_.validate(); !errors.empty()) {
@@ -258,8 +261,7 @@ PrismReport Prism::analyze(const FlowView& view,
 PrismReport Prism::analyze_sorted(const FlowView& view,
                                   PrismSession* session) const {
   PrismReport report;
-  PrismMetrics& metrics = prism_metrics();
-  const obs::ScopedTimer analyze_timer(metrics.analyze_seconds);
+  const obs::ScopedTimer analyze_timer(analyze_seconds());
   const obs::Span analyze_span("prism.analyze");
 
   // A caller that did not arm the session gets sane window geometry: the
@@ -485,14 +487,7 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
     session->finish_window();
   }
 
-  metrics.analyses.inc();
-  metrics.jobs.inc(num_jobs);
-  metrics.flows_routed.inc(report.telemetry.flows_routed);
-  metrics.flows_routed_via_dst.inc(report.telemetry.flows_routed_via_dst);
-  metrics.flows_unattributed.inc(report.telemetry.flows_unattributed);
-  metrics.incidents.inc(report.telemetry.incidents);
-  metrics.alerts_explained.inc(report.telemetry.alerts_explained);
-  metrics.alerts_orphaned.inc(report.telemetry.alerts_orphaned);
+  publish(report);
   return report;
 }
 

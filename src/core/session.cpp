@@ -9,62 +9,47 @@ namespace llmprism {
 
 namespace {
 
-/// Registry instruments for the session warm path; looked up once. These
-/// are process-wide cumulative views of the per-session SessionCounters
-/// (which stay exact and per-instance for tests and reports).
-struct SessionMetrics {
-  obs::Counter& windows;
-  obs::Counter& jobs_created;
-  obs::Counter& jobs_reused;
-  obs::Counter& jobs_invalidated;
-  obs::Counter& recognition_reuses;
-  obs::Counter& recognition_rebuilds;
-  obs::Counter& pairs_reused;
-  obs::Counter& pairs_reclassified;
-  obs::Counter& boundary_steps_held;
-  obs::Counter& boundary_steps_carried;
-  obs::Counter& ewma_alerts;
-  obs::Gauge& jobs_tracked;
+/// Process-wide cumulative views of every session's SessionCounters.
+using SessionRegistryCounters = obs::TallyCounters<SessionCounters>;
+constexpr SessionRegistryCounters::Field kSessionCounters[] = {
+    {"llmprism_session_windows_total", "Warm analysis windows completed",
+     &SessionCounters::windows},
+    {"llmprism_session_jobs_created_total",
+     "Per-job session states minted (cache misses)",
+     &SessionCounters::jobs_created},
+    {"llmprism_session_jobs_reused_total",
+     "Per-job session states found warm (cache hits)",
+     &SessionCounters::jobs_reused},
+    {"llmprism_session_jobs_invalidated_total",
+     "Per-job session states evicted or dropped",
+     &SessionCounters::jobs_invalidated},
+    {"llmprism_session_recognition_reuses_total",
+     "Windows whose recognition partition + router were reused",
+     &SessionCounters::recognition_reuses},
+    {"llmprism_session_recognition_rebuilds_total",
+     "Windows whose pair set missed the recognition cache",
+     &SessionCounters::recognition_rebuilds},
+    {"llmprism_session_pairs_reused_total",
+     "Comm-type classifications reused from warm priors",
+     &SessionCounters::pairs_reused},
+    {"llmprism_session_pairs_reclassified_total",
+     "Pairs re-run through full BOCD classification",
+     &SessionCounters::pairs_reclassified},
+    {"llmprism_session_boundary_steps_held_total",
+     "Trailing DP bursts held back across a window boundary",
+     &SessionCounters::boundary_steps_held},
+    {"llmprism_session_boundary_steps_carried_total",
+     "Held bursts completed in a later window",
+     &SessionCounters::boundary_steps_carried},
+    {"llmprism_session_ewma_alerts_total",
+     "Cross-step alerts raised from carried EWMA baselines",
+     &SessionCounters::ewma_step_alerts},
 };
 
-SessionMetrics& session_metrics() {
-  static SessionMetrics metrics{
-      obs::default_registry().counter("llmprism_session_windows_total",
-                                      "Warm analysis windows completed"),
-      obs::default_registry().counter(
-          "llmprism_session_jobs_created_total",
-          "Per-job session states minted (cache misses)"),
-      obs::default_registry().counter(
-          "llmprism_session_jobs_reused_total",
-          "Per-job session states found warm (cache hits)"),
-      obs::default_registry().counter(
-          "llmprism_session_jobs_invalidated_total",
-          "Per-job session states evicted or dropped"),
-      obs::default_registry().counter(
-          "llmprism_session_recognition_reuses_total",
-          "Windows whose recognition partition + router were reused"),
-      obs::default_registry().counter(
-          "llmprism_session_recognition_rebuilds_total",
-          "Windows whose pair set missed the recognition cache"),
-      obs::default_registry().counter(
-          "llmprism_session_pairs_reused_total",
-          "Comm-type classifications reused from warm priors"),
-      obs::default_registry().counter(
-          "llmprism_session_pairs_reclassified_total",
-          "Pairs re-run through full BOCD classification"),
-      obs::default_registry().counter(
-          "llmprism_session_boundary_steps_held_total",
-          "Trailing DP bursts held back across a window boundary"),
-      obs::default_registry().counter(
-          "llmprism_session_boundary_steps_carried_total",
-          "Held bursts completed in a later window"),
-      obs::default_registry().counter(
-          "llmprism_session_ewma_alerts_total",
-          "Cross-step alerts raised from carried EWMA baselines"),
-      obs::default_registry().gauge("llmprism_session_jobs_tracked",
-                                    "Per-job states currently held"),
-  };
-  return metrics;
+obs::Gauge& jobs_tracked_gauge() {
+  static obs::Gauge& g = obs::default_registry().gauge(
+      "llmprism_session_jobs_tracked", "Per-job states currently held");
+  return g;
 }
 
 }  // namespace
@@ -93,6 +78,20 @@ std::vector<std::string> SessionConfig::validate() const {
 
 PrismSession::PrismSession(SessionConfig config) : config_(config) {}
 
+PrismSession::~PrismSession() {
+  if (published_jobs_tracked_ != 0) {
+    jobs_tracked_gauge().add(-static_cast<double>(published_jobs_tracked_));
+  }
+}
+
+void PrismSession::publish() {
+  static const SessionRegistryCounters counters(kSessionCounters);
+  counters.publish(counters_, published_);
+  jobs_tracked_gauge().add(static_cast<double>(job_states_.size()) -
+                           static_cast<double>(published_jobs_tracked_));
+  published_jobs_tracked_ = job_states_.size();
+}
+
 void PrismSession::begin_window(TimeNs window_end, bool hold_tail) {
   window_end_ = window_end;
   hold_tail_ = hold_tail;
@@ -102,12 +101,11 @@ void PrismSession::begin_window(TimeNs window_end, bool hold_tail) {
 void PrismSession::invalidate() {
   const std::uint64_t dropped = job_states_.size();
   counters_.jobs_invalidated += dropped;
-  session_metrics().jobs_invalidated.inc(dropped);
   job_states_.clear();
   recognition_valid_ = false;
   cached_pairs_.clear();
   router_.reset();
-  session_metrics().jobs_tracked.set(0.0);
+  publish();
 }
 
 bool PrismSession::probe_recognition(const FlowView& view) {
@@ -122,11 +120,9 @@ bool PrismSession::probe_recognition(const FlowView& view) {
   // verified fast path, not a heuristic.
   if (recognition_valid_ && probe_pairs_ == cached_pairs_) {
     ++counters_.recognition_reuses;
-    session_metrics().recognition_reuses.inc();
     return true;
   }
   ++counters_.recognition_rebuilds;
-  session_metrics().recognition_rebuilds.inc();
   return false;
 }
 
@@ -144,11 +140,9 @@ SessionJobState& PrismSession::job_state(
   SessionJobState* state;
   if (it != job_states_.end()) {
     ++counters_.jobs_reused;
-    session_metrics().jobs_reused.inc();
     state = &it->second;
   } else {
     ++counters_.jobs_created;
-    session_metrics().jobs_created.inc();
     state = &job_states_.emplace(machines, SessionJobState{}).first->second;
   }
   state->last_seen_window = window_index_;
@@ -170,12 +164,6 @@ void PrismSession::fold_job(const SessionJobState& state) {
   counters_.boundary_steps_held += state.timeline.steps_held;
   counters_.boundary_steps_carried += state.timeline.steps_carried_in;
   counters_.ewma_step_alerts += state.ewma_alerts_last;
-  SessionMetrics& metrics = session_metrics();
-  metrics.pairs_reused.inc(state.comm.pairs_reused);
-  metrics.pairs_reclassified.inc(state.comm.pairs_reclassified);
-  metrics.boundary_steps_held.inc(state.timeline.steps_held);
-  metrics.boundary_steps_carried.inc(state.timeline.steps_carried_in);
-  metrics.ewma_alerts.inc(state.ewma_alerts_last);
 }
 
 void PrismSession::finish_window() {
@@ -196,10 +184,7 @@ void PrismSession::finish_window() {
   ++counters_.windows;
   ++window_index_;
   window_armed_ = false;
-  SessionMetrics& metrics = session_metrics();
-  metrics.jobs_invalidated.inc(evicted);
-  metrics.windows.inc();
-  metrics.jobs_tracked.set(static_cast<double>(job_states_.size()));
+  publish();
 }
 
 }  // namespace llmprism

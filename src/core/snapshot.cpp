@@ -391,9 +391,10 @@ struct SnapshotAccess {
     s.window_armed_ = false;
     s.window_end_ = 0;
     s.hold_tail_ = false;
-    obs::default_registry()
-        .gauge("llmprism_session_jobs_tracked")
-        .set(static_cast<double>(s.job_states_.size()));
+    // Restored counts happened in another process: they are not counted
+    // again, but the held states join the process's jobs_tracked total.
+    s.published_ = counters;
+    s.publish();
   }
 
   static void write_monitor_payload(ByteWriter& w, const OnlineMonitor& m) {
@@ -502,6 +503,8 @@ struct SnapshotAccess {
     m.next_job_id_ = next_job_id;
     m.job_ids_ = std::move(job_ids);
     m.stats_ = std::move(stats);
+    m.published_ = m.stats_;
+    m.publish();
   }
 };
 

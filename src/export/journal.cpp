@@ -80,13 +80,6 @@ void add_origin(std::string& line, std::uint8_t kind, std::uint64_t identity) {
 
 }  // namespace
 
-IncidentJournal::IncidentJournal(JournalOptions options)
-    : options_(options) {
-  if (options_.resolve_after_windows == 0) {
-    options_.resolve_after_windows = 1;
-  }
-}
-
 std::string& IncidentJournal::next_line() {
   lines_ += '\n';
   ++num_events_;
@@ -165,15 +158,13 @@ void IncidentJournal::add_window(const WindowExportView& view) {
     }
   }
 
-  // Resolve incidents absent long enough (before this window's opens, so
-  // a re-appearing fault reads resolve -> open, a new lifecycle).
+  // Resolve incidents this window no longer reports (before its opens,
+  // so a re-appearing fault reads resolve -> open, a new lifecycle).
   std::vector<Key> resolved;
   for (const auto& [key, st] : open_) {
     if (seen.contains(key)) continue;
-    if (w - st.last_window >= options_.resolve_after_windows) {
-      emit_resolve(key, st, w, view.window.begin);
-      resolved.push_back(key);
-    }
+    emit_resolve(key, st, w, view.window.begin);
+    resolved.push_back(key);
   }
   for (const Key& key : resolved) open_.erase(key);
 

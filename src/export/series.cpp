@@ -86,14 +86,6 @@ void write_sample(std::ostream& os, std::string_view name,
 
 }  // namespace
 
-JobSeriesCollector::JobSeriesCollector(SeriesOptions options)
-    : options_(std::move(options)) {
-  if (options_.step_duration_buckets.empty()) {
-    options_.step_duration_buckets =
-        obs::Histogram::default_seconds_buckets();
-  }
-}
-
 void JobSeriesCollector::add_window(const WindowExportView& view) {
   if (view.report == nullptr) return;
   const double window_s = to_seconds(view.window.length());
@@ -113,7 +105,7 @@ void JobSeriesCollector::add_window(const WindowExportView& view) {
     // Step-duration quantiles through the shared fixed-bucket estimator
     // (obs::histogram_quantile) — same summary path as self-telemetry.
     obs::Histogram::Snapshot snap;
-    snap.bounds = options_.step_duration_buckets;
+    snap.bounds = obs::Histogram::default_seconds_buckets();
     snap.counts.assign(snap.bounds.size() + 1, 0);
     for (const GpuTimeline& tl : job.timelines) {
       for (const ReconstructedStep& s : tl.steps) {
@@ -180,9 +172,7 @@ void JobSeriesCollector::add_window(const WindowExportView& view) {
     std::vector<double> rank_medians;
     for (const GpuTimeline& tl : job.timelines) {
       const double med = median(Attributor::step_self_times(tl));
-      if (options_.per_rank) {
-        sample.rank_self_time_s.emplace_back(tl.gpu.value(), med);
-      }
+      sample.rank_self_time_s.emplace_back(tl.gpu.value(), med);
       if (med > 0.0) rank_medians.push_back(med);
     }
     if (rank_medians.size() >= 2) {
@@ -277,19 +267,17 @@ void JobSeriesCollector::write_openmetrics(std::ostream& os) const {
                 write_sample(os, name, {{"job", std::to_string(s.job)}},
                              static_cast<double>(s.flows), s.window.end);
               });
-  if (options_.per_rank) {
-    emit_family({"llmprism_rank_self_time_seconds",
-                 "Median per-step self time (compute before PP hand-off) "
-                 "of one rank."},
-                [&](const char* name, const JobWindowSample& s) {
-                  for (const auto& [gpu, v] : s.rank_self_time_s) {
-                    write_sample(os, name,
-                                 {{"job", std::to_string(s.job)},
-                                  {"rank", std::to_string(gpu)}},
-                                 v, s.window.end);
-                  }
-                });
-  }
+  emit_family({"llmprism_rank_self_time_seconds",
+               "Median per-step self time (compute before PP hand-off) "
+               "of one rank."},
+              [&](const char* name, const JobWindowSample& s) {
+                for (const auto& [gpu, v] : s.rank_self_time_s) {
+                  write_sample(os, name,
+                               {{"job", std::to_string(s.job)},
+                                {"rank", std::to_string(gpu)}},
+                               v, s.window.end);
+                }
+              });
   os << "# EOF\n";
 }
 

@@ -10,8 +10,8 @@
 
 #include "llmprism/common/csv.hpp"
 #include "llmprism/common/thread_pool.hpp"
-#include "llmprism/obs/metrics.hpp"
 #include "llmprism/obs/trace_span.hpp"
+#include "metrics.hpp"
 
 namespace llmprism {
 
@@ -19,20 +19,8 @@ namespace {
 
 constexpr std::string_view kHeader = "start_ns,src,dst,bytes,duration_ns,switches";
 
-// Ingest self-telemetry (names shared with the LFT readers in lft.cpp; the
-// registry deduplicates, so both files cache the same objects).
-obs::Counter& ingest_bytes_counter() {
-  static obs::Counter& c = obs::default_registry().counter(
-      "llmprism_ingest_bytes_total", "Bytes consumed by trace ingest (CSV + LFT)");
-  return c;
-}
-
-obs::Counter& ingest_rows_counter() {
-  static obs::Counter& c = obs::default_registry().counter(
-      "llmprism_ingest_rows_total", "Flow rows successfully ingested");
-  return c;
-}
-
+// CSV-only ingest self-telemetry; the metrics shared with the LFT readers
+// are in metrics.hpp.
 obs::Counter& ingest_bad_rows_counter() {
   static obs::Counter& c = obs::default_registry().counter(
       "llmprism_ingest_bad_rows_total", "CSV rows rejected with a diagnostic");
@@ -44,13 +32,6 @@ obs::Counter& ingest_chunks_counter() {
       "llmprism_ingest_chunks_total",
       "Chunks dispatched by the parallel CSV decoder");
   return c;
-}
-
-obs::Histogram& ingest_parse_seconds() {
-  static obs::Histogram& h = obs::default_registry().histogram(
-      "llmprism_ingest_parse_seconds",
-      "Wall time of one trace parse/load (CSV or LFT)");
-  return h;
 }
 
 std::string join_switches(const SwitchPath& path) {
@@ -248,13 +229,13 @@ void write_csv(std::ostream& os, const FlowTrace& trace) {
 ParseResult read_csv_checked(std::string_view buffer,
                              const CsvParseOptions& options) {
   const obs::Span span("ingest.csv");
-  const obs::ScopedTimer timer(ingest_parse_seconds());
+  const obs::ScopedTimer timer(flow_metrics::ingest_parse_seconds());
 
   ParseResult result;
   std::size_t data_offset = 0;
   std::size_t header_lines = 0;
   if (!scan_header(buffer, data_offset, header_lines, result)) {
-    ingest_bytes_counter().inc(buffer.size());
+    flow_metrics::ingest_bytes().inc(buffer.size());
     ingest_bad_rows_counter().inc(result.errors.size());
     return result;
   }
@@ -311,8 +292,8 @@ ParseResult read_csv_checked(std::string_view buffer,
   }
   result.lines_read = line_offset;
 
-  ingest_bytes_counter().inc(buffer.size());
-  ingest_rows_counter().inc(result.trace.size());
+  flow_metrics::ingest_bytes().inc(buffer.size());
+  flow_metrics::ingest_rows().inc(result.trace.size());
   ingest_bad_rows_counter().inc(result.errors.size());
   ingest_chunks_counter().inc(chunks.size());
   return result;

@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "llmprism/common/byte_codec.hpp"
-#include "llmprism/obs/metrics.hpp"
 #include "llmprism/obs/trace_span.hpp"
+#include "metrics.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define LLMPRISM_LFT_HAVE_MMAP 1
@@ -42,23 +42,13 @@ constexpr const char* kSectionName[kSectionCount] = {
     "start_ns", "src",            "dst",       "bytes",
     "duration", "switch_offsets", "switch_ids"};
 
-obs::Counter& ingest_bytes_counter() {
-  static obs::Counter& c = obs::default_registry().counter(
-      "llmprism_ingest_bytes_total", "Bytes consumed by trace ingest (CSV + LFT)");
-  return c;
-}
-
-obs::Counter& ingest_rows_counter() {
-  static obs::Counter& c = obs::default_registry().counter(
-      "llmprism_ingest_rows_total", "Flow rows successfully ingested");
-  return c;
-}
-
-obs::Histogram& ingest_parse_seconds() {
-  static obs::Histogram& h = obs::default_registry().histogram(
-      "llmprism_ingest_parse_seconds",
-      "Wall time of one trace parse/load (CSV or LFT)");
-  return h;
+/// Count one decoded image. A sorted file is analyzed without any sort()
+/// call, so the load itself touches the sort counter: the run's metrics
+/// then show the zero sorts it took.
+void note_load(std::size_t bytes, std::size_t rows) {
+  flow_metrics::ingest_bytes().inc(bytes);
+  flow_metrics::ingest_rows().inc(rows);
+  flow_metrics::sorts();
 }
 
 constexpr std::uint64_t padded(std::uint64_t n) {
@@ -206,7 +196,7 @@ void write_lft(std::ostream& os, const FlowTrace& trace) {
 
 FlowColumns read_lft_columns(std::span<const std::byte> image) {
   const obs::Span span("ingest.lft_buffer");
-  const obs::ScopedTimer timer(ingest_parse_seconds());
+  const obs::ScopedTimer timer(flow_metrics::ingest_parse_seconds());
 
   ByteReader r(image, kPrefix);
   const Shape shape = open_image(r, image);
@@ -222,8 +212,7 @@ FlowColumns read_lft_columns(std::span<const std::byte> image) {
     r.fail(error);
   }
 
-  ingest_bytes_counter().inc(image.size());
-  ingest_rows_counter().inc(columns.size());
+  note_load(image.size(), columns.size());
   return columns;
 }
 
@@ -260,7 +249,7 @@ bool is_lft_file(const std::string& path) {
 
 MappedFlowTrace::MappedFlowTrace(const std::string& path) {
   const obs::Span span("ingest.lft_mmap");
-  const obs::ScopedTimer timer(ingest_parse_seconds());
+  const obs::ScopedTimer timer(flow_metrics::ingest_parse_seconds());
 
 #if LLMPRISM_LFT_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
@@ -299,8 +288,7 @@ MappedFlowTrace::MappedFlowTrace(const std::string& path) {
     throw;
   }
 
-  ingest_bytes_counter().inc(map_size_);
-  ingest_rows_counter().inc(view_.size());
+  note_load(map_size_, view_.size());
 }
 
 MappedFlowTrace::~MappedFlowTrace() { reset(); }

@@ -3,24 +3,9 @@
 #include <algorithm>
 #include <utility>
 
-#include "llmprism/obs/metrics.hpp"
+#include "metrics.hpp"
 
 namespace llmprism {
-
-namespace {
-
-/// Process-wide count of *physical* sorts (no-op calls on already-sorted
-/// traces are free and not counted). Looked up once; the handle stays
-/// valid for the registry's lifetime.
-obs::Counter& sorts_counter() {
-  static obs::Counter& counter = obs::default_registry().counter(
-      "llmprism_flowtrace_sorts_total",
-      "Physical FlowTrace sorts performed (no-op sorts on already-sorted "
-      "traces are not counted)");
-  return counter;
-}
-
-}  // namespace
 
 FlowTrace::FlowTrace(std::vector<FlowRecord> flows)
     : flows_(std::move(flows)),
@@ -70,7 +55,7 @@ void FlowTrace::sort() {
   // Touch the counter handle even on the no-op path so the metric is
   // registered (and exported as 0) as soon as any trace enters the
   // pipeline boundary.
-  obs::Counter& sorts = sorts_counter();
+  obs::Counter& sorts = flow_metrics::sorts();
   if (is_sorted()) return;
   std::sort(flows_.begin(), flows_.end(), FlowStartTimeLess{});
   sorted_ = true;

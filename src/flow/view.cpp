@@ -8,20 +8,11 @@
 #include <utility>
 
 #include "llmprism/common/thread_pool.hpp"
-#include "llmprism/obs/metrics.hpp"
+#include "metrics.hpp"
 
 namespace llmprism {
 
 namespace {
-
-/// Same counter FlowTrace::sort uses: every *physical* sort of flow data,
-/// AoS or columnar, is one tick — the sort-once discipline stays
-/// observable no matter which representation backs the pipeline.
-obs::Counter& sorts_counter() {
-  static obs::Counter& counter = obs::default_registry().counter(
-      "llmprism_flowtrace_sorts_total");
-  return counter;
-}
 
 /// FlowStartTimeLess over two view rows: (start, src, dst, bytes).
 bool row_less(const FlowView& a, std::size_t i, const FlowView& b,
@@ -307,11 +298,15 @@ void FlowColumns::drop_before(TimeNs t) {
 }
 
 void FlowColumns::sort() {
+  // The same counter as FlowTrace::sort: every physical sort of flow data,
+  // AoS or columnar, is one tick; touched before the no-op return so it is
+  // exported (as 0) once any flows reach a sort boundary.
+  obs::Counter& sorts = flow_metrics::sorts();
   if (sorted || view().verify_sorted()) {
     sorted = true;
     return;
   }
-  sorts_counter().inc();
+  sorts.inc();
   const FlowView v = view();
   std::vector<std::uint32_t> order(size());
   std::iota(order.begin(), order.end(), 0);

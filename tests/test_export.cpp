@@ -140,8 +140,8 @@ std::string series_jsonl(DurationNs shift = 0) {
   return os.str();
 }
 
-std::string journal_jsonl(JournalOptions options = {}, DurationNs shift = 0) {
-  IncidentJournal journal(options);
+std::string journal_jsonl(DurationNs shift = 0) {
+  IncidentJournal journal;
   for (const WindowExportView& view : fleet_views(shift)) {
     journal.add_window(view);
   }
@@ -610,7 +610,7 @@ TEST(ExportGoldenBytes, NegativeWindowBegin) {
                 {19'662, 0xf1cc5c3d75488ffbULL});
   expect_golden(series_jsonl(kNegativeShift),
                 {8'841, 0x53711b9d3887ca2dULL});
-  expect_golden(journal_jsonl({}, kNegativeShift),
+  expect_golden(journal_jsonl(kNegativeShift),
                 {973, 0x967e03252796a5c2ULL});
   expect_golden(perfetto_output({}, kLateOriginShift),
                 {9'226'455, 0x59176b6da2792c41ULL});

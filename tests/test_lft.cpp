@@ -194,6 +194,20 @@ TEST(LftRoundTripTest, SortedFileLoadsBornSortedWithZeroSorts) {
   EXPECT_EQ(sorts.value(), before);
 }
 
+TEST(MappedFlowTraceTest, SortedLoadExportsTheSortCounter) {
+  // A sorted file reaches the analysis without any sort() call. Loading it
+  // still registers the sort counter, so the run's metrics show the zero
+  // sorts it took. Nothing here sorts before the load.
+  FlowTrace t;
+  for (int i = 0; i < 4; ++i) t.add(make_flow(i, 1, 2));
+  const MappedFlowTrace mapped(write_temp(lft_bytes(t), "lft_sorts.lft"));
+  EXPECT_TRUE(mapped.view().sorted);
+  std::ostringstream os;
+  obs::default_registry().write_prometheus(os);
+  EXPECT_NE(os.str().find("\nllmprism_flowtrace_sorts_total "),
+            std::string::npos);
+}
+
 TEST(LftRoundTripTest, FileHelpersRoundTrip) {
   FlowTrace t;
   t.add(make_flow(1, 2, 3));
