@@ -503,6 +503,8 @@ struct SnapshotAccess {
     m.next_job_id_ = next_job_id;
     m.job_ids_ = std::move(job_ids);
     m.stats_ = std::move(stats);
+    // As for the session: the restored buffer joins buffered_flows, the
+    // restored counts are not counted again.
     m.published_ = m.stats_;
     m.publish();
   }
