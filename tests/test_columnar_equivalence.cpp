@@ -17,12 +17,16 @@
 #include <string>
 #include <vector>
 
+#include "llmprism/collector/collector.hpp"
+#include "llmprism/collector/packetize.hpp"
+#include "llmprism/common/hash.hpp"
 #include "llmprism/core/prism.hpp"
 #include "llmprism/core/render.hpp"
 #include "llmprism/export/journal.hpp"
 #include "llmprism/export/perfetto.hpp"
 #include "llmprism/export/series.hpp"
 #include "llmprism/export/view.hpp"
+#include "llmprism/flow/io.hpp"
 #include "llmprism/flow/lft.hpp"
 #include "llmprism/flow/view.hpp"
 #include "llmprism/obs/metrics.hpp"
@@ -340,6 +344,91 @@ TEST(ColumnarEquivalenceCoverageTest, MixProducesFindings) {
   EXPECT_FALSE(f.baseline.attribution.incidents.empty());
   EXPECT_GT(f.baseline.telemetry.bocd_observations, 0u);
   EXPECT_GT(f.baseline.telemetry.steps_reconstructed, 0u);
+}
+
+// --- producer golden bytes -------------------------------------------------
+// Every producer's output pinned as the XXH64 of its LFT image: rows, row
+// order, switch paths and the sorted flag. A change to how the simulator,
+// the noise and fault passes, the collector or the CSV decoder build their
+// traces must leave these digests alone.
+
+template <typename Trace>
+void expect_lft_golden(const Trace& trace, std::size_t size,
+                       std::uint64_t digest, const char* name) {
+  std::ostringstream os(std::ios::binary);
+  write_lft(os, trace);
+  const std::string bytes = std::move(os).str();
+  const std::uint64_t got = xxhash64(bytes.data(), bytes.size());
+  EXPECT_EQ(bytes.size(), size) << name;
+  EXPECT_EQ(got, digest) << name << std::hex << ": actual xxh64 0x" << got;
+}
+
+// Drop, duplicate, size jitter, time jitter and a switch fault.
+TEST(ProducerGoldenBytes, NoisyMixSimulation) {
+  expect_lft_golden(run_cluster_sim(noisy_mix()).trace, 960'520,
+                    0xbde12850d060ce4bULL, "noisy mix");
+}
+
+// Table I collection noise: correlated burst truncation on a fraction of
+// the pairs, plus drops, duplicates and time jitter.
+TEST(ProducerGoldenBytes, TableOneNoiseMix) {
+  ClusterSimConfig cfg;
+  cfg.topology = {.num_machines = 8, .gpus_per_machine = 8,
+                  .machines_per_leaf = 2, .num_spines = 2};
+  JobSimConfig j0;
+  j0.parallelism = {.tp = 8, .dp = 2, .pp = 2, .micro_batches = 4};
+  j0.num_steps = 8;
+  cfg.jobs.push_back({j0, {}});
+  JobSimConfig j1;
+  j1.parallelism = {.tp = 4, .dp = 4, .pp = 2, .micro_batches = 4};
+  j1.num_steps = 8;
+  cfg.jobs.push_back({j1, {}});
+  cfg.noise.degraded_pair_fraction = 0.28;
+  cfg.noise.truncation_prob_min = 0.25;
+  cfg.noise.truncation_prob_max = 0.47;
+  cfg.noise.drop_rate = 0.01;
+  cfg.noise.duplicate_rate = 0.005;
+  cfg.noise.time_jitter = 50 * kMicrosecond;
+  cfg.seed = 5;
+  expect_lft_golden(run_cluster_sim(cfg).trace, 451'048,
+                    0x15415eb6295dd3a9ULL, "table I noise");
+}
+
+// Simulator flows cut into packets and re-assembled by the flow collector.
+TEST(ProducerGoldenBytes, CollectorFlows) {
+  ClusterSimConfig cfg;
+  cfg.topology = {.num_machines = 8, .gpus_per_machine = 8,
+                  .machines_per_leaf = 4, .num_spines = 2};
+  JobSimConfig job;
+  job.parallelism = {.tp = 8, .dp = 2, .pp = 2, .micro_batches = 4};
+  job.num_steps = 4;
+  cfg.jobs.push_back({job, {}});
+  const auto sim = run_cluster_sim(cfg);
+  Rng rng(99);
+  const auto packets = packetize(sim.trace, {}, rng);
+  expect_lft_golden(collect_flows(packets, sim.topology, {}, rng), 33'896,
+                    0x2a082bc5ee5591f5ULL, "collector");
+}
+
+// The chunk-parallel CSV decoder on a file whose two halves are swapped:
+// every chunk is a sorted run, but the stitched trace is not sorted.
+TEST(ProducerGoldenBytes, ChunkedCsvDecode) {
+  const auto sim = run_cluster_sim(noisy_mix());
+  std::ostringstream csv;
+  write_csv(csv, sim.trace);
+  const std::string text = csv.str();
+  const std::size_t header_end = text.find('\n') + 1;
+  const std::size_t middle = text.find('\n', (header_end + text.size()) / 2) + 1;
+  const std::string rotated = text.substr(0, header_end) +
+                              text.substr(middle) +
+                              text.substr(header_end, middle - header_end);
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const ParseResult parsed = read_csv_checked(
+        rotated, {.num_threads = threads, .min_chunk_bytes = 64 * 1024});
+    ASSERT_TRUE(parsed.ok());
+    expect_lft_golden(parsed.trace, 960'520, 0xb9ab40b0711cb003ULL, "csv");
+  }
 }
 
 }  // namespace
