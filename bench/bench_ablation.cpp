@@ -111,7 +111,7 @@ int main() {
     const auto sim = simulate(0.0, 0.0, w.jitter, 99, w.zero_overlap);
     const Classified c = classify(sim.trace);
     const auto timelines = TimelineReconstructor{}.reconstruct_all(
-        c.columns.view(), c.flow_types);
+        sim.trace.view(), c.flow_types);
     const auto bocd_score = score_timelines(std::span(timelines), sim.jobs[0]);
     std::printf("  %s | %5.1f%% / %4zu / %5.3f%%", w.name,
                 100 * bocd_score.matched_fraction(),

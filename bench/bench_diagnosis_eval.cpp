@@ -268,7 +268,7 @@ int main(int argc, char** argv) {
     cfg.jobs[0].config.stragglers.push_back(fault);
     const ClusterSimResult sim = run_cluster_sim(cfg);
     const PrismReport report =
-        Prism(sim.topology).analyze(FlowColumns(sim.trace).view());
+        Prism(sim.topology).analyze(sim.trace.view());
     const FaultMatch m = match_straggler(
         report, sim.jobs[0], cfg.jobs[0].config.parallelism, fault);
     ++straggler_score.trials;
@@ -289,7 +289,7 @@ int main(int argc, char** argv) {
     cfg.jobs[0].config.slow_dp_groups.push_back(fault);
     const ClusterSimResult sim = run_cluster_sim(cfg);
     const PrismReport report =
-        Prism(sim.topology).analyze(FlowColumns(sim.trace).view());
+        Prism(sim.topology).analyze(sim.trace.view());
     const FaultMatch m = match_slow_group(
         report, sim.jobs[0], cfg.jobs[0].config.parallelism, fault);
     ++group_score.trials;
@@ -324,7 +324,7 @@ int main(int argc, char** argv) {
          .bandwidth_factor = factor});
     const ClusterSimResult sim = run_cluster_sim(cfg);
     const PrismReport report =
-        Prism(sim.topology).analyze(FlowColumns(sim.trace).view());
+        Prism(sim.topology).analyze(sim.trace.view());
     const FaultMatch m = match_switch(report, switch_id);
     ++switch_score.trials;
     switch_score.score_fault(m);
@@ -354,7 +354,7 @@ int main(int argc, char** argv) {
     cfg.jobs[0].config.slow_dp_groups.push_back(slow_group);
     const ClusterSimResult sim = run_cluster_sim(cfg);
     const PrismReport report =
-        Prism(sim.topology).analyze(FlowColumns(sim.trace).view());
+        Prism(sim.topology).analyze(sim.trace.view());
     const FaultMatch ms = match_straggler(
         report, sim.jobs[0], cfg.jobs[0].config.parallelism, straggler);
     const FaultMatch mg = match_slow_group(

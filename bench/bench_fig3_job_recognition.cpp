@@ -74,9 +74,9 @@ int main() {
               sim_watch.seconds());
 
   // One-minute window (the whole trace if shorter, as here).
-  const TimeWindow window{0, std::min<TimeNs>(kMinute, sim.trace.span().end)};
-  const FlowColumns columns(sim.trace);
-  const FlowView flows = columns.view().window(window);
+  const TimeWindow window{
+      0, std::min<TimeNs>(kMinute, sim.trace.view().time_span().end)};
+  const FlowView flows = sim.trace.view().window(window);
 
   Stopwatch watch;
   const JobRecognizer recognizer(sim.topology);
@@ -107,7 +107,7 @@ int main() {
   std::printf("\nwindow-length robustness (jobs recognized / exact):\n");
   for (const DurationNs w : {kSecond, 2 * kSecond, 5 * kSecond, 10 * kSecond,
                              30 * kSecond, kMinute}) {
-    const FlowView slice = columns.view().window({0, w});
+    const FlowView slice = sim.trace.view().window({0, w});
     const auto r = recognizer.recognize(slice);
     const auto s = score_job_recognition(r, std::span(sim.jobs));
     std::printf("  %5.0f s window: %2zu jobs, %2zu exact\n", to_seconds(w),

@@ -33,13 +33,13 @@ int main() {
   Stopwatch sim_watch;
   const ClusterSimResult sim = run_cluster_sim(cfg);
   std::printf("simulated %zu flows over %.0f s (%.1f s)\n", sim.trace.size(),
-              to_seconds(sim.trace.span().length()), sim_watch.seconds());
+              to_seconds(sim.trace.view().time_span().length()), sim_watch.seconds());
 
   Stopwatch watch;
   const Classified c = classify(sim.trace);
   const TimelineReconstructor reconstructor;
   const auto timelines =
-      reconstructor.reconstruct_all(c.columns.view(), c.flow_types);
+      reconstructor.reconstruct_all(sim.trace.view(), c.flow_types);
   const double elapsed = watch.seconds();
 
   const auto score = score_timelines(std::span(timelines), sim.jobs[0]);

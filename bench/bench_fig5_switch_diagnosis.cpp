@@ -53,14 +53,14 @@ int main() {
   Stopwatch sim_watch;
   const ClusterSimResult sim = run_cluster_sim(cfg);
   std::printf("simulated %zu flows over %.0f min (%.1f s)\n",
-              sim.trace.size(), to_seconds(sim.trace.span().length()) / 60.0,
+              sim.trace.size(), to_seconds(sim.trace.view().time_span().length()) / 60.0,
               sim_watch.seconds());
 
   PrismConfig prism_config;
   prism_config.reconstruct_timelines = false;  // switch-level only
   const Prism prism(sim.topology, prism_config);
   Stopwatch watch;
-  const PrismReport report = prism.analyze(FlowColumns(sim.trace).view());
+  const PrismReport report = prism.analyze(sim.trace.view());
   std::printf("analysis wall time: %.1f s\n\n", watch.seconds());
 
   std::printf("per-switch one-hour average DP bandwidth (the Fig. 5 series):\n");

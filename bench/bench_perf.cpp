@@ -111,7 +111,7 @@ void BM_JobRecognition(benchmark::State& state) {
   const JobRecognizer recognizer(sim.topology);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        recognizer.recognize(FlowColumns(sim.trace).view()));
+        recognizer.recognize(sim.trace.view()));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * sim.trace.size()));
@@ -122,9 +122,8 @@ BENCHMARK(BM_JobRecognition);
 void BM_CommTypeIdentify(benchmark::State& state) {
   const auto& sim = shared_cluster();
   const CommTypeIdentifier identifier;
+  const FlowView view = sim.trace.view();
   for (auto _ : state) {
-    const FlowColumns columns(sim.trace);
-    const FlowView view = columns.view();
     benchmark::DoNotOptimize(identifier.identify(view, PairIndex(view)));
   }
   state.SetItemsProcessed(
@@ -136,15 +135,14 @@ void BM_TimelineReconstructAll(benchmark::State& state) {
   const auto& sim = shared_cluster();
   std::vector<CommType> flow_types;
   {
-    const FlowColumns columns(sim.trace);
-    const FlowView view = columns.view();
+    const FlowView view = sim.trace.view();
     benchmark::DoNotOptimize(
         CommTypeIdentifier{}.identify(view, PairIndex(view), &flow_types));
   }
   const TimelineReconstructor reconstructor;
   for (auto _ : state) {
     benchmark::DoNotOptimize(reconstructor.reconstruct_all(
-        FlowColumns(sim.trace).view(), flow_types));
+        sim.trace.view(), flow_types));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * sim.trace.size()));
@@ -159,7 +157,7 @@ void BM_PrismEndToEnd(benchmark::State& state) {
   cfg.num_threads = 1;
   const Prism prism(sim.topology, cfg);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(prism.analyze(FlowColumns(sim.trace).view()));
+    benchmark::DoNotOptimize(prism.analyze(sim.trace.view()));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * sim.trace.size()));
@@ -186,9 +184,8 @@ struct StageFixture {
 const StageFixture& stage_fixture() {
   static const StageFixture fixture = [] {
     StageFixture f;
-    FlowTrace sorted = shared_cluster().trace;
-    sorted.sort();
-    f.columns = FlowColumns(sorted);
+    f.columns = shared_cluster().trace;
+    f.columns.sort();
     const FlowView view = f.columns.view();
     f.index = PairIndex(view);
     benchmark::DoNotOptimize(
@@ -387,7 +384,7 @@ void BM_PrismAnalyze(benchmark::State& state) {
   cfg.num_threads = static_cast<std::size_t>(state.range(0));
   const Prism prism(sim.topology, cfg);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(prism.analyze(FlowColumns(sim.trace).view()));
+    benchmark::DoNotOptimize(prism.analyze(sim.trace.view()));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * sim.trace.size()));
@@ -446,8 +443,8 @@ BENCHMARK(BM_FleetExport);
 void BM_PerfettoExport(benchmark::State& state) {
   const auto& sim = shared_cluster();
   const Prism prism(sim.topology);
-  const PrismReport report = prism.analyze(FlowColumns(sim.trace).view());
-  const WindowExportView view{sim.trace.span(), &report, {}};
+  const PrismReport report = prism.analyze(sim.trace.view());
+  const WindowExportView view{sim.trace.view().time_span(), &report, {}};
 
   std::size_t events = 0;
   std::size_t bytes = 0;
@@ -487,13 +484,9 @@ void run_monitor_ingest(benchmark::State& state, bool carry_state) {
     OnlineMonitor monitor(sim.topology, cfg);
     std::size_t ticks = 0;
     for (std::size_t at = 0; at < sim.trace.size(); at += kBatch) {
-      FlowTrace batch;
-      batch.reserve(kBatch);
-      for (std::size_t i = at; i < std::min(at + kBatch, sim.trace.size());
-           ++i) {
-        batch.add(sim.trace[i]);
-      }
-      ticks += monitor.ingest(batch).size();
+      ticks += monitor.ingest(sim.trace.view().slice(
+                                  at, std::min(at + kBatch, sim.trace.size())))
+                   .size();
     }
     ticks += monitor.flush().has_value() ? 1 : 0;
     benchmark::DoNotOptimize(ticks);
@@ -523,14 +516,11 @@ void BM_FlowMergeSorted(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
   std::vector<FlowColumns> runs;
   {
-    std::vector<FlowTrace> traces(k);
+    runs.resize(k);
     for (std::size_t i = 0; i < sim.trace.size(); ++i) {
-      traces[i % k].add(sim.trace[i]);
+      runs[i % k].add(sim.trace[i]);
     }
-    for (FlowTrace& trace : traces) {
-      trace.sort();
-      runs.emplace_back(trace);
-    }
+    for (FlowColumns& run : runs) run.sort();
   }
   for (auto _ : state) {
     std::vector<FlowColumns> copy = runs;
@@ -588,7 +578,7 @@ void BM_ReadLftStream(benchmark::State& state) {
   std::size_t flows = 0;
   for (auto _ : state) {
     std::istringstream is(bytes, std::ios::binary);
-    const FlowTrace trace = read_lft(is);
+    const FlowColumns trace = read_lft(is);
     flows = trace.size();
     benchmark::DoNotOptimize(&trace);
   }

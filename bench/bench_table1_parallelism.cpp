@@ -61,13 +61,13 @@ int main() {
     const ClusterSimResult sim = run_cluster_sim(cfg);
     std::printf("%s: %8zu flows over %5.0f s  (sim %4.1f s",
                 spec.name, sim.trace.size(),
-                to_seconds(sim.trace.span().length()), sim_watch.seconds());
+                to_seconds(sim.trace.view().time_span().length()),
+                sim_watch.seconds());
 
     Stopwatch analysis_watch;
     const CommTypeIdentifier identifier;
-    const FlowColumns columns(sim.trace);
     for (std::size_t w = 0; w < windows.size(); ++w) {
-      const FlowView slice = columns.view().window({0, windows[w]});
+      const FlowView slice = sim.trace.view().window({0, windows[w]});
       const auto result = identifier.identify(slice, PairIndex(slice));
       const auto with = score_comm_type(std::span(result.pairs), sim.jobs[0],
                                         /*use_pre_refinement=*/false);

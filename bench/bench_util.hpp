@@ -64,20 +64,17 @@ inline NoiseConfig table1_noise() {
   return noise;
 }
 
-/// Alg. 2 over one job's flows: the flows transposed once into columns,
-/// classified over a fresh pair index, with the per-row types kept for
-/// timeline reconstruction.
+/// Alg. 2 over one job's flows, classified over a fresh pair index, with
+/// the per-row types kept for timeline reconstruction.
 struct Classified {
-  FlowColumns columns;
   CommTypeResult comm;
   std::vector<CommType> flow_types;
 };
 
-inline Classified classify(const FlowTrace& trace) {
+inline Classified classify(const FlowView& flows) {
   Classified c;
-  c.columns = FlowColumns(trace);
-  const FlowView view = c.columns.view();
-  c.comm = CommTypeIdentifier{}.identify(view, PairIndex(view), &c.flow_types);
+  c.comm =
+      CommTypeIdentifier{}.identify(flows, PairIndex(flows), &c.flow_types);
   return c;
 }
 

@@ -39,8 +39,7 @@ int main() {
   const ClusterSimResult sim = run_cluster_sim(sim_config);
 
   const Prism prism(sim.topology);
-  const FlowColumns flows(sim.trace);
-  const PrismReport report = prism.analyze(flows.view());
+  const PrismReport report = prism.analyze(sim.trace);
   const JobAnalysis& analysis = report.jobs.front();
 
   std::cout << "\n--- cross-step diagnosis (straggler) ---\n";

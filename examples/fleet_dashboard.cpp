@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   const ClusterSimResult sim = run_cluster_sim(sim_config);
   std::cout << "cluster feed: " << sim.trace.size() << " flows, "
             << sim.jobs.size() << " tenants, "
-            << to_seconds(sim.trace.span().length()) << " s\n";
+            << to_seconds(sim.trace.view().time_span().length()) << " s\n";
 
   // The monitored side: fixed windows, warm cross-window state.
   MonitorConfig config;
@@ -75,11 +75,11 @@ int main(int argc, char** argv) {
   }
   ExportSinks sinks(exports);
 
-  const FlowColumns flows(sim.trace);
-  const TimeWindow span = sim.trace.span();
+  const FlowView flows = sim.trace.view();
+  const TimeWindow span = flows.time_span();
   for (TimeNs at = span.begin; at < span.end; at += kSecond) {
     for (const MonitorTick& tick :
-         monitor.ingest(flows.view().window({at, at + kSecond}))) {
+         monitor.ingest(flows.window({at, at + kSecond}))) {
       sinks.add_window(export_view(tick));
     }
   }

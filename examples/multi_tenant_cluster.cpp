@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   std::cout << "simulating 6 tenant jobs on a 1024-GPU cluster...\n";
   const ClusterSimResult sim = run_cluster_sim(sim_config);
   std::cout << "collector delivered " << sim.trace.size() << " flows over "
-            << to_seconds(sim.trace.span().length()) << " s\n\n";
+            << to_seconds(sim.trace.view().time_span().length()) << " s\n\n";
 
   if (argc > 1) {
     write_csv_file(argv[1], sim.trace);
@@ -56,8 +56,7 @@ int main(int argc, char** argv) {
   PrismConfig config;
   config.reconstruct_timelines = false;  // recognition + parallelism only
   const Prism prism(sim.topology, config);
-  const FlowColumns flows(sim.trace);
-  const PrismReport report = prism.analyze(flows.view());
+  const PrismReport report = prism.analyze(sim.trace);
 
   std::cout << "recognized " << report.jobs.size() << " jobs from "
             << report.recognition.num_cross_machine_clusters

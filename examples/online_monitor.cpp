@@ -33,7 +33,7 @@ int main() {
   sim_config.jobs.push_back({degraded, {}});
   const ClusterSimResult sim = run_cluster_sim(sim_config);
   std::cout << "feed: " << sim.trace.size() << " flows over "
-            << to_seconds(sim.trace.span().length()) << " s\n\n";
+            << to_seconds(sim.trace.view().time_span().length()) << " s\n\n";
 
   MonitorConfig config;
   config.window = 5 * kSecond;
@@ -42,10 +42,10 @@ int main() {
   // Stream the feed in 1-second collector batches, as a live deployment
   // would receive it.
   std::vector<MonitorTick> ticks;
-  const FlowColumns flows(sim.trace);
-  const TimeWindow span = sim.trace.span();
+  const FlowView flows = sim.trace.view();
+  const TimeWindow span = flows.time_span();
   for (TimeNs at = span.begin; at < span.end; at += kSecond) {
-    const FlowView batch = flows.view().window({at, at + kSecond});
+    const FlowView batch = flows.window({at, at + kSecond});
     for (auto& tick : monitor.ingest(batch)) ticks.push_back(std::move(tick));
   }
   if (auto last = monitor.flush()) ticks.push_back(std::move(*last));

@@ -36,8 +36,7 @@ int main() {
 
   // --- the black-box analysis: flows + topology in, diagnosis out ---
   const Prism prism(sim.topology);
-  const FlowColumns flows(sim.trace);
-  const PrismReport report = prism.analyze(flows.view());
+  const PrismReport report = prism.analyze(sim.trace);
 
   std::cout << render_report_summary(report) << '\n';
 

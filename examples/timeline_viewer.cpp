@@ -29,16 +29,17 @@ ClusterSimResult demo_cluster() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  FlowTrace trace;
+  FlowColumns trace;
   TopologyConfig topo_config{.num_machines = 8, .gpus_per_machine = 8,
                              .machines_per_leaf = 4, .num_spines = 2};
   if (argc > 1) {
+    // The file loads as owning flow columns in file order; analyze() sorts
+    // a copy once at its boundary if they are not in time order.
     trace = read_csv_file(argv[1]);
-    trace.sort();
     // Size the topology to cover the largest GPU id in the trace.
     std::uint32_t max_gpu = 0;
-    for (const FlowRecord& f : trace) {
-      max_gpu = std::max({max_gpu, f.src.value(), f.dst.value()});
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      max_gpu = std::max({max_gpu, trace.src[i], trace.dst[i]});
     }
     topo_config.num_machines = max_gpu / topo_config.gpus_per_machine + 1;
     std::cout << "loaded " << trace.size() << " flows from " << argv[1]
@@ -53,8 +54,7 @@ int main(int argc, char** argv) {
 
   const auto topology = ClusterTopology::build(topo_config);
   const Prism prism(topology);
-  const FlowColumns flows(trace);
-  const PrismReport report = prism.analyze(flows.view());
+  const PrismReport report = prism.analyze(trace);
   if (report.jobs.empty()) {
     std::cout << "no jobs recognized in the trace\n";
     return 1;

@@ -12,7 +12,7 @@
 
 #include "llmprism/common/comm_type.hpp"
 #include "llmprism/common/ids.hpp"
-#include "llmprism/flow/trace.hpp"
+#include "llmprism/flow/view.hpp"
 
 namespace llmprism {
 
@@ -22,7 +22,7 @@ struct GlobalDistinctSizeConfig {
 
 /// Classify every pair in `job_trace`: DP iff > 1 distinct size overall.
 [[nodiscard]] std::unordered_map<GpuPair, CommType>
-classify_by_global_distinct_sizes(const FlowTrace& job_trace,
+classify_by_global_distinct_sizes(const FlowView& job_trace,
                                   const GlobalDistinctSizeConfig& config = {});
 
 struct VolumeThresholdConfig {
@@ -31,7 +31,7 @@ struct VolumeThresholdConfig {
 
 /// Classify every pair in `job_trace` by mean flow size.
 [[nodiscard]] std::unordered_map<GpuPair, CommType>
-classify_by_volume_threshold(const FlowTrace& job_trace,
+classify_by_volume_threshold(const FlowView& job_trace,
                              const VolumeThresholdConfig& config = {});
 
 }  // namespace llmprism

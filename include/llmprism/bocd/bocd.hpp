@@ -207,9 +207,10 @@ class BocdDetector {
 /// shape matches the previous series (it almost always does; only
 /// prior_mean / prior_beta vary per series), the cached per-run-length
 /// Student-t coefficient tables survive, eliminating the per-series
-/// lgamma/exp rebuild that dominated fresh construction. Reuses are counted
-/// in llmprism_bocd_detector_reuses_total. The reference stays valid for
-/// the thread's lifetime; the next pooled_detector() call invalidates the
+/// lgamma/exp rebuild that dominated fresh construction. Reuses are not
+/// counted: which worker thread serves a series varies from run to run, so
+/// a reuse count would too. The reference stays valid for the thread's
+/// lifetime; the next pooled_detector() call invalidates the
 /// detector's STATE (not the reference), so finish one series before
 /// acquiring the pool for the next.
 [[nodiscard]] BocdDetector& pooled_detector(const BocdConfig& config);

@@ -16,7 +16,7 @@
 
 #include "llmprism/collector/packet.hpp"
 #include "llmprism/common/rng.hpp"
-#include "llmprism/flow/trace.hpp"
+#include "llmprism/flow/view.hpp"
 #include "llmprism/topology/topology.hpp"
 
 namespace llmprism {
@@ -34,9 +34,9 @@ struct CollectorConfig {
 /// knows the fabric). The result is time-sorted.
 /// Throws std::invalid_argument on non-positive timeouts or a sampling
 /// ratio outside (0, 1].
-[[nodiscard]] FlowTrace collect_flows(std::span<const PacketRecord> packets,
-                                      const ClusterTopology& topology,
-                                      const CollectorConfig& config,
-                                      Rng& rng);
+[[nodiscard]] FlowColumns collect_flows(std::span<const PacketRecord> packets,
+                                        const ClusterTopology& topology,
+                                        const CollectorConfig& config,
+                                        Rng& rng);
 
 }  // namespace llmprism

@@ -7,7 +7,7 @@
 
 #include "llmprism/collector/packet.hpp"
 #include "llmprism/common/rng.hpp"
-#include "llmprism/flow/trace.hpp"
+#include "llmprism/flow/view.hpp"
 
 namespace llmprism {
 
@@ -26,6 +26,6 @@ struct PacketizeConfig {
 /// duration. Flows with an empty switch path (intra-machine) emit nothing —
 /// exactly why TP traffic is invisible. The result is timestamp-sorted.
 [[nodiscard]] std::vector<PacketRecord> packetize(
-    const FlowTrace& flows, const PacketizeConfig& config, Rng& rng);
+    const FlowView& flows, const PacketizeConfig& config, Rng& rng);
 
 }  // namespace llmprism

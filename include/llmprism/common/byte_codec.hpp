@@ -51,14 +51,14 @@ class ByteWriter {
   void f64(double v) { raw(&v, sizeof(v)); }
   /// The elements' bytes, no count.
   template <typename T>
-  void array(const std::vector<T>& v) {
+  void array(std::span<const T> v) {
     if (!v.empty()) raw(v.data(), v.size() * sizeof(T));
   }
   /// A u64 element count, then the elements.
   template <typename T>
   void counted(const std::vector<T>& v) {
     u64(v.size());
-    array(v);
+    array(std::span<const T>(v));
   }
   /// Zero bytes up to the next multiple of `alignment`.
   void pad_to(std::size_t alignment) {

@@ -85,16 +85,14 @@ class OnlineMonitor {
   /// gauge.
   ~OnlineMonitor();
 
-  /// Feed a batch of flows (any order within the reorder slack). Returns
-  /// one tick per window the batch completed, in time order. When the
-  /// configured `prism.num_threads` allows, the completed windows of one
-  /// batch are analyzed concurrently; ticks, stable job ids, and stats are
-  /// still produced in time order and are identical to sequential ingestion.
-  std::vector<MonitorTick> ingest(const FlowTrace& batch);
-
-  /// Columnar overload — the streaming path for mapped LFT input: rows are
-  /// gathered straight from the view's columns into the reorder buffer, no
-  /// FlowRecord is materialized. Identical ticks for identical flows.
+  /// Feed a batch of flows (any order within the reorder slack): owning
+  /// columns, a mapped LFT view or a daemon chunk. Rows are gathered
+  /// straight from the view's columns into the reorder buffer, no
+  /// FlowRecord is materialized. Returns one tick per window the batch
+  /// completed, in time order. When the configured `prism.num_threads`
+  /// allows, the completed windows of one batch are analyzed concurrently;
+  /// ticks, stable job ids, and stats are still produced in time order and
+  /// are identical to sequential ingestion.
   std::vector<MonitorTick> ingest(const FlowView& batch);
 
   /// Close and analyze the current partial window (end of feed / shutdown).

@@ -10,12 +10,12 @@
 // Parsing is chunk-parallel: the input buffer is split on newline
 // boundaries into roughly per-core chunks, each chunk is decoded with
 // allocation-free std::from_chars field parsing on the common thread pool,
-// and the chunks are stitched back in file order. The result — trace
+// and the chunk columns are appended back in file order. The result — row
 // order, error lines/messages, lines_read — is bit-identical to the
 // serial (one-chunk) parse at every thread count, and a time-sorted file
-// yields a born-sorted trace (the chunk traces are sorted runs whose
-// ordered concatenation keeps the sortedness cache intact; zero physical
-// sorts). The binary counterpart of this format lives in flow/lft.hpp.
+// yields born-sorted columns (the chunks are sorted runs whose ordered
+// concatenation keeps the order known; zero physical sorts). The binary
+// counterpart of this format lives in flow/lft.hpp.
 #pragma once
 
 #include <cstddef>
@@ -25,12 +25,12 @@
 #include <string_view>
 #include <vector>
 
-#include "llmprism/flow/trace.hpp"
+#include "llmprism/flow/view.hpp"
 
 namespace llmprism {
 
-/// Write `trace` as CSV with a header row.
-void write_csv(std::ostream& os, const FlowTrace& trace);
+/// Write `flows` as CSV with a header row.
+void write_csv(std::ostream& os, const FlowView& flows);
 
 /// One rejected CSV row: the 1-based physical line number (blank lines and
 /// the header count toward it, so the number matches what an editor shows)
@@ -44,7 +44,7 @@ struct ParseError {
 /// rejected one. A collector export with a few corrupt lines still yields
 /// all its good flows — the caller decides whether errors are fatal.
 struct ParseResult {
-  FlowTrace trace;
+  FlowColumns trace;
   std::vector<ParseError> errors;
   /// Physical lines consumed (header and blank lines included).
   std::size_t lines_read = 0;
@@ -77,13 +77,13 @@ struct CsvParseOptions {
 /// Parse a CSV flow trace (header row required). Thin wrapper over
 /// read_csv_checked() that throws std::runtime_error naming the first bad
 /// line on any malformed input.
-[[nodiscard]] FlowTrace read_csv(std::istream& is,
-                                 const CsvParseOptions& options = {});
+[[nodiscard]] FlowColumns read_csv(std::istream& is,
+                                   const CsvParseOptions& options = {});
 
 /// Convenience file wrappers; throw std::runtime_error if the file cannot
 /// be opened.
-void write_csv_file(const std::string& path, const FlowTrace& trace);
-[[nodiscard]] FlowTrace read_csv_file(const std::string& path,
-                                      const CsvParseOptions& options = {});
+void write_csv_file(const std::string& path, const FlowView& flows);
+[[nodiscard]] FlowColumns read_csv_file(const std::string& path,
+                                        const CsvParseOptions& options = {});
 
 }  // namespace llmprism

@@ -31,18 +31,18 @@
 //     6  switch_ids      num_switch_ids x u32    (CSR column data)
 //   Trailer: u64 XXH64 of every preceding byte (seed 0)
 //
-// Three readers decode through the one byte codec (common/byte_codec.hpp:
+// Two readers decode through the one byte codec (common/byte_codec.hpp:
 // its cursor, the shared magic/version/flags head and the trailing-XXH64
-// seal) and one column check (FlowView::column_error): read_lft_columns()
+// seal) and one column check (FlowView::column_error): read_lft_buffer()
 // copies each section of an in-memory image out into FlowColumns (the
-// daemon's chunk path); read_lft() and read_lft_buffer() wrap it to build
-// a FlowTrace; MappedFlowTrace mmaps a file and views the columns as
-// typed spans straight into the mapping, materializing nothing until
-// asked. What stays LFT's own is the section table and the 8-byte section
-// padding. Every malformed input — truncation, bad magic/version/flags,
-// section-size mismatch or overflow, checksum mismatch, broken CSR
-// offsets, a false sorted flag — fails with a descriptive
-// std::runtime_error starting "lft: ", identically through every reader,
+// daemon's chunk path; read_lft() wraps it for a stream); MappedFlowTrace
+// mmaps a file and views the columns as typed spans straight into the
+// mapping, materializing nothing until asked. What stays LFT's own is the
+// section table and the 8-byte section padding. Every malformed input —
+// truncation, bad magic/version/flags, section-size mismatch or overflow,
+// checksum mismatch, broken CSR offsets, a false sorted flag — fails with
+// a descriptive std::runtime_error starting "lft: ", identically through
+// every reader,
 // never undefined behaviour.
 #pragma once
 
@@ -55,7 +55,6 @@
 #include <string>
 #include <string_view>
 
-#include "llmprism/flow/trace.hpp"
 #include "llmprism/flow/view.hpp"
 
 namespace llmprism {
@@ -72,26 +71,24 @@ inline constexpr std::size_t kHeaderSize = 32;
 
 }  // namespace lft
 
-/// Serialize `trace` as LFT. The sorted flag records trace.is_sorted().
-void write_lft(std::ostream& os, const FlowTrace& trace);
+/// Serialize `flows` as LFT. The sorted flag records whether the rows are
+/// in FlowStartTimeLess order (verified when `flows.sorted` is unknown).
+void write_lft(std::ostream& os, const FlowView& flows);
 
 /// Decode a complete in-memory LFT image (e.g. one framed daemon chunk)
 /// into columns, preserving file row order; `sorted` is the validated
-/// header flag. The image may start at any address: each section is
-/// copied out, never viewed in place. Throws std::runtime_error on any
-/// malformed input.
-[[nodiscard]] FlowColumns read_lft_columns(std::span<const std::byte> image);
-
-/// read_lft_columns, materialized as a FlowTrace. A file written from a
-/// sorted trace loads born-sorted (zero physical sorts).
-[[nodiscard]] FlowTrace read_lft_buffer(std::span<const std::byte> image);
+/// header flag, so a file written from sorted flows loads born-sorted
+/// (zero physical sorts). The image may start at any address: each
+/// section is copied out, never viewed in place. Throws
+/// std::runtime_error on any malformed input.
+[[nodiscard]] FlowColumns read_lft_buffer(std::span<const std::byte> image);
 
 /// read_lft_buffer over a whole stream.
-[[nodiscard]] FlowTrace read_lft(std::istream& is);
+[[nodiscard]] FlowColumns read_lft(std::istream& is);
 
-/// Write `trace` to `path`; throws std::runtime_error if the file cannot
+/// Write `flows` to `path`; throws std::runtime_error if the file cannot
 /// be opened. Files are read back through MappedFlowTrace.
-void write_lft_file(const std::string& path, const FlowTrace& trace);
+void write_lft_file(const std::string& path, const FlowView& flows);
 
 /// True if `prefix` (the first bytes of a file) starts with the LFT magic.
 /// Used for format auto-detection; needs at least 4 bytes to say yes.
@@ -106,8 +103,7 @@ void write_lft_file(const std::string& path, const FlowTrace& trace);
 /// Ownership/lifetime: the mapping lives exactly as long as the
 /// MappedFlowTrace (RAII munmap; move-only). The spans of view() point
 /// into the mapping and are invalidated by destruction or move — callers
-/// that outlive the reader must materialize via
-/// to_trace(). The mapping is private (MAP_PRIVATE) and read-only; the
+/// that outlive the reader must copy the columns out via to_trace(). The mapping is private (MAP_PRIVATE) and read-only; the
 /// file may be unlinked while mapped (POSIX keeps the pages alive).
 class MappedFlowTrace {
  public:
@@ -137,9 +133,9 @@ class MappedFlowTrace {
   /// contract (asserted in debug builds only — no exception branch in
   /// per-record paths).
   [[nodiscard]] FlowRecord record(std::size_t i) const;
-  /// Materialize the whole trace. Preserves file row order; born-sorted
-  /// (no later physical sort) when the sorted flag is set.
-  [[nodiscard]] FlowTrace to_trace() const;
+  /// Copy the columns out of the mapping. Preserves file row order;
+  /// born-sorted (no later physical sort) when the sorted flag is set.
+  [[nodiscard]] FlowColumns to_trace() const;
 
  private:
   void reset() noexcept;

@@ -1,20 +1,22 @@
-// FlowView / FlowColumns — the one flow representation of the analysis
-// plane (DESIGN.md §13).
+// FlowView / FlowColumns — the one flow representation (DESIGN.md §13).
 //
 // FlowView is a non-owning structure-of-arrays view over one window of
 // flows: one span per FlowRecord field plus the switch paths in CSR form
 // (offsets + flat hop ids). It is the only input type of every analysis
-// stage — constructible for free from an LFT mapping (the columns alias
-// the mmap'd file, zero copies) and by one transpose from a FlowTrace
-// record builder. The view carries the sortedness fact the data plane
-// tracks, so binary-search windowing and the per-pair CSR index work
-// without re-verification.
+// stage and of every writer — constructible for free from an LFT mapping
+// (the columns alias the mmap'd file, zero copies) or from FlowColumns.
+// The view carries the sortedness fact its storage tracks, so
+// binary-search windowing and the per-pair CSR index work without
+// re-verification.
 //
-// FlowColumns is the owning SoA counterpart: the per-job gather target of
-// the flow router, the analysis buffer of the online monitor, and the
-// adapter that turns a FlowTrace into a view. It exposes a record read API
-// (size / operator[] / value-yielding iteration) so report consumers
-// iterate flows without touching the columns.
+// FlowColumns is the one owning flow container, from producer to writer:
+// the simulator, the noise and fault passes, the collector and both
+// decoders emit it; the flow router gathers per-job columns into it; the
+// online monitor buffers in it. Producers append records (add) or whole
+// views (append); readers get a record API (size / operator[] /
+// value-yielding iteration) that materializes each FlowRecord on demand,
+// and an implicit FlowView conversion, the way std::string converts to
+// std::string_view.
 //
 // Lifetime rules: a FlowView never owns storage. Views over a
 // MappedFlowTrace are invalidated when the mapping is destroyed or moved;
@@ -32,7 +34,7 @@
 #include <vector>
 
 #include "llmprism/common/time.hpp"
-#include "llmprism/flow/trace.hpp"
+#include "llmprism/flow/flow.hpp"
 
 namespace llmprism {
 
@@ -52,7 +54,8 @@ struct FlowView {
   std::span<const std::uint64_t> switch_offsets;
   std::span<const std::uint32_t> switch_ids;
   /// Rows are in FlowStartTimeLess order (a verified fact, not a guess:
-  /// set from FlowTrace's sortedness cache or LFT's validated header flag).
+  /// set from FlowColumns' tracked order or LFT's validated header flag).
+  /// False means unknown, not known-unsorted: verify_sorted() settles it.
   bool sorted = false;
 
   [[nodiscard]] std::size_t size() const { return start_ns.size(); }
@@ -84,27 +87,19 @@ struct FlowView {
            static_cast<double>(duration_ns[i]);
   }
 
-  /// Materialize row i into `out`, overwriting every field — the one
-  /// SoA -> AoS conversion of the data plane. Filling caller-owned storage
-  /// lets bulk materializers (the LFT readers) build their record arrays
-  /// in place, without a per-row copy. Switch paths never exceed
-  /// SwitchPath capacity: LFT validation and the collector both bound hops
-  /// to the Clos diameter.
-  void record(std::size_t i, FlowRecord& out) const {
-    out.start_time = start_ns[i];
-    out.src = GpuId(src[i]);
-    out.dst = GpuId(dst[i]);
-    out.bytes = bytes[i];
-    out.duration = duration_ns[i];
-    out.switches.clear();
-    for (const std::uint32_t sw : switches(i)) {
-      out.switches.push_back(SwitchId(sw));
-    }
-  }
-  /// Row i by value.
+  /// Row i by value — the one SoA -> AoS conversion of the data plane.
+  /// Switch paths never exceed SwitchPath capacity: column_error() and the
+  /// producers both bound hops to the Clos diameter.
   [[nodiscard]] FlowRecord record(std::size_t i) const {
     FlowRecord f;
-    record(i, f);
+    f.start_time = start_ns[i];
+    f.src = GpuId(src[i]);
+    f.dst = GpuId(dst[i]);
+    f.bytes = bytes[i];
+    f.duration = duration_ns[i];
+    for (const std::uint32_t sw : switches(i)) {
+      f.switches.push_back(SwitchId(sw));
+    }
     return f;
   }
 
@@ -136,12 +131,12 @@ struct FlowView {
   /// std::logic_error otherwise).
   [[nodiscard]] FlowView window(TimeWindow w) const;
 
-  /// Earliest start / latest end over all rows; {0,0} when empty (same
-  /// semantics as FlowTrace::span — one O(N) pass, durations vary).
+  /// Earliest start / latest end over all rows; {0,0} when empty (one
+  /// O(N) pass: durations vary, so the last row need not end last).
   [[nodiscard]] TimeWindow time_span() const;
 
-  /// True iff rows are in FlowStartTimeLess order (O(N) verify; used to
-  /// seed `sorted` for storage the data plane has no cached fact about).
+  /// True iff rows are in FlowStartTimeLess order (O(N) verify; settles
+  /// `sorted` for storage whose order is not known).
   [[nodiscard]] bool verify_sorted() const;
 
   /// The one check of columns decoded from outside input (LFT images and
@@ -154,16 +149,13 @@ struct FlowView {
   [[nodiscard]] std::string column_error() const;
 };
 
-/// Owning SoA flow storage. The vectors are public — the router's gather
-/// and the monitor's merge write them directly; `sorted` is maintained by
-/// the mutation helpers like FlowTrace's cached flag.
+/// The owning flow container. The vectors are public — the router's
+/// scatter and the monitor's merge write them directly; `sorted` follows
+/// the view's meaning (true = known sorted, false = unknown) and the
+/// mutation helpers keep it exact: add and append leave it false only when
+/// the rows really are out of order.
 class FlowColumns {
  public:
-  FlowColumns() = default;
-  /// Transpose an AoS trace (one pass; sortedness copies from the trace's
-  /// cache, no re-verify).
-  explicit FlowColumns(const FlowTrace& trace);
-
   [[nodiscard]] FlowView view() const {
     FlowView v;
     v.start_ns = start_ns;
@@ -176,6 +168,9 @@ class FlowColumns {
     v.sorted = sorted;
     return v;
   }
+  /// Implicit, like std::string to std::string_view: every stage and
+  /// writer that takes a FlowView takes the columns as they are.
+  operator FlowView() const { return view(); }
 
   [[nodiscard]] std::size_t size() const { return start_ns.size(); }
   [[nodiscard]] bool empty() const { return start_ns.empty(); }
@@ -188,8 +183,8 @@ class FlowColumns {
   }
 
   /// Value-yielding iterator: `for (const FlowRecord& f : columns)` binds
-  /// the loop reference to the materialized temporary — same usage as a
-  /// FlowTrace, no FlowRecord array behind it.
+  /// the loop reference to the materialized temporary, with no FlowRecord
+  /// array behind it.
   class const_iterator {
    public:
     using value_type = FlowRecord;
@@ -218,9 +213,14 @@ class FlowColumns {
   void resize(std::size_t rows, std::size_t switch_entries);
   void clear();
 
-  /// Append one record; maintains `sorted` incrementally like
-  /// FlowTrace::add.
-  void push_back(const FlowRecord& f);
+  /// Append one record. Appending a flow that is not before the current
+  /// back keeps known-sorted columns known-sorted.
+  void add(const FlowRecord& f);
+
+  /// Append every row of `v`, rebasing its switch offsets onto ours.
+  /// Sortedness stays known when both sides are known-sorted and the
+  /// boundary is ordered; otherwise it becomes unknown.
+  void append(const FlowView& v);
 
   /// Append row i of `v` (including its switch hops). The caller settles
   /// `sorted` (gathers know the answer statically).
@@ -249,10 +249,10 @@ class FlowColumns {
   /// columns: throws std::logic_error when an O(N) verify fails.
   void drop_before(TimeNs t);
 
-  /// Physically sort by FlowStartTimeLess via a stable argsort + gather
-  /// (no FlowRecord array; rows that compare equal keep their order).
-  /// No-op when already sorted; a physical sort increments
-  /// `llmprism_flowtrace_sorts_total`.
+  /// Sort by FlowStartTimeLess via a stable argsort + gather — the one
+  /// flow sort: rows that compare equal keep their order, on every path.
+  /// No-op when already sorted (after an O(N) verify when the order is
+  /// unknown); a physical sort increments `llmprism_flowtrace_sorts_total`.
   void sort();
 
   // Column storage. switch_offsets is either empty or size()+1 entries.
@@ -265,6 +265,11 @@ class FlowColumns {
   std::vector<std::uint32_t> switch_ids;
   bool sorted = true;
 };
+
+/// The pre-columnar name of the flow container. The benchmark under
+/// prismbench/ still spells it; nothing else may. It goes with the next
+/// benchmark change.
+using FlowTrace = FlowColumns;
 
 /// CSR-style per-pair index over a view: unordered GPU pairs are interned
 /// to dense ids in first-appearance order, and each pair's flow positions

@@ -20,11 +20,10 @@
 // ---- physical topology (provider-known, the only non-flow input) ----
 #include "llmprism/topology/topology.hpp"
 
-// ---- flow data plane: records, traces, CSV + binary (LFT) import/export ----
+// ---- flow data plane: records, columns, CSV + binary (LFT) import/export ----
 #include "llmprism/flow/flow.hpp"
 #include "llmprism/flow/io.hpp"
 #include "llmprism/flow/lft.hpp"
-#include "llmprism/flow/trace.hpp"
 #include "llmprism/flow/view.hpp"
 
 // ---- workload + collection-noise simulator (ground-truthed traces) ----

@@ -4,7 +4,7 @@
 // over a Unix or TCP socket. Each frame is a fixed 24-byte little-endian
 // header followed by `payload_bytes` of payload; a flow-chunk payload is
 // one complete LFT image (the exact bytes `prism convert` writes), which
-// the daemon decodes straight into columns with read_lft_columns — head,
+// the daemon decodes straight into columns with read_lft_buffer — head,
 // section sizes, checksum and the column check — before a single flow is
 // trusted. The header is read through the shared byte codec
 // (common/byte_codec.hpp): its head is the codec's magic/version/tag with

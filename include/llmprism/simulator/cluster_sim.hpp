@@ -35,7 +35,7 @@ struct ClusterSimConfig {
 
 struct ClusterSimResult {
   ClusterTopology topology;
-  FlowTrace trace;                        ///< merged, noisy, sorted
+  FlowColumns trace;                      ///< merged, noisy, sorted
   std::vector<JobTruth> jobs;             ///< truth per job, JobId = index
   std::vector<InjectedAnomaly> anomalies; ///< all injected faults, labelled
 };

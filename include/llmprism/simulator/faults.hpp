@@ -11,7 +11,7 @@
 #include "llmprism/common/ids.hpp"
 #include "llmprism/common/rng.hpp"
 #include "llmprism/common/time.hpp"
-#include "llmprism/flow/trace.hpp"
+#include "llmprism/flow/view.hpp"
 
 namespace llmprism {
 
@@ -25,7 +25,7 @@ struct SwitchDegradationSpec {
 /// 1/bandwidth_factor for flows that traverse a degraded switch while its
 /// degradation window is active. Throws std::invalid_argument on a factor
 /// outside (0, 1].
-[[nodiscard]] FlowTrace apply_switch_degradation(
-    const FlowTrace& trace, const std::vector<SwitchDegradationSpec>& specs);
+[[nodiscard]] FlowColumns apply_switch_degradation(
+    const FlowView& trace, const std::vector<SwitchDegradationSpec>& specs);
 
 }  // namespace llmprism

@@ -14,7 +14,7 @@
 #include <cstdint>
 
 #include "llmprism/common/rng.hpp"
-#include "llmprism/flow/trace.hpp"
+#include "llmprism/flow/view.hpp"
 #include "llmprism/parallelism/placement.hpp"
 #include "llmprism/simulator/ground_truth.hpp"
 #include "llmprism/simulator/job_config.hpp"
@@ -23,8 +23,8 @@
 namespace llmprism {
 
 struct JobSimResult {
-  FlowTrace trace;   ///< cross-machine flows only (switch-level view)
-  JobTruth truth;    ///< evaluation oracle
+  FlowColumns trace;  ///< cross-machine flows only (switch-level view)
+  JobTruth truth;     ///< evaluation oracle
 };
 
 class TrainingJobSim {

@@ -19,7 +19,7 @@
 
 #include "llmprism/common/rng.hpp"
 #include "llmprism/common/time.hpp"
-#include "llmprism/flow/trace.hpp"
+#include "llmprism/flow/view.hpp"
 
 namespace llmprism {
 
@@ -57,7 +57,7 @@ struct NoiseConfig {
 
 /// Returns a corrupted copy of `trace` (sorted). Deterministic given `rng`.
 /// Throws std::invalid_argument when `config` fails validate().
-[[nodiscard]] FlowTrace apply_noise(const FlowTrace& trace,
-                                    const NoiseConfig& config, Rng& rng);
+[[nodiscard]] FlowColumns apply_noise(const FlowView& trace,
+                                      const NoiseConfig& config, Rng& rng);
 
 }  // namespace llmprism

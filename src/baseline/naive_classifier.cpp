@@ -6,9 +6,11 @@
 namespace llmprism {
 
 std::unordered_map<GpuPair, CommType> classify_by_global_distinct_sizes(
-    const FlowTrace& job_trace, const GlobalDistinctSizeConfig& config) {
+    const FlowView& job_trace, const GlobalDistinctSizeConfig& config) {
   std::unordered_map<GpuPair, std::vector<std::uint64_t>> sizes;
-  for (const FlowRecord& f : job_trace) sizes[f.pair()].push_back(f.bytes);
+  for (std::size_t i = 0; i < job_trace.size(); ++i) {
+    sizes[job_trace.pair(i)].push_back(job_trace.bytes[i]);
+  }
 
   std::unordered_map<GpuPair, CommType> out;
   out.reserve(sizes.size());
@@ -29,15 +31,15 @@ std::unordered_map<GpuPair, CommType> classify_by_global_distinct_sizes(
 }
 
 std::unordered_map<GpuPair, CommType> classify_by_volume_threshold(
-    const FlowTrace& job_trace, const VolumeThresholdConfig& config) {
+    const FlowView& job_trace, const VolumeThresholdConfig& config) {
   struct Acc {
     std::uint64_t bytes = 0;
     std::size_t count = 0;
   };
   std::unordered_map<GpuPair, Acc> acc;
-  for (const FlowRecord& f : job_trace) {
-    Acc& a = acc[f.pair()];
-    a.bytes += f.bytes;
+  for (std::size_t i = 0; i < job_trace.size(); ++i) {
+    Acc& a = acc[job_trace.pair(i)];
+    a.bytes += job_trace.bytes[i];
     ++a.count;
   }
   std::unordered_map<GpuPair, CommType> out;

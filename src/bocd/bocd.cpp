@@ -9,21 +9,9 @@
 #include <stdexcept>
 #include <string>
 
-#include "llmprism/obs/metrics.hpp"
-
 namespace llmprism {
 
 namespace {
-
-/// Pooled-detector reuse has no report field, so it is the one count this
-/// library writes to the registry itself; segmentation work reaches the
-/// registry through ReportTelemetry (DESIGN.md §6).
-obs::Counter& detector_reuses() {
-  static obs::Counter& c = obs::default_registry().counter(
-      "llmprism_bocd_detector_reuses_total",
-      "Series served by a pooled detector instead of a fresh one");
-  return c;
-}
 
 /// Thread-safe log-gamma. libc's lgamma() writes the process-global
 /// `signgam`, which races when per-job analysis tasks run BOCD
@@ -332,7 +320,6 @@ BocdDetector& pooled_detector(const BocdConfig& config) {
     pool = std::make_unique<BocdDetector>(config);
   } else {
     pool->reconfigure(config);
-    detector_reuses().inc();
   }
   return *pool;
 }

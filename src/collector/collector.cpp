@@ -32,9 +32,9 @@ struct DirectedPairHash {
 
 }  // namespace
 
-FlowTrace collect_flows(std::span<const PacketRecord> packets,
-                        const ClusterTopology& topology,
-                        const CollectorConfig& config, Rng& rng) {
+FlowColumns collect_flows(std::span<const PacketRecord> packets,
+                          const ClusterTopology& topology,
+                          const CollectorConfig& config, Rng& rng) {
   if (config.idle_timeout <= 0 || config.active_timeout <= 0) {
     throw std::invalid_argument("collector: timeouts must be positive");
   }
@@ -42,7 +42,7 @@ FlowTrace collect_flows(std::span<const PacketRecord> packets,
     throw std::invalid_argument("collector: sampling_ratio must be in (0,1]");
   }
 
-  FlowTrace out;
+  FlowColumns out;
   std::unordered_map<DirectedPair, CacheEntry, DirectedPairHash> cache;
 
   auto emit = [&](const DirectedPair& key, const CacheEntry& entry) {
@@ -56,7 +56,7 @@ FlowTrace collect_flows(std::span<const PacketRecord> packets,
     f.duration = std::max<DurationNs>(1, entry.last_packet -
                                              entry.first_packet);
     f.switches = topology.route(key.src, key.dst);
-    out.add(std::move(f));
+    out.add(f);
   };
 
   for (const PacketRecord& pkt : packets) {

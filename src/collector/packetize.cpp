@@ -5,7 +5,7 @@
 
 namespace llmprism {
 
-std::vector<PacketRecord> packetize(const FlowTrace& flows,
+std::vector<PacketRecord> packetize(const FlowView& flows,
                                     const PacketizeConfig& config, Rng& rng) {
   if (config.mtu_bytes == 0 || config.max_packets_per_flow == 0) {
     throw std::invalid_argument(
@@ -16,7 +16,8 @@ std::vector<PacketRecord> packetize(const FlowTrace& flows,
   }
 
   std::vector<PacketRecord> packets;
-  for (const FlowRecord& f : flows) {
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const FlowRecord f = flows.record(i);
     if (f.switches.empty()) continue;  // intra-machine: never mirrored
     const std::uint64_t wire_packets =
         std::max<std::uint64_t>(1, (f.bytes + config.mtu_bytes - 1) /

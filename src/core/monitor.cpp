@@ -168,13 +168,6 @@ MonitorTick OnlineMonitor::analyze_window(TimeWindow window,
   return tick;
 }
 
-std::vector<MonitorTick> OnlineMonitor::ingest(const FlowTrace& batch) {
-  // One transpose into columns, then the columnar path: a single ingest
-  // implementation is what keeps both entry points tick-identical.
-  const FlowColumns columns(batch);
-  return ingest(columns.view());
-}
-
 std::vector<MonitorTick> OnlineMonitor::ingest(const FlowView& batch) {
   const obs::Span ingest_span("monitor.ingest");
   FlowColumns accepted;

@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -249,11 +248,9 @@ PrismReport Prism::analyze(const FlowView& view,
     return analyze_sorted(sorted_view, session);
   }
   // Boundary sort without mutating the caller's storage (it may be a
-  // read-only mapping): gather the rows into owning columns, sort those.
-  std::vector<std::uint32_t> rows(view.size());
-  std::iota(rows.begin(), rows.end(), 0u);
-  FlowColumns sorted =
-      FlowColumns::gather(view, rows, /*rows_sorted_subset=*/false);
+  // read-only mapping): copy the rows into owning columns, sort those.
+  FlowColumns sorted;
+  sorted.append(view);
   sorted.sort();
   return analyze_sorted(sorted.view(), session);
 }

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <fstream>
 #include <iterator>
+#include <span>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
@@ -34,11 +35,11 @@ obs::Counter& ingest_chunks_counter() {
   return c;
 }
 
-std::string join_switches(const SwitchPath& path) {
+std::string join_switches(std::span<const std::uint32_t> path) {
   std::string out;
   for (std::size_t i = 0; i < path.size(); ++i) {
     if (i != 0) out += ';';
-    out += std::to_string(path[i].value());
+    out += std::to_string(path[i]);
   }
   return out;
 }
@@ -145,7 +146,7 @@ bool parse_data_line(std::string_view line, FlowRecord& out,
 /// One chunk's worth of decoded rows. `errors[i].line` is 1-based within
 /// the chunk; the stitch pass rebases it to the global physical line.
 struct ChunkResult {
-  FlowTrace trace;
+  FlowColumns trace;
   std::vector<ParseError> errors;
   std::size_t lines = 0;
 };
@@ -167,7 +168,7 @@ void parse_chunk(std::string_view chunk, ChunkResult& out) {
     }
     FlowRecord record;
     if (parse_data_line(line, record, error)) {
-      out.trace.add(std::move(record));
+      out.trace.add(record);
     } else {
       out.errors.push_back({out.lines, std::move(error)});
       error.clear();
@@ -215,13 +216,14 @@ bool scan_header(std::string_view buffer, std::size_t& data_offset,
 
 }  // namespace
 
-void write_csv(std::ostream& os, const FlowTrace& trace) {
+void write_csv(std::ostream& os, const FlowView& flows) {
   os << kHeader << '\n';
-  for (const FlowRecord& f : trace) {
+  for (std::size_t i = 0; i < flows.size(); ++i) {
     const std::array<std::string, 6> row = {
-        std::to_string(f.start_time),    std::to_string(f.src.value()),
-        std::to_string(f.dst.value()),   std::to_string(f.bytes),
-        std::to_string(f.duration),      join_switches(f.switches)};
+        std::to_string(flows.start_ns[i]), std::to_string(flows.src[i]),
+        std::to_string(flows.dst[i]),      std::to_string(flows.bytes[i]),
+        std::to_string(flows.duration_ns[i]),
+        join_switches(flows.switches(i))};
     csv::write_row(os, row);
   }
 }
@@ -279,15 +281,20 @@ ParseResult read_csv_checked(std::string_view buffer,
   }
 
   // Stitch in file order: rebase error lines to global physical numbers
-  // and concatenate the chunk traces. Chunks of a time-sorted file are
-  // sorted runs meeting in order, so append() keeps the result
-  // known-sorted — the degenerate k-way merge, with zero physical sorts.
+  // and append the chunk columns. Chunks of a time-sorted file are sorted
+  // runs meeting in order, so append() keeps the result known-sorted —
+  // the degenerate k-way merge, with zero physical sorts. The first
+  // non-empty chunk is moved in, not copied.
   std::size_t line_offset = header_lines;
   for (ChunkResult& chunk : decoded) {
     for (ParseError& e : chunk.errors) {
       result.errors.push_back({line_offset + e.line, std::move(e.message)});
     }
-    result.trace.append(std::move(chunk.trace));
+    if (result.trace.empty()) {
+      result.trace = std::move(chunk.trace);
+    } else {
+      result.trace.append(chunk.trace);
+    }
     line_offset += chunk.lines;
   }
   result.lines_read = line_offset;
@@ -304,7 +311,7 @@ ParseResult read_csv_checked(std::istream& is, const CsvParseOptions& options) {
   return read_csv_checked(std::string_view(buffer), options);
 }
 
-FlowTrace read_csv(std::istream& is, const CsvParseOptions& options) {
+FlowColumns read_csv(std::istream& is, const CsvParseOptions& options) {
   ParseResult result = read_csv_checked(is, options);
   if (!result.ok()) {
     const ParseError& first = result.errors.front();
@@ -319,14 +326,14 @@ FlowTrace read_csv(std::istream& is, const CsvParseOptions& options) {
   return std::move(result.trace);
 }
 
-void write_csv_file(const std::string& path, const FlowTrace& trace) {
+void write_csv_file(const std::string& path, const FlowView& flows) {
   std::ofstream os(path);
   if (!os) throw std::runtime_error("flow csv: cannot open for write: " + path);
-  write_csv(os, trace);
+  write_csv(os, flows);
 }
 
-FlowTrace read_csv_file(const std::string& path,
-                        const CsvParseOptions& options) {
+FlowColumns read_csv_file(const std::string& path,
+                          const CsvParseOptions& options) {
   std::ifstream is(path);
   if (!is) throw std::runtime_error("flow csv: cannot open for read: " + path);
   return read_csv(is, options);

@@ -159,33 +159,34 @@ FlowView view_image(std::span<const std::byte> image) {
   return view;
 }
 
-/// Build an owning FlowTrace from validated columns, each row filled in
-/// place by FlowView::record. The FlowTrace(vector) constructor verifies
-/// order in one O(N) scan, so a sorted file yields a born-sorted trace:
-/// later sort() calls are no-ops and llmprism_flowtrace_sorts_total stays
-/// untouched.
-FlowTrace trace_of(const FlowView& view) {
-  std::vector<FlowRecord> rows(view.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) view.record(i, rows[i]);
-  return FlowTrace(std::move(rows));
-}
-
 }  // namespace
 
-void write_lft(std::ostream& os, const FlowTrace& trace) {
-  const FlowColumns columns(trace);
-  const std::uint64_t n = columns.size();
-  const std::uint64_t m = columns.switch_ids.size();
+void write_lft(std::ostream& os, const FlowView& flows) {
+  const std::span<const std::uint64_t> offsets = flows.switch_offsets;
+  if (offsets.size() != flows.size() + 1 || offsets.front() != 0 ||
+      offsets.back() != flows.switch_ids.size()) {
+    // The file's CSR columns are its own: n + 1 offsets from 0 over
+    // exactly its hops. A slice's offsets point into a shared hop array
+    // and a view without paths has none, so copy the rows into that shape.
+    FlowColumns own;
+    own.switch_offsets.push_back(0);
+    own.append(flows);
+    write_lft(os, own);
+    return;
+  }
+  const std::uint64_t n = flows.size();
+  const std::uint64_t m = flows.switch_ids.size();
   ByteWriter w;
-  w.head(kMagic, kVersion, columns.sorted ? kFlagSorted : 0);
+  w.head(kMagic, kVersion,
+         flows.sorted || flows.verify_sorted() ? kFlagSorted : 0);
   w.u64(n);
   w.u64(m);
   w.u32(kSectionCount);
   w.u32(0);  // reserved
-  for_each_section(columns, n, m, [&](const auto& column, std::uint64_t rows) {
+  for_each_section(flows, n, m, [&](const auto& column, std::uint64_t rows) {
     w.u64(rows * sizeof(element_of<decltype(column)>));
   });
-  for_each_section(columns, n, m, [&](const auto& column, std::uint64_t) {
+  for_each_section(flows, n, m, [&](const auto& column, std::uint64_t) {
     w.array(column);
     w.pad_to(8);
   });
@@ -194,7 +195,7 @@ void write_lft(std::ostream& os, const FlowTrace& trace) {
   if (!os) throw std::runtime_error("lft: stream write failed");
 }
 
-FlowColumns read_lft_columns(std::span<const std::byte> image) {
+FlowColumns read_lft_buffer(std::span<const std::byte> image) {
   const obs::Span span("ingest.lft_buffer");
   const obs::ScopedTimer timer(flow_metrics::ingest_parse_seconds());
 
@@ -216,19 +217,15 @@ FlowColumns read_lft_columns(std::span<const std::byte> image) {
   return columns;
 }
 
-FlowTrace read_lft_buffer(std::span<const std::byte> image) {
-  return trace_of(read_lft_columns(image).view());
-}
-
-FlowTrace read_lft(std::istream& is) {
+FlowColumns read_lft(std::istream& is) {
   const std::string raw(std::istreambuf_iterator<char>(is), {});
   return read_lft_buffer(std::as_bytes(std::span(raw.data(), raw.size())));
 }
 
-void write_lft_file(const std::string& path, const FlowTrace& trace) {
+void write_lft_file(const std::string& path, const FlowView& flows) {
   std::ofstream os(path, std::ios::binary);
   if (!os) throw std::runtime_error("lft: cannot open for write: " + path);
-  write_lft(os, trace);
+  write_lft(os, flows);
 }
 
 bool is_lft(std::string_view prefix) {
@@ -330,6 +327,10 @@ FlowRecord MappedFlowTrace::record(std::size_t i) const {
   return view_.record(i);
 }
 
-FlowTrace MappedFlowTrace::to_trace() const { return trace_of(view_); }
+FlowColumns MappedFlowTrace::to_trace() const {
+  FlowColumns columns;
+  columns.append(view_);
+  return columns;
+}
 
 }  // namespace llmprism

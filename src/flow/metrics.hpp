@@ -8,13 +8,12 @@
 
 namespace llmprism::flow_metrics {
 
-/// Physical sorts of either flow shape (FlowTrace, FlowColumns). Touched on
-/// every sort() entry and every LFT load, so a run that never had to sort
-/// exports it as 0.
+/// Physical sorts of flow columns. Touched on every sort() entry and every
+/// LFT load, so a run that never had to sort exports it as 0.
 inline obs::Counter& sorts() {
   static obs::Counter& c = obs::default_registry().counter(
       "llmprism_flowtrace_sorts_total",
-      "Physical FlowTrace sorts performed (no-op sorts on already-sorted "
+      "Physical flow sorts performed (no-op sorts on already-sorted "
       "traces are not counted)");
   return c;
 }

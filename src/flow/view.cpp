@@ -5,6 +5,7 @@
 #include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "llmprism/common/thread_pool.hpp"
@@ -95,27 +96,6 @@ std::string FlowView::column_error() const {
   return {};
 }
 
-FlowColumns::FlowColumns(const FlowTrace& trace) {
-  const std::size_t n = trace.size();
-  start_ns.reserve(n);
-  src.reserve(n);
-  dst.reserve(n);
-  bytes.reserve(n);
-  duration_ns.reserve(n);
-  switch_offsets.reserve(n + 1);
-  switch_offsets.push_back(0);
-  for (const FlowRecord& f : trace.flows()) {
-    start_ns.push_back(f.start_time);
-    src.push_back(f.src.value());
-    dst.push_back(f.dst.value());
-    bytes.push_back(f.bytes);
-    duration_ns.push_back(f.duration);
-    for (const SwitchId sw : f.switches) switch_ids.push_back(sw.value());
-    switch_offsets.push_back(switch_ids.size());
-  }
-  sorted = trace.is_sorted();
-}
-
 void FlowColumns::reserve(std::size_t rows, std::size_t switch_entries) {
   start_ns.reserve(rows);
   src.reserve(rows);
@@ -147,11 +127,14 @@ void FlowColumns::clear() {
   sorted = true;
 }
 
-void FlowColumns::push_back(const FlowRecord& f) {
-  if (sorted && !start_ns.empty()) {
-    const std::size_t last = start_ns.size() - 1;
-    const FlowRecord back = (*this)[last];
-    if (FlowStartTimeLess{}(f, back)) sorted = false;
+void FlowColumns::add(const FlowRecord& f) {
+  if (sorted && !empty()) {
+    // FlowStartTimeLess against the back row, compared in place.
+    const std::size_t b = size() - 1;
+    if (std::tuple(f.start_time, f.src.value(), f.dst.value(), f.bytes) <
+        std::tuple(start_ns[b], src[b], dst[b], bytes[b])) {
+      sorted = false;
+    }
   }
   if (switch_offsets.empty()) switch_offsets.push_back(0);
   start_ns.push_back(f.start_time);
@@ -161,6 +144,36 @@ void FlowColumns::push_back(const FlowRecord& f) {
   duration_ns.push_back(f.duration);
   for (const SwitchId sw : f.switches) switch_ids.push_back(sw.value());
   switch_offsets.push_back(switch_ids.size());
+}
+
+void FlowColumns::append(const FlowView& v) {
+  if (v.empty()) return;
+  if (sorted &&
+      !(v.sorted && (empty() || !row_less(v, 0, view(), size() - 1)))) {
+    sorted = false;
+  }
+  if (switch_offsets.empty()) switch_offsets.push_back(0);
+  start_ns.insert(start_ns.end(), v.start_ns.begin(), v.start_ns.end());
+  src.insert(src.end(), v.src.begin(), v.src.end());
+  dst.insert(dst.end(), v.dst.begin(), v.dst.end());
+  bytes.insert(bytes.end(), v.bytes.begin(), v.bytes.end());
+  duration_ns.insert(duration_ns.end(), v.duration_ns.begin(),
+                     v.duration_ns.end());
+  if (v.switch_offsets.empty()) {
+    switch_offsets.insert(switch_offsets.end(), v.size(), switch_ids.size());
+    return;
+  }
+  // A view's offsets may be absolute into a shared hop array (a slice):
+  // copy its own hops and rebase them onto ours.
+  const std::uint64_t first = v.switch_offsets.front();
+  const std::uint64_t base = switch_ids.size();
+  switch_ids.insert(switch_ids.end(),
+                    v.switch_ids.begin() + static_cast<std::ptrdiff_t>(first),
+                    v.switch_ids.begin() +
+                        static_cast<std::ptrdiff_t>(v.switch_offsets.back()));
+  for (std::size_t i = 1; i < v.switch_offsets.size(); ++i) {
+    switch_offsets.push_back(base + v.switch_offsets[i] - first);
+  }
 }
 
 void FlowColumns::append_row(const FlowView& v, std::size_t i) {
@@ -256,19 +269,7 @@ void FlowColumns::merge_sorted(FlowColumns other) {
   const FlowView theirs = other.view();
   // Pure-append fast path: the incoming run starts at or after our back.
   if (!row_less(theirs, 0, mine, mine.size() - 1)) {
-    const std::uint64_t base = switch_offsets.back();
-    start_ns.insert(start_ns.end(), other.start_ns.begin(),
-                    other.start_ns.end());
-    src.insert(src.end(), other.src.begin(), other.src.end());
-    dst.insert(dst.end(), other.dst.begin(), other.dst.end());
-    bytes.insert(bytes.end(), other.bytes.begin(), other.bytes.end());
-    duration_ns.insert(duration_ns.end(), other.duration_ns.begin(),
-                       other.duration_ns.end());
-    switch_ids.insert(switch_ids.end(), other.switch_ids.begin(),
-                      other.switch_ids.end());
-    for (std::size_t i = 1; i < other.switch_offsets.size(); ++i) {
-      switch_offsets.push_back(base + other.switch_offsets[i]);
-    }
+    append(theirs);
     return;
   }
   std::vector<FlowColumns> runs;
@@ -298,9 +299,8 @@ void FlowColumns::drop_before(TimeNs t) {
 }
 
 void FlowColumns::sort() {
-  // The same counter as FlowTrace::sort: every physical sort of flow data,
-  // AoS or columnar, is one tick; touched before the no-op return so it is
-  // exported (as 0) once any flows reach a sort boundary.
+  // Every physical sort of flow data is one tick; touched before the no-op
+  // return so it is exported (as 0) once any flows reach a sort boundary.
   obs::Counter& sorts = flow_metrics::sorts();
   if (sorted || view().verify_sorted()) {
     sorted = true;

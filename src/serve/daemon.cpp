@@ -414,7 +414,7 @@ struct PrismDaemon::Impl {
         try {
           Chunk chunk;
           chunk.stream_id = header.stream_id;
-          chunk.flows = read_lft_columns(
+          chunk.flows = read_lft_buffer(
               std::as_bytes(std::span(payload.data(), payload.size())));
           // An id outside the topology fails this chunk here, not the
           // shard worker once the chunk's window closes.

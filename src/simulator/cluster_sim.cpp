@@ -53,13 +53,17 @@ ClusterSimResult run_cluster_sim(const ClusterSimConfig& config) {
 
   // ---- per-job generation, each with a forked random stream ----
   Rng root(config.seed);
-  FlowTrace merged;
+  FlowColumns merged;
   for (std::size_t j = 0; j < config.jobs.size(); ++j) {
     const JobId job_id(static_cast<std::uint32_t>(j));
     TrainingJobSim sim(job_id, config.jobs[j].config, assignments[j], topo);
     Rng job_rng = root.fork(j + 1);
     JobSimResult job_result = sim.run(job_rng);
-    merged.append(job_result.trace);
+    if (merged.empty()) {
+      merged = std::move(job_result.trace);
+    } else {
+      merged.append(job_result.trace);
+    }
     result.jobs.push_back(std::move(job_result.truth));
 
     // Labelled anomalies from this job's config.

@@ -5,8 +5,8 @@
 
 namespace llmprism {
 
-FlowTrace apply_switch_degradation(
-    const FlowTrace& trace, const std::vector<SwitchDegradationSpec>& specs) {
+FlowColumns apply_switch_degradation(
+    const FlowView& trace, const std::vector<SwitchDegradationSpec>& specs) {
   for (const SwitchDegradationSpec& s : specs) {
     if (s.bandwidth_factor <= 0.0 || s.bandwidth_factor > 1.0) {
       throw std::invalid_argument(
@@ -20,26 +20,25 @@ FlowTrace apply_switch_degradation(
     by_switch[s.switch_id].push_back(&s);
   }
 
-  FlowTrace out;
-  out.reserve(trace.size());
-  for (const FlowRecord& f : trace) {
-    FlowRecord copy = f;
+  // Stretching a duration moves no row: the sort keys are untouched.
+  FlowColumns out;
+  out.append(trace);
+  for (std::size_t i = 0; i < out.size(); ++i) {
     double factor = 1.0;
-    for (const SwitchId sw : f.switches) {
-      const auto it = by_switch.find(sw);
+    for (const std::uint32_t sw : trace.switches(i)) {
+      const auto it = by_switch.find(SwitchId(sw));
       if (it == by_switch.end()) continue;
       for (const SwitchDegradationSpec* s : it->second) {
-        if (s->window.contains(f.start_time)) {
+        if (s->window.contains(out.start_ns[i])) {
           // A flow crossing several degraded hops is limited by the worst.
           factor = std::min(factor, s->bandwidth_factor);
         }
       }
     }
     if (factor < 1.0) {
-      copy.duration = static_cast<DurationNs>(
-          static_cast<double>(copy.duration) / factor);
+      out.duration_ns[i] = static_cast<DurationNs>(
+          static_cast<double>(out.duration_ns[i]) / factor);
     }
-    out.add(copy);
   }
   out.sort();
   return out;

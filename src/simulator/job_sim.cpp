@@ -105,7 +105,7 @@ JobSimResult TrainingJobSim::run(Rng& rng) const {
     f.bytes = bytes;
     f.duration = duration;
     f.switches = topology_.route(src, dst);
-    result.trace.add(std::move(f));
+    result.trace.add(f);
   };
 
   auto record_pair_type = [&](RankId a, RankId b, CommType type) {

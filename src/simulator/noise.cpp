@@ -55,8 +55,8 @@ std::vector<std::string> NoiseConfig::validate() const {
   return errors;
 }
 
-FlowTrace apply_noise(const FlowTrace& trace, const NoiseConfig& config,
-                      Rng& rng) {
+FlowColumns apply_noise(const FlowView& trace, const NoiseConfig& config,
+                        Rng& rng) {
   if (const auto errors = config.validate(); !errors.empty()) {
     std::string message = "invalid noise configuration:";
     for (const std::string& e : errors) {
@@ -66,7 +66,8 @@ FlowTrace apply_noise(const FlowTrace& trace, const NoiseConfig& config,
     throw std::invalid_argument(message);
   }
   if (!config.enabled()) {
-    FlowTrace copy = trace;
+    FlowColumns copy;
+    copy.append(trace);
     copy.sort();
     return copy;
   }
@@ -79,9 +80,7 @@ FlowTrace apply_noise(const FlowTrace& trace, const NoiseConfig& config,
   if (config.degraded_pair_fraction > 0.0) {
     // Pairs are visited in first-appearance order (dense CSR ids), so the
     // noise realization is deterministic in the trace's content alone.
-    const FlowColumns columns(trace);
-    const FlowView view = columns.view();
-    const PairIndex pair_index(view);
+    const PairIndex pair_index(trace);
     for (std::size_t id = 0; id < pair_index.num_pairs(); ++id) {
       const auto flow_idxs = pair_index.positions(id);
       PairDegradation d;
@@ -98,15 +97,15 @@ FlowTrace apply_noise(const FlowTrace& trace, const NoiseConfig& config,
       while (burst_start < flow_idxs.size()) {
         std::size_t burst_end = burst_start + 1;
         while (burst_end < flow_idxs.size()) {
-          const TimeNs gap = view.start_ns[flow_idxs[burst_end]] -
-                             view.start_ns[flow_idxs[burst_end - 1]];
+          const TimeNs gap = trace.start_ns[flow_idxs[burst_end]] -
+                             trace.start_ns[flow_idxs[burst_end - 1]];
           if (gap > config.burst_gap) break;
           ++burst_end;
         }
         if (rng.bernoulli(d.truncation_prob)) {
-          const std::uint64_t head_size = view.bytes[flow_idxs[burst_start]];
+          const std::uint64_t head_size = trace.bytes[flow_idxs[burst_start]];
           for (std::size_t i = burst_start; i < burst_end; ++i) {
-            if (view.bytes[flow_idxs[i]] != head_size) {
+            if (trace.bytes[flow_idxs[i]] != head_size) {
               keep[flow_idxs[i]] = false;
             }
           }
@@ -116,13 +115,13 @@ FlowTrace apply_noise(const FlowTrace& trace, const NoiseConfig& config,
     }
   }
 
-  FlowTrace out;
-  out.reserve(trace.size());
+  FlowColumns out;
+  out.reserve(trace.size(), trace.switch_ids.size());
   for (std::size_t i = 0; i < trace.size(); ++i) {
     if (!keep[i]) continue;
     if (config.drop_rate > 0 && rng.bernoulli(config.drop_rate)) continue;
 
-    FlowRecord f = trace[i];
+    FlowRecord f = trace.record(i);
     if (config.partial_record_rate > 0 &&
         rng.bernoulli(config.partial_record_rate)) {
       f.bytes = static_cast<std::uint64_t>(

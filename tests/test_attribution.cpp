@@ -111,7 +111,7 @@ ClusterSimConfig two_fault_config() {
 TEST(AttributionTest, CleanTraceYieldsNoIncidents) {
   const auto sim = run_cluster_sim(one_job_config(3, 12));
   const Prism prism(sim.topology);
-  const auto report = prism.analyze(FlowColumns(sim.trace).view());
+  const auto report = prism.analyze(sim.trace.view());
   EXPECT_TRUE(report.attribution.incidents.empty());
   EXPECT_EQ(report.telemetry.incidents, 0u);
   EXPECT_EQ(report.telemetry.alerts_explained, 0u);
@@ -126,7 +126,7 @@ TEST(AttributionTest, DisabledFlagSkipsAttribution) {
   PrismConfig prism_config;
   prism_config.attribute = false;
   const Prism prism(sim.topology, prism_config);
-  const auto report = prism.analyze(FlowColumns(sim.trace).view());
+  const auto report = prism.analyze(sim.trace.view());
   EXPECT_FALSE(report.jobs.front().step_alerts.empty());
   EXPECT_TRUE(report.attribution.incidents.empty());
   EXPECT_EQ(report.telemetry.incidents, 0u);
@@ -141,7 +141,7 @@ TEST(AttributionTest, StragglerBlamesInjectedRank) {
   EXPECT_EQ(sim.anomalies[0].kind, AnomalyKind::kStraggler);
 
   const Prism prism(sim.topology);
-  const auto report = prism.analyze(FlowColumns(sim.trace).view());
+  const auto report = prism.analyze(sim.trace.view());
   ASSERT_EQ(report.attribution.incidents.size(), 1u);
   const AttributedIncident& incident = report.attribution.incidents[0];
   EXPECT_EQ(incident.job, JobId(0));
@@ -188,7 +188,7 @@ TEST(AttributionTest, SlowDpGroupBlamesInjectedRing) {
   EXPECT_EQ(sim.anomalies[0].kind, AnomalyKind::kSlowDpGroup);
 
   const Prism prism(sim.topology);
-  const auto report = prism.analyze(FlowColumns(sim.trace).view());
+  const auto report = prism.analyze(sim.trace.view());
   ASSERT_FALSE(report.attribution.incidents.empty());
 
   const AttributedIncident* ring_incident = nullptr;
@@ -232,7 +232,7 @@ TEST(AttributionTest, DegradedSwitchBlamesInjectedSwitch) {
   EXPECT_EQ(sim.anomalies[0].kind, AnomalyKind::kDegradedSwitch);
 
   const Prism prism(sim.topology);
-  const auto report = prism.analyze(FlowColumns(sim.trace).view());
+  const auto report = prism.analyze(sim.trace.view());
   ASSERT_FALSE(report.switch_bandwidth_alerts.empty());
 
   const AttributedIncident* switch_incident = nullptr;
@@ -259,7 +259,7 @@ TEST(AttributionTest, TwoSimultaneousFaultsSeparateIncidents) {
   ASSERT_EQ(sim.anomalies.size(), 2u);
 
   const Prism prism(sim.topology);
-  const auto report = prism.analyze(FlowColumns(sim.trace).view());
+  const auto report = prism.analyze(sim.trace.view());
   ASSERT_GE(report.attribution.incidents.size(), 2u);
 
   const auto siblings = stage_gpus(
@@ -325,7 +325,7 @@ PrismReport analyze_sim(const ClusterSimConfig& cfg,
   PrismConfig config;
   config.num_threads = num_threads;
   const Prism prism(sim.topology, config);
-  return prism.analyze(FlowColumns(sim.trace).view());
+  return prism.analyze(sim.trace.view());
 }
 
 /// Every lane count gives the null-pool incidents and telemetry, which
@@ -416,7 +416,7 @@ TEST(AttributionUnitTest, GroupSwitchSetsUseOnlyIntraComponentFlows) {
   // Components {0,1} and {2,3}; a PP-like flow 1->2 must not contribute.
   const std::vector<std::vector<GpuId>> components = {
       {GpuId(0), GpuId(1)}, {GpuId(2), GpuId(3)}};
-  FlowTrace trace;
+  FlowColumns trace;
   const auto flow = [](std::uint32_t src, std::uint32_t dst, TimeNs at,
                        std::initializer_list<std::uint32_t> switches) {
     FlowRecord f;
@@ -434,7 +434,7 @@ TEST(AttributionUnitTest, GroupSwitchSetsUseOnlyIntraComponentFlows) {
   trace.add(flow(1, 0, 30, {0}));
 
   const auto sets =
-      Attributor::group_switch_sets(FlowColumns(trace).view(), components);
+      Attributor::group_switch_sets(trace.view(), components);
   ASSERT_EQ(sets.size(), 2u);
   EXPECT_EQ(sets[0],
             (std::vector<SwitchId>{SwitchId(0), SwitchId(1), SwitchId(2)}));

@@ -58,7 +58,7 @@ TEST(ThresholdDividerTest, FactorControlsSensitivity) {
 // Naive classifiers
 
 TEST(GlobalDistinctSizeTest, ClassifiesByWholeWindow) {
-  FlowTrace t;
+  FlowColumns t;
   t.add(flow(0, 0, 8, 100));
   t.add(flow(1, 0, 8, 100));
   t.add(flow(2, 8, 16, 100));
@@ -71,7 +71,7 @@ TEST(GlobalDistinctSizeTest, ClassifiesByWholeWindow) {
 TEST(GlobalDistinctSizeTest, OneGlitchFlipsThePair) {
   // The weakness the per-step mode fixes: a single odd-size flow anywhere
   // in the window flips the naive classifier.
-  FlowTrace t;
+  FlowColumns t;
   for (int i = 0; i < 100; ++i) t.add(flow(i, 0, 8, 100));
   t.add(flow(101, 0, 8, 9999));
   const auto types = classify_by_global_distinct_sizes(t);
@@ -79,7 +79,7 @@ TEST(GlobalDistinctSizeTest, OneGlitchFlipsThePair) {
 }
 
 TEST(VolumeThresholdTest, ClassifiesByMeanSize) {
-  FlowTrace t;
+  FlowColumns t;
   t.add(flow(0, 0, 8, 1 << 20));          // small -> PP
   t.add(flow(1, 8, 16, 512ull << 20));    // large -> DP
   const auto types = classify_by_volume_threshold(t);
@@ -88,7 +88,7 @@ TEST(VolumeThresholdTest, ClassifiesByMeanSize) {
 }
 
 TEST(VolumeThresholdTest, ThresholdIsConfigurable) {
-  FlowTrace t;
+  FlowColumns t;
   t.add(flow(0, 0, 8, 1000));
   const auto types = classify_by_volume_threshold(t, {.dp_threshold_bytes = 10});
   EXPECT_EQ(types.at(GpuPair(GpuId(0), GpuId(8))), CommType::kDP);

@@ -37,17 +37,17 @@ FlowRecord flow(const ClusterTopology& t, TimeNs at, std::uint32_t src,
 
 TEST(PacketizeTest, ValidatesConfig) {
   Rng rng(1);
-  EXPECT_THROW(packetize(FlowTrace{}, {.mtu_bytes = 0}, rng),
+  EXPECT_THROW(packetize(FlowColumns{}, {.mtu_bytes = 0}, rng),
                std::invalid_argument);
-  EXPECT_THROW(packetize(FlowTrace{}, {.max_packets_per_flow = 0}, rng),
+  EXPECT_THROW(packetize(FlowColumns{}, {.max_packets_per_flow = 0}, rng),
                std::invalid_argument);
-  EXPECT_THROW(packetize(FlowTrace{}, {.pacing_jitter = 1.0}, rng),
+  EXPECT_THROW(packetize(FlowColumns{}, {.pacing_jitter = 1.0}, rng),
                std::invalid_argument);
 }
 
 TEST(PacketizeTest, BytesAreConserved) {
   const auto t = topo();
-  FlowTrace flows;
+  FlowColumns flows;
   flows.add(flow(t, 0, 0, 8, 100'000, kMillisecond));
   Rng rng(2);
   const auto packets = packetize(flows, {}, rng);
@@ -60,11 +60,11 @@ TEST(PacketizeTest, BytesAreConserved) {
 TEST(PacketizeTest, PacketCountRespectsMtuAndCap) {
   const auto t = topo();
   Rng rng(3);
-  FlowTrace small;
+  FlowColumns small;
   small.add(flow(t, 0, 0, 8, 10'000, kMillisecond));  // 3 MTUs
   EXPECT_EQ(packetize(small, {}, rng).size(), 3u);
 
-  FlowTrace huge;
+  FlowColumns huge;
   huge.add(flow(t, 0, 0, 8, 64ull << 20, kMillisecond));  // >> cap
   PacketizeConfig cfg;
   cfg.max_packets_per_flow = 16;
@@ -73,7 +73,7 @@ TEST(PacketizeTest, PacketCountRespectsMtuAndCap) {
 
 TEST(PacketizeTest, PacketsSpanTheFlowDuration) {
   const auto t = topo();
-  FlowTrace flows;
+  FlowColumns flows;
   flows.add(flow(t, 1000, 0, 8, 40'000, kMillisecond));
   Rng rng(4);
   const auto packets = packetize(flows, {}, rng);
@@ -84,7 +84,7 @@ TEST(PacketizeTest, PacketsSpanTheFlowDuration) {
 
 TEST(PacketizeTest, IntraMachineFlowsEmitNothing) {
   const auto t = topo();
-  FlowTrace flows;
+  FlowColumns flows;
   flows.add(flow(t, 0, 0, 1, 100'000, kMillisecond));  // same machine
   Rng rng(5);
   EXPECT_TRUE(packetize(flows, {}, rng).empty());
@@ -92,7 +92,7 @@ TEST(PacketizeTest, IntraMachineFlowsEmitNothing) {
 
 TEST(PacketizeTest, OutputIsSorted) {
   const auto t = topo();
-  FlowTrace flows;
+  FlowColumns flows;
   for (int i = 0; i < 10; ++i) {
     flows.add(flow(t, i * 100, 0, 8, 50'000, kMillisecond));
   }
@@ -119,7 +119,7 @@ TEST(CollectorTest, ValidatesConfig) {
 TEST(CollectorTest, RoundTripReconstructsFlows) {
   // Two well-separated flows survive packetize -> collect intact.
   const auto t = topo();
-  FlowTrace flows;
+  FlowColumns flows;
   flows.add(flow(t, 0, 0, 8, 100'000, kMillisecond));
   flows.add(flow(t, kSecond, 0, 8, 200'000, 2 * kMillisecond));
   Rng rng(8);
@@ -139,7 +139,7 @@ TEST(CollectorTest, CoarseIdleTimeoutMergesBackToBackFlows) {
   // with summed bytes — the aggregation artifact that destroys the DP
   // multi-size signature.
   const auto t = topo();
-  FlowTrace flows;
+  FlowColumns flows;
   flows.add(flow(t, 0, 0, 8, 100'000, kMillisecond));
   flows.add(flow(t, 3 * kMillisecond, 0, 8, 200'000, kMillisecond));
   Rng rng(9);
@@ -157,7 +157,7 @@ TEST(CollectorTest, CoarseIdleTimeoutMergesBackToBackFlows) {
 
 TEST(CollectorTest, ActiveTimeoutCutsLongFlows) {
   const auto t = topo();
-  FlowTrace flows;
+  FlowColumns flows;
   flows.add(flow(t, 0, 0, 8, 1'000'000, kSecond));  // 1 s long flow
   Rng rng(10);
   PacketizeConfig pk;
@@ -176,7 +176,7 @@ TEST(CollectorTest, ActiveTimeoutCutsLongFlows) {
 
 TEST(CollectorTest, DirectionsAreSeparateRecords) {
   const auto t = topo();
-  FlowTrace flows;
+  FlowColumns flows;
   flows.add(flow(t, 0, 0, 8, 100'000, kMillisecond));
   flows.add(flow(t, 0, 8, 0, 100'000, kMillisecond));  // reverse direction
   Rng rng(11);
@@ -187,7 +187,7 @@ TEST(CollectorTest, DirectionsAreSeparateRecords) {
 
 TEST(CollectorTest, SamplingScalesBytesBack) {
   const auto t = topo();
-  FlowTrace flows;
+  FlowColumns flows;
   flows.add(flow(t, 0, 0, 8, 1'000'000, kMillisecond));
   Rng rng(12);
   PacketizeConfig pk;

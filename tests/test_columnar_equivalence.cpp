@@ -2,14 +2,16 @@
 // PrismReport produced by Prism::analyze(FlowView) over a memory-mapped LFT
 // file must be field-for-field identical — jobs, flows, comm types,
 // timelines, alerts, incidents, telemetry, and all three job-facing
-// exports — to the owning path (the simulator's FlowTrace transposed into
-// FlowColumns), at every thread count. On a sorted LFT file the view path
-// must also be genuinely zero-copy: no physical sort of flow data
-// (`llmprism_flowtrace_sorts_total` stays flat). No stage accepts an AoS
-// FlowTrace, so no FlowRecord array can be materialized on the way.
+// exports — to the owning path (the simulator's FlowColumns), at every
+// thread count. On a sorted LFT file the view path must also be genuinely
+// zero-copy: no physical sort of flow data (`llmprism_flowtrace_sorts_total`
+// stays flat). No stage accepts a record array, so no FlowRecord array can
+// be materialized on the way. The producers' own bytes are pinned here too
+// (ProducerGoldenBytes), and one tie rule across every load path.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
@@ -20,6 +22,7 @@
 #include "llmprism/collector/collector.hpp"
 #include "llmprism/collector/packetize.hpp"
 #include "llmprism/common/hash.hpp"
+#include "llmprism/core/monitor.hpp"
 #include "llmprism/core/prism.hpp"
 #include "llmprism/core/render.hpp"
 #include "llmprism/export/journal.hpp"
@@ -66,7 +69,7 @@ ClusterSimConfig noisy_mix() {
 }
 
 /// The simulated mix, its sorted trace serialized once as LFT, and the
-/// single-threaded FlowTrace-path report every variant is compared to.
+/// single-threaded owning-columns report every variant is compared to.
 struct Fixture {
   ClusterSimResult sim;
   std::string lft_path;
@@ -88,7 +91,7 @@ const Fixture& fixture() {
     PrismConfig cfg;
     cfg.num_threads = 1;
     out.baseline =
-        Prism(out.sim.topology, cfg).analyze(FlowColumns(out.sim.trace).view());
+        Prism(out.sim.topology, cfg).analyze(out.sim.trace.view());
     return out;
   }();
   return f;
@@ -96,7 +99,7 @@ const Fixture& fixture() {
 
 // --- field-for-field comparison -------------------------------------------
 // Doubles compare exactly: the view path must be bit-identical to the
-// FlowTrace path, not approximately equal.
+// owning-columns path, not approximately equal.
 
 void expect_timelines_equal(const GpuTimeline& a, const GpuTimeline& b) {
   EXPECT_EQ(a.gpu, b.gpu);
@@ -276,9 +279,9 @@ std::string render_all(const PrismReport& report, TimeWindow span) {
 class ColumnarEquivalenceTest
     : public ::testing::TestWithParam<std::size_t> {};
 
-// The core differential: mapped LFT view path vs. the FlowTrace baseline,
-// at 1/2/4/8 threads, with the zero-copy fast path asserted via the sort
-// counter.
+// The core differential: mapped LFT view path vs. the owning-columns
+// baseline, at 1/2/4/8 threads, with the zero-copy fast path asserted via
+// the sort counter.
 TEST_P(ColumnarEquivalenceTest, MappedViewMatchesFlowTracePath) {
   const Fixture& f = fixture();
   PrismConfig cfg;
@@ -300,7 +303,7 @@ TEST_P(ColumnarEquivalenceTest, MappedViewMatchesFlowTracePath) {
       << "sorted-LFT fast path must not physically sort flow data";
 
   expect_reports_equal(f.baseline, report);
-  const TimeWindow span = f.sim.trace.span();
+  const TimeWindow span = f.sim.trace.view().time_span();
   EXPECT_EQ(render_all(report, span), render_all(f.baseline, span));
 }
 
@@ -316,17 +319,16 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, ColumnarEquivalenceTest,
 TEST(ColumnarEquivalenceTest, UnsortedViewStillMatches) {
   const Fixture& f = fixture();
   // Reverse the sorted trace: maximally unsorted input, same flow set.
-  FlowTrace reversed;
+  FlowColumns reversed;
   reversed.reserve(f.sim.trace.size());
   for (std::size_t i = f.sim.trace.size(); i > 0; --i) {
     reversed.add(f.sim.trace[i - 1]);
   }
-  const FlowColumns columns(reversed);
-  ASSERT_FALSE(columns.view().sorted);
+  ASSERT_FALSE(reversed.is_sorted());
   PrismConfig cfg;
   cfg.num_threads = 1;
   const Prism prism(f.sim.topology, cfg);
-  expect_reports_equal(f.baseline, prism.analyze(columns.view()));
+  expect_reports_equal(f.baseline, prism.analyze(reversed));
 }
 
 // Guard against the differential passing vacuously: the mix must actually
@@ -429,6 +431,103 @@ TEST(ProducerGoldenBytes, ChunkedCsvDecode) {
     ASSERT_TRUE(parsed.ok());
     expect_lft_golden(parsed.trace, 960'520, 0xb9ab40b0711cb003ULL, "csv");
   }
+}
+
+// --- one tie rule on every load path ---------------------------------------
+// Rows equal on every FlowStartTimeLess key (start, src, dst, bytes) but
+// not on duration or path leave each load path in one order: the stable
+// sort keeps their input order, whether the CSV reader's caller sorts, the
+// analysis boundary gathers an unsorted LFT mapping, or the monitor
+// buffers a batch.
+
+/// Durations of the rows that tie with `anchor` on every sort key, in row
+/// order.
+template <typename Rows>
+void collect_ties(const Rows& rows, const FlowRecord& anchor,
+                  std::vector<DurationNs>& out) {
+  for (const FlowRecord& f : rows) {
+    if (!FlowStartTimeLess{}(f, anchor) && !FlowStartTimeLess{}(anchor, f)) {
+      out.push_back(f.duration);
+    }
+  }
+}
+
+std::vector<DurationNs> job_ties(const PrismReport& report,
+                                 const FlowRecord& anchor) {
+  std::vector<DurationNs> out;
+  for (const JobAnalysis& job : report.jobs) {
+    collect_ties(job.trace, anchor, out);
+  }
+  return out;
+}
+
+TEST(FlowOrderTest, TiedRowsKeepInputOrderOnEveryLoadPath) {
+  ClusterSimConfig cfg;
+  cfg.topology = {.num_machines = 4, .gpus_per_machine = 8,
+                  .machines_per_leaf = 2, .num_spines = 2};
+  JobSimConfig job;
+  job.parallelism = {.tp = 8, .dp = 2, .pp = 2, .micro_batches = 4};
+  job.num_steps = 4;
+  cfg.jobs.push_back({job, {}});
+  const auto sim = run_cluster_sim(cfg);
+  const FlowRecord anchor = sim.trace[sim.trace.size() / 2];
+  ASSERT_EQ(anchor.switches.size(), 3u);  // leaf, spine, leaf
+
+  // 48 ties, well past std::sort's 16-row insertion cutoff, told apart by
+  // duration; every other one crosses the fabric the other way round.
+  std::vector<FlowRecord> rows;
+  for (std::size_t i = 1; i < sim.trace.size(); ++i) {
+    rows.push_back(sim.trace[i]);
+  }
+  constexpr DurationNs kTies = 48;
+  for (DurationNs k = 0; k < kTies; ++k) {
+    FlowRecord tie = anchor;
+    tie.duration = anchor.duration + 1 + k;
+    if (k % 2 == 1) std::reverse(tie.switches.begin(), tie.switches.end());
+    rows.push_back(tie);
+  }
+  // The earliest row first (the monitor opens its window there), the rest
+  // reversed: the ties arrive last-added first, the anchor after them.
+  decltype(sim.trace) input;
+  input.add(sim.trace[0]);
+  for (auto it = rows.rbegin(); it != rows.rend(); ++it) input.add(*it);
+  std::vector<DurationNs> expected;
+  for (DurationNs k = kTies; k >= 0; --k) {
+    expected.push_back(anchor.duration + k);
+  }
+
+  std::ostringstream csv;
+  write_csv(csv, input);
+  std::istringstream csv_in(csv.str());
+  auto parsed = read_csv(csv_in);
+  parsed.sort();
+  std::vector<DurationNs> from_csv;
+  collect_ties(parsed, anchor, from_csv);
+  EXPECT_EQ(from_csv, expected) << "read_csv + sort";
+
+  const std::string lft_path =
+      (std::filesystem::temp_directory_path() /
+       ("llmprism_tie_order_" + std::to_string(::getpid()) + ".lft"))
+          .string();
+  write_lft_file(lft_path, input);
+  PrismConfig prism_cfg;
+  prism_cfg.num_threads = 1;
+  {
+    const MappedFlowTrace mapped(lft_path);
+    ASSERT_FALSE(mapped.sorted());
+    const PrismReport report =
+        Prism(sim.topology, prism_cfg).analyze(mapped.view());
+    EXPECT_EQ(job_ties(report, anchor), expected) << "unsorted LFT mapping";
+  }
+  std::filesystem::remove(lft_path);
+
+  MonitorConfig monitor_cfg;
+  monitor_cfg.prism = prism_cfg;
+  OnlineMonitor monitor(sim.topology, monitor_cfg);
+  EXPECT_TRUE(monitor.ingest(input).empty());
+  const std::optional<MonitorTick> tick = monitor.flush();
+  ASSERT_TRUE(tick.has_value());
+  EXPECT_EQ(job_ties(tick->report, anchor), expected) << "monitor ingest";
 }
 
 }  // namespace

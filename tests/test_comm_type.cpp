@@ -12,7 +12,7 @@ namespace {
 
 // Build a synthetic per-pair trace: `steps` bursts; PP pairs send
 // `flows_per_step` equal-size flows; DP pairs send flows of `sizes`.
-void add_pair_flows(FlowTrace& trace, std::uint32_t a, std::uint32_t b,
+void add_pair_flows(FlowColumns& trace, std::uint32_t a, std::uint32_t b,
                     int steps, const std::vector<std::uint64_t>& sizes,
                     int repeats_per_size = 4, TimeNs step_period = 2 * kSecond,
                     TimeNs flow_spacing = kMillisecond) {
@@ -55,7 +55,7 @@ TEST(CommTypeIdentifierTest, ZeroToleranceCountsExact) {
 }
 
 TEST(CommTypeIdentifierTest, SingleSizePairIsPP) {
-  FlowTrace trace;
+  FlowColumns trace;
   add_pair_flows(trace, 0, 8, 6, {1 << 20}, 8);
   trace.sort();
   const auto result = identify(CommTypeIdentifier{}, trace);
@@ -65,7 +65,7 @@ TEST(CommTypeIdentifierTest, SingleSizePairIsPP) {
 }
 
 TEST(CommTypeIdentifierTest, MultiSizePairIsDP) {
-  FlowTrace trace;
+  FlowColumns trace;
   add_pair_flows(trace, 0, 8, 6, {1 << 20, 3 << 20, 5 << 20});
   trace.sort();
   const auto result = identify(CommTypeIdentifier{}, trace);
@@ -78,7 +78,7 @@ TEST(CommTypeIdentifierTest, MultiSizePairIsDP) {
 TEST(CommTypeIdentifierTest, ModeIsRobustToOneCorruptStep) {
   // One step where the collector only captured one size must not flip a DP
   // pair: the mode over steps absorbs it.
-  FlowTrace trace;
+  FlowColumns trace;
   add_pair_flows(trace, 0, 8, 5, {1 << 20, 3 << 20});
   // one extra burst far later with a single size
   add_pair_flows(trace, 0, 8, 1, {1 << 20}, 8, 2 * kSecond, kMillisecond);
@@ -91,9 +91,9 @@ TEST(CommTypeIdentifierTest, ModeIsRobustToOneCorruptStep) {
 TEST(CommTypeIdentifierTest, MajorityCorruptStepsFlipWithoutRefinement) {
   // If MOST steps are truncated to one size, the mode says PP — this is the
   // Table I "w/o refinement" failure mode.
-  FlowTrace trace;
+  FlowColumns trace;
   add_pair_flows(trace, 0, 8, 2, {1 << 20, 3 << 20});
-  FlowTrace corrupt;
+  FlowColumns corrupt;
   add_pair_flows(corrupt, 0, 8, 5, {1 << 20}, 8);
   for (const auto& f : corrupt) {
     auto g = f;
@@ -113,7 +113,7 @@ TEST(CommTypeIdentifierTest, RefinementRescuesTruncatedDpPair) {
   // DP ring 0-8-16-24-0 (GPUs on distinct machines); pair (0,8) is
   // truncated to one size everywhere, the rest are healthy. Transitivity
   // over the DP component must flip (0,8) back to DP.
-  FlowTrace trace;
+  FlowColumns trace;
   const std::vector<std::uint64_t> dp_sizes{1 << 20, 3 << 20};
   add_pair_flows(trace, 8, 16, 6, dp_sizes);
   add_pair_flows(trace, 16, 24, 6, dp_sizes);
@@ -140,7 +140,7 @@ TEST(CommTypeIdentifierTest, RefinementRescuesTruncatedDpPair) {
 TEST(CommTypeIdentifierTest, RefinementNeverFlipsTruePpPairs) {
   // A PP pair bridging two DP components must stay PP: its endpoints are in
   // DIFFERENT components.
-  FlowTrace trace;
+  FlowColumns trace;
   const std::vector<std::uint64_t> dp_sizes{1 << 20, 3 << 20};
   // DP component A: 0-8, component B: 16-24
   add_pair_flows(trace, 0, 8, 6, dp_sizes);
@@ -163,7 +163,7 @@ TEST(CommTypeIdentifierTest, RareSizeArtifactsDoNotFlipPpPairs) {
   // A PP pair whose flows collapse into one window-wide segment (PP
   // intervals are not separable from the step gap) must not flip to DP
   // because of a couple of partially recorded flows.
-  FlowTrace trace;
+  FlowColumns trace;
   for (int i = 0; i < 100; ++i) {
     FlowRecord f;
     f.start_time = i * 50 * kMillisecond;
@@ -193,7 +193,7 @@ TEST(CommTypeIdentifierTest, RareSizeArtifactsDoNotFlipPpPairs) {
 TEST(CommTypeIdentifierTest, RareSizeFilterKeepsRealDpBuckets) {
   // DP buckets each carry a solid share of the pair's flows; the filter
   // must not erase them.
-  FlowTrace trace;
+  FlowColumns trace;
   add_pair_flows(trace, 0, 8, 8, {1 << 20, 3 << 20, 5 << 20}, 4);
   trace.sort();
   const auto result = identify(CommTypeIdentifier{}, trace);
@@ -206,7 +206,7 @@ TEST(CommTypeIdentifierTest, PartialRecordsDoNotCascadeThroughRefinement) {
   // DP components and refinement then flips EVERY PP pair between the two
   // stages. Two DP groups, two PP pairs between them, one PP pair with a
   // stray partial record.
-  FlowTrace trace;
+  FlowColumns trace;
   const std::vector<std::uint64_t> dp_sizes{1 << 20, 3 << 20};
   add_pair_flows(trace, 0, 8, 8, dp_sizes);      // DP group A
   add_pair_flows(trace, 16, 24, 8, dp_sizes);    // DP group B
@@ -232,7 +232,7 @@ TEST(CommTypeIdentifierTest, PartialRecordsDoNotCascadeThroughRefinement) {
 }
 
 TEST(CommTypeIdentifierTest, TypesMapMatchesPairs) {
-  FlowTrace trace;
+  FlowColumns trace;
   add_pair_flows(trace, 0, 8, 4, {1 << 20});
   add_pair_flows(trace, 8, 16, 4, {1 << 20, 2 << 20});
   trace.sort();
@@ -245,13 +245,13 @@ TEST(CommTypeIdentifierTest, TypesMapMatchesPairs) {
 }
 
 TEST(CommTypeIdentifierTest, EmptyTrace) {
-  const auto result = identify(CommTypeIdentifier{}, FlowTrace{});
+  const auto result = identify(CommTypeIdentifier{}, FlowColumns{});
   EXPECT_TRUE(result.pairs.empty());
   EXPECT_TRUE(result.dp_components.empty());
 }
 
 TEST(CommTypeIdentifierTest, PairsSortedDeterministically) {
-  FlowTrace trace;
+  FlowColumns trace;
   add_pair_flows(trace, 16, 24, 3, {1 << 20});
   add_pair_flows(trace, 0, 8, 3, {1 << 20});
   trace.sort();

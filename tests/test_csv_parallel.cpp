@@ -12,7 +12,6 @@
 
 #include "llmprism/common/rng.hpp"
 #include "llmprism/flow/io.hpp"
-#include "llmprism/flow/trace.hpp"
 
 namespace llmprism {
 namespace {

@@ -221,12 +221,12 @@ FlowRecord dp_flow(TimeNs t, std::uint32_t src, std::uint32_t dst,
 }
 
 TEST(SwitchBandwidthTest, PerSwitchAverages) {
-  FlowTrace t;
+  FlowColumns t;
   // 20 Gb/s flow through switches 0 and 1
   t.add(dp_flow(0, 0, 8, 250, 100, {0, 1}));
   // 10 Gb/s flow through switch 1 only
   t.add(dp_flow(10, 0, 16, 250, 200, {1}));
-  const auto bw = Diagnoser::per_switch_bandwidth(FlowColumns(t).view());
+  const auto bw = Diagnoser::per_switch_bandwidth(t.view());
   ASSERT_EQ(bw.size(), 2u);
   EXPECT_EQ(bw[0].first, SwitchId(0));
   EXPECT_DOUBLE_EQ(bw[0].second, 20.0);
@@ -234,13 +234,13 @@ TEST(SwitchBandwidthTest, PerSwitchAverages) {
 }
 
 TEST(SwitchBandwidthTest, ZeroDurationFlowsIgnored) {
-  FlowTrace t;
+  FlowColumns t;
   t.add(dp_flow(0, 0, 8, 250, 0, {0}));
-  EXPECT_TRUE(Diagnoser::per_switch_bandwidth(FlowColumns(t).view()).empty());
+  EXPECT_TRUE(Diagnoser::per_switch_bandwidth(t.view()).empty());
 }
 
 TEST(SwitchBandwidthTest, FlagsDegradedSwitch) {
-  FlowTrace t;
+  FlowColumns t;
   TimeNs at = 0;
   for (std::uint32_t sw = 0; sw < 10; ++sw) {
     // switch 7 runs at a quarter of the bandwidth of the others
@@ -249,14 +249,14 @@ TEST(SwitchBandwidthTest, FlagsDegradedSwitch) {
       t.add(dp_flow(at++, 0, 8, 250, dur, {sw}));
     }
   }
-  const auto alerts = Diagnoser{}.switch_bandwidth(FlowColumns(t).view());
+  const auto alerts = Diagnoser{}.switch_bandwidth(t.view());
   ASSERT_EQ(alerts.size(), 1u);
   EXPECT_EQ(alerts[0].switch_id, SwitchId(7));
   EXPECT_LT(alerts[0].bandwidth_gbps, alerts[0].threshold_gbps);
 }
 
 TEST(SwitchConcurrencyTest, PeakCounting) {
-  FlowTrace t;
+  FlowColumns t;
   // 3 overlapping flows on switch 0, 1 on switch 1.
   t.add(dp_flow(0, 0, 8, 1, 100, {0}));
   t.add(dp_flow(10, 1, 9, 1, 100, {0}));
@@ -264,7 +264,7 @@ TEST(SwitchConcurrencyTest, PeakCounting) {
   t.add(dp_flow(0, 3, 11, 1, 100, {1}));
   DiagnosisConfig cfg;
   cfg.switch_dp_flow_limit = 2;
-  const auto alerts = Diagnoser(cfg).switch_concurrency(FlowColumns(t).view());
+  const auto alerts = Diagnoser(cfg).switch_concurrency(t.view());
   ASSERT_EQ(alerts.size(), 1u);
   EXPECT_EQ(alerts[0].switch_id, SwitchId(0));
   EXPECT_EQ(alerts[0].concurrent_flows, 3u);
@@ -272,19 +272,19 @@ TEST(SwitchConcurrencyTest, PeakCounting) {
 }
 
 TEST(SwitchConcurrencyTest, BackToBackFlowsDoNotOverlap) {
-  FlowTrace t;
+  FlowColumns t;
   // end == next start: sweep processes the end first, peak stays 1.
   t.add(dp_flow(0, 0, 8, 1, 100, {0}));
   t.add(dp_flow(100, 1, 9, 1, 100, {0}));
   DiagnosisConfig cfg;
   cfg.switch_dp_flow_limit = 1;
-  EXPECT_TRUE(Diagnoser(cfg).switch_concurrency(FlowColumns(t).view()).empty());
+  EXPECT_TRUE(Diagnoser(cfg).switch_concurrency(t.view()).empty());
 }
 
 TEST(SwitchConcurrencyTest, UnderLimitNoAlerts) {
-  FlowTrace t;
+  FlowColumns t;
   for (int i = 0; i < 10; ++i) t.add(dp_flow(i * 200, 0, 8, 1, 100, {0}));
-  EXPECT_TRUE(Diagnoser{}.switch_concurrency(FlowColumns(t).view()).empty());
+  EXPECT_TRUE(Diagnoser{}.switch_concurrency(t.view()).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -294,9 +294,9 @@ TEST(SwitchConcurrencyTest, UnderLimitNoAlerts) {
 /// work than any other switch), thirty leaves with a slow leaf 7, eight
 /// spines, zero-duration flows, a one-sample switch 39 and a switch 40
 /// where one flow starts the instant another ends.
-FlowTrace switch_fixture() {
+FlowColumns switch_fixture() {
   Rng rng(31);
-  FlowTrace t;
+  FlowColumns t;
   for (int i = 0; i < 60000; ++i) {
     FlowRecord f;
     f.start_time = rng.uniform_int(0, 5 * kSecond);
@@ -344,9 +344,8 @@ std::map<std::uint32_t, std::vector<std::pair<TimeNs, TimeNs>>> hops_of(
 }
 
 TEST(SwitchPoolTest, NullPoolMatchesIndependentReferences) {
-  const FlowTrace trace = switch_fixture();
-  const FlowColumns columns(trace);
-  const FlowView view = columns.view();
+  const FlowColumns trace = switch_fixture();
+  const FlowView view = trace.view();
 
   // Percentile: stats::percentile over each switch's positive-duration
   // bandwidths.
@@ -411,9 +410,8 @@ TEST(SwitchPoolTest, NullPoolMatchesIndependentReferences) {
 }
 
 TEST(SwitchPoolTest, PoolMatchesNullPoolAtEveryLaneCount) {
-  const FlowTrace trace = switch_fixture();
-  const FlowColumns columns(trace);
-  const FlowView view = columns.view();
+  const FlowColumns trace = switch_fixture();
+  const FlowView view = trace.view();
   DiagnosisConfig cfg;
   cfg.switch_dp_flow_limit = 4;
   const Diagnoser diagnoser(cfg);
@@ -477,7 +475,7 @@ TEST(SwitchSamplesTest, DpRowTableMatchesWrappersOnGatheredDpView) {
   // job is PP; the rest are DP. One DP flow in 17 has zero duration, and
   // switch 50 carries only zero-duration DP flows.
   Rng rng(23);
-  FlowTrace trace;
+  FlowColumns trace;
   for (int i = 0; i < 30000; ++i) {
     const bool job_b = rng.bernoulli(0.5);
     const std::uint32_t base = job_b ? 8 : 0;
@@ -497,8 +495,7 @@ TEST(SwitchSamplesTest, DpRowTableMatchesWrappersOnGatheredDpView) {
     trace.add(dp_flow(i * 100 * kMicrosecond, 1, 2, 4096, 0, {50}));
   }
   trace.sort();
-  const FlowColumns columns(trace);
-  const FlowView view = columns.view();
+  const FlowView view = trace.view();
 
   std::vector<RecognizedJob> jobs(2);
   for (std::uint32_t g = 0; g < 16; ++g) jobs[g / 8].gpus.push_back(GpuId(g));

@@ -629,7 +629,7 @@ std::string report_json(const ClusterSimResult& sim, std::size_t threads,
   PrismConfig config;
   config.num_threads = threads;
   const Prism prism(sim.topology, config);
-  const PrismReport report = prism.analyze(FlowColumns(sim.trace).view());
+  const PrismReport report = prism.analyze(sim.trace.view());
   if (bandwidth_alerts != nullptr) {
     *bandwidth_alerts = report.switch_bandwidth_alerts.size();
   }
@@ -679,8 +679,8 @@ TEST(OneShotExport, SingleWindowViewDrivesAllThreeExports) {
   const ClusterSimResult sim = run_cluster_sim(cfg);
 
   const Prism prism(sim.topology);
-  const PrismReport report = prism.analyze(FlowColumns(sim.trace).view());
-  const WindowExportView view{sim.trace.span(), &report, {}};
+  const PrismReport report = prism.analyze(sim.trace.view());
+  const WindowExportView view{sim.trace.view().time_span(), &report, {}};
 
   PerfettoExporter perfetto;
   perfetto.add_window(view);

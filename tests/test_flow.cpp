@@ -1,10 +1,10 @@
-// Unit tests for flow records, traces, their columnar form and CSV I/O.
+// Unit tests for flow records, the flow columns and their views, and CSV
+// I/O.
 //
-// FlowTrace is the record builder; the data-plane algorithms (windowing,
-// merging, dropping, sorting, the pair index) live on FlowView and
-// FlowColumns. The FlowTrace* suites below build their inputs as traces
-// and drive those algorithms through the trace's columns — the one path a
-// trace takes into analysis.
+// FlowColumns is the one owning flow container: the suites below build
+// their inputs with add() and drive the data-plane algorithms (windowing,
+// appending, merging, dropping, sorting, the pair index) through the
+// columns and their FlowView.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -16,7 +16,6 @@
 #include "llmprism/common/thread_pool.hpp"
 #include "llmprism/common/rng.hpp"
 #include "llmprism/flow/io.hpp"
-#include "llmprism/flow/trace.hpp"
 #include "llmprism/flow/view.hpp"
 #include "llmprism/obs/metrics.hpp"
 
@@ -48,7 +47,7 @@ FlowRecord make_routed_flow(TimeNs t, std::uint32_t src, std::uint32_t dst,
 
 /// Columns must hold exactly `expected`'s records, in order, with a
 /// well-formed CSR (size()+1 offsets from 0 to the hop count).
-void expect_rows(const FlowColumns& cols, const FlowTrace& expected,
+void expect_rows(const FlowColumns& cols, const FlowColumns& expected,
                  const std::string& where = "") {
   ASSERT_EQ(cols.size(), expected.size()) << where;
   for (std::size_t i = 0; i < cols.size(); ++i) {
@@ -61,8 +60,8 @@ void expect_rows(const FlowColumns& cols, const FlowTrace& expected,
 }
 
 /// `n` random flows; times in [0, max_t], hops derived from the endpoints.
-FlowTrace random_trace(Rng& rng, int n, int max_t) {
-  FlowTrace t;
+FlowColumns random_trace(Rng& rng, int n, int max_t) {
+  FlowColumns t;
   for (int i = 0; i < n; ++i) {
     t.add(make_routed_flow(static_cast<TimeNs>(rng.uniform_int(0, max_t)),
                            static_cast<std::uint32_t>(rng.uniform_int(0, 7)),
@@ -97,10 +96,10 @@ TEST(FlowStartTimeLessTest, OrdersByTimeThenEndpoints) {
 }
 
 // ---------------------------------------------------------------------------
-// FlowTrace
+// FlowColumns
 
 TEST(FlowTraceTest, SortAndIsSorted) {
-  FlowTrace t;
+  FlowColumns t;
   t.add(make_flow(30, 1, 2));
   t.add(make_flow(10, 1, 2));
   t.add(make_flow(20, 1, 2));
@@ -112,42 +111,39 @@ TEST(FlowTraceTest, SortAndIsSorted) {
 }
 
 TEST(FlowTraceTest, WindowSelectsHalfOpenRange) {
-  FlowTrace t;
+  FlowColumns t;
   for (TimeNs i = 0; i < 10; ++i) t.add(make_flow(i * 100, 1, 2));
   t.sort();
-  const FlowColumns cols(t);
-  const FlowView w = cols.view().window({200, 500});
+  const FlowView w = t.view().window({200, 500});
   ASSERT_EQ(w.size(), 3u);
   EXPECT_EQ(w.start_ns[0], 200);
   EXPECT_EQ(w.start_ns[2], 400);
 }
 
 TEST(FlowTraceTest, WindowOnUnsortedThrows) {
-  FlowTrace t;
+  FlowColumns t;
   t.add(make_flow(30, 1, 2));
   t.add(make_flow(10, 1, 2));
-  const FlowColumns cols(t);
-  EXPECT_THROW((void)cols.view().window({0, 100}), std::logic_error);
+  EXPECT_THROW((void)t.view().window({0, 100}), std::logic_error);
 }
 
 TEST(FlowTraceTest, WindowEmptyResult) {
-  FlowTrace t;
+  FlowColumns t;
   t.add(make_flow(100, 1, 2));
   t.sort();
-  EXPECT_TRUE(FlowColumns(t).view().window({200, 300}).empty());
+  EXPECT_TRUE(t.view().window({200, 300}).empty());
   EXPECT_TRUE(FlowColumns{}.view().window({0, 100}).empty());
 }
 
 TEST(FlowViewTest, WindowKeepsSwitchPathsOfTheSlice) {
   // A window is a slice: its CSR offsets stay absolute into the parent's
   // hop column, so switches(i) must still name row i's own hops.
-  FlowTrace t;
+  FlowColumns t;
   for (TimeNs i = 0; i < 12; ++i) {
     t.add(make_routed_flow(i * 100, static_cast<std::uint32_t>(i % 5),
                            static_cast<std::uint32_t>(8 + i % 3)));
   }
-  const FlowColumns cols(t);
-  const FlowView w = cols.view().window({350, 1000});
+  const FlowView w = t.view().window({350, 1000});
   ASSERT_EQ(w.size(), 6u);
   for (std::size_t i = 0; i < w.size(); ++i) {
     EXPECT_EQ(w.record(i), t[i + 4]) << "row " << i;
@@ -155,28 +151,57 @@ TEST(FlowViewTest, WindowKeepsSwitchPathsOfTheSlice) {
 }
 
 TEST(FlowTraceTest, SpanCoversFlows) {
-  FlowTrace t;
+  FlowColumns t;
   t.add(make_flow(100, 1, 2, 10, 50));
   t.add(make_flow(300, 1, 2, 10, 500));
-  const auto s = t.span();
+  const auto s = t.view().time_span();
   EXPECT_EQ(s.begin, 100);
   EXPECT_EQ(s.end, 800);
-  EXPECT_EQ(FlowTrace{}.span().length(), 0);
+  EXPECT_EQ(FlowView{}.time_span().length(), 0);
 }
 
 TEST(FlowTraceTest, AppendConcatenates) {
-  FlowTrace a, b;
+  FlowColumns a, b;
   a.add(make_flow(1, 1, 2));
   b.add(make_flow(2, 3, 4));
   a.append(b);
   EXPECT_EQ(a.size(), 2u);
 }
 
+TEST(FlowColumnsAppendTest, AppendRebasesTheHopsOfASlice) {
+  // A slice's CSR offsets are absolute into its parent's hop column: the
+  // appended rows must carry exactly their own hops, rebased onto ours.
+  Rng rng(91);
+  FlowColumns parent = random_trace(rng, 40, 1000);
+  parent.sort();
+  FlowColumns into = random_trace(rng, 5, 10);
+  into.sort();
+  const FlowColumns before = into;
+  into.append(parent.view().slice(10, 30));
+
+  FlowColumns expected = before;
+  for (std::size_t i = 10; i < 30; ++i) expected.add(parent[i]);
+  expect_rows(into, expected);
+  EXPECT_EQ(into.is_sorted(), expected.is_sorted());
+
+  // A view without switch paths appends empty paths.
+  FlowView no_paths = parent.view().slice(0, 3);
+  no_paths.switch_offsets = {};
+  no_paths.switch_ids = {};
+  FlowColumns bare;
+  bare.append(no_paths);
+  ASSERT_EQ(bare.size(), 3u);
+  for (std::size_t i = 0; i < bare.size(); ++i) {
+    EXPECT_TRUE(bare.view().switches(i).empty());
+  }
+  EXPECT_TRUE(bare.view().column_error().empty());
+}
+
 // ---------------------------------------------------------------------------
 // Sortedness cache + merge primitives (the sort-once data plane)
 
 TEST(FlowTraceSortednessTest, InOrderAddsKeepTraceSorted) {
-  FlowTrace t;
+  FlowColumns t;
   EXPECT_TRUE(t.is_sorted());  // empty is sorted
   t.add(make_flow(10, 1, 2));
   t.add(make_flow(10, 1, 2));  // equal keys are fine
@@ -185,7 +210,7 @@ TEST(FlowTraceSortednessTest, InOrderAddsKeepTraceSorted) {
 }
 
 TEST(FlowTraceSortednessTest, OutOfOrderAddInvalidatesUntilSort) {
-  FlowTrace t;
+  FlowColumns t;
   t.add(make_flow(20, 1, 2));
   t.add(make_flow(10, 1, 2));
   EXPECT_FALSE(t.is_sorted());
@@ -196,19 +221,19 @@ TEST(FlowTraceSortednessTest, OutOfOrderAddInvalidatesUntilSort) {
 }
 
 TEST(FlowTraceSortednessTest, AppendTracksBoundaryOrder) {
-  FlowTrace a, b;
+  FlowColumns a, b;
   a.add(make_flow(1, 1, 2));
   a.add(make_flow(2, 1, 2));
   b.add(make_flow(3, 3, 4));
   a.append(b);  // ordered boundary: stays known-sorted
   EXPECT_TRUE(a.is_sorted());
 
-  FlowTrace c;
+  FlowColumns c;
   c.add(make_flow(0, 5, 6));
   a.append(c);  // boundary goes backwards
   EXPECT_FALSE(a.is_sorted());
 
-  FlowTrace d, unsorted;
+  FlowColumns d, unsorted;
   d.add(make_flow(1, 1, 2));
   unsorted.add(make_flow(9, 1, 2));
   unsorted.add(make_flow(5, 1, 2));
@@ -217,22 +242,28 @@ TEST(FlowTraceSortednessTest, AppendTracksBoundaryOrder) {
 }
 
 TEST(FlowTraceSortednessTest, VerifyCachesAPositiveScan) {
-  // A trace built out of order but whose content happens to be sorted is
-  // recognized by the O(N) verify, the transpose inherits the fact, and
+  // Columns whose order is unknown (an LFT image written without the
+  // sorted flag loads that way) but whose content happens to be sorted are
+  // settled by sort()'s O(N) verify, without a physical sort, and
   // windowing then works.
-  std::vector<FlowRecord> flows{make_flow(1, 1, 2), make_flow(2, 1, 2)};
-  const FlowTrace t(std::move(flows));
+  obs::Counter& sorts = obs::default_registry().counter(
+      "llmprism_flowtrace_sorts_total");
+  FlowColumns t;
+  t.add(make_flow(1, 1, 2));
+  t.add(make_flow(2, 1, 2));
+  t.sorted = false;
+  EXPECT_THROW((void)t.view().window({0, 10}), std::logic_error);
+  const std::uint64_t before = sorts.value();
+  t.sort();
+  EXPECT_EQ(sorts.value(), before);
   EXPECT_TRUE(t.is_sorted());
-  const FlowColumns cols(t);
-  EXPECT_TRUE(cols.is_sorted());
-  EXPECT_EQ(cols.view().window({0, 10}).size(), 2u);
+  EXPECT_EQ(t.view().window({0, 10}).size(), 2u);
 }
 
 TEST(FlowTraceSortednessTest, WindowResultIsBornSorted) {
-  FlowTrace t;
+  FlowColumns t;
   for (TimeNs i = 0; i < 10; ++i) t.add(make_flow(i * 100, 1, 2));
-  const FlowColumns cols(t);
-  const FlowView w = cols.view().window({200, 700});
+  const FlowView w = t.view().window({200, 700});
   EXPECT_TRUE(w.sorted);
   EXPECT_TRUE(w.verify_sorted());
 }
@@ -240,7 +271,7 @@ TEST(FlowTraceSortednessTest, WindowResultIsBornSorted) {
 TEST(FlowTraceSortednessTest, PhysicalSortsAreCounted) {
   obs::Counter& sorts = obs::default_registry().counter(
       "llmprism_flowtrace_sorts_total");
-  FlowTrace t;
+  FlowColumns t;
   t.add(make_flow(10, 1, 2));
   t.add(make_flow(20, 1, 2));
   const std::uint64_t before = sorts.value();
@@ -256,20 +287,20 @@ TEST(FlowTraceSortednessTest, PhysicalSortsAreCounted) {
 TEST(FlowTraceMergeTest, MergeSortedMatchesAppendPlusSort) {
   // Randomized property test: for random runs (the incoming one unsorted
   // every other round), merging the columns is record-for-record equal to
-  // appending the traces and sorting, switch paths included.
+  // appending them and sorting, switch paths included.
   Rng rng(321);
   for (int round = 0; round < 50; ++round) {
-    FlowTrace a = random_trace(rng, rng.uniform_int(0, 40), 1000);
-    FlowTrace b = random_trace(rng, rng.uniform_int(0, 40), 1000);
+    FlowColumns a = random_trace(rng, rng.uniform_int(0, 40), 1000);
+    FlowColumns b = random_trace(rng, rng.uniform_int(0, 40), 1000);
     a.sort();
     if (round % 2 == 0) b.sort();
 
-    FlowTrace expected = a;
+    FlowColumns expected = a;
     expected.append(b);
     expected.sort();
 
     FlowColumns merged(a);
-    merged.merge_sorted(FlowColumns(b));
+    merged.merge_sorted(b);
     EXPECT_TRUE(merged.is_sorted());
     EXPECT_TRUE(merged.view().verify_sorted());
     expect_rows(merged, expected, "round " + std::to_string(round));
@@ -281,9 +312,9 @@ TEST(FlowTraceMergeTest, MergeSortedRunsMatchesAppendPlusSort) {
   for (int round = 0; round < 25; ++round) {
     const int k = rng.uniform_int(0, 6);
     std::vector<FlowColumns> runs;
-    FlowTrace expected;
+    FlowColumns expected;
     for (int r = 0; r < k; ++r) {
-      FlowTrace run = random_trace(rng, rng.uniform_int(0, 30), 500);
+      FlowColumns run = random_trace(rng, rng.uniform_int(0, 30), 500);
       if (r % 2 == 0) run.sort();  // odd runs are sorted by the merge
       expected.append(run);
       runs.emplace_back(run);
@@ -299,7 +330,7 @@ TEST(FlowTraceMergeTest, MergeSortedRunsMatchesAppendPlusSort) {
 TEST(FlowTraceMergeTest, MergeSortedRunsBreaksTiesByRunIndex) {
   // Three runs carrying records with identical sort keys but different
   // durations: the lower run's record must come out first.
-  FlowTrace run0, run1, run2;
+  FlowColumns run0, run1, run2;
   run0.add(make_flow(100, 1, 2, 1000, 11));
   run1.add(make_flow(100, 1, 2, 1000, 22));
   run2.add(make_flow(50, 1, 2, 1000, 5));
@@ -318,9 +349,9 @@ TEST(FlowTraceMergeTest, MergeSortedRunsBreaksTiesByRunIndex) {
 
 TEST(FlowTraceMergeTest, MergeIntoEmptyAndFromEmpty) {
   FlowColumns a;
-  FlowTrace b;
+  FlowColumns b;
   b.add(make_routed_flow(1, 1, 2));
-  a.merge_sorted(FlowColumns(b));  // into empty
+  a.merge_sorted(b);  // into empty
   expect_rows(a, b);
   a.merge_sorted(FlowColumns{});  // from empty
   expect_rows(a, b);
@@ -331,7 +362,7 @@ TEST(FlowColumnsMergeTest, AppendFastPathRebasesIncomingSwitchOffsets) {
   // `other` starts at this side's back, so merge_sorted appends instead
   // of merging: the incoming CSR offsets must be shifted by this side's
   // hop count, and a tie at the boundary keeps this side's row first.
-  FlowTrace a, incoming;
+  FlowColumns a, incoming;
   for (TimeNs i = 0; i < 4; ++i) {
     a.add(make_routed_flow(i * 10, static_cast<std::uint32_t>(i + 1), 9));
   }
@@ -346,9 +377,9 @@ TEST(FlowColumnsMergeTest, AppendFastPathRebasesIncomingSwitchOffsets) {
 
   FlowColumns merged(a);
   ASSERT_GT(merged.switch_ids.size(), 0u);
-  merged.merge_sorted(FlowColumns(incoming));
+  merged.merge_sorted(incoming);
 
-  FlowTrace expected = a;
+  FlowColumns expected = a;
   expected.append(incoming);
   expect_rows(merged, expected);
   EXPECT_EQ(merged[4].duration, 11);  // tie: this side first
@@ -356,9 +387,8 @@ TEST(FlowColumnsMergeTest, AppendFastPathRebasesIncomingSwitchOffsets) {
 }
 
 TEST(FlowTraceDropBeforeTest, ErasesStrictPrefix) {
-  FlowTrace t;
-  for (TimeNs i = 0; i < 10; ++i) t.add(make_flow(i * 100, 1, 2));
-  FlowColumns cols(t);
+  FlowColumns cols;
+  for (TimeNs i = 0; i < 10; ++i) cols.add(make_flow(i * 100, 1, 2));
   cols.drop_before(500);
   ASSERT_EQ(cols.size(), 5u);
   EXPECT_EQ(cols.view().start_ns[0], 500);
@@ -367,22 +397,21 @@ TEST(FlowTraceDropBeforeTest, ErasesStrictPrefix) {
   cols.drop_before(10000);  // drops everything
   EXPECT_TRUE(cols.empty());
 
-  FlowTrace unsorted;
+  FlowColumns unsorted;
   unsorted.add(make_flow(20, 1, 2));
   unsorted.add(make_flow(10, 1, 2));
-  FlowColumns unsorted_cols(unsorted);
-  EXPECT_THROW(unsorted_cols.drop_before(15), std::logic_error);
+  EXPECT_THROW(unsorted.drop_before(15), std::logic_error);
 }
 
 TEST(FlowColumnsDropBeforeTest, RebasesSwitchOffsetsOfTheKeptRows) {
   Rng rng(77);
-  FlowTrace t = random_trace(rng, 60, 1000);
+  FlowColumns t = random_trace(rng, 60, 1000);
   t.sort();
   for (const TimeNs cut : {TimeNs{-1}, TimeNs{0}, TimeNs{250}, TimeNs{999},
                            TimeNs{5000}}) {
     FlowColumns cols(t);
     cols.drop_before(cut);
-    FlowTrace expected;
+    FlowColumns expected;
     for (const FlowRecord& f : t) {
       if (f.start_time >= cut) expected.add(f);
     }
@@ -396,7 +425,7 @@ TEST(FlowColumnsSortTest, StableArgsortKeepsEqualKeysInRowOrder) {
   // order; one physical sort is counted, a second sort() is free.
   obs::Counter& sorts = obs::default_registry().counter(
       "llmprism_flowtrace_sorts_total");
-  FlowTrace t;
+  FlowColumns t;
   t.add(make_routed_flow(30, 1, 9));
   t.add(make_flow(10, 2, 9, 1000, 7));
   t.add(make_routed_flow(20, 4, 9));
@@ -409,7 +438,7 @@ TEST(FlowColumnsSortTest, StableArgsortKeepsEqualKeysInRowOrder) {
   cols.sort();
   EXPECT_EQ(sorts.value(), before + 1);
 
-  FlowTrace expected;
+  FlowColumns expected;
   expected.add(t[1]);
   expected.add(t[3]);
   expected.add(t[2]);
@@ -419,11 +448,11 @@ TEST(FlowColumnsSortTest, StableArgsortKeepsEqualKeysInRowOrder) {
 }
 
 TEST(FlowTraceIndexTest, PairIndexGroupsBothDirections) {
-  FlowTrace t;
+  FlowColumns t;
   t.add(make_flow(1, 1, 2));
   t.add(make_flow(2, 2, 1));  // reverse direction, same pair
   t.add(make_flow(3, 1, 3));
-  const PairIndex idx(FlowColumns(t).view());
+  const PairIndex idx(t.view());
   ASSERT_EQ(idx.num_pairs(), 2u);
   EXPECT_EQ(idx.num_flows(), 3u);
   const std::uint32_t p12 = idx.id_of(GpuPair(GpuId(1), GpuId(2)));
@@ -436,12 +465,12 @@ TEST(FlowTraceIndexTest, PairIndexGroupsBothDirections) {
 }
 
 TEST(FlowTraceIndexTest, PairIndexFirstAppearanceOrderAndPositions) {
-  FlowTrace t;
+  FlowColumns t;
   t.add(make_flow(1, 1, 2));
   t.add(make_flow(2, 3, 4));
   t.add(make_flow(3, 2, 1));
   t.add(make_flow(4, 1, 2));
-  const PairIndex idx(FlowColumns(t).view());
+  const PairIndex idx(t.view());
   ASSERT_EQ(idx.num_pairs(), 2u);
   // Dense ids follow first appearance in the trace.
   EXPECT_EQ(idx.pair(0), GpuPair(GpuId(1), GpuId(2)));
@@ -481,9 +510,8 @@ void expect_same_index(const PairIndex& got, const PairIndex& want) {
             PairIndex::kNoPair);
 }
 
-void expect_pool_matches_serial(const FlowTrace& trace) {
-  const FlowColumns cols(trace);
-  const PairIndex serial(cols.view());
+void expect_pool_matches_serial(const FlowColumns& trace) {
+  const PairIndex serial(trace.view());
   // The null-pool index against a map-of-vectors reference: ids in first
   // appearance order, positions in row order.
   std::vector<GpuPair> pairs;
@@ -507,17 +535,17 @@ void expect_pool_matches_serial(const FlowTrace& trace) {
   for (const std::size_t lanes : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE(lanes);
     ThreadPool pool(lanes - 1);
-    expect_same_index(PairIndex(cols.view(), &pool), serial);
+    expect_same_index(PairIndex(trace.view(), &pool), serial);
   }
 }
 
 TEST(PairIndexPoolTest, EmptyView) {
-  expect_pool_matches_serial(FlowTrace{});
-  EXPECT_EQ(PairIndex(FlowColumns(FlowTrace{}).view()).num_pairs(), 0u);
+  expect_pool_matches_serial(FlowColumns{});
+  EXPECT_EQ(PairIndex(FlowView{}).num_pairs(), 0u);
 }
 
 TEST(PairIndexPoolTest, SinglePairBothDirections) {
-  FlowTrace t;
+  FlowColumns t;
   for (int i = 0; i < 40; ++i) {
     t.add(i % 3 == 0 ? make_flow(i, 5, 9) : make_flow(i, 9, 5));
   }
@@ -526,8 +554,8 @@ TEST(PairIndexPoolTest, SinglePairBothDirections) {
 
 TEST(PairIndexPoolTest, UnsortedView) {
   Rng rng(17);
-  const FlowTrace t = random_trace(rng, 500, 50);
-  ASSERT_FALSE(FlowColumns(t).view().sorted);
+  const FlowColumns t = random_trace(rng, 500, 50);
+  ASSERT_FALSE(t.view().sorted);
   expect_pool_matches_serial(t);
 }
 
@@ -548,11 +576,11 @@ TEST(PairIndexPoolTest, ManyPairsAcrossManyBuckets) {
     std::swap(rows[i], rows[static_cast<std::size_t>(rng.uniform_int(
                            0, static_cast<int>(i)))]);
   }
-  FlowTrace t;
+  FlowColumns t;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     t.add(make_flow(static_cast<TimeNs>(i), rows[i].first, rows[i].second));
   }
-  ASSERT_EQ(PairIndex(FlowColumns(t).view()).num_pairs(), 6000u);
+  ASSERT_EQ(PairIndex(t.view()).num_pairs(), 6000u);
   expect_pool_matches_serial(t);
 }
 
@@ -600,7 +628,7 @@ TEST(CsvTest, ReadAllSkipsBlankLines) {
 // Flow CSV I/O
 
 TEST(FlowIoTest, RoundTripPreservesEverything) {
-  FlowTrace t;
+  FlowColumns t;
   auto f1 = make_flow(123456789, 7, 9, 1ull << 33, 42000);
   f1.switches.push_back(SwitchId(3));
   f1.switches.push_back(SwitchId(17));
@@ -610,7 +638,7 @@ TEST(FlowIoTest, RoundTripPreservesEverything) {
 
   std::stringstream ss;
   write_csv(ss, t);
-  const FlowTrace back = read_csv(ss);
+  const FlowColumns back = read_csv(ss);
   ASSERT_EQ(back.size(), 2u);
   EXPECT_EQ(back[0], t[0]);
   EXPECT_EQ(back[1], t[1]);
@@ -618,7 +646,7 @@ TEST(FlowIoTest, RoundTripPreservesEverything) {
 
 TEST(FlowIoTest, EmptyTraceRoundTrip) {
   std::stringstream ss;
-  write_csv(ss, FlowTrace{});
+  write_csv(ss, FlowColumns{});
   EXPECT_TRUE(read_csv(ss).empty());
 }
 
@@ -647,7 +675,7 @@ TEST(FlowIoTest, EmptySwitchListParses) {
 }
 
 TEST(FlowIoTest, FileRoundTrip) {
-  FlowTrace t;
+  FlowColumns t;
   t.add(make_flow(1, 2, 3));
   const std::string path = ::testing::TempDir() + "/flows_test.csv";
   write_csv_file(path, t);

@@ -44,11 +44,11 @@ TEST(FlowRouterTest, RoutesBySrcToTheOwningJob) {
   EXPECT_EQ(router.job_of(GpuId(3)), FlowRouter::kUnattributed);
   EXPECT_EQ(router.job_of(GpuId(99)), FlowRouter::kUnattributed);
 
-  FlowTrace trace;
+  FlowColumns trace;
   trace.add(flow_at(10, 0, 1));
   trace.add(flow_at(20, 5, 4));
   trace.add(flow_at(30, 1, 0));
-  const auto result = router.route(FlowColumns(trace).view());
+  const auto result = router.route(trace.view());
   EXPECT_EQ(result.flows_routed, 3u);
   EXPECT_EQ(result.flows_routed_via_dst, 0u);
   EXPECT_EQ(result.flows_unattributed, 0u);
@@ -64,11 +64,11 @@ TEST(FlowRouterTest, FallsBackToDstWhenSrcIsUnattributed) {
   const std::vector<RecognizedJob> jobs{job_with_gpus({0, 1})};
   const FlowRouter router(jobs);
 
-  FlowTrace trace;
+  FlowColumns trace;
   trace.add(flow_at(10, 7, 1));   // src unattributed, dst owned: recovered
   trace.add(flow_at(20, 0, 7));   // src owned: normal routing
   trace.add(flow_at(30, 8, 9));   // neither endpoint owned: unattributed
-  const auto result = router.route(FlowColumns(trace).view());
+  const auto result = router.route(trace.view());
   EXPECT_EQ(result.flows_routed, 2u);
   EXPECT_EQ(result.flows_routed_via_dst, 1u);
   EXPECT_EQ(result.flows_unattributed, 1u);
@@ -82,13 +82,13 @@ TEST(FlowRouterTest, PreservesOrderSoSortedInputYieldsSortedJobTraces) {
   const std::vector<RecognizedJob> jobs{job_with_gpus({0, 1}),
                                         job_with_gpus({2, 3})};
   const FlowRouter router(jobs);
-  FlowTrace trace;
+  FlowColumns trace;
   trace.add(flow_at(10, 0, 1));
   trace.add(flow_at(20, 2, 3));
   trace.add(flow_at(30, 1, 0));
   trace.add(flow_at(40, 3, 2));
   ASSERT_TRUE(trace.is_sorted());
-  const auto result = router.route(FlowColumns(trace).view());
+  const auto result = router.route(trace.view());
   for (const FlowColumns& jt : result.job_columns) {
     // Born sorted: the cached flag must already know, no O(N) verify is
     // involved in the assertion path.
@@ -109,9 +109,9 @@ TEST(FlowRouterTest, LowerJobWinsContestedGpus) {
 
 TEST(FlowRouterTest, EmptyJobsRouteNothing) {
   const FlowRouter router(std::vector<RecognizedJob>{});
-  FlowTrace trace;
+  FlowColumns trace;
   trace.add(flow_at(10, 0, 1));
-  const auto result = router.route(FlowColumns(trace).view());
+  const auto result = router.route(trace.view());
   EXPECT_TRUE(result.job_columns.empty());
   EXPECT_EQ(result.flows_routed, 0u);
   EXPECT_EQ(result.flows_unattributed, 1u);
@@ -142,9 +142,9 @@ void expect_same_route(const FlowRouter::ColumnarResult& a,
 
 /// Three jobs, the third of which no flow touches, and 2,000 flows with
 /// src-routed, dst-fallback and unattributed rows and 0-3 hops each.
-FlowTrace mixed_route_fixture() {
+FlowColumns mixed_route_fixture() {
   Rng rng(17);
-  FlowTrace trace;
+  FlowColumns trace;
   for (int i = 0; i < 2000; ++i) {
     FlowRecord f = flow_at(rng.uniform_int(0, 1'000'000),
                            static_cast<std::uint32_t>(rng.uniform_int(0, 13)),

@@ -33,16 +33,16 @@ FlowRecord flow(const ClusterTopology& t, std::uint32_t src,
 TEST(JobRecognizerTest, EmptyTraceYieldsNoJobs) {
   const auto t = topo();
   const auto result =
-      JobRecognizer(t).recognize(FlowColumns(FlowTrace{}).view());
+      JobRecognizer(t).recognize(FlowView{});
   EXPECT_TRUE(result.jobs.empty());
   EXPECT_EQ(result.num_cross_machine_clusters, 0u);
 }
 
 TEST(JobRecognizerTest, SingleFlowMakesOneJob) {
   const auto t = topo();
-  FlowTrace trace;
+  FlowColumns trace;
   trace.add(flow(t, 0, 8));  // machine 0 <-> machine 1
-  const auto result = JobRecognizer(t).recognize(FlowColumns(trace).view());
+  const auto result = JobRecognizer(t).recognize(trace.view());
   ASSERT_EQ(result.jobs.size(), 1u);
   EXPECT_EQ(result.num_cross_machine_clusters, 1u);
   // machine-local expansion covers both machines fully
@@ -55,31 +55,31 @@ TEST(JobRecognizerTest, SingleFlowMakesOneJob) {
 
 TEST(JobRecognizerTest, WithoutExpansionOnlyObservedGpus) {
   const auto t = topo();
-  FlowTrace trace;
+  FlowColumns trace;
   trace.add(flow(t, 0, 8));
   const JobRecognizer rec(t, {.include_machine_local_gpus = false});
-  const auto result = rec.recognize(FlowColumns(trace).view());
+  const auto result = rec.recognize(trace.view());
   ASSERT_EQ(result.jobs.size(), 1u);
   EXPECT_EQ(result.jobs[0].gpus.size(), 2u);
 }
 
 TEST(JobRecognizerTest, DisconnectedFlowsMakeSeparateJobs) {
   const auto t = topo();
-  FlowTrace trace;
+  FlowColumns trace;
   trace.add(flow(t, 0, 8));    // machines 0-1
   trace.add(flow(t, 16, 24));  // machines 2-3
-  const auto result = JobRecognizer(t).recognize(FlowColumns(trace).view());
+  const auto result = JobRecognizer(t).recognize(trace.view());
   EXPECT_EQ(result.jobs.size(), 2u);
   EXPECT_EQ(result.num_cross_machine_clusters, 2u);
 }
 
 TEST(JobRecognizerTest, TransitivityMergesChains) {
   const auto t = topo();
-  FlowTrace trace;
+  FlowColumns trace;
   trace.add(flow(t, 0, 8));
   trace.add(flow(t, 8, 16));
   trace.add(flow(t, 16, 24));
-  const auto result = JobRecognizer(t).recognize(FlowColumns(trace).view());
+  const auto result = JobRecognizer(t).recognize(trace.view());
   ASSERT_EQ(result.jobs.size(), 1u);
   EXPECT_EQ(result.jobs[0].machines.size(), 4u);
 }
@@ -88,10 +88,10 @@ TEST(JobRecognizerTest, TopologyMergeJoinsTpLanes) {
   // Two connectivity components on the SAME machine set (distinct GPU slots
   // per machine) model a job's separate TP lanes: they must merge.
   const auto t = topo();
-  FlowTrace trace;
+  FlowColumns trace;
   trace.add(flow(t, 0, 8));   // lane A: machine0 slot0 <-> machine1 slot0
   trace.add(flow(t, 1, 9));   // lane B: machine0 slot1 <-> machine1 slot1
-  const auto result = JobRecognizer(t).recognize(FlowColumns(trace).view());
+  const auto result = JobRecognizer(t).recognize(trace.view());
   EXPECT_EQ(result.num_cross_machine_clusters, 2u);
   ASSERT_EQ(result.jobs.size(), 1u);
   EXPECT_EQ(result.jobs[0].cross_machine_clusters.size(), 2u);
@@ -99,10 +99,10 @@ TEST(JobRecognizerTest, TopologyMergeJoinsTpLanes) {
 
 TEST(JobRecognizerTest, DifferentMachineSetsStaySeparate) {
   const auto t = topo();
-  FlowTrace trace;
+  FlowColumns trace;
   trace.add(flow(t, 0, 8));    // machines {0,1}
   trace.add(flow(t, 1, 17));   // machines {0,2} - overlapping but different
-  const auto result = JobRecognizer(t).recognize(FlowColumns(trace).view());
+  const auto result = JobRecognizer(t).recognize(trace.view());
   // Machine sets {0,1} and {0,2} differ -> no merge.
   EXPECT_EQ(result.jobs.size(), 2u);
 }
@@ -112,10 +112,10 @@ TEST(JobRecognizerTest, SameMachineSetJobsAreMergedKnownLimitation) {
   // machines are merged by Alg. 1 (machine sets are identical). This pins
   // the published algorithm's known limitation.
   const auto t = topo();
-  FlowTrace trace;
+  FlowColumns trace;
   trace.add(flow(t, 0, 8));   // job A on slots 0-3
   trace.add(flow(t, 4, 12));  // job B on slots 4-7, same machines
-  const auto result = JobRecognizer(t).recognize(FlowColumns(trace).view());
+  const auto result = JobRecognizer(t).recognize(trace.view());
   EXPECT_EQ(result.jobs.size(), 1u);
 }
 
@@ -123,9 +123,9 @@ TEST(JobRecognizerTest, IntraMachineFlowsDoNotCreateJobs) {
   // A defensive case: flows between GPUs of one machine (which a switch
   // would never see) still unify but produce a single-machine job.
   const auto t = topo();
-  FlowTrace trace;
+  FlowColumns trace;
   trace.add(flow(t, 0, 1));
-  const auto result = JobRecognizer(t).recognize(FlowColumns(trace).view());
+  const auto result = JobRecognizer(t).recognize(trace.view());
   ASSERT_EQ(result.jobs.size(), 1u);
   EXPECT_EQ(result.jobs[0].machines.size(), 1u);
 }
@@ -136,39 +136,39 @@ TEST(JobRecognizerTest, GpuOutsideTheTopologyThrows) {
   const auto t = topo(2);  // GPUs 0..15
   for (const std::uint32_t bad : {16u, 1000u, 0xfffffffeu, 0xffffffffu}) {
     SCOPED_TRACE(bad);
-    FlowTrace as_dst;
+    FlowColumns as_dst;
     as_dst.add(flow(t, 0, 8));
     FlowRecord f = flow(t, 0, 8, 1);
     f.dst = GpuId(bad);
     as_dst.add(f);
-    EXPECT_THROW((void)JobRecognizer(t).recognize(FlowColumns(as_dst).view()),
+    EXPECT_THROW((void)JobRecognizer(t).recognize(as_dst.view()),
                  std::out_of_range);
-    FlowTrace as_src;
+    FlowColumns as_src;
     f.src = GpuId(bad);
     f.dst = GpuId(3);
     as_src.add(f);
-    EXPECT_THROW((void)JobRecognizer(t).recognize(FlowColumns(as_src).view()),
+    EXPECT_THROW((void)JobRecognizer(t).recognize(as_src.view()),
                  std::out_of_range);
   }
   // A self-flow forms no cross-machine cluster, so its id never reaches
   // the topology — as before, it is ignored rather than rejected.
-  FlowTrace self;
+  FlowColumns self;
   self.add(flow(t, 0, 8));
   FlowRecord loop = flow(t, 0, 8, 1);
   loop.src = GpuId(1000);
   loop.dst = GpuId(1000);
   self.add(loop);
-  const auto result = JobRecognizer(t).recognize(FlowColumns(self).view());
+  const auto result = JobRecognizer(t).recognize(self.view());
   ASSERT_EQ(result.jobs.size(), 1u);
   EXPECT_EQ(result.jobs[0].machines.size(), 2u);
 }
 
 TEST(JobRecognizerTest, JobsOrderedByFirstGpu) {
   const auto t = topo();
-  FlowTrace trace;
+  FlowColumns trace;
   trace.add(flow(t, 64, 72));  // machines 8-9
   trace.add(flow(t, 0, 8));    // machines 0-1
-  const auto result = JobRecognizer(t).recognize(FlowColumns(trace).view());
+  const auto result = JobRecognizer(t).recognize(trace.view());
   ASSERT_EQ(result.jobs.size(), 2u);
   EXPECT_LT(result.jobs[0].gpus.front(), result.jobs[1].gpus.front());
 }
@@ -195,7 +195,7 @@ TEST_P(JobRecognitionSweep, RecognizesSimulatedJobExactly) {
   cfg.jobs.push_back({job, {}});
   const auto sim = run_cluster_sim(cfg);
   const auto result =
-      JobRecognizer(sim.topology).recognize(FlowColumns(sim.trace).view());
+      JobRecognizer(sim.topology).recognize(sim.trace.view());
   ASSERT_EQ(result.jobs.size(), 1u);
   std::vector<GpuId> expected = sim.jobs[0].gpus;
   std::sort(expected.begin(), expected.end());
@@ -229,7 +229,7 @@ TEST(JobRecognizerLimitationTest, InteriorRanksMaySplitJobs) {
   cfg.jobs.push_back({job, {}});
   const auto sim = run_cluster_sim(cfg);
   const auto result =
-      JobRecognizer(sim.topology).recognize(FlowColumns(sim.trace).view());
+      JobRecognizer(sim.topology).recognize(sim.trace.view());
   EXPECT_GT(result.jobs.size(), 1u);
 }
 

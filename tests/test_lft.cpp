@@ -18,7 +18,6 @@
 #include "llmprism/common/rng.hpp"
 #include "llmprism/flow/io.hpp"
 #include "llmprism/flow/lft.hpp"
-#include "llmprism/flow/trace.hpp"
 #include "llmprism/obs/metrics.hpp"
 
 namespace llmprism {
@@ -37,8 +36,8 @@ FlowRecord make_flow(TimeNs t, std::uint32_t src, std::uint32_t dst,
 
 /// Random trace exercising the format's whole value range: negative
 /// (pre-epoch) times, huge byte counts, 0..4-hop switch paths.
-FlowTrace random_trace(Rng& rng, int n, bool sorted) {
-  FlowTrace t;
+FlowColumns random_trace(Rng& rng, int n, bool sorted) {
+  FlowColumns t;
   for (int i = 0; i < n; ++i) {
     auto f = make_flow(
         static_cast<TimeNs>(rng.uniform_int(-1'000'000, 1'000'000)),
@@ -59,13 +58,13 @@ FlowTrace random_trace(Rng& rng, int n, bool sorted) {
   return t;
 }
 
-std::string lft_bytes(const FlowTrace& trace) {
+std::string lft_bytes(const FlowColumns& trace) {
   std::ostringstream os(std::ios::binary);
   write_lft(os, trace);
   return std::move(os).str();
 }
 
-FlowTrace from_bytes(const std::string& bytes) {
+FlowColumns from_bytes(const std::string& bytes) {
   std::istringstream is(bytes, std::ios::binary);
   return read_lft(is);
 }
@@ -77,7 +76,7 @@ std::string write_temp(const std::string& bytes, const std::string& name) {
   return path;
 }
 
-void expect_equal(const FlowTrace& got, const FlowTrace& want) {
+void expect_equal(const FlowColumns& got, const FlowColumns& want) {
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i], want[i]) << "flow " << i;
@@ -117,8 +116,8 @@ void expect_both_fail(const std::string& bytes, const std::string& needle,
 // Round trips
 
 TEST(LftRoundTripTest, EmptyTrace) {
-  const std::string bytes = lft_bytes(FlowTrace{});
-  const FlowTrace back = from_bytes(bytes);
+  const std::string bytes = lft_bytes(FlowColumns{});
+  const FlowColumns back = from_bytes(bytes);
   EXPECT_TRUE(back.empty());
   EXPECT_TRUE(back.is_sorted());
 
@@ -133,11 +132,11 @@ TEST(LftRoundTripTest, RandomTracesStreamAndMmap) {
   Rng rng(20260806);
   for (int round = 0; round < 30; ++round) {
     const bool sorted = rng.bernoulli(0.5);
-    const FlowTrace trace =
+    const FlowColumns trace =
         random_trace(rng, static_cast<int>(rng.uniform_int(0, 200)), sorted);
     const std::string bytes = lft_bytes(trace);
 
-    const FlowTrace back = from_bytes(bytes);
+    const FlowColumns back = from_bytes(bytes);
     expect_equal(back, trace);
     EXPECT_EQ(back.is_sorted(), trace.is_sorted()) << "round " << round;
 
@@ -153,14 +152,14 @@ TEST(LftRoundTripTest, RandomTracesStreamAndMmap) {
 }
 
 TEST(LftRoundTripTest, MaxHopPathsSurvive) {
-  FlowTrace t;
+  FlowColumns t;
   auto f = make_flow(5, 1, 2);
   for (std::uint32_t h = 0; h < SwitchPath::capacity(); ++h) {
     f.switches.push_back(SwitchId(100 + h));
   }
   t.add(f);
   t.add(make_flow(9, 3, 4));  // zero hops right after a full path
-  const FlowTrace back = from_bytes(lft_bytes(t));
+  const FlowColumns back = from_bytes(lft_bytes(t));
   expect_equal(back, t);
   ASSERT_EQ(back[0].switches.size(), SwitchPath::capacity());
   EXPECT_EQ(back[0].switches[3], SwitchId(103));
@@ -169,18 +168,18 @@ TEST(LftRoundTripTest, MaxHopPathsSurvive) {
 TEST(LftRoundTripTest, CsvAndLftAgree) {
   // The same trace through both serializers decodes to identical records.
   Rng rng(77);
-  const FlowTrace trace = random_trace(rng, 100, /*sorted=*/true);
+  const FlowColumns trace = random_trace(rng, 100, /*sorted=*/true);
 
   std::stringstream csv;
   write_csv(csv, trace);
-  const FlowTrace via_csv = read_csv(csv);
-  const FlowTrace via_lft = from_bytes(lft_bytes(trace));
+  const FlowColumns via_csv = read_csv(csv);
+  const FlowColumns via_lft = from_bytes(lft_bytes(trace));
   expect_equal(via_lft, via_csv);
 }
 
 TEST(LftRoundTripTest, SortedFileLoadsBornSortedWithZeroSorts) {
   Rng rng(13);
-  const FlowTrace trace = random_trace(rng, 150, /*sorted=*/true);
+  const FlowColumns trace = random_trace(rng, 150, /*sorted=*/true);
   const std::string bytes = lft_bytes(trace);
   // Header flag (offset 6) records sortedness.
   EXPECT_EQ(static_cast<unsigned char>(bytes[6]), lft::kFlagSorted);
@@ -188,7 +187,7 @@ TEST(LftRoundTripTest, SortedFileLoadsBornSortedWithZeroSorts) {
   obs::Counter& sorts =
       obs::default_registry().counter("llmprism_flowtrace_sorts_total");
   const std::uint64_t before = sorts.value();
-  FlowTrace back = from_bytes(bytes);
+  FlowColumns back = from_bytes(bytes);
   EXPECT_TRUE(back.is_sorted());
   back.sort();  // must be a no-op
   EXPECT_EQ(sorts.value(), before);
@@ -198,7 +197,7 @@ TEST(MappedFlowTraceTest, SortedLoadExportsTheSortCounter) {
   // A sorted file reaches the analysis without any sort() call. Loading it
   // still registers the sort counter, so the run's metrics show the zero
   // sorts it took. Nothing here sorts before the load.
-  FlowTrace t;
+  FlowColumns t;
   for (int i = 0; i < 4; ++i) t.add(make_flow(i, 1, 2));
   const MappedFlowTrace mapped(write_temp(lft_bytes(t), "lft_sorts.lft"));
   EXPECT_TRUE(mapped.view().sorted);
@@ -209,7 +208,7 @@ TEST(MappedFlowTraceTest, SortedLoadExportsTheSortCounter) {
 }
 
 TEST(LftRoundTripTest, FileHelpersRoundTrip) {
-  FlowTrace t;
+  FlowColumns t;
   t.add(make_flow(1, 2, 3));
   const std::string path = ::testing::TempDir() + "/lft_file_rt.lft";
   write_lft_file(path, t);
@@ -217,16 +216,35 @@ TEST(LftRoundTripTest, FileHelpersRoundTrip) {
   EXPECT_TRUE(is_lft_file(path));
 }
 
-// The owning readers copy each section out, so an image may start at any
+// The writer takes any view. A slice of sorted columns (the chunked
+// `prism convert` path), whose hop offsets are absolute into the parent,
+// writes the same bytes as the same rows copied out, and rows whose order
+// is unknown are written with the verified flag.
+TEST(LftRoundTripTest, SliceAndUnknownOrderWriteTheirOwnBytes) {
+  Rng rng(23);
+  const FlowColumns trace = random_trace(rng, 60, /*sorted=*/true);
+  FlowColumns copy;
+  for (std::size_t i = 10; i < 45; ++i) copy.add(trace[i]);
+  ASSERT_GT(copy.switch_ids.size(), 0u);
+  std::ostringstream os(std::ios::binary);
+  write_lft(os, trace.view().slice(10, 45));
+  EXPECT_EQ(std::move(os).str(), lft_bytes(copy));
+
+  FlowColumns unknown = copy;
+  unknown.sorted = false;
+  EXPECT_EQ(lft_bytes(unknown), lft_bytes(copy));
+}
+
+// The owning reader copies each section out, so an image may start at any
 // address (a socket frame payload has no alignment guarantee).
 TEST(LftRoundTripTest, UnalignedBufferDecodes) {
   Rng rng(5);
-  const FlowTrace trace = random_trace(rng, 40, /*sorted=*/true);
+  const FlowColumns trace = random_trace(rng, 40, /*sorted=*/true);
   const std::string buffer = "x" + lft_bytes(trace);
   const auto image =
       std::as_bytes(std::span(buffer.data() + 1, buffer.size() - 1));
   ASSERT_NE(reinterpret_cast<std::uintptr_t>(image.data()) % 2, 0u);
-  const FlowTrace back = read_lft_buffer(image);
+  const FlowColumns back = read_lft_buffer(image);
   expect_equal(back, trace);
   EXPECT_TRUE(back.is_sorted());
 }
@@ -235,7 +253,7 @@ TEST(LftRoundTripTest, UnalignedBufferDecodes) {
 // change made symmetrically in the writer and the readers, so these pin
 // the size and XXH64 of fixed images.
 TEST(LftTest, GoldenBytes) {
-  const auto expect_image = [](const FlowTrace& trace, std::size_t size,
+  const auto expect_image = [](const FlowColumns& trace, std::size_t size,
                                std::uint64_t digest, const char* name) {
     const std::string bytes = lft_bytes(trace);
     const std::uint64_t got = xxhash64(bytes.data(), bytes.size());
@@ -248,7 +266,7 @@ TEST(LftTest, GoldenBytes) {
   Rng unsorted_rng(7);
   expect_image(random_trace(unsorted_rng, 33, /*sorted=*/false), 1'656,
                0xdcb3fe1fae6489e7ULL, "unsorted");
-  FlowTrace max_hops;
+  FlowColumns max_hops;
   auto full = make_flow(5, 1, 2);
   for (std::uint32_t h = 0; h < SwitchPath::capacity(); ++h) {
     full.switches.push_back(SwitchId(100 + h));
@@ -256,14 +274,14 @@ TEST(LftTest, GoldenBytes) {
   max_hops.add(full);
   max_hops.add(make_flow(9, 3, 4));
   expect_image(max_hops, 200, 0x4c7ad3439876ce6dULL, "max-hop");
-  expect_image(FlowTrace{}, 104, 0x7376c6fb578d12f7ULL, "empty");
+  expect_image(FlowColumns{}, 104, 0x7376c6fb578d12f7ULL, "empty");
 }
 
 // ---------------------------------------------------------------------------
 // The mmap reader's zero-copy surface
 
 TEST(MappedFlowTraceTest, ColumnsViewTheFile) {
-  FlowTrace t;
+  FlowColumns t;
   auto f0 = make_flow(-7, 11, 22, 333, 44);
   f0.switches.push_back(SwitchId(5));
   f0.switches.push_back(SwitchId(6));
@@ -317,13 +335,13 @@ TEST(MappedFlowTraceTest, ViewPointsIntoTheMapping) {
 }
 
 TEST(MappedFlowTraceTest, MoveTransfersTheMapping) {
-  FlowTrace t;
+  FlowColumns t;
   t.add(make_flow(1, 2, 3));
   MappedFlowTrace a(write_temp(lft_bytes(t), "lft_move.lft"));
   MappedFlowTrace b(std::move(a));
   EXPECT_EQ(b.size(), 1u);
   EXPECT_EQ(b.record(0), t[0]);
-  MappedFlowTrace c(write_temp(lft_bytes(FlowTrace{}), "lft_move2.lft"));
+  MappedFlowTrace c(write_temp(lft_bytes(FlowColumns{}), "lft_move2.lft"));
   c = std::move(b);
   EXPECT_EQ(c.size(), 1u);
 }
@@ -337,7 +355,7 @@ TEST(MappedFlowTraceTest, NonexistentFileThrows) {
 // Format detection
 
 TEST(LftDetectTest, MagicPrefix) {
-  EXPECT_TRUE(is_lft(lft_bytes(FlowTrace{})));
+  EXPECT_TRUE(is_lft(lft_bytes(FlowColumns{})));
   EXPECT_FALSE(is_lft("LFT"));  // too short to say yes
   EXPECT_FALSE(is_lft(""));
   EXPECT_FALSE(is_lft("start_ns,src,dst,bytes,duration_ns,switches\n"));
@@ -371,7 +389,7 @@ class LftCorruptTest : public ::testing::Test {
     return at;
   }
 
-  FlowTrace trace_;
+  FlowColumns trace_;
   std::string bytes_;
 };
 
@@ -473,7 +491,7 @@ TEST_F(LftCorruptTest, CsrWrongTotal) {
 }
 
 TEST_F(LftCorruptTest, SortedFlagLie) {
-  FlowTrace unsorted;
+  FlowColumns unsorted;
   unsorted.add(make_flow(100, 1, 2));
   unsorted.add(make_flow(50, 3, 4));
   ASSERT_FALSE(unsorted.is_sorted());

@@ -99,7 +99,7 @@ TEST(OnlineMonitorTest, IncrementalBatchesMatchOneShot) {
   std::vector<MonitorTick> got;
   const std::size_t chunk = sim.trace.size() / 7 + 1;
   for (std::size_t at = 0; at < sim.trace.size(); at += chunk) {
-    FlowTrace batch;
+    FlowColumns batch;
     for (std::size_t i = at; i < std::min(at + chunk, sim.trace.size());
          ++i) {
       batch.add(sim.trace[i]);
@@ -172,14 +172,14 @@ TEST(OnlineMonitorTest, OutOfOrderBatchesWithLateDropsMatchOneShot) {
           0, static_cast<std::int64_t>(i - shuffle_from) - 1));
       std::swap(shuffled[i - 1], shuffled[j]);
     }
-    FlowTrace batch;
+    FlowColumns batch;
     for (FlowRecord& f : shuffled) batch.add(std::move(f));
     for (auto& t : incremental.ingest(batch)) got.push_back(std::move(t));
 
     // Once windows have closed, replay the very first flow: it starts
     // before the current window begin, so it must be dropped late.
     if (!got.empty()) {
-      FlowTrace late;
+      FlowColumns late;
       late.add(sim.trace[0]);
       const auto ticks = incremental.ingest(late);
       EXPECT_TRUE(ticks.empty());
@@ -222,7 +222,7 @@ TEST(OnlineMonitorTest, LateFlowsBeyondSlackAreDropped) {
   OnlineMonitor monitor(sim.topology, cfg);
   monitor.ingest(sim.trace);
   // Replay the first flow far in the past: it must be silently dropped.
-  FlowTrace late;
+  FlowColumns late;
   late.add(sim.trace[0]);
   const auto before = monitor.stats().flows_ingested;
   monitor.ingest(late);
@@ -261,7 +261,7 @@ MonitorConfig tiny_config(DurationNs window, DurationNs slack) {
 TEST(OnlineMonitorEdgeTest, FlowAtExactWindowEndBelongsToNextWindow) {
   const auto topology = tiny_topology();
   OnlineMonitor monitor(topology, tiny_config(kSecond, 0));
-  FlowTrace batch;
+  FlowColumns batch;
   batch.add(flow_at(0, 0, 2));
   batch.add(flow_at(kSecond, 0, 2));      // exactly window_begin + window
   batch.add(flow_at(2 * kSecond, 0, 2));  // advances the watermark
@@ -283,7 +283,7 @@ TEST(OnlineMonitorEdgeTest, FlowAtSlackLimitKeptOneTickPastDropped) {
   const auto topology = tiny_topology();
   const DurationNs slack = 100 * kMillisecond;
   OnlineMonitor monitor(topology, tiny_config(kSecond, slack));
-  FlowTrace batch;
+  FlowColumns batch;
   batch.add(flow_at(0, 0, 2));
   // Watermark 1s + slack closes exactly [0, 1s); the oldest admissible
   // start time is then the new window begin, 1s.
@@ -292,13 +292,13 @@ TEST(OnlineMonitorEdgeTest, FlowAtSlackLimitKeptOneTickPastDropped) {
   ASSERT_EQ(ticks.size(), 1u);
   EXPECT_EQ(monitor.stats().flows_dropped_late, 0u);
 
-  FlowTrace at_limit;
+  FlowColumns at_limit;
   at_limit.add(flow_at(kSecond, 0, 2));  // exactly at the limit: kept
   monitor.ingest(at_limit);
   EXPECT_EQ(monitor.stats().flows_dropped_late, 0u);
   EXPECT_EQ(monitor.stats().flows_ingested, 3u);
 
-  FlowTrace past_limit;
+  FlowColumns past_limit;
   past_limit.add(flow_at(kSecond - 1, 0, 2));  // one tick past: dropped
   monitor.ingest(past_limit);
   EXPECT_EQ(monitor.stats().flows_dropped_late, 1u);
@@ -308,7 +308,7 @@ TEST(OnlineMonitorEdgeTest, FlowAtSlackLimitKeptOneTickPastDropped) {
 TEST(OnlineMonitorEdgeTest, FlushAfterDrainingIsNullopt) {
   const auto topology = tiny_topology();
   OnlineMonitor monitor(topology, tiny_config(kSecond, 0));
-  FlowTrace batch;
+  FlowColumns batch;
   batch.add(flow_at(0, 0, 2));
   batch.add(flow_at(10 * kMillisecond, 0, 2));
   monitor.ingest(batch);
@@ -319,7 +319,7 @@ TEST(OnlineMonitorEdgeTest, FlushAfterDrainingIsNullopt) {
 TEST(OnlineMonitorEdgeTest, StableIdPersistsWhenJobSkipsAWindow) {
   const auto topology = tiny_topology();
   OnlineMonitor monitor(topology, tiny_config(kSecond, 0));
-  FlowTrace batch;
+  FlowColumns batch;
   // Job A (machines 0-1) in windows 0 and 2; job B (machines 2-3) in all
   // three, which keeps the windows advancing while A is absent.
   batch.add(flow_at(0, 0, 2));                           // A, window 0
@@ -348,7 +348,7 @@ TEST(OnlineMonitorEdgeTest, StableIdPersistsWhenJobSkipsAWindow) {
 TEST(OnlineMonitorEdgeTest, StableIdRecycledWhenMachineSetShrinksAndReturns) {
   const auto topology = tiny_topology();
   OnlineMonitor monitor(topology, tiny_config(kSecond, 0));
-  FlowTrace batch;
+  FlowColumns batch;
   // Window 0: machines {0,1,2}. Window 1: the job shrinks to {0,1} — a
   // different identity. Window 2: the full set returns and must get its
   // original id back, not a third one.
@@ -378,7 +378,7 @@ TEST(OnlineMonitorEdgeTest, SteadyTrafficMintsOneStableIdWithCarry) {
   MonitorConfig cfg = tiny_config(kSecond, 0);
   ASSERT_TRUE(cfg.carry_state) << "the session engine is the default";
   OnlineMonitor monitor(topology, cfg);
-  FlowTrace batch;
+  FlowColumns batch;
   for (TimeNs t = 0; t < 4 * kSecond + kSecond / 2; t += 100 * kMillisecond) {
     batch.add(flow_at(t, 0, 2));
   }

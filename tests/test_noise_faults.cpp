@@ -20,9 +20,9 @@ FlowRecord flow(TimeNs t, std::uint32_t src, std::uint32_t dst,
   return f;
 }
 
-FlowTrace bursty_trace(int bursts, int flows_per_burst,
+FlowColumns bursty_trace(int bursts, int flows_per_burst,
                        std::vector<std::uint64_t> sizes) {
-  FlowTrace t;
+  FlowColumns t;
   for (int b = 0; b < bursts; ++b) {
     for (int i = 0; i < flows_per_burst; ++i) {
       t.add(flow(b * kSecond + i * kMillisecond, 0, 8,
@@ -172,15 +172,15 @@ TEST(NoiseTest, DeterministicGivenSeed) {
 
 TEST(FaultsTest, RejectsBadFactor) {
   EXPECT_THROW(
-      apply_switch_degradation(FlowTrace{}, {{SwitchId(0), {0, 1}, 0.0}}),
+      apply_switch_degradation(FlowColumns{}, {{SwitchId(0), {0, 1}, 0.0}}),
       std::invalid_argument);
   EXPECT_THROW(
-      apply_switch_degradation(FlowTrace{}, {{SwitchId(0), {0, 1}, 1.5}}),
+      apply_switch_degradation(FlowColumns{}, {{SwitchId(0), {0, 1}, 1.5}}),
       std::invalid_argument);
 }
 
 TEST(FaultsTest, StretchesOnlyMatchingFlows) {
-  FlowTrace t;
+  FlowColumns t;
   t.add(flow(100, 0, 8, 1, 1000, {3}));
   t.add(flow(100, 0, 8, 1, 1000, {4}));       // other switch
   t.add(flow(9'000'000'000, 0, 8, 1, 1000, {3}));  // outside window
@@ -194,7 +194,7 @@ TEST(FaultsTest, StretchesOnlyMatchingFlows) {
 }
 
 TEST(FaultsTest, WorstHopWins) {
-  FlowTrace t;
+  FlowColumns t;
   t.add(flow(100, 0, 8, 1, 1000, {3, 4}));
   const std::vector<SwitchDegradationSpec> specs{
       {SwitchId(3), TimeWindow{0, kSecond}, 0.5},
@@ -204,14 +204,14 @@ TEST(FaultsTest, WorstHopWins) {
 }
 
 TEST(FaultsTest, NoSpecsIsIdentity) {
-  FlowTrace t;
+  FlowColumns t;
   t.add(flow(100, 0, 8, 1, 1000, {3}));
   const auto out = apply_switch_degradation(t, {});
   EXPECT_EQ(out[0], t[0]);
 }
 
 TEST(FaultsTest, DegradationLowersObservedBandwidth) {
-  FlowTrace t;
+  FlowColumns t;
   t.add(flow(100, 0, 8, 2500, 1000, {3}));
   const double before = t[0].bandwidth_gbps();
   const auto out = apply_switch_degradation(

@@ -367,7 +367,7 @@ struct MixData {
 MixData make_mix(const ClusterSimConfig& cfg) {
   MixData mix{run_cluster_sim(cfg), {}};
   mix.baseline = Prism(mix.sim.topology, prism_config(1))
-                     .analyze(FlowColumns(mix.sim.trace).view());
+                     .analyze(mix.sim.trace.view());
   return mix;
 }
 
@@ -395,28 +395,28 @@ TEST_P(ParallelEquivalenceTest, OneJobMix) {
   const MixData& mix = one_job();
   const Prism prism(mix.sim.topology, prism_config(GetParam()));
   expect_reports_equal(
-      mix.baseline, prism.analyze(FlowColumns(mix.sim.trace).view()));
+      mix.baseline, prism.analyze(mix.sim.trace.view()));
 }
 
 TEST_P(ParallelEquivalenceTest, ThreeJobMix) {
   const MixData& mix = three_jobs();
   const Prism prism(mix.sim.topology, prism_config(GetParam()));
   expect_reports_equal(
-      mix.baseline, prism.analyze(FlowColumns(mix.sim.trace).view()));
+      mix.baseline, prism.analyze(mix.sim.trace.view()));
 }
 
 TEST_P(ParallelEquivalenceTest, EightJobMix) {
   const MixData& mix = eight_jobs();
   const Prism prism(mix.sim.topology, prism_config(GetParam()));
   expect_reports_equal(
-      mix.baseline, prism.analyze(FlowColumns(mix.sim.trace).view()));
+      mix.baseline, prism.analyze(mix.sim.trace.view()));
 }
 
 TEST_P(ParallelEquivalenceTest, HugeSingleJobMix) {
   const MixData& mix = huge_job();
   const Prism prism(mix.sim.topology, prism_config(GetParam()));
   expect_reports_equal(
-      mix.baseline, prism.analyze(FlowColumns(mix.sim.trace).view()));
+      mix.baseline, prism.analyze(mix.sim.trace.view()));
 }
 
 // Guard against the single-job differential passing vacuously: the mix

@@ -147,7 +147,7 @@ TEST_P(InferenceSweep, RecoversSimulatedLayout) {
   cfg.jobs.push_back({job, {}});
   const auto sim = run_cluster_sim(cfg);
   const Prism prism(sim.topology);
-  const auto report = prism.analyze(FlowColumns(sim.trace).view());
+  const auto report = prism.analyze(sim.trace.view());
   ASSERT_EQ(report.jobs.size(), 1u);
   const InferredParallelism& inf = report.jobs[0].inferred;
   EXPECT_EQ(inf.tp, p.tp);
@@ -208,7 +208,7 @@ TEST(InferenceLimitationTest, IntraMachineRingHopsAreAmbiguous) {
   cfg.jobs.push_back({job, {}});
   const auto sim = run_cluster_sim(cfg);
   const Prism prism(sim.topology);
-  const auto report = prism.analyze(FlowColumns(sim.trace).view());
+  const auto report = prism.analyze(sim.trace.view());
   ASSERT_EQ(report.jobs.size(), 1u);
   const InferredParallelism& inf = report.jobs[0].inferred;
   EXPECT_EQ(inf.pp, 2u);

@@ -38,7 +38,7 @@ class PrismIntegrationTest : public ::testing::Test {
     sim_ = std::make_unique<ClusterSimResult>(run_cluster_sim(two_job_cluster()));
     prism_ = std::make_unique<Prism>(sim_->topology);
     report_ = std::make_unique<PrismReport>(
-        prism_->analyze(FlowColumns(sim_->trace).view()));
+        prism_->analyze(sim_->trace.view()));
   }
 
   std::unique_ptr<ClusterSimResult> sim_;
@@ -137,7 +137,7 @@ TEST(PrismDiagnosisIntegrationTest, DetectsStragglerViaCrossStep) {
   cfg.jobs.push_back({j, {}});
   const auto sim = run_cluster_sim(cfg);
   const Prism prism(sim.topology);
-  const auto report = prism.analyze(FlowColumns(sim.trace).view());
+  const auto report = prism.analyze(sim.trace.view());
   ASSERT_EQ(report.jobs.size(), 1u);
   ASSERT_FALSE(report.jobs[0].step_alerts.empty());
   bool found = false;
@@ -158,7 +158,7 @@ TEST(PrismDiagnosisIntegrationTest, DetectsSlowDpGroupViaCrossGroup) {
   cfg.jobs.push_back({j, {}});
   const auto sim = run_cluster_sim(cfg);
   const Prism prism(sim.topology);
-  const auto report = prism.analyze(FlowColumns(sim.trace).view());
+  const auto report = prism.analyze(sim.trace.view());
   ASSERT_EQ(report.jobs.size(), 1u);
   EXPECT_FALSE(report.jobs[0].group_alerts.empty());
 }
@@ -173,7 +173,7 @@ TEST(PrismDiagnosisIntegrationTest, DetectsDegradedSwitch) {
       {SwitchId(1), TimeWindow{0, 600 * kSecond}, 0.25});
   const auto sim = run_cluster_sim(cfg);
   const Prism prism(sim.topology);
-  const auto report = prism.analyze(FlowColumns(sim.trace).view());
+  const auto report = prism.analyze(sim.trace.view());
   bool flagged = false;
   for (const SwitchBandwidthAlert& a : report.switch_bandwidth_alerts) {
     if (a.switch_id == SwitchId(1)) flagged = true;

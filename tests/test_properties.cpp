@@ -41,7 +41,7 @@ class SeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(SeedSweep, CleanPipelineIsPerfect) {
   const auto sim = run_cluster_sim(base_config(GetParam()));
   const Prism prism(sim.topology);
-  const auto report = prism.analyze(FlowColumns(sim.trace).view());
+  const auto report = prism.analyze(sim.trace.view());
 
   const auto recognition =
       score_job_recognition(report.recognition, std::span(sim.jobs));
@@ -68,8 +68,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep,
 TEST(DeterminismTest, AnalysisIsReproducible) {
   const auto sim = run_cluster_sim(base_config(5));
   const Prism prism(sim.topology);
-  const auto a = prism.analyze(FlowColumns(sim.trace).view());
-  const auto b = prism.analyze(FlowColumns(sim.trace).view());
+  const auto a = prism.analyze(sim.trace.view());
+  const auto b = prism.analyze(sim.trace.view());
   ASSERT_EQ(a.jobs.size(), b.jobs.size());
   for (std::size_t j = 0; j < a.jobs.size(); ++j) {
     ASSERT_EQ(a.jobs[j].comm_types.pairs.size(),
@@ -96,13 +96,13 @@ TEST(SerializationTest, CsvRoundTripPreservesAnalysis) {
   const auto sim = run_cluster_sim(base_config(11));
   std::stringstream ss;
   write_csv(ss, sim.trace);
-  FlowTrace back = read_csv(ss);
+  FlowColumns back = read_csv(ss);
   back.sort();
   ASSERT_EQ(back.size(), sim.trace.size());
 
   const Prism prism(sim.topology);
-  const auto direct = prism.analyze(FlowColumns(sim.trace).view());
-  const auto roundtrip = prism.analyze(FlowColumns(back).view());
+  const auto direct = prism.analyze(sim.trace.view());
+  const auto roundtrip = prism.analyze(back.view());
   ASSERT_EQ(direct.jobs.size(), roundtrip.jobs.size());
   for (std::size_t j = 0; j < direct.jobs.size(); ++j) {
     EXPECT_EQ(direct.jobs[j].job.gpus, roundtrip.jobs[j].job.gpus);
@@ -177,7 +177,7 @@ TEST(SimulatorAccountingTest, DpBytesMatchRingVolume) {
 TEST(RecognitionPartitionTest, JobsAreDisjoint) {
   const auto sim = run_cluster_sim(base_config(29));
   const JobRecognizer recognizer(sim.topology);
-  const auto result = recognizer.recognize(FlowColumns(sim.trace).view());
+  const auto result = recognizer.recognize(sim.trace.view());
   std::unordered_set<GpuId> seen;
   for (const RecognizedJob& job : result.jobs) {
     for (const GpuId g : job.gpus) {
@@ -191,7 +191,7 @@ TEST(RecognitionPartitionTest, JobsAreDisjoint) {
 TEST(TimelineWellFormedTest, StepsAreMonotoneAndContiguous) {
   const auto sim = run_cluster_sim(base_config(31));
   const Prism prism(sim.topology);
-  const auto report = prism.analyze(FlowColumns(sim.trace).view());
+  const auto report = prism.analyze(sim.trace.view());
   for (const JobAnalysis& job : report.jobs) {
     for (const GpuTimeline& t : job.timelines) {
       for (std::size_t s = 0; s < t.steps.size(); ++s) {

@@ -100,7 +100,7 @@ TEST(RegistryTallyTest, AnalyzeCountersEqualReportFields) {
   PrismConfig config;
   config.num_threads = 2;
   const Prism prism(sim.topology, config);
-  const PrismReport report = prism.analyze(FlowColumns(sim.trace).view());
+  const PrismReport report = prism.analyze(sim.trace.view());
   const std::vector<std::uint64_t> after = read_counters(names);
 
   const ReportTelemetry& t = report.telemetry;
@@ -163,8 +163,8 @@ TEST(RegistryTallyTest, MonitorCountersEqualSessionAndMonitorTallies) {
   // Two batches with an invalidation between them (published at once),
   // a replayed early flow that arrives too late, then the final flush.
   const std::size_t half = sim.trace.size() / 2;
-  FlowTrace first;
-  FlowTrace second;
+  FlowColumns first;
+  FlowColumns second;
   for (std::size_t i = 0; i < sim.trace.size(); ++i) {
     (i < half ? first : second).add(sim.trace[i]);
   }
@@ -221,7 +221,7 @@ TEST(RegistryTallyTest, LevelGaugesSumOverMonitors) {
   const double buffered0 = gauge("llmprism_monitor_buffered_flows");
   const double in_flight0 = gauge("llmprism_monitor_windows_in_flight");
 
-  FlowTrace head;
+  FlowColumns head;
   for (std::size_t i = 0; i < sim.trace.size() / 2; ++i) {
     head.add(sim.trace[i]);
   }

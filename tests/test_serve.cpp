@@ -22,7 +22,6 @@
 
 #include "llmprism/common/hash.hpp"
 #include "llmprism/flow/lft.hpp"
-#include "llmprism/flow/trace.hpp"
 #include "llmprism/serve/daemon.hpp"
 #include "llmprism/serve/frame.hpp"
 #include "llmprism/serve/http.hpp"
@@ -239,16 +238,16 @@ const ServeFixture& fixture() {
     cfg.seed = 33;
     ClusterSimResult sim = run_cluster_sim(cfg);
     sim.trace.sort();
-    const TimeWindow span = sim.trace.span();
+    const TimeWindow span = sim.trace.view().time_span();
     const DurationNs slice = (span.end - span.begin) / 4 + 1;
-    std::vector<FlowTrace> parts(
+    std::vector<FlowColumns> parts(
         static_cast<std::size_t>((span.end - span.begin) / slice) + 1);
     for (const FlowRecord& f : sim.trace) {
       parts[static_cast<std::size_t>(
           (f.start_time - span.begin) / slice)].add(f);
     }
     std::vector<std::string> chunks;
-    for (const FlowTrace& part : parts) {
+    for (const FlowColumns& part : parts) {
       if (part.empty()) continue;
       std::ostringstream os;
       write_lft(os, part);
@@ -469,9 +468,9 @@ TEST(DaemonTest, ForgedSortFlagChunkIsAFrameError) {
   PrismDaemon daemon(fix.sim.topology, cfg);
   daemon.start();
 
-  FlowTrace unsorted;
-  unsorted.add(fix.sim.trace.flows()[1]);
-  unsorted.add(fix.sim.trace.flows()[0]);
+  FlowColumns unsorted;
+  unsorted.add(fix.sim.trace[1]);
+  unsorted.add(fix.sim.trace[0]);
   ASSERT_FALSE(unsorted.is_sorted());
   std::ostringstream os;
   write_lft(os, unsorted);
@@ -506,9 +505,9 @@ TEST(DaemonTest, OutOfTopologyChunkIsAFrameError) {
   daemon.start();
 
   const auto forged_chunk = [&](auto&& forge) {
-    FlowTrace trace;
+    FlowColumns trace;
     for (std::size_t i = 0; i < 16; ++i) {
-      FlowRecord flow = fix.sim.trace.flows()[i];
+      FlowRecord flow = fix.sim.trace[i];
       if (i == 0) forge(flow);
       trace.add(flow);
     }

@@ -294,8 +294,8 @@ ColdWarmRun run_cold_and_warm(const MixData& mix, DurationNs window) {
   OnlineMonitor cold(mix.sim.topology, monitor_config(window, false));
   OnlineMonitor warm(mix.sim.topology, monitor_config(window, true));
   ColdWarmRun run;
-  run.cold = run_monitor(cold, FlowColumns(mix.sim.trace).view());
-  run.warm = run_monitor(warm, FlowColumns(mix.sim.trace).view());
+  run.cold = run_monitor(cold, mix.sim.trace.view());
+  run.warm = run_monitor(warm, mix.sim.trace.view());
   EXPECT_EQ(cold.session(), nullptr);
   EXPECT_NE(warm.session(), nullptr);
   run.cold_stats = cold.stats();
@@ -383,7 +383,7 @@ TEST(SessionEquivalenceTest, CommPriorsChangeOnlyBocdWorkTelemetry) {
 /// middle step of the full-trace reference timeline, with W solved so
 /// that boundary k = t0 + k*W lands inside its DP phase.
 struct StraddleSetup {
-  FlowTrace trace;
+  FlowColumns trace;
   TimeNs t0 = 0;
   DurationNs window = 0;
   TimeNs k = 0;  ///< index of the mid-burst boundary
@@ -397,12 +397,12 @@ const StraddleSetup& straddle_setup() {
     StraddleSetup s;
     s.trace = straddle_job().sim.trace;
     s.trace.sort();
-    s.t0 = s.trace.span().begin;
+    s.t0 = s.trace.view().time_span().begin;
     // Full-trace analysis is the ground truth for step extents: no window
     // boundary exists, so no step is ever truncated.
     const PrismReport reference =
         Prism(straddle_job(
-            ).sim.topology, PrismConfig{}).analyze(FlowColumns(s.trace).view());
+            ).sim.topology, PrismConfig{}).analyze(s.trace.view());
     const GpuTimeline& probe = reference.jobs.at(0).timelines.at(0);
     const ReconstructedStep& target = probe.steps.at(probe.steps.size() / 2);
     s.probe_gpu = probe.gpu;
@@ -435,8 +435,8 @@ TEST(SessionEquivalenceTest, BoundaryStraddlingStepReconstructed) {
 
   OnlineMonitor cold(mix.sim.topology, monitor_config(s.window, false));
   OnlineMonitor warm(mix.sim.topology, monitor_config(s.window, true));
-  const auto cold_ticks = run_monitor(cold, FlowColumns(s.trace).view());
-  const auto warm_ticks = run_monitor(warm, FlowColumns(s.trace).view());
+  const auto cold_ticks = run_monitor(cold, s.trace.view());
+  const auto warm_ticks = run_monitor(warm, s.trace.view());
   ASSERT_GT(cold_ticks.size(), static_cast<std::size_t>(s.k))
       << "boundary k must be a closed window";
 
@@ -462,9 +462,8 @@ TEST(SessionEquivalenceTest, FlushEmitsCarriedStep) {
   // holding the burst's head, and flush() analyzes the remainder — which
   // still contains DP traffic, so the job's machine set stays whole and
   // the held events come out in the flush tick.
-  const FlowColumns columns(s.trace);
   const FlowView feed =
-      columns.view().window({s.t0, s.extent.second + 300 * kMillisecond});
+      s.trace.view().window({s.t0, s.extent.second + 300 * kMillisecond});
   ASSERT_LT(feed.size(), s.trace.size());
 
   OnlineMonitor cold(mix.sim.topology, monitor_config(s.window, false));
@@ -502,8 +501,8 @@ TEST(SessionEquivalenceTest, EwmaBaselinesAlertWhereColdCannot) {
 
   OnlineMonitor cold(sim.topology, monitor_config(kSecond, false));
   OnlineMonitor warm(sim.topology, monitor_config(kSecond, true));
-  const auto cold_ticks = run_monitor(cold, FlowColumns(sim.trace).view());
-  const auto warm_ticks = run_monitor(warm, FlowColumns(sim.trace).view());
+  const auto cold_ticks = run_monitor(cold, sim.trace.view());
+  const auto warm_ticks = run_monitor(warm, sim.trace.view());
   ASSERT_GE(cold_ticks.size(), 6u);
 
   EXPECT_EQ(cold.stats().step_alerts, 0u)
@@ -532,9 +531,9 @@ TEST(SessionEquivalenceTest, EwmaBaselinesAlertWhereColdCannot) {
 
 TEST(SessionEquivalenceTest, JobChurnEvictsAndRemintsSessionState) {
   const MixData& mix = steady_jobs();
-  FlowTrace trace = mix.sim.trace;
+  FlowColumns trace = mix.sim.trace;
   trace.sort();
-  const TimeNs t0 = trace.span().begin;
+  const TimeNs t0 = trace.view().time_span().begin;
 
   // Job B's flows vanish for three windows mid-feed, then return. The gap
   // is window-aligned so B is absent for a deterministic window count, and
@@ -551,7 +550,7 @@ TEST(SessionEquivalenceTest, JobChurnEvictsAndRemintsSessionState) {
   const TimeNs gap_end = t0 + 5 * window;
   ASSERT_GT(b_last, gap_end + 2 * window)
       << "job B must return for at least two windows after the gap";
-  FlowTrace churned;
+  FlowColumns churned;
   churned.reserve(trace.size());
   for (const FlowRecord& f : trace) {
     if (f.start_time > b_last) continue;
@@ -564,7 +563,7 @@ TEST(SessionEquivalenceTest, JobChurnEvictsAndRemintsSessionState) {
   MonitorConfig cfg = monitor_config(window, true);
   cfg.session.evict_after_windows = 2;
   OnlineMonitor warm(mix.sim.topology, cfg);
-  const auto ticks = run_monitor(warm, FlowColumns(churned).view());
+  const auto ticks = run_monitor(warm, churned.view());
   ASSERT_GE(ticks.size(), 8u);
 
   const PrismSession* session = warm.session();
@@ -582,15 +581,13 @@ TEST(SessionEquivalenceTest, JobChurnEvictsAndRemintsSessionState) {
 
 TEST(SessionEquivalenceTest, InvalidateSessionForcesColdReseed) {
   const MixData& mix = steady_jobs();
-  FlowTrace trace = mix.sim.trace;
+  FlowColumns trace = mix.sim.trace;
   trace.sort();
-  const TimeNs mid =
-      trace.span().begin +
-      (trace.span().end - trace.span().begin) / 2;
+  const TimeWindow span = trace.view().time_span();
+  const TimeNs mid = span.begin + (span.end - span.begin) / 2;
 
-  const FlowColumns columns(trace);
   OnlineMonitor warm(mix.sim.topology, monitor_config(kSecond, true));
-  auto ticks = warm.ingest(columns.view().window({trace.span().begin, mid}));
+  auto ticks = warm.ingest(trace.view().window({span.begin, mid}));
   ASSERT_GE(ticks.size(), 2u);
   const PrismSession* session = warm.session();
   ASSERT_NE(session, nullptr);
@@ -603,7 +600,7 @@ TEST(SessionEquivalenceTest, InvalidateSessionForcesColdReseed) {
   EXPECT_EQ(session->jobs_tracked(), 0u);
   EXPECT_EQ(session->counters().jobs_invalidated, jobs_tracked);
 
-  auto more = warm.ingest(columns.view().window({mid, trace.span().end}));
+  auto more = warm.ingest(trace.view().window({mid, span.end}));
   if (auto last = warm.flush()) more.push_back(std::move(*last));
   ASSERT_GE(more.size(), 1u);
   EXPECT_GT(session->counters().recognition_rebuilds, rebuilds_before)
@@ -620,13 +617,12 @@ TEST(SessionEquivalenceTest, InvalidateSessionForcesColdReseed) {
 // test_snapshot.cpp; this is the semantic differential).
 TEST(SessionEquivalenceTest, SnapshotRestoreContinuesExactly) {
   const MixData& mix = steady_jobs();
-  FlowTrace trace = mix.sim.trace;
+  FlowColumns trace = mix.sim.trace;
   trace.sort();
-  const TimeNs mid =
-      trace.span().begin + (trace.span().end - trace.span().begin) / 2;
-  const FlowColumns columns(trace);
-  const FlowView head = columns.view().window({trace.span().begin, mid});
-  const FlowView tail = columns.view().window({mid, trace.span().end + 1});
+  const TimeWindow span = trace.view().time_span();
+  const TimeNs mid = span.begin + (span.end - span.begin) / 2;
+  const FlowView head = trace.view().window({span.begin, mid});
+  const FlowView tail = trace.view().window({mid, span.end + 1});
 
   OnlineMonitor reference(mix.sim.topology, monitor_config(2 * kSecond, true));
   auto ref_ticks = reference.ingest(head);
@@ -678,8 +674,8 @@ TEST(SessionEquivalenceTest, WarmPathDeterministicUnderThreads) {
   OnlineMonitor sequential(mix.sim.topology, seq_cfg);
   OnlineMonitor parallel(mix.sim.topology, par_cfg);
   const auto expected =
-      run_monitor(sequential, FlowColumns(mix.sim.trace).view());
-  const auto got = run_monitor(parallel, FlowColumns(mix.sim.trace).view());
+      run_monitor(sequential, mix.sim.trace.view());
+  const auto got = run_monitor(parallel, mix.sim.trace.view());
 
   ASSERT_GE(expected.size(), 3u);
   expect_ticks_equal(expected, got);
@@ -700,9 +696,9 @@ TEST(SessionEquivalenceTest, WarmPathDeterministicUnderThreads) {
 TEST(SessionEquivalenceTest, NullSessionOverloadMatchesColdAnalyze) {
   const MixData& mix = straddle_job();
   const Prism prism(mix.sim.topology, PrismConfig{});
-  const PrismReport a = prism.analyze(FlowColumns(mix.sim.trace).view());
+  const PrismReport a = prism.analyze(mix.sim.trace.view());
   const PrismReport b =
-      prism.analyze(FlowColumns(mix.sim.trace).view(), nullptr);
+      prism.analyze(mix.sim.trace.view(), nullptr);
   MonitorTick ta{.window = {}, .report = a, .job_ids = {}};
   MonitorTick tb{.window = {}, .report = b, .job_ids = {}};
   expect_ticks_equal({ta}, {tb});

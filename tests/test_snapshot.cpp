@@ -125,20 +125,21 @@ void expect_counters_equal(const SessionCounters& a, const SessionCounters& b) {
 /// monitor holding warm state AND a non-empty reorder buffer (flows past
 /// the last closed window), both of which the snapshot must carry.
 struct SplitFeed {
-  FlowTrace head;
-  FlowTrace tail;
+  FlowColumns head;
+  FlowColumns tail;
 };
 
 const SplitFeed& split_feed() {
   static const SplitFeed feed = [] {
-    FlowTrace trace = steady_mix().trace;
+    FlowColumns trace = steady_mix().trace;
     trace.sort();
-    const TimeNs mid =
-        trace.span().begin + (trace.span().end - trace.span().begin) / 2;
+    const FlowView all = trace.view();
+    const TimeWindow span = all.time_span();
+    const std::size_t cut =
+        all.lower_bound_start(span.begin + (span.end - span.begin) / 2);
     SplitFeed f;
-    for (const FlowRecord& flow : trace) {
-      (flow.start_time < mid ? f.head : f.tail).add(flow);
-    }
+    f.head.append(all.slice(0, cut));
+    f.tail.append(all.slice(cut, all.size()));
     return f;
   }();
   return feed;
@@ -146,7 +147,7 @@ const SplitFeed& split_feed() {
 
 std::vector<MonitorTick> finish(OnlineMonitor& monitor,
                                 std::vector<MonitorTick> ticks,
-                                const FlowTrace& tail) {
+                                const FlowColumns& tail) {
   for (MonitorTick& tick : monitor.ingest(tail)) {
     ticks.push_back(std::move(tick));
   }

@@ -14,7 +14,7 @@ namespace {
 
 // Synthetic single-GPU scenario: GPU 0 does PP with GPU 8 and DP with GPU 16.
 struct SyntheticScenario {
-  FlowTrace trace;
+  FlowColumns trace;
   std::unordered_map<GpuPair, CommType> types;
   int steps;
   TimeNs step_period;
@@ -127,7 +127,7 @@ TEST(TimelineReconstructorTest, ComputeGapsRespectMinimum) {
 }
 
 TEST(TimelineReconstructorTest, UnknownPairDefaultsToPp) {
-  FlowTrace trace;
+  FlowColumns trace;
   FlowRecord f;
   f.start_time = 0;
   f.src = GpuId(0);
@@ -143,7 +143,7 @@ TEST(TimelineReconstructorTest, UnknownPairDefaultsToPp) {
 
 TEST(TimelineReconstructorTest, EmptyTraceEmptyTimeline) {
   const auto timeline =
-      reconstruct(TimelineReconstructor{}, GpuId(0), FlowTrace{}, {});
+      reconstruct(TimelineReconstructor{}, GpuId(0), FlowColumns{}, {});
   EXPECT_TRUE(timeline.events.empty());
   EXPECT_TRUE(timeline.steps.empty());
 }
@@ -158,7 +158,7 @@ TEST(TimelineReconstructorTest, ReconstructAllCoversAllEndpoints) {
   EXPECT_EQ(timelines[2].gpu, GpuId(16));
   // A GPU's timeline depends only on its own flows: reconstructing from
   // just the flows that touch GPU 16 must agree.
-  FlowTrace own;
+  FlowColumns own;
   for (const FlowRecord& f : s.trace) {
     if (f.src == GpuId(16) || f.dst == GpuId(16)) own.add(f);
   }
@@ -198,7 +198,7 @@ TEST(TimelineReconstructorTest, UnsortedViewIsSortedByStartThenEnd) {
   // Rows out of time order, two pairs of them with equal starts and the
   // longer flow first: each GPU's slice is out of order, so assemble()
   // must sort it, breaking start ties by end.
-  FlowTrace trace;
+  FlowColumns trace;
   const auto add = [&trace](TimeNs start, DurationNs duration,
                             std::uint32_t src, std::uint32_t dst) {
     FlowRecord f;
@@ -267,8 +267,8 @@ TEST(TimelineReconstructorTest, CarriedHeldBurstMergesIntoNextWindow) {
   const auto s = make_scenario(6);
   const TimeNs cut = 2 * s.step_period + s.step_period -
                      100 * kMillisecond + 11 * kMillisecond;
-  FlowTrace first;
-  FlowTrace second;
+  FlowColumns first;
+  FlowColumns second;
   for (const FlowRecord& f : s.trace) {
     (f.start_time < cut ? first : second).add(f);
   }
@@ -284,7 +284,7 @@ TEST(TimelineReconstructorTest, CarriedHeldBurstMergesIntoNextWindow) {
   EXPECT_EQ(carry.steps_held, 2u);  // GPUs 0 and 16
   EXPECT_EQ(carry.steps_carried_in, 0u);
   EXPECT_EQ(carry.per_gpu.at(GpuId(0)).held_events.size(), 6u);
-  ctx.window_end = s.trace.flows().back().start_time + s.step_period;
+  ctx.window_end = s.trace.start_ns.back() + s.step_period;
   ctx.hold_tail = false;
   const auto w2 = reconstruct_all(rec, second, s.types, ctx);
   EXPECT_EQ(carry.steps_held, 0u);
@@ -342,7 +342,7 @@ struct CarriedRun {
   TimelineCarry carry;
 };
 
-CarriedRun run_carried(const FlowTrace& first, const FlowTrace& second,
+CarriedRun run_carried(const FlowColumns& first, const FlowColumns& second,
                        const std::unordered_map<GpuPair, CommType>& types,
                        TimeNs cut, TimeNs end, ThreadPool* pool) {
   CarriedRun run;
@@ -358,8 +358,8 @@ CarriedRun run_carried(const FlowTrace& first, const FlowTrace& second,
   return run;
 }
 
-void expect_carried_pool_matches_serial(const FlowTrace& first,
-                                        const FlowTrace& second,
+void expect_carried_pool_matches_serial(const FlowColumns& first,
+                                        const FlowColumns& second,
                                         const SyntheticScenario& s,
                                         TimeNs cut, TimeNs end) {
   const CarriedRun serial = run_carried(first, second, s.types, cut, end,
@@ -379,14 +379,14 @@ TEST(TimelineReconstructorTest, CarryWithHeldEventsMatchesSerialAtEveryLane) {
   const auto s = make_scenario(6);
   const TimeNs cut = 2 * s.step_period + s.step_period -
                      100 * kMillisecond + 11 * kMillisecond;
-  FlowTrace first;
-  FlowTrace second;
+  FlowColumns first;
+  FlowColumns second;
   for (const FlowRecord& f : s.trace) {
     (f.start_time < cut ? first : second).add(f);
   }
   expect_carried_pool_matches_serial(
       first, second, s, cut,
-      s.trace.flows().back().start_time + s.step_period);
+      s.trace.start_ns.back() + s.step_period);
 }
 
 TEST(TimelineReconstructorTest, CarryGpusOnlyWindowMatchesSerialAtEveryLane) {
@@ -394,22 +394,22 @@ TEST(TimelineReconstructorTest, CarryGpusOnlyWindowMatchesSerialAtEveryLane) {
   // timeline, each emitting its held step.
   const auto s = make_scenario(3);
   const TimeNs cut = s.step_period - 100 * kMillisecond + 11 * kMillisecond;
-  FlowTrace first;
+  FlowColumns first;
   for (const FlowRecord& f : s.trace) {
     if (f.start_time < cut) first.add(f);
   }
   const CarriedRun serial =
-      run_carried(first, FlowTrace{}, s.types, cut, cut, nullptr);
+      run_carried(first, FlowColumns{}, s.types, cut, cut, nullptr);
   ASSERT_EQ(serial.w2.size(), 2u);  // GPUs 0 and 16 held a burst
   EXPECT_EQ(serial.carry.steps_carried_in, 2u);
-  expect_carried_pool_matches_serial(first, FlowTrace{}, s, cut, cut);
+  expect_carried_pool_matches_serial(first, FlowColumns{}, s, cut, cut);
 }
 
 TEST(TimelineReconstructorTest, TiedEventsKeepFlowOrderAtEveryLaneCount) {
   // GPU 0 exchanges 40 flows of identical span with 40 peers. Its slice
   // is already in (start, end) order, so it is never sorted and must list
   // the peers in flow order, however the rows are split into chunks.
-  FlowTrace trace;
+  FlowColumns trace;
   for (std::uint32_t peer = 1; peer <= 40; ++peer) {
     FlowRecord f;
     f.start_time = 10 * kMillisecond;
@@ -441,7 +441,7 @@ TEST(TimelineReconstructorTest, SparseIdsMatchSerialAtEveryLaneCount) {
   const auto rename = [](GpuId g) {
     return GpuId(g.value() == 0 ? 7 : g.value() * 100'000'000u);
   };
-  FlowTrace sparse;
+  FlowColumns sparse;
   for (FlowRecord f : s.trace) {
     f.src = rename(f.src);
     f.dst = rename(f.dst);

@@ -33,7 +33,7 @@ TEST(UmbrellaHeaderTest, QuickstartLoopCompilesAndRuns) {
   PrismConfig config;
   ASSERT_TRUE(config.validate().empty());
   const Prism prism(sim.topology, config);
-  const PrismReport report = prism.analyze(FlowColumns(sim.trace).view());
+  const PrismReport report = prism.analyze(sim.trace.view());
   ASSERT_EQ(report.jobs.size(), 1u);
   EXPECT_FALSE(render_report_summary(report).empty());
   std::stringstream json;

@@ -24,7 +24,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <numeric>
 #include <optional>
 #include <string>
 #include <utility>
@@ -137,94 +136,65 @@ int apply_common(const cli::FlagSet& flags, const CommonOptions& o) {
   return -1;
 }
 
-/// Parse a CSV trace file. On parse errors, prints up to 10 diagnostics
-/// and returns nullopt.
-std::optional<FlowTrace> read_csv_trace(const std::string& path,
-                                        std::size_t ingest_threads) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "prism: cannot open " << path << '\n';
-    return std::nullopt;
-  }
-  ParseResult parsed = read_csv_checked(in, {.num_threads = ingest_threads});
-  if (!parsed.ok()) {
-    constexpr std::size_t kMaxDiagnostics = 10;
-    const std::size_t shown = std::min(parsed.errors.size(), kMaxDiagnostics);
-    for (std::size_t e = 0; e < shown; ++e) {
-      std::cerr << "prism: " << path << ':' << parsed.errors[e].line << ": "
-                << parsed.errors[e].message << '\n';
-    }
-    if (parsed.errors.size() > shown) {
-      std::cerr << "prism: ... and " << parsed.errors.size() - shown
-                << " more bad lines\n";
-    }
-    return std::nullopt;
-  }
-  return std::move(parsed.trace);
-}
-
-/// Load a flow trace from either format, auto-detected by magic, as an
-/// owning record array for the writers (`prism convert`); the analysis
-/// path uses load_flows. `format_out` is "csv" or "lft".
-std::optional<FlowTrace> load_trace(const std::string& path,
-                                    std::size_t ingest_threads,
-                                    std::string& format_out) {
-  if (!is_lft_file(path)) {
-    format_out = "csv";
-    return read_csv_trace(path, ingest_threads);
-  }
-  format_out = "lft";
-  try {
-    return MappedFlowTrace(path).to_trace();
-  } catch (const std::exception& e) {
-    std::cerr << "prism: " << path << ": " << e.what() << '\n';
-    return std::nullopt;
-  }
-}
-
-/// The analysis input: a sorted columnar view plus whatever storage backs
-/// it. A sorted LFT file is analyzed straight off the mapping — the view's
-/// columns alias the mmap'd sections and no flow is ever copied. CSV input
-/// (and the rare unsorted LFT) lands in owning columns, sorted once here
-/// at the boundary.
+/// A flow input in either format, auto-detected by magic. A sorted LFT
+/// file analyzed in place stays a view of the mapping — its columns alias
+/// the mmap'd sections and no flow is ever copied. Everything else lands
+/// in owning columns.
 struct LoadedFlows {
   std::optional<MappedFlowTrace> mapped;  ///< keeps LFT-backed views alive
   FlowColumns columns;                    ///< owning storage otherwise
-  FlowView view;                          ///< what the pipeline consumes
+  FlowView view;                          ///< the loaded rows
   std::string format;                     ///< "csv" or "lft"
 };
 
+/// Load `path`. With `sort` the rows come out in time order, sorted once
+/// here at the boundary when the input is not; without it they keep file
+/// order, copied out of any mapping (`prism convert` may overwrite the
+/// file it reads). CSV parse errors print up to 10 diagnostics; every
+/// failure returns nullopt.
 std::optional<LoadedFlows> load_flows(const std::string& path,
-                                      std::size_t ingest_threads) {
+                                      std::size_t ingest_threads, bool sort) {
   LoadedFlows out;
-  if (!is_lft_file(path)) {
+  if (is_lft_file(path)) {
+    out.format = "lft";
+    try {
+      out.mapped.emplace(path);
+    } catch (const std::exception& e) {
+      std::cerr << "prism: " << path << ": " << e.what() << '\n';
+      return std::nullopt;
+    }
+    out.view = out.mapped->view();
+    if (sort && (out.view.sorted || out.view.verify_sorted())) {
+      out.view.sorted = true;  // zero-copy fast path
+      return out;
+    }
+    out.columns.append(out.view);
+    out.mapped.reset();
+  } else {
     out.format = "csv";
-    std::optional<FlowTrace> trace = read_csv_trace(path, ingest_threads);
-    if (!trace) return std::nullopt;
-    trace->sort();
-    out.columns = FlowColumns(*trace);
-    out.view = out.columns.view();
-    return out;
+    std::ifstream in(path);
+    if (!in) {
+      std::cerr << "prism: cannot open " << path << '\n';
+      return std::nullopt;
+    }
+    ParseResult parsed = read_csv_checked(in, {.num_threads = ingest_threads});
+    if (!parsed.ok()) {
+      constexpr std::size_t kMaxDiagnostics = 10;
+      const std::size_t shown =
+          std::min(parsed.errors.size(), kMaxDiagnostics);
+      for (std::size_t e = 0; e < shown; ++e) {
+        std::cerr << "prism: " << path << ':' << parsed.errors[e].line << ": "
+                  << parsed.errors[e].message << '\n';
+      }
+      if (parsed.errors.size() > shown) {
+        std::cerr << "prism: ... and " << parsed.errors.size() - shown
+                  << " more bad lines\n";
+      }
+      return std::nullopt;
+    }
+    out.columns = std::move(parsed.trace);
   }
-  out.format = "lft";
-  try {
-    out.mapped.emplace(path);
-  } catch (const std::exception& e) {
-    std::cerr << "prism: " << path << ": " << e.what() << '\n';
-    return std::nullopt;
-  }
-  out.view = out.mapped->view();
-  if (out.view.sorted || out.view.verify_sorted()) {
-    out.view.sorted = true;  // zero-copy fast path
-    return out;
-  }
-  // Unsorted file: one boundary gather + sort into owning columns.
-  std::vector<std::uint32_t> rows(out.view.size());
-  std::iota(rows.begin(), rows.end(), 0u);
-  out.columns = FlowColumns::gather(out.view, rows,
-                                    /*rows_sorted_subset=*/false);
-  out.columns.sort();
-  out.mapped.reset();
+  if (sort) out.columns.sort();
   out.view = out.columns.view();
   return out;
 }
@@ -257,7 +227,7 @@ int write_sink_files(ExportSinks& sinks) {
 int run_one_shot(const CommonOptions& options, const std::string& trace_path,
                  std::optional<double> window_seconds) {
   std::optional<LoadedFlows> loaded =
-      load_flows(trace_path, options.ingest_threads);
+      load_flows(trace_path, options.ingest_threads, /*sort=*/true);
   if (!loaded) return 1;
   // The pipeline consumes this sorted view; on a sorted LFT file its
   // columns alias the mapping for the whole run — zero flow copies.
@@ -317,7 +287,7 @@ int run_one_shot(const CommonOptions& options, const std::string& trace_path,
 int run_monitor_on(const CommonOptions& options, const std::string& trace_path,
                    double window_seconds, bool carry) {
   std::optional<LoadedFlows> loaded =
-      load_flows(trace_path, options.ingest_threads);
+      load_flows(trace_path, options.ingest_threads, /*sort=*/true);
   if (!loaded) return 1;
   const FlowView view = loaded->view;
   if (view.empty()) {
@@ -478,16 +448,16 @@ int run_convert(int argc, const char* const* argv, int begin) {
     return 2;
   }
 
-  std::string in_format;
-  std::optional<FlowTrace> trace =
-      load_trace(in_path, ingest_threads, in_format);
-  if (!trace) return 1;
+  const std::optional<LoadedFlows> loaded =
+      load_flows(in_path, ingest_threads, /*sort=*/chunk_seconds.has_value());
+  if (!loaded) return 1;
+  const FlowView flows = loaded->view;
 
-  const auto write_one = [&](const std::string& path, const FlowTrace& t) {
+  const auto write_one = [&](const std::string& path, const FlowView& v) {
     if (format == "lft") {
-      write_lft_file(path, t);
+      write_lft_file(path, v);
     } else {
-      write_csv_file(path, t);
+      write_csv_file(path, v);
     }
   };
 
@@ -495,42 +465,40 @@ int run_convert(int argc, const char* const* argv, int begin) {
     if (chunk_seconds) {
       // Time-sliced chunks need time order; a chunked file set is meant to
       // be replayed window by window, so the sort is part of the contract.
-      // One pass over the sorted flows: each flow lands in the chunk
+      // One pass over the sorted rows: each flow lands in the chunk
       // [span.begin + k * S, span.begin + (k + 1) * S) of its start time,
-      // and a chunk is written as soon as the next one begins. Chunks that
-      // would start at or after the span's end are never cut.
-      trace->sort();
-      const TimeWindow span = trace->span();
+      // and a chunk is written, as a slice of the rows, as soon as the
+      // next one begins. Chunks that would start at or after the span's
+      // end are never cut.
+      const TimeWindow span = flows.time_span();
       const DurationNs chunk_ns = from_seconds(*chunk_seconds);
       std::size_t chunks = 0;
-      std::size_t rows = 0;
-      FlowTrace chunk;
+      std::size_t first = 0;  // first row of the open chunk
+      std::size_t i = 0;
       TimeNs chunk_begin = span.begin;
       const auto cut = [&] {
-        if (chunk.empty()) return;
-        write_one(chunk_path(out_path, chunks), chunk);
+        if (i == first) return;
+        write_one(chunk_path(out_path, chunks), flows.slice(first, i));
         ++chunks;
-        rows += chunk.size();
-        chunk = FlowTrace();
+        first = i;
       };
-      for (const FlowRecord& f : *trace) {
-        const TimeNs at =
-            span.begin + (f.start_time - span.begin) / chunk_ns * chunk_ns;
+      for (; i < flows.size(); ++i) {
+        const TimeNs at = span.begin + (flows.start_ns[i] - span.begin) /
+                                           chunk_ns * chunk_ns;
         if (at >= span.end) break;
         if (at != chunk_begin) {
           cut();
           chunk_begin = at;
         }
-        chunk.add(f);
       }
       cut();
-      std::cout << "converted " << rows << " flows: " << in_path << " ("
-                << in_format << ") -> " << chunks << " " << format
+      std::cout << "converted " << first << " flows: " << in_path << " ("
+                << loaded->format << ") -> " << chunks << " " << format
                 << " chunks of " << *chunk_seconds << "s ("
                 << chunk_path(out_path, 0) << " ...)\n";
       return 0;
     }
-    write_one(out_path, *trace);
+    write_one(out_path, flows);
   } catch (const std::exception& e) {
     std::cerr << "prism convert: " << e.what() << '\n';
     return 1;
@@ -539,13 +507,15 @@ int run_convert(int argc, const char* const* argv, int begin) {
   std::error_code ec;
   const auto in_bytes = std::filesystem::file_size(in_path, ec);
   const auto out_bytes = std::filesystem::file_size(out_path, ec);
-  std::cout << "converted " << trace->size() << " flows: " << in_path << " ("
-            << in_bytes << " B, " << in_format << ") -> " << out_path << " ("
+  std::cout << "converted " << flows.size() << " flows: " << in_path << " ("
+            << in_bytes << " B, " << loaded->format << ") -> " << out_path
+            << " ("
             << out_bytes << " B, " << format << ", "
             << (in_bytes ? static_cast<double>(out_bytes) /
                                static_cast<double>(in_bytes)
                          : 0.0)
-            << "x); sorted=" << (trace->is_sorted() ? "yes" : "no") << '\n';
+            << "x); sorted="
+            << (flows.sorted || flows.verify_sorted() ? "yes" : "no") << '\n';
   return 0;
 }
 
