@@ -151,9 +151,9 @@ struct FlowView {
 
 /// The owning flow container. The vectors are public — the router's
 /// scatter and the monitor's merge write them directly; `sorted` follows
-/// the view's meaning (true = known sorted, false = unknown) and the
-/// mutation helpers keep it exact: add and append leave it false only when
-/// the rows really are out of order.
+/// the view's meaning (true = known sorted, false = unknown). add() keeps
+/// it exact, and append() as exact as the appended view's flag, so rows
+/// built by producers are never "unknown" while in order.
 class FlowColumns {
  public:
   [[nodiscard]] FlowView view() const {
