@@ -220,24 +220,6 @@ class BocdDetector {
 [[nodiscard]] std::vector<std::size_t> detect_changepoints(
     std::span<const double> xs, const BocdConfig& config = {});
 
-struct SegmenterConfig {
-  BocdConfig bocd;
-  /// Timestamps closer than this are coalesced into one arrival before the
-  /// interval sequence is formed. Collectives launch several flows nearly
-  /// simultaneously (ring directions, channels); without coalescing those
-  /// near-zero intervals make the interval distribution bimodal and inflate
-  /// the learned variance, masking the step gap.
-  DurationNs coalesce_gap = 200 * kMicrosecond;
-
-  /// A BOCD-flagged boundary is accepted only if the flagged interval also
-  /// exceeds gap_guard_factor x the median interval. Right after a real
-  /// boundary the run-length posterior is legitimately "young" for a couple
-  /// of observations; the guard rejects those small-interval flags without
-  /// touching genuine step gaps (which are orders of magnitude above the
-  /// median).
-  double gap_guard_factor = 3.0;
-};
-
 /// Deterministic per-call work/outcome counters of segment_by_gaps —
 /// telemetry the pipeline folds into PrismReport::telemetry. Pure event
 /// counts (no wall clock), so totals are thread-count-invariant.
@@ -261,10 +243,13 @@ struct SegmenterStats {
 /// Gaussian and a step gap a gross outlier), runs BOCD over the whole
 /// interval series in one observe_batch() call on the pooled detector, and
 /// returns the indices (into the ORIGINAL sequence) of the first element of
-/// each segment (always including 0). When `stats` is non-null the call's
-/// BOCD work counters are accumulated into it.
+/// each segment (always including 0). `config` is the detector's; its
+/// prior_mean is replaced by the series' median log interval. The pipeline
+/// always passes the default; the coalescing window and the gap guard are
+/// constants of bocd.cpp. When `stats` is non-null the call's BOCD work
+/// counters are accumulated into it.
 [[nodiscard]] std::vector<std::size_t> segment_by_gaps(
-    std::span<const TimeNs> timestamps, const SegmenterConfig& config = {},
+    std::span<const TimeNs> timestamps, const BocdConfig& config = {},
     SegmenterStats* stats = nullptr);
 
 }  // namespace llmprism

@@ -129,19 +129,9 @@ struct AttributedIncident {
                          const AttributedIncident&) = default;
 };
 
-struct AttributionConfig {
-  /// Minimum relative self-time excess for a rank to be blamable. Below
-  /// this no compute origin is named and the range's alerts are orphaned
-  /// (never guess). Jitter sits at a few percent; real stragglers at 2x.
-  double min_compute_excess = 0.25;
-  /// Ranks whose excess reaches this fraction of the top score join the
-  /// origin cluster as co-culprits (TP siblings are indistinguishable).
-  double origin_cluster_ratio = 0.5;
-  /// Ranked-culprit list length cap per incident.
-  std::size_t max_culprits = 8;
-  /// Flagged steps at most this far apart merge into one incident.
-  std::size_t merge_step_gap = 1;
-};
+/// The attributor has no settings: its blame thresholds are constants of
+/// attribution.cpp. See PrismConfig for why the empty struct is kept.
+struct AttributionConfig {};
 
 /// Deterministic outcome counters of one attribute() call.
 struct AttributionTelemetry {
@@ -173,7 +163,7 @@ struct JobAttributionInput {
 
 class Attributor {
  public:
-  explicit Attributor(AttributionConfig config = {});
+  explicit Attributor(AttributionConfig = {}) {}
 
   /// Attribute every alert of one analyzed window. Pure: the same inputs
   /// produce the same incidents, bit for bit, regardless of how the
@@ -202,9 +192,6 @@ class Attributor {
   [[nodiscard]] static std::vector<std::vector<SwitchId>> group_switch_sets(
       const FlowView& job_flows,
       const std::vector<std::vector<GpuId>>& dp_components);
-
- private:
-  AttributionConfig config_;
 };
 
 }  // namespace llmprism

@@ -27,23 +27,10 @@ namespace llmprism {
 
 class ThreadPool;
 
-struct CommTypeConfig {
-  /// Gap segmenter (BOCD) settings for step division over inter-flow
-  /// intervals.
-  SegmenterConfig segmenter;
-  /// Flow sizes within this relative tolerance count as one distinct size
-  /// (absorbs collector size-reporting jitter; DP buckets differ by far
-  /// more).
-  double size_tolerance = 0.05;
-  /// Size clusters carrying less than this fraction of a pair's flows are
-  /// collector artifacts (partially recorded flows), not bucket structure,
-  /// and are ignored when counting distinct sizes. Without this, ONE
-  /// partial record can flip a PP pair to DP, whose false edge then bridges
-  /// two DP components and the refinement flips every PP pair between the
-  /// two stages (a transitivity cascade). Real DP buckets each carry far
-  /// more than this share.
-  double min_size_share = 0.03;
-};
+/// The identifier has no settings: the size tolerance and the artifact
+/// share are constants of comm_type.cpp. See PrismConfig for why the empty
+/// struct is kept.
+struct CommTypeConfig {};
 
 struct PairClassification {
   GpuPair pair;
@@ -63,7 +50,7 @@ struct PairClassification {
 struct CommTypeCounters {
   /// BOCD step-division work across the job's pairs.
   SegmenterStats segmenter;
-  /// Rare-size clusters judged collector artifacts (below min_size_share)
+  /// Rare-size clusters judged collector artifacts (below kMinSizeShare)
   /// and excluded from distinct-size counting.
   std::uint64_t artifact_size_clusters = 0;
   /// Flows inside those artifact clusters.
@@ -114,7 +101,7 @@ struct CommTypeResult {
 
 class CommTypeIdentifier {
  public:
-  explicit CommTypeIdentifier(CommTypeConfig config = {});
+  explicit CommTypeIdentifier(CommTypeConfig = {}) {}
 
   /// Classify every communication pair appearing in `view` (the flows of
   /// one recognized job, sorted by time) over its prebuilt CSR pair index
@@ -140,13 +127,10 @@ class CommTypeIdentifier {
       std::vector<CommType>* flow_types = nullptr,
       CommTypeCarry* carry = nullptr, ThreadPool* pool = nullptr) const;
 
-  /// Count distinct flow sizes under the configured relative tolerance.
-  /// Exposed for tests and the ablation bench.
+  /// Count distinct flow sizes, merging sizes within 5% of a cluster's
+  /// smallest (kSizeTolerance). Exposed for tests and the ablation bench.
   [[nodiscard]] std::size_t count_distinct_sizes(
       std::vector<std::uint64_t> sizes) const;
-
- private:
-  CommTypeConfig config_;
 };
 
 }  // namespace llmprism

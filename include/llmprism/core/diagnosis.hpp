@@ -162,18 +162,13 @@ struct SwitchDiagnosis {
 };
 
 struct DiagnosisConfig {
-  KSigmaConfig ksigma;
-  /// k-sigma settings for the cross-switch comparison. Defaults to the
-  /// robust median/MAD mode: a fabric incident often degrades SEVERAL
-  /// switches at once, and simultaneous outliers mask each other under a
-  /// stddev-based rule (leave-one-out removes only one of them).
-  KSigmaConfig switch_ksigma{.dispersion = Dispersion::kMad};
   /// Concurrent distinct DP flows a switch is provisioned for.
   std::size_t switch_dp_flow_limit = 256;
-  /// Percentile of per-flow bandwidth used as a switch's health score (see
-  /// switch_bandwidth()).
-  double switch_health_percentile = 90.0;
 };
+
+/// Percentile of per-flow bandwidth used as a switch's health score (see
+/// switch_bandwidth()).
+inline constexpr double kSwitchHealthPercentile = 90.0;
 
 /// Exponentially weighted running baseline of one scalar series (a GPU's
 /// step durations), carried across analysis windows by PrismSession. The
@@ -200,14 +195,11 @@ struct EwmaBaseline {
   [[nodiscard]] double sigma() const { return var > 0.0 ? std::sqrt(var) : 0.0; }
 };
 
-/// How cross_step_carried() consumes an EwmaBaseline.
-struct EwmaStepPolicy {
-  /// EWMA smoothing factor for the carried mean/variance.
-  double alpha = 0.2;
-  /// Baseline observations required before the carried rule may score a
-  /// step (mirrors KSigmaConfig::min_samples, but counted across windows).
-  std::size_t min_samples = 6;
-};
+/// EWMA smoothing factor for the step baselines cross_step_carried() folds.
+inline constexpr double kEwmaAlpha = 0.2;
+/// Baseline observations required before the carried rule may score a step
+/// (mirrors KSigmaConfig::min_samples, but counted across windows).
+inline constexpr std::size_t kEwmaMinSamples = 6;
 
 class Diagnoser {
  public:
@@ -227,15 +219,16 @@ class Diagnoser {
   /// Runs the plain window-local rule first — identical alerts to
   /// cross_step() — then, when the window alone is too short for that rule
   /// to fire (fewer than min_samples scorable steps), scores each step
-  /// against the carried baseline instead, so a straggler step is caught
-  /// from the second window on. Every scorable step duration is folded
-  /// into `baseline` afterwards. Baseline-sourced alerts are appended to
+  /// against the carried baseline instead (once it holds kEwmaMinSamples
+  /// observations), so a straggler step is caught from the second window
+  /// on. Every scorable step duration is folded into `baseline` afterwards
+  /// with smoothing kEwmaAlpha. Baseline-sourced alerts are appended to
   /// the returned vector and counted in `*ewma_alerts` (when non-null);
   /// they are NOT added to `stats` (so report telemetry for the window-
   /// local rule stays field-for-field equal to the cold path).
   [[nodiscard]] std::vector<StepAlert> cross_step_carried(
       const GpuTimeline& timeline, EwmaBaseline& baseline,
-      const EwmaStepPolicy& policy, KSigmaStats* stats = nullptr,
+      KSigmaStats* stats = nullptr,
       std::uint64_t* ewma_alerts = nullptr) const;
 
   /// Cross-group diagnosis. durations[g][k] = DP duration (seconds) of
@@ -260,12 +253,12 @@ class Diagnoser {
 
   /// Per-switch DP bandwidth degradation.
   ///
-  /// Each switch is scored by a high quantile (see
-  /// DiagnosisConfig::switch_health_percentile) of its per-flow bandwidth
-  /// rather than the mean: a flow throttled by a bad switch drags down the
-  /// observed bandwidth of EVERY hop on its path, but healthy switches
-  /// still carry fast flows on their unpolluted paths — so "even the best
-  /// flows are slow" isolates the switch that is itself the bottleneck.
+  /// Each switch is scored by a high quantile (kSwitchHealthPercentile) of
+  /// its per-flow bandwidth rather than the mean: a flow throttled by a bad
+  /// switch drags down the observed bandwidth of EVERY hop on its path, but
+  /// healthy switches still carry fast flows on their unpolluted paths — so
+  /// "even the best flows are slow" isolates the switch that is itself the
+  /// bottleneck.
   [[nodiscard]] std::vector<SwitchBandwidthAlert> switch_bandwidth(
       const FlowView& dp_flows, KSigmaStats* stats = nullptr,
       ThreadPool* pool = nullptr) const;

@@ -18,17 +18,15 @@
 
 namespace llmprism {
 
-struct JobRecognitionConfig {
-  /// Expand each job to all GPUs hosted on its machines (GPUs that only do
-  /// intra-node TP traffic never appear in flows but belong to the job).
-  bool include_machine_local_gpus = true;
-};
+/// The recognizer has no settings (see PrismConfig for why the empty struct
+/// is kept).
+struct JobRecognitionConfig {};
 
 /// One recognized job-level cluster.
 struct RecognizedJob {
-  /// All GPUs attributed to the job, ascending. With
-  /// include_machine_local_gpus this covers whole machines; otherwise only
-  /// GPUs observed in flows.
+  /// All GPUs attributed to the job, ascending: every GPU hosted on its
+  /// machines. GPUs that only do intra-node TP traffic never appear in
+  /// flows but belong to the job.
   std::vector<GpuId> gpus;
   /// GPUs that actually appeared as flow endpoints.
   std::vector<GpuId> observed_gpus;
@@ -46,7 +44,8 @@ struct JobRecognitionResult {
 class JobRecognizer {
  public:
   explicit JobRecognizer(const ClusterTopology& topology,
-                         JobRecognitionConfig config = {});
+                         JobRecognitionConfig = {})
+      : topology_(topology) {}
 
   /// Recognize all network-visible jobs in `view`. Jobs with zero
   /// cross-machine traffic in the window cannot be observed and are absent.
@@ -56,7 +55,6 @@ class JobRecognizer {
 
  private:
   const ClusterTopology& topology_;
-  JobRecognitionConfig config_;
 };
 
 }  // namespace llmprism

@@ -38,11 +38,9 @@ struct MonitorConfig {
   /// which analyzes a batch's windows concurrently and is bit-identical to
   /// the pre-session monitor.
   bool carry_state = true;
-  /// Session tuning (used only when carry_state is true).
-  SessionConfig session;
 
   /// Descriptive configuration errors (empty = valid; includes the nested
-  /// prism and session configs). The OnlineMonitor constructor throws a
+  /// prism config). The OnlineMonitor constructor throws a
   /// std::invalid_argument listing every problem at once.
   [[nodiscard]] std::vector<std::string> validate() const;
 };

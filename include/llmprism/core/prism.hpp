@@ -28,7 +28,13 @@
 
 namespace llmprism {
 
+/// The pipeline's settings. Every tuning value of the four stages is a
+/// named constant next to the code that reads it; only these fields vary.
 struct PrismConfig {
+  /// recognition, comm_type, timeline and attribution are empty structs.
+  /// They stay only because the benchmark's per-stage replay under
+  /// prismbench/ passes each to its stage's constructor; they go when that
+  /// replay is rewritten.
   JobRecognitionConfig recognition;
   CommTypeConfig comm_type;
   TimelineConfig timeline;
@@ -49,7 +55,7 @@ struct PrismConfig {
 
   /// Descriptive configuration errors (empty = valid). The Prism
   /// constructor calls this and throws std::invalid_argument listing every
-  /// problem at once; CLI tools call it directly for friendlier output.
+  /// problem at once.
   [[nodiscard]] std::vector<std::string> validate() const;
 };
 

@@ -11,12 +11,16 @@
 //   (b) comm-type pair classifications as warm priors (CommTypeCarry) —
 //       only new or contradicting pairs re-run the BOCD step division;
 //   (c) the timeline segmenter's provisional tail (TimelineCarry): a DP
-//       burst ending near the window boundary is held back and re-observed
-//       by the next window, so a step straddling the boundary is
-//       reconstructed instead of truncated;
-//   (d) cross-window EWMA step-duration baselines (EwmaBaseline), so
-//       cross-step alerts can fire on windows too short for the
-//       window-local k-sigma rule.
+//       burst ending within kBoundaryHold (timeline.hpp) of the window
+//       boundary is held back and re-observed by the next window, so a
+//       step straddling the boundary is reconstructed instead of
+//       truncated;
+//   (d) cross-window EWMA step-duration baselines (EwmaBaseline, tuned by
+//       kEwmaAlpha and kEwmaMinSamples in diagnosis.hpp), so cross-step
+//       alerts can fire on windows too short for the window-local k-sigma
+//       rule.
+// All four always run when a session is passed to Prism::analyze; they
+// have no settings.
 //
 // Threading contract: a session is NOT thread-safe across analyze() calls
 // — the OnlineMonitor analyzes warm windows sequentially in time order.
@@ -61,26 +65,8 @@ struct MachineSetHash {
   }
 };
 
-/// Tuning of the four carries (a)-(d) above, which always run when a
-/// session is passed to Prism::analyze.
-struct SessionConfig {
-  /// EWMA smoothing factor for the carried step baselines.
-  double ewma_alpha = 0.2;
-  /// Cross-window observations required before the EWMA rule may score.
-  std::size_t ewma_min_samples = 6;
-  /// A trailing DP burst ending within this of the window end is held back
-  /// (it may continue in the next window). A burst genuinely cut by the
-  /// boundary has events ending at — usually past — the window end, so
-  /// this only needs to cover intra-burst event gaps; a generous value
-  /// holds (and re-processes) complete bursts that merely finished near
-  /// the boundary.
-  DurationNs boundary_hold = 50 * kMillisecond;
-  /// Per-job state not observed for this many windows is evicted.
-  std::size_t evict_after_windows = 8;
-
-  /// Descriptive configuration errors (empty = valid).
-  [[nodiscard]] std::vector<std::string> validate() const;
-};
+/// Per-job state not observed for this many windows is evicted.
+inline constexpr std::size_t kEvictAfterWindows = 8;
 
 /// Cumulative counters over the session's lifetime.
 struct SessionCounters {
@@ -117,7 +103,7 @@ struct SessionJobState {
 /// contract; DESIGN.md §9 documents the warm-vs-cold equivalence contract.
 class PrismSession {
  public:
-  explicit PrismSession(SessionConfig config = {});
+  PrismSession() = default;
   /// Takes this session's share out of the process-wide jobs_tracked gauge.
   ~PrismSession();
   PrismSession(const PrismSession&) = delete;
@@ -135,7 +121,6 @@ class PrismSession {
   void invalidate();
 
   [[nodiscard]] const SessionCounters& counters() const { return counters_; }
-  [[nodiscard]] const SessionConfig& config() const { return config_; }
   /// Per-job states currently held (post-eviction).
   [[nodiscard]] std::size_t jobs_tracked() const { return job_states_.size(); }
 
@@ -171,7 +156,7 @@ class PrismSession {
  private:
   /// Snapshot codec (core/snapshot.hpp): serializes the carried state —
   /// priors, EWMA baselines, timeline tails, recognition cache — to a
-  /// versioned binary blob and restores it into a same-config session.
+  /// versioned binary blob and restores it into a session.
   friend struct SnapshotAccess;
 
   /// The one point where the session writes the registry: counter growth
@@ -179,7 +164,6 @@ class PrismSession {
   /// gauge (a process total, summed over sessions).
   void publish();
 
-  SessionConfig config_;
   SessionCounters counters_;
   SessionCounters published_;            ///< counters_ as last published
   std::size_t published_jobs_tracked_ = 0;

@@ -67,13 +67,20 @@ struct GpuTimeline {
   std::vector<ReconstructedStep> steps;   ///< chronological
 };
 
-struct TimelineConfig {
-  /// Gap segmenter (BOCD) settings for DP-burst segmentation.
-  SegmenterConfig segmenter;
-  /// Gaps between communication events shorter than this are not reported
-  /// as compute (they are launch latency).
-  DurationNs min_compute_gap = 1 * kMillisecond;
-};
+/// The reconstructor has no settings (see PrismConfig for why the empty
+/// struct is kept).
+struct TimelineConfig {};
+
+/// Gaps between communication events shorter than this are not reported as
+/// compute (they are launch latency).
+inline constexpr DurationNs kMinComputeGap = 1 * kMillisecond;
+
+/// A trailing DP burst ending within this of the window end is held back
+/// (it may continue in the next window). A burst genuinely cut by the
+/// boundary has events ending at — usually past — the window end, so this
+/// only needs to cover intra-burst event gaps; a generous value holds (and
+/// re-processes) complete bursts that merely finished near the boundary.
+inline constexpr DurationNs kBoundaryHold = 50 * kMillisecond;
 
 /// Cross-window carry of one GPU's step structure (the session warm path).
 struct GpuStepCarry {
@@ -102,16 +109,15 @@ struct TimelineCarryContext {
   TimelineCarry* carry = nullptr;  ///< null = cold (no carry)
   /// End of the analysis window the trace was sliced from.
   TimeNs window_end = 0;
-  /// Hold back a trailing DP burst that ends within `boundary_hold` of
+  /// Hold back a trailing DP burst that ends within kBoundaryHold of
   /// window_end (set for every window except the final flush, whose tail
   /// is genuinely the end of the feed).
   bool hold_tail = false;
-  DurationNs boundary_hold = 200 * kMillisecond;
 };
 
 class TimelineReconstructor {
  public:
-  explicit TimelineReconstructor(TimelineConfig config = {});
+  explicit TimelineReconstructor(TimelineConfig = {}) {}
 
   /// Reconstruct every GPU that appears in `view` (one job's flows), given
   /// the per-flow types precomputed by CommTypeIdentifier::identify over
@@ -126,7 +132,7 @@ class TimelineReconstructor {
   /// Carry-aware (the session warm path): held-back DP bursts from
   /// `ctx.carry` are prepended to their GPU's events before segmentation,
   /// step 0 begins at the carried previous step end, and a trailing burst
-  /// ending within `ctx.boundary_hold` of `ctx.window_end` is held back
+  /// ending within kBoundaryHold of `ctx.window_end` is held back
   /// into the carry instead of being emitted as a (truncated) step.
   /// `ctx.carry == nullptr` is the cold path.
   ///
@@ -139,9 +145,6 @@ class TimelineReconstructor {
       const FlowView& view, std::span<const CommType> flow_types,
       SegmenterStats* segmenter_stats = nullptr,
       const TimelineCarryContext& ctx = {}, ThreadPool* pool = nullptr) const;
-
- private:
-  TimelineConfig config_;
 };
 
 }  // namespace llmprism

@@ -55,9 +55,12 @@ struct NoiseConfig {
   [[nodiscard]] std::vector<std::string> validate() const;
 };
 
-/// Returns a corrupted copy of `trace` (sorted). Deterministic given `rng`.
+/// Returns `trace` corrupted by `config` (sorted). Deterministic given
+/// `rng`. Takes the columns by value so a caller that moves them in holds
+/// no second copy: with noise disabled they are returned as they are
+/// (sorted), and otherwise they are freed before the kept rows are sorted.
 /// Throws std::invalid_argument when `config` fails validate().
-[[nodiscard]] FlowColumns apply_noise(const FlowView& trace,
+[[nodiscard]] FlowColumns apply_noise(FlowColumns trace,
                                       const NoiseConfig& config, Rng& rng);
 
 }  // namespace llmprism

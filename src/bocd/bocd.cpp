@@ -41,6 +41,21 @@ double powi(double base, std::size_t e) {
   return r;
 }
 
+/// segment_by_gaps: timestamps closer than this are coalesced into one
+/// arrival before the interval sequence is formed. Collectives launch
+/// several flows nearly simultaneously (ring directions, channels); without
+/// coalescing those near-zero intervals make the interval distribution
+/// bimodal and inflate the learned variance, masking the step gap.
+constexpr DurationNs kCoalesceGap = 200 * kMicrosecond;
+
+/// segment_by_gaps: a BOCD-flagged boundary is accepted only if the flagged
+/// interval also exceeds this factor x the median interval. Right after a
+/// real boundary the run-length posterior is legitimately "young" for a
+/// couple of observations; the guard rejects those small-interval flags
+/// without touching genuine step gaps (which are orders of magnitude above
+/// the median).
+constexpr double kGapGuardFactor = 3.0;
+
 }  // namespace
 
 std::vector<std::string> BocdConfig::validate() const {
@@ -341,7 +356,7 @@ std::vector<std::size_t> detect_changepoints(std::span<const double> xs,
 }
 
 std::vector<std::size_t> segment_by_gaps(std::span<const TimeNs> timestamps,
-                                         const SegmenterConfig& config,
+                                         const BocdConfig& config,
                                          SegmenterStats* stats) {
   std::vector<std::size_t> starts;
   if (timestamps.empty()) return starts;
@@ -355,7 +370,7 @@ std::vector<std::size_t> segment_by_gaps(std::span<const TimeNs> timestamps,
   // of the first timestamp in coalesced group k.
   std::vector<std::size_t> groups{0};
   for (std::size_t i = 1; i < timestamps.size(); ++i) {
-    if (timestamps[i] - timestamps[groups.back()] > config.coalesce_gap) {
+    if (timestamps[i] - timestamps[groups.back()] > kCoalesceGap) {
       groups.push_back(i);
     }
   }
@@ -374,7 +389,7 @@ std::vector<std::size_t> segment_by_gaps(std::span<const TimeNs> timestamps,
   // then broad around normal traffic, while the learned run components are
   // tight — a step gap is unlikely under both, but far *less* unlikely
   // under the prior, which is what trips P(r = 0).
-  BocdConfig cfg = config.bocd;
+  BocdConfig cfg = config;
   std::vector<double> sorted = log_intervals;
   std::nth_element(sorted.begin(), sorted.begin() + sorted.size() / 2,
                    sorted.end());
@@ -387,8 +402,7 @@ std::vector<std::size_t> segment_by_gaps(std::span<const TimeNs> timestamps,
   readouts.resize(log_intervals.size());
   detector.observe_batch(log_intervals, readouts);
 
-  const double guard =
-      cfg.prior_mean + std::log(std::max(1.0, config.gap_guard_factor));
+  const double guard = cfg.prior_mean + std::log(kGapGuardFactor);
   bool prev_flagged = false;
   for (std::size_t i = 0; i < log_intervals.size(); ++i) {
     // Changepoint at interval i: a new segment begins at coalesced group

@@ -25,6 +25,18 @@ constexpr double kEps = 1e-12;
 constexpr double kMinBaselineSeconds = 1e-4;
 constexpr std::size_t kUnreachable = std::numeric_limits<std::size_t>::max();
 
+/// Minimum relative self-time excess for a rank to be blamable. Below this
+/// no compute origin is named and the range's alerts are orphaned (never
+/// guess). Jitter sits at a few percent; real stragglers at 2x.
+constexpr double kMinComputeExcess = 0.25;
+/// Ranks whose excess reaches this fraction of the top score join the
+/// origin cluster as co-culprits (TP siblings are indistinguishable).
+constexpr double kOriginClusterRatio = 0.5;
+/// Ranked-culprit list length cap per incident.
+constexpr std::size_t kMaxCulprits = 8;
+/// Flagged steps at most this far apart merge into one incident.
+constexpr std::size_t kMergeStepGap = 1;
+
 double clamp01(double x) { return std::clamp(x, 0.0, 1.0); }
 
 double median(std::vector<double> xs) {
@@ -149,8 +161,6 @@ std::size_t victim_hops(std::size_t dist, std::size_t extra) {
 
 }  // namespace
 
-Attributor::Attributor(AttributionConfig config) : config_(config) {}
-
 std::vector<double> Attributor::step_self_times(const GpuTimeline& t) {
   std::vector<double> out(t.steps.size(), 0.0);
   if (t.steps.empty()) return out;
@@ -246,7 +256,7 @@ AttributionResult Attributor::attribute(
       if (!clusters.empty() &&
           clusters.back().group_index == a->group_index &&
           a->step_index <=
-              clusters.back().step_end + config_.merge_step_gap) {
+              clusters.back().step_end + kMergeStepGap) {
         clusters.back().step_end = a->step_index;
         clusters.back().alerts.push_back(a);
         continue;
@@ -281,7 +291,7 @@ AttributionResult Attributor::attribute(
     // --- 2. claim step alerts behind each group cluster --------------
     // Synchronous training stalls EVERY rank behind a slow collective:
     // members see the long DP burst in the same step, non-members stall
-    // one barrier later, so the claim window extends merge_step_gap past
+    // one barrier later, so the claim window extends kMergeStepGap past
     // the cluster's last alerted step.
     enum class StepState : std::uint8_t { kUnclaimed, kExplained, kOrphaned };
     std::vector<StepState> step_state(job.step_alerts.size(),
@@ -294,7 +304,7 @@ AttributionResult Attributor::attribute(
       }
       std::unordered_set<GpuId> member_set(members.begin(), members.end());
       const std::vector<std::size_t> dist = graph.distances(members);
-      const std::size_t claim_end = c.step_end + config_.merge_step_gap;
+      const std::size_t claim_end = c.step_end + kMergeStepGap;
 
       const bool via_switch = c.explaining_switch.valid();
       AttributedIncident incident;
@@ -400,7 +410,7 @@ AttributionResult Attributor::attribute(
       std::size_t r_end = r;
       while (r_end + 1 < flagged_steps.size() &&
              flagged_steps[r_end + 1] <=
-                 flagged_steps[r_end] + config_.merge_step_gap) {
+                 flagged_steps[r_end] + kMergeStepGap) {
         ++r_end;
       }
       const std::size_t step_begin = flagged_steps[r];
@@ -451,7 +461,7 @@ AttributionResult Attributor::attribute(
 
       const double top =
           candidates.empty() ? 0.0 : candidates.front().excess;
-      if (top < config_.min_compute_excess) {
+      if (top < kMinComputeExcess) {
         // No rank stands out: never guess. The alerts stay visible in
         // the report; they are just not pinned on anyone.
         for (std::size_t i = 0; i < job.step_alerts.size(); ++i) {
@@ -466,8 +476,7 @@ AttributionResult Attributor::attribute(
       }
 
       const double join =
-          std::max(config_.min_compute_excess,
-                   config_.origin_cluster_ratio * top);
+          std::max(kMinComputeExcess, kOriginClusterRatio * top);
       std::vector<GpuId> origin_gpus;
       AttributedIncident incident;
       incident.job = job.id;
@@ -476,7 +485,7 @@ AttributionResult Attributor::attribute(
       double best_outside = 0.0;
       for (const Candidate& c : candidates) {
         if (c.excess >= join &&
-            incident.culprits.size() < config_.max_culprits) {
+            incident.culprits.size() < kMaxCulprits) {
           incident.culprits.push_back(Culprit{.kind = CulpritKind::kRank,
                                               .gpu = c.gpu,
                                               .dp_group_index = 0,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <span>
-#include <stdexcept>
 #include <unordered_set>
 
 #include "llmprism/common/stats.hpp"
@@ -11,6 +10,19 @@
 namespace llmprism {
 
 namespace {
+
+/// Flow sizes within this relative tolerance count as one distinct size
+/// (absorbs collector size-reporting jitter; DP buckets differ by far more).
+constexpr double kSizeTolerance = 0.05;
+
+/// Size clusters carrying less than this fraction of a pair's flows are
+/// collector artifacts (partially recorded flows), not bucket structure,
+/// and are ignored when counting distinct sizes. Without this, ONE partial
+/// record can flip a PP pair to DP, whose false edge then bridges two DP
+/// components and the refinement flips every PP pair between the two
+/// stages (a transitivity cascade). Real DP buckets each carry far more
+/// than this share.
+constexpr double kMinSizeShare = 0.03;
 
 /// Iterative DFS collecting the connected component of `start` in an
 /// adjacency-list graph.
@@ -43,14 +55,6 @@ std::unordered_map<GpuPair, CommType> CommTypeResult::types() const {
   return out;
 }
 
-CommTypeIdentifier::CommTypeIdentifier(CommTypeConfig config)
-    : config_(config) {
-  if (config_.size_tolerance < 0.0 || config_.size_tolerance >= 1.0) {
-    throw std::invalid_argument(
-        "comm type: size_tolerance must be in [0, 1)");
-  }
-}
-
 std::size_t CommTypeIdentifier::count_distinct_sizes(
     std::vector<std::uint64_t> sizes) const {
   if (sizes.empty()) return 0;
@@ -59,7 +63,7 @@ std::size_t CommTypeIdentifier::count_distinct_sizes(
   std::uint64_t cluster_base = sizes.front();
   for (std::size_t i = 1; i < sizes.size(); ++i) {
     const double limit =
-        static_cast<double>(cluster_base) * (1.0 + config_.size_tolerance);
+        static_cast<double>(cluster_base) * (1.0 + kSizeTolerance);
     if (static_cast<double>(sizes[i]) > limit) {
       ++distinct;
       cluster_base = sizes[i];
@@ -156,13 +160,13 @@ CommTypeResult CommTypeIdentifier::identify(
       ordered = ordered_storage;
     }
 
-    const auto segment_starts = segment_by_gaps(timestamps, config_.segmenter,
-                                                &counters.segmenter);
+    const auto segment_starts =
+        segment_by_gaps(timestamps, {}, &counters.segmenter);
     pc.num_steps_observed = segment_starts.size();
 
     // Pair-level size clusters with tolerance merging; clusters carrying
-    // less than min_size_share of the pair's flows are collector artifacts
-    // (partial records) and are ignored below — see CommTypeConfig.
+    // less than kMinSizeShare of the pair's flows are collector artifacts
+    // (partial records) and are ignored below.
     struct SizeCluster {
       std::uint64_t base;
       std::uint64_t max;
@@ -181,7 +185,7 @@ CommTypeResult CommTypeIdentifier::identify(
         if (clusters.empty() ||
             static_cast<double>(s) >
                 static_cast<double>(clusters.back().base) *
-                    (1.0 + config_.size_tolerance)) {
+                    (1.0 + kSizeTolerance)) {
           clusters.push_back({s, s, 1, true});
         } else {
           clusters.back().max = s;
@@ -189,7 +193,7 @@ CommTypeResult CommTypeIdentifier::identify(
         }
       }
       const double min_count =
-          config_.min_size_share * static_cast<double>(sizes.size());
+          kMinSizeShare * static_cast<double>(sizes.size());
       for (SizeCluster& c : clusters) {
         c.kept = static_cast<double>(c.count) >= min_count;
         if (!c.kept) {

@@ -14,6 +14,16 @@ namespace {
 /// Consistency factor making the MAD estimate sigma for Gaussian data.
 constexpr double kMadToSigma = 1.4826;
 
+/// k-sigma settings of the cross-step and cross-group rules (and of the
+/// carried EWMA rule's threshold): the classic mean/stddev 3-sigma rule.
+constexpr KSigmaConfig kStepKSigma{};
+
+/// k-sigma settings for the cross-switch comparison: the robust median/MAD
+/// mode. A fabric incident often degrades SEVERAL switches at once, and
+/// simultaneous outliers mask each other under a stddev-based rule
+/// (leave-one-out removes only one of them).
+constexpr KSigmaConfig kSwitchKSigma{.dispersion = Dispersion::kMad};
+
 /// Count one ksigma_outliers_* call into the caller's tallies.
 void note_ksigma_call(std::size_t points_scored, std::size_t alerts,
                       KSigmaStats* stats) {
@@ -128,24 +138,23 @@ std::vector<StepAlert> Diagnoser::cross_step(const GpuTimeline& timeline,
   for (std::size_t i = 1; i < timeline.steps.size(); ++i) {
     durations.push_back(to_seconds(timeline.steps[i].duration()));
   }
-  const ReferenceComputer refs(durations, config_.ksigma);
+  const ReferenceComputer refs(durations, kStepKSigma);
   for (const std::size_t i :
-       ksigma_outliers_above(durations, config_.ksigma, stats)) {
+       ksigma_outliers_above(durations, kStepKSigma, stats)) {
     const Reference r = refs.at(i);
     StepAlert a;
     a.gpu = timeline.gpu;
     a.step_index = timeline.steps[i + 1].index;
     a.duration_s = durations[i];
     a.mean_s = r.mean;
-    a.threshold_s = r.mean + config_.ksigma.k * r.sigma;
+    a.threshold_s = r.mean + kStepKSigma.k * r.sigma;
     alerts.push_back(a);
   }
   return alerts;
 }
 
 std::vector<StepAlert> Diagnoser::cross_step_carried(
-    const GpuTimeline& timeline, EwmaBaseline& baseline,
-    const EwmaStepPolicy& policy, KSigmaStats* stats,
+    const GpuTimeline& timeline, EwmaBaseline& baseline, KSigmaStats* stats,
     std::uint64_t* ewma_alerts) const {
   // Window-local rule first: byte-identical to the cold path's alerts.
   std::vector<StepAlert> alerts = cross_step(timeline, stats);
@@ -156,14 +165,14 @@ std::vector<StepAlert> Diagnoser::cross_step_carried(
   // itself has absorbed enough history.
   const std::size_t scorable =
       timeline.steps.size() > 1 ? timeline.steps.size() - 1 : 0;
-  const bool window_self_sufficient = scorable >= config_.ksigma.min_samples;
+  const bool window_self_sufficient = scorable >= kStepKSigma.min_samples;
   for (std::size_t i = 1; i < timeline.steps.size(); ++i) {
     const double d = to_seconds(timeline.steps[i].duration());
-    if (!window_self_sufficient && baseline.count >= policy.min_samples) {
+    if (!window_self_sufficient && baseline.count >= kEwmaMinSamples) {
       const double threshold =
-          baseline.mean + config_.ksigma.k * baseline.sigma();
+          baseline.mean + kStepKSigma.k * baseline.sigma();
       if (d > threshold &&
-          d > baseline.mean * (1.0 + config_.ksigma.min_relative_excess)) {
+          d > baseline.mean * (1.0 + kStepKSigma.min_relative_excess)) {
         StepAlert a;
         a.gpu = timeline.gpu;
         a.step_index = timeline.steps[i].index;
@@ -177,7 +186,7 @@ std::vector<StepAlert> Diagnoser::cross_step_carried(
         continue;
       }
     }
-    baseline.observe(d, policy.alpha);
+    baseline.observe(d, kEwmaAlpha);
   }
   return alerts;
 }
@@ -209,16 +218,16 @@ std::vector<GroupAlert> Diagnoser::cross_group(
         group_idx.push_back(g);
       }
     }
-    const ReferenceComputer refs(durations, config_.ksigma);
+    const ReferenceComputer refs(durations, kStepKSigma);
     for (const std::size_t i :
-         ksigma_outliers_above(durations, config_.ksigma, stats)) {
+         ksigma_outliers_above(durations, kStepKSigma, stats)) {
       const Reference r = refs.at(i);
       GroupAlert a;
       a.group_index = group_idx[i];
       a.step_index = step;
       a.duration_s = durations[i];
       a.mean_s = r.mean;
-      a.threshold_s = r.mean + config_.ksigma.k * r.sigma;
+      a.threshold_s = r.mean + kStepKSigma.k * r.sigma;
       alerts.push_back(a);
     }
   }
@@ -461,12 +470,12 @@ SwitchDiagnosis Diagnoser::diagnose_switches(SwitchSamples samples,
                                              KSigmaStats* stats,
                                              ThreadPool* pool) const {
   const std::vector<SwitchStat> per_switch = per_switch_stats(
-      samples, kWantAll, config_.switch_health_percentile, pool);
+      samples, kWantAll, kSwitchHealthPercentile, pool);
   SwitchDiagnosis out;
   out.bandwidth_gbps = bandwidth_series(per_switch, &SwitchStat::mean_gbps);
   out.bandwidth_alerts = bandwidth_alerts(
       bandwidth_series(per_switch, &SwitchStat::percentile_gbps),
-      config_.switch_ksigma, stats);
+      kSwitchKSigma, stats);
   out.concurrency_alerts =
       concurrency_alerts(per_switch, config_.switch_dp_flow_limit);
   return out;
@@ -488,9 +497,8 @@ Diagnoser::per_switch_bandwidth_percentile(const FlowView& dp_flows, double p,
 std::vector<SwitchBandwidthAlert> Diagnoser::switch_bandwidth(
     const FlowView& dp_flows, KSigmaStats* stats, ThreadPool* pool) const {
   return bandwidth_alerts(
-      per_switch_bandwidth_percentile(dp_flows,
-                                      config_.switch_health_percentile, pool),
-      config_.switch_ksigma, stats);
+      per_switch_bandwidth_percentile(dp_flows, kSwitchHealthPercentile, pool),
+      kSwitchKSigma, stats);
 }
 
 std::vector<SwitchConcurrencyAlert> Diagnoser::switch_concurrency(

@@ -10,10 +10,6 @@
 
 namespace llmprism {
 
-JobRecognizer::JobRecognizer(const ClusterTopology& topology,
-                             JobRecognitionConfig config)
-    : topology_(topology), config_(config) {}
-
 namespace {
 
 /// Phase 1 (Alg. 1 lines 1-8): intern every endpoint of the window and
@@ -124,15 +120,11 @@ JobRecognitionResult JobRecognizer::recognize(const FlowView& view) const {
     // Every merged cluster spans this same machine set.
     job.machines = machine_sets[merged.front()];
 
-    if (config_.include_machine_local_gpus) {
-      for (const MachineId m : job.machines) {
-        const auto local = topology_.gpus_on(m);
-        job.gpus.insert(job.gpus.end(), local.begin(), local.end());
-      }
-      std::sort(job.gpus.begin(), job.gpus.end());
-    } else {
-      job.gpus = job.observed_gpus;
+    for (const MachineId m : job.machines) {
+      const auto local = topology_.gpus_on(m);
+      job.gpus.insert(job.gpus.end(), local.begin(), local.end());
     }
+    std::sort(job.gpus.begin(), job.gpus.end());
     result.jobs.push_back(std::move(job));
   }
 

@@ -70,11 +70,6 @@ std::vector<std::string> MonitorConfig::validate() const {
         "one window are already analyzed), got slack " +
         std::to_string(reorder_slack) + " vs window " + std::to_string(window));
   }
-  if (carry_state) {
-    for (std::string& e : session.validate()) {
-      errors.push_back(std::move(e));
-    }
-  }
   return errors;
 }
 
@@ -94,7 +89,7 @@ OnlineMonitor::OnlineMonitor(const ClusterTopology& topology,
   if (config_.carry_state) {
     // Warm windows form a state chain and are analyzed sequentially; the
     // per-job fan-out INSIDE each window still uses prism_'s pool.
-    session_ = std::make_unique<PrismSession>(config_.session);
+    session_ = std::make_unique<PrismSession>();
   } else {
     const std::size_t threads = ThreadPool::resolve(config_.prism.num_threads);
     if (threads > 1) window_pool_ = std::make_unique<ThreadPool>(threads - 1);

@@ -143,72 +143,8 @@ void fold_job_telemetry(ReportTelemetry& t, const JobAnalysis& analysis,
 
 std::vector<std::string> PrismConfig::validate() const {
   std::vector<std::string> errors;
-  if (comm_type.size_tolerance < 0.0) {
-    errors.push_back("comm_type: size_tolerance must be >= 0, got " +
-                     std::to_string(comm_type.size_tolerance));
-  }
-  if (comm_type.min_size_share < 0.0 || comm_type.min_size_share >= 1.0) {
-    errors.push_back("comm_type: min_size_share must be in [0, 1), got " +
-                     std::to_string(comm_type.min_size_share));
-  }
-  if (timeline.min_compute_gap < 0) {
-    errors.push_back("timeline: min_compute_gap must be >= 0, got " +
-                     std::to_string(timeline.min_compute_gap));
-  }
-  const auto check_segmenter = [&errors](const SegmenterConfig& seg,
-                                         const char* where) {
-    for (const std::string& e : seg.bocd.validate()) {
-      errors.push_back(std::string(where) + ": bocd." + e);
-    }
-    if (seg.coalesce_gap < 0) {
-      errors.push_back(std::string(where) + ": coalesce_gap must be >= 0");
-    }
-    if (seg.gap_guard_factor < 0.0) {
-      errors.push_back(std::string(where) + ": gap_guard_factor must be >= 0");
-    }
-  };
-  check_segmenter(comm_type.segmenter, "comm_type.segmenter");
-  check_segmenter(timeline.segmenter, "timeline.segmenter");
-  const auto check_ksigma = [&errors](const KSigmaConfig& ks,
-                                      const char* where) {
-    if (ks.k <= 0.0) {
-      errors.push_back(std::string(where) + ": k must be > 0, got " +
-                       std::to_string(ks.k));
-    }
-    if (ks.min_samples < 2) {
-      errors.push_back(std::string(where) +
-                       ": min_samples must be >= 2 (a spread estimate needs "
-                       "at least two observations)");
-    }
-    if (ks.min_relative_excess < 0.0) {
-      errors.push_back(std::string(where) +
-                       ": min_relative_excess must be >= 0, got " +
-                       std::to_string(ks.min_relative_excess));
-    }
-  };
-  check_ksigma(diagnosis.ksigma, "diagnosis.ksigma");
-  check_ksigma(diagnosis.switch_ksigma, "diagnosis.switch_ksigma");
   if (diagnosis.switch_dp_flow_limit == 0) {
     errors.push_back("diagnosis: switch_dp_flow_limit must be >= 1");
-  }
-  if (diagnosis.switch_health_percentile < 0.0 ||
-      diagnosis.switch_health_percentile > 100.0) {
-    errors.push_back(
-        "diagnosis: switch_health_percentile must be in [0, 100], got " +
-        std::to_string(diagnosis.switch_health_percentile));
-  }
-  if (attribution.min_compute_excess < 0.0) {
-    errors.push_back("attribution: min_compute_excess must be >= 0, got " +
-                     std::to_string(attribution.min_compute_excess));
-  }
-  if (!(attribution.origin_cluster_ratio > 0.0) ||
-      attribution.origin_cluster_ratio > 1.0) {
-    errors.push_back(
-        "attribution: origin_cluster_ratio must be in (0, 1], got " +
-        std::to_string(attribution.origin_cluster_ratio));
-  }
-  if (attribution.max_culprits == 0) {
-    errors.push_back("attribution: max_culprits must be >= 1");
   }
   return errors;
 }
@@ -272,7 +208,7 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
   // window's pair set, so the warm fast path is a verification rather
   // than a guess.
   bool recognition_reused = false;
-  const JobRecognizer recognizer(topology_, config_.recognition);
+  const JobRecognizer recognizer(topology_);
   {
     const obs::Span span("prism.recognize");
     if (session != nullptr && session->probe_recognition(view)) {
@@ -322,8 +258,8 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
     }
   }
 
-  const CommTypeIdentifier identifier(config_.comm_type);
-  const TimelineReconstructor reconstructor(config_.timeline);
+  const CommTypeIdentifier identifier;
+  const TimelineReconstructor reconstructor;
   const Diagnoser diagnoser(config_.diagnosis);
 
   // (2)-(4a) per-job stage, one task per recognized job. Each task owns its
@@ -381,7 +317,6 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
           tctx.carry = &state->timeline;
           tctx.window_end = session->window_end();
           tctx.hold_tail = session->hold_tail();
-          tctx.boundary_hold = session->config().boundary_hold;
         }
         analysis.timelines = reconstructor.reconstruct_all(
             job_view, flow_types, &timeline_stats[j], tctx, pool_.get());
@@ -390,11 +325,9 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
       if (state != nullptr) {
         // Per-timeline so each GPU scores against ITS carried baseline;
         // concatenation order matches the span overload's iteration order.
-        const EwmaStepPolicy policy{session->config().ewma_alpha,
-                                    session->config().ewma_min_samples};
         for (const GpuTimeline& tl : analysis.timelines) {
           std::vector<StepAlert> alerts = diagnoser.cross_step_carried(
-              tl, state->step_baselines[tl.gpu], policy, &ksigma_stats[j],
+              tl, state->step_baselines[tl.gpu], &ksigma_stats[j],
               &state->ewma_alerts_last);
           analysis.step_alerts.insert(analysis.step_alerts.end(),
                                       alerts.begin(), alerts.end());
@@ -463,7 +396,7 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
           .step_alerts = job.step_alerts,
           .group_alerts = job.group_alerts});
     }
-    const Attributor attributor(config_.attribution);
+    const Attributor attributor;
     report.attribution =
         attributor.attribute(inputs, report.switch_bandwidth_alerts,
                              report.switch_concurrency_alerts, pool_.get());

@@ -1,6 +1,5 @@
 #include "llmprism/core/session.hpp"
 
-#include <string>
 #include <utility>
 
 #include "llmprism/obs/metrics.hpp"
@@ -53,30 +52,6 @@ obs::Gauge& jobs_tracked_gauge() {
 }
 
 }  // namespace
-
-std::vector<std::string> SessionConfig::validate() const {
-  std::vector<std::string> errors;
-  if (!(ewma_alpha > 0.0) || ewma_alpha > 1.0) {
-    errors.push_back("session: ewma_alpha must be in (0, 1], got " +
-                     std::to_string(ewma_alpha));
-  }
-  if (ewma_min_samples < 2) {
-    errors.push_back(
-        "session: ewma_min_samples must be >= 2 (a spread estimate needs at "
-        "least two observations), got " +
-        std::to_string(ewma_min_samples));
-  }
-  if (boundary_hold < 0) {
-    errors.push_back("session: boundary_hold must be >= 0, got " +
-                     std::to_string(boundary_hold));
-  }
-  if (evict_after_windows < 1) {
-    errors.push_back("session: evict_after_windows must be >= 1");
-  }
-  return errors;
-}
-
-PrismSession::PrismSession(SessionConfig config) : config_(config) {}
 
 PrismSession::~PrismSession() {
   if (published_jobs_tracked_ != 0) {
@@ -167,13 +142,12 @@ void PrismSession::fold_job(const SessionJobState& state) {
 }
 
 void PrismSession::finish_window() {
-  // Evict jobs not observed for evict_after_windows windows: their carried
+  // Evict jobs not observed for kEvictAfterWindows windows: their carried
   // tails and baselines describe a tenant that left those machines, and a
   // new tenant must start cold.
   std::uint64_t evicted = 0;
   for (auto it = job_states_.begin(); it != job_states_.end();) {
-    if (window_index_ - it->second.last_seen_window >=
-        config_.evict_after_windows) {
+    if (window_index_ - it->second.last_seen_window >= kEvictAfterWindows) {
       it = job_states_.erase(it);
       ++evicted;
     } else {

@@ -143,30 +143,32 @@ struct SnapshotAccess {
   static constexpr std::uint8_t kCarryOn = 1;
   static constexpr int kCarryBytes = 4;
 
-  static void write_session_config(ByteWriter& w, const SessionConfig& c) {
+  /// LPS1 also records the four session tuning constants; a blob holding
+  /// other values was saved by a differently tuned build and is refused.
+  static void write_session_config(ByteWriter& w) {
     for (int i = 0; i < kCarryBytes; ++i) w.u8(kCarryOn);
-    w.f64(c.ewma_alpha);
-    w.u64(c.ewma_min_samples);
-    w.i64(c.boundary_hold);
-    w.u64(c.evict_after_windows);
+    w.f64(kEwmaAlpha);
+    w.u64(kEwmaMinSamples);
+    w.i64(kBoundaryHold);
+    w.u64(kEvictAfterWindows);
   }
 
-  static void check_session_config(ByteReader& r, const SessionConfig& c) {
+  static void check_session_config(ByteReader& r) {
     bool carries_on = true;
     for (int i = 0; i < kCarryBytes; ++i) carries_on &= r.u8() == kCarryOn;
-    const bool same = carries_on && r.f64() == c.ewma_alpha &&
-                      r.u64() == c.ewma_min_samples &&
-                      r.i64() == c.boundary_hold &&
-                      r.u64() == c.evict_after_windows;
+    const bool same = carries_on && r.f64() == kEwmaAlpha &&
+                      r.u64() == kEwmaMinSamples &&
+                      r.i64() == kBoundaryHold &&
+                      r.u64() == kEvictAfterWindows;
     if (!same) {
       fail(
-          "session config mismatch (restore into a session constructed with "
-          "the saved configuration)");
+          "session config mismatch (the blob was saved with different "
+          "session tuning)");
     }
   }
 
   static void write_session_payload(ByteWriter& w, const PrismSession& s) {
-    write_session_config(w, s.config_);
+    write_session_config(w);
 
     const SessionCounters& c = s.counters_;
     for (const std::uint64_t v :
@@ -266,7 +268,7 @@ struct SnapshotAccess {
   /// recognition cache's GPU ids.
   static void read_session_payload(ByteReader& r, PrismSession& s,
                                    const ClusterTopology* topology) {
-    check_session_config(r, s.config_);
+    check_session_config(r);
 
     SessionCounters counters;
     for (std::uint64_t* v :

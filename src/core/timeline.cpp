@@ -48,7 +48,6 @@ struct CarrySlot {
 /// near-boundary burst is held back instead of emitted; the null-context
 /// path is the cold behavior, bit for bit.
 GpuTimeline assemble(GpuId gpu, std::span<TimelineEvent> comm_events,
-                     const TimelineConfig& config,
                      SegmenterStats* segmenter_stats = nullptr,
                      const TimelineCarryContext* ctx = nullptr,
                      CarrySlot* slot = nullptr) {
@@ -96,10 +95,10 @@ GpuTimeline assemble(GpuId gpu, std::span<TimelineEvent> comm_events,
   bool any_held = false;
   if (!dp_starts.empty()) {
     const auto burst_starts =
-        segment_by_gaps(dp_starts, config.segmenter, segmenter_stats);
+        segment_by_gaps(dp_starts, {}, segmenter_stats);
 
     // Provisional tail: the last burst is held back (not emitted as a
-    // step) when it ends within boundary_hold of the window end — it may
+    // step) when it ends within kBoundaryHold of the window end — it may
     // continue in the next window, and emitting it now would truncate the
     // straddling step.
     std::size_t hold_from = burst_starts.size();  // index of the held burst
@@ -109,7 +108,7 @@ GpuTimeline assemble(GpuId gpu, std::span<TimelineEvent> comm_events,
       for (std::size_t i = last_begin; i < dp_starts.size(); ++i) {
         tail_dp_end = std::max(tail_dp_end, comm_events[dp_event_idx[i]].end);
       }
-      if (ctx->window_end - tail_dp_end < ctx->boundary_hold) {
+      if (ctx->window_end - tail_dp_end < kBoundaryHold) {
         hold_from = burst_starts.size() - 1;
       }
     }
@@ -163,7 +162,7 @@ GpuTimeline assemble(GpuId gpu, std::span<TimelineEvent> comm_events,
       busy_until = e.start;
       busy_set = true;
     }
-    if (e.start - busy_until >= config.min_compute_gap) {
+    if (e.start - busy_until >= kMinComputeGap) {
       TimelineEvent gap;
       gap.kind = TimelineEventKind::kCompute;
       gap.start = busy_until;
@@ -185,8 +184,8 @@ GpuTimeline assemble(GpuId gpu, std::span<TimelineEvent> comm_events,
 std::vector<GpuTimeline> assemble_all(
     std::span<const std::uint32_t> gpu_ids,
     const std::function<std::span<TimelineEvent>(std::uint32_t)>& events_of,
-    const TimelineConfig& config, SegmenterStats* segmenter_stats,
-    const TimelineCarryContext* ctx, ThreadPool* pool) {
+    SegmenterStats* segmenter_stats, const TimelineCarryContext* ctx,
+    ThreadPool* pool) {
   const std::size_t n = gpu_ids.size();
   std::vector<CarrySlot> slots(n);
   if (ctx != nullptr && ctx->carry != nullptr) {
@@ -197,7 +196,7 @@ std::vector<GpuTimeline> assemble_all(
   std::vector<SegmenterStats> slot_stats(n);
   std::vector<GpuTimeline> out(n);
   parallel_for(pool, n, [&](std::size_t k) {
-    out[k] = assemble(GpuId(gpu_ids[k]), events_of(gpu_ids[k]), config,
+    out[k] = assemble(GpuId(gpu_ids[k]), events_of(gpu_ids[k]),
                       &slot_stats[k], ctx, &slots[k]);
   });
   for (std::size_t k = 0; k < n; ++k) {
@@ -211,9 +210,6 @@ std::vector<GpuTimeline> assemble_all(
 }
 
 }  // namespace
-
-TimelineReconstructor::TimelineReconstructor(TimelineConfig config)
-    : config_(config) {}
 
 std::vector<GpuTimeline> TimelineReconstructor::reconstruct_all(
     const FlowView& view, std::span<const CommType> flow_types,
@@ -311,7 +307,7 @@ std::vector<GpuTimeline> TimelineReconstructor::reconstruct_all(
         [&](std::uint32_t g) {
           return events.subspan(begin[g], begin[g + 1] - begin[g]);
         },
-        config_, segmenter_stats, carry_ctx, pool);
+        segmenter_stats, carry_ctx, pool);
   }
 
   std::unordered_map<GpuId, std::vector<TimelineEvent>> per_gpu;
@@ -334,7 +330,7 @@ std::vector<GpuTimeline> TimelineReconstructor::reconstruct_all(
       [&](std::uint32_t g) {
         return std::span<TimelineEvent>(per_gpu.find(GpuId(g))->second);
       },
-      config_, segmenter_stats, carry_ctx, pool);
+      segmenter_stats, carry_ctx, pool);
 }
 
 }  // namespace llmprism

@@ -142,7 +142,7 @@ void JobSeriesCollector::add_window(const WindowExportView& view) {
 
     // Idle / bubble proxy: the fraction of each rank's active span not
     // covered by any reconstructed event, averaged across ranks. Compute
-    // fill already absorbs gaps >= min_compute_gap, so what remains is
+    // fill already absorbs gaps >= kMinComputeGap, so what remains is
     // launch latency plus genuine pipeline bubbles.
     double bubble_sum = 0.0;
     std::size_t bubble_ranks = 0;

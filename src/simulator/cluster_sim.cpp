@@ -103,7 +103,7 @@ ClusterSimResult run_cluster_sim(const ClusterSimConfig& config) {
     }
   }
   Rng noise_rng = root.fork(0xA0153ULL);
-  result.trace = apply_noise(merged, config.noise, noise_rng);
+  result.trace = apply_noise(std::move(merged), config.noise, noise_rng);
 
   log::info("cluster sim: ", config.jobs.size(), " jobs, ",
             result.trace.size(), " flows");

@@ -55,7 +55,7 @@ std::vector<std::string> NoiseConfig::validate() const {
   return errors;
 }
 
-FlowColumns apply_noise(const FlowView& trace, const NoiseConfig& config,
+FlowColumns apply_noise(FlowColumns trace, const NoiseConfig& config,
                         Rng& rng) {
   if (const auto errors = config.validate(); !errors.empty()) {
     std::string message = "invalid noise configuration:";
@@ -66,21 +66,21 @@ FlowColumns apply_noise(const FlowView& trace, const NoiseConfig& config,
     throw std::invalid_argument(message);
   }
   if (!config.enabled()) {
-    FlowColumns copy;
-    copy.append(trace);
-    copy.sort();
-    return copy;
+    trace.sort();
+    return trace;
   }
+
+  const FlowView in = trace;  // valid until the input is freed below
 
   // ---- correlated burst truncation ----
   // Decide per pair whether it is degraded; for degraded pairs walk their
   // flows in time order, split into bursts at gaps, and with the pair's
   // truncation probability keep only flows sharing the burst head's size.
-  std::vector<bool> keep(trace.size(), true);
+  std::vector<bool> keep(in.size(), true);
   if (config.degraded_pair_fraction > 0.0) {
     // Pairs are visited in first-appearance order (dense CSR ids), so the
     // noise realization is deterministic in the trace's content alone.
-    const PairIndex pair_index(trace);
+    const PairIndex pair_index(in);
     for (std::size_t id = 0; id < pair_index.num_pairs(); ++id) {
       const auto flow_idxs = pair_index.positions(id);
       PairDegradation d;
@@ -97,15 +97,15 @@ FlowColumns apply_noise(const FlowView& trace, const NoiseConfig& config,
       while (burst_start < flow_idxs.size()) {
         std::size_t burst_end = burst_start + 1;
         while (burst_end < flow_idxs.size()) {
-          const TimeNs gap = trace.start_ns[flow_idxs[burst_end]] -
-                             trace.start_ns[flow_idxs[burst_end - 1]];
+          const TimeNs gap = in.start_ns[flow_idxs[burst_end]] -
+                             in.start_ns[flow_idxs[burst_end - 1]];
           if (gap > config.burst_gap) break;
           ++burst_end;
         }
         if (rng.bernoulli(d.truncation_prob)) {
-          const std::uint64_t head_size = trace.bytes[flow_idxs[burst_start]];
+          const std::uint64_t head_size = in.bytes[flow_idxs[burst_start]];
           for (std::size_t i = burst_start; i < burst_end; ++i) {
-            if (trace.bytes[flow_idxs[i]] != head_size) {
+            if (in.bytes[flow_idxs[i]] != head_size) {
               keep[flow_idxs[i]] = false;
             }
           }
@@ -116,12 +116,12 @@ FlowColumns apply_noise(const FlowView& trace, const NoiseConfig& config,
   }
 
   FlowColumns out;
-  out.reserve(trace.size(), trace.switch_ids.size());
-  for (std::size_t i = 0; i < trace.size(); ++i) {
+  out.reserve(in.size(), in.switch_ids.size());
+  for (std::size_t i = 0; i < in.size(); ++i) {
     if (!keep[i]) continue;
     if (config.drop_rate > 0 && rng.bernoulli(config.drop_rate)) continue;
 
-    FlowRecord f = trace.record(i);
+    FlowRecord f = in.record(i);
     if (config.partial_record_rate > 0 &&
         rng.bernoulli(config.partial_record_rate)) {
       f.bytes = static_cast<std::uint64_t>(
@@ -152,6 +152,7 @@ FlowColumns apply_noise(const FlowView& trace, const NoiseConfig& config,
       out.add(dup);
     }
   }
+  trace = FlowColumns();  // free the input before the sort gathers a copy
   out.sort();
   return out;
 }

@@ -53,6 +53,18 @@ TEST(BocdConfigTest, RejectsNonPositivePrior) {
   BocdConfig cfg;
   cfg.prior_kappa = 0.0;
   EXPECT_THROW(BocdDetector{cfg}, std::invalid_argument);
+  cfg = BocdConfig{};
+  cfg.prior_beta = 0.0;
+  ASSERT_EQ(cfg.validate().size(), 1u);
+  EXPECT_EQ(cfg.validate()[0].rfind("prior_beta", 0), 0u)
+      << cfg.validate()[0];
+  EXPECT_THROW(BocdDetector{cfg}, std::invalid_argument);
+}
+
+TEST(BocdConfigTest, DefaultsAreValid) {
+  // The pipeline runs both segmenters at BocdConfig{} only, so the one
+  // configuration it can pass must be one the detector accepts.
+  EXPECT_TRUE(BocdConfig{}.validate().empty());
 }
 
 TEST(BocdConfigTest, RejectsNonHalfIntegralPriorAlpha) {
@@ -369,9 +381,7 @@ std::vector<BocdConfig> fixture_configs() {
 TEST(BocdFixtureTest, StepBoundariesStableAcrossConfigs) {
   const auto ts = step_timestamps();
   for (const BocdConfig& cfg : fixture_configs()) {
-    SegmenterConfig scfg;
-    scfg.bocd = cfg;
-    EXPECT_EQ(segment_by_gaps(ts, scfg), kStepBoundaries)
+    EXPECT_EQ(segment_by_gaps(ts, cfg), kStepBoundaries)
         << "cap=" << cfg.max_components << " prune=" << cfg.prune_mass;
   }
 }

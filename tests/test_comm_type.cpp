@@ -33,25 +33,16 @@ void add_pair_flows(FlowColumns& trace, std::uint32_t a, std::uint32_t b,
   }
 }
 
-TEST(CommTypeIdentifierTest, RejectsBadTolerance) {
-  EXPECT_THROW(CommTypeIdentifier({.size_tolerance = -0.1}),
-               std::invalid_argument);
-  EXPECT_THROW(CommTypeIdentifier({.size_tolerance = 1.0}),
-               std::invalid_argument);
-}
-
 TEST(CommTypeIdentifierTest, CountDistinctSizesWithTolerance) {
-  const CommTypeIdentifier id({.size_tolerance = 0.05});
+  const CommTypeIdentifier id;
   EXPECT_EQ(id.count_distinct_sizes({}), 0u);
   EXPECT_EQ(id.count_distinct_sizes({100}), 1u);
   EXPECT_EQ(id.count_distinct_sizes({100, 102, 104}), 1u);  // within 5%
   EXPECT_EQ(id.count_distinct_sizes({100, 200}), 2u);
   EXPECT_EQ(id.count_distinct_sizes({100, 104, 120, 250, 255}), 3u);
-}
-
-TEST(CommTypeIdentifierTest, ZeroToleranceCountsExact) {
-  const CommTypeIdentifier id({.size_tolerance = 0.0});
-  EXPECT_EQ(id.count_distinct_sizes({100, 100, 101}), 2u);
+  // The tolerance is inclusive: 5% above a cluster's base still joins it.
+  EXPECT_EQ(id.count_distinct_sizes({100, 105}), 1u);
+  EXPECT_EQ(id.count_distinct_sizes({100, 106}), 2u);
 }
 
 TEST(CommTypeIdentifierTest, SingleSizePairIsPP) {

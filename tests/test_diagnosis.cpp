@@ -564,7 +564,7 @@ TEST(SwitchSamplesTest, DpRowTableMatchesWrappersOnGatheredDpView) {
     }
     // The percentile over the gathered view's positive-duration flows.
     const auto pct = Diagnoser::per_switch_bandwidth_percentile(
-        dp_view, cfg.switch_health_percentile);
+        dp_view, kSwitchHealthPercentile);
     ASSERT_EQ(pct.size(), mean.size());
 
     const auto conc = diagnoser.switch_concurrency(dp_view);

@@ -53,16 +53,6 @@ TEST(JobRecognizerTest, SingleFlowMakesOneJob) {
   EXPECT_EQ(result.jobs[0].machines[1], MachineId(1));
 }
 
-TEST(JobRecognizerTest, WithoutExpansionOnlyObservedGpus) {
-  const auto t = topo();
-  FlowColumns trace;
-  trace.add(flow(t, 0, 8));
-  const JobRecognizer rec(t, {.include_machine_local_gpus = false});
-  const auto result = rec.recognize(trace.view());
-  ASSERT_EQ(result.jobs.size(), 1u);
-  EXPECT_EQ(result.jobs[0].gpus.size(), 2u);
-}
-
 TEST(JobRecognizerTest, DisconnectedFlowsMakeSeparateJobs) {
   const auto t = topo();
   FlowColumns trace;

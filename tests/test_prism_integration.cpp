@@ -181,53 +181,26 @@ TEST(PrismDiagnosisIntegrationTest, DetectsDegradedSwitch) {
   EXPECT_TRUE(flagged);
 }
 
-TEST(PrismConfigValidationTest, SegmenterBocdErrorsNameEachField) {
-  // Each bound the detector enforces is refused when Prism is built, not
-  // at the first analyze() inside a pool task, and the message names the
-  // segmenter and the field.
+TEST(PrismConfigValidationTest, ZeroSwitchFlowLimitIsRefused) {
+  // The one settable value with a bound: it is refused when Prism is built,
+  // and the message names the field.
   const auto topology = ClusterTopology::build(
       {.num_machines = 4, .gpus_per_machine = 8, .machines_per_leaf = 4,
        .num_spines = 2});
-  struct BadField {
-    const char* field;
-    void (*apply)(BocdConfig&);
-  };
-  const BadField bad_fields[] = {
-      {"bocd.hazard_lambda", [](BocdConfig& c) { c.hazard_lambda = 0.5; }},
-      {"bocd.changepoint_threshold",
-       [](BocdConfig& c) { c.changepoint_threshold = 1.0; }},
-      {"bocd.prior_beta", [](BocdConfig& c) { c.prior_beta = 0.0; }},
-      {"bocd.prior_alpha", [](BocdConfig& c) { c.prior_alpha = 0.7; }},
-      {"bocd.max_components", [](BocdConfig& c) { c.max_components = 0; }},
-  };
-  for (const BadField& bad : bad_fields) {
-    for (const bool timeline : {false, true}) {
-      PrismConfig cfg;
-      SegmenterConfig& seg =
-          timeline ? cfg.timeline.segmenter : cfg.comm_type.segmenter;
-      bad.apply(seg.bocd);
-      const std::string where =
-          std::string(timeline ? "timeline" : "comm_type") + ".segmenter: " +
-          bad.field;
-      const auto errors = cfg.validate();
-      ASSERT_EQ(errors.size(), 1u) << where;
-      EXPECT_EQ(errors[0].rfind(where, 0), 0u) << errors[0];
-      try {
-        const Prism prism(topology, cfg);
-        ADD_FAILURE() << "Prism accepted " << where;
-      } catch (const std::invalid_argument& e) {
-        EXPECT_NE(std::string(e.what()).find(where), std::string::npos)
-            << e.what();
-      }
-    }
-  }
-
-  // Every bad field of one segmenter is reported, not only the first.
   PrismConfig cfg;
-  for (const BadField& bad : bad_fields) {
-    bad.apply(cfg.comm_type.segmenter.bocd);
+  EXPECT_TRUE(cfg.validate().empty());
+  cfg.diagnosis.switch_dp_flow_limit = 0;
+  const auto errors = cfg.validate();
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_NE(errors[0].find("switch_dp_flow_limit"), std::string::npos);
+  try {
+    const Prism prism(topology, cfg);
+    ADD_FAILURE() << "Prism accepted switch_dp_flow_limit = 0";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("switch_dp_flow_limit"),
+              std::string::npos)
+        << e.what();
   }
-  EXPECT_EQ(cfg.validate().size(), std::size(bad_fields));
 }
 
 }  // namespace

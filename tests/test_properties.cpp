@@ -13,6 +13,7 @@
 #include "llmprism/collector/packetize.hpp"
 #include "llmprism/common/stats.hpp"
 #include "llmprism/core/prism.hpp"
+#include "llmprism/core/render.hpp"
 #include "llmprism/flow/io.hpp"
 #include "llmprism/simulator/cluster_sim.hpp"
 
@@ -111,6 +112,87 @@ TEST(SerializationTest, CsvRoundTripPreservesAnalysis) {
     EXPECT_EQ(direct.jobs[j].inferred.pp, roundtrip.jobs[j].inferred.pp);
   }
 }
+
+// Metamorphic relation: moving the time origin changes no verdict. Every
+// flow starts 373 ms later, which is not a whole number of steps, so the
+// step phase against absolute time moves too. The report must be equal
+// apart from its time fields, and those move by exactly the shift. A time
+// constant of the pipeline that read absolute time (the segmenter's
+// coalescing window, the compute-gap floor, the boundary hold) would break
+// this; the extra 4,321 ns keeps the shift off the microsecond and
+// millisecond grids those constants sit on, so bucketing by absolute time
+// shows too. The trace carries a straggler and degraded collection, so alerts,
+// refinement flips and incidents are all compared, not only clean steps.
+class TimeOriginShift : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(TimeOriginShift, ReportIsEqualApartFromTimeFields) {
+  constexpr DurationNs kShift = 373 * kMillisecond + 4321;
+  ClusterSimConfig cfg = base_config(GetParam());
+  cfg.jobs[0].config.stragglers.push_back(
+      {.rank = 3, .step_begin = 4, .step_end = 5, .slowdown = 2.5});
+  cfg.noise.degraded_pair_fraction = 0.2;
+  const auto sim = run_cluster_sim(cfg);
+  FlowColumns shifted = sim.trace;
+  for (TimeNs& t : shifted.start_ns) t += kShift;
+
+  const Prism prism(sim.topology);
+  const PrismReport base = prism.analyze(sim.trace.view());
+  const PrismReport moved = prism.analyze(shifted.view());
+  ASSERT_FALSE(base.jobs.empty());
+  EXPECT_FALSE(base.attribution.incidents.empty())
+      << "the straggler must give the relation a verdict to keep";
+
+  // The JSON report holds no absolute time, so it is byte-identical.
+  std::ostringstream base_json;
+  std::ostringstream moved_json;
+  write_report_json(base_json, base);
+  write_report_json(moved_json, moved);
+  EXPECT_EQ(moved_json.str(), base_json.str());
+  EXPECT_EQ(moved.attribution.incidents, base.attribution.incidents);
+
+  ASSERT_EQ(moved.jobs.size(), base.jobs.size());
+  for (std::size_t j = 0; j < base.jobs.size(); ++j) {
+    SCOPED_TRACE(j);
+    const JobAnalysis& a = base.jobs[j];
+    const JobAnalysis& b = moved.jobs[j];
+    ASSERT_EQ(b.trace.size(), a.trace.size());
+    for (std::size_t i = 0; i < a.trace.size(); ++i) {
+      ASSERT_EQ(b.trace.start_ns[i], a.trace.start_ns[i] + kShift);
+    }
+    ASSERT_EQ(b.timelines.size(), a.timelines.size());
+    for (std::size_t t = 0; t < a.timelines.size(); ++t) {
+      const GpuTimeline& ta = a.timelines[t];
+      const GpuTimeline& tb = b.timelines[t];
+      EXPECT_EQ(tb.gpu, ta.gpu);
+      ASSERT_EQ(tb.events.size(), ta.events.size());
+      for (std::size_t e = 0; e < ta.events.size(); ++e) {
+        EXPECT_EQ(tb.events[e].kind, ta.events[e].kind);
+        EXPECT_EQ(tb.events[e].start, ta.events[e].start + kShift);
+        EXPECT_EQ(tb.events[e].end, ta.events[e].end + kShift);
+        EXPECT_EQ(tb.events[e].peer, ta.events[e].peer);
+      }
+      ASSERT_EQ(tb.steps.size(), ta.steps.size());
+      for (std::size_t k = 0; k < ta.steps.size(); ++k) {
+        EXPECT_EQ(tb.steps[k].begin, ta.steps[k].begin + kShift);
+        EXPECT_EQ(tb.steps[k].end, ta.steps[k].end + kShift);
+        EXPECT_EQ(tb.steps[k].dp_begin, ta.steps[k].dp_begin + kShift);
+      }
+    }
+    ASSERT_EQ(b.step_alerts.size(), a.step_alerts.size());
+    for (std::size_t k = 0; k < a.step_alerts.size(); ++k) {
+      EXPECT_EQ(b.step_alerts[k].threshold_s, a.step_alerts[k].threshold_s);
+    }
+  }
+  ASSERT_EQ(moved.switch_concurrency_alerts.size(),
+            base.switch_concurrency_alerts.size());
+  for (std::size_t k = 0; k < base.switch_concurrency_alerts.size(); ++k) {
+    EXPECT_EQ(moved.switch_concurrency_alerts[k].at,
+              base.switch_concurrency_alerts[k].at + kShift);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TimeOriginShift,
+                         ::testing::Values(3u, 17u, 2024u));
 
 // The packet path conserves bytes under fine collector timeouts, for any
 // packetization shape.

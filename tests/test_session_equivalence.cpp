@@ -50,12 +50,12 @@ JobSimConfig job(std::uint32_t tp, std::uint32_t dp, std::uint32_t pp,
 /// Two steady jobs, no collection noise: every communication pair is
 /// active in every window, so the recognition and comm-type caches get
 /// real hits.
-ClusterSimConfig steady_mix() {
+ClusterSimConfig steady_mix(std::uint32_t steps = 16) {
   ClusterSimConfig cfg;
   cfg.topology = {.num_machines = 8, .gpus_per_machine = 8,
                   .machines_per_leaf = 4, .num_spines = 2};
-  cfg.jobs.push_back({job(8, 2, 2, 16), {}});
-  cfg.jobs.push_back({job(8, 4, 1, 16), {}});
+  cfg.jobs.push_back({job(8, 2, 2, steps), {}});
+  cfg.jobs.push_back({job(8, 4, 1, steps), {}});
   cfg.seed = 21;
   return cfg;
 }
@@ -76,6 +76,12 @@ struct MixData {
 
 const MixData& steady_jobs() {
   static const MixData mix{run_cluster_sim(steady_mix())};
+  return mix;
+}
+
+/// The steady mix, long enough for a job to stay away past eviction.
+const MixData& long_steady_jobs() {
+  static const MixData mix{run_cluster_sim(steady_mix(32))};
   return mix;
 }
 
@@ -530,15 +536,16 @@ TEST(SessionEquivalenceTest, EwmaBaselinesAlertWhereColdCannot) {
 // --- job churn: invalidation and re-minting -------------------------------
 
 TEST(SessionEquivalenceTest, JobChurnEvictsAndRemintsSessionState) {
-  const MixData& mix = steady_jobs();
+  const MixData& mix = long_steady_jobs();
   FlowColumns trace = mix.sim.trace;
   trace.sort();
   const TimeNs t0 = trace.view().time_span().begin;
 
-  // Job B's flows vanish for three windows mid-feed, then return. The gap
-  // is window-aligned so B is absent for a deterministic window count, and
-  // the feed is cut at B's last flow so B is present in the flush window
-  // (no trailing re-eviction to account for).
+  // Job B's flows vanish for one window more than kEvictAfterWindows
+  // mid-feed, then return. The gap is window-aligned so B is absent for a
+  // deterministic window count, and the feed is cut at B's last flow so B
+  // is present in the flush window (no trailing re-eviction to account
+  // for).
   std::unordered_set<GpuId> job_b;
   for (const GpuId g : mix.sim.jobs[1].gpus) job_b.insert(g);
   TimeNs b_last = t0;
@@ -547,7 +554,8 @@ TEST(SessionEquivalenceTest, JobChurnEvictsAndRemintsSessionState) {
   }
   const DurationNs window = 500 * kMillisecond;
   const TimeNs gap_begin = t0 + 2 * window;
-  const TimeNs gap_end = t0 + 5 * window;
+  const TimeNs gap_end =
+      gap_begin + static_cast<DurationNs>(kEvictAfterWindows + 1) * window;
   ASSERT_GT(b_last, gap_end + 2 * window)
       << "job B must return for at least two windows after the gap";
   FlowColumns churned;
@@ -560,11 +568,9 @@ TEST(SessionEquivalenceTest, JobChurnEvictsAndRemintsSessionState) {
   }
   ASSERT_LT(churned.size(), trace.size());
 
-  MonitorConfig cfg = monitor_config(window, true);
-  cfg.session.evict_after_windows = 2;
-  OnlineMonitor warm(mix.sim.topology, cfg);
+  OnlineMonitor warm(mix.sim.topology, monitor_config(window, true));
   const auto ticks = run_monitor(warm, churned.view());
-  ASSERT_GE(ticks.size(), 8u);
+  ASSERT_GE(ticks.size(), kEvictAfterWindows + 6);
 
   const PrismSession* session = warm.session();
   ASSERT_NE(session, nullptr);
@@ -702,28 +708,6 @@ TEST(SessionEquivalenceTest, NullSessionOverloadMatchesColdAnalyze) {
   MonitorTick ta{.window = {}, .report = a, .job_ids = {}};
   MonitorTick tb{.window = {}, .report = b, .job_ids = {}};
   expect_ticks_equal({ta}, {tb});
-}
-
-TEST(SessionEquivalenceTest, SessionConfigValidationIsDescriptive) {
-  SessionConfig bad;
-  bad.ewma_alpha = 0.0;
-  bad.ewma_min_samples = 1;
-  bad.boundary_hold = -1;
-  bad.evict_after_windows = 0;
-  const auto errors = bad.validate();
-  EXPECT_EQ(errors.size(), 4u);
-  for (const std::string& e : errors) {
-    EXPECT_FALSE(e.empty());
-  }
-
-  MonitorConfig cfg;
-  cfg.session = bad;
-  EXPECT_FALSE(cfg.validate().empty());
-  const ClusterSimConfig sim_cfg = single_job_mix(2);
-  const auto topology = ClusterTopology::build(sim_cfg.topology);
-  EXPECT_THROW(OnlineMonitor(topology, cfg), std::invalid_argument);
-  cfg.carry_state = false;  // session config is inert without carry
-  EXPECT_TRUE(cfg.validate().empty());
 }
 
 }  // namespace

@@ -211,7 +211,7 @@ TEST(SnapshotTest, SessionRoundTripPreservesCountersAndJobs) {
   save_snapshot(os, *warm);
   const std::string blob = os.str();
 
-  PrismSession restored(monitor_config().session);
+  PrismSession restored;
   restore_snapshot(bytes(blob), restored);
   EXPECT_EQ(restored.jobs_tracked(), warm->jobs_tracked());
   expect_counters_equal(restored.counters(), warm->counters());
@@ -341,7 +341,7 @@ TEST_F(SnapshotCorruptTest, WrongKind) {
   expect_rejects("session blob into monitor", os.str());
 
   // And vice versa: a monitor blob must not restore into a session.
-  PrismSession session(monitor_config().session);
+  PrismSession session;
   EXPECT_THROW(restore_snapshot(bytes(good_blob()), session),
                std::runtime_error);
 }
@@ -357,22 +357,6 @@ TEST_F(SnapshotCorruptTest, BitFlips) {
     blob[at] = static_cast<char>(blob[at] ^ 0x20);
     expect_rejects("bit flip at " + std::to_string(at), blob);
   }
-}
-
-TEST_F(SnapshotCorruptTest, ConfigMismatch) {
-  // The blob carries a config fingerprint: restoring into a monitor built
-  // with a different window (or session tuning) must be refused.
-  MonitorConfig other_window = monitor_config();
-  other_window.window = kSecond;
-  OnlineMonitor target(steady_mix().topology, other_window);
-  EXPECT_THROW(restore_snapshot(bytes(good_blob()), target),
-               std::runtime_error);
-
-  MonitorConfig other_session = monitor_config();
-  other_session.session.ewma_alpha *= 0.5;
-  OnlineMonitor target2(steady_mix().topology, other_session);
-  EXPECT_THROW(restore_snapshot(bytes(good_blob()), target2),
-               std::runtime_error);
 }
 
 TEST_F(SnapshotCorruptTest, TopologyMismatch) {
@@ -423,6 +407,7 @@ struct MonitorBlobLayout {
   std::size_t switch_offsets = 0;
   std::size_t switch_ids = 0;
   std::size_t sorted = 0;          ///< the buffer's sorted flag
+  std::size_t ewma_alpha = 0;      ///< session config: the EWMA alpha
   std::size_t cached_gpu = 0;      ///< recognition cache: job 0's gpus[0]
 };
 
@@ -455,6 +440,7 @@ MonitorBlobLayout layout_of(const std::string& blob) {
   pos += 8 * 8;  // monitor stats
   column(16);    // per-job window counts
   pos += 1;      // session present
+  at.ewma_alpha = pos + 4;        // after the four carry bytes
   pos += 4 + 4 * 8 + 11 * 8 + 8;  // session config, counters, window index
   EXPECT_EQ(blob[pos], 1) << "recognition cache must be valid";
   pos += 1;
@@ -463,6 +449,27 @@ MonitorBlobLayout layout_of(const std::string& blob) {
   pos += 8;
   at.cached_gpu = column(4);
   return at;
+}
+
+TEST_F(SnapshotCorruptTest, ConfigMismatch) {
+  // The blob carries a config fingerprint: restoring into a monitor built
+  // with a different window must be refused.
+  MonitorConfig other_window = monitor_config();
+  other_window.window = kSecond;
+  OnlineMonitor target(steady_mix().topology, other_window);
+  EXPECT_THROW(restore_snapshot(bytes(good_blob()), target),
+               std::runtime_error);
+
+  // So must a blob whose session tuning differs from this build's
+  // constants (a resealed blob with a halved EWMA alpha).
+  std::string blob = good_blob();
+  const std::size_t at = layout_of(blob).ewma_alpha;
+  double alpha = 0.0;
+  std::memcpy(&alpha, blob.data() + at, sizeof(alpha));
+  ASSERT_EQ(alpha, kEwmaAlpha);
+  store(blob, at, alpha * 0.5);
+  reseal(blob);
+  expect_rejects("ewma_alpha halved", blob, "session config mismatch");
 }
 
 TEST_F(SnapshotCorruptTest, ForgedSwitchOffsets) {
@@ -529,7 +536,7 @@ TEST_F(SnapshotCorruptTest, EveryPrefixAndOneExtraByteFail) {
   save_snapshot(os, *warm.session());
   const std::string good = os.str();
   const std::string payload = good.substr(0, good.size() - 8);
-  PrismSession target(monitor_config().session);
+  PrismSession target;
   const auto expect_fails = [&](const std::string& blob) {
     try {
       restore_snapshot(bytes(blob), target);

@@ -116,14 +116,33 @@ TEST(TimelineReconstructorTest, PeerPerspectiveSwapsSendRecv) {
 }
 
 TEST(TimelineReconstructorTest, ComputeGapsRespectMinimum) {
-  const auto s = make_scenario(3);
-  TimelineConfig cfg;
-  cfg.min_compute_gap = 10 * kSecond;  // absurdly high: no gap qualifies
+  // Three PP sends from GPU 0: the first gap is just under kMinComputeGap
+  // (launch latency, not compute), the second just over it.
+  constexpr DurationNs kDuration = 100;
+  FlowColumns trace;
+  const auto send_at = [&trace](TimeNs start) {
+    FlowRecord f;
+    f.start_time = start;
+    f.src = GpuId(0);
+    f.dst = GpuId(8);
+    f.bytes = 1;
+    f.duration = kDuration;
+    trace.add(f);
+  };
+  const TimeNs second = kDuration + kMinComputeGap - 1;
+  const TimeNs third = second + kDuration + kMinComputeGap + 1;
+  send_at(0);
+  send_at(second);
+  send_at(third);
   const auto timeline =
-      reconstruct(TimelineReconstructor(cfg), GpuId(0), s.trace, s.types);
+      reconstruct(TimelineReconstructor{}, GpuId(0), trace, {});
+  std::vector<TimelineEvent> compute;
   for (const TimelineEvent& e : timeline.events) {
-    EXPECT_NE(e.kind, TimelineEventKind::kCompute);
+    if (e.kind == TimelineEventKind::kCompute) compute.push_back(e);
   }
+  ASSERT_EQ(compute.size(), 1u);
+  EXPECT_EQ(compute[0].start, second + kDuration);
+  EXPECT_EQ(compute[0].end, third);
 }
 
 TEST(TimelineReconstructorTest, UnknownPairDefaultsToPp) {

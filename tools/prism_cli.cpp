@@ -244,15 +244,9 @@ int run_one_shot(const CommonOptions& options, const std::string& trace_path,
   try {
     const auto topology =
         ClusterTopology::build(derive_topology(options.topology, view));
-    PrismConfig prism_config = prism_config_for(options);
-    if (const auto errors = prism_config.validate(); !errors.empty()) {
-      std::cerr << "prism: invalid configuration:\n";
-      for (const std::string& e : errors) std::cerr << "  - " << e << '\n';
-      return 2;
-    }
     ExportSinks sinks(options.exports);  // enables span tracing if requested
 
-    const Prism prism(topology, prism_config);
+    const Prism prism(topology, prism_config_for(options));
     const PrismReport report = prism.analyze(view);
     sinks.add_window({view.time_span(), &report, {}});
     if (const int rc = write_sink_files(sinks); rc != 0) return rc;
