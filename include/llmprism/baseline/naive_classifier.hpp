@@ -16,14 +16,11 @@
 
 namespace llmprism {
 
-struct GlobalDistinctSizeConfig {
-  double size_tolerance = 0.05;  ///< same clustering tolerance as Alg. 2
-};
-
-/// Classify every pair in `job_trace`: DP iff > 1 distinct size overall.
+/// Classify every pair in `job_trace`: DP iff > 1 distinct size overall,
+/// sizes clustered exactly as Alg. 2 clusters them
+/// (CommTypeIdentifier::count_distinct_sizes).
 [[nodiscard]] std::unordered_map<GpuPair, CommType>
-classify_by_global_distinct_sizes(const FlowView& job_trace,
-                                  const GlobalDistinctSizeConfig& config = {});
+classify_by_global_distinct_sizes(const FlowView& job_trace);
 
 struct VolumeThresholdConfig {
   std::uint64_t dp_threshold_bytes = 64ull << 20;  ///< mean size above => DP

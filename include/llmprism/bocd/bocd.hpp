@@ -236,6 +236,37 @@ struct SegmenterStats {
   }
 };
 
+/// The interval series segment_by_gaps() runs BOCD over, built from a
+/// sorted timestamp sequence: near-simultaneous arrivals coalesced into
+/// groups, the log inter-group intervals, their median (the detector's
+/// prior mean) and the magnitude guard a boundary's interval must exceed.
+struct GapSeries {
+  /// groups[k] is the index (into the timestamps) of the first arrival of
+  /// coalesced group k; empty only for an empty sequence.
+  std::vector<std::size_t> groups;
+  /// log(interval + 1 ns) between groups k and k + 1.
+  std::vector<double> log_intervals;
+  /// Median log interval (upper median); 0 when there is no interval.
+  double median = 0.0;
+  /// median + log(kGapGuardFactor).
+  double guard = 0.0;
+
+  /// Whether interval i may open a segment at all: it lies past the first
+  /// `recent_run_cap + 1` intervals (where BOCD never flags) and exceeds
+  /// the guard. Every segment boundary segment_by_gaps() returns is
+  /// groups[i + 1] for a candidate i, so each segment is a union of
+  /// consecutive candidate runs — whatever the detector decides.
+  [[nodiscard]] bool is_candidate(std::size_t i,
+                                  const BocdConfig& config = {}) const {
+    return i + 1 > config.recent_run_cap + 1 && log_intervals[i] > guard;
+  }
+};
+
+/// Build the gap series of a sorted timestamp sequence (the coalescing
+/// window and the guard factor are constants of bocd.cpp). Throws
+/// std::invalid_argument on unsorted input of two or more timestamps.
+[[nodiscard]] GapSeries build_gap_series(std::span<const TimeNs> timestamps);
+
 /// Segment a sorted timestamp sequence at "large gap" boundaries.
 ///
 /// Coalesces near-simultaneous arrivals, computes inter-arrival intervals,
@@ -250,6 +281,12 @@ struct SegmenterStats {
 /// counters are accumulated into it.
 [[nodiscard]] std::vector<std::size_t> segment_by_gaps(
     std::span<const TimeNs> timestamps, const BocdConfig& config = {},
+    SegmenterStats* stats = nullptr);
+
+/// segment_by_gaps() over a series already built by build_gap_series() —
+/// for callers that inspect the candidates before running the detector.
+[[nodiscard]] std::vector<std::size_t> segment_gap_series(
+    const GapSeries& series, const BocdConfig& config = {},
     SegmenterStats* stats = nullptr);
 
 }  // namespace llmprism

@@ -6,7 +6,11 @@
 //     interval sequence (change-point when P(r=0) > 0.95),
 //  3. count the distinct flow sizes N_k per step; the pair is PP iff
 //     Mode(N_k) == 1 (PP messages have one consistent size; DP collectives
-//     split into several flows of varying sizes),
+//     split into several flows of varying sizes). Steps 2-3 are skipped
+//     where the answer does not depend on them: every BOCD step is a union
+//     of the pair's gap-candidate runs, so a pair whose runs all hold two
+//     or more sizes is DP, and one with a single size that every run holds
+//     is PP, whatever the detector would flag (DESIGN.md §4),
 //  4. noise refinement: DP membership is transitive, so every pair whose
 //     endpoints land in the same connected component of the DP graph is
 //     flipped to DP (recovers DP pairs whose bursts the collector
@@ -40,6 +44,9 @@ struct PairClassification {
   /// this field.
   CommType pre_refinement_type = CommType::kPP;
   std::size_t num_flows = 0;
+  /// Steps BOCD divided the pair into; 0 when the pair was classified
+  /// without running it (decided from its gap-candidate runs, or reused
+  /// from a warm prior).
   std::size_t num_steps_observed = 0;
 };
 
@@ -48,7 +55,8 @@ struct PairClassification {
 /// counts only (no wall clock): totals are thread-count-invariant and are
 /// folded into PrismReport::telemetry.
 struct CommTypeCounters {
-  /// BOCD step-division work across the job's pairs.
+  /// BOCD step-division work across the job's pairs (only pairs their
+  /// gap-candidate runs left undecided run the detector).
   SegmenterStats segmenter;
   /// Rare-size clusters judged collector artifacts (below kMinSizeShare)
   /// and excluded from distinct-size counting.
@@ -73,9 +81,9 @@ struct CommTypeCounters {
 
 /// Cross-window warm priors for one job's pair classifications, carried by
 /// PrismSession. identify() consults the previous window's pre-refinement
-/// type per pair and re-runs the full BOCD step division only for pairs
-/// that are new or whose whole-window distinct-size count contradicts the
-/// prior (PP pairs must show exactly one distinct size; DP pairs several).
+/// type per pair and re-runs the full classification only for pairs that
+/// are new or whose whole-window distinct-size count contradicts the prior
+/// (PP pairs must show exactly one distinct size; DP pairs several).
 /// The DP-transitivity refinement always re-runs, so the final types and
 /// dp_components of a consistent window are field-for-field what the cold
 /// path would produce; only the work telemetry (BOCD counts,
@@ -116,7 +124,9 @@ class CommTypeIdentifier {
   /// When `carry` is non-null, the previous window's classifications serve
   /// as warm priors (see CommTypeCarry); the carry is updated in place with
   /// this window's pre-refinement types. Null carry is the cold path,
-  /// bit-identical to before the session layer existed.
+  /// bit-identical to before the session layer existed. A pair decided
+  /// from its gap-candidate runs (no BOCD) or reused from the carry reports
+  /// num_steps_observed == 0.
   ///
   /// When `pool` is non-null the per-pair classification fans out across
   /// it. Every pair writes a pre-sized slot indexed by its dense pair id

@@ -21,11 +21,11 @@ struct SwitchDegradationSpec {
   double bandwidth_factor = 0.3;  ///< remaining bandwidth fraction (0, 1]
 };
 
-/// Returns a copy of `trace` with flow durations stretched by
+/// Returns `trace` (sorted) with flow durations stretched in place by
 /// 1/bandwidth_factor for flows that traverse a degraded switch while its
-/// degradation window is active. Throws std::invalid_argument on a factor
-/// outside (0, 1].
+/// degradation window is active; pass an rvalue to avoid a copy. Throws
+/// std::invalid_argument on a factor outside (0, 1].
 [[nodiscard]] FlowColumns apply_switch_degradation(
-    const FlowView& trace, const std::vector<SwitchDegradationSpec>& specs);
+    FlowColumns trace, const std::vector<SwitchDegradationSpec>& specs);
 
 }  // namespace llmprism

@@ -1,31 +1,26 @@
 #include "llmprism/baseline/naive_classifier.hpp"
 
-#include <algorithm>
+#include <utility>
 #include <vector>
+
+#include "llmprism/core/comm_type.hpp"
 
 namespace llmprism {
 
 std::unordered_map<GpuPair, CommType> classify_by_global_distinct_sizes(
-    const FlowView& job_trace, const GlobalDistinctSizeConfig& config) {
+    const FlowView& job_trace) {
   std::unordered_map<GpuPair, std::vector<std::uint64_t>> sizes;
   for (std::size_t i = 0; i < job_trace.size(); ++i) {
     sizes[job_trace.pair(i)].push_back(job_trace.bytes[i]);
   }
 
+  const CommTypeIdentifier identifier;
   std::unordered_map<GpuPair, CommType> out;
   out.reserve(sizes.size());
   for (auto& [pair, s] : sizes) {
-    std::sort(s.begin(), s.end());
-    std::size_t distinct = 1;
-    std::uint64_t base = s.front();
-    for (std::size_t i = 1; i < s.size(); ++i) {
-      if (static_cast<double>(s[i]) >
-          static_cast<double>(base) * (1.0 + config.size_tolerance)) {
-        ++distinct;
-        base = s[i];
-      }
-    }
-    out.emplace(pair, distinct > 1 ? CommType::kDP : CommType::kPP);
+    out.emplace(pair, identifier.count_distinct_sizes(std::move(s)) > 1
+                          ? CommType::kDP
+                          : CommType::kPP);
   }
   return out;
 }

@@ -41,19 +41,19 @@ double powi(double base, std::size_t e) {
   return r;
 }
 
-/// segment_by_gaps: timestamps closer than this are coalesced into one
+/// build_gap_series: timestamps closer than this are coalesced into one
 /// arrival before the interval sequence is formed. Collectives launch
 /// several flows nearly simultaneously (ring directions, channels); without
 /// coalescing those near-zero intervals make the interval distribution
 /// bimodal and inflate the learned variance, masking the step gap.
 constexpr DurationNs kCoalesceGap = 200 * kMicrosecond;
 
-/// segment_by_gaps: a BOCD-flagged boundary is accepted only if the flagged
-/// interval also exceeds this factor x the median interval. Right after a
-/// real boundary the run-length posterior is legitimately "young" for a
-/// couple of observations; the guard rejects those small-interval flags
-/// without touching genuine step gaps (which are orders of magnitude above
-/// the median).
+/// build_gap_series: a BOCD-flagged boundary is accepted only if the
+/// flagged interval also exceeds this factor x the median interval. Right
+/// after a real boundary the run-length posterior is legitimately "young"
+/// for a couple of observations; the guard rejects those small-interval
+/// flags without touching genuine step gaps (which are orders of magnitude
+/// above the median).
 constexpr double kGapGuardFactor = 3.0;
 
 }  // namespace
@@ -355,28 +355,25 @@ std::vector<std::size_t> detect_changepoints(std::span<const double> xs,
   return changepoints;
 }
 
-std::vector<std::size_t> segment_by_gaps(std::span<const TimeNs> timestamps,
-                                         const BocdConfig& config,
-                                         SegmenterStats* stats) {
-  std::vector<std::size_t> starts;
-  if (timestamps.empty()) return starts;
-  starts.push_back(0);
-  if (timestamps.size() == 1) return starts;
+GapSeries build_gap_series(std::span<const TimeNs> timestamps) {
+  GapSeries series;
+  if (timestamps.empty()) return series;
   if (!std::is_sorted(timestamps.begin(), timestamps.end())) {
     throw std::invalid_argument("segment_by_gaps: timestamps must be sorted");
   }
 
   // Coalesce near-simultaneous arrivals; `groups[k]` is the original index
   // of the first timestamp in coalesced group k.
-  std::vector<std::size_t> groups{0};
+  std::vector<std::size_t>& groups = series.groups;
+  groups.push_back(0);
   for (std::size_t i = 1; i < timestamps.size(); ++i) {
     if (timestamps[i] - timestamps[groups.back()] > kCoalesceGap) {
       groups.push_back(i);
     }
   }
-  if (groups.size() < 2) return starts;  // everything is one burst
+  if (groups.size() < 2) return series;  // everything is one burst
 
-  std::vector<double> log_intervals;
+  std::vector<double>& log_intervals = series.log_intervals;
   log_intervals.reserve(groups.size() - 1);
   for (std::size_t k = 0; k + 1 < groups.size(); ++k) {
     const double dt = static_cast<double>(timestamps[groups[k + 1]] -
@@ -385,15 +382,35 @@ std::vector<std::size_t> segment_by_gaps(std::span<const TimeNs> timestamps,
     log_intervals.push_back(std::log(dt));
   }
 
+  std::vector<double> sorted = log_intervals;
+  std::nth_element(sorted.begin(), sorted.begin() + sorted.size() / 2,
+                   sorted.end());
+  series.median = sorted[sorted.size() / 2];
+  series.guard = series.median + std::log(kGapGuardFactor);
+  return series;
+}
+
+std::vector<std::size_t> segment_by_gaps(std::span<const TimeNs> timestamps,
+                                         const BocdConfig& config,
+                                         SegmenterStats* stats) {
+  return segment_gap_series(build_gap_series(timestamps), config, stats);
+}
+
+std::vector<std::size_t> segment_gap_series(const GapSeries& series,
+                                            const BocdConfig& config,
+                                            SegmenterStats* stats) {
+  std::vector<std::size_t> starts;
+  if (series.groups.empty()) return starts;
+  starts.push_back(0);
+  const std::vector<double>& log_intervals = series.log_intervals;
+  if (log_intervals.empty()) return starts;
+
   // Center the prior on the typical interval: the fresh-run predictive is
   // then broad around normal traffic, while the learned run components are
   // tight — a step gap is unlikely under both, but far *less* unlikely
   // under the prior, which is what trips P(r = 0).
   BocdConfig cfg = config;
-  std::vector<double> sorted = log_intervals;
-  std::nth_element(sorted.begin(), sorted.begin() + sorted.size() / 2,
-                   sorted.end());
-  cfg.prior_mean = sorted[sorted.size() / 2];
+  cfg.prior_mean = series.median;
 
   // One batched kernel pass over the whole series on the pooled detector,
   // then the boundary decisions off the recorded readouts.
@@ -402,7 +419,6 @@ std::vector<std::size_t> segment_by_gaps(std::span<const TimeNs> timestamps,
   readouts.resize(log_intervals.size());
   detector.observe_batch(log_intervals, readouts);
 
-  const double guard = cfg.prior_mean + std::log(kGapGuardFactor);
   bool prev_flagged = false;
   for (std::size_t i = 0; i < log_intervals.size(); ++i) {
     // Changepoint at interval i: a new segment begins at coalesced group
@@ -413,18 +429,17 @@ std::vector<std::size_t> segment_by_gaps(std::span<const TimeNs> timestamps,
     // length collapsing to "just restarted" (the classic BOCD changepoint
     // extraction — it stays decisive even when an earlier missed boundary
     // has inflated the surviving run's variance and made the mass
-    // marginal). Either way the flagged interval must itself be a gap
-    // (magnitude guard), and only rising edges open a segment because the
-    // posterior legitimately stays "young" for a few observations after a
-    // boundary.
+    // marginal). Either way the flagged interval must be a gap candidate
+    // (past the warm-up and above the magnitude guard), and only rising
+    // edges open a segment because the posterior legitimately stays
+    // "young" for a few observations after a boundary.
     const BocdReadout& ro = readouts[i];
     const bool posterior_says_cp =
-        i + 1 > cfg.recent_run_cap + 1 &&
-        (ro.recent_probability > cfg.changepoint_threshold ||
-         ro.map_run_length <= cfg.recent_run_cap);
-    const bool flagged = posterior_says_cp && log_intervals[i] > guard;
+        ro.recent_probability > cfg.changepoint_threshold ||
+        ro.map_run_length <= cfg.recent_run_cap;
+    const bool flagged = posterior_says_cp && series.is_candidate(i, cfg);
     if (flagged && !prev_flagged) {
-      starts.push_back(groups[i + 1]);
+      starts.push_back(series.groups[i + 1]);
     }
     prev_flagged = flagged;
   }

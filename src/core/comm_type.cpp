@@ -139,7 +139,7 @@ CommTypeResult CommTypeIdentifier::identify(
       slot_warmth[pair_id] = 2;
     }
 
-    // (1)+(2) step division via BOCD over inter-flow intervals.
+    // (1) inter-flow intervals, in time order.
     std::vector<TimeNs> timestamps;
     timestamps.reserve(flow_idxs.size());
     for (const std::size_t i : flow_idxs) {
@@ -159,10 +159,7 @@ CommTypeResult CommTypeIdentifier::identify(
                        });
       ordered = ordered_storage;
     }
-
-    const auto segment_starts =
-        segment_by_gaps(timestamps, {}, &counters.segmenter);
-    pc.num_steps_observed = segment_starts.size();
+    const GapSeries series = build_gap_series(timestamps);
 
     // Pair-level size clusters with tolerance merging; clusters carrying
     // less than kMinSizeShare of the pair's flows are collector artifacts
@@ -174,6 +171,7 @@ CommTypeResult CommTypeIdentifier::identify(
       bool kept = true;
     };
     std::vector<SizeCluster> clusters;
+    std::size_t kept_clusters = 0;
     {
       std::vector<std::uint64_t> sizes;
       sizes.reserve(ordered.size());
@@ -196,42 +194,86 @@ CommTypeResult CommTypeIdentifier::identify(
           kMinSizeShare * static_cast<double>(sizes.size());
       for (SizeCluster& c : clusters) {
         c.kept = static_cast<double>(c.count) >= min_count;
-        if (!c.kept) {
+        if (c.kept) {
+          ++kept_clusters;
+        } else {
           ++counters.artifact_size_clusters;
           counters.artifact_flows += c.count;
         }
       }
     }
-    const auto cluster_of = [&](std::uint64_t size) -> std::size_t {
+
+    // Size cluster of every flow, in time order.
+    std::vector<std::uint32_t> cluster_of_flow;
+    cluster_of_flow.reserve(ordered.size());
+    for (const std::size_t i : ordered) {
       // Last cluster whose base <= size; sizes were all in the build set.
       const auto it = std::upper_bound(
-          clusters.begin(), clusters.end(), size,
+          clusters.begin(), clusters.end(), view.bytes[i],
           [](std::uint64_t s, const SizeCluster& c) { return s < c.base; });
-      return static_cast<std::size_t>(it - clusters.begin()) - 1;
-    };
-
-    // (3) distinct (non-artifact) flow sizes per step; Mode over steps.
-    std::vector<std::int64_t> distinct_per_step;
-    distinct_per_step.reserve(segment_starts.size());
-    // Distinct clusters per segment via epoch stamping: clusters are few
-    // and dense, so a stamp array beats a hash set and stays deterministic
-    // (only the count is used).
+      cluster_of_flow.push_back(
+          static_cast<std::uint32_t>(it - clusters.begin() - 1));
+    }
+    // Distinct kept clusters among flows [begin, end) via epoch stamping:
+    // clusters are few and dense, so a stamp array beats a hash set and
+    // stays deterministic (only the count is used).
     std::vector<std::uint32_t> cluster_stamp(clusters.size(), 0);
     std::uint32_t epoch = 0;
-    for (std::size_t s = 0; s < segment_starts.size(); ++s) {
-      const std::size_t seg_begin = segment_starts[s];
-      const std::size_t seg_end = s + 1 < segment_starts.size()
-                                      ? segment_starts[s + 1]
-                                      : ordered.size();
+    const auto distinct_kept = [&](std::size_t begin, std::size_t end) {
       ++epoch;
       std::size_t seen = 0;
-      for (std::size_t i = seg_begin; i < seg_end; ++i) {
-        const std::size_t c = cluster_of(view.bytes[ordered[i]]);
+      for (std::size_t i = begin; i < end; ++i) {
+        const std::uint32_t c = cluster_of_flow[i];
         if (clusters[c].kept && cluster_stamp[c] != epoch) {
           cluster_stamp[c] = epoch;
           ++seen;
         }
       }
+      return seen;
+    };
+
+    // (2) shortcut: BOCD opens segments only at gap candidates, so every
+    // step it could find is a union of consecutive candidate runs. If every
+    // run holds >= 2 kept clusters, so does every step: Mode(N_k) >= 2, DP.
+    // If the pair has at most one kept cluster and every run holds it, every
+    // step holds exactly it: Mode(N_k) == 1, PP. Neither case has an
+    // artifact-only step, so the detector's answer is known without running
+    // it; the pair reports no observed steps, as a warm-reused pair does.
+    bool runs_multi = true;
+    bool runs_single = true;
+    std::size_t run_begin = 0;
+    const auto visit_run = [&](std::size_t run_end) {
+      const std::size_t seen = distinct_kept(run_begin, run_end);
+      runs_multi = runs_multi && seen >= 2;
+      runs_single = runs_single && seen == 1;
+      run_begin = run_end;
+    };
+    for (std::size_t i = 0;
+         i < series.log_intervals.size() && (runs_multi || runs_single);
+         ++i) {
+      if (series.is_candidate(i)) visit_run(series.groups[i + 1]);
+    }
+    visit_run(ordered.size());
+    if (runs_multi || (runs_single && kept_clusters <= 1)) {
+      pc.pre_refinement_type = runs_multi ? CommType::kDP : CommType::kPP;
+      pc.type = pc.pre_refinement_type;
+      pc.num_steps_observed = 0;
+      result.pairs[pair_id] = std::move(pc);
+      return;
+    }
+
+    // (3) step division via BOCD over the gap series; distinct
+    // (non-artifact) flow sizes per step; Mode over steps.
+    const auto segment_starts =
+        segment_gap_series(series, {}, &counters.segmenter);
+    pc.num_steps_observed = segment_starts.size();
+    std::vector<std::int64_t> distinct_per_step;
+    distinct_per_step.reserve(segment_starts.size());
+    for (std::size_t s = 0; s < segment_starts.size(); ++s) {
+      const std::size_t seg_end = s + 1 < segment_starts.size()
+                                      ? segment_starts[s + 1]
+                                      : ordered.size();
+      const std::size_t seen = distinct_kept(segment_starts[s], seg_end);
       // A segment of pure artifacts carries no size evidence: skip it.
       if (seen != 0) {
         distinct_per_step.push_back(static_cast<std::int64_t>(seen));

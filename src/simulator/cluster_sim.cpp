@@ -93,7 +93,7 @@ ClusterSimResult run_cluster_sim(const ClusterSimConfig& config) {
 
   // ---- network faults, then collection noise ----
   if (!config.switch_faults.empty()) {
-    merged = apply_switch_degradation(merged, config.switch_faults);
+    merged = apply_switch_degradation(std::move(merged), config.switch_faults);
     for (const SwitchDegradationSpec& s : config.switch_faults) {
       InjectedAnomaly a;
       a.kind = AnomalyKind::kDegradedSwitch;

@@ -6,7 +6,7 @@
 namespace llmprism {
 
 FlowColumns apply_switch_degradation(
-    const FlowView& trace, const std::vector<SwitchDegradationSpec>& specs) {
+    FlowColumns trace, const std::vector<SwitchDegradationSpec>& specs) {
   for (const SwitchDegradationSpec& s : specs) {
     if (s.bandwidth_factor <= 0.0 || s.bandwidth_factor > 1.0) {
       throw std::invalid_argument(
@@ -20,28 +20,28 @@ FlowColumns apply_switch_degradation(
     by_switch[s.switch_id].push_back(&s);
   }
 
-  // Stretching a duration moves no row: the sort keys are untouched.
-  FlowColumns out;
-  out.append(trace);
-  for (std::size_t i = 0; i < out.size(); ++i) {
+  // Stretching a duration moves no row: the sort keys are untouched, so
+  // the durations stretch in place.
+  const FlowView view = trace.view();
+  for (std::size_t i = 0; i < trace.size(); ++i) {
     double factor = 1.0;
-    for (const std::uint32_t sw : trace.switches(i)) {
+    for (const std::uint32_t sw : view.switches(i)) {
       const auto it = by_switch.find(SwitchId(sw));
       if (it == by_switch.end()) continue;
       for (const SwitchDegradationSpec* s : it->second) {
-        if (s->window.contains(out.start_ns[i])) {
+        if (s->window.contains(trace.start_ns[i])) {
           // A flow crossing several degraded hops is limited by the worst.
           factor = std::min(factor, s->bandwidth_factor);
         }
       }
     }
     if (factor < 1.0) {
-      out.duration_ns[i] = static_cast<DurationNs>(
-          static_cast<double>(out.duration_ns[i]) / factor);
+      trace.duration_ns[i] = static_cast<DurationNs>(
+          static_cast<double>(trace.duration_ns[i]) / factor);
     }
   }
-  out.sort();
-  return out;
+  trace.sort();
+  return trace;
 }
 
 }  // namespace llmprism

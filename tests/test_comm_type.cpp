@@ -3,7 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "llmprism/baseline/eval.hpp"
+#include "llmprism/bocd/bocd.hpp"
+#include "llmprism/common/rng.hpp"
+#include "llmprism/common/stats.hpp"
 #include "llmprism/simulator/cluster_sim.hpp"
 #include "trace_stages.hpp"
 
@@ -249,6 +260,343 @@ TEST(CommTypeIdentifierTest, PairsSortedDeterministically) {
   const auto result = identify(CommTypeIdentifier{}, trace);
   ASSERT_EQ(result.pairs.size(), 2u);
   EXPECT_LT(result.pairs[0].pair, result.pairs[1].pair);
+}
+
+// ---------------------------------------------------------------------------
+// Differential test: identify() decides a pair from its gap-candidate runs
+// where that is exact, and runs BOCD only for the rest. The oracle below
+// always runs segment_by_gaps() and takes the per-step mode of kept size
+// clusters (Alg. 2 without the shortcut); on seeded random pairs the two
+// must agree on every pre-refinement type and every artifact counter.
+
+// The identifier's clustering constants (kSizeTolerance, kMinSizeShare in
+// comm_type.cpp), restated for the oracle.
+constexpr double kOracleSizeTolerance = 0.05;
+constexpr double kOracleMinSizeShare = 0.03;
+// The segmenter's coalescing window (kCoalesceGap in bocd.cpp).
+constexpr DurationNs kOracleCoalesceGap = 200 * kMicrosecond;
+
+struct OracleVerdict {
+  CommType type = CommType::kPP;
+  std::size_t steps = 0;
+  CommTypeCounters counters;
+};
+
+/// Alg. 2 lines 2-12 for one pair, BOCD always on.
+OracleVerdict oracle_classify(std::vector<std::pair<TimeNs, std::uint64_t>>
+                                  flows) {
+  std::stable_sort(flows.begin(), flows.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  std::vector<TimeNs> timestamps;
+  std::vector<std::uint64_t> sizes;
+  for (const auto& [t, b] : flows) {
+    timestamps.push_back(t);
+    sizes.push_back(b);
+  }
+  OracleVerdict v;
+  const std::vector<std::size_t> starts =
+      segment_by_gaps(timestamps, {}, &v.counters.segmenter);
+  v.steps = starts.size();
+
+  // Size clusters: a size joins the cluster whose smallest member it is
+  // within the tolerance of; rare clusters are artifacts.
+  std::vector<std::uint64_t> sorted = sizes;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<std::uint64_t> bases;
+  std::vector<std::size_t> counts;
+  for (const std::uint64_t s : sorted) {
+    if (bases.empty() || static_cast<double>(s) >
+                             static_cast<double>(bases.back()) *
+                                 (1.0 + kOracleSizeTolerance)) {
+      bases.push_back(s);
+      counts.push_back(0);
+    }
+    ++counts.back();
+  }
+  std::vector<bool> kept(bases.size());
+  for (std::size_t c = 0; c < bases.size(); ++c) {
+    kept[c] = static_cast<double>(counts[c]) >=
+              kOracleMinSizeShare * static_cast<double>(sizes.size());
+    if (!kept[c]) {
+      ++v.counters.artifact_size_clusters;
+      v.counters.artifact_flows += counts[c];
+    }
+  }
+
+  std::vector<std::int64_t> per_step;
+  for (std::size_t k = 0; k < starts.size(); ++k) {
+    const std::size_t end =
+        k + 1 < starts.size() ? starts[k + 1] : sizes.size();
+    std::set<std::size_t> seen;
+    for (std::size_t i = starts[k]; i < end; ++i) {
+      std::size_t c = 0;
+      while (c + 1 < bases.size() && bases[c + 1] <= sizes[i]) ++c;
+      if (kept[c]) seen.insert(c);
+    }
+    if (seen.empty()) {
+      ++v.counters.artifact_segments;
+    } else {
+      per_step.push_back(static_cast<std::int64_t>(seen.size()));
+    }
+  }
+  const std::int64_t mode = per_step.empty() ? 1 : stats::mode(per_step);
+  v.type = mode == 1 ? CommType::kPP : CommType::kDP;
+  return v;
+}
+
+/// An intra-step spacing m whose log interval sits exactly on the guard
+/// when the step gap is 3(m + 1) - 1 and m is the median interval:
+/// log(3(m + 1)) == log(m + 1) + log(3) in floating point.
+DurationNs guard_tie_spacing() {
+  for (DurationNs m = kOracleCoalesceGap + 1;; ++m) {
+    const double x = static_cast<double>(m) + 1.0;
+    if (std::log(3.0 * x) == std::log(x) + std::log(3.0)) return m;
+  }
+}
+
+enum class PairShape {
+  kEmpty,        // no flows: the pair is absent
+  kOne,          // a single flow
+  kTwo,          // two flows
+  kPp,           // one size per step
+  kDp,           // several bucket sizes per step
+  kTruncatedDp,  // DP whose steps the collector often cut to one size
+  kAllArtifact,  // every size cluster below the artifact share
+  kGuardTie,     // step gaps on and just above the guard
+  kCount
+};
+
+/// Flows (start, bytes) of one random pair.
+std::vector<std::pair<TimeNs, std::uint64_t>> random_pair_flows(
+    Rng& rng, PairShape shape) {
+  std::vector<std::pair<TimeNs, std::uint64_t>> flows;
+  const auto base = static_cast<std::uint64_t>(rng.uniform_int(100'000,
+                                                               50'000'000));
+  TimeNs t = rng.uniform_int(0, kSecond);
+  switch (shape) {
+    case PairShape::kEmpty:
+    case PairShape::kCount:
+      return flows;
+    case PairShape::kOne:
+      flows.emplace_back(t, base);
+      return flows;
+    case PairShape::kTwo:
+      flows.emplace_back(t, base);
+      flows.emplace_back(t + rng.uniform_int(0, 2 * kSecond),
+                         rng.bernoulli(0.5) ? base : 3 * base);
+      return flows;
+    case PairShape::kAllArtifact: {
+      // 35+ clusters of one flow each (every share below 3%), in random
+      // size order.
+      std::vector<std::uint64_t> sizes;
+      for (int i = 0, n = static_cast<int>(rng.uniform_int(35, 60)); i < n;
+           ++i) {
+        sizes.push_back(static_cast<std::uint64_t>(
+            static_cast<double>(base) * std::pow(1.2, i)));
+      }
+      std::shuffle(sizes.begin(), sizes.end(), rng.engine());
+      for (const std::uint64_t size : sizes) {
+        flows.emplace_back(t, size);
+        t += rng.bernoulli(0.2) ? kSecond
+                                : rng.uniform_int(1, 3) * kMillisecond;
+      }
+      return flows;
+    }
+    default:
+      break;
+  }
+
+  const std::vector<std::uint64_t> buckets{base, base * 5 / 2, base * 6,
+                                           base * 15};
+  const std::size_t num_buckets =
+      shape == PairShape::kPp
+          ? 1
+          : static_cast<std::size_t>(rng.uniform_int(2, 4));
+  const double truncation =
+      shape == PairShape::kTruncatedDp ? rng.uniform(0.2, 0.8) : 0.0;
+  const double artifact_rate =
+      rng.bernoulli(0.4) ? rng.uniform(0.005, 0.03) : 0.0;
+  const DurationNs tie = guard_tie_spacing();
+  // Grouped layout: each bucket's flows back to back, a short pause
+  // between buckets. The pauses are gap candidates that a detector which
+  // has learned them as normal does not take, so single-size runs merge
+  // into multi-size steps.
+  const bool grouped = rng.bernoulli(0.5);
+  const int repeats = static_cast<int>(rng.uniform_int(2, 5));
+  const int steps = static_cast<int>(rng.uniform_int(1, 12));
+  for (int k = 0; k < steps; ++k) {
+    const bool truncated = rng.bernoulli(truncation);
+    const int n = grouped ? static_cast<int>(num_buckets) * repeats
+                          : static_cast<int>(rng.uniform_int(1, 14));
+    for (int i = 0; i < n; ++i) {
+      const std::size_t bucket =
+          truncated ? 0
+          : grouped ? static_cast<std::size_t>(i / repeats) % num_buckets
+                    : static_cast<std::size_t>(i) % num_buckets;
+      auto bytes = static_cast<std::uint64_t>(
+          static_cast<double>(buckets[bucket]) * rng.uniform(0.98, 1.02));
+      if (rng.bernoulli(artifact_rate)) {
+        bytes = static_cast<std::uint64_t>(static_cast<double>(base) *
+                                           rng.uniform(0.01, 0.5));
+      }
+      flows.emplace_back(t, std::max<std::uint64_t>(bytes, 1));
+      // Intra-step spacing: exactly on the coalescing window, just past
+      // it, the guard-tie median, or random; now and then a sub-burst gap
+      // that makes a candidate BOCD may or may not take.
+      if (shape == PairShape::kGuardTie) {
+        t += tie;
+      } else if (grouped) {
+        t += (i + 1) % repeats == 0
+                 ? rng.uniform_int(4'000, 9'000) * kMicrosecond
+                 : kMillisecond + rng.uniform_int(0, 50) * kMicrosecond;
+      } else {
+        switch (rng.uniform_int(0, 4)) {
+          case 0: t += kOracleCoalesceGap; break;
+          case 1: t += kOracleCoalesceGap + 1; break;
+          case 2: t += rng.uniform_int(1, 400) * kMicrosecond; break;
+          default: t += rng.uniform_int(1, 5) * kMillisecond; break;
+        }
+        if (rng.bernoulli(0.08)) t += rng.uniform_int(20, 300) * kMillisecond;
+      }
+    }
+    if (shape == PairShape::kGuardTie) {
+      // The gap interval is 3(m + 1) - 1 (on the guard) or one more.
+      t += 3 * (tie + 1) - 1 - tie + (rng.bernoulli(0.5) ? 1 : 0);
+    } else {
+      t += rng.uniform_int(500, 2500) * kMillisecond;
+    }
+  }
+  return flows;
+}
+
+TEST(CommTypeDifferentialTest, ShortcutMatchesAlwaysBocdOracle) {
+  Rng rng(2024);
+  std::size_t decided_without_bocd = 0;
+  std::size_t segmented = 0;
+  std::size_t guard_ties = 0;
+  std::size_t coalesce_ties = 0;
+  for (int round = 0; round < 60; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const bool unsorted = round % 3 == 2;
+    std::vector<FlowRecord> records;
+    std::map<GpuPair, std::vector<std::pair<TimeNs, std::uint64_t>>> by_pair;
+    for (std::uint32_t p = 0; p < 24; ++p) {
+      const auto shape = static_cast<PairShape>(
+          rng.uniform_int(0, static_cast<int>(PairShape::kCount) - 1));
+      const auto flows = random_pair_flows(rng, shape);
+      for (const auto& [t, bytes] : flows) {
+        FlowRecord f;
+        f.start_time = t;
+        f.src = GpuId(p);
+        f.dst = GpuId(100 + p);
+        f.bytes = bytes;
+        f.duration = 100;
+        records.push_back(f);
+      }
+      if (!flows.empty()) by_pair[GpuPair{GpuId(p), GpuId(100 + p)}] = flows;
+      // Count the ties the series actually carries.
+      std::vector<TimeNs> ts;
+      for (const auto& f : flows) ts.push_back(f.first);
+      std::sort(ts.begin(), ts.end());
+      const GapSeries series = build_gap_series(ts);
+      for (const double x : series.log_intervals) {
+        guard_ties += x == series.guard;
+      }
+      for (std::size_t i = 1; i < ts.size(); ++i) {
+        coalesce_ties += ts[i] - ts[i - 1] == kOracleCoalesceGap;
+      }
+    }
+    if (unsorted) {
+      std::shuffle(records.begin(), records.end(), rng.engine());
+    } else {
+      std::sort(records.begin(), records.end(), FlowStartTimeLess{});
+    }
+    FlowColumns trace;
+    for (const FlowRecord& f : records) trace.add(f);
+    ASSERT_EQ(trace.view().sorted, !unsorted || records.size() < 2);
+
+    const CommTypeResult result = identify(CommTypeIdentifier{}, trace);
+    ASSERT_EQ(result.pairs.size(), by_pair.size());
+    CommTypeCounters expected;
+    for (const PairClassification& pc : result.pairs) {
+      SCOPED_TRACE(testing::Message() << "pair " << pc.pair.first << "-"
+                                      << pc.pair.second);
+      const OracleVerdict v = oracle_classify(by_pair.at(pc.pair));
+      EXPECT_EQ(pc.pre_refinement_type, v.type);
+      EXPECT_EQ(pc.num_flows, by_pair.at(pc.pair).size());
+      if (pc.num_steps_observed == 0) {
+        ++decided_without_bocd;
+      } else {
+        ++segmented;
+        EXPECT_EQ(pc.num_steps_observed, v.steps);
+      }
+      expected += v.counters;
+    }
+    EXPECT_EQ(result.counters.artifact_size_clusters,
+              expected.artifact_size_clusters);
+    EXPECT_EQ(result.counters.artifact_flows, expected.artifact_flows);
+    EXPECT_EQ(result.counters.artifact_segments, expected.artifact_segments);
+    EXPECT_LE(result.counters.segmenter.observations,
+              expected.segmenter.observations);
+  }
+  // The seeded pairs exercise both paths and both ties.
+  EXPECT_GT(decided_without_bocd, 100u);
+  EXPECT_GT(segmented, 50u);
+  EXPECT_GT(guard_ties, 0u);
+  EXPECT_GT(coalesce_ties, 0u);
+}
+
+TEST(CommTypeDifferentialTest, FirstFlaggableGapOpensACandidateRun) {
+  // The detector may open a segment at interval recent_run_cap + 1 = 3,
+  // the first it can flag. Here that interval is the step gap after a
+  // truncated one-size step, and the second step carries both sizes: two
+  // segments holding 1 and 2 sizes, a tie the mode breaks to PP. A
+  // candidate check that missed interval 3 would see one run holding both
+  // sizes and call the pair DP.
+  std::vector<std::pair<TimeNs, std::uint64_t>> flows;
+  constexpr std::uint64_t kA = 1 << 20;
+  constexpr std::uint64_t kB = 3 << 20;
+  for (int i = 0; i < 4; ++i) flows.emplace_back(i * kMillisecond, kA);
+  for (int i = 0; i < 4; ++i) {
+    flows.emplace_back(2 * kSecond + i * kMillisecond, i % 2 == 0 ? kA : kB);
+  }
+  const OracleVerdict v = oracle_classify(flows);
+  ASSERT_EQ(v.steps, 2u);
+  ASSERT_EQ(v.type, CommType::kPP);
+
+  FlowColumns trace;
+  for (const auto& [t, bytes] : flows) {
+    FlowRecord f;
+    f.start_time = t;
+    f.src = GpuId(0);
+    f.dst = GpuId(8);
+    f.bytes = bytes;
+    f.duration = 100;
+    trace.add(f);
+  }
+  const auto result = identify(CommTypeIdentifier{}, trace);
+  ASSERT_EQ(result.pairs.size(), 1u);
+  EXPECT_EQ(result.pairs[0].pre_refinement_type, v.type);
+  EXPECT_EQ(result.pairs[0].num_steps_observed, v.steps);
+}
+
+TEST(CommTypeDifferentialTest, DecidedPairsReportNoSteps) {
+  // Every step of a clean PP pair and of a clean DP pair is one candidate
+  // run: both are decided without the detector.
+  FlowColumns trace;
+  add_pair_flows(trace, 0, 8, 6, {1 << 20}, 8);
+  add_pair_flows(trace, 16, 24, 6, {1 << 20, 3 << 20, 5 << 20});
+  trace.sort();
+  const auto result = identify(CommTypeIdentifier{}, trace);
+  ASSERT_EQ(result.pairs.size(), 2u);
+  EXPECT_EQ(result.pairs[0].pre_refinement_type, CommType::kPP);
+  EXPECT_EQ(result.pairs[1].pre_refinement_type, CommType::kDP);
+  for (const PairClassification& pc : result.pairs) {
+    EXPECT_EQ(pc.num_steps_observed, 0u);
+  }
+  EXPECT_EQ(result.counters.segmenter.observations, 0u);
 }
 
 // ---------------------------------------------------------------------------

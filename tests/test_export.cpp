@@ -642,7 +642,7 @@ TEST(ReportGoldenBytes, Fleet) {
   for (const std::size_t threads : {1u, 4u}) {
     SCOPED_TRACE(threads);
     expect_golden(report_json(fleet().sim, threads),
-                  {1'262, 0x4c97a0130fa3f9c8ULL});
+                  {1'262, 0x481b13410d88d2f5ULL});
   }
 }
 
@@ -661,7 +661,7 @@ TEST(ReportGoldenBytes, DegradedFleetWithSlowLeaf) {
     std::size_t alerts = 0;
     const std::string json = report_json(sim, threads, &alerts);
     EXPECT_GT(alerts, 0u);
-    expect_golden(json, {2'649, 0x9e1651addf92f6f2ULL});
+    expect_golden(json, {2'649, 0x51a36cfd1ac9a7a4ULL});
   }
 }
 

@@ -365,6 +365,11 @@ int run_analyze(int argc, const char* const* argv, int begin) {
     return rc;
   }
   if (const int rc = apply_common(flags, common); rc >= 0) return rc;
+  if (window_seconds && !(*window_seconds > 0.0)) {
+    std::cerr << flags.program() << ": window must be positive, got "
+              << *window_seconds << '\n';
+    return 2;
+  }
   return run_one_shot(common, positionals[0], window_seconds);
 }
 
