@@ -502,9 +502,9 @@ void BM_MonitorIngest(benchmark::State& state) {
 }
 BENCHMARK(BM_MonitorIngest);
 
-// Same feed with the session engine on: steady windows hit the recognition
-// fast path and the comm-type priors, so warm must come in measurably
-// below the stateless BM_MonitorIngest.
+// Same feed with the session engine on: windows are analyzed in sequence
+// with the comm-type priors, timeline tails and EWMA baselines carried;
+// recognition and routing run on every window, as in BM_MonitorIngest.
 void BM_MonitorIngestWarm(benchmark::State& state) {
   run_monitor_ingest(state, /*carry_state=*/true);
 }

@@ -31,8 +31,8 @@ struct MonitorConfig {
   /// this slack.
   DurationNs reorder_slack = kSecond;
   /// Carry warm state across windows through a PrismSession (see
-  /// session.hpp): recognition/router reuse, comm-type priors, boundary-
-  /// straddling step reconstruction, cross-window EWMA baselines. With
+  /// session.hpp): comm-type priors, boundary-straddling step
+  /// reconstruction, cross-window EWMA baselines. With
   /// carry the closed windows of one batch are analyzed sequentially in
   /// time order (the state is a chain); set false for the stateless mode,
   /// which analyzes a batch's windows concurrently and is bit-identical to

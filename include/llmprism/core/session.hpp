@@ -2,25 +2,22 @@
 //
 // The paper's deployment mode is continuous monitoring: the same jobs
 // occupy the same machines for hours while the pipeline re-derives the
-// same facts window after window. PrismSession carries, per stable job:
-//   (a) the previous recognition partition + dense FlowRouter table,
-//       reused verbatim when the window's communication pair set is
-//       EXACTLY the cached one (recognize() is a pure function of the
-//       undirected edge set, so equality of pair sets implies equality of
-//       the partition — a verify-fast-path, never a guess);
-//   (b) comm-type pair classifications as warm priors (CommTypeCarry) —
+// same facts window after window. PrismSession carries, per stable job,
+// only state that can change a verdict:
+//   (a) comm-type pair classifications as warm priors (CommTypeCarry) —
 //       only new or contradicting pairs re-run the BOCD step division;
-//   (c) the timeline segmenter's provisional tail (TimelineCarry): a DP
+//   (b) the timeline segmenter's provisional tail (TimelineCarry): a DP
 //       burst ending within kBoundaryHold (timeline.hpp) of the window
 //       boundary is held back and re-observed by the next window, so a
 //       step straddling the boundary is reconstructed instead of
 //       truncated;
-//   (d) cross-window EWMA step-duration baselines (EwmaBaseline, tuned by
+//   (c) cross-window EWMA step-duration baselines (EwmaBaseline, tuned by
 //       kEwmaAlpha and kEwmaMinSamples in diagnosis.hpp), so cross-step
 //       alerts can fire on windows too short for the window-local k-sigma
 //       rule.
-// All four always run when a session is passed to Prism::analyze; they
-// have no settings.
+// All three always run when a session is passed to Prism::analyze; they
+// have no settings. Recognition and routing run afresh on every window,
+// warm or cold.
 //
 // Threading contract: a session is NOT thread-safe across analyze() calls
 // — the OnlineMonitor analyzes warm windows sequentially in time order.
@@ -31,17 +28,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "llmprism/common/ids.hpp"
 #include "llmprism/common/time.hpp"
 #include "llmprism/core/comm_type.hpp"
 #include "llmprism/core/diagnosis.hpp"
-#include "llmprism/core/flow_router.hpp"
-#include "llmprism/core/job_recognition.hpp"
 #include "llmprism/core/timeline.hpp"
 
 namespace llmprism {
@@ -74,8 +67,11 @@ struct SessionCounters {
   std::uint64_t jobs_created = 0;          ///< per-job states minted
   std::uint64_t jobs_reused = 0;           ///< states found warm
   std::uint64_t jobs_invalidated = 0;      ///< states evicted or dropped
-  std::uint64_t recognition_reuses = 0;    ///< cached partition+router hits
-  std::uint64_t recognition_rebuilds = 0;  ///< pair-set misses (full pass)
+  /// Always 0: recognition runs on every window. Kept only because
+  /// prismbench/src/stream.cpp reads both fields; removing them is a
+  /// benchmark change.
+  std::uint64_t recognition_reuses = 0;
+  std::uint64_t recognition_rebuilds = 0;
   std::uint64_t pairs_reused = 0;          ///< comm-type warm-prior hits
   std::uint64_t pairs_reclassified = 0;    ///< new/contradicting pairs
   std::uint64_t boundary_steps_held = 0;   ///< tail bursts held back
@@ -117,7 +113,7 @@ class PrismSession {
 
   /// Drop all carried state (counted in jobs_invalidated, published at
   /// once). The next window runs the full cold pipeline and re-seeds the
-  /// caches.
+  /// per-job states.
   void invalidate();
 
   [[nodiscard]] const SessionCounters& counters() const { return counters_; }
@@ -125,18 +121,6 @@ class PrismSession {
   [[nodiscard]] std::size_t jobs_tracked() const { return job_states_.size(); }
 
   // ---- pipeline-facing (called by Prism::analyze on the warm path) ----
-
-  /// True when `view`'s communication pair set equals the cached one, so
-  /// cached_recognition()/cached_router() may be reused for this window.
-  /// Reads only the src/dst columns.
-  [[nodiscard]] bool probe_recognition(const FlowView& view);
-  [[nodiscard]] const JobRecognitionResult& cached_recognition() const {
-    return recognition_;
-  }
-  [[nodiscard]] const FlowRouter& cached_router() const { return *router_; }
-  /// Seed the recognition cache after a full pass (pairs taken from the
-  /// preceding probe_recognition call on the same trace).
-  void store_recognition(const JobRecognitionResult& recognition);
 
   /// Fetch (or mint) the per-job state for a machine set; marks it
   /// observed in the current window and resets its per-window outputs.
@@ -155,8 +139,8 @@ class PrismSession {
 
  private:
   /// Snapshot codec (core/snapshot.hpp): serializes the carried state —
-  /// priors, EWMA baselines, timeline tails, recognition cache — to a
-  /// versioned binary blob and restores it into a session.
+  /// priors, EWMA baselines, timeline tails — to a versioned binary blob
+  /// and restores it into a session.
   friend struct SnapshotAccess;
 
   /// The one point where the session writes the registry: counter growth
@@ -167,13 +151,6 @@ class PrismSession {
   SessionCounters counters_;
   SessionCounters published_;            ///< counters_ as last published
   std::size_t published_jobs_tracked_ = 0;
-
-  // Recognition cache: the pair set the cached partition was derived from.
-  bool recognition_valid_ = false;
-  std::unordered_set<GpuPair> cached_pairs_;
-  std::unordered_set<GpuPair> probe_pairs_;  ///< last probe's pair set
-  JobRecognitionResult recognition_;
-  std::optional<FlowRouter> router_;
 
   std::unordered_map<std::vector<MachineId>, SessionJobState, MachineSetHash>
       job_states_;

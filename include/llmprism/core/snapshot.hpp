@@ -2,7 +2,7 @@
 //
 // A long-running prismd carries hours of warm analysis state: comm-type
 // priors, cross-window EWMA step baselines, held timeline tails, the
-// recognition cache, the monitor's reorder buffer and stable job-id map.
+// monitor's reorder buffer and stable job-id map.
 // Losing it on restart means every job runs cold again (and stable ids
 // churn). save_snapshot serializes a PrismSession — or a whole
 // OnlineMonitor, session included — to a versioned binary blob;
@@ -13,7 +13,7 @@
 //
 // Blob layout (little-endian):
 //   0  char[4]  magic "LPS1"
-//   4  u16      version        (currently 1)
+//   4  u16      version        (currently 2; version 1 blobs are refused)
 //   6  u16      kind           (1 = session, 2 = monitor)
 //   8  payload  (kind-specific; maps serialized in sorted key order, so
 //               the same state always produces the same bytes)
@@ -44,15 +44,15 @@ class OnlineMonitor;
 namespace snapshot {
 
 inline constexpr char kMagic[4] = {'L', 'P', 'S', '1'};
-inline constexpr std::uint16_t kVersion = 1;
+inline constexpr std::uint16_t kVersion = 2;
 inline constexpr std::uint16_t kKindSession = 1;
 inline constexpr std::uint16_t kKindMonitor = 2;
 inline constexpr std::size_t kHeaderSize = 8;
 
 }  // namespace snapshot
 
-/// Serialize the session's carried warm state (recognition cache,
-/// comm-type priors, timeline tails, EWMA baselines, counters).
+/// Serialize the session's carried warm state (comm-type priors, timeline
+/// tails, EWMA baselines, counters).
 void save_snapshot(std::ostream& os, const PrismSession& session);
 /// Serialize a monitor — reorder buffer, window clock, stable-id map,
 /// lifetime stats, and (with carry_state) the embedded session.

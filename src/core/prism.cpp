@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -204,41 +203,25 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
     session->begin_window(view.time_span().end, /*hold_tail=*/false);
   }
 
-  // (1) job recognition. The partition is a pure function of the
-  // window's pair set, so the warm fast path is a verification rather
-  // than a guess.
-  bool recognition_reused = false;
-  const JobRecognizer recognizer(topology_);
+  // (1) job recognition.
   {
     const obs::Span span("prism.recognize");
-    if (session != nullptr && session->probe_recognition(view)) {
-      report.recognition = session->cached_recognition();
-      recognition_reused = true;
-    } else {
-      report.recognition = recognizer.recognize(view);
-      if (session != nullptr) session->store_recognition(report.recognition);
-    }
+    report.recognition = JobRecognizer(topology_).recognize(view);
   }
   log::info("prism: recognized ", report.recognition.jobs.size(),
             " jobs from ", report.recognition.num_cross_machine_clusters,
-            " cross-machine clusters",
-            recognition_reused ? " (partition reused)" : "");
+            " cross-machine clusters");
 
   // Route each flow to its job: a dense interned GPU->job table (one load
   // per flow, no hash probes), src lookup with dst fallback, one
   // count/prefix/scatter per row chunk on the pool with input order kept
-  // within each job. A recognition-cache hit also reuses the cached dense
-  // table instead of re-interning every job's GPU set.
+  // within each job.
   const std::size_t num_jobs = report.recognition.jobs.size();
   FlowRouter::ColumnarResult routed;
   {
     const obs::Span span("prism.route");
-    std::optional<FlowRouter> local_router;
-    const FlowRouter& router =
-        recognition_reused
-            ? session->cached_router()
-            : local_router.emplace(
-                  std::span<const RecognizedJob>(report.recognition.jobs));
+    const FlowRouter router(
+        std::span<const RecognizedJob>(report.recognition.jobs));
     routed = router.route(view, pool_.get());
     report.telemetry.flows_routed = routed.flows_routed;
     report.telemetry.flows_routed_via_dst = routed.flows_routed_via_dst;

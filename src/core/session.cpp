@@ -1,7 +1,5 @@
 #include "llmprism/core/session.hpp"
 
-#include <utility>
-
 #include "llmprism/obs/metrics.hpp"
 
 namespace llmprism {
@@ -22,12 +20,6 @@ constexpr SessionRegistryCounters::Field kSessionCounters[] = {
     {"llmprism_session_jobs_invalidated_total",
      "Per-job session states evicted or dropped",
      &SessionCounters::jobs_invalidated},
-    {"llmprism_session_recognition_reuses_total",
-     "Windows whose recognition partition + router were reused",
-     &SessionCounters::recognition_reuses},
-    {"llmprism_session_recognition_rebuilds_total",
-     "Windows whose pair set missed the recognition cache",
-     &SessionCounters::recognition_rebuilds},
     {"llmprism_session_pairs_reused_total",
      "Comm-type classifications reused from warm priors",
      &SessionCounters::pairs_reused},
@@ -77,36 +69,7 @@ void PrismSession::invalidate() {
   const std::uint64_t dropped = job_states_.size();
   counters_.jobs_invalidated += dropped;
   job_states_.clear();
-  recognition_valid_ = false;
-  cached_pairs_.clear();
-  router_.reset();
   publish();
-}
-
-bool PrismSession::probe_recognition(const FlowView& view) {
-  probe_pairs_.clear();
-  probe_pairs_.reserve(view.size());
-  for (std::size_t i = 0; i < view.size(); ++i) {
-    probe_pairs_.insert(view.pair(i));
-  }
-  // Exact pair-set equality: recognition is a pure function of the
-  // undirected edge set (union-find + canonical machine-set merging), so a
-  // matching set makes the cached partition provably identical — this is a
-  // verified fast path, not a heuristic.
-  if (recognition_valid_ && probe_pairs_ == cached_pairs_) {
-    ++counters_.recognition_reuses;
-    return true;
-  }
-  ++counters_.recognition_rebuilds;
-  return false;
-}
-
-void PrismSession::store_recognition(const JobRecognitionResult& recognition) {
-  cached_pairs_ = std::move(probe_pairs_);
-  probe_pairs_ = {};
-  recognition_ = recognition;
-  router_.emplace(std::span<const RecognizedJob>(recognition_.jobs));
-  recognition_valid_ = true;
 }
 
 SessionJobState& PrismSession::job_state(

@@ -83,19 +83,6 @@ FlowColumns read_columns(ByteReader& r) {
   return c;
 }
 
-/// Restored GPU ids size the FlowRouter's dense table, so each must lie
-/// inside the topology.
-void check_gpu_ids(const std::vector<GpuId>& gpus,
-                   const ClusterTopology& topology) {
-  for (const GpuId gpu : gpus) {
-    if (gpu.value() >= topology.num_gpus()) {
-      fail("recognition cache: GPU id " + std::to_string(gpu.value()) +
-           " outside the topology (" + std::to_string(topology.num_gpus()) +
-           " GPUs)");
-    }
-  }
-}
-
 /// Write a `kind` blob: the container head, `payload(writer)`, the seal.
 template <typename Payload>
 void write_blob(std::ostream& os, std::uint16_t kind, Payload&& payload) {
@@ -137,16 +124,9 @@ std::string slurp(std::istream& is) {
 /// state always produces equal bytes; restores parse the whole payload
 /// into temporaries before committing anything (strong guarantee).
 struct SnapshotAccess {
-  /// LPS1 reserves one byte per carry (recognition reuse, comm-type
-  /// priors, timeline tails, EWMA baselines). Every carry always runs, so
-  /// each byte is 1; a blob holding any other value is a config mismatch.
-  static constexpr std::uint8_t kCarryOn = 1;
-  static constexpr int kCarryBytes = 4;
-
-  /// LPS1 also records the four session tuning constants; a blob holding
-  /// other values was saved by a differently tuned build and is refused.
+  /// LPS1 records the four session tuning constants; a blob holding other
+  /// values was saved by a differently tuned build and is refused.
   static void write_session_config(ByteWriter& w) {
-    for (int i = 0; i < kCarryBytes; ++i) w.u8(kCarryOn);
     w.f64(kEwmaAlpha);
     w.u64(kEwmaMinSamples);
     w.i64(kBoundaryHold);
@@ -154,10 +134,7 @@ struct SnapshotAccess {
   }
 
   static void check_session_config(ByteReader& r) {
-    bool carries_on = true;
-    for (int i = 0; i < kCarryBytes; ++i) carries_on &= r.u8() == kCarryOn;
-    const bool same = carries_on && r.f64() == kEwmaAlpha &&
-                      r.u64() == kEwmaMinSamples &&
+    const bool same = r.f64() == kEwmaAlpha && r.u64() == kEwmaMinSamples &&
                       r.i64() == kBoundaryHold &&
                       r.u64() == kEvictAfterWindows;
     if (!same) {
@@ -173,37 +150,11 @@ struct SnapshotAccess {
     const SessionCounters& c = s.counters_;
     for (const std::uint64_t v :
          {c.windows, c.jobs_created, c.jobs_reused, c.jobs_invalidated,
-          c.recognition_reuses, c.recognition_rebuilds, c.pairs_reused,
-          c.pairs_reclassified, c.boundary_steps_held,
+          c.pairs_reused, c.pairs_reclassified, c.boundary_steps_held,
           c.boundary_steps_carried, c.ewma_step_alerts}) {
       w.u64(v);
     }
     w.u64(s.window_index_);
-
-    // Recognition cache: the pair set plus the partition derived from it
-    // (the router table is rebuilt from the partition on restore).
-    w.u8(s.recognition_valid_ ? 1 : 0);
-    if (s.recognition_valid_) {
-      std::vector<GpuPair> pairs(s.cached_pairs_.begin(),
-                                 s.cached_pairs_.end());
-      std::sort(pairs.begin(), pairs.end());
-      w.u64(pairs.size());
-      for (const GpuPair& p : pairs) {
-        w.u32(p.first.value());
-        w.u32(p.second.value());
-      }
-      w.u64(s.recognition_.jobs.size());
-      for (const RecognizedJob& job : s.recognition_.jobs) {
-        write_id_vector(w, job.gpus);
-        write_id_vector(w, job.observed_gpus);
-        write_id_vector(w, job.machines);
-        w.u64(job.cross_machine_clusters.size());
-        for (const std::vector<GpuId>& cluster : job.cross_machine_clusters) {
-          write_id_vector(w, cluster);
-        }
-      }
-      w.u64(s.recognition_.num_cross_machine_clusters);
-    }
 
     // Per-job carried state, sorted by machine-set key.
     std::vector<const std::pair<const std::vector<MachineId>, SessionJobState>*>
@@ -264,58 +215,18 @@ struct SnapshotAccess {
     }
   }
 
-  /// `topology` (null for a bare session, which has none) bounds the
-  /// recognition cache's GPU ids.
-  static void read_session_payload(ByteReader& r, PrismSession& s,
-                                   const ClusterTopology* topology) {
+  static void read_session_payload(ByteReader& r, PrismSession& s) {
     check_session_config(r);
 
     SessionCounters counters;
     for (std::uint64_t* v :
          {&counters.windows, &counters.jobs_created, &counters.jobs_reused,
-          &counters.jobs_invalidated, &counters.recognition_reuses,
-          &counters.recognition_rebuilds, &counters.pairs_reused,
+          &counters.jobs_invalidated, &counters.pairs_reused,
           &counters.pairs_reclassified, &counters.boundary_steps_held,
           &counters.boundary_steps_carried, &counters.ewma_step_alerts}) {
       *v = r.u64();
     }
     const std::uint64_t window_index = r.u64();
-
-    const bool recognition_valid = r.u8() != 0;
-    std::unordered_set<GpuPair> cached_pairs;
-    JobRecognitionResult recognition;
-    if (recognition_valid) {
-      const std::size_t num_pairs = r.count(8);
-      cached_pairs.reserve(num_pairs);
-      for (std::size_t i = 0; i < num_pairs; ++i) {
-        const GpuId a{r.u32()};
-        const GpuId b{r.u32()};
-        cached_pairs.insert(GpuPair(a, b));
-      }
-      const std::size_t num_jobs = r.count(8);
-      recognition.jobs.reserve(num_jobs);
-      for (std::size_t i = 0; i < num_jobs; ++i) {
-        RecognizedJob job;
-        job.gpus = read_id_vector<GpuId>(r);
-        job.observed_gpus = read_id_vector<GpuId>(r);
-        job.machines = read_id_vector<MachineId>(r);
-        const std::size_t num_clusters = r.count(8);
-        job.cross_machine_clusters.reserve(num_clusters);
-        for (std::size_t k = 0; k < num_clusters; ++k) {
-          job.cross_machine_clusters.push_back(read_id_vector<GpuId>(r));
-        }
-        if (topology != nullptr) {
-          check_gpu_ids(job.gpus, *topology);
-          check_gpu_ids(job.observed_gpus, *topology);
-          for (const std::vector<GpuId>& cluster : job.cross_machine_clusters) {
-            check_gpu_ids(cluster, *topology);
-          }
-        }
-        recognition.jobs.push_back(std::move(job));
-      }
-      recognition.num_cross_machine_clusters =
-          static_cast<std::size_t>(r.u64());
-    }
 
     std::unordered_map<std::vector<MachineId>, SessionJobState, MachineSetHash>
         job_states;
@@ -380,15 +291,6 @@ struct SnapshotAccess {
     // Fully parsed — commit.
     s.counters_ = counters;
     s.window_index_ = window_index;
-    s.recognition_valid_ = recognition_valid;
-    s.cached_pairs_ = std::move(cached_pairs);
-    s.probe_pairs_.clear();
-    s.recognition_ = std::move(recognition);
-    if (recognition_valid) {
-      s.router_.emplace(std::span<const RecognizedJob>(s.recognition_.jobs));
-    } else {
-      s.router_.reset();
-    }
     s.job_states_ = std::move(job_states);
     s.window_armed_ = false;
     s.window_end_ = 0;
@@ -496,7 +398,7 @@ struct SnapshotAccess {
     }
     // The session commits only after its own payload fully parses, so a
     // corrupt tail leaves the whole monitor untouched.
-    if (has_session) read_session_payload(r, *m.session_, &m.topology_);
+    if (has_session) read_session_payload(r, *m.session_);
 
     m.window_origin_set_ = origin_set;
     m.window_begin_ = window_begin;
@@ -526,7 +428,7 @@ void save_snapshot(std::ostream& os, const OnlineMonitor& monitor) {
 
 void restore_snapshot(std::span<const std::byte> blob, PrismSession& session) {
   ByteReader r = open_blob(blob, snapshot::kKindSession);
-  SnapshotAccess::read_session_payload(r, session, nullptr);
+  SnapshotAccess::read_session_payload(r, session);
   r.expect_done();
   snapshot_restores().inc();
 }

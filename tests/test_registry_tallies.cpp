@@ -126,10 +126,6 @@ TEST(RegistryTallyTest, MonitorCountersEqualSessionAndMonitorTallies) {
           {"llmprism_session_jobs_reused_total", &SessionCounters::jobs_reused},
           {"llmprism_session_jobs_invalidated_total",
            &SessionCounters::jobs_invalidated},
-          {"llmprism_session_recognition_reuses_total",
-           &SessionCounters::recognition_reuses},
-          {"llmprism_session_recognition_rebuilds_total",
-           &SessionCounters::recognition_rebuilds},
           {"llmprism_session_pairs_reused_total",
            &SessionCounters::pairs_reused},
           {"llmprism_session_pairs_reclassified_total",

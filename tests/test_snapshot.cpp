@@ -41,8 +41,8 @@ JobSimConfig job(std::uint32_t tp, std::uint32_t dp, std::uint32_t pp,
   return cfg;
 }
 
-/// Two steady jobs so every carry feature (recognition cache, comm-type
-/// priors, timeline tails, EWMA baselines) accumulates real state.
+/// Two steady jobs so every carry feature (comm-type priors, timeline
+/// tails, EWMA baselines) accumulates real state.
 const ClusterSimResult& steady_mix() {
   static const ClusterSimResult sim = [] {
     ClusterSimConfig cfg;
@@ -112,8 +112,6 @@ void expect_counters_equal(const SessionCounters& a, const SessionCounters& b) {
   EXPECT_EQ(a.jobs_created, b.jobs_created);
   EXPECT_EQ(a.jobs_reused, b.jobs_reused);
   EXPECT_EQ(a.jobs_invalidated, b.jobs_invalidated);
-  EXPECT_EQ(a.recognition_reuses, b.recognition_reuses);
-  EXPECT_EQ(a.recognition_rebuilds, b.recognition_rebuilds);
   EXPECT_EQ(a.pairs_reused, b.pairs_reused);
   EXPECT_EQ(a.pairs_reclassified, b.pairs_reclassified);
   EXPECT_EQ(a.boundary_steps_held, b.boundary_steps_held);
@@ -259,12 +257,30 @@ TEST(SnapshotTest, GoldenBytes) {
   const auto digest = [](const std::string& blob) {
     return xxhash64(blob.data(), blob.size());
   };
-  EXPECT_EQ(session_blob.str().size(), 5'509u);
-  EXPECT_EQ(digest(session_blob.str()), 0x19438a76ee228d75ULL)
+  EXPECT_EQ(session_blob.str().size(), 3'960u);
+  EXPECT_EQ(digest(session_blob.str()), 0xf0d5ef86c539bec5ULL)
       << std::hex << "actual xxh64 0x" << digest(session_blob.str());
-  EXPECT_EQ(monitor_blob.size(), 221'929u);
-  EXPECT_EQ(digest(monitor_blob), 0x5ab0ddf8bee82dfcULL)
+  EXPECT_EQ(monitor_blob.size(), 220'380u);
+  EXPECT_EQ(digest(monitor_blob), 0xb33ef54d04e2d1a2ULL)
       << std::hex << "actual xxh64 0x" << digest(monitor_blob);
+}
+
+// --- blob editing ------------------------------------------------------
+
+std::uint64_t load_u64(const std::string& blob, std::size_t at) {
+  std::uint64_t v;
+  std::memcpy(&v, blob.data() + at, sizeof(v));
+  return v;
+}
+
+template <typename T>
+void store(std::string& blob, std::size_t at, T v) {
+  std::memcpy(blob.data() + at, &v, sizeof(v));
+}
+
+/// Recompute the trailing checksum after an edit.
+void reseal(std::string& blob) {
+  store(blob, blob.size() - 8, xxhash64(blob.data(), blob.size() - 8));
 }
 
 // --- corrupt-blob suite ---------------------------------------------------
@@ -329,6 +345,11 @@ TEST_F(SnapshotCorruptTest, WrongVersion) {
   std::string blob = good_blob();
   blob[4] = static_cast<char>(snapshot::kVersion + 1);
   expect_rejects("version", blob);
+  // A version 1 blob is refused by its head, before the payload is read.
+  std::string v1 = good_blob();
+  store<std::uint16_t>(v1, 4, 1);
+  reseal(v1);
+  expect_rejects("version 1", v1, "unsupported version 1");
 }
 
 TEST_F(SnapshotCorruptTest, WrongKind) {
@@ -382,22 +403,6 @@ TEST_F(SnapshotCorruptTest, CarryStateMismatch) {
 // recompute it. These blobs carry a correct checksum over content the
 // reader must still refuse.
 
-std::uint64_t load_u64(const std::string& blob, std::size_t at) {
-  std::uint64_t v;
-  std::memcpy(&v, blob.data() + at, sizeof(v));
-  return v;
-}
-
-template <typename T>
-void store(std::string& blob, std::size_t at, T v) {
-  std::memcpy(blob.data() + at, &v, sizeof(v));
-}
-
-/// Recompute the trailing checksum after an edit.
-void reseal(std::string& blob) {
-  store(blob, blob.size() - 8, xxhash64(blob.data(), blob.size() - 8));
-}
-
 /// Byte positions inside a monitor blob, found by walking the payload in
 /// the order the reader parses it.
 struct MonitorBlobLayout {
@@ -408,7 +413,6 @@ struct MonitorBlobLayout {
   std::size_t switch_ids = 0;
   std::size_t sorted = 0;          ///< the buffer's sorted flag
   std::size_t ewma_alpha = 0;      ///< session config: the EWMA alpha
-  std::size_t cached_gpu = 0;      ///< recognition cache: job 0's gpus[0]
 };
 
 MonitorBlobLayout layout_of(const std::string& blob) {
@@ -439,15 +443,8 @@ MonitorBlobLayout layout_of(const std::string& blob) {
   }
   pos += 8 * 8;  // monitor stats
   column(16);    // per-job window counts
-  pos += 1;      // session present
-  at.ewma_alpha = pos + 4;        // after the four carry bytes
-  pos += 4 + 4 * 8 + 11 * 8 + 8;  // session config, counters, window index
-  EXPECT_EQ(blob[pos], 1) << "recognition cache must be valid";
-  pos += 1;
-  column(8);  // cached pair set
-  EXPECT_GT(load_u64(blob, pos), 0u) << "cache must hold a job";
-  pos += 8;
-  at.cached_gpu = column(4);
+  EXPECT_EQ(blob[pos], 1) << "the blob must embed a session";
+  at.ewma_alpha = pos + 1;  // the session config leads its payload
   return at;
 }
 
@@ -517,12 +514,6 @@ TEST_F(SnapshotCorruptTest, ForgedIdOutsideTopology) {
   expect_rejects("buffer switch id = num_switches", sw,
                  "switch id " + std::to_string(topology.num_switches()) +
                      " outside");
-
-  std::string cached = good;
-  store<std::uint32_t>(cached, at.cached_gpu, 100'000);
-  reseal(cached);
-  expect_rejects("recognition cache GPU id 100000", cached,
-                 "recognition cache: GPU id 100000");
 }
 
 // Every strict prefix of a session blob, and the blob plus one byte, must

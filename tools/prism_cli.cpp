@@ -332,9 +332,7 @@ int run_monitor_on(const CommonOptions& options, const std::string& trace_path,
                 << " group alerts\n";
       if (const PrismSession* session = monitor.session()) {
         const SessionCounters& c = session->counters();
-        std::cout << "session: recognition " << c.recognition_reuses
-                  << " reused / " << c.recognition_rebuilds
-                  << " rebuilt, pairs " << c.pairs_reused << " reused / "
+        std::cout << "session: pairs " << c.pairs_reused << " reused / "
                   << c.pairs_reclassified << " reclassified, boundary "
                   << c.boundary_steps_held << " held / "
                   << c.boundary_steps_carried << " carried, "
@@ -347,6 +345,15 @@ int run_monitor_on(const CommonOptions& options, const std::string& trace_path,
     std::cerr << "prism: " << e.what() << '\n';
     return 1;
   }
+}
+
+/// A window that is not positive is a usage error (2), reported before the
+/// trace is opened; -1 lets the caller go on.
+int check_window(const cli::FlagSet& flags, double seconds) {
+  if (seconds > 0.0) return -1;
+  std::cerr << flags.program() << ": window must be positive, got " << seconds
+            << '\n';
+  return 2;
 }
 
 int run_analyze(int argc, const char* const* argv, int begin) {
@@ -365,10 +372,9 @@ int run_analyze(int argc, const char* const* argv, int begin) {
     return rc;
   }
   if (const int rc = apply_common(flags, common); rc >= 0) return rc;
-  if (window_seconds && !(*window_seconds > 0.0)) {
-    std::cerr << flags.program() << ": window must be positive, got "
-              << *window_seconds << '\n';
-    return 2;
+  if (const int rc = window_seconds ? check_window(flags, *window_seconds) : -1;
+      rc >= 0) {
+    return rc;
   }
   return run_one_shot(common, positionals[0], window_seconds);
 }
@@ -393,6 +399,7 @@ int run_monitor_cmd(int argc, const char* const* argv, int begin) {
     return rc;
   }
   if (const int rc = apply_common(flags, common); rc >= 0) return rc;
+  if (const int rc = check_window(flags, window_seconds); rc >= 0) return rc;
   return run_monitor_on(common, positionals[0], window_seconds, !no_carry);
 }
 
