@@ -92,4 +92,13 @@ class FlagSet {
   std::vector<std::string>* positional_target_ = nullptr;
 };
 
+/// --help prints the usage (exit 0); parse errors are printed with a usage
+/// hint (exit 2). Returns -1 to go on, else the exit code.
+[[nodiscard]] int finish_parse(const FlagSet& flags, const ParseResult& parsed);
+
+/// Apply a non-empty --log-level: -1 to go on, or 2 after naming an
+/// unknown level.
+[[nodiscard]] int apply_log_level(const FlagSet& flags,
+                                  const std::string& level);
+
 }  // namespace llmprism::cli

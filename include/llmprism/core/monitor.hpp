@@ -9,6 +9,7 @@
 // machines), so alerts can be attributed to long-running jobs.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -44,6 +45,12 @@ struct MonitorConfig {
   /// std::invalid_argument listing every problem at once.
   [[nodiscard]] std::vector<std::string> validate() const;
 };
+
+/// The reorder slack the CLIs give a monitor with this window: 1 s, or the
+/// whole window when that is shorter (the slack may not exceed it).
+[[nodiscard]] inline DurationNs reorder_slack_for(DurationNs window) {
+  return std::clamp(window, DurationNs{0}, kSecond);
+}
 
 /// A stable identity for a recognized job across windows.
 using MonitorJobId = std::uint64_t;

@@ -70,8 +70,9 @@ class ExportSinks {
   /// that could not be written (empty = all good).
   std::vector<std::string> write_files();
 
-  /// The lifecycle journal (null unless journal_out is configured) — the
-  /// daemon serves its current state over HTTP between writes.
+  /// The lifecycle journal (null unless journal_out is configured), e.g.
+  /// to count its events after write_files(). prismd keeps its own journal
+  /// per shard and does not use this one (DESIGN.md §14).
   [[nodiscard]] const IncidentJournal* journal() const {
     return journal_ ? &*journal_ : nullptr;
   }

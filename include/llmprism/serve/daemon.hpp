@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "llmprism/common/flags.hpp"
 #include "llmprism/core/monitor.hpp"
 #include "llmprism/export/config.hpp"
 #include "llmprism/serve/http.hpp"
@@ -62,11 +63,15 @@ struct ServeConfig {
   /// empty disables snapshots (cold restarts).
   std::string snapshot_path;
 
-  /// Per-shard analysis configuration (window length, carry, prism).
+  /// Per-shard analysis configuration (window length, carry, prism). A
+  /// zero prism.num_threads gives each shard max(1, hardware / shards)
+  /// lanes, so the shards together fill the host once.
   MonitorConfig monitor;
-  /// File sinks written on stop() (shard i of a multi-shard daemon
-  /// decorates each path with ".shardI"). The journal endpoint works even
-  /// with no sinks configured — every shard keeps a journal for HTTP.
+  /// Files written on stop(). The journal, Perfetto and series files are
+  /// per shard (shard i of a multi-shard daemon decorates the path with
+  /// ".shardI"); the journal file holds the bytes GET /journal serves,
+  /// finished. The metrics and span-trace files belong to the process:
+  /// one of each, at the configured path, written after the shards'.
   ExportConfig exports;
 
   /// Descriptive configuration errors (empty = valid; includes the nested
@@ -74,8 +79,9 @@ struct ServeConfig {
   [[nodiscard]] std::vector<std::string> validate() const;
 };
 
-/// Monotonic daemon counters, exposed at /statusz and mirrored into the
-/// obs registry (llmprism_serve_*).
+/// Monotonic daemon counters, exposed at /statusz. They are the only
+/// count of each serve event: the registry's llmprism_serve_*_total
+/// counters are fed from them at each /metrics scrape and at stop().
 struct DaemonStats {
   std::uint64_t frames = 0;             ///< well-formed frames accepted
   std::uint64_t frame_errors = 0;       ///< bad header or corrupt payload
@@ -129,5 +135,20 @@ class PrismDaemon {
 /// The `prismd` / `prism serve` entry point: parse argv[begin..), build
 /// the topology, run a daemon until SIGTERM/SIGINT, return the exit code.
 int run_main(int argc, const char* const* argv, int begin = 1);
+
+// ---- command-line pieces `prism analyze|monitor` share with run_main, so
+// each shared flag has one spelling, help text and error path ----
+
+/// Values of the shared flags. A zero machine count means "not given":
+/// analyze and monitor derive it from the trace, serve refuses to start.
+struct SharedFlags {
+  TopologyConfig topology{.num_machines = 0, .gpus_per_machine = 8,
+                          .machines_per_leaf = 16, .num_spines = 4};
+  std::string log_level;
+  ExportConfig exports;
+};
+
+/// Declare the four topology flags, --log-level and the five export flags.
+void add_shared_flags(cli::FlagSet& flags, SharedFlags& values);
 
 }  // namespace llmprism::serve

@@ -1,10 +1,13 @@
 #include "llmprism/common/flags.hpp"
 
 #include <charconv>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <utility>
+
+#include "llmprism/common/log.hpp"
 
 namespace llmprism::cli {
 
@@ -215,6 +218,34 @@ std::string FlagSet::usage() const {
        << flags_[i].help << '\n';
   }
   return os.str();
+}
+
+int finish_parse(const FlagSet& flags, const ParseResult& parsed) {
+  if (parsed.help) {
+    std::fputs(flags.usage().c_str(), stdout);
+    return 0;
+  }
+  if (!parsed.ok) {
+    for (const std::string& e : parsed.errors) {
+      std::fprintf(stderr, "%s: %s\n", flags.program().c_str(), e.c_str());
+    }
+    std::fprintf(stderr, "run '%s --help' for usage\n",
+                 flags.program().c_str());
+    return 2;
+  }
+  return -1;
+}
+
+int apply_log_level(const FlagSet& flags, const std::string& level) {
+  if (level.empty()) return -1;
+  const auto parsed = log::parse_level(level);
+  if (!parsed) {
+    std::fprintf(stderr, "%s: unknown log level %s\n",
+                 flags.program().c_str(), level.c_str());
+    return 2;
+  }
+  log::set_level(*parsed);
+  return -1;
 }
 
 }  // namespace llmprism::cli

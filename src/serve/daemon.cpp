@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -14,8 +15,8 @@
 #include <thread>
 #include <utility>
 
-#include "llmprism/common/flags.hpp"
 #include "llmprism/common/log.hpp"
+#include "llmprism/common/thread_pool.hpp"
 #include "llmprism/common/time.hpp"
 #include "llmprism/core/render.hpp"
 #include "llmprism/core/snapshot.hpp"
@@ -44,58 +45,33 @@ namespace llmprism::serve {
 
 namespace {
 
-// ---- serve metrics (process-wide registry, scraped at /metrics) ----
+// ---- serve metrics: fed from DaemonStats (DESIGN.md §6) ----
 
-obs::Counter& frames_counter() {
-  static obs::Counter& c = obs::default_registry().counter(
-      "llmprism_serve_frames_total", "Well-formed ingest frames accepted");
-  return c;
-}
-obs::Counter& frame_errors_counter() {
-  static obs::Counter& c = obs::default_registry().counter(
-      "llmprism_serve_frame_errors_total",
-      "Ingest frames rejected (bad header or corrupt LFT payload)");
-  return c;
-}
-obs::Counter& flows_counter() {
-  static obs::Counter& c = obs::default_registry().counter(
-      "llmprism_serve_flows_total", "Flows handed to shard queues");
-  return c;
-}
-obs::Counter& chunk_bytes_counter() {
-  static obs::Counter& c = obs::default_registry().counter(
-      "llmprism_serve_chunk_bytes_total", "LFT chunk payload bytes accepted");
-  return c;
-}
-obs::Counter& backpressure_counter() {
-  static obs::Counter& c = obs::default_registry().counter(
-      "llmprism_serve_backpressure_waits_total",
-      "Producer blocks on a full shard ingest queue");
-  return c;
-}
-obs::Counter& http_requests_counter() {
-  static obs::Counter& c = obs::default_registry().counter(
-      "llmprism_serve_http_requests_total", "HTTP query-plane requests");
-  return c;
-}
+using ServeRegistryCounters = obs::TallyCounters<DaemonStats>;
+constexpr ServeRegistryCounters::Field kServeCounters[] = {
+    {"llmprism_serve_frames_total", "Well-formed ingest frames accepted",
+     &DaemonStats::frames},
+    {"llmprism_serve_frame_errors_total",
+     "Ingest frames rejected (bad header or corrupt LFT payload)",
+     &DaemonStats::frame_errors},
+    {"llmprism_serve_flows_total", "Flows handed to shard queues",
+     &DaemonStats::flows},
+    {"llmprism_serve_chunk_bytes_total", "LFT chunk payload bytes accepted",
+     &DaemonStats::chunk_bytes},
+    {"llmprism_serve_backpressure_waits_total",
+     "Producer blocks on a full shard ingest queue",
+     &DaemonStats::backpressure_waits},
+    {"llmprism_serve_http_requests_total", "HTTP query-plane requests",
+     &DaemonStats::http_requests},
+};
+
+/// A process total: each daemon adds its own change at publish, so the
+/// daemons of one process sum instead of the last writer winning.
 obs::Gauge& queue_depth_gauge() {
   static obs::Gauge& g = obs::default_registry().gauge(
       "llmprism_serve_queue_depth",
       "Flow chunks currently queued across all shards");
   return g;
-}
-
-/// Touch every serve metric so /metrics exposes the full set at zero from
-/// the first scrape (lazily-registered counters would otherwise only
-/// appear once their event first happened).
-void register_serve_metrics() {
-  frames_counter();
-  frame_errors_counter();
-  flows_counter();
-  chunk_bytes_counter();
-  backpressure_counter();
-  http_requests_counter();
-  queue_depth_gauge();
 }
 
 /// One parsed-and-validated flow chunk on its way to a shard worker.
@@ -104,63 +80,13 @@ struct Chunk {
   FlowColumns flows;
 };
 
-/// The shard ingest queue (serve/queue.hpp) plus the daemon's telemetry:
-/// backpressure waits, and the cross-shard depth gauge.
-class ChunkQueue {
- public:
-  explicit ChunkQueue(std::size_t capacity) : queue_(capacity) {}
-
-  /// Blocks while full (counted once per blocking push). Returns false
-  /// when the queue was closed (shutdown) — the chunk is dropped.
-  bool push(Chunk chunk, std::atomic<std::uint64_t>& wait_counter) {
-    const PushOutcome outcome = queue_.push(std::move(chunk));
-    if (outcome.blocked) {
-      wait_counter.fetch_add(1, std::memory_order_relaxed);
-      backpressure_counter().inc();
-    }
-    if (outcome.accepted) {
-      queue_depth_gauge().set(static_cast<double>(
-          total_queued_.fetch_add(1, std::memory_order_relaxed) + 1));
-    }
-    return outcome.accepted;
-  }
-
-  /// Blocks until an item arrives or the queue is closed AND drained
-  /// (then nullopt — the consumer's exit signal).
-  std::optional<Chunk> pop() {
-    std::optional<Chunk> chunk = queue_.pop();
-    if (chunk) {
-      queue_depth_gauge().set(static_cast<double>(
-          total_queued_.fetch_sub(1, std::memory_order_relaxed) - 1));
-    }
-    return chunk;
-  }
-
-  void close() { queue_.close(); }
-
-  [[nodiscard]] std::size_t depth() const { return queue_.depth(); }
-
- private:
-  /// Chunks queued across ALL ChunkQueue instances (feeds the gauge).
-  static inline std::atomic<std::uint64_t> total_queued_{0};
-
-  BoundedQueue<Chunk> queue_;
-};
-
-/// Decorate every configured path with a per-shard suffix so a multi-shard
-/// daemon's shards never write over each other.
-std::string shard_path(const std::string& path, std::size_t shard,
-                       std::size_t shards) {
-  if (path.empty() || shards <= 1) return path;
-  return path + ".shard" + std::to_string(shard);
-}
-
-ExportConfig shard_exports(const ExportConfig& exports, std::size_t shard,
-                           std::size_t shards) {
-  ExportConfig out = exports;
-  for (std::string* p : {&out.perfetto_out, &out.series_out, &out.journal_out,
-                         &out.metrics_out, &out.trace_out}) {
-    *p = shard_path(*p, shard, shards);
+/// Shards analyze side by side, so a zero thread count splits the
+/// host's lanes among them instead of giving each a full-size pool.
+MonitorConfig shard_monitor_config(const ServeConfig& config) {
+  MonitorConfig out = config.monitor;
+  if (out.prism.num_threads == 0) {
+    out.prism.num_threads =
+        std::max<std::size_t>(1, ThreadPool::resolve(0) / config.shards);
   }
   return out;
 }
@@ -286,21 +212,33 @@ struct PrismDaemon::Impl {
   struct Shard {
     Shard(const ClusterTopology& topology, const ServeConfig& config,
           std::size_t index)
-        : monitor(topology, config.monitor),
-          queue(config.queue_capacity),
-          snapshot_file(
-              shard_path(config.snapshot_path, index, config.shards)) {}
+        : monitor(topology, shard_monitor_config(config)),
+          queue(config.queue_capacity) {
+      // A shard suffix keeps a multi-shard daemon's shards from writing
+      // over each other's files.
+      const auto path = [&](const std::string& p) {
+        if (p.empty() || config.shards <= 1) return p;
+        return p + ".shard" + std::to_string(index);
+      };
+      snapshot_file = path(config.snapshot_path);
+      journal_file = path(config.exports.journal_out);
+      ExportConfig files;
+      files.perfetto_out = path(config.exports.perfetto_out);
+      files.series_out = path(config.exports.series_out);
+      if (files.any_window_sink()) sinks.emplace(std::move(files));
+    }
 
     std::mutex mu;
     OnlineMonitor monitor;
-    ChunkQueue queue;
+    BoundedQueue<Chunk> queue;
     std::string snapshot_file;
-    /// Always-on lifecycle journal backing GET /journal (independent of
-    /// any journal_out file sink).
+    /// The shard's one lifecycle journal: GET /journal reads it, and
+    /// stop() finishes it and writes it to journal_file when one is set.
     IncidentJournal journal;
+    std::string journal_file;
+    /// The per-window Perfetto and series files, when configured.
     std::optional<ExportSinks> sinks;
     std::string last_report_json;  ///< latest window, GET /report
-    std::uint64_t windows = 0;
     std::thread worker;
   };
 
@@ -309,6 +247,8 @@ struct PrismDaemon::Impl {
 
   std::atomic<bool> running{false};
   std::atomic<bool> stopping{false};
+  // The only count of each serve event: stats() reads them, and the
+  // registry is fed from stats().
   std::atomic<std::uint64_t> frames{0};
   std::atomic<std::uint64_t> frame_errors{0};
   std::atomic<std::uint64_t> flows{0};
@@ -317,8 +257,17 @@ struct PrismDaemon::Impl {
   std::atomic<std::uint64_t> http_requests{0};
   std::atomic<std::uint64_t> snapshots_saved{0};
   std::atomic<std::uint64_t> snapshots_restored{0};
+  std::atomic<std::uint64_t> windows_completed{0};
+
+  /// What the registry has been told, guarded by publish_mu.
+  std::mutex publish_mu;
+  DaemonStats published;
+  std::size_t published_queued = 0;
 
   std::vector<std::unique_ptr<Shard>> shards;
+  /// The process-wide metrics and span-trace files: one of each, written
+  /// after every shard's files.
+  std::optional<ExportSinks> process_files;
 
   int ingest_fd = -1;
   int http_fd = -1;
@@ -330,6 +279,34 @@ struct PrismDaemon::Impl {
 
   Impl(const ClusterTopology& topo, ServeConfig cfg)
       : topology(topo), config(std::move(cfg)) {}
+
+  DaemonStats stats() const {
+    DaemonStats s;
+    s.frames = frames.load(std::memory_order_relaxed);
+    s.frame_errors = frame_errors.load(std::memory_order_relaxed);
+    s.flows = flows.load(std::memory_order_relaxed);
+    s.chunk_bytes = chunk_bytes.load(std::memory_order_relaxed);
+    s.backpressure_waits = backpressure_waits.load(std::memory_order_relaxed);
+    s.http_requests = http_requests.load(std::memory_order_relaxed);
+    s.snapshots_saved = snapshots_saved.load(std::memory_order_relaxed);
+    s.snapshots_restored = snapshots_restored.load(std::memory_order_relaxed);
+    s.windows_completed = windows_completed.load(std::memory_order_relaxed);
+    return s;
+  }
+
+  /// Add the counts' growth since the last publish to the registry, and
+  /// this daemon's change of queued chunks to the depth gauge. Counts are
+  /// read under the lock, so concurrent publishes never go backwards.
+  void publish_metrics() {
+    static const ServeRegistryCounters counters(kServeCounters);
+    const std::lock_guard lock(publish_mu);
+    counters.publish(stats(), published);
+    std::size_t queued = 0;
+    for (const auto& shard : shards) queued += shard->queue.depth();
+    queue_depth_gauge().add(static_cast<double>(queued) -
+                            static_cast<double>(published_queued));
+    published_queued = queued;
+  }
 
   Shard& shard_for(std::uint64_t stream_id) {
     return *shards[stream_id % shards.size()];
@@ -347,7 +324,7 @@ struct PrismDaemon::Impl {
         std::ostringstream json;
         write_report_json(json, tick.report);
         shard.last_report_json = std::move(json).str();
-        ++shard.windows;
+        windows_completed.fetch_add(1, std::memory_order_relaxed);
       }
     }
   }
@@ -394,7 +371,6 @@ struct PrismDaemon::Impl {
         header = decode_frame_header(std::span<const std::byte>(head));
       } catch (const std::exception& e) {
         frame_errors.fetch_add(1, std::memory_order_relaxed);
-        frame_errors_counter().inc();
         const std::string reply = encode_frame(FrameType::kError, 0, e.what());
         write_all(fd, reply.data(), reply.size());
         break;
@@ -408,7 +384,6 @@ struct PrismDaemon::Impl {
       std::string reply;
       if (header.type == FrameType::kPing) {
         frames.fetch_add(1, std::memory_order_relaxed);
-        frames_counter().inc();
         reply = encode_ack(header.stream_id, AckPayload{});
       } else if (header.type == FrameType::kFlowChunk) {
         try {
@@ -424,30 +399,27 @@ struct PrismDaemon::Impl {
           }
           const std::size_t num_flows = chunk.flows.size();
           frames.fetch_add(1, std::memory_order_relaxed);
-          frames_counter().inc();
           flows.fetch_add(num_flows, std::memory_order_relaxed);
-          flows_counter().inc(num_flows);
           chunk_bytes.fetch_add(payload.size(), std::memory_order_relaxed);
-          chunk_bytes_counter().inc(payload.size());
 
           AckPayload ack;
           ack.flows_accepted = num_flows;
           Shard& shard = shard_for(header.stream_id);
-          if (!shard.queue.push(std::move(chunk), backpressure_waits)) {
-            break;  // shutting down
+          const PushOutcome pushed = shard.queue.push(std::move(chunk));
+          if (pushed.blocked) {
+            backpressure_waits.fetch_add(1, std::memory_order_relaxed);
           }
+          if (!pushed.accepted) break;  // shutting down
           ack.queue_depth = shard.queue.depth();
           ack.backpressure_waits =
               backpressure_waits.load(std::memory_order_relaxed);
           reply = encode_ack(header.stream_id, ack);
         } catch (const std::exception& e) {
           frame_errors.fetch_add(1, std::memory_order_relaxed);
-          frame_errors_counter().inc();
           reply = encode_frame(FrameType::kError, header.stream_id, e.what());
         }
       } else {
         frame_errors.fetch_add(1, std::memory_order_relaxed);
-        frame_errors_counter().inc();
         reply = encode_frame(FrameType::kError, header.stream_id,
                              "unexpected frame type");
       }
@@ -510,7 +482,11 @@ PrismDaemon::~PrismDaemon() {
 void PrismDaemon::start() {
   Impl& d = *impl_;
   if (d.running.load()) return;
-  register_serve_metrics();
+  // Made first: a trace file turns span collection on for the whole run.
+  ExportConfig files;
+  files.metrics_out = d.config.exports.metrics_out;
+  files.trace_out = d.config.exports.trace_out;
+  if (!files.empty()) d.process_files.emplace(files);
 
   for (std::size_t i = 0; i < d.config.shards; ++i) {
     d.shards.push_back(
@@ -528,9 +504,6 @@ void PrismDaemon::start() {
         // over stale state is worse than one that re-warms.
         log::warn("serve: shard ", i, " starting cold: ", e.what());
       }
-    }
-    if (!d.config.exports.empty()) {
-      shard.sinks.emplace(shard_exports(d.config.exports, i, d.config.shards));
     }
     shard.worker = std::thread([&d, &shard] { d.worker_loop(shard); });
   }
@@ -592,10 +565,15 @@ void PrismDaemon::stop() {
     if (shard->worker.joinable()) shard->worker.join();
   }
 
+  // The queues are empty now, so this also takes the daemon's share of
+  // the queue-depth gauge back.
+  d.publish_metrics();
+
   // Snapshot WITHOUT flushing: the partial window's reorder buffer rides
   // along in the blob, so a restarted daemon produces byte-identical
   // subsequent reports (flushing here would analyze a truncated window a
-  // continuous daemon never sees).
+  // continuous daemon never sees). The journals do end here: each
+  // resolves its still-open incidents, as its file records them.
   for (std::size_t i = 0; i < d.shards.size(); ++i) {
     Impl::Shard& shard = *d.shards[i];
     const std::lock_guard lock(shard.mu);
@@ -607,10 +585,21 @@ void PrismDaemon::stop() {
         log::error("serve: shard ", i, " snapshot failed: ", e.what());
       }
     }
+    shard.journal.finish();
+    if (!shard.journal_file.empty()) {
+      std::ofstream out(shard.journal_file);
+      shard.journal.write_jsonl(out);
+      if (!out.flush()) log::error("serve: cannot write ", shard.journal_file);
+    }
     if (shard.sinks) {
       for (const std::string& e : shard.sinks->write_files()) {
         log::error("serve: ", e);
       }
+    }
+  }
+  if (d.process_files) {
+    for (const std::string& e : d.process_files->write_files()) {
+      log::error("serve: ", e);
     }
   }
   d.running.store(false);
@@ -618,28 +607,11 @@ void PrismDaemon::stop() {
 
 bool PrismDaemon::running() const { return impl_->running.load(); }
 
-DaemonStats PrismDaemon::stats() const {
-  const Impl& d = *impl_;
-  DaemonStats s;
-  s.frames = d.frames.load(std::memory_order_relaxed);
-  s.frame_errors = d.frame_errors.load(std::memory_order_relaxed);
-  s.flows = d.flows.load(std::memory_order_relaxed);
-  s.chunk_bytes = d.chunk_bytes.load(std::memory_order_relaxed);
-  s.backpressure_waits = d.backpressure_waits.load(std::memory_order_relaxed);
-  s.http_requests = d.http_requests.load(std::memory_order_relaxed);
-  s.snapshots_saved = d.snapshots_saved.load(std::memory_order_relaxed);
-  s.snapshots_restored = d.snapshots_restored.load(std::memory_order_relaxed);
-  for (const auto& shard : d.shards) {
-    const std::lock_guard lock(shard->mu);
-    s.windows_completed += shard->windows;
-  }
-  return s;
-}
+DaemonStats PrismDaemon::stats() const { return impl_->stats(); }
 
 HttpResponse PrismDaemon::handle_http(const HttpRequest& request) {
   Impl& d = *impl_;
   d.http_requests.fetch_add(1, std::memory_order_relaxed);
-  http_requests_counter().inc();
 
   if (request.method != "GET") {
     return {405, "text/plain; charset=utf-8", "only GET is supported\n"};
@@ -662,6 +634,7 @@ HttpResponse PrismDaemon::handle_http(const HttpRequest& request) {
   }
 
   if (request.path == "/metrics") {
+    d.publish_metrics();
     std::ostringstream out;
     obs::default_registry().write_prometheus(out);
     return {200, "text/plain; version=0.0.4; charset=utf-8",
@@ -748,24 +721,47 @@ void on_stop_signal(int sig) { g_stop_signal.store(sig); }
 
 }  // namespace
 
-int run_main(int argc, const char* const* argv, int begin) {
-  TopologyConfig topo{.num_machines = 0, .gpus_per_machine = 8,
-                      .machines_per_leaf = 16, .num_spines = 4};
-  double window_seconds = 60.0;
-  bool no_carry = false;
-  std::uint64_t shards = 1;
-  std::uint64_t queue_capacity = 64;
-  ServeConfig config;
-  std::string log_level;
-
-  cli::FlagSet flags("prism serve");
-  flags.flag("--machines", "N", "machines in the cluster (required)",
+void add_shared_flags(cli::FlagSet& flags, SharedFlags& values) {
+  TopologyConfig& topo = values.topology;
+  flags.flag("--machines", "N",
+             "machines in the cluster (required by serve; analyze and "
+             "monitor derive it from the trace)",
              &topo.num_machines);
   flags.flag("--gpus-per-machine", "N", "GPUs per machine (default 8)",
              &topo.gpus_per_machine);
   flags.flag("--machines-per-leaf", "N", "machines per leaf switch",
              &topo.machines_per_leaf);
   flags.flag("--spines", "N", "spine switches", &topo.num_spines);
+  flags.flag("--log-level", "LEVEL", "debug|info|warn|error|off",
+             &values.log_level);
+  ExportConfig& out = values.exports;
+  flags.flag("--perfetto-out", "FILE",
+             "reconstructed timelines as Chrome trace JSON (ui.perfetto.dev)",
+             &out.perfetto_out);
+  flags.flag("--series-out", "FILE",
+             "per-job per-window metrics (OpenMetrics; .jsonl -> JSONL)",
+             &out.series_out);
+  flags.flag("--journal-out", "FILE",
+             "incident lifecycle journal (JSONL, open -> update -> resolve)",
+             &out.journal_out);
+  flags.flag("--metrics-out", "FILE",
+             "metrics registry dump (Prometheus text; .json -> JSON)",
+             &out.metrics_out);
+  flags.flag("--trace-out", "FILE",
+             "pipeline trace spans as Chrome trace_event JSON",
+             &out.trace_out);
+}
+
+int run_main(int argc, const char* const* argv, int begin) {
+  SharedFlags shared;
+  double window_seconds = 60.0;
+  bool no_carry = false;
+  std::uint64_t shards = 1;
+  std::uint64_t queue_capacity = 64;
+  ServeConfig config;
+
+  cli::FlagSet flags("prism serve");
+  add_shared_flags(flags, shared);
   flags.flag("--window", "S", "analysis window length in seconds (default 60)",
              &window_seconds);
   flags.flag("--no-carry", "disable the warm cross-window session",
@@ -787,41 +783,16 @@ int run_main(int argc, const char* const* argv, int begin) {
   flags.flag("--snapshot", "FILE",
              "warm-state snapshot saved on shutdown, restored on boot",
              &config.snapshot_path);
-  flags.flag("--perfetto-out", "FILE", "timeline Chrome trace on shutdown",
-             &config.exports.perfetto_out);
-  flags.flag("--series-out", "FILE", "per-job metrics series on shutdown",
-             &config.exports.series_out);
-  flags.flag("--journal-out", "FILE", "incident journal JSONL on shutdown",
-             &config.exports.journal_out);
-  flags.flag("--metrics-out", "FILE", "metrics registry dump on shutdown",
-             &config.exports.metrics_out);
-  flags.flag("--trace-out", "FILE", "pipeline span trace on shutdown",
-             &config.exports.trace_out);
-  flags.flag("--log-level", "LEVEL", "debug|info|warn|error|off", &log_level);
 
-  const cli::ParseResult parsed = flags.parse(argc, argv, begin);
-  if (parsed.help) {
-    std::fputs(flags.usage().c_str(), stdout);
-    return 0;
+  if (const int rc = cli::finish_parse(flags, flags.parse(argc, argv, begin));
+      rc >= 0) {
+    return rc;
   }
-  if (!parsed.ok) {
-    for (const std::string& e : parsed.errors) {
-      std::fprintf(stderr, "%s: %s\n", flags.program().c_str(), e.c_str());
-    }
-    std::fprintf(stderr, "run '%s --help' for usage\n",
-                 flags.program().c_str());
-    return 2;
+  if (const int rc = cli::apply_log_level(flags, shared.log_level);
+      rc >= 0) {
+    return rc;
   }
-  if (!log_level.empty()) {
-    const auto level = log::parse_level(log_level);
-    if (!level) {
-      std::fprintf(stderr, "prism serve: unknown log level %s\n",
-                   log_level.c_str());
-      return 2;
-    }
-    log::set_level(*level);
-  }
-  if (topo.num_machines == 0) {
+  if (shared.topology.num_machines == 0) {
     std::fprintf(stderr,
                  "prism serve: --machines is required (no trace to derive the "
                  "topology from)\n");
@@ -831,10 +802,12 @@ int run_main(int argc, const char* const* argv, int begin) {
   config.shards = static_cast<std::size_t>(shards);
   config.queue_capacity = static_cast<std::size_t>(queue_capacity);
   config.monitor.window = from_seconds(window_seconds);
+  config.monitor.reorder_slack = reorder_slack_for(config.monitor.window);
   config.monitor.carry_state = !no_carry;
+  config.exports = shared.exports;
 
   try {
-    const ClusterTopology topology = ClusterTopology::build(topo);
+    const ClusterTopology topology = ClusterTopology::build(shared.topology);
     PrismDaemon daemon(topology, config);
 
     std::signal(SIGTERM, on_stop_signal);

@@ -34,6 +34,19 @@ TEST(OnlineMonitorTest, RejectsBadConfig) {
                std::invalid_argument);
 }
 
+// Sub-second windows get a slack no longer than the window; windows of a
+// second or more keep the 1 s slack (and their output).
+TEST(MonitorConfigTest, ReorderSlackIsAtMostTheWindow) {
+  EXPECT_EQ(reorder_slack_for(60 * kSecond), kSecond);
+  EXPECT_EQ(reorder_slack_for(kSecond), kSecond);
+  EXPECT_EQ(reorder_slack_for(kSecond / 2), kSecond / 2);
+  EXPECT_EQ(reorder_slack_for(0), 0);
+  MonitorConfig config;
+  config.window = kSecond / 2;
+  config.reorder_slack = reorder_slack_for(config.window);
+  EXPECT_TRUE(config.validate().empty());
+}
+
 TEST(OnlineMonitorTest, WindowsCoverTheFeed) {
   const auto sim = simulate(20);
   MonitorConfig cfg;

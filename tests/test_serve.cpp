@@ -10,18 +10,25 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <optional>
+#include <set>
 #include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "llmprism/common/hash.hpp"
+#include "llmprism/export/journal.hpp"
 #include "llmprism/flow/lft.hpp"
+#include "llmprism/obs/metrics.hpp"
 #include "llmprism/serve/daemon.hpp"
 #include "llmprism/serve/frame.hpp"
 #include "llmprism/serve/http.hpp"
@@ -228,32 +235,50 @@ struct ServeFixture {
   std::vector<std::string> chunks;
 };
 
+/// Slice a simulated trace into four time-ordered LFT chunk images.
+ServeFixture chunked(ClusterSimResult sim) {
+  sim.trace.sort();
+  const TimeWindow span = sim.trace.view().time_span();
+  const DurationNs slice = (span.end - span.begin) / 4 + 1;
+  std::vector<FlowColumns> parts(
+      static_cast<std::size_t>((span.end - span.begin) / slice) + 1);
+  for (const FlowRecord& f : sim.trace) {
+    parts[static_cast<std::size_t>((f.start_time - span.begin) / slice)]
+        .add(f);
+  }
+  std::vector<std::string> chunks;
+  for (const FlowColumns& part : parts) {
+    if (part.empty()) continue;
+    std::ostringstream os;
+    write_lft(os, part);
+    chunks.push_back(os.str());
+  }
+  return ServeFixture{std::move(sim), std::move(chunks)};
+}
+
+ClusterSimConfig fixture_config() {
+  ClusterSimConfig cfg;
+  cfg.topology = {.num_machines = 8, .gpus_per_machine = 8,
+                  .machines_per_leaf = 4, .num_spines = 2};
+  cfg.jobs.push_back({job(8, 2, 2, 16), {}});
+  cfg.jobs.push_back({job(8, 4, 1, 16), {}});
+  cfg.seed = 33;
+  return cfg;
+}
+
 const ServeFixture& fixture() {
+  static const ServeFixture fix = chunked(run_cluster_sim(fixture_config()));
+  return fix;
+}
+
+/// The fixture with a straggler rank in job 0, so windows raise incidents.
+const ServeFixture& faulted_fixture() {
   static const ServeFixture fix = [] {
-    ClusterSimConfig cfg;
-    cfg.topology = {.num_machines = 8, .gpus_per_machine = 8,
-                    .machines_per_leaf = 4, .num_spines = 2};
-    cfg.jobs.push_back({job(8, 2, 2, 16), {}});
-    cfg.jobs.push_back({job(8, 4, 1, 16), {}});
-    cfg.seed = 33;
-    ClusterSimResult sim = run_cluster_sim(cfg);
-    sim.trace.sort();
-    const TimeWindow span = sim.trace.view().time_span();
-    const DurationNs slice = (span.end - span.begin) / 4 + 1;
-    std::vector<FlowColumns> parts(
-        static_cast<std::size_t>((span.end - span.begin) / slice) + 1);
-    for (const FlowRecord& f : sim.trace) {
-      parts[static_cast<std::size_t>(
-          (f.start_time - span.begin) / slice)].add(f);
-    }
-    std::vector<std::string> chunks;
-    for (const FlowColumns& part : parts) {
-      if (part.empty()) continue;
-      std::ostringstream os;
-      write_lft(os, part);
-      chunks.push_back(os.str());
-    }
-    return ServeFixture{std::move(sim), std::move(chunks)};
+    ClusterSimConfig cfg = fixture_config();
+    for (ClusterJobSpec& spec : cfg.jobs) spec.config.num_steps = 24;
+    cfg.jobs[0].config.stragglers.push_back(
+        {.rank = 8, .step_begin = 12, .step_end = 23, .slowdown = 2.5});
+    return chunked(run_cluster_sim(cfg));
   }();
   return fix;
 }
@@ -635,6 +660,212 @@ TEST(DaemonTest, RestoredDaemonMatchesUninterruptedRun) {
   // never stopped.
   EXPECT_EQ(get(second, "/report").body, get(reference, "/report").body);
   EXPECT_EQ(get(second, "/jobs").body, get(reference, "/jobs").body);
+}
+
+/// The whole file, or "" when it does not exist.
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Feed every chunk of `fix` on `stream`, each acked.
+void feed_all(const std::string& socket, std::uint64_t stream,
+              const ServeFixture& fix = fixture()) {
+  Client client(socket);
+  for (const std::string& chunk : fix.chunks) {
+    const auto reply = client.roundtrip(FrameType::kFlowChunk, stream, chunk);
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->header.type, FrameType::kAck);
+  }
+}
+
+// The serve counters are fed from DaemonStats, the only count of each
+// event: at a scrape and after stop() each counter has moved by exactly
+// its field, and a stopped daemon leaves no queued chunks in the gauge.
+TEST(RegistryTallyTest, ServeCountersEqualDaemonStats) {
+  const std::vector<std::pair<const char*, std::uint64_t DaemonStats::*>>
+      fields = {
+          {"llmprism_serve_frames_total", &DaemonStats::frames},
+          {"llmprism_serve_frame_errors_total", &DaemonStats::frame_errors},
+          {"llmprism_serve_flows_total", &DaemonStats::flows},
+          {"llmprism_serve_chunk_bytes_total", &DaemonStats::chunk_bytes},
+          {"llmprism_serve_backpressure_waits_total",
+           &DaemonStats::backpressure_waits},
+          {"llmprism_serve_http_requests_total", &DaemonStats::http_requests},
+      };
+  obs::Registry& registry = obs::default_registry();
+  const auto read = [&] {
+    std::vector<std::uint64_t> out;
+    for (const auto& [name, field] : fields) {
+      out.push_back(registry.counter(name).value());
+    }
+    return out;
+  };
+  obs::Gauge& depth = registry.gauge("llmprism_serve_queue_depth");
+  const std::vector<std::uint64_t> before = read();
+  const double depth_before = depth.value();
+
+  ServeConfig cfg = serve_config("serve-tally");
+  cfg.snapshot_path.clear();
+  PrismDaemon daemon(fixture().sim.topology, cfg);
+  daemon.start();
+  {
+    Client client(cfg.ingest_socket);
+    const auto err = client.roundtrip(FrameType::kFlowChunk, 1, "not an LFT");
+    ASSERT_TRUE(err.has_value());
+    EXPECT_EQ(err->header.type, FrameType::kError);
+  }
+  feed_all(cfg.ingest_socket, 1);
+  const auto expect_deltas = [&](const char* when) {
+    const DaemonStats stats = daemon.stats();
+    const std::vector<std::uint64_t> after = read();
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      EXPECT_EQ(after[i] - before[i], stats.*fields[i].second)
+          << fields[i].first << " " << when;
+    }
+  };
+  EXPECT_EQ(get(daemon, "/metrics").status, 200);
+  expect_deltas("at a scrape");
+  daemon.stop();
+  expect_deltas("after stop()");
+  EXPECT_EQ(daemon.stats().frame_errors, 1u);
+  EXPECT_EQ(daemon.stats().flows, fixture().sim.trace.size());
+  EXPECT_EQ(depth.value() - depth_before, 0.0);
+}
+
+// A multi-shard daemon writes the process-wide files once, at the
+// configured paths, holding every shard's spans; only the per-shard files
+// carry a ".shardN" suffix.
+TEST(DaemonTest, ProcessFilesAreWrittenOnceForAllShards) {
+  ServeConfig cfg = serve_config("serve-files");
+  cfg.snapshot_path.clear();
+  cfg.shards = 2;
+  const std::string dir = ::testing::TempDir() + "/serve-files";
+  cfg.exports.metrics_out = dir + ".prom";
+  cfg.exports.trace_out = dir + "-trace.json";
+  cfg.exports.journal_out = dir + ".journal.jsonl";
+  std::vector<std::string> paths;
+  for (const std::string& path :
+       {cfg.exports.metrics_out, cfg.exports.trace_out,
+        cfg.exports.journal_out}) {
+    paths.push_back(path);
+    for (const char* suffix : {".shard0", ".shard1"}) {
+      paths.push_back(path + suffix);
+    }
+  }
+  for (const std::string& path : paths) std::remove(path.c_str());
+
+  PrismDaemon daemon(fixture().sim.topology, cfg);
+  daemon.start();
+  feed_all(cfg.ingest_socket, 0);
+  feed_all(cfg.ingest_socket, 1);
+  daemon.stop();
+  const DaemonStats stats = daemon.stats();
+  ASSERT_GE(stats.windows_completed, 4u);
+
+  namespace fs = std::filesystem;
+  for (const std::string& path : {cfg.exports.metrics_out,
+                                  cfg.exports.trace_out}) {
+    EXPECT_TRUE(fs::exists(path)) << path;
+    EXPECT_FALSE(fs::exists(path + ".shard0")) << path;
+    EXPECT_FALSE(fs::exists(path + ".shard1")) << path;
+  }
+  EXPECT_FALSE(fs::exists(cfg.exports.journal_out));
+  EXPECT_TRUE(fs::exists(cfg.exports.journal_out + ".shard0"));
+  EXPECT_TRUE(fs::exists(cfg.exports.journal_out + ".shard1"));
+  EXPECT_NE(read_file(cfg.exports.metrics_out)
+                .find("llmprism_serve_frames_total"),
+            std::string::npos);
+
+  // Every analyzed window left one monitor.window span, on its shard's
+  // worker thread.
+  const std::string trace = read_file(cfg.exports.trace_out);
+  const std::string key = "\"name\":\"monitor.window\"";
+  std::size_t windows = 0;
+  std::set<std::string> threads;
+  for (std::size_t at = trace.find(key); at != std::string::npos;
+       at = trace.find(key, at + 1)) {
+    ++windows;
+    const std::size_t tid = trace.find("\"tid\":", at) + 6;
+    threads.insert(trace.substr(tid, trace.find_first_of(",}", tid) - tid));
+  }
+  EXPECT_EQ(windows, stats.windows_completed);
+  EXPECT_EQ(threads.size(), 2u);
+}
+
+// Each shard keeps one journal: GET /journal serves it while the daemon
+// runs, and the journal file holds it finished, which /journal also
+// serves once the daemon has stopped.
+TEST(DaemonTest, JournalFileIsTheServedJournalFinished) {
+  const ServeFixture& fix = faulted_fixture();
+  ServeConfig cfg = serve_config("serve-journal");
+  cfg.snapshot_path.clear();
+  cfg.exports.journal_out = ::testing::TempDir() + "/serve-journal.jsonl";
+  std::remove(cfg.exports.journal_out.c_str());
+
+  // The reference: a monitor and a journal fed the same chunks.
+  OnlineMonitor monitor(fix.sim.topology, cfg.monitor);
+  IncidentJournal journal;
+  std::uint64_t windows = 0;
+  for (const std::string& chunk : fix.chunks) {
+    const FlowColumns flows = read_lft_buffer(bytes(chunk));
+    for (const MonitorTick& tick : monitor.ingest(flows.view())) {
+      journal.add_window(export_view(tick));
+      ++windows;
+    }
+  }
+  ASSERT_GT(journal.num_events(), 0u) << "fixture must raise incidents";
+  std::ostringstream running;
+  journal.write_jsonl(running);
+  journal.finish();
+  std::ostringstream finished;
+  journal.write_jsonl(finished);
+  ASSERT_NE(running.str(), finished.str());
+
+  PrismDaemon daemon(fix.sim.topology, cfg);
+  daemon.start();
+  feed_all(cfg.ingest_socket, 3, fix);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (daemon.stats().windows_completed < windows &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(daemon.stats().windows_completed, windows);
+  EXPECT_EQ(get(daemon, "/journal").body, running.str());
+  daemon.stop();
+  EXPECT_EQ(read_file(cfg.exports.journal_out), finished.str());
+  EXPECT_EQ(get(daemon, "/journal").body, finished.str());
+}
+
+/// Threads of this process; nullopt where /proc is absent.
+std::optional<std::size_t> thread_count() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return std::nullopt;
+  return static_cast<std::size_t>(
+      std::distance(it, std::filesystem::directory_iterator()));
+}
+
+// With num_threads = 0 the shards split the host's lanes: the pools of
+// all shards together hold at most one lane per hardware thread, not a
+// full-size pool each.
+TEST(DaemonTest, ShardsSplitTheHostsLanes) {
+  if (!thread_count()) GTEST_SKIP() << "no /proc/self/task";
+  ServeConfig cfg = serve_config("serve-lanes");
+  cfg.snapshot_path.clear();
+  cfg.shards = 2;
+  ASSERT_EQ(cfg.monitor.prism.num_threads, 0u);
+  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+
+  const std::size_t before = *thread_count();
+  PrismDaemon daemon(fixture().sim.topology, cfg);
+  daemon.start();
+  const std::size_t started = *thread_count() - before;
+  daemon.stop();
+  // Accept and HTTP loops, plus each shard's worker and its pool lanes
+  // beyond the worker itself.
+  EXPECT_LE(started, 2 + std::max(cfg.shards, hw)) << hw << " hw threads";
 }
 
 #endif  // LLMPRISM_TEST_HAVE_SOCKETS

@@ -50,26 +50,16 @@ void usage() {
 
 /// Options shared by `analyze` and `monitor`.
 struct CommonOptions {
-  TopologyConfig topology{.num_machines = 0, .gpus_per_machine = 8,
-                          .machines_per_leaf = 16, .num_spines = 4};
+  serve::SharedFlags shared;  // topology, --log-level, the export files
   std::uint64_t ingest_threads = 0;
   bool json = false;
   bool timelines = false;
   bool no_reconstruct = false;
   bool no_attribute = false;
-  std::string log_level;
-  ExportConfig exports;
 };
 
 void add_common_flags(cli::FlagSet& flags, CommonOptions& o) {
-  flags.flag("--machines", "N",
-             "machines in the cluster (default: derived from the trace)",
-             &o.topology.num_machines);
-  flags.flag("--gpus-per-machine", "N", "GPUs per machine (default 8)",
-             &o.topology.gpus_per_machine);
-  flags.flag("--machines-per-leaf", "N", "machines per leaf switch",
-             &o.topology.machines_per_leaf);
-  flags.flag("--spines", "N", "spine switches", &o.topology.num_spines);
+  serve::add_shared_flags(flags, o.shared);
   flags.flag("--ingest-threads", "N", "CSV decode threads (0 = hardware)",
              &o.ingest_threads);
   flags.flag("--json", "emit the report as JSON instead of text", &o.json);
@@ -79,55 +69,21 @@ void add_common_flags(cli::FlagSet& flags, CommonOptions& o) {
              &o.no_reconstruct);
   flags.flag("--no-attribute", "skip root-cause attribution",
              &o.no_attribute);
-  flags.flag("--log-level", "LEVEL", "debug|info|warn|error|off",
-             &o.log_level);
-  flags.flag("--perfetto-out", "FILE",
-             "reconstructed timelines as Chrome trace JSON (ui.perfetto.dev)",
-             &o.exports.perfetto_out);
-  flags.flag("--series-out", "FILE",
-             "per-job per-window metrics (OpenMetrics; .jsonl -> JSONL)",
-             &o.exports.series_out);
-  flags.flag("--journal-out", "FILE",
-             "incident lifecycle journal (JSONL, open -> update -> resolve)",
-             &o.exports.journal_out);
-  flags.flag("--metrics-out", "FILE",
-             "metrics registry dump (Prometheus text; .json -> JSON)",
-             &o.exports.metrics_out);
-  flags.flag("--trace-out", "FILE",
-             "pipeline trace spans as Chrome trace_event JSON",
-             &o.exports.trace_out);
 }
 
-/// Handle --help / parse errors uniformly. Returns -1 to proceed, else the
-/// process exit code (0 for help, 2 for errors — including unknown
-/// options, which FlagSet always rejects).
-int finish_parse(const cli::FlagSet& flags, const cli::ParseResult& parsed) {
-  if (parsed.help) {
-    std::cout << flags.usage();
-    return 0;
+/// Parse, then apply --log-level and validate the exports; returns -1 or
+/// the exit code.
+int parse_common(cli::FlagSet& flags, const CommonOptions& o, int argc,
+                 const char* const* argv, int begin) {
+  if (const int rc = cli::finish_parse(flags, flags.parse(argc, argv, begin));
+      rc >= 0) {
+    return rc;
   }
-  if (!parsed.ok) {
-    for (const std::string& e : parsed.errors) {
-      std::cerr << flags.program() << ": " << e << '\n';
-    }
-    std::cerr << "run '" << flags.program() << " --help' for usage\n";
-    return 2;
+  if (const int rc = cli::apply_log_level(flags, o.shared.log_level);
+      rc >= 0) {
+    return rc;
   }
-  return -1;
-}
-
-/// Apply --log-level / validate exports; returns -1 or an exit code.
-int apply_common(const cli::FlagSet& flags, const CommonOptions& o) {
-  if (!o.log_level.empty()) {
-    const auto level = log::parse_level(o.log_level);
-    if (!level) {
-      std::cerr << flags.program() << ": unknown log level " << o.log_level
-                << '\n';
-      return 2;
-    }
-    log::set_level(*level);
-  }
-  if (const auto errors = o.exports.validate(); !errors.empty()) {
+  if (const auto errors = o.shared.exports.validate(); !errors.empty()) {
     for (const std::string& e : errors) {
       std::cerr << flags.program() << ": " << e << '\n';
     }
@@ -243,8 +199,8 @@ int run_one_shot(const CommonOptions& options, const std::string& trace_path,
 
   try {
     const auto topology =
-        ClusterTopology::build(derive_topology(options.topology, view));
-    ExportSinks sinks(options.exports);  // enables span tracing if requested
+        ClusterTopology::build(derive_topology(options.shared.topology, view));
+    ExportSinks sinks(options.shared.exports);  // may enable span tracing
 
     const Prism prism(topology, prism_config_for(options));
     const PrismReport report = prism.analyze(view);
@@ -291,17 +247,19 @@ int run_monitor_on(const CommonOptions& options, const std::string& trace_path,
 
   try {
     const auto topology =
-        ClusterTopology::build(derive_topology(options.topology, view));
+        ClusterTopology::build(derive_topology(options.shared.topology, view));
     MonitorConfig monitor_config;
     monitor_config.prism = prism_config_for(options);
     monitor_config.window = from_seconds(window_seconds);
+    monitor_config.reorder_slack =
+        reorder_slack_for(monitor_config.window);
     monitor_config.carry_state = carry;
     if (const auto errors = monitor_config.validate(); !errors.empty()) {
       std::cerr << "prism: invalid monitor configuration:\n";
       for (const std::string& e : errors) std::cerr << "  - " << e << '\n';
       return 2;
     }
-    ExportSinks sinks(options.exports);  // enables span tracing if requested
+    ExportSinks sinks(options.shared.exports);  // may enable span tracing
 
     OnlineMonitor monitor(topology, monitor_config);
     std::vector<MonitorTick> ticks = monitor.ingest(view);
@@ -367,11 +325,10 @@ int run_analyze(int argc, const char* const* argv, int begin) {
   add_common_flags(flags, common);
   flags.positionals("trace", 1, 1, &positionals);
 
-  if (const int rc = finish_parse(flags, flags.parse(argc, argv, begin));
+  if (const int rc = parse_common(flags, common, argc, argv, begin);
       rc >= 0) {
     return rc;
   }
-  if (const int rc = apply_common(flags, common); rc >= 0) return rc;
   if (const int rc = window_seconds ? check_window(flags, *window_seconds) : -1;
       rc >= 0) {
     return rc;
@@ -394,11 +351,10 @@ int run_monitor_cmd(int argc, const char* const* argv, int begin) {
   add_common_flags(flags, common);
   flags.positionals("trace", 1, 1, &positionals);
 
-  if (const int rc = finish_parse(flags, flags.parse(argc, argv, begin));
+  if (const int rc = parse_common(flags, common, argc, argv, begin);
       rc >= 0) {
     return rc;
   }
-  if (const int rc = apply_common(flags, common); rc >= 0) return rc;
   if (const int rc = check_window(flags, window_seconds); rc >= 0) return rc;
   return run_monitor_on(common, positionals[0], window_seconds, !no_carry);
 }
@@ -435,7 +391,7 @@ int run_convert(int argc, const char* const* argv, int begin) {
              &chunk_seconds);
   flags.positionals("<in> <out>", 2, 2, &positionals);
 
-  if (const int rc = finish_parse(flags, flags.parse(argc, argv, begin));
+  if (const int rc = cli::finish_parse(flags, flags.parse(argc, argv, begin));
       rc >= 0) {
     return rc;
   }
